@@ -11,7 +11,7 @@ use fae_core::input_processor::classify_inputs;
 use fae_core::RandEmBox;
 use fae_data::format::FaeFile;
 use fae_data::{generate, BatchKind, GenOptions, MiniBatch, WorkloadSpec};
-use fae_embed::{AccessCounter, EmbeddingTable, HotColdPartition, HotEmbeddingBag, SparseGrad};
+use fae_embed::{AccessCounter, EmbeddingTable, HotColdPartition, SparseGrad};
 use fae_models::interaction::Interaction;
 use fae_models::MasterEmbeddings;
 use fae_nn::{Activation, Layer, Mlp, Tensor};
@@ -33,12 +33,11 @@ fn bench_embedding(c: &mut Criterion) {
     g.bench_function("uniform_indices", |b| {
         b.iter(|| black_box(table.lookup_bag(black_box(&uni_idx), &offsets)))
     });
-    // Hot-bag lookup over the compact extracted table.
-    let hot_ids: Vec<u32> = (0..4_000u32).collect();
-    let bag = HotEmbeddingBag::extract(&table, hot_ids);
+    // Hot-bag lookup: the same access pattern over a compact table.
+    let bag = EmbeddingTable::new(4_000, 16, &mut rng);
     let hot_idx: Vec<u32> = (0..batch).map(|_| rng.gen_range(0..4_000u32)).collect();
     g.bench_function("hot_bag", |b| {
-        b.iter(|| black_box(bag.table().lookup_bag(black_box(&hot_idx), &offsets)))
+        b.iter(|| black_box(bag.lookup_bag(black_box(&hot_idx), &offsets)))
     });
     g.finish();
 
@@ -50,22 +49,6 @@ fn bench_embedding(c: &mut Criterion) {
         }
         b.iter(|| t.sgd_step_sparse(black_box(&sg), 0.05));
     });
-}
-
-fn bench_half_precision(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(9);
-    let f32_table = EmbeddingTable::new(100_000, 16, &mut rng);
-    let bf16_table = fae_embed::Bf16EmbeddingTable::from_f32(&f32_table);
-    let idx: Vec<u32> = (0..1024).map(|_| rng.gen_range(0..100_000u32)).collect();
-    let offsets: Vec<usize> = (0..=1024).collect();
-    let mut g = c.benchmark_group("precision_lookup_1024x16");
-    g.bench_function("f32", |b| {
-        b.iter(|| black_box(f32_table.lookup_bag(black_box(&idx), &offsets)))
-    });
-    g.bench_function("bf16", |b| {
-        b.iter(|| black_box(bf16_table.lookup_bag(black_box(&idx), &offsets)))
-    });
-    g.finish();
 }
 
 fn bench_attention(c: &mut Criterion) {
@@ -190,7 +173,6 @@ fn bench_costmodel(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_embedding,
-    bench_half_precision,
     bench_attention,
     bench_classify,
     bench_randem,

@@ -747,8 +747,9 @@ mod tests {
         let mut ck = sample();
         ck.tables = TrainCheckpoint::snapshot_master(&master);
         let back = ck.restore_master();
-        assert_eq!(back.tables().unwrap().len(), master.tables().unwrap().len());
-        for (a, b) in master.tables().unwrap().iter().zip(back.tables().unwrap()) {
+        let (before, after) = (master.snapshot_tables(), back.snapshot_tables());
+        assert_eq!(after.len(), before.len());
+        for (a, b) in before.iter().zip(&after) {
             assert_eq!(a.weights().as_slice(), b.weights().as_slice());
         }
     }

@@ -24,10 +24,9 @@
 //!   thread — never in completion order — so float summation order is
 //!   fixed regardless of thread scheduling;
 //! * sparse gradients are merged per table in the same worker-index
-//!   order, and applied by the caller (serially, or shard-parallel over
-//!   the disjoint row-range shards of
-//!   [`fae_embed::ShardedEmbeddingTable`] — both orders touch disjoint
-//!   rows, so both are exact);
+//!   order, and applied by the caller from one thread (to the master
+//!   tables, or shard by shard to the hot bags'
+//!   [`fae_embed::ShardedEmbeddingTable`]s);
 //! * every replica loads the *same* reduced gradient via
 //!   [`RecModel::read_grads`] and steps, so replicas never drift — there
 //!   is no parameter broadcast after step 0.
@@ -126,8 +125,7 @@ impl ParallelEngine {
     /// Wraps an already-built model as replica 0 and clones `workers - 1`
     /// further replicas by re-seeding the model RNG — [`AnyModel`]
     /// construction consumes a deterministic prefix of the seed stream,
-    /// so every replica is bit-identical to the first (the same trick as
-    /// `DataParallel::replicate`).
+    /// so every replica is bit-identical to the first.
     pub fn from_model(model: AnyModel, spec: &WorkloadSpec, seed: u64, workers: usize) -> Self {
         let workers = workers.max(1);
         let mut replicas = Vec::with_capacity(workers);

@@ -13,7 +13,8 @@
 //!   inputs and packing into *pure* hot / *pure* cold mini-batches,
 //!   persisted in the FAE format,
 //! * [`replicator`] — the hot-embedding source replicated per GPU, with
-//!   CPU↔GPU synchronisation at schedule transitions,
+//!   the one residency-masked CPU↔GPU sync per direction that schedule
+//!   transitions and the lookahead oracle both drive,
 //! * [`exec`] — the parallel execution engine: per-device worker threads
 //!   over contiguous batch shards with deterministic gradient reduction,
 //! * [`oracle`] — the BagPipe-style lookahead cache: exact next-K-batch
@@ -23,7 +24,12 @@
 //!   interleaving rate (Eq. 7),
 //! * [`trainer`] — baseline and FAE training loops combining real
 //!   numerics (loss/accuracy, Fig 12) with the `fae-sysmodel` cost model
-//!   (latency/power, Figs 13–15, Tables IV–VI),
+//!   (latency/power, Figs 13–15, Tables IV–VI); both are short schedules
+//!   over one run state with one `step`, one `sync` and one `finish`,
+//! * [`simsched`] — the same schedule priced by the cost model alone, for
+//!   the paper-scale sweeps no host could train,
+//! * [`artifacts`] — calibration + partitions persisted next to the FAE
+//!   batch container,
 //! * [`pipeline`] — one-call convenience wrappers used by the examples
 //!   and the experiment harness, plus the double-buffered mini-batch
 //!   prefetcher that decodes FAE-format blocks on a background thread,
@@ -34,14 +40,10 @@
 //!   verified) that make an interrupted run resume bit-identically.
 
 #![forbid(unsafe_code)]
-pub mod adaptive;
 pub mod artifacts;
 pub mod calibrator;
 pub mod checkpoint;
 pub mod classifier;
-pub mod convergence;
-pub mod distributed;
-pub mod drift;
 pub mod exec;
 pub mod faults;
 pub mod input_processor;
@@ -52,13 +54,10 @@ pub mod scheduler;
 pub mod simsched;
 pub mod trainer;
 
-pub use adaptive::{train_fae_adaptive, AdaptiveConfig, AdaptiveReport};
 pub use calibrator::{CalibrationResult, Calibrator, CalibratorConfig, RandEmBox, RandEmEstimate};
 pub use checkpoint::model_digest;
 pub use checkpoint::{latest_in, CheckpointError, TableSnapshot, TrainCheckpoint};
 pub use classifier::classify_tables;
-pub use distributed::DataParallel;
-pub use drift::{hot_access_share, DriftMonitor, DriftVerdict};
 pub use exec::{compute_shard, reduce_shards, NetEvents, ParallelEngine, ShardOutput, StepEngine};
 pub use fae_telemetry::Telemetry;
 pub use faults::{

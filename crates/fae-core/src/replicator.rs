@@ -3,18 +3,22 @@
 //! hot/cold schedule transitions.
 //!
 //! Numerically, the N GPU replicas stay bit-identical under the fused
-//! all-reduce (proved by `fae_embed::ReplicatedHotEmbedding`'s tests), so
-//! the trainer computes against one logical copy; the *cost* of keeping N
+//! all-reduce (every replica applies the same reduced gradient), so the
+//! trainer computes against one logical copy; the *cost* of keeping N
 //! replicas in sync is charged by `fae-sysmodel`. Lookups translate global
 //! row ids to hot-local ids through the partitions; touching a cold row
 //! through this source is a bug in the input processor and panics.
 //!
-//! Since the parallel execution engine landed, the one logical copy is a
-//! [`ShardedEmbeddingTable`] per table: hot-bag lookups from concurrent
-//! worker threads take per-shard read locks instead of serialising, and
-//! the merged sparse gradient is applied shard-parallel
-//! ([`HotEmbeddings::apply_shared`]) — disjoint row ranges, so the result
-//! is bit-identical to a serial application.
+//! The one logical copy is a [`ShardedEmbeddingTable`] per table: hot-bag
+//! lookups from concurrent worker threads take per-shard read locks
+//! instead of serialising, and the merged sparse gradient is applied
+//! through `&self` ([`HotEmbeddings::apply_shared`]) under one write lock
+//! per touched shard.
+//!
+//! There is one sync in each direction, both driven by the per-row
+//! residency mask: [`HotEmbeddings::refresh_rows`] copies a planned row
+//! set master→devices and [`HotEmbeddings::write_back_resident`] copies
+//! the resident rows back. The full-bag syncs are their all-rows case.
 
 use fae_nn::Tensor;
 
@@ -77,7 +81,11 @@ impl HotEmbeddings {
 
     /// Total bytes of the hot bags (per GPU replica).
     pub fn hot_bytes(&self) -> usize {
-        self.global_ids.iter().map(|ids| ids.len() * self.dim * std::mem::size_of::<f32>()).sum()
+        self.global_ids.iter().map(|ids| ids.len() * self.row_bytes() as usize).sum()
+    }
+
+    fn row_bytes(&self) -> u64 {
+        (self.dim * std::mem::size_of::<f32>()) as u64
     }
 
     /// Bytes that cross PCIe per CPU↔GPU synchronisation (per replica):
@@ -93,33 +101,20 @@ impl HotEmbeddings {
     }
 
     /// Hot→cold transition: pushes trained hot rows back into the master
-    /// tables so cold batches (and evaluation) see them.
+    /// tables so cold batches (and evaluation) see them. With every row
+    /// resident — the state [`Self::build`] and [`Self::refresh_from`]
+    /// leave — this is the whole bag. After a partial
+    /// [`Self::refresh_rows`] it is [`Self::write_back_resident`]: only
+    /// the resident rows are written, because an evicted row's device
+    /// bytes are stale and the master copy is the authoritative one.
     pub fn write_back(&self, master: &mut MasterEmbeddings) {
-        for (t, (sharded, ids)) in self.tables.iter().zip(&self.global_ids).enumerate() {
-            let snapshot = sharded.to_table();
-            for (local, &g) in ids.iter().enumerate() {
-                master.set_row(t, g, snapshot.row(local as u32));
-            }
-        }
-        self.telemetry.counter_add("replicator.write_backs", 1);
-        self.telemetry.counter_add("replicator.moved_bytes", self.sync_bytes() as u64);
+        self.write_back_resident(master);
     }
 
     /// Cold→hot transition: pulls rows updated by cold batches back into
     /// the bags. Restores full residency.
     pub fn refresh_from(&mut self, master: &MasterEmbeddings) {
-        let mut buf = vec![0.0f32; self.dim];
-        for (t, (sharded, ids)) in self.tables.iter().zip(&self.global_ids).enumerate() {
-            for (local, &g) in ids.iter().enumerate() {
-                master.copy_row_into(t, g, &mut buf);
-                sharded.set_row(local as u32, &buf);
-            }
-        }
-        for mask in &mut self.resident {
-            mask.fill(true);
-        }
-        self.telemetry.counter_add("replicator.refreshes", 1);
-        self.telemetry.counter_add("replicator.moved_bytes", self.sync_bytes() as u64);
+        self.refresh(master, None);
     }
 
     /// Rows currently resident on the devices, across all tables.
@@ -133,33 +128,30 @@ impl HotEmbeddings {
     /// bytes moved and the number of previously-resident rows evicted
     /// (eviction moves no bytes: the master already holds their values —
     /// hot rows are only written on the devices *after* a refresh, and
-    /// written rows are written back before the next refresh).
+    /// written rows are written back before the next refresh). An id
+    /// listed twice in a plan is copied, and counted, once.
     pub fn refresh_rows(&mut self, master: &MasterEmbeddings, plan: &[Vec<u32>]) -> (u64, u64) {
         assert_eq!(plan.len(), self.tables.len(), "one plan per table");
-        let mut buf = vec![0.0f32; self.dim];
-        let mut moved_rows = 0u64;
-        let mut evicted = 0u64;
-        for (t, rows) in plan.iter().enumerate() {
-            let sharded = &self.tables[t];
-            let p = &self.partitions[t];
-            let mask = &mut self.resident[t];
-            let mut next = vec![false; mask.len()];
-            for &g in rows {
-                // Cold ids in a plan would be input-processor corruption;
-                // they cannot be made resident, so skip rather than panic.
-                let Some(local) = p.hot_local(g) else { continue };
-                master.copy_row_into(t, g, &mut buf);
-                sharded.set_row(local, &buf);
-                next[local as usize] = true;
-                moved_rows += 1;
-            }
-            evicted += mask.iter().zip(&next).filter(|&(&was, &is)| was && !is).count() as u64;
-            *mask = next;
-        }
-        let moved_bytes = moved_rows * (self.dim * std::mem::size_of::<f32>()) as u64;
+        self.refresh(master, Some(plan))
+    }
+
+    /// The cold→hot copy behind both refreshes: `plan` names the rows to
+    /// make resident, `None` meaning every hot row. Everything is evicted
+    /// first, so whatever was resident and is not fetched again counts as
+    /// evicted.
+    pub(crate) fn refresh(
+        &mut self,
+        master: &MasterEmbeddings,
+        plan: Option<&[Vec<u32>]>,
+    ) -> (u64, u64) {
+        let was: Vec<Vec<bool>> =
+            self.resident.iter_mut().map(|m| std::mem::replace(m, vec![false; m.len()])).collect();
+        let moved_bytes = self.fetch(master, plan) * self.row_bytes();
+        let now = self.resident.iter().flatten();
+        let evicted = was.iter().flatten().zip(now).filter(|&(&was, &is)| was && !is).count();
         self.telemetry.counter_add("replicator.refreshes", 1);
         self.telemetry.counter_add("replicator.moved_bytes", moved_bytes);
-        (moved_bytes, evicted)
+        (moved_bytes, evicted as u64)
     }
 
     /// Fetches every row of `sets` (per-table global ids) that is not
@@ -168,13 +160,27 @@ impl HotEmbeddings {
     /// Returns the rows and bytes moved.
     pub fn fetch_missing(&mut self, master: &MasterEmbeddings, sets: &[Vec<u32>]) -> (u64, u64) {
         assert_eq!(sets.len(), self.tables.len(), "one set per table");
+        let rows_moved = self.fetch(master, Some(sets));
+        let bytes = rows_moved * self.row_bytes();
+        if rows_moved > 0 {
+            self.telemetry.counter_add("replicator.moved_bytes", bytes);
+        }
+        (rows_moved, bytes)
+    }
+
+    /// The one master→device copy loop: makes resident every row of
+    /// `sets` (`None` = every hot row) that is not already. Returns the
+    /// rows copied.
+    fn fetch(&mut self, master: &MasterEmbeddings, sets: Option<&[Vec<u32>]>) -> u64 {
         let mut buf = vec![0.0f32; self.dim];
         let mut rows_moved = 0u64;
-        for (t, rows) in sets.iter().enumerate() {
-            let sharded = &self.tables[t];
+        for (t, sharded) in self.tables.iter().enumerate() {
+            let rows = sets.map_or(&self.global_ids[t], |s| &s[t]);
             let p = &self.partitions[t];
             let mask = &mut self.resident[t];
             for &g in rows {
+                // Cold ids in a set would be input-processor corruption;
+                // they cannot be made resident, so skip rather than panic.
                 let Some(local) = p.hot_local(g) else { continue };
                 if mask[local as usize] {
                     continue;
@@ -185,17 +191,13 @@ impl HotEmbeddings {
                 rows_moved += 1;
             }
         }
-        let bytes = rows_moved * (self.dim * std::mem::size_of::<f32>()) as u64;
-        if rows_moved > 0 {
-            self.telemetry.counter_add("replicator.moved_bytes", bytes);
-        }
-        (rows_moved, bytes)
+        rows_moved
     }
 
-    /// Hot→cold transition under the oracle: writes back only the
-    /// resident rows (non-resident rows were never readable on the
-    /// devices, so their device bytes are stale by construction and the
-    /// master copy is already authoritative). Returns bytes moved.
+    /// Hot→cold transition: writes back only the resident rows
+    /// (non-resident rows were never readable on the devices, so their
+    /// device bytes are stale by construction and the master copy is
+    /// already authoritative). Returns bytes moved.
     pub fn write_back_resident(&self, master: &mut MasterEmbeddings) -> u64 {
         let mut rows_moved = 0u64;
         for (t, ((sharded, ids), mask)) in
@@ -210,7 +212,7 @@ impl HotEmbeddings {
                 rows_moved += 1;
             }
         }
-        let bytes = rows_moved * (self.dim * std::mem::size_of::<f32>()) as u64;
+        let bytes = rows_moved * self.row_bytes();
         self.telemetry.counter_add("replicator.write_backs", 1);
         self.telemetry.counter_add("replicator.moved_bytes", bytes);
         bytes
@@ -230,10 +232,10 @@ impl HotEmbeddings {
     }
 
     /// Applies per-table sparse gradients through `&self`: remaps global
-    /// row ids to hot-local, then updates each table shard-parallel. This
-    /// is the path the execution engine uses after reducing worker
-    /// gradients — shards are disjoint row ranges, so the parallel
-    /// application is bit-identical to [`EmbeddingSource`]'s serial one.
+    /// row ids to hot-local, then updates each table under one write
+    /// lock per touched shard. This is the path the execution engine
+    /// uses after reducing worker gradients, and the one `fae-net`'s
+    /// worker uses for the coordinator's apply broadcast.
     pub fn apply_shared(&self, grads: &[SparseGrad], lr: f32) {
         assert_eq!(grads.len(), self.tables.len(), "one gradient per table");
         for ((sharded, p), g) in self.tables.iter().zip(&self.partitions).zip(grads) {
@@ -243,7 +245,7 @@ impl HotEmbeddings {
                     // fae-lint: allow(no-panic, reason = "classifier routing corruption: continuing would train on garbage rows, so fail fast")
                     .unwrap_or_else(|| panic!("cold row {global} updated through the hot source"))
             });
-            sharded.sgd_step_sparse_parallel(&local, lr);
+            sharded.sgd_step_sparse(&local, lr);
         }
     }
 }
@@ -399,12 +401,16 @@ mod tests {
     fn resident_write_back_only_moves_resident_rows() {
         let (mut master, mut hot) = setup();
         let mut plan: Vec<Vec<u32>> = vec![Vec::new(); hot.num_tables()];
-        plan[0] = vec![3];
-        hot.refresh_rows(&master, &plan);
-        // Train resident row 3 on the devices.
+        // A plan naming a row twice moves (and reports) it once.
+        plan[0] = vec![3, 3];
+        let (moved, _) = hot.refresh_rows(&master, &plan);
+        assert_eq!(moved, (hot.dim() * 4) as u64);
+        // Train resident row 3 on the devices; evicted row 6 gets
+        // device-side bytes that must never reach the master.
         let mut grads: Vec<SparseGrad> =
             (0..hot.num_tables()).map(|_| SparseGrad::new(hot.dim())).collect();
         grads[0].accumulate(3, &vec![2.0; hot.dim()]);
+        grads[0].accumulate(6, &vec![2.0; hot.dim()]);
         hot.apply_shared(&grads, 0.5);
         let before_row6 = master.lookup(0, &[6], &[0, 1]);
         let before_row3 = master.lookup(0, &[3], &[0, 1]);
@@ -416,6 +422,14 @@ mod tests {
             assert!((b - 1.0 - a).abs() < 1e-6);
         }
         assert_eq!(master.lookup(0, &[6], &[0, 1]).as_slice(), before_row6.as_slice());
+        // `write_back` is the same resident-only copy: still nothing for
+        // row 6 until a full refresh makes the whole bag resident again.
+        hot.write_back(&mut master);
+        assert_eq!(master.lookup(0, &[6], &[0, 1]).as_slice(), before_row6.as_slice());
+        hot.refresh_from(&master);
+        hot.apply_shared(&grads, 0.5);
+        hot.write_back(&mut master);
+        assert_ne!(master.lookup(0, &[6], &[0, 1]).as_slice(), before_row6.as_slice());
     }
 
     #[test]

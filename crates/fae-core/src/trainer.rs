@@ -8,8 +8,17 @@
 //!
 //! The FAE engine follows §III-C: lead with cold batches, issue blocks of
 //! `rate%` cold then `rate%` hot, synchronise the hot bags CPU↔GPU at
-//! every transition (charged via [`sync_cost`]), evaluate after each
-//! round and let the [`ShuffleScheduler`] adapt the rate.
+//! every transition (charged via [`fae_sysmodel::sync_cost`]), evaluate
+//! after each round and let the [`ShuffleScheduler`] adapt the rate.
+//!
+//! # Structure
+//!
+//! The loops in this file own a schedule and nothing else. Everything a
+//! run mutates lives in one private run state (`run::Run`) with exactly
+//! one `step`, one `sync`, one `charge`/`recover` pair and one `finish`;
+//! the baseline is the same run with an empty hot set. A new execution
+//! mode is an input to `step` or `sync`, never a new arm of a loop
+//! (DESIGN.md §9).
 //!
 //! # Resilience
 //!
@@ -20,8 +29,9 @@
 //! * **device loss** — the data-parallel group shrinks to the survivors;
 //!   re-sharding (communicator re-init, dense-parameter broadcast,
 //!   hot-bag re-replication) is charged to the timeline via
-//!   [`reshard_cost`], and training continues at the N−1 cost model.
-//!   Losing the last GPU falls back to CPU-only cold execution.
+//!   [`fae_sysmodel::reshard_cost`], and training continues at the N−1
+//!   cost model. Losing the last GPU falls back to CPU-only cold
+//!   execution.
 //! * **replication OOM** — the aborted replication is charged, then the
 //!   run degrades to CPU-only cold execution: hot batches train against
 //!   the master tables at hybrid cost, with no further sync traffic.
@@ -36,8 +46,6 @@
 //!   stream, so a resumed run replays the exact batch order — resumption
 //!   is bit-identical to never having stopped.
 
-use std::collections::HashMap;
-use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -47,28 +55,21 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use fae_data::{BatchKind, Dataset, MiniBatch, WorkloadKind, WorkloadSpec};
-use fae_embed::{DeferredSparse, SkipStats, SparseGrad};
-use fae_models::{
-    bridge, evaluate, Dlrm, EmbeddingSource, EvalReport, MasterEmbeddings, RecModel, Tbsm,
-};
+use fae_embed::{DeferredSparse, HotColdPartition, SkipStats, SparseGrad};
+use fae_models::{Dlrm, EmbeddingSource, EvalReport, MasterEmbeddings, RecModel, Tbsm};
 use fae_nn::Tensor;
-use fae_sysmodel::power::average_gpu_power;
-use fae_sysmodel::{
-    cold_sparse_optimizer_cost, reshard_cost, step_cost, sync_cost, ExecMode, Phase, SystemConfig,
-    Timeline,
-};
-use fae_telemetry::{JournalEvent, PhaseSeconds, StepMode, Telemetry};
+use fae_sysmodel::Timeline;
+use fae_telemetry::{StepMode, Telemetry};
 
-use crate::checkpoint::{latest_in, model_digest, TrainCheckpoint};
+use crate::checkpoint::{latest_in, TrainCheckpoint};
 use crate::exec::{ParallelEngine, StepEngine};
-use crate::faults::{
-    retry_with_backoff, FaultInjector, FaultKind, FaultPlan, InjectedFault, RecoveryAction,
-    RetryPolicy,
-};
+use crate::faults::{FaultKind, FaultPlan, InjectedFault, RecoveryAction};
 use crate::input_processor::Preprocessed;
 use crate::oracle::{LookaheadOracle, OracleStats};
-use crate::replicator::HotEmbeddings;
 use crate::scheduler::{Rate, ShuffleScheduler};
+
+mod run;
+use run::{Lookahead, Run, SyncDir};
 
 /// Trainer configuration.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -314,134 +315,6 @@ pub fn make_test_batches(test: &Dataset, batch_size: usize, max_batches: usize) 
         .collect()
 }
 
-/// Per-batch-size memoised step costs: `step_cost` is pure in the batch
-/// size, and an epoch reuses two sizes (full + remainder).
-struct CostCache<'a> {
-    profile: &'a fae_sysmodel::ModelProfile,
-    sys: &'a SystemConfig,
-    mode: ExecMode,
-    // Lookup-only (never iterated), so iteration order cannot reach
-    // the digest — which is what lets this be a HashMap under the
-    // flow-aware det-taint rule.
-    cache: HashMap<usize, Timeline>,
-}
-
-impl<'a> CostCache<'a> {
-    fn new(profile: &'a fae_sysmodel::ModelProfile, sys: &'a SystemConfig, mode: ExecMode) -> Self {
-        Self { profile, sys, mode, cache: HashMap::new() }
-    }
-
-    fn charge(&mut self, timeline: &mut Timeline, batch: usize) {
-        let entry = self
-            .cache
-            .entry(batch)
-            .or_insert_with(|| step_cost(self.profile, self.sys, self.mode, batch));
-        timeline.merge(entry);
-    }
-}
-
-/// The FAE engine's owned cost model. Unlike [`CostCache`] it owns the
-/// system description, because graceful degradation re-shapes the
-/// machine mid-run: after a device loss the surviving GPU count changes
-/// every per-step and sync cost, so the caches must be rebuilt.
-struct FaeCostModel {
-    profile: fae_sysmodel::ModelProfile,
-    sys: SystemConfig,
-    sync_bytes: f64,
-    // Lookup-only like `CostCache.cache`; see that field's note.
-    cold: HashMap<usize, Timeline>,
-    hot: HashMap<usize, Timeline>,
-    sync: Timeline,
-}
-
-impl FaeCostModel {
-    fn new(profile: fae_sysmodel::ModelProfile, num_gpus: usize, sync_bytes: f64) -> Self {
-        let sys = SystemConfig::paper_server(num_gpus);
-        let sync = sync_cost(&sys, sync_bytes);
-        Self { profile, sys, sync_bytes, cold: HashMap::new(), hot: HashMap::new(), sync }
-    }
-
-    /// Re-shapes the machine to `num_gpus` survivors: every cached cost
-    /// is stale, so the caches are dropped and the sync cost recomputed.
-    fn set_gpus(&mut self, num_gpus: usize) {
-        self.sys = SystemConfig::paper_server(num_gpus);
-        self.cold.clear();
-        self.hot.clear();
-        self.sync = sync_cost(&self.sys, self.sync_bytes);
-    }
-
-    fn charge_cold(&mut self, timeline: &mut Timeline, batch: usize) {
-        let entry = self.cold.entry(batch).or_insert_with(|| {
-            step_cost(&self.profile, &self.sys, ExecMode::BaselineHybrid, batch)
-        });
-        timeline.merge(entry);
-    }
-
-    /// Charges a cold step whose sparse optimizer applied only
-    /// `applied` of the `produced` row-updates (the rest deferred by the
-    /// stale-skip pool, or flushed extras when `applied > produced`).
-    /// The CPU sparse-SGD term — the paper's headline cold bottleneck —
-    /// is rescaled by `applied / produced`; every other phase is
-    /// unchanged (the forward/backward still ran in full).
-    fn charge_cold_skipped(
-        &mut self,
-        timeline: &mut Timeline,
-        batch: usize,
-        produced: u64,
-        applied: u64,
-    ) {
-        if produced == 0 || applied == produced {
-            self.charge_cold(timeline, batch);
-            return;
-        }
-        let entry = self.cold.entry(batch).or_insert_with(|| {
-            step_cost(&self.profile, &self.sys, ExecMode::BaselineHybrid, batch)
-        });
-        let sparse = cold_sparse_optimizer_cost(&self.profile, &self.sys, batch);
-        let delta = sparse * (applied as f64 / produced as f64 - 1.0);
-        let mut adjusted = Timeline::new();
-        for phase in Phase::ALL {
-            let mut secs = entry.get(phase);
-            if phase == Phase::Optimizer {
-                secs = (secs + delta).max(0.0);
-            }
-            adjusted.add(phase, secs);
-        }
-        adjusted.add_cpu_resident((entry.cpu_resident() + delta).max(0.0));
-        timeline.merge(&adjusted);
-    }
-
-    fn charge_hot(&mut self, timeline: &mut Timeline, batch: usize) {
-        let entry = self
-            .hot
-            .entry(batch)
-            .or_insert_with(|| step_cost(&self.profile, &self.sys, ExecMode::FaeHotGpu, batch));
-        timeline.merge(entry);
-    }
-
-    /// Simulated seconds of one hot step at this batch size.
-    fn hot_step_seconds(&mut self, batch: usize) -> f64 {
-        self.hot
-            .entry(batch)
-            .or_insert_with(|| step_cost(&self.profile, &self.sys, ExecMode::FaeHotGpu, batch))
-            .total()
-    }
-
-    fn sync(&self) -> &Timeline {
-        &self.sync
-    }
-
-    /// A sync charge for an oracle-sized partial transfer.
-    fn sync_for_bytes(&self, bytes: f64) -> Timeline {
-        sync_cost(&self.sys, bytes)
-    }
-
-    /// Total seconds a sync of `bytes` takes on this machine.
-    fn sync_seconds(&self, bytes: f64) -> f64 {
-        sync_cost(&self.sys, bytes).total()
-    }
-}
-
 /// Derives the shuffle seed for one epoch (SplitMix64 finalizer).
 ///
 /// Each epoch's batch order comes from its own RNG rather than a stream
@@ -454,60 +327,8 @@ fn shuffle_seed(seed: u64, epoch: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The per-phase seconds charged since the last snapshot, advancing the
-/// snapshot. Journalling every timeline mutation through this keeps the
-/// journal's invariant: its phase seconds sum to `Timeline::total`.
-fn take_delta(prev: &mut Timeline, now: &Timeline) -> PhaseSeconds {
-    let d = PhaseSeconds::delta(prev, now);
-    prev.clone_from(now);
-    d
-}
-
-/// One cold-mode (CPU-hybrid) step under optional stale-skip: flush the
-/// pending rows this batch is about to read (so the forward pass never
-/// sees starved weights), run the step, defer cold-row updates into the
-/// pool, and charge the hybrid cost with the sparse-optimizer term
-/// rescaled by the fraction of row-updates actually applied. With no
-/// skip pool this is exactly the pre-skip step. Returns the loss.
-#[allow(clippy::too_many_arguments)] // internal plumbing of one loop body
-fn cold_step_with_skip<En: StepEngine>(
-    engine: &mut En,
-    master: &mut MasterEmbeddings,
-    mb: &MiniBatch,
-    step: u64,
-    lr: f32,
-    partitions: &[fae_embed::HotColdPartition],
-    skip: &mut Option<DeferredSparse>,
-    costs: &mut FaeCostModel,
-    timeline: &mut Timeline,
-) -> f32 {
-    let Some(pool) = skip.as_mut() else {
-        let (loss, grads) = engine.engine_step(master, mb, step, StepMode::Cold, lr);
-        master.apply_sparse_grads(&grads, lr);
-        costs.charge_cold(timeline, mb.len());
-        return loss;
-    };
-    let mut flushed_now = 0u64;
-    // Raw CSR indices, duplicates and all — `take_for_access` tolerates
-    // them, and skipping the sort/dedup keeps this off the step's
-    // critical path.
-    let access: Vec<&[u32]> = mb.sparse.iter().map(|c| c.indices.as_slice()).collect();
-    if let Some((flush, n)) = pool.take_for_access(&access) {
-        master.apply_sparse_grads(&flush, lr);
-        flushed_now = n;
-    }
-    let (loss, grads) = engine.engine_step(master, mb, step, StepMode::Cold, lr);
-    let produced: u64 = grads.iter().map(|g| g.nnz_rows() as u64).sum();
-    let (apply, _) = pool.absorb(&grads, partitions);
-    let applied: u64 = apply.iter().map(|g| g.nnz_rows() as u64).sum();
-    master.apply_sparse_grads(&apply, lr);
-    // Flushed rows are real optimizer work done this step, so they count
-    // toward the applied fraction (possibly pushing it past 1).
-    costs.charge_cold_skipped(timeline, mb.len(), produced, applied + flushed_now);
-    loss
-}
-
-/// Trains the baseline: every mini-batch in hybrid CPU-GPU mode.
+/// Trains the baseline: every mini-batch in hybrid CPU-GPU mode — the
+/// FAE runtime with an empty hot set, so every step is a cold step.
 pub fn train_baseline(
     spec: &WorkloadSpec,
     train: &Dataset,
@@ -516,72 +337,39 @@ pub fn train_baseline(
 ) -> TrainReport {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let model = AnyModel::from_spec(spec, &mut rng);
-    let mut master = MasterEmbeddings::from_spec(spec, &mut rng);
-    let mut engine = ParallelEngine::from_model(model, spec, cfg.seed, cfg.workers);
-    let test_batches = make_test_batches(test, cfg.minibatch_size, cfg.eval_batches);
-    let profile = bridge::profile_for(spec, 0.0);
-    let sys = SystemConfig::paper_server(cfg.num_gpus);
-    let mut costs = CostCache::new(&profile, &sys, ExecMode::BaselineHybrid);
+    let master = MasterEmbeddings::from_spec(spec, &mut rng);
+    let partitions: Vec<HotColdPartition> =
+        spec.tables.iter().map(|t| HotColdPartition::all_cold(t.rows)).collect();
+    let make_engine = |model| ParallelEngine::from_model(model, spec, cfg.seed, cfg.workers);
+    let opts = ResilienceOptions::default();
+    // No skip pool, whatever `cfg.stale_skip` says: `pipeline::compare`
+    // hands one config to both runs, and the reference must not move.
+    let mut run = Run::new(spec, cfg, &partitions, model, master, make_engine, None, test, &opts);
 
-    let mut timeline = Timeline::new();
-    let mut history = Vec::new();
-    let mut steps = 0usize;
     let mut order: Vec<usize> = (0..train.len()).collect();
     for _ in 0..cfg.epochs {
         order.shuffle(&mut rng);
         for chunk in order.chunks(cfg.minibatch_size) {
             let mb = MiniBatch::gather(train, chunk, BatchKind::Unclassified);
-            let (_loss, grads) = engine.step(&master, &mb, cfg.lr);
-            master.apply_sparse_grads(&grads, cfg.lr);
-            costs.charge(&mut timeline, mb.len());
-            steps += 1;
-            if steps.is_multiple_of(cfg.eval_interval) {
-                let e = evaluate(engine.primary(), &master, &test_batches);
-                history.push(EvalPoint {
-                    iteration: steps,
-                    test_loss: e.loss,
-                    test_accuracy: e.accuracy,
-                    rate: None,
-                    hot_steps: 0,
-                    cold_steps: steps,
-                    sim_seconds: timeline.total(),
-                });
+            run.step(&mb, StepMode::Cold, None);
+            if run.steps.is_multiple_of(cfg.eval_interval) {
+                run.evaluate(|_| None);
             }
         }
     }
-    let final_test = evaluate(engine.primary(), &master, &test_batches);
     let train_batches = make_test_batches(train, cfg.minibatch_size, cfg.eval_batches);
-    let final_train = evaluate(engine.primary(), &master, &train_batches);
-    history.push(EvalPoint {
-        iteration: steps,
-        test_loss: final_test.loss,
-        test_accuracy: final_test.accuracy,
+    let mut report = run.finish(&train_batches, None);
+    // The baseline's curve ends on its final held-out evaluation.
+    report.history.push(EvalPoint {
+        iteration: report.cold_steps,
+        test_loss: report.final_test.loss,
+        test_accuracy: report.final_test.accuracy,
         rate: None,
         hot_steps: 0,
-        cold_steps: steps,
-        sim_seconds: timeline.total(),
+        cold_steps: report.cold_steps,
+        sim_seconds: report.simulated_seconds,
     });
-    let mut final_dense = Vec::new();
-    engine.primary_ref().write_params(&mut final_dense);
-    let digest = model_digest(&final_dense, &TrainCheckpoint::snapshot_master(&master));
-    TrainReport {
-        history,
-        final_test,
-        final_train,
-        simulated_seconds: timeline.total(),
-        avg_gpu_power_w: average_gpu_power(&timeline),
-        timeline,
-        hot_steps: 0,
-        cold_steps: steps,
-        transitions: 0,
-        final_rate: None,
-        faults: Vec::new(),
-        recoveries: Vec::new(),
-        interrupted: false,
-        model_digest: digest,
-        oracle: OracleStats::default(),
-        skip: SkipStats::default(),
-    }
+    report
 }
 
 /// Trains with the FAE framework over a preprocessed hot/cold stream.
@@ -615,30 +403,37 @@ pub fn train_fae_resilient(
     })
 }
 
-/// Absorbs a [`StepEngine`]'s transport side effects into the training
-/// loop's bookkeeping. `step_charges` fold into the surrounding journal
-/// delta; `event_charges` advance the snapshot too, because the drained
-/// journal events already carry those phase seconds.
-fn absorb_net<En: StepEngine>(
-    engine: &mut En,
-    timeline: &mut Timeline,
-    tl_prev: &mut Timeline,
-    net_faults: &mut Vec<InjectedFault>,
-    recoveries: &mut Vec<RecoveryAction>,
-    telem: &Telemetry,
-) {
-    let net = engine.drain_net();
-    if net.is_empty() {
-        return;
+/// The checkpoint a `resume` run continues from: the latest readable one
+/// in the checkpoint directory, if any. An unreadable checkpoint or
+/// directory is reported and the run starts fresh.
+fn load_resume_checkpoint(opts: &ResilienceOptions, seed: u64) -> Option<TrainCheckpoint> {
+    let dir = opts.checkpoint_dir.as_ref().filter(|_| opts.resume)?;
+    let path = match latest_in(dir) {
+        Ok(found) => found?,
+        Err(e) => {
+            eprintln!("fae: cannot scan checkpoint dir: {e}; starting fresh");
+            return None;
+        }
+    };
+    match TrainCheckpoint::load(&path) {
+        Ok(ck) => {
+            assert_eq!(
+                ck.config_seed,
+                seed,
+                "checkpoint {} was written by a run with seed {}, not {seed}",
+                path.display(),
+                ck.config_seed,
+            );
+            Some(ck)
+        }
+        Err(e) => {
+            eprintln!(
+                "fae: ignoring unreadable checkpoint {}: {e}; starting fresh",
+                path.display()
+            );
+            None
+        }
     }
-    timeline.merge(&net.step_charges);
-    timeline.merge(&net.event_charges);
-    tl_prev.merge(&net.event_charges);
-    for ev in &net.journal {
-        telem.emit(ev);
-    }
-    net_faults.extend(net.faults);
-    recoveries.extend(net.recoveries);
 }
 
 /// The FAE training loop, generic over the step executor: pass the
@@ -646,6 +441,10 @@ fn absorb_net<En: StepEngine>(
 /// a networked engine that fans shards out to worker processes. The
 /// closure receives the freshly built (or checkpoint-restored) model and
 /// must wrap it as replica 0.
+///
+/// The loop owns only the schedule — epoch order, block lengths, where
+/// faults and checkpoints land. Every step, sync, charge and the report
+/// go through the private run state (see the module docs).
 pub fn train_fae_with_engine<En, F>(
     spec: &WorkloadSpec,
     pre: &Preprocessed,
@@ -669,151 +468,38 @@ where
     } else {
         MasterEmbeddings::from_spec(spec, &mut rng)
     };
-
     let mut scheduler = ShuffleScheduler::new(Rate::new(cfg.initial_rate));
-    let mut timeline = Timeline::new();
-    let mut history: Vec<EvalPoint> = Vec::new();
-    let (mut hot_steps, mut cold_steps, mut transitions, mut steps) = (0usize, 0usize, 0usize, 0);
-    let mut gpus_active = cfg.num_gpus.max(1);
-    let mut cold_only = false;
-    let mut injector = FaultInjector::new(opts.plan.clone());
-    let mut recoveries: Vec<RecoveryAction> = Vec::new();
-    let retry = RetryPolicy::default();
-    let mut start_epoch = 0usize;
-    let mut resume_cursors: Option<(usize, usize)> = None;
-    let mut resumed = false;
-
-    if opts.resume {
-        if let Some(dir) = &opts.checkpoint_dir {
-            match latest_in(dir) {
-                Ok(Some(path)) => match TrainCheckpoint::load(&path) {
-                    Ok(ck) => {
-                        assert_eq!(
-                            ck.config_seed,
-                            cfg.seed,
-                            "checkpoint {} was written by a run with seed {}, not {}",
-                            path.display(),
-                            ck.config_seed,
-                            cfg.seed
-                        );
-                        model.read_params(&ck.dense_params);
-                        master = ck.restore_master();
-                        if cfg.quantize_cold {
-                            master.quantize_cold_tier(&pre.partitions);
-                        }
-                        scheduler = ShuffleScheduler::from_state(&ck.scheduler);
-                        timeline = ck.timeline.clone();
-                        history = ck.history.clone();
-                        steps = ck.steps as usize;
-                        hot_steps = ck.hot_steps as usize;
-                        cold_steps = ck.cold_steps as usize;
-                        transitions = ck.transitions as usize;
-                        gpus_active = ck.gpus_active as usize;
-                        cold_only = ck.cold_only;
-                        injector.restore(ck.faults.clone());
-                        recoveries = ck.recoveries;
-                        recoveries.push(RecoveryAction::ResumedFromCheckpoint { step: ck.steps });
-                        start_epoch = ck.epoch as usize;
-                        resume_cursors = Some((ck.hot_cursor as usize, ck.cold_cursor as usize));
-                        resumed = true;
-                    }
-                    Err(e) => eprintln!(
-                        "fae: ignoring unreadable checkpoint {}: {e}; starting fresh",
-                        path.display()
-                    ),
-                },
-                Ok(None) => {}
-                Err(e) => eprintln!("fae: cannot scan checkpoint dir: {e}; starting fresh"),
-            }
+    let resumed = load_resume_checkpoint(opts, cfg.seed);
+    if let Some(ck) = &resumed {
+        model.read_params(&ck.dense_params);
+        master = ck.restore_master();
+        if cfg.quantize_cold {
+            master.quantize_cold_tier(&pre.partitions);
         }
+        scheduler = ShuffleScheduler::from_state(&ck.scheduler);
     }
+    scheduler.set_telemetry(opts.telemetry.clone());
 
-    let telem = opts.telemetry.clone();
-    let enabled = telem.enabled();
-    let mut span_train = telem.span("train");
-    scheduler.set_telemetry(telem.clone());
-    injector.set_telemetry(telem.clone());
-
-    // The execution engine owns the model replicas from here on. A
-    // checkpoint restore above only touched replica 0, so re-broadcast
-    // its parameters before the first step.
-    let mut engine = make_engine(model);
-    engine.broadcast_params();
-    engine.set_telemetry(telem.clone());
-    if resumed {
-        engine.on_master_restored(&master);
+    // Stale-skip state: deferred cold-row gradients (DESIGN.md §15).
+    let skip = (cfg.stale_skip > 0.0)
+        .then(|| DeferredSparse::new(master.num_tables(), master.dim(), cfg.stale_skip, cfg.lr));
+    let mut run =
+        Run::new(spec, cfg, &pre.partitions, model, master, make_engine, skip, test, opts);
+    let start_epoch = resumed.as_ref().map_or(0, |ck| ck.epoch as usize);
+    let mut resume_cursors =
+        resumed.as_ref().map(|ck| (ck.hot_cursor as usize, ck.cold_cursor as usize));
+    if let Some(ck) = resumed {
+        run.restore(ck);
     }
-    let mut net_faults: Vec<InjectedFault> = Vec::new();
+    run.start(spec, resume_cursors.is_some());
 
-    let mut hot = HotEmbeddings::build(&master, pre.partitions.to_vec());
-    hot.set_telemetry(telem.clone());
-    let hot_bytes = hot.hot_bytes() as f64;
-    let test_batches = make_test_batches(test, cfg.minibatch_size, cfg.eval_batches);
-    let profile = bridge::profile_for(spec, hot_bytes);
-    let mut costs = FaeCostModel::new(profile, gpus_active, hot.sync_bytes() as f64);
-    let dense_bytes = engine.primary_ref().dense_param_count() as f64 * 4.0;
-
-    // Oracle lookahead state: the hot stream is shared with a per-epoch
-    // background access-set producer; counters live for the whole run.
+    // Oracle lookahead: the hot stream is shared with a per-epoch
+    // background access-set producer.
     let oracle_batches: Option<Arc<Vec<MiniBatch>>> =
         (cfg.lookahead > 0).then(|| Arc::new(pre.hot_batches.clone()));
-    let mut oracle_stats = OracleStats::default();
-    // Stale-skip state: deferred cold-row gradients (DESIGN.md §15).
-    let mut skip = (cfg.stale_skip > 0.0)
-        .then(|| DeferredSparse::new(master.num_tables(), master.dim(), cfg.stale_skip, cfg.lr));
-
-    telem.emit(&JournalEvent::RunStart {
-        workload: spec.name.clone(),
-        seed: cfg.seed,
-        num_gpus: gpus_active,
-        workers: engine.workers(),
-        epochs: cfg.epochs,
-        minibatch_size: cfg.minibatch_size,
-        initial_rate: cfg.initial_rate,
-        lookahead: cfg.lookahead as u64,
-        stale_skip: cfg.stale_skip as f64,
-    });
-    telem.gauge_set("train.gpus_active", gpus_active as f64);
-    let sim_at_start = timeline.total();
-    // Every timeline mutation below is journalled as the delta against
-    // this snapshot, so the journal's phase seconds sum exactly to the
-    // final `TrainReport::simulated_seconds`.
-    let mut tl_prev = timeline.clone();
-    if resumed && enabled {
-        telem.emit(&JournalEvent::Recovery {
-            step: steps as u64,
-            action: "resumed-from-checkpoint".into(),
-            detail: format!("replaying from step {steps}"),
-        });
-        // The checkpoint carried simulated time accumulated before the
-        // resume; journal it so the sums-to-total invariant holds for
-        // resumed runs too.
-        telem.emit(&JournalEvent::Charge {
-            step: steps as u64,
-            label: "resumed-prior-timeline".into(),
-            phases: PhaseSeconds::delta(&Timeline::new(), &timeline),
-        });
-        telem.counter_add("train.resumes", 1);
-    }
-
-    if !resumed {
-        // Initial replication of the hot bags onto the GPUs.
-        timeline.merge(costs.sync());
-        if enabled {
-            telem.emit(&JournalEvent::Sync {
-                step: steps as u64,
-                direction: "initial".into(),
-                bytes: hot.sync_bytes() as u64,
-                phases: take_delta(&mut tl_prev, &timeline),
-            });
-            telem.counter_add("replicator.sync_bytes", hot.sync_bytes() as u64);
-        }
-    }
-
+    let num_tables = pre.partitions.len();
     let n_hot = pre.hot_batches.len();
     let n_cold = pre.cold_batches.len();
-    let halt_at = opts.halt_after_steps.unwrap_or(usize::MAX);
-    let mut interrupted = false;
     let mut rounds_done = 0usize;
 
     'epochs: for epoch in start_epoch..cfg.epochs {
@@ -830,7 +516,7 @@ where
         // resumed run fast-forwards to the hot cursor; a degraded
         // (cold-only) run has no hot bags to manage, so no oracle.
         let mut oracle = match &oracle_batches {
-            Some(batches) if !cold_only => {
+            Some(batches) if !run.cold_only => {
                 match LookaheadOracle::spawn(batches.clone(), hot_order.clone(), cfg.lookahead) {
                     Ok(mut o) => {
                         o.skip(hp);
@@ -848,88 +534,16 @@ where
         // §III-C: "The scheduler always begins with training on cold
         // inputs", then alternates rate-sized blocks.
         while hp < n_hot || cp < n_cold {
-            // Device loss manifests at the round boundary (the allreduce
-            // after it would time out): shrink to the survivors, pay the
-            // re-shard, continue at the N−1 cost model.
-            if let Some(f) = injector.fire(FaultKind::DeviceLoss, steps as u64) {
-                if gpus_active > 1 {
-                    let from = gpus_active;
-                    gpus_active -= 1;
-                    costs.set_gpus(gpus_active);
-                    timeline.merge(&reshard_cost(&costs.sys, dense_bytes, hot_bytes));
-                    recoveries.push(RecoveryAction::ShrankReplicas {
-                        step: f.step,
-                        from: from as u32,
-                        to: gpus_active as u32,
-                    });
-                    if enabled {
-                        telem.emit(&JournalEvent::Charge {
-                            step: f.step,
-                            label: "reshard".into(),
-                            phases: take_delta(&mut tl_prev, &timeline),
-                        });
-                        telem.emit(&JournalEvent::Recovery {
-                            step: f.step,
-                            action: "shrank-replicas".into(),
-                            detail: format!("{from} -> {gpus_active}"),
-                        });
-                        telem.gauge_set("train.gpus_active", gpus_active as f64);
-                    }
-                } else if !cold_only {
-                    // No GPU left to host the hot bags: CPU-only cold
-                    // execution for the rest of the run.
-                    cold_only = true;
-                    engine.on_cold_only(f.step);
-                    recoveries.push(RecoveryAction::ColdFallback { step: f.step });
-                    if enabled {
-                        telem.emit(&JournalEvent::Recovery {
-                            step: f.step,
-                            action: "cold-fallback".into(),
-                            detail: "last GPU lost; CPU-only cold execution".into(),
-                        });
-                    }
-                }
+            if run.injector.fire(FaultKind::DeviceLoss, run.steps as u64).is_some() {
+                run.lose_device();
             }
             let rate = scheduler.rate();
+            run.rate = rate.pct();
             // Cold block on the CPU master tables.
             if cp < n_cold {
                 let k = rate.block_len(n_cold).min(n_cold - cp);
                 for &b in &cold_order[cp..cp + k] {
-                    let mb = &pre.cold_batches[b];
-                    let loss = cold_step_with_skip(
-                        &mut engine,
-                        &mut master,
-                        mb,
-                        steps as u64,
-                        cfg.lr,
-                        &pre.partitions,
-                        &mut skip,
-                        &mut costs,
-                        &mut timeline,
-                    );
-                    cold_steps += 1;
-                    steps += 1;
-                    absorb_net(
-                        &mut engine,
-                        &mut timeline,
-                        &mut tl_prev,
-                        &mut net_faults,
-                        &mut recoveries,
-                        &telem,
-                    );
-                    if enabled {
-                        telem.emit(&JournalEvent::Step {
-                            step: steps as u64,
-                            mode: StepMode::Cold,
-                            rate: rate.pct(),
-                            loss: loss as f64,
-                            phases: take_delta(&mut tl_prev, &timeline),
-                        });
-                        telem.counter_add("train.steps_cold", 1);
-                        telem.observe("train.step_loss", loss as f64);
-                    }
-                    if steps >= halt_at {
-                        interrupted = true;
+                    if run.step(&pre.cold_batches[b], StepMode::Cold, None) {
                         break 'epochs;
                     }
                 }
@@ -938,380 +552,53 @@ where
             // Hot block on the replicated GPU bags, bracketed by syncs.
             if hp < n_hot {
                 let k = rate.block_len(n_hot).min(n_hot - hp);
-                if !cold_only {
-                    if let Some(f) = injector.fire(FaultKind::ReplicationOom, steps as u64) {
-                        // The aborted replication attempt still moved (some
-                        // of) the bytes; charge it, then degrade: all
-                        // remaining batches run CPU-resident.
-                        timeline.merge(costs.sync());
-                        cold_only = true;
-                        engine.on_cold_only(f.step);
-                        recoveries.push(RecoveryAction::ColdFallback { step: f.step });
-                        if enabled {
-                            telem.emit(&JournalEvent::Sync {
-                                step: f.step,
-                                direction: "aborted-replication".into(),
-                                bytes: hot.sync_bytes() as u64,
-                                phases: take_delta(&mut tl_prev, &timeline),
-                            });
-                            telem.emit(&JournalEvent::Recovery {
-                                step: f.step,
-                                action: "cold-fallback".into(),
-                                detail: "hot-bag replication aborted (OOM)".into(),
-                            });
-                        }
+                if !run.cold_only
+                    && run.injector.fire(FaultKind::ReplicationOom, run.steps as u64).is_some()
+                {
+                    // The aborted attempt still moved (some of) the bytes:
+                    // charge it, then degrade.
+                    run.sync(SyncDir::AbortedReplication, None);
+                    run.fall_back_to_cold("hot-bag replication aborted (OOM)");
+                }
+                let mut plan = None;
+                let mode = if run.cold_only {
+                    // Degraded: hot inputs are still *trained* — on the
+                    // master tables at hybrid cost, with no sync traffic
+                    // and no hot bags for the oracle to manage.
+                    oracle = None;
+                    StepMode::Cold
+                } else {
+                    if let Some(f) = run.injector.fire(FaultKind::SyncFailure, run.steps as u64) {
+                        run.retry_sync(&f);
+                    }
+                    plan = oracle.as_mut().map(|o| o.block_plan(k, num_tables));
+                    run.sync(SyncDir::Refresh, plan.as_deref());
+                    StepMode::Hot
+                };
+                for (j, &b) in hot_order[hp..hp + k].iter().enumerate() {
+                    let ahead = oracle.as_mut().map(|o| Lookahead { oracle: o, pos: j, block: k });
+                    if run.step(&pre.hot_batches[b], mode, ahead) {
+                        break 'epochs;
                     }
                 }
-                if cold_only {
-                    // Degraded path: hot inputs are still *trained* — on the
-                    // master tables at hybrid cost, with no sync traffic.
-                    // No hot bags means nothing for the oracle to manage.
-                    oracle = None;
-                    for &b in &hot_order[hp..hp + k] {
-                        let mb = &pre.hot_batches[b];
-                        let loss = cold_step_with_skip(
-                            &mut engine,
-                            &mut master,
-                            mb,
-                            steps as u64,
-                            cfg.lr,
-                            &pre.partitions,
-                            &mut skip,
-                            &mut costs,
-                            &mut timeline,
-                        );
-                        cold_steps += 1;
-                        steps += 1;
-                        absorb_net(
-                            &mut engine,
-                            &mut timeline,
-                            &mut tl_prev,
-                            &mut net_faults,
-                            &mut recoveries,
-                            &telem,
-                        );
-                        if enabled {
-                            telem.emit(&JournalEvent::Step {
-                                step: steps as u64,
-                                mode: StepMode::Cold,
-                                rate: rate.pct(),
-                                loss: loss as f64,
-                                phases: take_delta(&mut tl_prev, &timeline),
-                            });
-                            telem.counter_add("train.steps_cold", 1);
-                            telem.observe("train.step_loss", loss as f64);
-                        }
-                        if steps >= halt_at {
-                            interrupted = true;
-                            break 'epochs;
-                        }
-                    }
-                    hp += k;
-                } else {
-                    if let Some(f) = injector.fire(FaultKind::SyncFailure, steps as u64) {
-                        // Deterministic number of failed attempts in
-                        // [1, max_attempts): each moves the bytes before
-                        // dying, and each backoff wait stalls the framework.
-                        let failures =
-                            1 + injector.variation(&f, (retry.max_attempts - 1) as u64) as u32;
-                        let mut waited = 0.0;
-                        for attempt in 1..=failures {
-                            timeline.merge(costs.sync());
-                            let d = retry.backoff_delay(attempt);
-                            timeline.add(Phase::Framework, d);
-                            waited += d;
-                        }
-                        recoveries.push(RecoveryAction::SyncRetried {
-                            step: f.step,
-                            attempts: failures + 1,
-                            waited_s: waited,
-                        });
-                        if enabled {
-                            // One journal entry covers every failed
-                            // attempt: the re-moved bytes plus the
-                            // Framework-phase backoff stalls.
-                            telem.emit(&JournalEvent::Sync {
-                                step: f.step,
-                                direction: "retry".into(),
-                                bytes: failures as u64 * hot.sync_bytes() as u64,
-                                phases: take_delta(&mut tl_prev, &timeline),
-                            });
-                            telem.emit(&JournalEvent::Recovery {
-                                step: f.step,
-                                action: "sync-retried".into(),
-                                detail: format!("{} attempts, {waited:.3}s backoff", failures + 1),
-                            });
-                        }
-                    }
-                    let refresh_bytes = if let Some(o) = oracle.as_mut() {
-                        // Oracle refresh: copy only the union of the next
-                        // min(K, block) hot access sets; everything else
-                        // is evicted (free — the master already holds
-                        // those rows, nothing moves).
-                        let plan = o.block_plan(k, master.num_tables());
-                        let (moved, evicted) = hot.refresh_rows(&master, &plan);
-                        oracle_stats.prefetched_rows +=
-                            plan.iter().map(|r| r.len() as u64).sum::<u64>();
-                        oracle_stats.evicted_rows += evicted;
-                        oracle_stats.moved_bytes += moved;
-                        oracle_stats.full_bytes += hot.sync_bytes() as u64;
-                        timeline.merge(&costs.sync_for_bytes(moved as f64));
-                        moved
-                    } else {
-                        hot.refresh_from(&master);
-                        timeline.merge(costs.sync());
-                        hot.sync_bytes() as u64
-                    };
-                    transitions += 1;
-                    engine.on_refresh(steps as u64, &master, &hot);
-                    absorb_net(
-                        &mut engine,
-                        &mut timeline,
-                        &mut tl_prev,
-                        &mut net_faults,
-                        &mut recoveries,
-                        &telem,
-                    );
-                    if enabled {
-                        telem.emit(&JournalEvent::Sync {
-                            step: steps as u64,
-                            direction: "refresh".into(),
-                            bytes: refresh_bytes,
-                            phases: take_delta(&mut tl_prev, &timeline),
-                        });
-                        telem.counter_add("replicator.sync_bytes", refresh_bytes);
-                    }
-                    for (j, &b) in hot_order[hp..hp + k].iter().enumerate() {
-                        let mb = &pre.hot_batches[b];
-                        if let Some(o) = oracle.as_mut() {
-                            // Slide the window: the access set entering it
-                            // is fetched K−1 steps before it executes, so
-                            // its transfer overlaps K−1 steps of compute;
-                            // only the non-hidden excess is charged. Sets
-                            // past this block are left to the next block's
-                            // plan — the master thaws between blocks, so
-                            // bytes fetched across the boundary would go
-                            // stale.
-                            let window = o.window();
-                            if j > 0 && j + window - 1 < k {
-                                if let Some(entering) = o.peek(window - 1) {
-                                    let (rows, bytes) =
-                                        hot.fetch_missing(&master, &entering.per_table);
-                                    if rows > 0 {
-                                        oracle_stats.prefetched_rows += rows;
-                                        oracle_stats.moved_bytes += bytes;
-                                        let hidden =
-                                            (window - 1) as f64 * costs.hot_step_seconds(mb.len());
-                                        let excess =
-                                            (costs.sync_seconds(bytes as f64) - hidden).max(0.0);
-                                        timeline.add(Phase::EmbedSync, excess);
-                                    }
-                                }
-                            }
-                            // Demand self-check: with an exact oracle this
-                            // step's rows are already resident, so misses
-                            // stay 0; a nonzero count is a planner bug the
-                            // fetch below keeps from corrupting training.
-                            if let Some(cur) = o.advance() {
-                                let accessed = cur.rows() as u64;
-                                let (miss_rows, miss_bytes) =
-                                    hot.fetch_missing(&master, &cur.per_table);
-                                if miss_rows > 0 {
-                                    oracle_stats.misses += miss_rows;
-                                    oracle_stats.moved_bytes += miss_bytes;
-                                    timeline.merge(&costs.sync_for_bytes(miss_bytes as f64));
-                                }
-                                oracle_stats.hits += accessed - miss_rows;
-                            }
-                        }
-                        // Hot steps apply the merged sparse gradient
-                        // shard-parallel — disjoint row ranges, exact.
-                        let (loss, grads) =
-                            engine.engine_step(&hot, mb, steps as u64, StepMode::Hot, cfg.lr);
-                        hot.apply_shared(&grads, cfg.lr);
-                        costs.charge_hot(&mut timeline, mb.len());
-                        hot_steps += 1;
-                        steps += 1;
-                        absorb_net(
-                            &mut engine,
-                            &mut timeline,
-                            &mut tl_prev,
-                            &mut net_faults,
-                            &mut recoveries,
-                            &telem,
-                        );
-                        if enabled {
-                            telem.emit(&JournalEvent::Step {
-                                step: steps as u64,
-                                mode: StepMode::Hot,
-                                rate: rate.pct(),
-                                loss: loss as f64,
-                                phases: take_delta(&mut tl_prev, &timeline),
-                            });
-                            telem.counter_add("train.steps_hot", 1);
-                            telem.observe("train.step_loss", loss as f64);
-                        }
-                        if steps >= halt_at {
-                            interrupted = true;
-                            break 'epochs;
-                        }
-                    }
-                    hp += k;
-                    let wb_bytes = if oracle.is_some() {
-                        // Only resident rows can have been trained on the
-                        // devices; the master copy of everything else is
-                        // already authoritative.
-                        let bytes = hot.write_back_resident(&mut master);
-                        oracle_stats.moved_bytes += bytes;
-                        oracle_stats.full_bytes += hot.sync_bytes() as u64;
-                        timeline.merge(&costs.sync_for_bytes(bytes as f64));
-                        bytes
-                    } else {
-                        hot.write_back(&mut master);
-                        timeline.merge(costs.sync());
-                        hot.sync_bytes() as u64
-                    };
-                    transitions += 1;
-                    engine.on_write_back(steps as u64, &master);
-                    absorb_net(
-                        &mut engine,
-                        &mut timeline,
-                        &mut tl_prev,
-                        &mut net_faults,
-                        &mut recoveries,
-                        &telem,
-                    );
-                    if enabled {
-                        telem.emit(&JournalEvent::Sync {
-                            step: steps as u64,
-                            direction: "write-back".into(),
-                            bytes: wb_bytes,
-                            phases: take_delta(&mut tl_prev, &timeline),
-                        });
-                        telem.counter_add("replicator.sync_bytes", wb_bytes);
-                    }
+                hp += k;
+                if mode == StepMode::Hot {
+                    run.sync(SyncDir::WriteBack, plan.as_deref());
                 }
             }
             // Evaluate on the (synchronised) master copy and adapt.
-            let e = evaluate(engine.primary(), &master, &test_batches);
-            let new_rate = scheduler.observe_test_loss(e.loss);
-            history.push(EvalPoint {
-                iteration: steps,
-                test_loss: e.loss,
-                test_accuracy: e.accuracy,
-                rate: Some(new_rate.pct()),
-                hot_steps,
-                cold_steps,
-                sim_seconds: timeline.total(),
-            });
-            telem.emit(&JournalEvent::Eval {
-                step: steps as u64,
-                test_loss: e.loss,
-                test_accuracy: e.accuracy,
-                rate: Some(new_rate.pct()),
-                hot_steps: hot_steps as u64,
-                cold_steps: cold_steps as u64,
-                sim_seconds: timeline.total(),
-            });
+            run.evaluate(|loss| Some(scheduler.observe_test_loss(loss).pct()));
             rounds_done += 1;
-            // Checkpoint at the round boundary: master tables are
-            // authoritative and the scheduler has just adapted. Saving
-            // charges no simulated time — a monitored run costs the same
-            // as an unmonitored one.
             if let Some(dir) = &opts.checkpoint_dir {
                 if opts.checkpoint_every_rounds > 0
                     && rounds_done.is_multiple_of(opts.checkpoint_every_rounds)
                 {
-                    // Flush deferred updates into the master before
-                    // snapshotting: the checkpoint must carry no hidden
-                    // state for resume to stay bit-identical (a resumed
-                    // run restarts with an empty pool, and the continuing
-                    // run also flushed here — same state either way).
-                    if let Some(pool) = skip.as_mut() {
-                        if let Some((flush, _)) = pool.flush_all() {
-                            master.apply_sparse_grads(&flush, cfg.lr);
-                        }
-                    }
-                    let mut dense_params = Vec::new();
-                    engine.primary_ref().write_params(&mut dense_params);
-                    let ck = TrainCheckpoint {
-                        config_seed: cfg.seed,
-                        epoch: epoch as u32,
-                        hot_cursor: hp as u64,
-                        cold_cursor: cp as u64,
-                        steps: steps as u64,
-                        hot_steps: hot_steps as u64,
-                        cold_steps: cold_steps as u64,
-                        transitions: transitions as u64,
-                        gpus_active: gpus_active as u32,
-                        cold_only,
-                        scheduler: scheduler.state(),
-                        timeline: timeline.clone(),
-                        history: history.clone(),
-                        faults: injector.log().to_vec(),
-                        recoveries: recoveries.clone(),
-                        dense_params,
-                        tables: TrainCheckpoint::snapshot_master(&master),
-                    };
-                    // Transient I/O faults make the first save attempts
-                    // fail; the bounded-backoff retry absorbs them.
-                    let io_failures = injector
-                        .fire(FaultKind::TransientIo, steps as u64)
-                        .map(|f| 1 + injector.variation(&f, (retry.max_attempts - 1) as u64) as u32)
-                        .unwrap_or(0);
-                    let saved = retry_with_backoff(&retry, |attempt| {
-                        if attempt <= io_failures {
-                            Err(io::Error::other("injected transient i/o failure"))
-                        } else {
-                            ck.save(dir).map_err(|e| io::Error::other(e.to_string()))
-                        }
-                    });
-                    match saved {
-                        Ok(r) => {
-                            if r.attempts > 1 {
-                                timeline.add(Phase::Framework, r.waited_s);
-                                recoveries.push(RecoveryAction::RetriedIo {
-                                    attempts: r.attempts,
-                                    waited_s: r.waited_s,
-                                });
-                                if enabled {
-                                    telem.emit(&JournalEvent::Charge {
-                                        step: steps as u64,
-                                        label: "checkpoint-io".into(),
-                                        phases: take_delta(&mut tl_prev, &timeline),
-                                    });
-                                    telem.emit(&JournalEvent::Recovery {
-                                        step: steps as u64,
-                                        action: "retried-io".into(),
-                                        detail: format!(
-                                            "{} attempts, {:.3}s backoff",
-                                            r.attempts, r.waited_s
-                                        ),
-                                    });
-                                }
-                            }
-                            telem.counter_add("train.checkpoints_saved", 1);
-                        }
-                        Err((e, attempts, _)) => {
-                            // Checkpointing is best-effort: losing one
-                            // snapshot must not kill the training run.
-                            eprintln!("fae: checkpoint save failed after {attempts} attempts: {e}");
-                        }
-                    }
+                    run.checkpoint(dir, epoch, (hp, cp), &scheduler);
                 }
             }
         }
     }
 
-    // End of run: whatever the skip pool still holds is dropped — these
-    // are the elided stale updates of arXiv 2404.04270. The final
-    // evaluation (and the digest) see the master without them.
-    if let Some(pool) = skip.as_mut() {
-        pool.drop_pending();
-    }
-    let skip_stats = skip.as_ref().map(DeferredSparse::stats).unwrap_or_default();
-
-    let final_test = evaluate(engine.primary(), &master, &test_batches);
     let train_sample: Vec<MiniBatch> = pre
         .hot_batches
         .iter()
@@ -1319,87 +606,7 @@ where
         .chain(pre.cold_batches.iter().take(cfg.eval_batches / 2 + 1))
         .cloned()
         .collect();
-    let final_train = evaluate(engine.primary(), &master, &train_sample);
-    absorb_net(&mut engine, &mut timeline, &mut tl_prev, &mut net_faults, &mut recoveries, &telem);
-    // Any transport charges drained after the last step have no Step
-    // event to absorb them; journal the residual so the phase seconds
-    // still sum to the final timeline.
-    if enabled {
-        let residual = take_delta(&mut tl_prev, &timeline);
-        if residual.total() > 0.0 {
-            telem.emit(&JournalEvent::Charge {
-                step: steps as u64,
-                label: "net-drain".into(),
-                phases: residual,
-            });
-        }
-    }
-    if skip.is_some() {
-        telem.counter_add("skip.deferred", skip_stats.deferred);
-        telem.counter_add("skip.flushed_threshold", skip_stats.flushed_threshold);
-        telem.counter_add("skip.flushed_access", skip_stats.flushed_access);
-        telem.counter_add("skip.flushed_checkpoint", skip_stats.flushed_checkpoint);
-        telem.counter_add("skip.dropped", skip_stats.dropped);
-    }
-    if oracle_batches.is_some() {
-        telem.counter_add("oracle.prefetched_rows", oracle_stats.prefetched_rows);
-        telem.counter_add("oracle.evicted_rows", oracle_stats.evicted_rows);
-        telem.counter_add("oracle.hits", oracle_stats.hits);
-        telem.counter_add("oracle.misses", oracle_stats.misses);
-        telem.counter_add("oracle.moved_bytes", oracle_stats.moved_bytes);
-        telem.counter_add(
-            "oracle.saved_bytes",
-            oracle_stats.full_bytes.saturating_sub(oracle_stats.moved_bytes),
-        );
-    }
-    telem.emit(&JournalEvent::RunEnd {
-        steps: steps as u64,
-        hot_steps: hot_steps as u64,
-        cold_steps: cold_steps as u64,
-        transitions: transitions as u64,
-        simulated_seconds: timeline.total(),
-        final_accuracy: final_test.accuracy,
-        final_rate: Some(scheduler.rate().pct()),
-        interrupted,
-    });
-    telem.gauge_set("train.simulated_seconds", timeline.total());
-    telem.gauge_set("train.final_accuracy", final_test.accuracy);
-    telem.gauge_set(
-        "train.steps_per_sec",
-        if timeline.total() > 0.0 { steps as f64 / timeline.total() } else { 0.0 },
-    );
-    telem.gauge_set(
-        "train.hot_step_share",
-        if steps > 0 { hot_steps as f64 / steps as f64 } else { 0.0 },
-    );
-    span_train.add_sim(timeline.total() - sim_at_start);
-    drop(span_train);
-    let mut final_dense = Vec::new();
-    engine.primary_ref().write_params(&mut final_dense);
-    let digest = model_digest(&final_dense, &TrainCheckpoint::snapshot_master(&master));
-    let mut faults = injector.log().to_vec();
-    if !net_faults.is_empty() {
-        faults.extend(net_faults);
-        faults.sort_by_key(|f| f.step);
-    }
-    TrainReport {
-        history,
-        final_test,
-        final_train,
-        simulated_seconds: timeline.total(),
-        avg_gpu_power_w: average_gpu_power(&timeline),
-        timeline,
-        hot_steps,
-        cold_steps,
-        transitions,
-        final_rate: Some(scheduler.rate().pct()),
-        faults,
-        recoveries,
-        interrupted,
-        model_digest: digest,
-        oracle: oracle_stats,
-        skip: skip_stats,
-    }
+    run.finish(&train_sample, Some(scheduler.rate().pct()))
 }
 
 #[cfg(test)]

@@ -10,34 +10,31 @@
 //!   logger* writes into one of these),
 //! * [`HotColdPartition`] — the hot/cold row split induced by an access
 //!   threshold, with global→hot-local index remapping,
-//! * [`HotEmbeddingBag`] — the extracted hot rows as a compact table that
-//!   fits in GPU memory, plus write-back to the master table,
-//! * [`ReplicatedHotEmbedding`] — N device replicas of a hot bag with
-//!   gradient all-reduce, modelling the paper's *embedding replicator*,
 //! * [`ShardedEmbeddingTable`] — row-range shards behind per-shard locks
 //!   for Hogwild-style concurrent lookups and sparse SGD from the parallel
-//!   execution engine's worker threads,
+//!   execution engine's worker threads (the storage of the hot bags that
+//!   `fae-core`'s embedding replicator copies onto every GPU),
+//! * [`TieredTable`] — a table whose cold rows are stored int8 with a
+//!   per-row affine scale while its hot rows stay exact f32,
+//! * [`DeferredSparse`] — the stale-skip pool of deferred cold-row
+//!   gradients,
 //! * [`sparse::SparseGrad`] — coalesced sparse gradients.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod deferred;
-pub mod half;
 pub mod partition;
 pub mod quant;
-pub mod replica;
 pub mod sharded;
 pub mod sparse;
 pub mod stats;
 pub mod table;
 
 pub use deferred::{DeferredSparse, SkipStats};
-pub use half::Bf16EmbeddingTable;
 pub use partition::{HotColdPartition, RowClass};
 pub use quant::{dequantize, quantize_row, TieredTable};
-pub use replica::ReplicatedHotEmbedding;
 pub use sharded::ShardedEmbeddingTable;
 pub use sparse::{RowwiseAdagrad, SparseGrad};
 pub use stats::AccessCounter;
-pub use table::{EmbeddingTable, HotEmbeddingBag};
+pub use table::EmbeddingTable;

@@ -6,7 +6,7 @@
 //! the access threshold. This requires only one pass of each embedding
 //! table." A partition stores the hot set as a membership bitmap plus a
 //! dense global→hot-local remap so hot lookups can index the compact
-//! [`crate::HotEmbeddingBag`] in O(1).
+//! hot bags in O(1).
 
 use serde::{Deserialize, Serialize};
 
@@ -125,8 +125,8 @@ impl HotColdPartition {
         self.hot_ids[hot_local as usize]
     }
 
-    /// Sorted global ids of hot rows (feeds
-    /// [`crate::HotEmbeddingBag::extract`]).
+    /// Sorted global ids of hot rows (the rows the replicator extracts
+    /// into the hot bags).
     pub fn hot_ids(&self) -> &[u32] {
         &self.hot_ids
     }

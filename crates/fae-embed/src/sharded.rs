@@ -13,11 +13,9 @@
 //!
 //! Determinism note: concurrent *writers to the same row* would make the
 //! result depend on scheduling, so the execution engine never does that —
-//! it merges worker gradients in worker order first, then applies each
-//! shard's slice of the merged gradient on its own thread
-//! ([`ShardedEmbeddingTable::sgd_step_sparse_parallel`]). Shards hold
-//! disjoint rows, so that parallel application is bit-identical to the
-//! serial one.
+//! it merges worker gradients in worker order first, then applies the
+//! merged gradient from one thread
+//! ([`ShardedEmbeddingTable::sgd_step_sparse`]), shard by shard.
 
 use std::sync::RwLock;
 
@@ -184,54 +182,21 @@ impl ShardedEmbeddingTable {
     /// shard and taking each shard's write lock exactly once. Concurrent
     /// callers touching disjoint shards do not contend at all.
     pub fn sgd_step_sparse(&self, grad: &SparseGrad, lr: f32) {
-        let groups = self.group_by_shard(grad);
-        for (s, rows) in groups.iter().enumerate() {
-            if rows.is_empty() {
-                continue;
-            }
-            self.apply_to_shard(s, rows, lr);
-        }
-    }
-
-    /// Sparse SGD with one thread per touched shard. Shards hold disjoint
-    /// rows, so this is bit-identical to [`Self::sgd_step_sparse`] — it
-    /// just spends the wall-clock concurrently. Spawning is skipped when
-    /// only one shard is touched.
-    pub fn sgd_step_sparse_parallel(&self, grad: &SparseGrad, lr: f32) {
-        let groups = self.group_by_shard(grad);
-        let touched = groups.iter().filter(|g| !g.is_empty()).count();
-        if touched <= 1 {
-            for (s, rows) in groups.iter().enumerate() {
-                if !rows.is_empty() {
-                    self.apply_to_shard(s, rows, lr);
-                }
-            }
-            return;
-        }
-        std::thread::scope(|scope| {
-            for (s, rows) in groups.iter().enumerate() {
-                if rows.is_empty() {
-                    continue;
-                }
-                scope.spawn(move || self.apply_to_shard(s, rows, lr));
-            }
-        });
-    }
-
-    fn group_by_shard<'g>(&self, grad: &'g SparseGrad) -> Vec<Vec<(u32, &'g [f32])>> {
         assert_eq!(grad.dim(), self.dim, "sparse grad width mismatch");
         let mut groups: Vec<Vec<(u32, &[f32])>> = vec![Vec::new(); self.shards.len()];
         for (idx, g) in grad.iter() {
             groups[self.shard_of(idx as usize)].push((idx, g));
         }
-        groups
-    }
-
-    fn apply_to_shard(&self, s: usize, rows: &[(u32, &[f32])], lr: f32) {
-        let mut guard = self.shards[s].write().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let start = self.starts[s];
-        for &(idx, g) in rows {
-            fae_nn::lanes::axpy(guard.row_mut(idx as usize - start), -lr, g);
+        for (s, rows) in groups.iter().enumerate() {
+            if rows.is_empty() {
+                continue;
+            }
+            let mut guard =
+                self.shards[s].write().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let start = self.starts[s];
+            for &(idx, g) in rows {
+                fae_nn::lanes::axpy(guard.row_mut(idx as usize - start), -lr, g);
+            }
         }
     }
 
@@ -247,20 +212,6 @@ impl ShardedEmbeddingTable {
             }
         }
         EmbeddingTable::from_weights(weights)
-    }
-
-    /// Overwrites every row from `table` (master→hot refresh). Shapes
-    /// must match.
-    pub fn copy_from(&self, table: &EmbeddingTable) {
-        assert_eq!(table.rows(), self.rows, "row count mismatch");
-        assert_eq!(table.dim(), self.dim, "dim mismatch");
-        for (s, shard) in self.shards.iter().enumerate() {
-            let mut guard = shard.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let start = self.starts[s];
-            for local in 0..(self.starts[s + 1] - start) {
-                guard.row_mut(local).copy_from_slice(table.row((start + local) as u32));
-            }
-        }
     }
 }
 
@@ -306,20 +257,17 @@ mod tests {
     }
 
     #[test]
-    fn sparse_step_serial_and_parallel_match_reference() {
+    fn sparse_step_matches_reference() {
         let mut reference = serial(40, 3, 9);
         let st_serial = ShardedEmbeddingTable::from_table(&reference, 4);
-        let st_par = ShardedEmbeddingTable::from_table(&reference, 4);
         let mut g = SparseGrad::new(3);
         for idx in [0u32, 5, 10, 11, 25, 39] {
             g.accumulate(idx, &[0.5, -1.0, 2.0]);
         }
         reference.sgd_step_sparse(&g, 0.1);
         st_serial.sgd_step_sparse(&g, 0.1);
-        st_par.sgd_step_sparse_parallel(&g, 0.1);
         for r in 0..40u32 {
             assert_eq!(reference.row(r), st_serial.row(r).as_slice());
-            assert_eq!(reference.row(r), st_par.row(r).as_slice());
         }
     }
 
@@ -330,17 +278,6 @@ mod tests {
         let back = st.to_table();
         for r in 0..17u32 {
             assert_eq!(t.row(r), back.row(r));
-        }
-    }
-
-    #[test]
-    fn copy_from_refreshes_all_rows() {
-        let a = serial(12, 2, 1);
-        let b = serial(12, 2, 2);
-        let st = ShardedEmbeddingTable::from_table(&a, 5);
-        st.copy_from(&b);
-        for r in 0..12u32 {
-            assert_eq!(st.row(r), b.row(r));
         }
     }
 

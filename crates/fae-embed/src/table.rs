@@ -132,83 +132,6 @@ impl EmbeddingTable {
     }
 }
 
-/// The hot rows of one table, extracted into a compact `hot_count × dim`
-/// table indexed by *hot-local* ids. This is what the paper's embedding
-/// replicator copies onto every GPU.
-#[derive(Clone)]
-pub struct HotEmbeddingBag {
-    table: EmbeddingTable,
-    /// hot-local id -> global row id (sorted ascending).
-    global_ids: Vec<u32>,
-}
-
-impl HotEmbeddingBag {
-    /// Extracts the given global rows (must be sorted, deduplicated) from
-    /// `master` into a compact bag.
-    pub fn extract(master: &EmbeddingTable, global_ids: Vec<u32>) -> Self {
-        debug_assert!(
-            global_ids.windows(2).all(|w| w[0] < w[1]),
-            "global_ids must be sorted+unique"
-        );
-        let dim = master.dim();
-        let mut weights = Tensor::zeros(global_ids.len().max(1), dim);
-        for (local, &g) in global_ids.iter().enumerate() {
-            weights.row_mut(local).copy_from_slice(master.row(g));
-        }
-        Self { table: EmbeddingTable::from_weights(weights), global_ids }
-    }
-
-    /// Number of hot rows.
-    pub fn hot_rows(&self) -> usize {
-        self.global_ids.len()
-    }
-
-    /// Embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.table.dim()
-    }
-
-    /// Size in bytes of the hot weights.
-    pub fn size_bytes(&self) -> usize {
-        self.global_ids.len() * self.dim() * std::mem::size_of::<f32>()
-    }
-
-    /// Global ids of the hot rows, sorted ascending.
-    pub fn global_ids(&self) -> &[u32] {
-        &self.global_ids
-    }
-
-    /// Underlying compact table (hot-local indexing).
-    pub fn table(&self) -> &EmbeddingTable {
-        &self.table
-    }
-
-    /// Mutable compact table.
-    pub fn table_mut(&mut self) -> &mut EmbeddingTable {
-        &mut self.table
-    }
-
-    /// Copies every hot row back into `master` (the hot→cold transition
-    /// sync of §III-C).
-    pub fn write_back(&self, master: &mut EmbeddingTable) {
-        for (local, &g) in self.global_ids.iter().enumerate() {
-            master.set_row(g, self.table.row(local as u32));
-        }
-    }
-
-    /// Refreshes every hot row from `master` (the cold→hot transition).
-    pub fn refresh_from(&mut self, master: &EmbeddingTable) {
-        for (local, &g) in self.global_ids.iter().enumerate() {
-            self.table.set_row(local as u32, master.row(g));
-        }
-    }
-
-    /// Bytes moved by one CPU↔GPU hot-row synchronisation.
-    pub fn sync_bytes(&self) -> usize {
-        self.size_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,39 +216,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let t = EmbeddingTable::new(1000, 16, &mut rng);
         assert_eq!(t.size_bytes(), 1000 * 16 * 4);
-    }
-
-    #[test]
-    fn hot_bag_extract_and_lookup_matches_master() {
-        let master = table_with(10, 3, |r, c| (r * 100 + c) as f32);
-        let bag = HotEmbeddingBag::extract(&master, vec![2, 5, 9]);
-        assert_eq!(bag.hot_rows(), 3);
-        assert_eq!(bag.size_bytes(), 3 * 3 * 4);
-        assert_eq!(bag.table().row(0), master.row(2));
-        assert_eq!(bag.table().row(1), master.row(5));
-        assert_eq!(bag.table().row(2), master.row(9));
-    }
-
-    #[test]
-    fn hot_bag_write_back_and_refresh_round_trip() {
-        let mut master = table_with(6, 2, |r, _| r as f32);
-        let mut bag = HotEmbeddingBag::extract(&master, vec![1, 4]);
-        // Train the hot copy, then sync back.
-        bag.table_mut().set_row(0, &[100.0, 100.0]);
-        bag.write_back(&mut master);
-        assert_eq!(master.row(1), &[100.0, 100.0]);
-        assert_eq!(master.row(4), &[4.0, 4.0]); // untouched hot row preserved
-                                                // Cold phase updates the master; refresh pulls it into the bag.
-        master.set_row(4, &[-7.0, -7.0]);
-        bag.refresh_from(&master);
-        assert_eq!(bag.table().row(1), &[-7.0, -7.0]);
-    }
-
-    #[test]
-    fn empty_hot_bag_is_valid() {
-        let master = table_with(4, 2, |_, _| 0.0);
-        let bag = HotEmbeddingBag::extract(&master, vec![]);
-        assert_eq!(bag.hot_rows(), 0);
-        assert_eq!(bag.size_bytes(), 0);
     }
 }

@@ -72,7 +72,7 @@ fn concurrent_sparse_sgd_on_boundary_rows_loses_no_update() {
         };
         let t2 = {
             let t = table.clone();
-            loom::thread::spawn(move || t.sgd_step_sparse_parallel(&boundary_grad(0.25), 1.0))
+            loom::thread::spawn(move || t.sgd_step_sparse(&boundary_grad(0.25), 1.0))
         };
         t1.join().expect("writer 1");
         t2.join().expect("writer 2");

@@ -30,6 +30,6 @@ pub mod tbsm;
 pub mod train;
 
 pub use dlrm::Dlrm;
-pub use source::{EmbeddingSource, MasterEmbeddings, TieredViewError};
+pub use source::{EmbeddingSource, MasterEmbeddings};
 pub use tbsm::Tbsm;
 pub use train::{evaluate, forward_backward, predict, train_step, EvalReport, RecModel};

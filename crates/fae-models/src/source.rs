@@ -37,11 +37,10 @@ pub trait EmbeddingSource {
 /// calibrator-pinned hot rows exact f32 and the cold majority int8
 /// (DESIGN.md §14). The row-level accessors ([`MasterEmbeddings::row`],
 /// [`MasterEmbeddings::set_row`], [`MasterEmbeddings::copy_row_into`])
-/// work in both modes; the whole-table views
-/// ([`MasterEmbeddings::tables`] / [`MasterEmbeddings::tables_mut`])
-/// require the untiered mode — they return [`TieredViewError`] in tiered
-/// mode — and are kept for the distributed paths, which do not support
-/// quantized masters.
+/// work in both modes, and there is no whole-table f32 view: cold rows of
+/// a tiered master have no contiguous f32 slice to borrow, so every
+/// consumer (replicator, checkpoint, `fae-net`) speaks rows or takes a
+/// [`MasterEmbeddings::snapshot_tables`] copy.
 pub struct MasterEmbeddings {
     /// Untiered storage; empty when `tiered` is `Some`.
     tables: Vec<EmbeddingTable>,
@@ -49,24 +48,6 @@ pub struct MasterEmbeddings {
     tiered: Option<Vec<TieredTable>>,
     dim: usize,
 }
-
-/// A whole-table f32 view was requested from a tiered master. Cold rows
-/// are stored int8 there, so no contiguous f32 slice exists; callers
-/// should fall back to the row-level accessors or
-/// [`MasterEmbeddings::snapshot_tables`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TieredViewError;
-
-impl std::fmt::Display for TieredViewError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(
-            "whole-table f32 views do not exist in tiered (quantize-cold) storage; \
-             use the row-level accessors or snapshot_tables()",
-        )
-    }
-}
-
-impl std::error::Error for TieredViewError {}
 
 impl MasterEmbeddings {
     /// Initialises one table per spec entry.
@@ -131,26 +112,6 @@ impl MasterEmbeddings {
         match &self.tiered {
             Some(tiered) => tiered[t].rows(),
             None => self.tables[t].rows(),
-        }
-    }
-
-    /// Immutable view of the untiered tables, or [`TieredViewError`] in
-    /// tiered mode — whole-table f32 views do not exist there; use the
-    /// row-level accessors or [`MasterEmbeddings::snapshot_tables`].
-    pub fn tables(&self) -> Result<&[EmbeddingTable], TieredViewError> {
-        match self.tiered {
-            Some(_) => Err(TieredViewError),
-            None => Ok(&self.tables),
-        }
-    }
-
-    /// Mutable view (used by the distributed parameter paths). Returns
-    /// [`TieredViewError`] in tiered mode, like
-    /// [`MasterEmbeddings::tables`].
-    pub fn tables_mut(&mut self) -> Result<&mut [EmbeddingTable], TieredViewError> {
-        match self.tiered {
-            Some(_) => Err(TieredViewError),
-            None => Ok(&mut self.tables),
         }
     }
 
@@ -309,20 +270,6 @@ mod tests {
         for (b, a) in before.as_slice().iter().zip(after.as_slice()) {
             assert_eq!(b - 0.5, *a);
         }
-    }
-
-    #[test]
-    fn whole_table_view_errors_in_tiered_mode() {
-        let spec = WorkloadSpec::tiny_test();
-        let parts = tiny_partitions(&spec);
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut m = MasterEmbeddings::from_spec_tiered(&spec, &parts, &mut rng);
-        assert_eq!(m.tables().err(), Some(TieredViewError));
-        assert_eq!(m.tables_mut().err(), Some(TieredViewError));
-        assert!(TieredViewError.to_string().contains("tiered"));
-        let mut r2 = StdRng::seed_from_u64(11);
-        let dense = MasterEmbeddings::from_spec(&spec, &mut r2);
-        assert!(dense.tables().is_ok());
     }
 
     #[test]

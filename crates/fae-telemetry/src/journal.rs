@@ -65,7 +65,7 @@ impl PhaseSeconds {
 }
 
 /// Whether a training step ran hot (pure-GPU) or cold (hybrid CPU+GPU).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum StepMode {
     /// Pure-GPU execution against the replicated hot bags.
     Hot,

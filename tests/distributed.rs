@@ -71,7 +71,11 @@ fn train_distributed(
                 addr: addr.clone(),
                 node_id: k as u32,
                 workers: workers as u32,
-                net: NetConfig::default(),
+                // A restarted node redials within a few steps' wall time:
+                // these runs last tens of milliseconds, and the default
+                // 50 ms backoff would let them end before the rejoin the
+                // crash tests assert on.
+                net: NetConfig { reconnect_base_ms: 2, ..NetConfig::default() },
                 plan: plan.clone(),
             };
             thread::spawn(move || fae::net::run_node(node))

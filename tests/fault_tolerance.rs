@@ -8,10 +8,11 @@ use std::path::PathBuf;
 use fae::core::input_processor::{PreprocessConfig, Preprocessed};
 use fae::core::{
     latest_in, pipeline, train_fae, train_fae_resilient, CalibratorConfig, FaultPlan,
-    RecoveryAction, ResilienceOptions, TrainCheckpoint, TrainConfig,
+    RecoveryAction, ResilienceOptions, Telemetry, TrainCheckpoint, TrainConfig,
 };
 use fae::data::{generate, Dataset, GenOptions, WorkloadSpec};
 use fae::sysmodel::Phase;
+use fae::telemetry::JournalEvent;
 
 /// Tiny-test tables are all under 1 MB; shrink the budget so the
 /// calibrator actually produces a hot/cold split (same trick as the
@@ -323,4 +324,34 @@ fn transient_io_during_checkpointing_is_retried_and_reported() {
     // Despite the flaky writes, the surviving checkpoints are valid.
     let path = latest_in(&dir).unwrap().expect("checkpoints were written");
     assert!(TrainCheckpoint::load(&path).is_ok());
+}
+
+#[test]
+fn sync_bytes_counter_equals_the_journalled_sync_bytes_under_faults() {
+    // Failed sync attempts and an aborted replication move bytes too:
+    // every `sync` event the journal carries must be in the counter.
+    let (spec, pre, test, cfg) = setup();
+    let telemetry = Telemetry::builder().retain_events(true).try_build().expect("telemetry");
+    let plan = FaultPlan::parse("sync-failure@10,replication-oom@120").unwrap();
+    let report = train_fae_resilient(
+        &spec,
+        &pre,
+        &test,
+        &cfg,
+        &ResilienceOptions { plan, telemetry: telemetry.clone(), ..Default::default() },
+    );
+    assert_eq!(report.faults.len(), 2, "both planned faults must fire");
+
+    let mut directions = Vec::new();
+    let mut journalled = 0u64;
+    for event in telemetry.events() {
+        if let JournalEvent::Sync { direction, bytes, .. } = event {
+            directions.push(direction);
+            journalled += bytes;
+        }
+    }
+    for expected in ["initial", "retry", "refresh", "write-back", "aborted-replication"] {
+        assert!(directions.iter().any(|d| d == expected), "no {expected} sync in {directions:?}");
+    }
+    assert_eq!(telemetry.metrics().counter("replicator.sync_bytes"), journalled);
 }

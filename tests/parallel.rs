@@ -228,7 +228,7 @@ fn oversubscribed_writers_on_disjoint_rows_match_serial_application() {
                 let sharded = &sharded;
                 scope.spawn(move || {
                     for g in writer_grads(w) {
-                        sharded.sgd_step_sparse_parallel(&g, LR);
+                        sharded.sgd_step_sparse(&g, LR);
                     }
                 })
             })

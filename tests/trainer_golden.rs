@@ -22,6 +22,7 @@ use fae::data::{generate, Dataset, GenOptions, WorkloadSpec};
 
 const GOLDEN: &[(&str, &str)] = &[
     ("baseline", "a372ed8b 3ff8ea0523af5802 h0 c125 t0 r0 f0 o[0 0 0 0 0 0] s[0 0 0 0 0]"),
+    ("baseline+stale_skip", "a372ed8b 3ff8ea0523af5802 h0 c125 t0 r0 f0 o[0 0 0 0 0 0] s[0 0 0 0 0]"),
     ("fae", "76cd1bec 40074229255aa471 h220 c32 t14 r0 f0 o[0 0 0 0 0 0] s[0 0 0 0 0]"),
     ("w2", "d9aa37d8 40074229255aa471 h220 c32 t14 r0 f0 o[0 0 0 0 0 0] s[0 0 0 0 0]"),
     ("quantize_cold", "391815bc 40074229255aa471 h220 c32 t14 r0 f0 o[0 0 0 0 0 0] s[0 0 0 0 0]"),
@@ -133,6 +134,16 @@ fn trainer_runs_match_the_pinned_constants() {
     actual.push((
         "baseline",
         fingerprint(&train_baseline(&fx.spec, &fx.train, &fx.test, &baseline_cfg)),
+    ));
+    // The baseline has no skip pool: `fae compare --stale-skip T` hands one
+    // config to both runs and the reference must not move with it.
+    let baseline_skip_cfg = with(|c| {
+        c.epochs = 1;
+        c.stale_skip = 1e-4;
+    });
+    actual.push((
+        "baseline+stale_skip",
+        fingerprint(&train_baseline(&fx.spec, &fx.train, &fx.test, &baseline_skip_cfg)),
     ));
     let plain = fae(&fx.cfg);
     actual.push(("fae", fingerprint(&plain)));
