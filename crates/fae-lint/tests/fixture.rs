@@ -12,6 +12,8 @@ const STRICT: FileClass =
 const NET: FileClass = FileClass { deterministic: false, binary: false, net: true, metrics: false };
 const METRICS: FileClass =
     FileClass { deterministic: false, binary: false, net: false, metrics: true };
+const EVERY_SCOPE: FileClass =
+    FileClass { deterministic: true, binary: false, net: true, metrics: true };
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures").join(name)
@@ -229,6 +231,49 @@ fn wire_fixture_pins() {
     assert!(bad.iter().all(|d| d.rule == "wire-compat"));
     let clean = fae_lint::lint_wire(&fixture("wire/clean")).expect("clean wire fixture readable");
     assert!(clean.is_empty(), "clean wire fixture reported: {clean:?}");
+}
+
+#[test]
+fn scanner_fixture_pins() {
+    // What only the scanner decides: where literals, comments, pragmas
+    // and test-gated items begin and end. Rows 1-19 were printed by the
+    // two-scanner build (scrubber + tokenizer) before the token-tree
+    // port and must never change.
+    let diags = lint_tree(&fixture("scanner/bad"), EVERY_SCOPE).expect("fixture tree readable");
+    let got: Vec<(String, usize, String)> = diags
+        .iter()
+        .map(|d| {
+            let file = d.file.file_name().expect("file name").to_string_lossy().into_owned();
+            (file, d.line, d.rule.clone())
+        })
+        .collect();
+    let want: &[(&str, usize, &str)] = &[
+        ("boundaries.rs", 8, "no-panic"),        // after r#"…"#
+        ("boundaries.rs", 9, "no-panic"),        // after r##"…"##
+        ("boundaries.rs", 14, "no-panic"),       // after a byte string
+        ("boundaries.rs", 15, "no-panic"),       // after a nested block comment
+        ("boundaries.rs", 19, "no-panic"),       // after '"'
+        ("boundaries.rs", 24, "no-panic"),       // lifetimes beside char literals
+        ("boundaries.rs", 29, "no-panic"),       // pragma text in a string is not a pragma
+        ("boundaries.rs", 34, "no-panic"),       // ... nor in a block comment
+        ("boundaries.rs", 38, "no-panic"),       // ... nor in a `///` doc comment
+        ("boundaries.rs", 43, "no-panic"),       // two lines below a pragma
+        ("boundaries.rs", 48, "no-panic"),       // multi-byte text earlier on the line
+        ("boundaries.rs", 49, "metric-name"),    // multi-byte text inside the name
+        ("boundaries.rs", 54, "timeline-phase"), // `,` and `)` inside a string argument
+        ("boundaries.rs", 56, "no-panic"),       // m["k"], but not ["k", "j"]
+        ("boundaries.rs", 60, "net-deadline"),   // after the same call quoted in a string
+        ("boundaries.rs", 65, "float-fuse"),     // after the same call quoted in a string
+        ("boundaries.rs", 71, "no-panic"),       // `#[cfg(test)] mod tests;` ends at the `;`
+        ("boundaries.rs", 78, "no-panic"),       // `#[cfg(all(test, unix))] mod` ends at its `}`
+        ("boundaries.rs", 84, "no-panic"),       // `#[test] #[should_panic] fn` ends at its `}`
+    ];
+    let want: Vec<(String, usize, String)> =
+        want.iter().map(|(f, l, r)| (f.to_string(), *l, r.to_string())).collect();
+    assert_eq!(got, want, "scanner fixture diagnostics drifted");
+
+    let clean = lint_tree(&fixture("scanner/clean"), EVERY_SCOPE).expect("fixture tree readable");
+    assert!(clean.is_empty(), "clean scanner fixture reported: {clean:?}");
 }
 
 #[test]

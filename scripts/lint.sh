@@ -41,16 +41,18 @@ must_fail "taint fixtures" --tree "$FIX/taint" --det --lib
 must_fail "wire-compat fixtures" --wire "$FIX/wire/bad"
 must_fail "net-deadline fixtures" --tree "$FIX/net" --lib --net
 must_fail "metric-name fixtures" --tree "$FIX/metrics" --lib --metrics
+must_fail "scanner fixtures" --tree "$FIX/scanner/bad" --det --lib --net --metrics
 must_pass "clean det fixtures" --tree "$FIX/clean" --det --lib
 must_pass "clean phase fixtures" --tree "$FIX/phases/clean" --lib
 must_pass "clean lock fixtures" --tree "$FIX/locks/clean" --lib
 must_pass "clean wire fixtures" --wire "$FIX/wire/clean"
+must_pass "clean scanner fixtures" --tree "$FIX/scanner/clean" --det --lib --net --metrics
 
 if [ "$fail" -ne 0 ]; then
   echo "lint.sh: the linter itself is broken; not linting the workspace" >&2
   exit 1
 fi
-echo "lint.sh: self-test passed (7 must-fail trees, 4 clean trees)"
+echo "lint.sh: self-test passed (8 must-fail trees, 5 clean trees)"
 
 # The real run. JSON artifact lands next to the text output for CI upload.
 mkdir -p target/lint
