@@ -33,8 +33,18 @@
 //! `#[cfg(test)]` items and `#[test]` functions are exempt from every
 //! rule — tests may time things, hash things and unwrap freely.
 //!
+//! One pipeline serves every rule: each file is tokenized once
+//! (`tokens` — the only code that decides what is a comment or a
+//! literal), brace-matched into a token tree with its items, pragmas
+//! and test-gated ranges (`tree`, `pragma`), handed to the token-pattern
+//! rules (`rules`), the determinism-taint analysis (`flow`) and the
+//! cross-file passes (`passes`), and every finding they produce goes
+//! through one `finalize` (test exemption, pragma window, dedupe,
+//! pragma hygiene) on its way to a [`Diagnostic`].
+//!
 //! Run it with `cargo run -p fae-lint` from the workspace root; see
-//! DESIGN.md §11 for the rule table and the documented lexical gaps.
+//! DESIGN.md §11 for the rule table and the documented gaps, §16 for
+//! the analyzer's architecture.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,13 +55,12 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub mod flow;
-pub mod passes;
-pub mod regions;
-pub mod rules;
-pub mod scrub;
-pub mod tokens;
-pub mod tree;
+mod flow;
+mod passes;
+mod pragma;
+mod rules;
+mod tokens;
+mod tree;
 
 pub use rules::{RuleInfo, Scope, RULES};
 
@@ -114,146 +123,146 @@ pub struct FileClass {
     pub metrics: bool,
 }
 
-/// One rule hit before suppression. `offset` is the absolute byte
-/// offset of the match in the file, so `#[cfg(test)]` regions apply
-/// uniformly to lexical matches, per-file flow findings, and workspace
-/// pass findings alike.
+/// One rule hit before suppression — the only shape a finding has
+/// between the rule or pass that produced it and [`finalize`].
 #[derive(Debug, Clone)]
-struct Candidate {
-    line: usize,
-    offset: usize,
-    rule: String,
-    message: String,
+pub(crate) struct Finding {
+    /// Index of the file in the set being linted ([`Parsed::index`]).
+    pub file: usize,
+    /// 1-based line; a pragma on it or the line above suppresses.
+    pub line: usize,
+    /// Byte offset of the anchoring token (for test-region exemption).
+    pub offset: usize,
+    /// Rule id.
+    pub rule: &'static str,
+    /// Human-readable explanation.
+    pub message: String,
 }
 
-/// The per-file rule hits: lexical matchers plus (for determinism-scope
-/// files) the flow-aware determinism-taint pass.
-fn file_candidates(source: &str, scrubbed: &scrub::Scrubbed, class: FileClass) -> Vec<Candidate> {
-    let mut cands = Vec::new();
-    let mut offset = 0usize;
-    // The scrubber preserves byte offsets exactly, so scrubbed and raw
-    // lines pair up one-to-one; the metric-name rule needs both (the
-    // scrubbed line to locate real call sites, the raw line to read the
-    // literal's body, which scrubbing blanks).
-    for (idx, (line, raw_line)) in scrubbed.text.lines().zip(source.lines()).enumerate() {
-        let line_no = idx + 1;
-        let mut matches = Vec::new();
-        if class.deterministic {
-            rules::deterministic_matches(line, &mut matches);
-        }
-        if !class.binary {
-            rules::no_panic_matches(line, &mut matches);
-            rules::float_fuse_matches(line, &mut matches);
-        }
-        if class.net {
-            rules::net_deadline_matches(line, &mut matches);
-        }
-        if class.metrics {
-            rules::metric_name_matches(line, raw_line, &mut matches);
-        }
-        for m in matches {
-            cands.push(Candidate {
-                line: line_no,
-                offset: offset + m.col,
-                rule: m.rule.to_string(),
-                message: m.message,
-            });
-        }
-        offset += line.len() + 1;
-    }
-    if class.deterministic {
-        for (line, offset, rule, message) in passes::det_taint::run(source, true) {
-            cands.push(Candidate { line, offset, rule: rule.to_string(), message });
-        }
-    }
-    cands
+/// One file, parsed once per lint run: everything the rules, the passes
+/// and [`finalize`] borrow.
+pub(crate) struct Parsed<'s> {
+    /// Position in the file set; findings name their file by it.
+    pub index: usize,
+    /// Path used in diagnostics.
+    pub rel: &'s Path,
+    /// Which rule scopes apply.
+    pub class: FileClass,
+    /// Source, tokens and token tree.
+    pub view: tree::TreeView<'s>,
+    /// Functions, enums, struct fields and `use` aliases.
+    pub items: tree::Items,
+    /// Well-formed pragmas, in file order.
+    pub pragmas: Vec<pragma::Pragma>,
+    /// Malformed pragmas: `(line, what is wrong)`.
+    pub pragma_errors: Vec<(usize, String)>,
+    /// Byte ranges of `#[cfg(test)]`/`#[test]` items.
+    pub test_ranges: Vec<(usize, usize)>,
 }
 
-/// Applies pragma and test-region suppression to `cands` and appends
-/// the pragma-hygiene diagnostics (`bad-pragma`, `unused-pragma`).
-fn finalize(
-    label: &Path,
-    source: &str,
-    scrubbed: &scrub::Scrubbed,
-    cands: Vec<Candidate>,
-) -> Vec<Diagnostic> {
-    let regions = regions::test_regions(&scrubbed.text);
+impl<'s> Parsed<'s> {
+    pub(crate) fn new(index: usize, rel: &'s Path, source: &'s str, class: FileClass) -> Self {
+        let view = tree::TreeView::new(source);
+        let items = tree::items(&view);
+        let (pragmas, pragma_errors) = pragma::collect(&view);
+        let test_ranges = tree::test_ranges(&view);
+        Parsed { index, rel, class, view, items, pragmas, pragma_errors, test_ranges }
+    }
+
+    /// A finding in this file.
+    pub(crate) fn finding(
+        &self,
+        rule: &'static str,
+        line: usize,
+        offset: usize,
+        message: impl Into<String>,
+    ) -> Finding {
+        Finding { file: self.index, line, offset, rule, message: message.into() }
+    }
+
+    /// A finding anchored at token `tok`.
+    pub(crate) fn finding_at(
+        &self,
+        rule: &'static str,
+        tok: usize,
+        message: impl Into<String>,
+    ) -> Finding {
+        self.finding(rule, self.view.line(tok), self.view.toks[tok].start, message)
+    }
+
+    fn in_test(&self, offset: usize) -> bool {
+        self.test_ranges.iter().any(|&(s, e)| offset >= s && offset < e)
+    }
+}
+
+/// The per-file rules: the token-pattern matchers plus (for
+/// determinism-scope files) the flow-aware determinism-taint analysis.
+fn per_file_findings(p: &Parsed<'_>, out: &mut Vec<Finding>) {
+    rules::scan(p, out);
+    if p.class.deterministic {
+        flow::det_taint(p, out);
+    }
+}
+
+/// Turns one file's findings into diagnostics: drops those in test-only
+/// code or under a pragma (its own line or the line above), reports
+/// each `(line, rule)` once, and appends the pragma-hygiene diagnostics
+/// (`bad-pragma`, `unused-pragma`). Every finding — token pattern,
+/// taint flow or cross-file pass — goes through here and nowhere else.
+fn finalize(p: &Parsed<'_>, findings: Vec<Finding>) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
+    let mut diag = |line: usize, rule: &str, message: String| {
+        diags.push(Diagnostic { file: p.rel.to_path_buf(), line, rule: rule.to_string(), message });
+    };
 
-    for e in &scrubbed.errors {
-        diags.push(Diagnostic {
-            file: label.to_path_buf(),
-            line: e.line,
-            rule: "bad-pragma".to_string(),
-            message: e.message.clone(),
-        });
+    for (line, message) in &p.pragma_errors {
+        diag(*line, "bad-pragma", message.clone());
     }
-    for p in &scrubbed.pragmas {
-        for r in &p.rules {
+    for pr in &p.pragmas {
+        for r in &pr.rules {
             if !rules::is_known_rule(r) {
-                diags.push(Diagnostic {
-                    file: label.to_path_buf(),
-                    line: p.line,
-                    rule: "bad-pragma".to_string(),
-                    message: format!("unknown rule `{r}` in pragma"),
-                });
-            } else if r == "float-fuse" && !p.reason.contains("DESIGN.md §14") {
+                diag(pr.line, "bad-pragma", format!("unknown rule `{r}` in pragma"));
+            } else if r == "float-fuse" && !pr.reason.contains("DESIGN.md §14") {
                 // The unroll carve-out is a documented numeric contract;
                 // every suppression must point readers at its anchor.
-                diags.push(Diagnostic {
-                    file: label.to_path_buf(),
-                    line: p.line,
-                    rule: "bad-pragma".to_string(),
-                    message: "float-fuse pragma reason must cite the bit-identity \
-                              contract anchor `DESIGN.md §14`"
+                diag(
+                    pr.line,
+                    "bad-pragma",
+                    "float-fuse pragma reason must cite the bit-identity contract anchor \
+                     `DESIGN.md §14`"
                         .to_string(),
-                });
+                );
             }
         }
     }
 
     let mut used_pragmas: BTreeSet<usize> = BTreeSet::new();
-    let mut seen: BTreeSet<(usize, String)> = BTreeSet::new();
-    for c in cands {
-        if regions.contains(c.offset) {
+    let mut seen: BTreeSet<(usize, &str)> = BTreeSet::new();
+    for f in findings {
+        if p.in_test(f.offset) {
             continue;
         }
-        // A pragma on this line or the line above suppresses the rule.
-        let allowed = scrubbed.pragmas.iter().enumerate().find(|(_, p)| {
-            (p.line == c.line || p.line + 1 == c.line) && p.rules.iter().any(|r| r == &c.rule)
+        let allowed = p.pragmas.iter().position(|pr| {
+            (pr.line == f.line || pr.line + 1 == f.line) && pr.rules.iter().any(|r| r == f.rule)
         });
-        if let Some((pi, _)) = allowed {
+        if let Some(pi) = allowed {
             used_pragmas.insert(pi);
-            continue;
+        } else if seen.insert((f.line, f.rule)) {
+            diag(f.line, f.rule, f.message);
         }
-        // Lexical and flow findings can coincide (same line, same
-        // rule); report each (line, rule) pair once.
-        if !seen.insert((c.line, c.rule.clone())) {
-            continue;
-        }
-        diags.push(Diagnostic {
-            file: label.to_path_buf(),
-            line: c.line,
-            rule: c.rule,
-            message: c.message,
-        });
     }
 
-    for (pi, p) in scrubbed.pragmas.iter().enumerate() {
-        let well_formed = p.rules.iter().all(|r| rules::is_known_rule(r));
-        if well_formed
-            && !used_pragmas.contains(&pi)
-            && !regions.contains(line_offset(source, p.line))
-        {
-            diags.push(Diagnostic {
-                file: label.to_path_buf(),
-                line: p.line,
-                rule: "unused-pragma".to_string(),
-                message: format!(
+    for (pi, pr) in p.pragmas.iter().enumerate() {
+        let well_formed = pr.rules.iter().all(|r| rules::is_known_rule(r));
+        if well_formed && !used_pragmas.contains(&pi) && !p.in_test(pr.offset) {
+            diag(
+                pr.line,
+                "unused-pragma",
+                format!(
                     "pragma allows [{}] but suppresses nothing; remove it",
-                    p.rules.join(", ")
+                    pr.rules.join(", ")
                 ),
-            });
+            );
         }
     }
 
@@ -263,21 +272,10 @@ fn finalize(
 
 /// Lints one file's source text. `label` is used in diagnostics.
 pub fn lint_source(label: &Path, source: &str, class: FileClass) -> Vec<Diagnostic> {
-    let scrubbed = scrub::scrub(source);
-    let cands = file_candidates(source, &scrubbed, class);
-    finalize(label, source, &scrubbed, cands)
-}
-
-/// Byte offset of the start of 1-based `line` in `source`.
-fn line_offset(source: &str, line: usize) -> usize {
-    let mut off = 0usize;
-    for (idx, l) in source.lines().enumerate() {
-        if idx + 1 == line {
-            return off;
-        }
-        off += l.len() + 1;
-    }
-    off
+    let p = Parsed::new(0, label, source, class);
+    let mut findings = Vec::new();
+    per_file_findings(&p, &mut findings);
+    finalize(&p, findings)
 }
 
 /// Classifies a workspace-relative `.rs` path, or `None` when the file
@@ -311,16 +309,23 @@ pub fn classify(rel: &Path) -> Option<FileClass> {
     })
 }
 
-/// Recursively collects `.rs` files under `dir`, sorted, so diagnostics
-/// come out in a stable order on every platform.
-fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), WalkError> {
+fn read(path: &Path) -> Result<String, WalkError> {
+    fs::read_to_string(path).map_err(|source| WalkError { path: path.to_path_buf(), source })
+}
+
+/// The entries of `dir`, sorted, so diagnostics come out in a stable
+/// order on every platform.
+fn sorted_entries(dir: &Path) -> Result<Vec<PathBuf>, WalkError> {
     let mut entries: Vec<PathBuf> = fs::read_dir(dir)
-        .map_err(|source| WalkError { path: dir.to_path_buf(), source })?
-        .map(|e| e.map(|e| e.path()))
-        .collect::<Result<_, _>>()
+        .and_then(|entries| entries.map(|e| e.map(|e| e.path())).collect())
         .map_err(|source| WalkError { path: dir.to_path_buf(), source })?;
     entries.sort();
-    for path in entries {
+    Ok(entries)
+}
+
+/// Recursively collects the `.rs` files under `dir`, in sorted order.
+fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), WalkError> {
+    for path in sorted_entries(dir)? {
         if path.is_dir() {
             walk(&path, out)?;
         } else if path.extension().is_some_and(|x| x == "rs") {
@@ -330,58 +335,37 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), WalkError> {
     Ok(())
 }
 
-/// Routes workspace-pass findings into per-file candidate lists, keyed
-/// by the path the pass saw.
-fn route_pass_diags(
-    pass_diags: Vec<passes::PassDiag>,
-    extra: &mut std::collections::BTreeMap<PathBuf, Vec<Candidate>>,
-) {
-    for d in pass_diags {
-        extra.entry(d.file).or_default().push(Candidate {
-            line: d.line,
-            offset: d.offset,
-            rule: d.rule.to_string(),
-            message: d.message,
-        });
-    }
-}
-
-/// Lints a set of already-read files: per-file rules first, then the
-/// cross-file passes (phase-balance, lock-order, and — when `design`
-/// text is supplied — wire-compat on the wire file), with every finding
-/// funneled through the same pragma/test-region suppression.
-fn lint_file_set(
-    files: Vec<(PathBuf, String, FileClass)>,
-    design: Option<&str>,
-) -> Vec<Diagnostic> {
-    let pass_files: Vec<passes::PassFile> = files
+/// Lints a set of already-read files: one parse per file, the per-file
+/// rules, then the cross-file passes (phase-balance, lock-order, and —
+/// when `design` text is supplied — wire-compat on the wire file), with
+/// every finding funneled through [`finalize`].
+fn lint_file_set(files: &[(PathBuf, String, FileClass)], design: Option<&str>) -> Vec<Diagnostic> {
+    let parsed: Vec<Parsed<'_>> = files
         .iter()
-        .map(|(rel, source, class)| passes::PassFile {
-            rel: rel.clone(),
-            source: source.clone(),
-            class: *class,
-        })
+        .enumerate()
+        .map(|(index, (rel, source, class))| Parsed::new(index, rel, source, *class))
         .collect();
-    let mut extra: std::collections::BTreeMap<PathBuf, Vec<Candidate>> =
-        std::collections::BTreeMap::new();
-    route_pass_diags(passes::phase_balance::run(&pass_files), &mut extra);
-    route_pass_diags(passes::lock_order::run(&pass_files), &mut extra);
+
+    let mut findings = Vec::new();
+    for p in &parsed {
+        per_file_findings(p, &mut findings);
+    }
+    passes::phase_balance::run(&parsed, &mut findings);
+    passes::lock_order::run(&parsed, &mut findings);
     if let Some(design) = design {
-        if let Some(wire) = pass_files
-            .iter()
-            .find(|f| f.class.net && f.rel.file_name().is_some_and(|n| n == "wire.rs"))
-        {
-            route_pass_diags(passes::wire_compat::run(wire, design), &mut extra);
+        let is_wire =
+            |p: &&Parsed<'_>| p.class.net && p.rel.file_name().is_some_and(|n| n == "wire.rs");
+        if let Some(wire) = parsed.iter().find(is_wire) {
+            passes::wire_compat::run(wire, design, &mut findings);
         }
     }
 
-    let mut diags = Vec::new();
-    for (rel, source, class) in &files {
-        let scrubbed = scrub::scrub(source);
-        let mut cands = file_candidates(source, &scrubbed, *class);
-        cands.extend(extra.remove(rel).unwrap_or_default());
-        diags.extend(finalize(rel, source, &scrubbed, cands));
+    let mut per_file: Vec<Vec<Finding>> = parsed.iter().map(|_| Vec::new()).collect();
+    for f in findings {
+        per_file[f.file].push(f);
     }
+    let mut diags: Vec<Diagnostic> =
+        parsed.iter().zip(per_file).flat_map(|(p, fs)| finalize(p, fs)).collect();
     diags.sort();
     diags
 }
@@ -398,13 +382,7 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, WalkError> {
     }
     let crates = root.join("crates");
     if crates.is_dir() {
-        let mut members: Vec<PathBuf> = fs::read_dir(&crates)
-            .map_err(|source| WalkError { path: crates.clone(), source })?
-            .map(|e| e.map(|e| e.path()))
-            .collect::<Result<_, _>>()
-            .map_err(|source| WalkError { path: crates.clone(), source })?;
-        members.sort();
-        for member in members {
+        for member in sorted_entries(&crates)? {
             let src = member.join("src");
             if src.is_dir() {
                 walk(&src, &mut files)?;
@@ -416,12 +394,10 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, WalkError> {
     for file in files {
         let rel = file.strip_prefix(root).unwrap_or(&file).to_path_buf();
         let Some(class) = classify(&rel) else { continue };
-        let source =
-            fs::read_to_string(&file).map_err(|source| WalkError { path: file.clone(), source })?;
-        set.push((rel, source, class));
+        set.push((rel, read(&file)?, class));
     }
     let design = fs::read_to_string(root.join("DESIGN.md")).ok();
-    Ok(lint_file_set(set, design.as_deref()))
+    Ok(lint_file_set(&set, design.as_deref()))
 }
 
 /// Lints every `.rs` file under `dir` with a fixed [`FileClass`] —
@@ -434,31 +410,37 @@ pub fn lint_tree(dir: &Path, class: FileClass) -> Result<Vec<Diagnostic>, WalkEr
     walk(dir, &mut files)?;
     let mut set = Vec::new();
     for file in files {
-        let source =
-            fs::read_to_string(&file).map_err(|source| WalkError { path: file.clone(), source })?;
+        let source = read(&file)?;
         set.push((file, source, class));
     }
-    Ok(lint_file_set(set, None))
+    Ok(lint_file_set(&set, None))
 }
+
+/// How a wire module is classified when linted on its own.
+const WIRE_FILE: FileClass =
+    FileClass { deterministic: false, binary: false, net: true, metrics: false };
 
 /// Runs the wire-compat pass on a fixture directory holding `wire.rs`
 /// (the message module) and `design.md` (the declared tag ranges).
 /// Pragmas and test regions in `wire.rs` apply as usual.
 pub fn lint_wire(dir: &Path) -> Result<Vec<Diagnostic>, WalkError> {
     let wire_path = dir.join("wire.rs");
-    let design_path = dir.join("design.md");
-    let source = fs::read_to_string(&wire_path)
-        .map_err(|source| WalkError { path: wire_path.clone(), source })?;
-    let design = fs::read_to_string(&design_path)
-        .map_err(|source| WalkError { path: design_path.clone(), source })?;
-    let class = FileClass { deterministic: false, binary: false, net: true, metrics: false };
-    let wire = passes::PassFile { rel: wire_path.clone(), source: source.clone(), class };
-    let mut extra: std::collections::BTreeMap<PathBuf, Vec<Candidate>> =
-        std::collections::BTreeMap::new();
-    route_pass_diags(passes::wire_compat::run(&wire, &design), &mut extra);
-    let scrubbed = scrub::scrub(&source);
-    let cands = extra.remove(&wire_path).unwrap_or_default();
-    Ok(finalize(&wire_path, &source, &scrubbed, cands))
+    let source = read(&wire_path)?;
+    let design = read(&dir.join("design.md"))?;
+    let wire = Parsed::new(0, &wire_path, &source, WIRE_FILE);
+    let mut findings = Vec::new();
+    passes::wire_compat::run(&wire, &design, &mut findings);
+    Ok(finalize(&wire, findings))
+}
+
+/// The wire-compat pass's raw findings for `wire_source` against
+/// `design`, as `(line, message)` pairs before any suppression or
+/// per-line dedupe — what the fixture pins check one by one.
+pub fn wire_findings(wire_source: &str, design: &str) -> Vec<(usize, String)> {
+    let wire = Parsed::new(0, Path::new("wire.rs"), wire_source, WIRE_FILE);
+    let mut findings = Vec::new();
+    passes::wire_compat::run(&wire, design, &mut findings);
+    findings.into_iter().map(|f| (f.line, f.message)).collect()
 }
 
 #[cfg(test)]

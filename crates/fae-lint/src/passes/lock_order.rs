@@ -19,40 +19,38 @@
 //! takes) are out of reach — DESIGN.md §16 lists this caveat.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
 
-use super::{PassDiag, PassFile};
 use crate::tokens::TokKind;
-use crate::tree::{items, Node, TreeView};
+use crate::tree::{find_group, flat_into, flatten, Node};
+use crate::{Finding, Parsed};
+
+const RULE: &str = "lock-order";
 
 #[derive(Clone, Debug)]
 struct Acq {
     class: String,
     is_read: bool,
     binding: Option<String>,
-    file: PathBuf,
-    line: usize,
-    offset: usize,
+    /// Token index of the `read`/`write`/`lock` call.
+    tok: usize,
 }
 
+/// `to` acquired (at token `tok` of file `file`) while `from` was held.
 #[derive(Clone, Debug)]
 struct Edge {
     from: String,
     to: String,
-    file: PathBuf,
-    line: usize,
-    offset: usize,
+    file: usize,
+    tok: usize,
 }
 
 /// Runs the pass over the workspace file set.
-pub fn run(files: &[PassFile]) -> Vec<PassDiag> {
+pub(crate) fn run(files: &[Parsed<'_>], out: &mut Vec<Finding>) {
     // Lock classes: field name → "Struct.field". Collected workspace-
     // wide so a file using a lock declared in a sibling module resolves.
     let mut classes: BTreeMap<String, String> = BTreeMap::new();
     for f in files {
-        let view = TreeView::new(&f.source);
-        let it = items(&view);
-        for field in &it.fields {
+        for field in &f.items.fields {
             let locky =
                 field.ty.split_whitespace().any(|w| w.contains("Mutex") || w.contains("RwLock"));
             if locky {
@@ -63,22 +61,19 @@ pub fn run(files: &[PassFile]) -> Vec<PassDiag> {
         }
     }
     if classes.is_empty() {
-        return Vec::new();
+        return;
     }
 
-    let mut out = Vec::new();
     let mut edges: Vec<Edge> = Vec::new();
     for f in files {
-        let view = TreeView::new(&f.source);
-        let it = items(&view);
-        for func in &it.fns {
+        for func in &f.items.fns {
             if func.body == (0, 0) || func.body.0 == 0 {
                 continue;
             }
-            let Some(body) = find_group(&view.nodes, func.body.0 - 1) else { continue };
+            let Some(body) = find_group(&f.view.nodes, func.body.0 - 1) else { continue };
             let mut held: Vec<Acq> = Vec::new();
             let mut aliases: BTreeMap<String, String> = BTreeMap::new();
-            walk(&view, f, &classes, body, &mut held, &mut aliases, &mut edges, &mut out);
+            walk(f, &classes, body, &mut held, &mut aliases, &mut edges, out);
         }
     }
 
@@ -92,20 +87,17 @@ pub fn run(files: &[PassFile]) -> Vec<PassDiag> {
     let cyclic = cyclic_nodes(&adj);
     for e in &edges {
         if e.from != e.to && cyclic.contains(e.from.as_str()) && cyclic.contains(e.to.as_str()) {
-            out.push(PassDiag {
-                file: e.file.clone(),
-                line: e.line,
-                offset: e.offset,
-                rule: "lock-order",
-                message: format!(
+            out.push(files[e.file].finding_at(
+                RULE,
+                e.tok,
+                format!(
                     "acquiring `{}` while holding `{}` participates in a lock-order cycle; \
                      pick one global order and stick to it",
                     e.to, e.from
                 ),
-            });
+            ));
         }
     }
-    out
 }
 
 /// Nodes on at least one directed cycle (strongly-connected components
@@ -131,31 +123,16 @@ fn cyclic_nodes<'a>(adj: &BTreeMap<&'a str, BTreeSet<&'a str>>) -> BTreeSet<&'a 
     out
 }
 
-fn find_group(nodes: &[Node], open: usize) -> Option<&[Node]> {
-    for n in nodes {
-        if let Node::Group { open: o, children, .. } = n {
-            if *o == open {
-                return Some(children);
-            }
-            if let Some(found) = find_group(children, open) {
-                return Some(found);
-            }
-        }
-    }
-    None
-}
-
-#[allow(clippy::too_many_arguments)]
 fn walk(
-    view: &TreeView<'_>,
-    f: &PassFile,
+    f: &Parsed<'_>,
     classes: &BTreeMap<String, String>,
     nodes: &[Node],
     held: &mut Vec<Acq>,
     aliases: &mut BTreeMap<String, String>,
     edges: &mut Vec<Edge>,
-    out: &mut Vec<PassDiag>,
+    out: &mut Vec<Finding>,
 ) {
+    let view = &f.view;
     let entry_held = held.len();
     let entry_aliases = aliases.clone();
     let mut start = 0usize;
@@ -173,32 +150,31 @@ fn walk(
         };
         if end_stmt {
             let stmt = &nodes[start..=i];
-            process(view, f, classes, stmt, held, aliases, edges, out);
+            process(f, classes, stmt, held, aliases, edges, out);
             start = i + 1;
         }
         i += 1;
     }
     if start < nodes.len() {
-        process(view, f, classes, &nodes[start..], held, aliases, edges, out);
+        process(f, classes, &nodes[start..], held, aliases, edges, out);
     }
     held.truncate(entry_held);
     *aliases = entry_aliases;
 }
 
-#[allow(clippy::too_many_arguments)]
 fn process(
-    view: &TreeView<'_>,
-    f: &PassFile,
+    f: &Parsed<'_>,
     classes: &BTreeMap<String, String>,
     stmt: &[Node],
     held: &mut Vec<Acq>,
     aliases: &mut BTreeMap<String, String>,
     edges: &mut Vec<Edge>,
-    out: &mut Vec<PassDiag>,
+    out: &mut Vec<Finding>,
 ) {
     if stmt.is_empty() {
         return;
     }
+    let view = &f.view;
     let head_word = match stmt.first() {
         Some(Node::Leaf(k)) if view.toks[*k].kind == TokKind::Ident => view.text(*k),
         _ => "",
@@ -207,7 +183,7 @@ fn process(
 
     // `drop(g)` releases a held guard.
     if head_word == "drop" {
-        let toks = crate::tree::flatten(stmt);
+        let toks = flatten(stmt);
         if let Some(&arg) = toks.get(2) {
             if view.toks[arg].kind == TokKind::Ident {
                 let name = view.text(arg);
@@ -223,7 +199,7 @@ fn process(
     for n in stmt {
         match n {
             Node::Group { delim: b'{', children, .. } if is_control => blocks.push(children),
-            other => flat_into(other, &mut header),
+            other => flat_into(std::slice::from_ref(other), &mut header),
         }
     }
 
@@ -280,8 +256,8 @@ fn process(
         if !matches!(m, "read" | "write" | "lock") {
             continue;
         }
-        let prev_dot = pos > 0 && punct_of(view, header[pos - 1]) == Some(b'.');
-        let next_paren = header.get(pos + 1).is_some_and(|&j| punct_of(view, j) == Some(b'('));
+        let prev_dot = pos > 0 && view.is_punct(header[pos - 1], b'.');
+        let next_paren = header.get(pos + 1).is_some_and(|&j| view.is_punct(j, b'('));
         if !prev_dot || !next_paren {
             continue;
         }
@@ -298,36 +274,26 @@ fn process(
                 }
             });
         let Some(class) = class else { continue };
-        let acq = Acq {
-            class,
-            is_read: m == "read",
-            binding: binding.clone(),
-            file: f.rel.clone(),
-            line: view.line(k),
-            offset: view.toks[k].start,
-        };
+        let acq = Acq { class, is_read: m == "read", binding: binding.clone(), tok: k };
         for prior in held.iter().chain(acquired_here.iter()) {
             if prior.class == acq.class {
                 if !(prior.is_read && acq.is_read) {
-                    out.push(PassDiag {
-                        file: acq.file.clone(),
-                        line: acq.line,
-                        offset: acq.offset,
-                        rule: "lock-order",
-                        message: format!(
+                    out.push(f.finding_at(
+                        RULE,
+                        acq.tok,
+                        format!(
                             "`{}` is re-acquired (non-read) while already held — \
                              self-deadlock on the same lock class",
                             acq.class
                         ),
-                    });
+                    ));
                 }
             } else {
                 edges.push(Edge {
                     from: prior.class.clone(),
                     to: acq.class.clone(),
-                    file: acq.file.clone(),
-                    line: acq.line,
-                    offset: acq.offset,
+                    file: f.index,
+                    tok: acq.tok,
                 });
             }
         }
@@ -340,7 +306,7 @@ fn process(
         aliases.insert(n.clone(), c.clone());
     }
     for b in &blocks {
-        walk(view, f, classes, b, held, aliases, edges, out);
+        walk(f, classes, b, held, aliases, edges, out);
     }
     for (n, _) in &local_aliases {
         aliases.remove(n);
@@ -348,26 +314,5 @@ fn process(
     if statement_scoped {
         // Temporary/consumed guards do not outlive the statement.
         held.truncate(held_before);
-    }
-}
-
-fn flat_into(n: &Node, out: &mut Vec<usize>) {
-    match n {
-        Node::Leaf(k) => out.push(*k),
-        Node::Group { open, close, children, .. } => {
-            out.push(*open);
-            for c in children {
-                flat_into(c, out);
-            }
-            out.push(*close);
-        }
-    }
-}
-
-fn punct_of(view: &TreeView<'_>, k: usize) -> Option<u8> {
-    if view.toks[k].kind == TokKind::Punct {
-        view.source.as_bytes().get(view.toks[k].start).copied()
-    } else {
-        None
     }
 }

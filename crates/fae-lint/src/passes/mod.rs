@@ -1,40 +1,11 @@
-//! The flow-aware semantic passes (PR 10).
+//! The cross-file semantic passes.
 //!
-//! Each pass works on parsed [`crate::tree::TreeView`]s rather than
-//! scrubbed lines. Per-file passes (determinism-taint, in
-//! [`det_taint`]) run inside `lint_source`; workspace passes
-//! (phase-balance, lock-order, wire-compat) need cross-file context and
-//! run once per lint invocation, with their findings routed through the
-//! same pragma/test-region suppression as every other rule.
+//! phase-balance, lock-order and wire-compat need context from more
+//! than one file, so they run once per lint invocation over the whole
+//! set of [`crate::Parsed`] files (each parsed exactly once) and push
+//! [`crate::Finding`]s that go through the same `finalize` — pragmas,
+//! test-region exemption, dedupe — as every per-file rule.
 
-pub mod det_taint;
-pub mod lock_order;
-pub mod phase_balance;
-pub mod wire_compat;
-
-use std::path::PathBuf;
-
-/// A finding from a workspace pass, before pragma suppression.
-#[derive(Debug, Clone)]
-pub struct PassDiag {
-    /// Workspace-relative file the finding is in.
-    pub file: PathBuf,
-    /// 1-based line.
-    pub line: usize,
-    /// Byte offset in that file (for `#[cfg(test)]` exemption).
-    pub offset: usize,
-    /// Rule id.
-    pub rule: &'static str,
-    /// Explanation.
-    pub message: String,
-}
-
-/// One source file handed to the workspace passes.
-pub struct PassFile {
-    /// Workspace-relative path.
-    pub rel: PathBuf,
-    /// File contents.
-    pub source: String,
-    /// How the file is classified (determinism scope, net scope, ...).
-    pub class: crate::FileClass,
-}
+pub(crate) mod lock_order;
+pub(crate) mod phase_balance;
+pub(crate) mod wire_compat;

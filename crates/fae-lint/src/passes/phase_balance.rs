@@ -17,113 +17,70 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use super::{PassDiag, PassFile};
 use crate::tokens::TokKind;
-use crate::tree::{items, TreeView};
+use crate::{Finding, Parsed};
+
+const RULE: &str = "phase-balance";
 
 /// Runs the pass over the workspace file set.
-pub fn run(files: &[PassFile]) -> Vec<PassDiag> {
-    let mut out = Vec::new();
-
+pub(crate) fn run(files: &[Parsed<'_>], out: &mut Vec<Finding>) {
     // Locate the canonical Phase enum: the one in the file that also
     // declares `ALL`. Fixture trees without one skip the pass.
-    let mut phase_file: Option<&PassFile> = None;
-    let mut variants: Vec<(String, usize)> = Vec::new();
-    for f in files {
-        let view = TreeView::new(&f.source);
-        let it = items(&view);
-        if let Some(e) = it.enums.iter().find(|e| e.name == "Phase") {
-            let declares_all = view
-                .toks
-                .iter()
-                .enumerate()
-                .any(|(i, t)| t.kind == TokKind::Ident && view.text(i) == "ALL");
-            if declares_all {
-                phase_file = Some(f);
-                variants = e.variants.clone();
-                break;
-            }
-        }
-    }
-    let Some(pf) = phase_file else { return out };
+    let canonical = files.iter().find_map(|f| {
+        let phase = f.items.enums.iter().find(|e| e.name == "Phase")?;
+        let declares_all = (0..f.view.toks.len()).any(|i| f.view.is_ident(i, "ALL"));
+        declares_all.then_some((f, &phase.variants))
+    });
+    let Some((pf, variants)) = canonical else { return };
     let names: BTreeSet<&str> = variants.iter().map(|(n, _)| n.as_str()).collect();
-    let view = TreeView::new(&pf.source);
 
-    check_all_const(&view, pf, &variants, &mut out);
-    check_matches(&view, pf, &variants, &mut out);
-    check_arrays(files, variants.len(), &mut out);
-    check_charge_sites(files, &names, &mut out);
-    out
+    check_all_const(pf, variants, out);
+    check_matches(pf, variants, out);
+    check_arrays(files, variants.len(), out);
+    check_charge_sites(files, &names, out);
 }
 
 /// `Phase::ALL` must list every variant exactly once, and its declared
 /// length `[Phase; N]` must equal the variant count.
-fn check_all_const(
-    view: &TreeView<'_>,
-    pf: &PassFile,
-    variants: &[(String, usize)],
-    out: &mut Vec<PassDiag>,
-) {
+fn check_all_const(pf: &Parsed<'_>, variants: &[(String, usize)], out: &mut Vec<Finding>) {
+    let view = &pf.view;
     let toks = &view.toks;
+    // `run` picked this file because it mentions `ALL`.
+    let Some(all) = (0..toks.len()).find(|&i| view.is_ident(i, "ALL")) else { return };
+    // `ALL: [Phase; N] = [Phase::A, ...];` — scan to the `;` ending the
+    // item, collecting `Phase :: V` pairs and the first `[Phase ; N]`
+    // length.
     let mut all_entries: Vec<String> = Vec::new();
-    let mut all_line = 0usize;
-    let mut all_offset = 0usize;
     let mut declared_len: Option<usize> = None;
-    let mut i = 0usize;
-    while i < toks.len() {
-        if toks[i].kind == TokKind::Ident && view.text(i) == "ALL" {
-            all_line = view.line(i);
-            all_offset = toks[i].start;
-            // `ALL: [Phase; N] = [Phase::A, ...];` — scan to the `;`
-            // ending the item, collecting `Phase :: V` pairs and the
-            // first `[Phase ; N]` length.
-            let mut depth = 0i32;
-            let mut j = i + 1;
-            while j < toks.len() {
-                match punct(view, j) {
-                    Some(b'[') | Some(b'(') | Some(b'{') => depth += 1,
-                    Some(b']') | Some(b')') | Some(b'}') => depth -= 1,
-                    Some(b';') if depth == 0 => break,
-                    Some(b';') if depth == 1 && declared_len.is_none() => {
-                        if let Some(n) = toks.get(j + 1).and_then(|t| {
-                            if t.kind == TokKind::Num {
-                                view.text(j + 1).parse::<usize>().ok()
-                            } else {
-                                None
-                            }
-                        }) {
-                            declared_len = Some(n);
-                        }
-                    }
-                    _ => {}
-                }
-                if toks[j].kind == TokKind::Ident
-                    && view.text(j) == "Phase"
-                    && punct(view, j + 1) == Some(b':')
-                    && punct(view, j + 2) == Some(b':')
-                    && toks.get(j + 3).is_some_and(|t| t.kind == TokKind::Ident)
-                {
-                    all_entries.push(view.text(j + 3).to_string());
-                    j += 4;
-                    continue;
-                }
-                j += 1;
+    let mut depth = 0i32;
+    let mut j = all + 1;
+    while j < toks.len() {
+        match view.punct(j) {
+            Some(b'[') | Some(b'(') | Some(b'{') => depth += 1,
+            Some(b']') | Some(b')') | Some(b'}') => depth -= 1,
+            Some(b';') if depth == 0 => break,
+            Some(b';')
+                if depth == 1
+                    && declared_len.is_none()
+                    && toks.get(j + 1).is_some_and(|t| t.kind == TokKind::Num) =>
+            {
+                declared_len = view.text(j + 1).parse::<usize>().ok();
             }
-            break;
+            _ => {}
         }
-        i += 1;
-    }
-    if all_line == 0 {
-        out.push(diag(pf, 1, 0, "`Phase` enum found but no `ALL` constant to account it"));
-        return;
+        if let Some(v) = view.variant_at(j, "Phase") {
+            all_entries.push(v.to_string());
+            j += 4;
+            continue;
+        }
+        j += 1;
     }
     if let Some(n) = declared_len {
         if n != variants.len() {
-            out.push(diag(
-                pf,
-                all_line,
-                all_offset,
-                &format!(
+            out.push(pf.finding_at(
+                RULE,
+                all,
+                format!(
                     "`Phase::ALL` declares length {n} but the enum has {} variants",
                     variants.len()
                 ),
@@ -136,28 +93,26 @@ fn check_all_const(
     }
     for (name, line) in variants {
         match seen.get(name).copied().unwrap_or(0) {
-            0 => out.push(diag(
-                pf,
+            0 => out.push(pf.finding(
+                RULE,
                 *line,
                 0,
-                &format!("variant `{name}` is missing from `Phase::ALL` — its charges would escape the journal invariant"),
+                format!("variant `{name}` is missing from `Phase::ALL` — its charges would escape the journal invariant"),
             )),
             1 => {}
-            k => out.push(diag(
-                pf,
-                all_line,
-                all_offset,
-                &format!("variant `{name}` appears {k} times in `Phase::ALL`"),
+            k => out.push(pf.finding_at(
+                RULE,
+                all,
+                format!("variant `{name}` appears {k} times in `Phase::ALL`"),
             )),
         }
     }
     for name in seen.keys() {
         if !variants.iter().any(|(v, _)| v == name) {
-            out.push(diag(
-                pf,
-                all_line,
-                all_offset,
-                &format!("`Phase::ALL` lists `{name}`, which is not a variant"),
+            out.push(pf.finding_at(
+                RULE,
+                all,
+                format!("`Phase::ALL` lists `{name}`, which is not a variant"),
             ));
         }
     }
@@ -166,14 +121,9 @@ fn check_all_const(
 /// Every `match` in the Phase file with `Phase::V =>` arms must either
 /// carry a wildcard or cover all variants; `index` arm values must be a
 /// bijection onto `0..n`.
-fn check_matches(
-    view: &TreeView<'_>,
-    pf: &PassFile,
-    variants: &[(String, usize)],
-    out: &mut Vec<PassDiag>,
-) {
-    let it = items(view);
-    for f in &it.fns {
+fn check_matches(pf: &Parsed<'_>, variants: &[(String, usize)], out: &mut Vec<Finding>) {
+    let view = &pf.view;
+    for f in &pf.items.fns {
         if f.body == (0, 0) {
             continue;
         }
@@ -185,40 +135,15 @@ fn check_matches(
         while j < hi.min(view.toks.len()) {
             // Pattern position: `Phase :: V` followed (after optional
             // `{..}`/`(..)`) by `=>`.
-            if view.toks[j].kind == TokKind::Ident
-                && view.text(j) == "Phase"
-                && punct(view, j + 1) == Some(b':')
-                && punct(view, j + 2) == Some(b':')
-                && view.toks.get(j + 3).is_some_and(|t| t.kind == TokKind::Ident)
-            {
-                let vname = view.text(j + 3).to_string();
-                let mut k = j + 4;
-                // Skip a struct/tuple sub-pattern.
-                let mut depth = 0i32;
-                while k < view.toks.len() {
-                    match punct(view, k) {
-                        Some(b'{') | Some(b'(') => depth += 1,
-                        Some(b'}') | Some(b')') => {
-                            if depth == 0 {
-                                break;
-                            }
-                            depth -= 1;
-                        }
-                        _ if depth > 0 => {}
-                        _ => break,
-                    }
-                    k += 1;
-                }
-                let is_arrow = punct(view, k) == Some(b'=')
-                    && punct(view, k + 1) == Some(b'>')
-                    && view.toks.get(k + 1).is_some_and(|t| t.start == view.toks[k].end);
-                if is_arrow {
-                    covered.insert(vname.clone());
+            if let Some(vname) = view.variant_at(j, "Phase") {
+                let k = view.skip_subpattern(j + 4);
+                if view.fat_arrow_at(k) {
+                    covered.insert(vname.to_string());
                     if f.name == "index" {
                         if let Some(t) = view.toks.get(k + 2) {
                             if t.kind == TokKind::Num {
                                 if let Ok(n) = view.text(k + 2).parse::<usize>() {
-                                    index_map.insert(vname, n);
+                                    index_map.insert(vname.to_string(), n);
                                 }
                             }
                         }
@@ -227,11 +152,7 @@ fn check_matches(
                     continue;
                 }
             }
-            if view.toks[j].kind == TokKind::Ident
-                && view.text(j) == "_"
-                && punct(view, j + 1) == Some(b'=')
-                && punct(view, j + 2) == Some(b'>')
-            {
+            if view.is_ident(j, "_") && view.fat_arrow_at(j + 1) {
                 wildcard = true;
             }
             j += 1;
@@ -239,11 +160,11 @@ fn check_matches(
         if !covered.is_empty() && !wildcard {
             for (name, _) in variants {
                 if !covered.contains(name) {
-                    out.push(diag(
-                        pf,
+                    out.push(pf.finding(
+                        RULE,
                         f.line,
                         view.toks[f.body.0.min(view.toks.len() - 1)].start,
-                        &format!(
+                        format!(
                             "match over `Phase` in `{}` does not cover variant `{name}`",
                             f.name
                         ),
@@ -255,19 +176,19 @@ fn check_matches(
             let mut used = BTreeSet::new();
             for (v, n) in &index_map {
                 if *n >= variants.len() {
-                    out.push(diag(
-                        pf,
+                    out.push(pf.finding(
+                        RULE,
                         f.line,
                         0,
-                        &format!("`Phase::index` maps `{v}` to {n}, outside 0..{}", variants.len()),
+                        format!("`Phase::index` maps `{v}` to {n}, outside 0..{}", variants.len()),
                     ));
                 }
                 if !used.insert(*n) {
-                    out.push(diag(
-                        pf,
+                    out.push(pf.finding(
+                        RULE,
                         f.line,
                         0,
-                        &format!("`Phase::index` maps two variants to slot {n}"),
+                        format!("`Phase::index` maps two variants to slot {n}"),
                     ));
                 }
             }
@@ -277,14 +198,9 @@ fn check_matches(
 
 /// Phase-indexed arrays: `[f64; N]` fields of `Timeline` and
 /// `PhaseSeconds` must have `N == variant count`.
-fn check_arrays(files: &[PassFile], n_variants: usize, out: &mut Vec<PassDiag>) {
+fn check_arrays(files: &[Parsed<'_>], n_variants: usize, out: &mut Vec<Finding>) {
     for f in files {
-        if !f.source.contains("Timeline") && !f.source.contains("PhaseSeconds") {
-            continue;
-        }
-        let view = TreeView::new(&f.source);
-        let it = items(&view);
-        for field in &it.fields {
+        for field in &f.items.fields {
             if field.strukt != "Timeline" && field.strukt != "PhaseSeconds" {
                 continue;
             }
@@ -298,11 +214,11 @@ fn check_arrays(files: &[PassFile], n_variants: usize, out: &mut Vec<PassDiag>) 
                 continue;
             };
             if n != n_variants {
-                out.push(diag(
-                    f,
+                out.push(f.finding(
+                    RULE,
                     field.line,
                     0,
-                    &format!(
+                    format!(
                         "`{}.{}` is `[f64; {n}]` but `Phase` has {n_variants} variants — \
                          a phase would be unaccounted",
                         field.strukt, field.field
@@ -316,61 +232,25 @@ fn check_arrays(files: &[PassFile], n_variants: usize, out: &mut Vec<PassDiag>) 
 /// Every `.add(Phase::X, ..)` charge site in det/net files must name a
 /// declared variant (`Phase::ALL` and other UPPER_CASE associated items
 /// are not charges).
-fn check_charge_sites(files: &[PassFile], names: &BTreeSet<&str>, out: &mut Vec<PassDiag>) {
+fn check_charge_sites(files: &[Parsed<'_>], names: &BTreeSet<&str>, out: &mut Vec<Finding>) {
     for f in files {
         if !(f.class.deterministic || f.class.net) {
             continue;
         }
-        if !f.source.contains("Phase") {
-            continue;
-        }
-        let view = TreeView::new(&f.source);
-        let toks = &view.toks;
-        for i in 0..toks.len() {
-            if toks[i].kind != TokKind::Ident || view.text(i) != "Phase" {
-                continue;
-            }
-            if punct(&view, i + 1) != Some(b':') || punct(&view, i + 2) != Some(b':') {
-                continue;
-            }
-            let Some(t) = toks.get(i + 3) else { continue };
-            if t.kind != TokKind::Ident {
-                continue;
-            }
-            let name = view.text(i + 3);
+        for i in 0..f.view.toks.len() {
+            let Some(name) = f.view.variant_at(i, "Phase") else { continue };
             let is_assoc_const = name.chars().all(|c| c.is_ascii_uppercase() || c == '_');
             let is_method = name.chars().next().is_some_and(|c| c.is_ascii_lowercase());
             if is_assoc_const || is_method {
                 continue;
             }
             if !names.contains(name) {
-                out.push(diag(
-                    f,
-                    view.line(i),
-                    toks[i].start,
-                    &format!("`Phase::{name}` is not a declared `Phase` variant"),
+                out.push(f.finding_at(
+                    RULE,
+                    i,
+                    format!("`Phase::{name}` is not a declared `Phase` variant"),
                 ));
             }
         }
-    }
-}
-
-fn punct(view: &TreeView<'_>, i: usize) -> Option<u8> {
-    view.toks.get(i).and_then(|t| {
-        if t.kind == TokKind::Punct {
-            view.source.as_bytes().get(t.start).copied()
-        } else {
-            None
-        }
-    })
-}
-
-fn diag(f: &PassFile, line: usize, offset: usize, message: &str) -> PassDiag {
-    PassDiag {
-        file: f.rel.clone(),
-        line,
-        offset,
-        rule: "phase-balance",
-        message: message.to_string(),
     }
 }

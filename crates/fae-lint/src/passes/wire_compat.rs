@@ -16,13 +16,13 @@
 
 use std::collections::BTreeMap;
 
-use super::{PassDiag, PassFile};
 use crate::tokens::TokKind;
-use crate::tree::{items, TreeView};
+use crate::tree::TreeView;
+use crate::{Finding, Parsed};
 
 /// A declared tag range from DESIGN.md §12.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TagRange {
+struct TagRange {
     /// Group name (`core`, `telemetry`, ...).
     pub name: String,
     /// Inclusive low tag.
@@ -33,7 +33,7 @@ pub struct TagRange {
 
 /// Parses `fae-lint: wire-tags <name> = <lo>-<hi>` declarations out of
 /// the design document.
-pub fn parse_ranges(design: &str) -> Vec<TagRange> {
+fn parse_ranges(design: &str) -> Vec<TagRange> {
     let mut out = Vec::new();
     for line in design.lines() {
         let Some(rest) = line.trim().strip_prefix("fae-lint: wire-tags ") else { continue };
@@ -48,12 +48,14 @@ pub fn parse_ranges(design: &str) -> Vec<TagRange> {
 }
 
 /// Runs the pass against one wire source file and the design document.
-pub fn run(wire: &PassFile, design: &str) -> Vec<PassDiag> {
-    let mut out = Vec::new();
-    let view = TreeView::new(&wire.source);
-    let it = items(&view);
-    let Some(msg) = it.enums.iter().find(|e| e.name == "Message") else {
-        return out;
+pub(crate) fn run(wire: &Parsed<'_>, design: &str, out: &mut Vec<Finding>) {
+    // Wire findings anchor on lines, not tokens: offset 0 keeps them
+    // outside every test region.
+    let mut diag =
+        |line: usize, message: String| out.push(wire.finding("wire-compat", line, 0, message));
+    let view = &wire.view;
+    let Some(msg) = wire.items.enums.iter().find(|e| e.name == "Message") else {
+        return;
     };
     let enum_line = msg.line;
 
@@ -64,39 +66,35 @@ pub fn run(wire: &PassFile, design: &str) -> Vec<PassDiag> {
     let mut encode_wildcard = false;
     let mut name_wildcard = false;
 
-    for f in &it.fns {
+    for f in &wire.items.fns {
         if f.body == (0, 0) {
             continue;
         }
         let (lo, hi) = f.body;
         match f.name.as_str() {
             "tag" => {
-                for (v, n, _line) in variant_arms(&view, lo, hi) {
+                for (v, n, _line) in variant_arms(view, lo, hi) {
                     if let Some(prev) = tag_map.insert(v.clone(), n) {
                         if prev != n {
-                            out.push(diag(
-                                wire,
-                                f.line,
-                                &format!("variant `{v}` is tagged both {prev} and {n}"),
-                            ));
+                            diag(f.line, format!("variant `{v}` is tagged both {prev} and {n}"));
                         }
                     }
                 }
             }
             "name" => {
-                for v in pattern_variants(&view, lo, hi) {
+                for v in pattern_variants(view, lo, hi) {
                     name_covered.insert(v, true);
                 }
-                name_wildcard = has_wildcard_arm(&view, lo, hi);
+                name_wildcard = has_wildcard_arm(view, lo, hi);
             }
             "encode_payload" => {
-                for v in pattern_variants(&view, lo, hi) {
+                for v in pattern_variants(view, lo, hi) {
                     encode_covered.insert(v, true);
                 }
-                encode_wildcard = has_wildcard_arm(&view, lo, hi);
+                encode_wildcard = has_wildcard_arm(view, lo, hi);
             }
             "decode_payload" | "decode" => {
-                for (n, v) in decode_arms(&view, lo, hi) {
+                for (n, v) in decode_arms(view, lo, hi) {
                     decode_map.entry(n).or_insert(v);
                 }
             }
@@ -109,18 +107,12 @@ pub fn run(wire: &PassFile, design: &str) -> Vec<PassDiag> {
     for (v, line) in &msg.variants {
         match tag_map.get(v) {
             Some(n) => by_tag.entry(*n).or_default().push(v),
-            None => {
-                out.push(diag(wire, *line, &format!("variant `{v}` has no tag in `Message::tag`")))
-            }
+            None => diag(*line, format!("variant `{v}` has no tag in `Message::tag`")),
         }
     }
     for (n, vs) in &by_tag {
         if vs.len() > 1 {
-            out.push(diag(
-                wire,
-                enum_line,
-                &format!("tag {n} is shared by variants {}", vs.join(", ")),
-            ));
+            diag(enum_line, format!("tag {n} is shared by variants {}", vs.join(", ")));
         }
     }
 
@@ -129,59 +121,54 @@ pub fn run(wire: &PassFile, design: &str) -> Vec<PassDiag> {
         let Some(n) = tag_map.get(v) else { continue };
         match decode_map.get(n) {
             Some(dv) if dv == v => {}
-            Some(dv) => {
-                out.push(diag(wire, *line, &format!("tag {n} encodes `{v}` but decodes to `{dv}`")))
-            }
-            None => out.push(diag(
-                wire,
+            Some(dv) => diag(*line, format!("tag {n} encodes `{v}` but decodes to `{dv}`")),
+            None => diag(
                 *line,
-                &format!("tag {n} (`{v}`) is never decoded — frames would be rejected as corrupt"),
-            )),
+                format!("tag {n} (`{v}`) is never decoded — frames would be rejected as corrupt"),
+            ),
         }
     }
     for (n, dv) in &decode_map {
         if !tag_map.values().any(|t| t == n) {
-            out.push(diag(wire, enum_line, &format!("decode accepts undeclared tag {n} (`{dv}`)")));
+            diag(enum_line, format!("decode accepts undeclared tag {n} (`{dv}`)"));
         }
     }
 
     // 3. name/encode exhaustiveness.
     for (v, line) in &msg.variants {
         if !name_wildcard && !name_covered.is_empty() && !name_covered.contains_key(v) {
-            out.push(diag(wire, *line, &format!("variant `{v}` is missing from `name`")));
+            diag(*line, format!("variant `{v}` is missing from `name`"));
         }
         if !encode_wildcard && !encode_covered.is_empty() && !encode_covered.contains_key(v) {
-            out.push(diag(wire, *line, &format!("variant `{v}` is missing from `encode_payload`")));
+            diag(*line, format!("variant `{v}` is missing from `encode_payload`"));
         }
     }
 
     // 4. DESIGN.md §12 tag ranges.
     let ranges = parse_ranges(design);
     if ranges.is_empty() {
-        out.push(diag(
-            wire,
+        diag(
             enum_line,
-            "the design document declares no `fae-lint: wire-tags` ranges to check tags against",
-        ));
+            "the design document declares no `fae-lint: wire-tags` ranges to check tags against"
+                .to_string(),
+        );
     } else {
         for (i, a) in ranges.iter().enumerate() {
             if a.lo > a.hi {
-                out.push(diag(
-                    wire,
+                diag(
                     enum_line,
-                    &format!("declared range `{}` is empty ({}-{})", a.name, a.lo, a.hi),
-                ));
+                    format!("declared range `{}` is empty ({}-{})", a.name, a.lo, a.hi),
+                );
             }
             for b in ranges.iter().skip(i + 1) {
                 if a.lo <= b.hi && b.lo <= a.hi {
-                    out.push(diag(
-                        wire,
+                    diag(
                         enum_line,
-                        &format!(
+                        format!(
                             "declared tag ranges `{}` ({}-{}) and `{}` ({}-{}) overlap",
                             a.name, a.lo, a.hi, b.name, b.lo, b.hi
                         ),
-                    ));
+                    );
                 }
             }
         }
@@ -190,52 +177,16 @@ pub fn run(wire: &PassFile, design: &str) -> Vec<PassDiag> {
             let homes: Vec<&TagRange> =
                 ranges.iter().filter(|r| *n >= r.lo && *n <= r.hi).collect();
             if homes.is_empty() {
-                out.push(diag(
-                    wire,
+                diag(
                     *line,
-                    &format!(
+                    format!(
                         "tag {n} (`{v}`) falls outside every declared wire-tags range — \
                          declare it in the design document first"
                     ),
-                ));
+                );
             }
         }
     }
-    out
-}
-
-fn punct(view: &TreeView<'_>, i: usize) -> Option<u8> {
-    view.toks.get(i).and_then(|t| {
-        if t.kind == TokKind::Punct {
-            view.source.as_bytes().get(t.start).copied()
-        } else {
-            None
-        }
-    })
-}
-
-/// After a `Message :: V` at `j`, returns the token index past any
-/// `{..}`/`(..)` sub-pattern.
-fn skip_subpattern(view: &TreeView<'_>, mut k: usize) -> usize {
-    let mut depth = 0i32;
-    while k < view.toks.len() {
-        match punct(view, k) {
-            Some(b'{') | Some(b'(') => depth += 1,
-            Some(b'}') | Some(b')') => {
-                if depth == 0 {
-                    break;
-                }
-                depth -= 1;
-                if depth == 0 {
-                    return k + 1;
-                }
-            }
-            _ if depth > 0 => {}
-            _ => break,
-        }
-        k += 1;
-    }
-    k
 }
 
 /// `Message::V .. => NUM` arms (the `tag` fn shape).
@@ -244,13 +195,13 @@ fn variant_arms(view: &TreeView<'_>, lo: usize, hi: usize) -> Vec<(String, u64, 
     let mut j = lo;
     let hi = hi.min(view.toks.len());
     while j < hi {
-        if let Some((v, k)) = message_variant_at(view, j) {
-            let k = skip_subpattern(view, k);
-            if punct(view, k) == Some(b'=') && punct(view, k + 1) == Some(b'>') {
+        if let Some(v) = view.variant_at(j, "Message") {
+            let k = view.skip_subpattern(j + 4);
+            if view.fat_arrow_at(k) {
                 if let Some(t) = view.toks.get(k + 2) {
                     if t.kind == TokKind::Num {
                         if let Ok(n) = view.text(k + 2).parse::<u64>() {
-                            out.push((v, n, view.line(j)));
+                            out.push((v.to_string(), n, view.line(j)));
                         }
                     }
                 }
@@ -270,13 +221,11 @@ fn pattern_variants(view: &TreeView<'_>, lo: usize, hi: usize) -> Vec<String> {
     let mut j = lo;
     let hi = hi.min(view.toks.len());
     while j < hi {
-        if let Some((v, k)) = message_variant_at(view, j) {
-            let k = skip_subpattern(view, k);
-            let next = punct(view, k);
-            let is_arrow = next == Some(b'=') && punct(view, k + 1) == Some(b'>');
-            let is_or = next == Some(b'|') && punct(view, k + 1) != Some(b'|');
-            if is_arrow || is_or {
-                out.push(v);
+        if let Some(v) = view.variant_at(j, "Message") {
+            let k = view.skip_subpattern(j + 4);
+            let is_or = view.is_punct(k, b'|') && !view.is_punct(k + 1, b'|');
+            if view.fat_arrow_at(k) || is_or {
+                out.push(v.to_string());
             }
             j = k;
             continue;
@@ -293,21 +242,18 @@ fn decode_arms(view: &TreeView<'_>, lo: usize, hi: usize) -> Vec<(u64, String)> 
     let mut j = lo;
     let hi = hi.min(view.toks.len());
     while j < hi {
-        if view.toks[j].kind == TokKind::Num
-            && punct(view, j + 1) == Some(b'=')
-            && punct(view, j + 2) == Some(b'>')
-        {
+        if view.toks[j].kind == TokKind::Num && view.fat_arrow_at(j + 1) {
             if let Ok(n) = view.text(j).parse::<u64>() {
                 current = Some(n);
             }
             j += 3;
             continue;
         }
-        if let Some((v, k)) = message_variant_at(view, j) {
+        if let Some(v) = view.variant_at(j, "Message") {
             if let Some(n) = current.take() {
-                out.push((n, v));
+                out.push((n, v.to_string()));
             }
-            j = k;
+            j += 4;
             continue;
         }
         j += 1;
@@ -319,10 +265,7 @@ fn decode_arms(view: &TreeView<'_>, lo: usize, hi: usize) -> Vec<(u64, String)> 
 fn has_wildcard_arm(view: &TreeView<'_>, lo: usize, hi: usize) -> bool {
     let hi = hi.min(view.toks.len());
     for j in lo..hi {
-        if view.toks[j].kind == TokKind::Ident
-            && punct(view, j + 1) == Some(b'=')
-            && punct(view, j + 2) == Some(b'>')
-        {
+        if view.toks[j].kind == TokKind::Ident && view.fat_arrow_at(j + 1) {
             let w = view.text(j);
             let lowercase = w == "_" || w.chars().next().is_some_and(|c| c.is_ascii_lowercase());
             // Not the struct-pattern field binding `{ ack } =>` — those
@@ -331,7 +274,7 @@ fn has_wildcard_arm(view: &TreeView<'_>, lo: usize, hi: usize) -> bool {
             // distinguish by what came before: a `}`/`)` means the arm
             // had a pattern already.
             let prev_ok = j == lo
-                || matches!(punct(view, j - 1), Some(b',') | Some(b'{'))
+                || matches!(view.punct(j - 1), Some(b',') | Some(b'{'))
                     && !prev_is_subpattern(view, lo, j);
             if lowercase && prev_ok {
                 return true;
@@ -349,7 +292,7 @@ fn prev_is_subpattern(view: &TreeView<'_>, lo: usize, j: usize) -> bool {
     let mut k = j;
     while k > lo {
         k -= 1;
-        match punct(view, k) {
+        match view.punct(k) {
             Some(b'}') => depth += 1,
             Some(b'{') => {
                 if depth == 0 {
@@ -362,29 +305,4 @@ fn prev_is_subpattern(view: &TreeView<'_>, lo: usize, j: usize) -> bool {
         }
     }
     false
-}
-
-/// `Message :: V` starting at `j`; returns the variant and the index
-/// past it.
-fn message_variant_at(view: &TreeView<'_>, j: usize) -> Option<(String, usize)> {
-    if view.toks[j].kind == TokKind::Ident
-        && view.text(j) == "Message"
-        && punct(view, j + 1) == Some(b':')
-        && punct(view, j + 2) == Some(b':')
-        && view.toks.get(j + 3).is_some_and(|t| t.kind == TokKind::Ident)
-    {
-        Some((view.text(j + 3).to_string(), j + 4))
-    } else {
-        None
-    }
-}
-
-fn diag(f: &PassFile, line: usize, message: &str) -> PassDiag {
-    PassDiag {
-        file: f.rel.clone(),
-        line,
-        offset: 0,
-        rule: "wire-compat",
-        message: message.to_string(),
-    }
 }

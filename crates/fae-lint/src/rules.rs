@@ -1,9 +1,16 @@
-//! The lint rules: what is forbidden where, and the lexical matchers
-//! that find violations in scrubbed source text.
+//! The lint rules: what is forbidden where, and the token-pattern
+//! matchers for the purely local rules.
 //!
-//! These are lexical approximations, not type-checked analyses — the
-//! trade-off is zero dependencies and sub-second whole-workspace runs.
-//! Known gaps are documented per rule and in DESIGN.md §11.
+//! The matchers read the token stream ([`crate::tokens`]), so text in
+//! comments and literals is invisible to them and line wrapping or
+//! spacing inside a call cannot hide a site. They are still syntactic
+//! approximations, not type-checked analyses — the trade-off is zero
+//! dependencies and sub-second whole-workspace runs. Known gaps are
+//! documented per rule and in DESIGN.md §11.
+
+use crate::tokens::TokKind;
+use crate::tree::{find_group, flatten};
+use crate::{Finding, Parsed};
 
 /// Where a rule applies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -108,346 +115,271 @@ pub fn is_known_rule(id: &str) -> bool {
     RULES.iter().any(|r| r.id == id)
 }
 
-/// One rule match inside a single line.
-pub struct Match {
-    /// Byte column (0-based) within the line.
-    pub col: usize,
-    /// Rule id that fired.
-    pub rule: &'static str,
-    /// Human-readable explanation.
-    pub message: String,
-}
-
-fn is_ident(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
-/// Byte positions of `needle` in `hay` with identifier boundaries on
-/// both sides (so `Instant` does not match `InstantLike`).
-fn token_positions(hay: &str, needle: &str) -> Vec<usize> {
-    let hb = hay.as_bytes();
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(off) = hay[from..].find(needle) {
-        let at = from + off;
-        // A needle starting/ending in a non-ident byte (`.`, `(`, `!`…)
-        // has that boundary built in.
-        let needle_start_ident = needle.as_bytes().first().is_some_and(|&b| is_ident(b));
-        let needle_end_ident = needle.as_bytes().last().is_some_and(|&b| is_ident(b));
-        let before_ok = !needle_start_ident || at == 0 || !is_ident(hb[at - 1]);
-        let after = hb.get(at + needle.len()).copied().unwrap_or(b' ');
-        if before_ok && (!needle_end_ident || !is_ident(after)) {
-            out.push(at);
+/// Runs the token-pattern rules in scope for `p` over its token stream:
+/// `no-panic` and `float-fuse` in library code, `net-deadline` in the
+/// net scope, `metric-name` in the metrics scope, `timeline-phase` in
+/// the determinism scope.
+pub(crate) fn scan(p: &Parsed<'_>, out: &mut Vec<Finding>) {
+    let v = &p.view;
+    let class = p.class;
+    let lib = !class.binary;
+    let ident = |i: usize| v.toks.get(i).filter(|t| t.kind == TokKind::Ident).map(|_| v.text(i));
+    for i in 0..v.toks.len() {
+        // `.name(` — a method call anchored at its dot.
+        if v.is_punct(i, b'.') && v.is_punct(i + 2, b'(') {
+            let Some(name) = ident(i + 1) else { continue };
+            match name {
+                "unwrap" if lib && v.is_punct(i + 3, b')') => {
+                    out.push(no_panic(p, i, "`.unwrap()` panics on the error path"))
+                }
+                "expect" if lib => {
+                    out.push(no_panic(p, i, "`.expect(...)` panics on the error path"))
+                }
+                "chunks_exact" | "chunks_exact_mut"
+                    if lib
+                        && v.toks.get(i + 3).is_some_and(|t| t.kind == TokKind::Num)
+                        && v.text(i + 3) == "8"
+                        && v.is_punct(i + 4, b')') =>
+                {
+                    out.push(float_fuse(p, i, name))
+                }
+                "read_exact" | "read_to_end" | "read_until" | "write_all" if class.net => {
+                    out.push(net_deadline(p, i, name))
+                }
+                "counter_add" | "gauge_set" | "observe" if class.metrics => {
+                    out.extend(metric_name(p, i))
+                }
+                "add" if class.deterministic => out.extend(timeline_phase(p, i)),
+                _ => {}
+            }
+            continue;
         }
-        from = at + needle.len();
+        // `m["key"]`: a string literal hugging the bracket, the bracket
+        // hugging an expression end — an array literal `["a", "b"]`
+        // follows `=`, `(`, `&`, a space.
+        if lib
+            && v.is_punct(i, b'[')
+            && v.adjacent(i)
+            && v.toks[i + 1].kind == TokKind::Str
+            && i > 0
+            && v.adjacent(i - 1)
+            && (v.toks[i - 1].kind == TokKind::Ident || matches!(v.punct(i - 1), Some(b']' | b')')))
+        {
+            out.push(p.finding_at(
+                "no-panic",
+                i,
+                "string-key indexing panics on a missing entry; use `.get(...)`",
+            ));
+            continue;
+        }
+        let Some(word) = ident(i) else { continue };
+        match word {
+            "panic" | "unreachable" | "todo" | "unimplemented"
+                if lib
+                    && v.is_punct(i + 1, b'!')
+                    && matches!(v.punct(i + 2), Some(b'(' | b'[' | b'{')) =>
+            {
+                out.push(no_panic(p, i, &format!("`{word}!` in library code")))
+            }
+            "connect" if class.net && v.is_punct(i + 1, b'(') => out.push(net_deadline(p, i, word)),
+            "set_read_timeout" | "set_write_timeout"
+                if class.net
+                    && v.is_punct(i + 1, b'(')
+                    && ident(i + 2) == Some("None")
+                    && v.is_punct(i + 3, b')') =>
+            {
+                out.push(p.finding_at(
+                    "net-deadline",
+                    i,
+                    format!(
+                        "`{word}(None)` removes the socket deadline, making every later call \
+                         unbounded; deadlines are load-bearing in fae-net"
+                    ),
+                ))
+            }
+            _ => {}
+        }
     }
-    out
 }
 
-/// Runs the lexical determinism rules over one scrubbed line.
+fn no_panic(p: &Parsed<'_>, tok: usize, what: &str) -> Finding {
+    p.finding_at("no-panic", tok, format!("{what}; return a typed error (or pragma with a proof)"))
+}
+
+/// The net-deadline rule: blocking socket calls, and explicit deadline
+/// removal, are flagged. One hung peer must never be able to stall the
+/// coordinator or a worker forever, so every read/write/connect goes
+/// through the deadline helpers (`fae_net::deadline`), which set a
+/// timeout first and pragma their own blessed call sites.
 ///
-/// Since the flow-aware analyzer landed, the only *lexical* determinism
-/// rule left is `timeline-phase` (a purely local shape check). The old
-/// mention-based wall-clock/ambient-rng/hash-container matchers were
-/// retired in favour of the taint pass ([`crate::flow`]), which flags
-/// flows into digest-affecting state instead of every mention; the v1
-/// matchers survive as [`legacy_det_matches`] so tests can demonstrate
-/// how many pragmas the upgrade retired.
-pub fn deterministic_matches(line: &str, out: &mut Vec<Match>) {
-    timeline_matches(line, out);
-}
-
-/// The retired PR-5 lexical matchers: every *mention* of a wall-clock
-/// type, ambient-RNG constructor or hash container fired, forcing a
-/// pragma on each innocent lookup table. Kept (not wired into any lint
-/// path) so the pragma-retirement test can count how many suppressions
-/// the flow-aware pass made unnecessary.
-pub fn legacy_det_matches(line: &str, out: &mut Vec<Match>) {
-    for tok in ["Instant", "SystemTime"] {
-        for col in token_positions(line, tok) {
-            out.push(Match {
-                col,
-                rule: "wall-clock",
-                message: format!("`{tok}` mentioned (legacy lexical rule)"),
-            });
-        }
-    }
-    for tok in ["thread_rng", "from_entropy", "OsRng", "rand::random"] {
-        for col in token_positions(line, tok) {
-            out.push(Match {
-                col,
-                rule: "ambient-rng",
-                message: format!("`{tok}` mentioned (legacy lexical rule)"),
-            });
-        }
-    }
-    for tok in ["HashMap", "HashSet"] {
-        for col in token_positions(line, tok) {
-            out.push(Match {
-                col,
-                rule: "hash-container",
-                message: format!("`{tok}` mentioned (legacy lexical rule)"),
-            });
-        }
-    }
-}
-
-/// Runs the no-panic rule over one scrubbed line.
-pub fn no_panic_matches(line: &str, out: &mut Vec<Match>) {
-    for (tok, what) in [
-        (".unwrap()", "`.unwrap()` panics on the error path"),
-        (".expect(", "`.expect(...)` panics on the error path"),
-        ("panic!", "`panic!` in library code"),
-        ("unreachable!", "`unreachable!` in library code"),
-        ("todo!", "`todo!` in library code"),
-        ("unimplemented!", "`unimplemented!` in library code"),
-    ] {
-        for col in token_positions(line, tok) {
-            out.push(Match {
-                col,
-                rule: "no-panic",
-                message: format!("{what}; return a typed error (or pragma with a proof)"),
-            });
-        }
-    }
-    // Indexing a map with a string-literal key: `m["k"]` panics on a
-    // missing entry. After scrubbing, literal bodies are blank but the
-    // quotes survive, so the `["` shape is still visible.
-    let lb = line.as_bytes();
-    for col in token_positions(line, "[\"") {
-        let prev = if col == 0 { b' ' } else { lb[col - 1] };
-        if is_ident(prev) || prev == b']' || prev == b')' {
-            out.push(Match {
-                col,
-                rule: "no-panic",
-                message: "string-key indexing panics on a missing entry; use `.get(...)`"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-/// Runs the net-deadline rule over one scrubbed line: blocking socket
-/// calls, and explicit deadline removal, are flagged. One hung peer must
-/// never be able to stall the coordinator or a worker forever, so every
-/// read/write/connect goes through the deadline helpers
-/// (`fae_net::deadline`), which set a timeout first and pragma their own
-/// blessed call sites.
-///
-/// Lexical gaps, documented: `connect(` is matched only as the bare call
+/// Gaps, documented: `connect` is matched only as that exact name
 /// (`TcpStream::connect_timeout` has the deadline built in and does not
 /// match), and file I/O in non-net crates never sees this rule (scope is
 /// the fae-net crate alone — `read_exact` on a `File` is fine elsewhere).
-pub fn net_deadline_matches(line: &str, out: &mut Vec<Match>) {
-    for (tok, what) in [
-        (".read_exact(", "`read_exact` blocks until the peer sends"),
-        (".read_to_end(", "`read_to_end` blocks until the peer closes"),
-        (".read_until(", "`read_until` blocks until the delimiter arrives"),
-        (".write_all(", "`write_all` blocks while the send buffer is full"),
-        ("connect(", "`connect` blocks for the OS default (minutes)"),
-    ] {
-        for col in token_positions(line, tok) {
-            out.push(Match {
-                col,
-                rule: "net-deadline",
-                message: format!(
-                    "{what} — unbounded without a prior deadline; use the \
-                     fae_net::deadline helpers (or set a timeout and pragma the site)"
-                ),
-            });
-        }
-    }
-    for tok in ["set_read_timeout(None)", "set_write_timeout(None)"] {
-        for col in token_positions(line, tok) {
-            out.push(Match {
-                col,
-                rule: "net-deadline",
-                message: format!(
-                    "`{tok}` removes the socket deadline, making every later call \
-                     unbounded; deadlines are load-bearing in fae-net"
-                ),
-            });
-        }
-    }
+fn net_deadline(p: &Parsed<'_>, tok: usize, call: &str) -> Finding {
+    let what = match call {
+        "read_exact" => "`read_exact` blocks until the peer sends",
+        "read_to_end" => "`read_to_end` blocks until the peer closes",
+        "read_until" => "`read_until` blocks until the delimiter arrives",
+        "write_all" => "`write_all` blocks while the send buffer is full",
+        _ => "`connect` blocks for the OS default (minutes)",
+    };
+    p.finding_at(
+        "net-deadline",
+        tok,
+        format!(
+            "{what} — unbounded without a prior deadline; use the fae_net::deadline helpers \
+             (or set a timeout and pragma the site)"
+        ),
+    )
 }
 
-/// Runs the metric-name rule over one line. Call sites are located on
-/// the *scrubbed* line (so names quoted in comments or strings never
-/// fire), but the literal's body is blanked there — the name itself is
-/// read back out of the *raw* line at the same byte offsets, which the
-/// scrubber guarantees to preserve.
+/// The metric-name rule at the `.counter_add(` / `.gauge_set(` /
+/// `.observe(` call whose dot is token `dot`: the name is the string
+/// literal that opens the argument list, wherever rustfmt put it.
 ///
-/// The contract: a name passed to `counter_add`/`gauge_set`/`observe`
-/// becomes a Prometheus series `fae_<name>` with every non-alphanumeric
-/// byte mapped to `_`. Names outside `[a-z0-9._]` (or with leading /
-/// trailing / doubled separators) can collide after that mapping or
-/// churn the exposition schema, so they are rejected at the source.
+/// The contract: a name passed to these calls becomes a Prometheus
+/// series `fae_<name>` with every non-alphanumeric byte mapped to `_`.
+/// Names outside `[a-z0-9._]` (or with leading / trailing / doubled
+/// separators) can collide after that mapping or churn the exposition
+/// schema, so they are rejected at the source.
 ///
-/// Lexical gap, documented: a *dynamic* first argument (a variable,
-/// as in the telemetry crate's own forwarding layer) is not checked —
-/// the rule audits the literal emission sites, which is where names
-/// are actually minted.
-pub fn metric_name_matches(line: &str, raw: &str, out: &mut Vec<Match>) {
-    for tok in [".counter_add(", ".gauge_set(", ".observe("] {
-        for col in token_positions(line, tok) {
-            let start = col + tok.len();
-            let rest = line.get(start..).unwrap_or("");
-            let arg_at = start + (rest.len() - rest.trim_start().len());
-            // Dynamic (non-literal) name: out of lexical reach, skip.
-            if line.as_bytes().get(arg_at) != Some(&b'"') {
-                continue;
-            }
-            let Some(raw_rest) = raw.get(arg_at + 1..) else { continue };
-            // A literal that does not close on this line is already
-            // suspicious formatting; skip rather than misreport.
-            let Some(end) = raw_rest.find('"') else { continue };
-            let name = &raw_rest[..end];
-            let charset_ok = name
-                .bytes()
-                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'.' || b == b'_');
-            let shape_ok = name.as_bytes().first().is_some_and(|b| b.is_ascii_lowercase())
-                && !name.ends_with(['.', '_'])
-                && !name.contains("..");
-            if !(charset_ok && shape_ok) {
-                out.push(Match {
-                    col,
-                    rule: "metric-name",
-                    message: format!(
-                        "metric name \"{name}\" is not a stable lowercase dotted identifier \
-                         ([a-z0-9._], starting with a letter); the Prometheus exposition maps \
-                         non-alphanumerics to `_`, so loose names collide or churn the schema"
-                    ),
-                });
-            }
-        }
+/// Gap, documented: a *dynamic* first argument (a variable, as in the
+/// telemetry crate's own forwarding layer) is not checked — the rule
+/// audits the literal emission sites, which is where names are minted.
+fn metric_name(p: &Parsed<'_>, dot: usize) -> Option<Finding> {
+    let v = &p.view;
+    let arg = dot + 3;
+    if v.toks.get(arg)?.kind != TokKind::Str {
+        return None;
     }
+    let literal = v.text(arg);
+    let name = literal.strip_prefix('"').unwrap_or(literal);
+    let name = name.strip_suffix('"').unwrap_or(name);
+    let charset_ok = name
+        .bytes()
+        .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'.' || b == b'_');
+    let shape_ok = name.as_bytes().first().is_some_and(|b| b.is_ascii_lowercase())
+        && !name.ends_with(['.', '_'])
+        && !name.contains("..");
+    if charset_ok && shape_ok {
+        return None;
+    }
+    Some(p.finding_at(
+        "metric-name",
+        dot,
+        format!(
+            "metric name \"{name}\" is not a stable lowercase dotted identifier \
+             ([a-z0-9._], starting with a letter); the Prometheus exposition maps \
+             non-alphanumerics to `_`, so loose names collide or churn the schema"
+        ),
+    ))
 }
 
-/// Runs the float-fuse rule over one scrubbed line: every fixed-width
-/// 8-lane f32 unroll site (`.chunks_exact(8)` / `.chunks_exact_mut(8)`,
-/// the shape all `fae_nn::lanes` kernels share) must carry a pragma
-/// stating which side of the bit-identity contract it is on —
-/// elementwise (no f32 reassociation) or reduction (reorders addition,
-/// the documented carve-out). The pragma's reason must cite the contract
-/// anchor `DESIGN.md §14`; that citation is validated where pragmas are
-/// parsed (`lint_source`), and a float-fuse pragma without it is a
+/// The float-fuse rule: every fixed-width 8-lane f32 unroll site
+/// (`.chunks_exact(8)` / `.chunks_exact_mut(8)`, the shape all
+/// `fae_nn::lanes` kernels share) must carry a pragma stating which
+/// side of the bit-identity contract it is on — elementwise (no f32
+/// reassociation) or reduction (reorders addition, the documented
+/// carve-out). The pragma's reason must cite the contract anchor
+/// `DESIGN.md §14`; that citation is validated with the other pragma
+/// hygiene (`finalize`), and a float-fuse pragma without it is a
 /// `bad-pragma`.
 ///
-/// Lexical gap, documented: only the literal width-8 call fires. Other
-/// widths (`chunks_exact(4)`) or a variable width are not this
-/// workspace's unroll idiom and stay out of scope.
-pub fn float_fuse_matches(line: &str, out: &mut Vec<Match>) {
-    for tok in [".chunks_exact(8)", ".chunks_exact_mut(8)"] {
-        for col in token_positions(line, tok) {
-            out.push(Match {
-                col,
-                rule: "float-fuse",
-                message: format!(
-                    "`{tok}` is an 8-lane f32 unroll; pragma the site with its \
-                     bit-identity contract (elementwise vs reduction carve-out), \
-                     citing DESIGN.md §14"
-                ),
-            });
-        }
-    }
+/// Gap, documented: only the literal width-8 call fires. Other widths
+/// (`chunks_exact(4)`) or a variable width are not this workspace's
+/// unroll idiom and stay out of scope.
+fn float_fuse(p: &Parsed<'_>, dot: usize, call: &str) -> Finding {
+    p.finding_at(
+        "float-fuse",
+        dot,
+        format!(
+            "`.{call}(8)` is an 8-lane f32 unroll; pragma the site with its bit-identity \
+             contract (elementwise vs reduction carve-out), citing DESIGN.md §14"
+        ),
+    )
 }
 
-/// The accounting rule: a charge on a receiver that is lexically a
-/// timeline (its last path segment contains "timeline") must name its
-/// phase — either a `Phase::X` constant or a binding whose name contains
-/// `phase`. Charges through receivers with other names are only checked
-/// when they already use `Phase::` (and then trivially pass); this is
-/// the documented lexical gap.
-fn timeline_matches(line: &str, out: &mut Vec<Match>) {
-    let lb = line.as_bytes();
-    for col in token_positions(line, ".add(") {
-        // Receiver: walk left over a path/field expression.
-        let mut s = col;
-        while s > 0 {
-            let b = lb[s - 1];
-            if is_ident(b) || b == b'.' || b == b':' || b == b'*' || b == b'&' {
-                s -= 1;
-            } else {
-                break;
-            }
-        }
-        let receiver = &line[s..col];
-        let last_segment = receiver.rsplit('.').next().unwrap_or(receiver);
-        if !last_segment.to_ascii_lowercase().contains("timeline") {
-            continue;
-        }
-        // First argument: up to the first depth-0 comma (or close paren).
-        let args_at = col + ".add(".len();
-        let mut depth = 0usize;
-        let mut end = args_at;
-        while end < lb.len() {
-            match lb[end] {
-                b'(' | b'[' => depth += 1,
-                b')' | b']' if depth == 0 => break,
-                b')' | b']' => depth -= 1,
-                b',' if depth == 0 => break,
-                _ => {}
-            }
-            end += 1;
-        }
-        let first_arg = line[args_at..end].trim();
-        let named =
-            first_arg.contains("Phase::") || first_arg.to_ascii_lowercase().contains("phase");
-        if !named {
-            out.push(Match {
-                col,
-                rule: "timeline-phase",
-                message: format!(
-                    "Timeline charge `{receiver}.add({first_arg}, ...)` does not name its \
-                     phase; pass a `Phase::...` constant (or a `phase`-named binding) so \
-                     the journal's phase-sum invariant stays auditable"
-                ),
-            });
-        }
+/// The accounting rule at the `.add(` call whose dot is token `dot`: a
+/// charge on a receiver whose last path segment contains "timeline"
+/// must name its phase in the first argument — a `Phase::X` constant or
+/// a binding whose name contains `phase`. Charges through receivers
+/// with other names are not checked; this is the documented gap.
+fn timeline_phase(p: &Parsed<'_>, dot: usize) -> Option<Finding> {
+    let v = &p.view;
+    let segment = dot.checked_sub(1)?;
+    if v.toks[segment].kind != TokKind::Ident
+        || !v.text(segment).to_ascii_lowercase().contains("timeline")
+    {
+        return None;
     }
+    // First argument: the paren group's children up to its first comma.
+    let args = find_group(&v.nodes, dot + 2)?;
+    let first = flatten(args.split(|n| v.is_leaf_punct(n, b',')).next().unwrap_or_default());
+    let named = first.iter().any(|&k| {
+        v.toks[k].kind == TokKind::Ident && v.text(k).to_ascii_lowercase().contains("phase")
+    });
+    if named {
+        return None;
+    }
+    let span = |toks: &[usize]| match (toks.first(), toks.last()) {
+        (Some(&a), Some(&b)) => v.source.get(v.toks[a].start..v.toks[b].end).unwrap_or(""),
+        _ => "",
+    };
+    // The receiver as written: the path tokens hugging the segment.
+    let mut start = segment;
+    while start > 0
+        && v.adjacent(start - 1)
+        && (v.toks[start - 1].kind == TokKind::Ident
+            || matches!(v.punct(start - 1), Some(b'.' | b':' | b'*' | b'&')))
+    {
+        start -= 1;
+    }
+    Some(p.finding_at(
+        "timeline-phase",
+        dot,
+        format!(
+            "Timeline charge `{}.add({}, ...)` does not name its phase; pass a `Phase::...` \
+             constant (or a `phase`-named binding) so the journal's phase-sum invariant stays \
+             auditable",
+            span(&[start, segment]),
+            span(&first)
+        ),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
+    use std::path::Path;
+
     use super::*;
+    use crate::FileClass;
 
-    fn det(line: &str) -> Vec<&'static str> {
-        let mut m = Vec::new();
-        deterministic_matches(line, &mut m);
-        m.into_iter().map(|x| x.rule).collect()
+    /// Rule ids fired by `src` with every scope on (pre-suppression).
+    fn fired(src: &str) -> Vec<&'static str> {
+        let class = FileClass { deterministic: true, binary: false, net: true, metrics: true };
+        let p = Parsed::new(0, Path::new("x.rs"), src, class);
+        let mut out = Vec::new();
+        scan(&p, &mut out);
+        out.into_iter().map(|f| f.rule).collect()
     }
 
-    fn nopanic(line: &str) -> usize {
-        let mut m = Vec::new();
-        no_panic_matches(line, &mut m);
-        m.len()
-    }
-
-    #[test]
-    fn lexical_det_rule_is_timeline_only_now() {
-        // The mention-based matchers moved to `legacy_det_matches`; the
-        // live lexical path must no longer fire on mere mentions.
-        assert!(det("let t = Instant::now();").is_empty());
-        assert!(det("let m: HashMap<u32, f32> = HashMap::new();").is_empty());
-        assert!(det("let x = instant_rate;").is_empty());
+    fn count(src: &str, rule: &str) -> usize {
+        fired(src).into_iter().filter(|r| *r == rule).count()
     }
 
     #[test]
-    fn legacy_matchers_still_count_mentions() {
-        let legacy = |line: &str| {
-            let mut m = Vec::new();
-            legacy_det_matches(line, &mut m);
-            m.into_iter().map(|x| x.rule).collect::<Vec<_>>()
-        };
-        assert_eq!(legacy("let t = Instant::now();"), vec!["wall-clock"]);
-        assert_eq!(legacy("use std::time::SystemTime;"), vec!["wall-clock"]);
-        assert_eq!(legacy("let mut r = thread_rng();"), vec!["ambient-rng"]);
-        assert_eq!(legacy("let m: HashMap<u32, f32> = HashMap::new();").len(), 2);
-        assert!(legacy("let x = instant_rate;").is_empty());
+    fn mentions_alone_fire_nothing() {
+        // wall-clock/ambient-rng/hash-container are flow rules
+        // ([`crate::flow`]); no token pattern fires on a mere mention.
+        assert!(fired("let t = Instant::now();").is_empty());
+        assert!(fired("let m: HashMap<u32, f32> = HashMap::new();").is_empty());
+        assert!(fired("let x = instant_rate;").is_empty());
     }
 
     #[test]
     fn no_panic_hits_and_misses() {
+        let nopanic = |src: &str| count(src, "no-panic");
         assert_eq!(nopanic("x.unwrap()"), 1);
         assert_eq!(nopanic("x.expect(\"m\")"), 1);
         assert_eq!(nopanic("panic!(\"boom\")"), 1);
@@ -455,15 +387,16 @@ mod tests {
         assert_eq!(nopanic("x.unwrap_or_else(f)"), 0);
         assert_eq!(nopanic("let v = arr[i];"), 0);
         assert_eq!(nopanic("let v = m[\"key\"];"), 1);
+        assert_eq!(nopanic("let v = [\"a\", \"b\"];"), 0);
+        // Spacing and wrapping do not hide a site.
+        assert_eq!(nopanic("x.unwrap ()"), 1);
+        assert_eq!(nopanic("x\n    .unwrap()"), 1);
+        assert_eq!(nopanic("if panic != 0 {}"), 0);
     }
 
     #[test]
     fn net_deadline_hits_and_misses() {
-        let net = |l: &str| {
-            let mut m = Vec::new();
-            net_deadline_matches(l, &mut m);
-            m.len()
-        };
+        let net = |src: &str| count(src, "net-deadline");
         assert_eq!(net("stream.read_exact(&mut buf)?;"), 1);
         assert_eq!(net("stream.write_all(&bytes)?;"), 1);
         assert_eq!(net("stream.read_to_end(&mut v)?;"), 1);
@@ -480,24 +413,16 @@ mod tests {
 
     #[test]
     fn metric_name_hits_and_misses() {
-        // The matcher sees the scrubbed line (literal bodies blanked,
-        // quotes kept) plus the raw line; build both the way scrub does.
-        let check = |raw: &str| {
-            let scrubbed = crate::scrub::scrub(raw);
-            let mut m = Vec::new();
-            metric_name_matches(scrubbed.text.lines().next().unwrap_or(""), raw, &mut m);
-            m.len()
-        };
+        let check = |src: &str| count(src, "metric-name");
         assert_eq!(check("t.counter_add(\"train.steps_hot\", 1);"), 0);
         assert_eq!(check("t.gauge_set(\"serve.hit_rate\", r);"), 0);
         assert_eq!(check("t.observe(\"serve.latency_s\", v);"), 0);
         assert_eq!(check("t.counter_add( \"net.joins\", 1);"), 0, "leading space before literal");
-        // Dynamic names (the forwarding layer) are out of lexical reach.
+        // Dynamic names (the forwarding layer) are out of reach.
         assert_eq!(check("m.counter_add(name, v);"), 0);
         // Numeric observe (a histogram value, not a telemetry name).
         assert_eq!(check("window.observe(loss);"), 0);
-        // Names quoted in comments never fire: the site is located on
-        // the scrubbed line, where comments are blank.
+        // Names quoted in comments never fire: comments are not tokens.
         assert_eq!(check("let x = 1; // call t.counter_add(\"Bad Name\", 1)"), 0);
         // Violations: uppercase, spaces, dashes, separators misused.
         assert_eq!(check("t.counter_add(\"Train.Steps\", 1);"), 1);
@@ -507,15 +432,14 @@ mod tests {
         assert_eq!(check("t.counter_add(\".joins\", 1);"), 1);
         assert_eq!(check("t.counter_add(\"net..joins\", 1);"), 1);
         assert_eq!(check("t.counter_add(\"net.joins_\", 1);"), 1);
+        // A rustfmt-wrapped argument list is the same call.
+        assert_eq!(check("t.counter_add(\n    \"Bad Name\",\n    1,\n);"), 1);
+        assert_eq!(check("t.counter_add(\n    \"good.name\",\n    1,\n);"), 0);
     }
 
     #[test]
     fn float_fuse_hits_and_misses() {
-        let fuse = |l: &str| {
-            let mut m = Vec::new();
-            float_fuse_matches(l, &mut m);
-            m.len()
-        };
+        let fuse = |src: &str| count(src, "float-fuse");
         assert_eq!(fuse("let mut d = dst.chunks_exact_mut(8);"), 1);
         assert_eq!(fuse("let mut s = src.chunks_exact(8);"), 1);
         assert_eq!(fuse("for (a, b) in x.chunks_exact(8).zip(y.chunks_exact(8)) {"), 2);
@@ -527,11 +451,14 @@ mod tests {
 
     #[test]
     fn timeline_rule() {
-        let fire = |l: &str| det(l).contains(&"timeline-phase");
+        let fire = |src: &str| count(src, "timeline-phase") > 0;
         assert!(fire("self.timeline.add(p, secs);"));
         assert!(!fire("self.timeline.add(Phase::Transfer, secs);"));
         assert!(!fire("timeline.add(*phase, d.phases.0[i]);"));
         assert!(!fire("hist.add(v);"));
         assert!(!fire("t.add(Phase::Framework, 1.0);"));
+        // The first argument is read from the paren group, not the line.
+        assert!(!fire("self.timeline.add(\n    Phase::Transfer,\n    1.0,\n);"));
+        assert!(fire("self.timeline.add(\n    secs,\n    Phase::Transfer,\n);"));
     }
 }

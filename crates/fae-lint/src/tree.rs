@@ -1,19 +1,20 @@
-//! Brace-matched token trees and item extraction.
+//! Brace-matched token trees, item extraction and test-gated ranges.
 //!
-//! Sits between the flat token stream ([`crate::tokens`]) and the flow
-//! passes: groups `()`/`[]`/`{}` into nested nodes, then walks the tree
+//! Sits between the flat token stream ([`crate::tokens`]) and every rule
+//! and pass: groups `()`/`[]`/`{}` into nested nodes, then walks the tree
 //! pulling out the items the passes reason about — functions (with
 //! their body groups), enums (with variant names and lines), struct
-//! fields (with flattened type text), `use` aliases, and `const`
-//! array initializers. This is *use-resolution light*: `use
-//! std::collections::HashMap as FastMap` makes `FastMap` resolve to the
-//! full path, so renamed imports cannot dodge the determinism rules.
+//! fields (with flattened type text) and `use` aliases — and the byte
+//! ranges of `#[cfg(test)]`/`#[test]` items. This is *use-resolution
+//! light*: `use std::collections::HashMap as FastMap` makes `FastMap`
+//! resolve to the full path, so renamed imports cannot dodge the
+//! determinism rules.
 //!
 //! Not a parser: generics are skipped by angle-depth counting, patterns
 //! are treated as token runs, and macro bodies are walked like ordinary
 //! code. DESIGN.md §16 lists the resulting soundness caveats.
 
-use crate::tokens::{Tok, TokKind};
+use crate::tokens::{tokenize, Lexed, Tok, TokKind};
 
 /// One node of the token tree.
 #[derive(Debug)]
@@ -42,13 +43,15 @@ fn closer_for(open: u8) -> u8 {
     }
 }
 
-/// A resolved view over tokens + source, with the helpers every pass
-/// shares.
+/// One file's source, tokens and token tree, with the accessors every
+/// rule and pass shares.
 pub struct TreeView<'s> {
     /// The raw source text.
     pub source: &'s str,
-    /// The token stream.
+    /// The code token stream.
     pub toks: Vec<Tok>,
+    /// The `//` comments the tokenizer skipped (pragmas live here).
+    pub comments: Vec<Tok>,
     /// The token tree over `toks`.
     pub nodes: Vec<Node>,
 }
@@ -56,9 +59,10 @@ pub struct TreeView<'s> {
 impl<'s> TreeView<'s> {
     /// Tokenizes and tree-builds `source`.
     pub fn new(source: &'s str) -> Self {
-        let toks = crate::tokens::tokenize(source);
-        let nodes = build_with_src(&toks, source);
-        TreeView { source, toks, nodes }
+        let Lexed { toks, comments } = tokenize(source);
+        let mut view = TreeView { source, toks, comments, nodes: Vec::new() };
+        view.nodes = build_until(&view, &mut 0, None);
+        view
     }
 
     /// Text of token `i`.
@@ -76,43 +80,90 @@ impl<'s> TreeView<'s> {
         self.toks[i].kind == TokKind::Ident && self.text(i) == word
     }
 
+    /// The byte of token `i` when it is punctuation; `None` for any
+    /// other kind and for an index past the end.
+    pub fn punct(&self, i: usize) -> Option<u8> {
+        let t = self.toks.get(i)?;
+        if t.kind == TokKind::Punct {
+            self.source.as_bytes().get(t.start).copied()
+        } else {
+            None
+        }
+    }
+
     /// True when token `i` is the punctuation byte `b`.
     pub fn is_punct(&self, i: usize, b: u8) -> bool {
-        self.toks[i].kind == TokKind::Punct && self.source.as_bytes()[self.toks[i].start] == b
+        self.punct(i) == Some(b)
+    }
+
+    /// True when `n` is the lone punctuation token `b` (a `,` or `;`
+    /// separating siblings), not a group.
+    pub fn is_leaf_punct(&self, n: &Node, b: u8) -> bool {
+        matches!(n, Node::Leaf(k) if self.is_punct(*k, b))
+    }
+
+    /// True when tokens `k`, `k + 1` spell `=>`.
+    pub fn fat_arrow_at(&self, k: usize) -> bool {
+        self.is_punct(k, b'=') && self.is_punct(k + 1, b'>') && self.adjacent(k)
+    }
+
+    /// The variant name when tokens `j..j + 4` spell `<enum_name>::Variant`.
+    pub fn variant_at(&self, j: usize, enum_name: &str) -> Option<&'s str> {
+        let is_path = j < self.toks.len()
+            && self.is_ident(j, enum_name)
+            && self.is_punct(j + 1, b':')
+            && self.is_punct(j + 2, b':');
+        (is_path && self.toks.get(j + 3)?.kind == TokKind::Ident).then(|| self.text(j + 3))
+    }
+
+    /// The token index past a `{..}`/`(..)` sub-pattern opening at `k`
+    /// (as after `Message::V`), or `k` itself when none opens there.
+    pub fn skip_subpattern(&self, mut k: usize) -> usize {
+        let mut depth = 0i32;
+        while k < self.toks.len() {
+            match self.punct(k) {
+                Some(b'{') | Some(b'(') => depth += 1,
+                Some(b'}') | Some(b')') => {
+                    if depth == 0 {
+                        break;
+                    }
+                    depth -= 1;
+                    if depth == 0 {
+                        return k + 1;
+                    }
+                }
+                _ if depth > 0 => {}
+                _ => break,
+            }
+            k += 1;
+        }
+        k
+    }
+
+    /// True when tokens `i` and `i + 1` touch (no whitespace or comment
+    /// between them) — how `::`, `=>`, `m["k"]` are told from lookalikes.
+    pub fn adjacent(&self, i: usize) -> bool {
+        self.toks.get(i + 1).is_some_and(|next| next.start == self.toks[i].end)
     }
 }
 
-/// Tree build that classifies delimiters from the source text (the
-/// token itself stores only spans).
-fn build_with_src(toks: &[Tok], source: &str) -> Vec<Node> {
-    let mut pos = 0usize;
-    build_until_src(toks, source, &mut pos, None)
-}
-
-fn src_punct(toks: &[Tok], source: &str, i: usize) -> Option<u8> {
-    let t = &toks[i];
-    if t.kind == TokKind::Punct {
-        source.as_bytes().get(t.start).copied()
-    } else {
-        None
-    }
-}
-
-fn build_until_src(toks: &[Tok], source: &str, pos: &mut usize, until: Option<u8>) -> Vec<Node> {
+/// Builds sibling nodes from token `*pos` up to (not consuming) the
+/// closing delimiter `until`, or EOF. An unterminated group closes at
+/// the last token; a stray closer becomes a leaf.
+fn build_until(view: &TreeView<'_>, pos: &mut usize, until: Option<u8>) -> Vec<Node> {
     let mut out = Vec::new();
-    while *pos < toks.len() {
-        let byte = src_punct(toks, source, *pos);
-        if let Some(b) = byte {
+    while *pos < view.toks.len() {
+        if let Some(b) = view.punct(*pos) {
             if Some(b) == until {
                 return out;
             }
             if b == b'(' || b == b'[' || b == b'{' {
                 let open = *pos;
                 *pos += 1;
-                let children = build_until_src(toks, source, pos, Some(closer_for(b)));
-                let close = (*pos).min(toks.len().saturating_sub(1));
+                let children = build_until(view, pos, Some(closer_for(b)));
+                let close = (*pos).min(view.toks.len().saturating_sub(1));
                 out.push(Node::Group { delim: b, open, close, children });
-                if *pos < toks.len() {
+                if *pos < view.toks.len() {
                     *pos += 1;
                 }
                 continue;
@@ -124,16 +175,117 @@ fn build_until_src(toks: &[Tok], source: &str, pos: &mut usize, until: Option<u8
     out
 }
 
+/// The children of the group whose opening token index is `open`.
+pub fn find_group(nodes: &[Node], open: usize) -> Option<&[Node]> {
+    for n in nodes {
+        if let Node::Group { open: o, close, children, .. } = n {
+            if *o == open {
+                return Some(children);
+            }
+            if *o < open && open < *close {
+                return find_group(children, open);
+            }
+        }
+    }
+    None
+}
+
+/// Appends every token index under `nodes`, delimiters included, in
+/// source order.
+pub fn flat_into(nodes: &[Node], out: &mut Vec<usize>) {
+    for n in nodes {
+        match n {
+            Node::Leaf(i) => out.push(*i),
+            Node::Group { open, close, children, .. } => {
+                out.push(*open);
+                flat_into(children, out);
+                out.push(*close);
+            }
+        }
+    }
+}
+
+/// All token indices under `nodes`, delimiters included, in order.
+pub fn flatten(nodes: &[Node]) -> Vec<usize> {
+    let mut out = Vec::new();
+    flat_into(nodes, &mut out);
+    out
+}
+
+/// Half-open byte ranges of test-only items: an attribute whose
+/// predicate gates on `test` ([`gates_on_test`]), any further attributes,
+/// and the item up to its own `{…}` body or terminating `;`. Delimiters
+/// come from the tree, so a `;` inside `[u8; 4]` or a `}` inside a
+/// string cannot end the item early.
+pub fn test_ranges(view: &TreeView<'_>) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    collect_test_ranges(view, &view.nodes, &mut out);
+    out
+}
+
+fn collect_test_ranges(view: &TreeView<'_>, nodes: &[Node], out: &mut Vec<(usize, usize)>) {
+    // `#` leaf followed by a `[…]` group: the attribute's children.
+    let attr_at = |i: usize| match (nodes.get(i), nodes.get(i + 1)) {
+        (Some(Node::Leaf(k)), Some(Node::Group { delim: b'[', children, .. }))
+            if view.is_punct(*k, b'#') =>
+        {
+            Some((*k, children.as_slice()))
+        }
+        _ => None,
+    };
+    let mut i = 0usize;
+    while i < nodes.len() {
+        if let Some((hash, _)) = attr_at(i).filter(|(_, attr)| gates_on_test(view, attr)) {
+            let mut j = i + 2;
+            while attr_at(j).is_some() {
+                j += 2;
+            }
+            let item_end = nodes.iter().enumerate().skip(j).find_map(|(at, n)| match n {
+                Node::Group { delim: b'{', close, .. } => Some((at, *close)),
+                Node::Leaf(k) if view.is_punct(*k, b';') => Some((at, *k)),
+                _ => None,
+            });
+            // No body and no `;` (a gated field, a truncated file):
+            // nothing to exempt.
+            if let Some((at, end)) = item_end {
+                out.push((view.toks[hash].start, view.toks[end].end));
+                i = at + 1;
+                continue;
+            }
+        }
+        if let Node::Group { children, .. } = &nodes[i] {
+            collect_test_ranges(view, children, out);
+        }
+        i += 1;
+    }
+}
+
+/// Does a cfg predicate (or the whole attribute body) compile its item
+/// only under `test`? True for `test`, `cfg(test)`, `all(…)`/`any(…)`
+/// with a gating operand (`any` is the documented loose case); false
+/// for `not(test)`, `cfg_attr(test, …)` and anything else.
+fn gates_on_test(view: &TreeView<'_>, pred: &[Node]) -> bool {
+    match pred {
+        [Node::Leaf(k)] => view.is_ident(*k, "test"),
+        [Node::Leaf(k), Node::Group { delim: b'(', children, .. }] => {
+            let operator = view.text(*k);
+            if view.toks[*k].kind != TokKind::Ident || !matches!(operator, "cfg" | "all" | "any") {
+                return false;
+            }
+            children
+                .split(|n| view.is_leaf_punct(n, b','))
+                .any(|operand| gates_on_test(view, operand))
+        }
+        _ => false,
+    }
+}
+
 /// A function found in the tree.
 pub struct FnItem {
     /// Function name.
     pub name: String,
-    /// `Type` when defined inside `impl Type` (or `impl Trait for Type`).
-    pub owner: Option<String>,
     /// True when any ancestor item or the fn itself is `pub`.
     pub is_pub: bool,
-    /// Token index of the `fn` keyword.
-    pub fn_tok: usize,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
     /// Parameter names (pattern identifiers, `self` included).
@@ -190,37 +342,11 @@ pub struct Items {
 pub fn items(view: &TreeView<'_>) -> Items {
     let mut out =
         Items { fns: Vec::new(), enums: Vec::new(), fields: Vec::new(), uses: Vec::new() };
-    scan_items(view, &view.nodes, None, false, &mut out);
+    scan_items(view, &view.nodes, false, &mut out);
     out
 }
 
-fn flat_leaves(nodes: &[Node], out: &mut Vec<usize>) {
-    for n in nodes {
-        match n {
-            Node::Leaf(i) => out.push(*i),
-            Node::Group { open, close, children, .. } => {
-                out.push(*open);
-                flat_leaves(children, out);
-                out.push(*close);
-            }
-        }
-    }
-}
-
-/// All token indices under `nodes`, delimiters included, in order.
-pub fn flatten(nodes: &[Node]) -> Vec<usize> {
-    let mut out = Vec::new();
-    flat_leaves(nodes, &mut out);
-    out
-}
-
-fn scan_items(
-    view: &TreeView<'_>,
-    nodes: &[Node],
-    owner: Option<&str>,
-    outer_pub: bool,
-    out: &mut Items,
-) {
+fn scan_items(view: &TreeView<'_>, nodes: &[Node], outer_pub: bool, out: &mut Items) {
     let n = nodes.len();
     let mut idx = 0usize;
     let mut last_pub = false;
@@ -245,7 +371,7 @@ fn scan_items(
             continue;
         }
         if view.is_ident(i, "fn") {
-            scan_fn(view, nodes, &mut idx, owner, outer_pub || last_pub, out);
+            scan_fn(view, nodes, &mut idx, outer_pub || last_pub, out);
             last_pub = false;
             continue;
         }
@@ -260,40 +386,16 @@ fn scan_items(
             continue;
         }
         if view.is_ident(i, "impl") || view.is_ident(i, "mod") || view.is_ident(i, "trait") {
-            // Recurse into the block with the owner type name (for impl).
-            let is_impl = view.is_ident(i, "impl");
+            // Recurse into the block (or stop at `mod name;`).
             let mut j = idx + 1;
-            let mut impl_owner: Option<String> = None;
-            let mut seen_for = false;
             while j < n {
                 match &nodes[j] {
-                    Node::Leaf(k) => {
-                        if view.is_ident(*k, "for") {
-                            seen_for = true;
-                            impl_owner = None;
-                        } else if view.toks[*k].kind == TokKind::Ident
-                            && is_impl
-                            && (impl_owner.is_none() || seen_for)
-                        {
-                            let w = view.text(*k);
-                            if w != "for" && w != "where" && w != "dyn" && w != "const" {
-                                impl_owner = Some(w.to_string());
-                                seen_for = false;
-                            }
-                        }
-                        if view.is_punct(*k, b';') {
-                            break;
-                        }
-                        j += 1;
+                    Node::Leaf(k) if view.is_punct(*k, b';') => break,
+                    Node::Group { delim: b'{', children, .. } => {
+                        scan_items(view, children, outer_pub || last_pub, out);
+                        break;
                     }
-                    Node::Group { delim, children, .. } => {
-                        if *delim == b'{' {
-                            let owner_name = if is_impl { impl_owner.as_deref() } else { owner };
-                            scan_items(view, children, owner_name, outer_pub || last_pub, out);
-                            break;
-                        }
-                        j += 1;
-                    }
+                    _ => j += 1,
                 }
             }
             idx = j + 1;
@@ -373,14 +475,7 @@ fn scan_use(view: &TreeView<'_>, nodes: &[Node], idx: &mut usize, out: &mut Item
     *idx = j + 1;
 }
 
-fn scan_fn(
-    view: &TreeView<'_>,
-    nodes: &[Node],
-    idx: &mut usize,
-    owner: Option<&str>,
-    is_pub: bool,
-    out: &mut Items,
-) {
+fn scan_fn(view: &TreeView<'_>, nodes: &[Node], idx: &mut usize, is_pub: bool, out: &mut Items) {
     let fn_tok = match &nodes[*idx] {
         Node::Leaf(i) => *i,
         Node::Group { .. } => {
@@ -424,9 +519,7 @@ fn scan_fn(
                     *idx = j + 1;
                     out.fns.push(FnItem {
                         name,
-                        owner: owner.map(|s| s.to_string()),
                         is_pub,
-                        fn_tok,
                         line: view.line(fn_tok),
                         params,
                         body: (0, 0),
@@ -442,7 +535,7 @@ fn scan_fn(
                 } else if *delim == b'{' {
                     body = Some((*open + 1, *close));
                     // Nested fns/closures inside the body: recurse.
-                    scan_items(view, children, owner, false, out);
+                    scan_items(view, children, false, out);
                     j += 1;
                     break;
                 } else {
@@ -453,9 +546,7 @@ fn scan_fn(
     }
     out.fns.push(FnItem {
         name,
-        owner: owner.map(|s| s.to_string()),
         is_pub,
-        fn_tok,
         line: view.line(fn_tok),
         params,
         body: body.unwrap_or((0, 0)),
@@ -582,130 +673,105 @@ fn scan_fields_braced(view: &TreeView<'_>, children: &[Node], strukt: &str, out:
         while i < n {
             match &children[i] {
                 Node::Leaf(k) => {
-                    if view.is_punct(*k, b'#') {
-                        i += 1; // `[`-group skipped below
-                    } else if view.is_ident(*k, "pub") {
-                        i += 1;
-                    } else if view.toks[*k].kind == TokKind::Ident {
+                    i += 1;
+                    if view.toks[*k].kind == TokKind::Ident && !view.is_ident(*k, "pub") {
                         field = Some((view.text(*k).to_string(), view.line(*k)));
-                        i += 1;
                         break;
-                    } else {
-                        i += 1;
                     }
                 }
-                Node::Group { delim, .. } => {
-                    if *delim == b'(' {
-                        // pub(crate) visibility group
-                        i += 1;
-                    } else {
-                        i += 1;
-                    }
-                }
+                // An attribute's `[…]` or the `(crate)` of `pub(crate)`.
+                Node::Group { .. } => i += 1,
             }
         }
         let Some((fname, fline)) = field else { break };
-        // Expect `:` then type tokens until depth-0 `,`.
-        let mut ty = String::new();
-        let mut saw_colon = false;
-        while i < n {
-            match &children[i] {
-                Node::Leaf(k) => {
-                    if view.is_punct(*k, b',') {
-                        i += 1;
-                        break;
-                    }
-                    if view.is_punct(*k, b':') && !saw_colon {
-                        saw_colon = true;
-                    } else if saw_colon {
-                        if !ty.is_empty() {
-                            ty.push(' ');
-                        }
-                        ty.push_str(view.text(*k));
-                    }
-                    i += 1;
-                }
-                Node::Group { children: gc, delim, .. } => {
-                    if saw_colon {
-                        let inner = flatten(gc);
-                        if !ty.is_empty() {
-                            ty.push(' ');
-                        }
-                        ty.push(*delim as char);
-                        for &k in &inner {
-                            ty.push(' ');
-                            ty.push_str(view.text(k));
-                        }
-                        ty.push(' ');
-                        ty.push(closer_for(*delim) as char);
-                    }
-                    i += 1;
-                }
-            }
-        }
-        if saw_colon {
+        // The field runs to the next sibling `,`; its type is whatever
+        // follows the first `:`.
+        let end =
+            children[i..].iter().position(|n| view.is_leaf_punct(n, b',')).map_or(n, |p| i + p);
+        let run = &children[i..end];
+        i = end + 1;
+        if let Some(colon) = run.iter().position(|n| view.is_leaf_punct(n, b':')) {
             out.fields.push(FieldItem {
                 strukt: strukt.to_string(),
                 field: fname,
-                ty,
+                ty: type_text(view, &flatten(&run[colon + 1..])),
                 line: fline,
             });
         }
     }
 }
 
+/// Tuple fields: comma-separated type runs, named `0`, `1`, ...
 fn scan_fields_tuple(view: &TreeView<'_>, children: &[Node], strukt: &str, out: &mut Items) {
-    // Tuple fields: comma-separated type runs, named 0, 1, ...
-    let mut ty = String::new();
-    let mut line = 0usize;
-    let mut n_field = 0usize;
-    let flush = |ty: &mut String, line: usize, n_field: &mut usize, out: &mut Items| {
-        if !ty.trim().is_empty() {
-            out.fields.push(FieldItem {
-                strukt: strukt.to_string(),
-                field: n_field.to_string(),
-                ty: ty.trim().to_string(),
-                line,
-            });
-            *n_field += 1;
-        }
-        ty.clear();
-    };
-    for c in children {
-        match c {
-            Node::Leaf(k) => {
-                if line == 0 {
-                    line = view.line(*k);
-                }
-                if view.is_punct(*k, b',') {
-                    flush(&mut ty, line, &mut n_field, out);
-                    continue;
-                }
-                if view.is_ident(*k, "pub") {
-                    continue;
-                }
-                ty.push(' ');
-                ty.push_str(view.text(*k));
-            }
-            Node::Group { children: gc, delim, .. } => {
-                let inner = flatten(gc);
-                ty.push(' ');
-                ty.push(*delim as char);
-                for &k in &inner {
-                    ty.push(' ');
-                    ty.push_str(view.text(k));
-                }
-                ty.push(' ');
-                ty.push(closer_for(*delim) as char);
-            }
-        }
+    let fields = children
+        .split(|n| view.is_leaf_punct(n, b','))
+        .map(|run| flatten(run).into_iter().filter(|&k| !view.is_ident(k, "pub")).collect())
+        .filter(|toks: &Vec<usize>| !toks.is_empty());
+    for (nth, toks) in fields.enumerate() {
+        out.fields.push(FieldItem {
+            strukt: strukt.to_string(),
+            field: nth.to_string(),
+            ty: type_text(view, &toks),
+            line: view.line(toks[0]),
+        });
     }
-    flush(&mut ty, line, &mut n_field, out);
+}
+
+/// Token texts joined by one space: `[ f64 ; 8 ]`.
+fn type_text(view: &TreeView<'_>, toks: &[usize]) -> String {
+    toks.iter().map(|&k| view.text(k)).collect::<Vec<_>>().join(" ")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Is the first occurrence of `needle` inside a test-only range?
+    fn gated(src: &str, needle: &str) -> bool {
+        let at = src.find(needle).expect("needle present");
+        test_ranges(&TreeView::new(src)).iter().any(|&(s, e)| at >= s && at < e)
+    }
+
+    #[test]
+    fn cfg_test_module_is_a_range() {
+        let src = "fn a() {}\n#[cfg(test)]\nmod tests {\n fn b() { x.unwrap() }\n}\nfn c() {}";
+        assert!(gated(src, "unwrap"));
+        assert!(!gated(src, "fn a"));
+        assert!(!gated(src, "fn c"));
+    }
+
+    #[test]
+    fn test_fn_with_extra_attrs() {
+        let src = "#[test]\n#[should_panic]\nfn t() { boom() }\nfn live() {}";
+        assert!(gated(src, "boom"));
+        assert!(!gated(src, "live"));
+    }
+
+    #[test]
+    fn cfg_all_and_any_test_count() {
+        assert!(gated("#[cfg(all(test, unix))]\nmod m { bad() }", "bad"));
+        assert!(gated("#[cfg(any(test, feature = \"x\"))]\nmod m { bad() }", "bad"));
+    }
+
+    #[test]
+    fn other_cfgs_do_not_count() {
+        // `testing` contains `test` as a substring but is a different option.
+        assert!(!gated("#[cfg(feature = x)]\nmod m { fine() }", "fine"));
+        assert!(!gated("#[cfg(testing)]\nmod m { fine() }", "fine"));
+        // Compiled exactly when *not* testing, and compiled always.
+        assert!(!gated("#[cfg(not(test))]\nfn f() { live() }", "live"));
+        assert!(!gated("#[cfg_attr(test, derive(Debug))]\nstruct S { live: u8 }", "live"));
+    }
+
+    #[test]
+    fn item_ends_at_its_own_body_not_at_a_nested_semicolon() {
+        let src = "#[cfg(test)]\nfn h(buf: [u8; 4]) -> u8 { inside() }\nfn after() {}";
+        assert!(gated(src, "inside"));
+        assert!(!gated(src, "after"));
+        let src = "#[cfg(test)]\nmod tests;\nfn after() {}";
+        assert!(gated(src, "tests"));
+        assert!(!gated(src, "after"));
+    }
 
     #[test]
     fn groups_nest() {
@@ -718,26 +784,17 @@ mod tests {
     }
 
     #[test]
-    fn impl_owner_and_pub() {
+    fn impl_methods_and_pub() {
         let src = "pub struct S { x: u32 }\nimpl S { pub fn m(&self, k: u8) -> u8 { k } }";
         let view = TreeView::new(src);
         let it = items(&view);
         let m = it.fns.iter().find(|f| f.name == "m").expect("m found");
-        assert_eq!(m.owner.as_deref(), Some("S"));
         assert!(m.is_pub);
         assert_eq!(m.params, vec!["self", "k"]);
         assert_eq!(it.fields.len(), 1);
         assert_eq!(it.fields[0].strukt, "S");
         assert_eq!(it.fields[0].field, "x");
         assert_eq!(it.fields[0].ty, "u32");
-    }
-
-    #[test]
-    fn impl_trait_for_type_uses_the_type() {
-        let src = "impl Display for Wire { fn fmt(&self) {} }";
-        let view = TreeView::new(src);
-        let it = items(&view);
-        assert_eq!(it.fns[0].owner.as_deref(), Some("Wire"));
     }
 
     #[test]

@@ -13,10 +13,13 @@ cargo build --release --locked -p fae-lint || exit 1
 BIN=target/release/fae-lint
 FIX=crates/fae-lint/fixtures
 fail=0
+n_fail=0
+n_pass=0
 
 # must_fail LABEL ARGS... — the lint run must find violations (exit 1).
 must_fail() {
   local label=$1; shift
+  n_fail=$((n_fail + 1))
   "$BIN" "$@" >/dev/null 2>&1
   local code=$?
   if [ "$code" -ne 1 ]; then
@@ -28,6 +31,7 @@ must_fail() {
 # must_pass LABEL ARGS... — the lint run must come back clean (exit 0).
 must_pass() {
   local label=$1; shift
+  n_pass=$((n_pass + 1))
   if ! "$BIN" "$@" >/dev/null 2>&1; then
     echo "lint.sh: SELF-TEST FAILED: $label expected exit 0" >&2
     fail=1
@@ -52,11 +56,14 @@ if [ "$fail" -ne 0 ]; then
   echo "lint.sh: the linter itself is broken; not linting the workspace" >&2
   exit 1
 fi
-echo "lint.sh: self-test passed (8 must-fail trees, 5 clean trees)"
+echo "lint.sh: self-test passed ($n_fail must-fail trees, $n_pass clean trees)"
 
 # The real run. JSON artifact lands next to the text output for CI upload.
 mkdir -p target/lint
 "$BIN" --root . --format json > target/lint/report.json
 status=$?
+t0=$(date +%s%N)
 "$BIN" --root .
+t1=$(date +%s%N)
+echo "lint.sh: workspace lint took $(( (t1 - t0) / 1000000 )) ms"
 exit $status
