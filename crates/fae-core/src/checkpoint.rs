@@ -25,10 +25,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 
 use fae_embed::EmbeddingTable;
-use fae_models::MasterEmbeddings;
+use fae_models::{EmbeddingSource, MasterEmbeddings};
 use fae_nn::Tensor;
 use fae_sysmodel::{Phase, Timeline};
 
@@ -140,13 +140,12 @@ impl TrainCheckpoint {
     /// re-quantizing with the same partitions reproduces the tiered state
     /// to within one code step per element.
     pub fn snapshot_master(master: &MasterEmbeddings) -> Vec<TableSnapshot> {
-        master
-            .snapshot_tables()
-            .into_iter()
-            .map(|t| TableSnapshot {
-                rows: t.rows() as u32,
-                dim: t.dim() as u32,
-                weights: t.weights().as_slice().to_vec(),
+        (0..master.num_tables())
+            .map(|t| {
+                let (rows, dim) = (master.rows_in(t), master.dim());
+                let mut weights = Vec::with_capacity(rows * dim);
+                master.stream_table(t, |w| weights.extend_from_slice(w));
+                TableSnapshot { rows: rows as u32, dim: dim as u32, weights }
             })
             .collect()
     }
@@ -178,7 +177,9 @@ impl TrainCheckpoint {
 
     /// Serialises to the binary container (payload + CRC-32 trailer).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(4096);
+        let floats =
+            self.dense_params.len() + self.tables.iter().map(|t| t.weights.len()).sum::<usize>();
+        let mut buf = Vec::with_capacity(4096 + floats * 4);
         buf.put_slice(MAGIC);
         buf.put_u32_le(VERSION);
         buf.put_u64_le(self.config_seed);
@@ -288,22 +289,17 @@ impl TrainCheckpoint {
         }
         // Dense parameters.
         buf.put_u32_le(self.dense_params.len() as u32);
-        for &p in &self.dense_params {
-            buf.put_f32_le(p);
-        }
+        put_f32s_le(&mut buf, &self.dense_params);
         // Embedding tables.
         buf.put_u32_le(self.tables.len() as u32);
         for t in &self.tables {
             buf.put_u32_le(t.rows);
             buf.put_u32_le(t.dim);
-            for &w in &t.weights {
-                buf.put_f32_le(w);
-            }
+            put_f32s_le(&mut buf, &t.weights);
         }
-        let mut out = buf.freeze().to_vec();
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        let crc = crc32(&buf);
+        buf.put_u32_le(crc);
+        buf
     }
 
     /// Parses and validates a container (magic, version, CRC, structure).
@@ -597,35 +593,151 @@ fn checked(elems: usize, width: usize, what: &'static str) -> Result<usize, Chec
 /// single-process run that trained the same weights compare equal even
 /// though their fault logs differ.
 pub fn model_digest(dense_params: &[f32], tables: &[TableSnapshot]) -> u32 {
-    let mut buf = BytesMut::with_capacity(dense_params.len() * 4 + 64);
-    buf.put_u32_le(dense_params.len() as u32);
-    for &p in dense_params {
-        buf.put_f32_le(p);
-    }
-    buf.put_u32_le(tables.len() as u32);
+    let mut h = digest_dense(dense_params, tables.len());
     for t in tables {
-        buf.put_u32_le(t.rows);
-        buf.put_u32_le(t.dim);
-        for &w in &t.weights {
-            buf.put_f32_le(w);
-        }
+        h.update(&t.rows.to_le_bytes());
+        h.update(&t.dim.to_le_bytes());
+        h.update_f32s(&t.weights);
     }
-    crc32(&buf.freeze().to_vec())
+    h.finish()
 }
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320). Public so the
-/// wire protocol (`fae-net`) frames carry the same checksum the on-disk
-/// containers do.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// [`model_digest`] streamed straight off the master: the same bytes in
+/// the same order, without materialising a snapshot of any table.
+pub fn master_digest(dense_params: &[f32], master: &MasterEmbeddings) -> u32 {
+    let mut h = digest_dense(dense_params, master.num_tables());
+    for t in 0..master.num_tables() {
+        h.update(&(master.rows_in(t) as u32).to_le_bytes());
+        h.update(&(master.dim() as u32).to_le_bytes());
+        master.stream_table(t, |w| h.update_f32s(w));
+    }
+    h.finish()
+}
+
+/// The part of the model digest both forms share: the dense parameters
+/// and the table count.
+fn digest_dense(dense_params: &[f32], tables: usize) -> Crc32 {
+    let mut h = Crc32::new();
+    h.update(&(dense_params.len() as u32).to_le_bytes());
+    h.update_f32s(dense_params);
+    h.update(&(tables as u32).to_le_bytes());
+    h
+}
+
+/// Writes `v` as little-endian bytes into `dst` (`4 * v.len()` long); on
+/// a little-endian target this compiles to a plain copy.
+fn fill_f32s_le(dst: &mut [u8], v: &[f32]) {
+    for (d, x) in dst.chunks_exact_mut(4).zip(v) {
+        d.copy_from_slice(&x.to_le_bytes());
+    }
+}
+
+fn put_f32s_le(out: &mut Vec<u8>, v: &[f32]) {
+    let at = out.len();
+    out.resize(at + v.len() * 4, 0);
+    fill_f32s_le(&mut out[at..], v);
+}
+
+/// Bytes folded per round of the slicing-by-8 loop.
+const STRIDE: usize = 8;
+
+/// Slicing-by-8 lookup tables for the reflected polynomial 0xEDB88320:
+/// `CRC_TABLES[0]` is the classic byte table, and `CRC_TABLES[k][b]` is
+/// the CRC of byte `b` followed by `k` zero bytes, so eight input bytes
+/// fold into the state with eight independent lookups.
+static CRC_TABLES: [[u32; 256]; STRIDE] = {
+    let mut t = [[0u32; 256]; STRIDE];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < STRIDE {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// Incremental CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320):
+/// feeding a buffer in any split gives the checksum of the whole, so a
+/// digest can stream over tables it never concatenates.
+#[derive(Clone, Copy, Debug)]
+pub struct Crc32 {
+    state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Crc32 {
+    /// The checksum of no bytes yet.
+    pub fn new() -> Self {
+        Self { state: !0 }
+    }
+
+    /// Folds `data` into the checksum.
+    pub fn update(&mut self, data: &[u8]) {
+        let t = &CRC_TABLES;
+        let mut crc = self.state;
+        let mut chunks = data.chunks_exact(STRIDE);
+        for c in &mut chunks {
+            let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &byte in chunks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
+        }
+        self.state = crc;
+    }
+
+    /// Folds the little-endian bytes of `v` into the checksum, through a
+    /// small stack buffer — what `update` over the encoded floats would
+    /// give, without encoding them anywhere.
+    pub fn update_f32s(&mut self, v: &[f32]) {
+        let mut bytes = [0u8; 4096];
+        for part in v.chunks(bytes.len() / 4) {
+            let n = part.len() * 4;
+            fill_f32s_le(&mut bytes[..n], part);
+            self.update(&bytes[..n]);
         }
     }
-    !crc
+
+    /// The checksum of everything fed so far.
+    pub fn finish(&self) -> u32 {
+        !self.state
+    }
+}
+
+/// CRC-32 of `data` in one call. Public so the wire protocol (`fae-net`)
+/// frames carry the same checksum the on-disk containers do.
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut h = Crc32::new();
+    h.update(data);
+    h.finish()
 }
 
 #[cfg(test)]
@@ -747,11 +859,54 @@ mod tests {
         let mut ck = sample();
         ck.tables = TrainCheckpoint::snapshot_master(&master);
         let back = ck.restore_master();
-        let (before, after) = (master.snapshot_tables(), back.snapshot_tables());
-        assert_eq!(after.len(), before.len());
-        for (a, b) in before.iter().zip(&after) {
-            assert_eq!(a.weights().as_slice(), b.weights().as_slice());
+        assert_eq!(TrainCheckpoint::snapshot_master(&back), ck.tables);
+    }
+
+    #[test]
+    fn streamed_digest_equals_the_snapshot_digest_for_f32_and_int8_masters() {
+        use fae_data::WorkloadSpec;
+        use fae_embed::{AccessCounter, HotColdPartition};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let spec = WorkloadSpec::tiny_test();
+        let partitions: Vec<HotColdPartition> = spec
+            .tables
+            .iter()
+            .map(|t| {
+                let mut c = AccessCounter::new(t.rows);
+                (0..t.rows).step_by(3).for_each(|r| c.record(r as u32));
+                HotColdPartition::from_counts(&c, 1)
+            })
+            .collect();
+        let dense = [0.5f32, -0.0, f32::MIN_POSITIVE, 3.25];
+        let f32_master = MasterEmbeddings::from_spec(&spec, &mut StdRng::seed_from_u64(4));
+        let int8_master =
+            MasterEmbeddings::from_spec_tiered(&spec, &partitions, &mut StdRng::seed_from_u64(4));
+        assert!(int8_master.is_tiered() && !f32_master.is_tiered());
+        for master in [&f32_master, &int8_master] {
+            let snapshot = TrainCheckpoint::snapshot_master(master);
+            assert_eq!(master_digest(&dense, master), model_digest(&dense, &snapshot));
         }
+        assert_ne!(master_digest(&dense, &f32_master), master_digest(&dense, &int8_master));
+    }
+
+    #[test]
+    fn crc_of_any_split_is_the_crc_of_the_whole() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 31 + 7) as u8).collect();
+        let whole = crc32(&data);
+        for cut in 0..=data.len() {
+            let mut h = Crc32::new();
+            h.update(&data[..cut]);
+            h.update(&data[cut..]);
+            assert_eq!(h.finish(), whole, "split at {cut}");
+        }
+        // Floats fed as floats hash like their little-endian bytes, across
+        // the stack buffer's boundary too.
+        let floats: Vec<f32> = (0..2_500).map(|i| i as f32 * 0.37 - 400.0).collect();
+        let bytes: Vec<u8> = floats.iter().flat_map(|x| x.to_le_bytes()).collect();
+        let mut h = Crc32::new();
+        h.update_f32s(&floats);
+        assert_eq!(h.finish(), crc32(&bytes));
     }
 
     #[test]

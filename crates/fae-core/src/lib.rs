@@ -55,8 +55,8 @@ pub mod simsched;
 pub mod trainer;
 
 pub use calibrator::{CalibrationResult, Calibrator, CalibratorConfig, RandEmBox, RandEmEstimate};
-pub use checkpoint::model_digest;
 pub use checkpoint::{latest_in, CheckpointError, TableSnapshot, TrainCheckpoint};
+pub use checkpoint::{master_digest, model_digest};
 pub use classifier::classify_tables;
 pub use exec::{compute_shard, reduce_shards, NetEvents, ParallelEngine, ShardOutput, StepEngine};
 pub use fae_telemetry::Telemetry;

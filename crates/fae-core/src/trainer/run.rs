@@ -22,7 +22,7 @@ use fae_sysmodel::{
 use fae_telemetry::{JournalEvent, PhaseSeconds, SpanGuard, StepMode, Telemetry};
 
 use super::{make_test_batches, AnyModel, EvalPoint, ResilienceOptions, TrainConfig, TrainReport};
-use crate::checkpoint::{model_digest, TrainCheckpoint};
+use crate::checkpoint::{master_digest, TrainCheckpoint};
 use crate::exec::StepEngine;
 use crate::faults::{
     retry_with_backoff, FaultInjector, FaultKind, InjectedFault, RecoveryAction, RetryPolicy,
@@ -751,7 +751,7 @@ impl<'a, En: StepEngine> Run<'a, En> {
         drop(self.span);
         let mut final_dense = Vec::new();
         self.engine.primary_ref().write_params(&mut final_dense);
-        let digest = model_digest(&final_dense, &TrainCheckpoint::snapshot_master(&self.master));
+        let digest = master_digest(&final_dense, &self.master);
         let mut faults = self.injector.log().to_vec();
         if !self.net_faults.is_empty() {
             faults.extend(self.net_faults);

@@ -33,6 +33,20 @@ impl SparseGrad {
         Self { dim, slots: BTreeMap::new(), data: Vec::new() }
     }
 
+    /// Builds a gradient from rows already coalesced and sorted: `rows`
+    /// strictly ascending, `data` their values back to back (`dim` per
+    /// row), taken over bit for bit. `None` when the ids are not strictly
+    /// ascending or the lengths disagree — the form a decoder needs for
+    /// untrusted input that [`SparseGrad::iter`] produced.
+    pub fn from_ascending_rows(dim: usize, rows: &[u32], data: Vec<f32>) -> Option<Self> {
+        let ascending = rows.windows(2).all(|w| w[0] < w[1]);
+        if !ascending || rows.len().checked_mul(dim) != Some(data.len()) {
+            return None;
+        }
+        let slots = rows.iter().zip(0u32..).map(|(&row, slot)| (row, slot)).collect();
+        Some(Self { dim, slots, data })
+    }
+
     /// Gradient row width.
     pub fn dim(&self) -> usize {
         self.dim
@@ -193,6 +207,27 @@ mod tests {
         sg.accumulate(7, &[1.0, 1.0]);
         let rows: Vec<(u32, Vec<f32>)> = sg.iter().map(|(i, g)| (i, g.to_vec())).collect();
         assert_eq!(rows, vec![(2, vec![2.0, 2.0]), (7, vec![8.0, 8.0])]);
+    }
+
+    #[test]
+    fn from_ascending_rows_copies_bits_and_rejects_disorder() {
+        let data = vec![-0.0, f32::from_bits(0x7FC0_1234), 1e-45, 2.0];
+        let sg = SparseGrad::from_ascending_rows(2, &[3, 9], data.clone()).expect("ascending");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(sg.get(3).expect("row 3")), bits(&data[..2]));
+        assert_eq!(bits(sg.get(9).expect("row 9")), bits(&data[2..]));
+        assert_eq!(sg.iter().map(|(i, _)| i).collect::<Vec<_>>(), vec![3, 9]);
+        // Accumulating afterwards lands in the adopted slots.
+        let mut sg = sg;
+        sg.accumulate(9, &[1.0, 1.0]);
+        sg.accumulate(4, &[5.0, 5.0]);
+        assert_eq!(sg.get(9), Some(&[1.0, 3.0][..]));
+        assert_eq!(sg.get(4), Some(&[5.0, 5.0][..]));
+        for (rows, n) in [(&[9u32, 3][..], 4), (&[3, 3][..], 4), (&[3, 9][..], 3)] {
+            assert!(SparseGrad::from_ascending_rows(2, rows, vec![0.0; n]).is_none());
+        }
+        assert!(SparseGrad::from_ascending_rows(0, &[1, 2], Vec::new())
+            .is_some_and(|g| g.nnz_rows() == 2));
     }
 
     #[test]

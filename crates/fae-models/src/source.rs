@@ -39,8 +39,8 @@ pub trait EmbeddingSource {
 /// [`MasterEmbeddings::set_row`], [`MasterEmbeddings::copy_row_into`])
 /// work in both modes, and there is no whole-table f32 view: cold rows of
 /// a tiered master have no contiguous f32 slice to borrow, so every
-/// consumer (replicator, checkpoint, `fae-net`) speaks rows or takes a
-/// [`MasterEmbeddings::snapshot_tables`] copy.
+/// consumer (replicator, checkpoint, `fae-net`) speaks rows or streams
+/// a table through [`MasterEmbeddings::stream_table`].
 pub struct MasterEmbeddings {
     /// Untiered storage; empty when `tiered` is `Some`.
     tables: Vec<EmbeddingTable>,
@@ -139,12 +139,28 @@ impl MasterEmbeddings {
         }
     }
 
-    /// Materializes f32 snapshots of every table (checkpointing). In
-    /// tiered mode this transiently pays the full f32 footprint.
-    pub fn snapshot_tables(&self) -> Vec<EmbeddingTable> {
+    /// Feeds table `t`'s f32 weights to `sink`, row-major and in order,
+    /// in one or more whole-row pieces (checkpointing, digests). An
+    /// untiered table is lent as it lies; a tiered one is dequantized a
+    /// few rows at a time, so the full f32 footprint is never paid.
+    pub fn stream_table(&self, t: usize, mut sink: impl FnMut(&[f32])) {
+        const ROWS_PER_PIECE: usize = 256;
         match &self.tiered {
-            Some(tiered) => tiered.iter().map(|t| t.to_table()).collect(),
-            None => self.tables.clone(),
+            Some(tiered) => {
+                let table = &tiered[t];
+                let mut piece = vec![0.0f32; ROWS_PER_PIECE * self.dim];
+                let mut next = 0;
+                while next < table.rows() {
+                    let n = ROWS_PER_PIECE.min(table.rows() - next);
+                    let filled = &mut piece[..n * self.dim];
+                    for (r, out) in (next..).zip(filled.chunks_exact_mut(self.dim.max(1))) {
+                        table.copy_row_into(r as u32, out);
+                    }
+                    sink(filled);
+                    next += n;
+                }
+            }
+            None => sink(self.tables[t].weights().as_slice()),
         }
     }
 
@@ -246,11 +262,13 @@ mod tests {
                 assert_eq!(tiered.row(t, h), dense.row(t, h), "hot row {h} of table {t}");
             }
         }
-        // Snapshots dequantize every table back to full f32 shape.
-        let snaps = tiered.snapshot_tables();
-        assert_eq!(snaps.len(), spec.tables.len());
-        for (s, t) in snaps.iter().zip(&spec.tables) {
-            assert_eq!(s.rows(), t.rows);
+        // Streaming dequantizes every table back to full f32 shape,
+        // row for row what the row accessor returns.
+        for (t, table) in spec.tables.iter().enumerate() {
+            let mut streamed = Vec::new();
+            tiered.stream_table(t, |w| streamed.extend_from_slice(w));
+            let rows: Vec<f32> = (0..table.rows as u32).flat_map(|r| tiered.row(t, r)).collect();
+            assert_eq!(streamed, rows, "table {t}");
         }
     }
 

@@ -39,7 +39,7 @@
 //! [`StepEngine::drain_net`], so the journal's phase-sum invariant and
 //! the run report see network life exactly like any other fault domain.
 
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use fae_core::exec::{
@@ -54,9 +54,9 @@ use fae_models::{forward_backward, EmbeddingSource, MasterEmbeddings, RecModel};
 use fae_sysmodel::{reshard_cost, sync_cost, Phase, SystemConfig, Timeline};
 use fae_telemetry::{JournalEvent, PhaseSeconds, ShipLedger, StepMode, Telemetry};
 
-use crate::deadline::{recv_frame, send_bytes, send_frame};
+use crate::deadline::Link;
 use crate::detector::FailureDetector;
-use crate::wire::{Frame, HotEntry, Message, NetError};
+use crate::wire::{encode_payload, write_frame, Frame, HotEntry, Message, NetError};
 use crate::NetConfig;
 
 /// One worker slot's lifecycle.
@@ -70,7 +70,7 @@ enum Slot {
 }
 
 struct Conn {
-    stream: TcpStream,
+    link: Link,
     /// True once this worker's hot bags were synced in the current
     /// refresh window — only then may it take hot shards.
     hot_current: bool,
@@ -100,6 +100,8 @@ pub struct RemoteEngine {
     telemetry: Telemetry,
     ship: ShipLedger,
     last_step: u64,
+    /// Scratch for a broadcast's payload, encoded once for all workers.
+    payload: Vec<u8>,
 }
 
 /// Modeled wire bandwidth for journal shipping: the JSONL batches ride
@@ -152,6 +154,7 @@ impl RemoteEngine {
             telemetry: Telemetry::disabled(),
             ship: ShipLedger::new(workers),
             last_step: 0,
+            payload: Vec::new(),
         };
         let deadline = Instant::now() + initial_wait;
         while eng.live_count() < eng.workers && Instant::now() < deadline {
@@ -193,12 +196,13 @@ impl RemoteEngine {
 
     /// The join handshake: Hello in, Welcome (current params + hot-bag
     /// snapshot) out, epoch bump, journal + recovery bookkeeping.
-    fn admit(&mut self, mut stream: TcpStream, step: u64) {
+    fn admit(&mut self, stream: TcpStream, step: u64) {
         if stream.set_nonblocking(false).is_err() {
             return;
         }
         let _ = stream.set_nodelay(true);
-        let hello = match recv_frame(&mut stream, self.cfg.read_timeout_ms) {
+        let mut link = Link::new(stream);
+        let hello = match link.recv(self.cfg.read_timeout_ms) {
             Ok(f) => f,
             Err(_) => return,
         };
@@ -236,13 +240,13 @@ impl RemoteEngine {
                 hot: self.hot_snapshot.clone(),
             },
         };
-        if send_frame(&mut stream, &welcome, self.cfg.write_timeout_ms).is_err() {
+        if link.send(&welcome, self.cfg.write_timeout_ms).is_err() {
             self.epoch -= 1;
             return;
         }
         // Admitted with stale bags: dense Applys flow immediately, hot
         // shards wait for the next HotBagSync.
-        self.slots[node] = Slot::Live(Conn { stream, hot_current: false });
+        self.slots[node] = Slot::Live(Conn { link, hot_current: false });
         self.detectors[node].reset();
         self.events.journal.push(JournalEvent::NodeJoin {
             step,
@@ -275,7 +279,7 @@ impl RemoteEngine {
     /// timeline. Idempotent for already-dead slots.
     fn declare_dead(&mut self, node: usize, step: u64, suspicion: u32) {
         let Slot::Live(conn) = &self.slots[node] else { return };
-        let _ = conn.stream.shutdown(Shutdown::Both);
+        conn.link.shutdown();
         self.slots[node] = Slot::Lost;
         self.epoch += 1;
         let live = self.live_count() as u64;
@@ -312,7 +316,19 @@ impl RemoteEngine {
     /// One request/reply exchange with worker `k`, through the retry,
     /// backoff and suspicion machinery. On final failure the node may be
     /// declared dead (threshold crossing).
-    fn send_rpc(&mut self, k: usize, msg: Message, step: u64) -> Result<Frame, NetError> {
+    fn send_rpc(&mut self, k: usize, msg: &Message, step: u64) -> Result<Frame, NetError> {
+        self.exchange(k, msg.tag(), step, |out| encode_payload(msg, out))
+    }
+
+    /// [`RemoteEngine::send_rpc`] with the payload bytes supplied by the
+    /// caller, so a broadcast can encode them once.
+    fn exchange(
+        &mut self,
+        k: usize,
+        tag: u8,
+        step: u64,
+        payload: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<Frame, NetError> {
         let drop_first = self.pending_drop == Some(k);
         if drop_first {
             self.pending_drop = None;
@@ -322,17 +338,20 @@ impl RemoteEngine {
             self.pending_dup = None;
         }
         let seq = self.bump_seq();
-        let frame = Frame { node: k as u32, epoch: self.epoch, seq, step, msg };
+        let epoch = self.epoch;
         let r = match &mut self.slots[k] {
-            Slot::Live(conn) => rpc(
-                conn,
-                &mut self.detectors[k],
-                &mut self.events,
-                &self.cfg,
-                &frame,
-                drop_first,
-                dup_send,
-            ),
+            Slot::Live(conn) => {
+                conn.link.stage(|tx| write_frame(tx, tag, k as u32, epoch, seq, step, payload));
+                rpc(
+                    &mut conn.link,
+                    &mut self.detectors[k],
+                    &mut self.events,
+                    &self.cfg,
+                    seq,
+                    drop_first,
+                    dup_send,
+                )
+            }
             _ => Err(NetError::Disconnected),
         };
         if r.is_err() && self.detectors[k].is_dead() {
@@ -340,6 +359,27 @@ impl RemoteEngine {
             self.declare_dead(k, step, suspicion);
         }
         r
+    }
+
+    /// Sends `msg` to every live worker, its payload encoded once;
+    /// `acked` sees each connection whose worker replied.
+    fn broadcast(&mut self, step: u64, msg: &Message, mut acked: impl FnMut(&mut Conn)) {
+        if self.live_count() == 0 {
+            return;
+        }
+        let mut payload = std::mem::take(&mut self.payload);
+        payload.clear();
+        encode_payload(msg, &mut payload);
+        for k in 0..self.workers {
+            if !matches!(self.slots[k], Slot::Live(_)) {
+                continue;
+            }
+            let sent = self.exchange(k, msg.tag(), step, |out| out.extend_from_slice(&payload));
+            if let (Ok(_), Slot::Live(conn)) = (sent, &mut self.slots[k]) {
+                acked(conn);
+            }
+        }
+        self.payload = payload;
     }
 
     /// Fires any scheduled network faults due at `step` and arms their
@@ -388,7 +428,7 @@ impl RemoteEngine {
                 continue;
             }
             let ack = self.ship.ack(k);
-            let Ok(reply) = self.send_rpc(k, Message::TelemetryPoll { ack }, step) else {
+            let Ok(reply) = self.send_rpc(k, &Message::TelemetryPoll { ack }, step) else {
                 continue;
             };
             let Message::Telemetry { from, events_jsonl } = reply.msg else { continue };
@@ -411,7 +451,7 @@ impl RemoteEngine {
     fn heartbeat(&mut self, step: u64) {
         for k in 0..self.workers {
             if matches!(self.slots[k], Slot::Live(_)) {
-                let _ = self.send_rpc(k, Message::Heartbeat, step);
+                let _ = self.send_rpc(k, &Message::Heartbeat, step);
             }
         }
     }
@@ -430,7 +470,7 @@ impl RemoteEngine {
     {
         if matches!(mode, StepMode::Hot) && self.eligible(0, mode) {
             let msg = Message::Task { total: batch.len() as u32, mode, shard: batch.clone() };
-            if let Ok(reply) = self.send_rpc(0, msg, step) {
+            if let Ok(reply) = self.send_rpc(0, &msg, step) {
                 if let Message::Grads { loss, dense, sparse, .. } = reply.msg {
                     return (loss, dense, sparse);
                 }
@@ -465,7 +505,7 @@ impl RemoteEngine {
                     continue;
                 }
                 let msg = Message::Task { total: n as u32, mode, shard: shards[k].clone() };
-                if let Ok(reply) = self.send_rpc(k, msg, step) {
+                if let Ok(reply) = self.send_rpc(k, &msg, step) {
                     if let Message::Grads { loss, samples, dense, sparse } = reply.msg {
                         outputs[k] =
                             Some(ShardOutput { loss, samples: samples as usize, dense, sparse });
@@ -481,32 +521,6 @@ impl RemoteEngine {
             }
         }
         reduce_shards(&outputs, n, emb.num_tables(), emb.dim())
-    }
-
-    /// Ships the reduced step to every live worker so replicas stay
-    /// bit-identical. Failures feed the suspicion/death path; a worker
-    /// that misses an Apply is declared dead before the next step can
-    /// use it, which is what keeps remote replicas trustworthy.
-    fn broadcast_apply(
-        &mut self,
-        step: u64,
-        mode: StepMode,
-        lr: f32,
-        dense: &[f32],
-        sparse: &[SparseGrad],
-    ) {
-        for k in 0..self.workers {
-            if !matches!(self.slots[k], Slot::Live(_)) {
-                continue;
-            }
-            let msg = Message::Apply {
-                mode,
-                lr,
-                dense: dense.to_vec(),
-                sparse: if matches!(mode, StepMode::Hot) { sparse.to_vec() } else { Vec::new() },
-            };
-            let _ = self.send_rpc(k, msg, step);
-        }
     }
 }
 
@@ -533,13 +547,25 @@ impl StepEngine for RemoteEngine {
         if tp > 0 && self.telemetry.enabled() && step > 0 && step.is_multiple_of(tp) {
             self.poll_telemetry(step);
         }
-        let (loss, dense, sparse) = if self.workers == 1 {
+        let (loss, dense, mut sparse) = if self.workers == 1 {
             self.step_single(emb, batch, step, mode)
         } else {
             self.step_sharded(emb, batch, step, mode)
         };
         self.inner.apply_combined(&dense, lr);
-        self.broadcast_apply(step, mode, lr, &dense, &sparse);
+        // Ship the reduced step to every live worker so replicas stay
+        // bit-identical: one `Apply`, built here and lent to each send
+        // (cold steps ship the dense half only). Failures feed the
+        // suspicion/death path; a worker that misses an Apply is declared
+        // dead before the next step can use it, which is what keeps
+        // remote replicas trustworthy.
+        let hot = matches!(mode, StepMode::Hot);
+        let shipped = if hot { std::mem::take(&mut sparse) } else { Vec::new() };
+        let apply = Message::Apply { mode, lr, dense, sparse: shipped };
+        self.broadcast(step, &apply, |_| {});
+        if let (true, Message::Apply { sparse: shipped, .. }) = (hot, apply) {
+            sparse = shipped;
+        }
         (loss, sparse)
     }
 
@@ -572,20 +598,11 @@ impl StepEngine for RemoteEngine {
         // Replicating the bags across the node group rides the same
         // modeled path as a schedule-transition sync.
         self.events.step_charges.merge(&sync_cost(&self.sys, self.hot_bytes));
-        for k in 0..self.workers {
-            if !matches!(self.slots[k], Slot::Live(_)) {
-                continue;
-            }
-            let msg = Message::HotBagSync {
-                partitions_json: self.partitions_json.clone(),
-                hot: self.hot_snapshot.clone(),
-            };
-            if self.send_rpc(k, msg, step).is_ok() {
-                if let Slot::Live(c) = &mut self.slots[k] {
-                    c.hot_current = true;
-                }
-            }
-        }
+        let sync = Message::HotBagSync {
+            partitions_json: self.partitions_json.clone(),
+            hot: self.hot_snapshot.clone(),
+        };
+        self.broadcast(step, &sync, |conn| conn.hot_current = true);
     }
 
     fn on_write_back(&mut self, _step: u64, master: &MasterEmbeddings) {
@@ -629,7 +646,7 @@ impl Drop for RemoteEngine {
                 msg: Message::Shutdown,
             };
             if let Slot::Live(conn) = &mut self.slots[k] {
-                let _ = send_frame(&mut conn.stream, &frame, self.cfg.write_timeout_ms);
+                let _ = conn.link.send(&frame, self.cfg.write_timeout_ms);
             }
         }
     }
@@ -650,22 +667,22 @@ fn snapshot_entries(master: &MasterEmbeddings, partitions: &[HotColdPartition]) 
     out
 }
 
-/// One deadline-bounded request/reply exchange with retries: every
-/// failed attempt charges its simulated backoff to the step's timeline
-/// and feeds the failure detector; any success clears suspicion. Reply
-/// frames with a lower `seq` than the request are duplicates of earlier
-/// replies (lost-ack retransmits, `net-duplicate` injection) and are
-/// skipped without consuming an attempt.
+/// One deadline-bounded request/reply exchange with retries over the
+/// frame already staged on `link`: every failed attempt charges its
+/// simulated backoff to the step's timeline and feeds the failure
+/// detector; any success clears suspicion. Reply frames with a lower
+/// `seq` than the request are duplicates of earlier replies (lost-ack
+/// retransmits, `net-duplicate` injection) and are skipped without
+/// consuming an attempt.
 fn rpc(
-    conn: &mut Conn,
+    link: &mut Link,
     det: &mut FailureDetector,
     events: &mut NetEvents,
     cfg: &NetConfig,
-    frame: &Frame,
+    seq: u64,
     drop_first_send: bool,
     duplicate_send: bool,
 ) -> Result<Frame, NetError> {
-    let bytes = frame.encode();
     let attempts = cfg.retry.max_attempts.max(1);
     let mut last = NetError::Timeout("rpc gave up");
     for attempt in 1..=attempts {
@@ -675,30 +692,30 @@ fn rpc(
             e
         };
         if !(attempt == 1 && drop_first_send) {
-            if let Err(e) = send_bytes(&mut conn.stream, &bytes, cfg.write_timeout_ms) {
+            if let Err(e) = link.flush(cfg.write_timeout_ms) {
                 last = miss(events, det, e);
                 continue;
             }
             if attempt == 1 && duplicate_send {
                 // Deliver the identical frame twice: the worker-side
                 // ledger must make the replay a no-op.
-                let _ = send_bytes(&mut conn.stream, &bytes, cfg.write_timeout_ms);
+                let _ = link.flush(cfg.write_timeout_ms);
             }
         }
         loop {
-            match recv_frame(&mut conn.stream, cfg.read_timeout_ms) {
-                Ok(reply) if reply.seq == frame.seq => {
+            match link.recv(cfg.read_timeout_ms) {
+                Ok(reply) if reply.seq == seq => {
                     det.record_ok();
                     return Ok(reply);
                 }
-                Ok(reply) if reply.seq < frame.seq => continue,
+                Ok(reply) if reply.seq < seq => continue,
                 Ok(reply) => {
                     last = miss(
                         events,
                         det,
                         NetError::Protocol(format!(
-                            "reply seq {} from the future (request {})",
-                            reply.seq, frame.seq
+                            "reply seq {} from the future (request {seq})",
+                            reply.seq
                         )),
                     );
                     break;

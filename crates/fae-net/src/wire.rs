@@ -18,6 +18,11 @@
 //!                checkpoint container, `fae_core::checkpoint::crc32`)
 //! ```
 //!
+//! A frame is written in one pass into one buffer ([`Frame::encode_into`]:
+//! length placeholder, header, payload, CRC, length patched in) and its
+//! `f32` / `u32` / `u64` runs are copied as slices in both directions, so
+//! the codec costs about one checksum over the bytes.
+//!
 //! Replies echo the request's `seq`, `epoch` and `step`, which is what
 //! lets the coordinator discard stale or duplicated replies and lets the
 //! worker-side [`crate::Ledger`] drop replayed state mutations. Every
@@ -26,7 +31,10 @@
 //! digest.
 //!
 //! Decoding is fully bounds-checked and never panics: torn, truncated or
-//! bit-flipped frames surface as [`NetError::Corrupt`].
+//! bit-flipped frames surface as [`NetError::Corrupt`], and so does a
+//! frame whose checksum is right but whose structure is not (a count past
+//! the payload, CSR offsets out of order, a sparse table whose rows are
+//! not strictly ascending, bytes left over).
 
 use fae_core::checkpoint::crc32;
 use fae_data::{BatchKind, MiniBatch, TableIndices};
@@ -259,21 +267,17 @@ pub struct Frame {
 impl Frame {
     /// Encodes the frame ready to send: length prefix, body, CRC.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(HEADER + 64);
-        body.extend_from_slice(&MAGIC);
-        put_u16(&mut body, VERSION);
-        body.push(self.msg.tag());
-        put_u32(&mut body, self.node);
-        put_u32(&mut body, self.epoch);
-        put_u64(&mut body, self.seq);
-        put_u64(&mut body, self.step);
-        encode_payload(&self.msg, &mut body);
-        let crc = crc32(&body);
-        let mut out = Vec::with_capacity(4 + body.len() + 4);
-        put_u32(&mut out, (body.len() + 4) as u32);
-        out.extend_from_slice(&body);
-        put_u32(&mut out, crc);
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
         out
+    }
+
+    /// [`Frame::encode`] into a caller-owned buffer (cleared first), so a
+    /// connection that sends many frames reuses one allocation.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        write_frame(out, self.msg.tag(), self.node, self.epoch, self.seq, self.step, |out| {
+            encode_payload(&self.msg, out)
+        });
     }
 
     /// Decodes a frame from `bytes` — everything after the length
@@ -313,6 +317,35 @@ impl Frame {
     }
 }
 
+/// Writes one whole frame into `out` in a single pass: a length
+/// placeholder, the header, whatever `payload` appends, then the length
+/// patched in and the CRC of the body appended. The one place the frame
+/// layout is spelled out on the encode side.
+pub(crate) fn write_frame(
+    out: &mut Vec<u8>,
+    tag: u8,
+    node: u32,
+    epoch: u32,
+    seq: u64,
+    step: u64,
+    payload: impl FnOnce(&mut Vec<u8>),
+) {
+    out.clear();
+    put_u32(out, 0);
+    out.extend_from_slice(&MAGIC);
+    put_u16(out, VERSION);
+    out.push(tag);
+    put_u32(out, node);
+    put_u32(out, epoch);
+    put_u64(out, seq);
+    put_u64(out, step);
+    payload(out);
+    let crc = crc32(&out[4..]);
+    put_u32(out, crc);
+    let len = (out.len() - 4) as u32;
+    out[..4].copy_from_slice(&len.to_le_bytes());
+}
+
 fn step_mode_tag(mode: StepMode) -> u8 {
     match mode {
         StepMode::Cold => 0,
@@ -345,7 +378,7 @@ fn batch_kind_from(tag: u8) -> Result<BatchKind, NetError> {
     }
 }
 
-fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
+pub(crate) fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
     match msg {
         Message::Hello
         | Message::Ack
@@ -451,11 +484,39 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// Bulk little-endian slice codecs. `to_le_bytes` over `chunks_exact`
+/// compiles to a plain copy on a little-endian target, which is what
+/// makes these one pass over the bytes rather than a call per element.
+macro_rules! le_slices {
+    ($put:ident, $get:ident, $t:ty, $width:literal, $to:expr, $from:expr) => {
+        fn $put(out: &mut Vec<u8>, v: &[$t]) {
+            let at = out.len();
+            out.resize(at + v.len() * $width, 0);
+            for (dst, x) in out[at..].chunks_exact_mut($width).zip(v) {
+                dst.copy_from_slice(&$to(*x));
+            }
+        }
+
+        fn $get(bytes: &[u8]) -> impl Iterator<Item = $t> + '_ {
+            bytes.chunks_exact($width).map(|b| {
+                let mut word = [0u8; $width];
+                word.copy_from_slice(b);
+                $from(word)
+            })
+        }
+    };
+}
+
+le_slices!(put_f32_slice, get_f32_slice, f32, 4, f32::to_le_bytes, f32::from_le_bytes);
+le_slices!(put_u32_slice, get_u32_slice, u32, 4, u32::to_le_bytes, u32::from_le_bytes);
+// CSR offsets travel as u64 whatever the host's pointer width.
+le_slices!(put_offset_slice, get_offset_slice, usize, 8, |o| (o as u64).to_le_bytes(), |w| {
+    u64::from_le_bytes(w) as usize
+});
+
 fn put_f32s(out: &mut Vec<u8>, v: &[f32]) {
     put_u32(out, v.len() as u32);
-    for &x in v {
-        put_f32(out, x);
-    }
+    put_f32_slice(out, v);
 }
 
 fn put_entries(out: &mut Vec<u8>, entries: &[HotEntry]) {
@@ -474,9 +535,7 @@ fn put_sparse(out: &mut Vec<u8>, grads: &[SparseGrad]) {
         put_u32(out, g.nnz_rows() as u32);
         for (row, values) in g.iter() {
             put_u32(out, row);
-            for &x in values {
-                put_f32(out, x);
-            }
+            put_f32_slice(out, values);
         }
     }
 }
@@ -489,13 +548,9 @@ fn put_batch(out: &mut Vec<u8>, b: &MiniBatch) {
     put_u32(out, b.sparse.len() as u32);
     for t in &b.sparse {
         put_u32(out, t.indices.len() as u32);
-        for &i in &t.indices {
-            put_u32(out, i);
-        }
+        put_u32_slice(out, &t.indices);
         put_u32(out, t.offsets.len() as u32);
-        for &o in &t.offsets {
-            put_u64(out, o as u64);
-        }
+        put_offset_slice(out, &t.offsets);
     }
 }
 
@@ -570,29 +625,17 @@ impl<'a> Rd<'a> {
 
     fn f32s(&mut self) -> Result<Vec<f32>, NetError> {
         let n = self.count(4)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f32()?);
-        }
-        Ok(out)
+        Ok(get_f32_slice(self.take(n * 4)?).collect())
     }
 
     fn u32s(&mut self) -> Result<Vec<u32>, NetError> {
         let n = self.count(4)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u32()?);
-        }
-        Ok(out)
+        Ok(get_u32_slice(self.take(n * 4)?).collect())
     }
 
     fn usizes(&mut self) -> Result<Vec<usize>, NetError> {
         let n = self.count(8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64()? as usize);
-        }
-        Ok(out)
+        Ok(get_offset_slice(self.take(n * 8)?).collect())
     }
 
     fn entries(&mut self) -> Result<Vec<HotEntry>, NetError> {
@@ -607,22 +650,28 @@ impl<'a> Rd<'a> {
         Ok(out)
     }
 
+    /// Each table is a run of `(row, dim values)` records. The encoder
+    /// walks [`SparseGrad::iter`], so rows arrive strictly ascending; a
+    /// run that does not is corruption, and holding to that lets the
+    /// values be taken over bit for bit instead of re-accumulated.
     fn sparse(&mut self) -> Result<Vec<SparseGrad>, NetError> {
         let tables = self.count(8)?;
         let mut out = Vec::with_capacity(tables);
         for _ in 0..tables {
             let dim = self.u32()? as usize;
-            let rows = self.count(4 + dim * 4)?;
-            let mut g = SparseGrad::new(dim);
-            let mut values = vec![0.0f32; dim];
-            for _ in 0..rows {
-                let row = self.u32()?;
-                for v in values.iter_mut() {
-                    *v = self.f32()?;
-                }
-                g.accumulate(row, &values);
+            let record = 4 + dim * 4;
+            let n = self.count(record)?;
+            let run = self.take(n * record)?;
+            let mut rows = Vec::with_capacity(n);
+            let mut values = Vec::with_capacity(n * dim);
+            for rec in run.chunks_exact(record) {
+                rows.push(u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]));
+                values.extend(get_f32_slice(&rec[4..]));
             }
-            out.push(g);
+            let grad = SparseGrad::from_ascending_rows(dim, &rows, values).ok_or_else(|| {
+                NetError::Corrupt("sparse gradient rows not strictly ascending".into())
+            })?;
+            out.push(grad);
         }
         Ok(out)
     }
@@ -669,6 +718,7 @@ impl<'a> Rd<'a> {
 mod tests {
     use super::*;
     use fae_data::{generate, GenOptions, WorkloadSpec};
+    use proptest::prop_assert_eq;
 
     fn sample_batch() -> MiniBatch {
         let spec = WorkloadSpec::tiny_test();
@@ -823,25 +873,197 @@ mod tests {
         }
     }
 
+    /// A frame body + CRC around a hand-written payload: structurally
+    /// whatever the test wants, with a checksum that vouches for it.
+    fn sealed(tag: u8, payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_frame(&mut out, tag, 0, 0, 0, 0, payload);
+        out.split_off(4)
+    }
+
     #[test]
-    fn oversized_counts_do_not_allocate() {
-        // A hand-built Grads frame claiming u32::MAX dense floats.
-        let mut body = Vec::new();
-        body.extend_from_slice(&MAGIC);
-        put_u16(&mut body, VERSION);
-        body.push(3); // Grads
-        put_u32(&mut body, 0);
-        put_u32(&mut body, 0);
-        put_u64(&mut body, 0);
-        put_u64(&mut body, 0);
-        put_f32(&mut body, 0.0);
-        put_u32(&mut body, 1);
-        put_u32(&mut body, u32::MAX); // dense count: absurd
-        let crc = crc32(&body);
-        body.extend_from_slice(&crc.to_le_bytes());
-        match Frame::decode(&body) {
-            Err(NetError::Corrupt(m)) => assert!(m.contains("exceeds remaining")),
-            other => panic!("expected corrupt error, got {other:?}"),
+    fn crc_valid_frames_still_face_every_structural_check() {
+        let grads_head = |out: &mut Vec<u8>| {
+            put_f32(out, 0.0);
+            put_u32(out, 1);
+        };
+        let sparse_rows = |rows: [u32; 2]| {
+            move |out: &mut Vec<u8>| {
+                grads_head(out);
+                put_f32s(out, &[]);
+                put_u32(out, 1); // one table
+                put_u32(out, 2); // dim
+                put_u32(out, rows.len() as u32);
+                for row in rows {
+                    put_u32(out, row);
+                    put_f32_slice(out, &[1.0, 2.0]);
+                }
+            }
+        };
+        let task = |dense: usize, offsets: Vec<usize>| {
+            move |out: &mut Vec<u8>| {
+                put_u32(out, 2);
+                out.push(1);
+                let shard = MiniBatch {
+                    kind: BatchKind::Hot,
+                    dense: vec![0.5; dense],
+                    dense_width: 3,
+                    sparse: vec![TableIndices { indices: vec![7, 8], offsets }],
+                    labels: vec![1.0, 0.0],
+                };
+                put_batch(out, &shard);
+            }
+        };
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            (
+                "exceeds remaining",
+                sealed(3, |out| {
+                    grads_head(out);
+                    put_u32(out, u32::MAX); // dense count: absurd
+                }),
+            ),
+            (
+                "exceeds remaining",
+                sealed(3, |out| {
+                    grads_head(out);
+                    put_f32s(out, &[]);
+                    put_u32(out, 1);
+                    put_u32(out, u32::MAX); // dim x rows: absurd
+                    put_u32(out, 1);
+                    put_u32(out, 0);
+                }),
+            ),
+            ("not strictly ascending", sealed(3, sparse_rows([9, 4]))),
+            ("not strictly ascending", sealed(3, sparse_rows([4, 4]))),
+            ("trailing bytes", sealed(5, |out| out.push(0))),
+            ("dense block", sealed(2, task(5, vec![0, 1, 2]))),
+            ("csr has", sealed(2, task(6, vec![0, 1]))),
+            ("csr offsets", sealed(2, task(6, vec![0, 2, 1]))),
+            ("csr offsets", sealed(2, task(6, vec![0, 1, 3]))),
+            ("bad step mode", sealed(4, |out| out.push(7))),
+            ("unknown message kind", sealed(99, |_| {})),
+            (
+                "not utf-8",
+                sealed(11, |out| {
+                    put_u64(out, 0);
+                    put_u32(out, 2);
+                    out.extend_from_slice(&[0xC3, 0x28]);
+                }),
+            ),
+        ];
+        for (want, bytes) in cases {
+            match Frame::decode(&bytes) {
+                Err(NetError::Corrupt(m)) => assert!(m.contains(want), "{want}: got {m}"),
+                other => panic!("{want}: expected corrupt error, got {other:?}"),
+            }
+        }
+        // The same shapes, well-formed, decode.
+        assert!(Frame::decode(&sealed(3, sparse_rows([4, 9]))).is_ok());
+        assert!(Frame::decode(&sealed(2, task(6, vec![0, 1, 2]))).is_ok());
+    }
+
+    fn floats(bits: Vec<u32>) -> Vec<f32> {
+        bits.into_iter().map(f32::from_bits).collect()
+    }
+
+    fn assert_bit_exact(msg: Message) {
+        let bytes = Frame { node: 2, epoch: 3, seq: 4, step: 5, msg }.encode();
+        let back = Frame::decode(&bytes[4..]).expect("clean frame decodes");
+        assert_eq!(back.encode(), bytes, "decode kept every bit");
+    }
+
+    proptest::proptest! {
+        // Raw bit patterns: NaN payloads, both zeros, subnormals and
+        // infinities all have to cross the bulk slice paths untouched.
+        #[test]
+        fn float_slices_round_trip_bit_exactly(
+            dense in proptest::collection::vec(0u32..=u32::MAX, 0..300),
+            edge in proptest::collection::vec(0u32..=4, 0..40),
+        ) {
+            const EDGES: [u32; 5] = [0x8000_0000, 0x7FC0_1234, 0xFF80_0001, 0x0000_0001, 0x807F_FFFF];
+            let mut dense = floats(dense);
+            dense.extend(edge.iter().map(|&e| f32::from_bits(EDGES[e as usize])));
+            assert_bit_exact(Message::Grads {
+                loss: f32::from_bits(0x7FC0_0001),
+                samples: 1,
+                dense: dense.clone(),
+                sparse: Vec::new(),
+            });
+            assert_bit_exact(Message::Welcome {
+                workers: 1,
+                seed: 2,
+                spec_json: "{}".into(),
+                partitions_json: String::new(),
+                dense: dense.clone(),
+                hot: vec![
+                    HotEntry { table: 0, row: 1, values: dense.clone() },
+                    HotEntry { table: 0, row: 2, values: Vec::new() },
+                ],
+            });
+        }
+
+        #[test]
+        fn sparse_tables_round_trip_bit_exactly(
+            dim in 0usize..6,
+            gaps in proptest::collection::vec(1u32..1000, 0..40),
+            seed in 0u32..=u32::MAX,
+        ) {
+            let rows: Vec<u32> = gaps.iter().scan(0u32, |at, g| { *at += g; Some(*at) }).collect();
+            let values = floats(
+                (0..rows.len() * dim).map(|i| seed.wrapping_mul(2_654_435_761).rotate_left(i as u32)).collect(),
+            );
+            let mut signed = values.clone();
+            if let Some(v) = signed.first_mut() {
+                *v = -0.0;
+            }
+            let table = |v: Vec<f32>| SparseGrad::from_ascending_rows(dim, &rows, v).expect("ascending");
+            let sparse = vec![table(values), SparseGrad::new(dim), table(signed), SparseGrad::new(0)];
+            let back = roundtrip(&Frame {
+                node: 0,
+                epoch: 0,
+                seq: 0,
+                step: 0,
+                msg: Message::Apply { mode: StepMode::Hot, lr: 0.1, dense: Vec::new(), sparse: sparse.clone() },
+            });
+            let Message::Apply { sparse: got, .. } = back.msg else { panic!("wrong kind") };
+            prop_assert_eq!(got.len(), sparse.len());
+            for (g, s) in got.iter().zip(&sparse) {
+                prop_assert_eq!(g.dim(), s.dim());
+                let bits = |t: &SparseGrad| -> Vec<(u32, Vec<u32>)> {
+                    t.iter().map(|(r, v)| (r, v.iter().map(|x| x.to_bits()).collect())).collect()
+                };
+                prop_assert_eq!(bits(g), bits(s));
+            }
+        }
+
+        #[test]
+        fn index_slices_round_trip_exactly(
+            indices in proptest::collection::vec(0u32..=u32::MAX, 0..200),
+            cuts in proptest::collection::vec(0usize..=200, 0..20),
+        ) {
+            let mut offsets: Vec<usize> = cuts.iter().map(|c| c.min(&indices.len()).to_owned()).collect();
+            offsets.push(0);
+            offsets.sort_unstable();
+            let samples = offsets.len() - 1;
+            let shard = MiniBatch {
+                kind: BatchKind::Cold,
+                dense: vec![0.25; samples * 2],
+                dense_width: 2,
+                sparse: vec![
+                    TableIndices { indices: indices.clone(), offsets: offsets.clone() },
+                    TableIndices { indices: Vec::new(), offsets: vec![0; samples + 1] },
+                ],
+                labels: vec![1.0; samples],
+            };
+            let back = roundtrip(&Frame {
+                node: 0,
+                epoch: 0,
+                seq: 0,
+                step: 0,
+                msg: Message::Task { total: samples as u32, mode: StepMode::Cold, shard: shard.clone() },
+            });
+            let Message::Task { shard: got, .. } = back.msg else { panic!("wrong kind") };
+            prop_assert_eq!(got.sparse, shard.sparse);
         }
     }
 }

@@ -26,7 +26,6 @@
 //! link leads to reconnect-with-backoff, and the rejoin handshake
 //! (`Hello` → fresh `Welcome`) rebuilds the replica from current state.
 
-use std::net::TcpStream;
 use std::time::Duration;
 
 use fae_core::exec::compute_shard;
@@ -40,7 +39,7 @@ use fae_telemetry::{JournalEvent, StepMode, TaggedEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::deadline::{dial, recv_frame, send_frame};
+use crate::deadline::{dial, Link};
 use crate::ledger::{Admit, Ledger};
 use crate::wire::{Frame, HotEntry, Message, NetError};
 use crate::NetConfig;
@@ -171,34 +170,34 @@ pub fn run_worker(
     joined: &mut bool,
     journal: &mut NodeJournal,
 ) -> Result<WorkerExit, NetError> {
-    let mut stream = dial(&cfg.addr, cfg.net.connect_timeout_ms)?;
+    let mut link = Link::new(dial(&cfg.addr, cfg.net.connect_timeout_ms)?);
     let hello = Frame { node: cfg.node_id, epoch: 0, seq: 0, step: 0, msg: Message::Hello };
-    send_frame(&mut stream, &hello, cfg.net.write_timeout_ms)?;
-    let welcome = recv_frame(&mut stream, cfg.net.welcome_timeout_ms)?;
+    link.send(&hello, cfg.net.write_timeout_ms)?;
+    let welcome = link.recv(cfg.net.welcome_timeout_ms)?;
     let mut replica = Replica::bootstrap(&welcome)?;
     journal.mark(welcome.step, if *joined { "rejoin" } else { "join" }, String::new());
     *joined = true;
-    serve(cfg, injector, &mut stream, &mut replica, journal)
+    serve(cfg, injector, &mut link, &mut replica, journal)
 }
 
 /// The request/reply serve loop.
 fn serve(
     cfg: &NodeConfig,
     injector: &mut FaultInjector,
-    stream: &mut TcpStream,
+    link: &mut Link,
     replica: &mut Replica,
     journal: &mut NodeJournal,
 ) -> Result<WorkerExit, NetError> {
     let mut tasks: u64 = 0;
     loop {
-        let frame = match recv_frame(stream, cfg.net.read_timeout_ms) {
+        let frame = match link.recv(cfg.net.read_timeout_ms) {
             Ok(f) => f,
             // Quiet link (coordinator busy on a cold phase): keep waiting.
             Err(NetError::Timeout(_)) => continue,
             Err(e) => return Err(e),
         };
         if matches!(frame.msg, Message::Shutdown) {
-            let _ = reply(stream, &frame, Message::Ack, cfg.net.write_timeout_ms);
+            let _ = reply(link, &frame, Message::Ack, cfg.net.write_timeout_ms);
             return Ok(WorkerExit::Finished);
         }
         // The crash fault fires on the step stamped into the incoming
@@ -221,7 +220,7 @@ fn serve(
             // A failed reply means the link is gone mid-exchange; the
             // supervisor reconnects and the coordinator's retry path
             // re-ships whatever was in flight.
-            reply(stream, &frame, msg, cfg.net.write_timeout_ms)?;
+            reply(link, &frame, msg, cfg.net.write_timeout_ms)?;
         }
     }
 }
@@ -301,7 +300,7 @@ fn handle(frame: &Frame, replica: &mut Replica, journal: &NodeJournal) -> Option
 }
 
 fn reply(
-    stream: &mut TcpStream,
+    link: &mut Link,
     request: &Frame,
     msg: Message,
     write_timeout_ms: u64,
@@ -313,7 +312,7 @@ fn reply(
         step: request.step,
         msg,
     };
-    send_frame(stream, &f, write_timeout_ms)
+    link.send(&f, write_timeout_ms)
 }
 
 /// Deterministic per-(node, attempt) jitter in `0..=ms/2` — SplitMix64
