@@ -24,9 +24,9 @@
 //!   thread — never in completion order — so float summation order is
 //!   fixed regardless of thread scheduling;
 //! * sparse gradients are merged per table in the same worker-index
-//!   order, and applied by the caller from one thread (to the master
-//!   tables, or shard by shard to the hot bags'
-//!   [`fae_embed::ShardedEmbeddingTable`]s);
+//!   order, and applied by the caller from one thread, after the worker
+//!   threads are joined (to the master tables, or to the hot bags through
+//!   [`HotEmbeddings::apply_shared`]);
 //! * every replica loads the *same* reduced gradient via
 //!   [`RecModel::read_grads`] and steps, so replicas never drift — there
 //!   is no parameter broadcast after step 0.
@@ -178,7 +178,7 @@ impl ParallelEngine {
     /// sparse gradients (keyed as the embedding source keys them); the
     /// caller applies those to its embedding source — which is what lets
     /// the same engine drive both the CPU master tables (cold steps) and
-    /// the sharded hot bags (hot steps).
+    /// the hot bags (hot steps).
     pub fn step<E>(&mut self, emb: &E, batch: &MiniBatch, lr: f32) -> (f32, Vec<SparseGrad>)
     where
         E: EmbeddingSource + Sync,

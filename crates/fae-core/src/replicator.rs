@@ -9,34 +9,36 @@
 //! row ids to hot-local ids through the partitions; touching a cold row
 //! through this source is a bug in the input processor and panics.
 //!
-//! The one logical copy is a [`ShardedEmbeddingTable`] per table: hot-bag
-//! lookups from concurrent worker threads take per-shard read locks
-//! instead of serialising, and the merged sparse gradient is applied
-//! through `&self` ([`HotEmbeddings::apply_shared`]) under one write lock
-//! per touched shard.
+//! The one logical copy is a plain [`EmbeddingTable`] per table behind one
+//! `RwLock`: hot-bag lookups from concurrent worker threads share the
+//! read lock, and the merged sparse gradient is applied through `&self`
+//! ([`HotEmbeddings::apply_shared`]) under the write lock. The execution
+//! engine joins its readers before the single writer runs, so the lock is
+//! never contended — it is what makes `&HotEmbeddings` sound to share.
 //!
 //! There is one sync in each direction, both driven by the per-row
 //! residency mask: [`HotEmbeddings::refresh_rows`] copies a planned row
 //! set master→devices and [`HotEmbeddings::write_back_resident`] copies
 //! the resident rows back. The full-bag syncs are their all-rows case.
 
+use std::sync::{PoisonError, RwLock};
+
 use fae_nn::Tensor;
 
-use fae_embed::{EmbeddingTable, HotColdPartition, ShardedEmbeddingTable, SparseGrad};
+use fae_embed::{EmbeddingTable, HotColdPartition, SparseGrad};
 use fae_models::{EmbeddingSource, MasterEmbeddings};
 use fae_telemetry::Telemetry;
 
-/// Row-range shards per hot table — enough to keep a handful of worker
-/// threads from colliding, few enough that lock overhead stays invisible
-/// next to the lookup work.
-const HOT_SHARDS: usize = 8;
-
 /// Hot-embedding bags for every table, with global→local id translation.
+///
+/// Lock poisoning is recovered everywhere in this type rather than
+/// propagated: a bag is plain `f32`s with no invariant a panicked writer
+/// could half-establish, so the poisoned guard's contents are still valid
+/// weights.
 pub struct HotEmbeddings {
-    /// Compact hot tables (hot-local row ids), sharded for concurrency.
-    tables: Vec<ShardedEmbeddingTable>,
-    /// Per table: hot-local id -> global row id, sorted ascending.
-    global_ids: Vec<Vec<u32>>,
+    /// Compact hot tables (hot-local row ids; local `i` is global row
+    /// `partitions[t].hot_ids()[i]`), one lock each.
+    tables: Vec<RwLock<EmbeddingTable>>,
     partitions: Vec<HotColdPartition>,
     /// Per table: whether each hot-local row currently holds fresh bytes
     /// on the devices. Full replication (the default, and the only mode
@@ -56,19 +58,15 @@ impl HotEmbeddings {
         assert_eq!(partitions.len(), master.num_tables(), "one partition per table");
         let dim = master.dim();
         let mut tables = Vec::with_capacity(partitions.len());
-        let mut global_ids = Vec::with_capacity(partitions.len());
         for (t, p) in partitions.iter().enumerate() {
-            let ids = p.hot_ids().to_vec();
-            let mut weights = Tensor::zeros(ids.len().max(1), dim);
-            for (local, &g) in ids.iter().enumerate() {
+            let mut weights = Tensor::zeros(p.hot_count().max(1), dim);
+            for (local, &g) in p.hot_ids().iter().enumerate() {
                 master.copy_row_into(t, g, weights.row_mut(local));
             }
-            let bag = EmbeddingTable::from_weights(weights);
-            tables.push(ShardedEmbeddingTable::from_table(&bag, HOT_SHARDS));
-            global_ids.push(ids);
+            tables.push(RwLock::new(EmbeddingTable::from_weights(weights)));
         }
-        let resident = global_ids.iter().map(|ids| vec![true; ids.len()]).collect();
-        Self { tables, global_ids, partitions, resident, dim, telemetry: Telemetry::disabled() }
+        let resident = partitions.iter().map(|p| vec![true; p.hot_count()]).collect();
+        Self { tables, partitions, resident, dim, telemetry: Telemetry::disabled() }
     }
 
     /// Attaches a telemetry handle: refreshes and write-backs are counted
@@ -81,7 +79,7 @@ impl HotEmbeddings {
 
     /// Total bytes of the hot bags (per GPU replica).
     pub fn hot_bytes(&self) -> usize {
-        self.global_ids.iter().map(|ids| ids.len() * self.row_bytes() as usize).sum()
+        self.partitions.iter().map(|p| p.hot_bytes(self.dim)).sum()
     }
 
     fn row_bytes(&self) -> u64 {
@@ -172,11 +170,11 @@ impl HotEmbeddings {
     /// `sets` (`None` = every hot row) that is not already. Returns the
     /// rows copied.
     fn fetch(&mut self, master: &MasterEmbeddings, sets: Option<&[Vec<u32>]>) -> u64 {
-        let mut buf = vec![0.0f32; self.dim];
         let mut rows_moved = 0u64;
-        for (t, sharded) in self.tables.iter().enumerate() {
-            let rows = sets.map_or(&self.global_ids[t], |s| &s[t]);
+        for (t, table) in self.tables.iter_mut().enumerate() {
+            let table = table.get_mut().unwrap_or_else(PoisonError::into_inner);
             let p = &self.partitions[t];
+            let rows = sets.map_or(p.hot_ids(), |s| &s[t]);
             let mask = &mut self.resident[t];
             for &g in rows {
                 // Cold ids in a set would be input-processor corruption;
@@ -185,8 +183,7 @@ impl HotEmbeddings {
                 if mask[local as usize] {
                     continue;
                 }
-                master.copy_row_into(t, g, &mut buf);
-                sharded.set_row(local, &buf);
+                master.copy_row_into(t, g, table.weights_mut().row_mut(local as usize));
                 mask[local as usize] = true;
                 rows_moved += 1;
             }
@@ -200,15 +197,15 @@ impl HotEmbeddings {
     /// already authoritative). Returns bytes moved.
     pub fn write_back_resident(&self, master: &mut MasterEmbeddings) -> u64 {
         let mut rows_moved = 0u64;
-        for (t, ((sharded, ids), mask)) in
-            self.tables.iter().zip(&self.global_ids).zip(&self.resident).enumerate()
+        for (t, ((table, p), mask)) in
+            self.tables.iter().zip(&self.partitions).zip(&self.resident).enumerate()
         {
-            let snapshot = sharded.to_table();
-            for (local, &g) in ids.iter().enumerate() {
+            let table = table.read().unwrap_or_else(PoisonError::into_inner);
+            for (local, &g) in p.hot_ids().iter().enumerate() {
                 if !mask[local] {
                     continue;
                 }
-                master.set_row(t, g, snapshot.row(local as u32));
+                master.set_row(t, g, table.row(local as u32));
                 rows_moved += 1;
             }
         }
@@ -232,20 +229,20 @@ impl HotEmbeddings {
     }
 
     /// Applies per-table sparse gradients through `&self`: remaps global
-    /// row ids to hot-local, then updates each table under one write
-    /// lock per touched shard. This is the path the execution engine
-    /// uses after reducing worker gradients, and the one `fae-net`'s
-    /// worker uses for the coordinator's apply broadcast.
+    /// row ids to hot-local, then updates each table under its write
+    /// lock. This is the path the execution engine uses after reducing
+    /// worker gradients, and the one `fae-net`'s worker uses for the
+    /// coordinator's apply broadcast.
     pub fn apply_shared(&self, grads: &[SparseGrad], lr: f32) {
         assert_eq!(grads.len(), self.tables.len(), "one gradient per table");
-        for ((sharded, p), g) in self.tables.iter().zip(&self.partitions).zip(grads) {
+        for ((table, p), g) in self.tables.iter().zip(&self.partitions).zip(grads) {
             // remap_ref borrows: no clone of the gradient arena per step.
             let local = g.remap_ref(|global| {
                 p.hot_local(global)
                     // fae-lint: allow(no-panic, reason = "classifier routing corruption: continuing would train on garbage rows, so fail fast")
                     .unwrap_or_else(|| panic!("cold row {global} updated through the hot source"))
             });
-            sharded.sgd_step_sparse(&local, lr);
+            table.write().unwrap_or_else(PoisonError::into_inner).sgd_step_sparse(&local, lr);
         }
     }
 }
@@ -253,7 +250,7 @@ impl HotEmbeddings {
 impl EmbeddingSource for HotEmbeddings {
     fn lookup(&self, t: usize, indices: &[u32], offsets: &[usize]) -> Tensor {
         let local = self.translate(t, indices);
-        self.tables[t].lookup_bag(&local, offsets)
+        self.tables[t].read().unwrap_or_else(PoisonError::into_inner).lookup_bag(&local, offsets)
     }
 
     fn apply_sparse_grads(&mut self, grads: &[SparseGrad], lr: f32) {
@@ -436,5 +433,71 @@ mod tests {
     fn hot_source_is_sync() {
         fn assert_sync<T: Sync>() {}
         assert_sync::<HotEmbeddings>();
+    }
+
+    #[test]
+    fn concurrent_lookups_see_whole_updates_and_match_serial() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
+        const READERS: usize = 4;
+        const STEPS: usize = 200;
+        let (mut master, mut hot) = setup();
+        let dim = hot.dim();
+        // Every element of every hot row of table 0 starts at 1.0 and each
+        // apply adds exactly 1.0 to all of them under one write guard, so
+        // a row — or a lookup — that mixed two steps would show unequal
+        // elements.
+        let ids = hot.partitions()[0].hot_ids().to_vec();
+        let mut grads: Vec<SparseGrad> =
+            (0..hot.num_tables()).map(|_| SparseGrad::new(dim)).collect();
+        for &g in &ids {
+            master.set_row(0, g, &vec![1.0; dim]);
+            grads[0].accumulate(g, &vec![1.0; dim]);
+        }
+        hot.refresh_from(&master);
+        let offsets: Vec<usize> = (0..=ids.len()).collect();
+        let last_step = 1.0 + STEPS as f32;
+        let start = Barrier::new(READERS + 1);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for _ in 0..READERS {
+                s.spawn(|| {
+                    start.wait();
+                    let mut seen = 1.0f32;
+                    loop {
+                        let finished = done.load(Ordering::Acquire);
+                        let out = hot.lookup(0, &ids, &offsets);
+                        let v = out.as_slice()[0];
+                        assert!(out.as_slice().iter().all(|&x| x == v), "torn lookup");
+                        assert!(v.fract() == 0.0 && (seen..=last_step).contains(&v), "{v}");
+                        seen = v;
+                        if finished {
+                            assert_eq!(v, last_step);
+                            break;
+                        }
+                    }
+                });
+            }
+            start.wait();
+            for _ in 0..STEPS {
+                hot.apply_shared(&grads, -1.0);
+            }
+            done.store(true, Ordering::Release);
+        });
+
+        // W simultaneous pooled lookups of random-valued rows equal the
+        // serial lookup bit for bit.
+        let ids = hot.partitions()[1].hot_ids().to_vec();
+        let offsets = [0, ids.len() / 2, ids.len()];
+        let serial = hot.lookup(1, &ids, &offsets);
+        let start = Barrier::new(READERS);
+        std::thread::scope(|s| {
+            for _ in 0..READERS {
+                s.spawn(|| {
+                    start.wait();
+                    assert_eq!(hot.lookup(1, &ids, &offsets).as_slice(), serial.as_slice());
+                });
+            }
+        });
     }
 }

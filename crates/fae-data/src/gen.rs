@@ -22,17 +22,11 @@ pub struct GenOptions {
     pub seed: u64,
     /// Overrides `spec.num_inputs` when set.
     pub num_inputs: Option<usize>,
-    /// Popularity drift: fraction of each table's id space the popular
-    /// set rotates through over the course of the dataset (0.0 = static
-    /// popularity, the paper's setting; 1.0 = the hot set has moved
-    /// entirely by the last input). Models the real-world effect behind
-    /// §II-B challenge 4 — "hotness needs to be re-calibrated".
-    pub drift: f64,
 }
 
 impl Default for GenOptions {
     fn default() -> Self {
-        Self { seed: 0x0FAE, num_inputs: None, drift: 0.0 }
+        Self { seed: 0x0FAE, num_inputs: None }
     }
 }
 
@@ -44,21 +38,9 @@ impl GenOptions {
 
     /// Options with the given seed and input count.
     pub fn sized(seed: u64, num_inputs: usize) -> Self {
-        Self { seed, num_inputs: Some(num_inputs), ..Default::default() }
-    }
-
-    /// Adds popularity drift (see [`GenOptions::drift`]).
-    pub fn with_drift(mut self, drift: f64) -> Self {
-        assert!((0.0..=1.0).contains(&drift), "drift must be in [0, 1]");
-        self.drift = drift;
-        self
+        Self { seed, num_inputs: Some(num_inputs) }
     }
 }
-
-/// Popularity drift moves in discrete regimes (a "trend" holds for a
-/// while, then shifts), not continuously — a continuous rotation would
-/// smear the hot set across the whole table inside any finite window.
-const DRIFT_STEPS: f64 = 8.0;
 
 /// How strongly dense features drive the planted label.
 const DENSE_GAIN: f32 = 1.2;
@@ -103,12 +85,7 @@ pub fn generate(spec: &WorkloadSpec, opts: &GenOptions) -> Dataset {
         .collect();
 
     let mut bag = Vec::new();
-    for i in 0..n {
-        // Popularity drift: rotate every sampled id forward through the
-        // table as the dataset progresses, so the hot set at the end of
-        // the stream differs from the hot set the calibrator saw.
-        let progress = if n > 1 { i as f64 / (n - 1) as f64 } else { 0.0 };
-        let drift_frac = opts.drift * (progress * DRIFT_STEPS).floor() / DRIFT_STEPS;
+    for _ in 0..n {
         let mut score = 0.0f32;
         for &w in &dense_w {
             let x: f32 = normal.sample(&mut rng);
@@ -138,16 +115,10 @@ pub fn generate(spec: &WorkloadSpec, opts: &GenOptions) -> Dataset {
                 1
             };
             for _ in 0..len {
-                let raw = if popular {
+                let id = if popular {
                     sampler.sample_head(&mut rng, head)
                 } else {
                     sampler.sample(&mut rng)
-                };
-                let id = if drift_frac > 0.0 {
-                    let shift = (drift_frac * tspec.rows as f64) as u32;
-                    (raw + shift) % tspec.rows as u32
-                } else {
-                    raw
                 };
                 affinity_sum += aff[id as usize];
                 bag.push(id);
@@ -258,60 +229,5 @@ mod tests {
             .filter(|(n, _)| *n > 300)
             .any(|(n, p)| ((*p as f64 / *n as f64) - global).abs() > 0.1);
         assert!(deviates, "labels look independent of embedding ids");
-    }
-}
-
-#[cfg(test)]
-mod drift_tests {
-    use super::*;
-
-    #[test]
-    fn zero_drift_matches_default_generation() {
-        let spec = WorkloadSpec::tiny_test();
-        let a = generate(&spec, &GenOptions::sized(5, 300));
-        let b = generate(&spec, &GenOptions::sized(5, 300).with_drift(0.0));
-        assert_eq!(a.sparse, b.sparse);
-    }
-
-    #[test]
-    fn drift_moves_the_hot_set_over_the_stream() {
-        let spec = WorkloadSpec::tiny_test();
-        let n = 20_000;
-        let ds = generate(&spec, &GenOptions::sized(6, n).with_drift(0.8));
-        // Hot sets of the first and last quarters should barely overlap.
-        let count = |range: std::ops::Range<usize>| {
-            let mut c = vec![0u64; spec.tables[0].rows];
-            for i in range {
-                c[ds.sparse[0].bag(i)[0] as usize] += 1;
-            }
-            c
-        };
-        let head = count(0..n / 4);
-        let tail = count(3 * n / 4..n);
-        let top = |c: &[u64]| {
-            let mut idx: Vec<usize> = (0..c.len()).collect();
-            idx.sort_unstable_by_key(|&i| std::cmp::Reverse(c[i]));
-            idx[..50].iter().copied().collect::<std::collections::BTreeSet<_>>()
-        };
-        let overlap = top(&head).intersection(&top(&tail)).count();
-        assert!(overlap < 20, "hot sets overlap too much under drift: {overlap}/50");
-
-        // Without drift the same comparison overlaps heavily.
-        let ds0 = generate(&spec, &GenOptions::sized(6, n));
-        let count0 = |range: std::ops::Range<usize>| {
-            let mut c = vec![0u64; spec.tables[0].rows];
-            for i in range {
-                c[ds0.sparse[0].bag(i)[0] as usize] += 1;
-            }
-            c
-        };
-        let overlap0 = top(&count0(0..n / 4)).intersection(&top(&count0(3 * n / 4..n))).count();
-        assert!(overlap0 > 30, "static popularity should overlap: {overlap0}/50");
-    }
-
-    #[test]
-    #[should_panic(expected = "drift must be in")]
-    fn rejects_out_of_range_drift() {
-        let _ = GenOptions::seeded(1).with_drift(1.5);
     }
 }

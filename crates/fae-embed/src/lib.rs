@@ -10,10 +10,6 @@
 //!   logger* writes into one of these),
 //! * [`HotColdPartition`] — the hot/cold row split induced by an access
 //!   threshold, with global→hot-local index remapping,
-//! * [`ShardedEmbeddingTable`] — row-range shards behind per-shard locks
-//!   for Hogwild-style concurrent lookups and sparse SGD from the parallel
-//!   execution engine's worker threads (the storage of the hot bags that
-//!   `fae-core`'s embedding replicator copies onto every GPU),
 //! * [`TieredTable`] — a table whose cold rows are stored int8 with a
 //!   per-row affine scale while its hot rows stay exact f32,
 //! * [`DeferredSparse`] — the stale-skip pool of deferred cold-row
@@ -26,7 +22,6 @@
 pub mod deferred;
 pub mod partition;
 pub mod quant;
-pub mod sharded;
 pub mod sparse;
 pub mod stats;
 pub mod table;
@@ -34,7 +29,6 @@ pub mod table;
 pub use deferred::{DeferredSparse, SkipStats};
 pub use partition::{HotColdPartition, RowClass};
 pub use quant::{dequantize, quantize_row, TieredTable};
-pub use sharded::ShardedEmbeddingTable;
 pub use sparse::{RowwiseAdagrad, SparseGrad};
 pub use stats::AccessCounter;
 pub use table::EmbeddingTable;

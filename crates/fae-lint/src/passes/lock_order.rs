@@ -10,8 +10,8 @@
 //!
 //! Findings:
 //! * acquiring the *same* class while held is reported unless both
-//!   sides are `read()` (the sharded-table pattern: all shard read
-//!   guards taken in one statement can't deadlock with each other);
+//!   sides are `read()` (read guards of one class, e.g. every lock
+//!   of a `Vec<RwLock<..>>`, can't deadlock with each other);
 //! * a cycle in the cross-class graph (A→B somewhere, B→A elsewhere)
 //!   is reported at every edge on the cycle.
 //!

@@ -12,8 +12,6 @@ use fae::core::{
     RecoveryAction, ResilienceOptions, TrainCheckpoint, TrainConfig,
 };
 use fae::data::{generate, Dataset, GenOptions, WorkloadSpec};
-use fae::embed::{EmbeddingTable, ShardedEmbeddingTable, SparseGrad};
-use fae::nn::Tensor;
 
 /// Shrunken calibrator budget so the tiny workload has both hot and
 /// cold batches (same trick as the end-to-end suite).
@@ -167,93 +165,6 @@ fn multi_worker_resume_is_bit_identical_to_uninterrupted_run() {
         );
         fs::remove_dir_all(&dir_ref).ok();
         fs::remove_dir_all(&dir).ok();
-    }
-}
-
-/// Contention stress for the sharded hot tables, deliberately
-/// oversubscribed (several writer threads per host core, far more than
-/// the table's shard count). Writer `w` owns the disjoint row set
-/// `{r : r ≡ w (mod writers)}` and hammers it with sparse SGD steps
-/// while reader threads run `lookup_bag` the whole time. Because every
-/// row is touched by exactly one writer, the end state must be
-/// bit-identical to applying the same gradients serially — under any
-/// interleaving the per-shard write locks allow.
-#[test]
-fn oversubscribed_writers_on_disjoint_rows_match_serial_application() {
-    const ROWS: usize = 1024;
-    const DIM: usize = 16;
-    const STEPS: usize = 50;
-    const LR: f32 = 0.1;
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let writers = (cores * 4).max(16);
-
-    let weights: Vec<f32> = (0..ROWS * DIM).map(|i| ((i % 251) as f32 - 125.0) / 251.0).collect();
-    let base = EmbeddingTable::from_weights(Tensor::from_vec(ROWS, DIM, weights));
-    let sharded = ShardedEmbeddingTable::from_table(&base, 8);
-
-    // Deterministic per-writer gradient stream, reused for the serial
-    // reference below.
-    let writer_grads = |w: usize| -> Vec<SparseGrad> {
-        (0..STEPS)
-            .map(|s| {
-                let mut g = SparseGrad::new(DIM);
-                for r in ((w..ROWS).step_by(writers)).skip(s % 3).step_by(2) {
-                    let vals: Vec<f32> =
-                        (0..DIM).map(|d| ((w + s + d + r) % 17) as f32 / 17.0 - 0.5).collect();
-                    g.accumulate(r as u32, &vals);
-                }
-                g
-            })
-            .collect()
-    };
-
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        // Readers: concurrent bag lookups across all rows must stay
-        // deadlock-free and return finite values throughout the storm.
-        for _ in 0..4 {
-            let sharded = &sharded;
-            let stop = &stop;
-            scope.spawn(move || {
-                let indices: Vec<u32> = (0..ROWS as u32).step_by(7).collect();
-                let offsets: Vec<usize> = (0..=indices.len()).collect();
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let out = sharded.lookup_bag(&indices, &offsets);
-                    assert!(out.as_slice().iter().all(|v| v.is_finite()));
-                }
-            });
-        }
-        let handles: Vec<_> = (0..writers)
-            .map(|w| {
-                let sharded = &sharded;
-                scope.spawn(move || {
-                    for g in writer_grads(w) {
-                        sharded.sgd_step_sparse(&g, LR);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("writer thread panicked");
-        }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    });
-
-    // Serial reference: same gradients, one thread, any order — row
-    // disjointness makes the order irrelevant.
-    let serial = ShardedEmbeddingTable::from_table(&base, 8);
-    for w in 0..writers {
-        for g in writer_grads(w) {
-            serial.sgd_step_sparse(&g, LR);
-        }
-    }
-    let got = sharded.to_table();
-    let want = serial.to_table();
-    for r in 0..ROWS as u32 {
-        let (g, w) = (got.row(r), want.row(r));
-        for (d, (a, b)) in g.iter().zip(w).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "row {r} dim {d}: concurrent {a} != serial {b}");
-        }
     }
 }
 

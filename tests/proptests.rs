@@ -8,9 +8,7 @@ use fae::core::RandEmBox;
 use fae::data::dataset::TableIndices;
 use fae::data::format::FaeFile;
 use fae::data::{BatchKind, MiniBatch, WorkloadSpec};
-use fae::embed::{
-    AccessCounter, EmbeddingTable, HotColdPartition, ShardedEmbeddingTable, SparseGrad,
-};
+use fae::embed::{AccessCounter, HotColdPartition, SparseGrad};
 use fae::nn::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -95,42 +93,6 @@ proptest! {
         for (a, b) in fwd.iter().zip(rev.iter()) {
             prop_assert_eq!(a.0, b.0);
             prop_assert!((a.1[0] - b.1[0]).abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn sharded_table_matches_serial_for_any_shard_count(
-        rows in 1usize..40,
-        num_shards in 1usize..12,
-        bags in prop::collection::vec(prop::collection::vec(0u32..40, 0..5), 1..6),
-        updates in prop::collection::vec((0u32..40, -2.0f32..2.0), 0..30),
-    ) {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut serial = EmbeddingTable::new(rows, 4, &mut rng);
-        let sharded = ShardedEmbeddingTable::from_table(&serial, num_shards);
-
-        // Lookup equivalence on arbitrary bags (indices clamped to rows).
-        let mut indices = Vec::new();
-        let mut offsets = vec![0usize];
-        for bag in &bags {
-            indices.extend(bag.iter().map(|&i| i % rows as u32));
-            offsets.push(indices.len());
-        }
-        prop_assert_eq!(
-            sharded.lookup_bag(&indices, &offsets).as_slice(),
-            serial.lookup_bag(&indices, &offsets).as_slice()
-        );
-
-        // SGD equivalence: the same sparse gradient applied both ways
-        // leaves every row bit-identical (disjoint shards, exact).
-        let mut grad = SparseGrad::new(4);
-        for &(row, v) in &updates {
-            grad.accumulate(row % rows as u32, &[v; 4]);
-        }
-        serial.sgd_step_sparse(&grad, 0.1);
-        sharded.sgd_step_sparse(&grad, 0.1);
-        for r in 0..rows as u32 {
-            prop_assert_eq!(sharded.row(r).as_slice(), serial.row(r));
         }
     }
 
