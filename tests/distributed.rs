@@ -106,20 +106,24 @@ fn train_distributed(
 
 #[test]
 fn two_remote_workers_match_the_in_process_engine_bit_for_bit() {
-    let (spec, pre, test, cfg) = setup(2);
-    let local = train_fae_resilient(&spec, &pre, &test, &cfg, &ResilienceOptions::default());
-    let remote = train_distributed(&spec, &pre, &test, &cfg, 2, &FaultPlan::default());
+    // 4 nodes as well as 2: the shard split and the reduce order differ,
+    // the contract does not.
+    for workers in [2, 4] {
+        let (spec, pre, test, cfg) = setup(workers);
+        let local = train_fae_resilient(&spec, &pre, &test, &cfg, &ResilienceOptions::default());
+        let remote = train_distributed(&spec, &pre, &test, &cfg, workers, &FaultPlan::default());
 
-    assert_eq!(
-        local.model_digest, remote.model_digest,
-        "distributed training must be bit-identical to the in-process engine"
-    );
-    assert_eq!(local.history.len(), remote.history.len());
-    for (a, b) in local.history.iter().zip(&remote.history) {
-        assert_eq!(a.test_loss.to_bits(), b.test_loss.to_bits(), "eval loss bits diverged");
+        assert_eq!(
+            local.model_digest, remote.model_digest,
+            "{workers} nodes: distributed training must be bit-identical to the in-process engine"
+        );
+        assert_eq!(local.history.len(), remote.history.len());
+        for (a, b) in local.history.iter().zip(&remote.history) {
+            assert_eq!(a.test_loss.to_bits(), b.test_loss.to_bits(), "eval loss bits diverged");
+        }
+        assert_eq!(local.hot_steps, remote.hot_steps);
+        assert_eq!(local.cold_steps, remote.cold_steps);
     }
-    assert_eq!(local.hot_steps, remote.hot_steps);
-    assert_eq!(local.cold_steps, remote.cold_steps);
 }
 
 #[test]

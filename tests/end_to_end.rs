@@ -8,6 +8,7 @@ use fae::core::input_processor::{preprocess_inputs, PreprocessConfig};
 use fae::core::{pipeline, train_baseline, train_fae, CalibratorConfig, TrainConfig};
 use fae::data::format::FaeFile;
 use fae::data::{generate, BatchKind, GenOptions, WorkloadSpec};
+use fae::models::MasterEmbeddings;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -152,4 +153,35 @@ fn tbsm_pipeline_end_to_end() {
     let r = train_fae(&spec, &artifacts.preprocessed, &test, &cfg);
     assert!(r.final_test.accuracy > 0.5, "TBSM accuracy {}", r.final_test.accuracy);
     assert!(r.final_test.loss.is_finite());
+}
+
+#[test]
+fn int8_master_is_under_half_the_f32_master_on_scaled_kaggle() {
+    // The memory side of `--quantize-cold` on the workload it is for
+    // (accuracy parity is `quantized_cold_tier_matches_f32_accuracy`):
+    // with the partition the calibrator picks at the CLI's default
+    // budget, hot f32 + cold int8 + per-row metadata must stay under
+    // half of the f32 tables.
+    let mut spec = WorkloadSpec::rmc2_kaggle();
+    spec.num_inputs = 60_000;
+    let ds = generate(&spec, &GenOptions::sized(0xBE9C, spec.num_inputs));
+    let (train, _) = ds.split(0.15);
+    let artifacts = pipeline::prepare(
+        &train,
+        CalibratorConfig {
+            gpu_budget_bytes: spec.embedding_bytes() / 8,
+            small_table_bytes: 8 << 10,
+            ..Default::default()
+        },
+        &PreprocessConfig { minibatch_size: 256, seed: 7 },
+    );
+    let f32_bytes = MasterEmbeddings::from_spec(&spec, &mut StdRng::seed_from_u64(1)).total_bytes();
+    let int8_bytes = MasterEmbeddings::from_spec_tiered(
+        &spec,
+        &artifacts.preprocessed.partitions,
+        &mut StdRng::seed_from_u64(1),
+    )
+    .total_bytes();
+    assert_eq!(f32_bytes, spec.embedding_bytes());
+    assert!(2 * int8_bytes < f32_bytes, "int8 tier too large: {int8_bytes} B vs f32 {f32_bytes} B");
 }

@@ -57,27 +57,29 @@ fn tmpdir(name: &str) -> PathBuf {
     dir
 }
 
-/// A distributed run with the observability plane on: worker node
-/// threads against a [`RemoteEngine`] coordinator whose telemetry
-/// journals to `journal` and evaluates `alerts`. Returns the report and
-/// the telemetry handle (journal + shipped sidecars live on disk).
-#[allow(clippy::too_many_arguments)] // test harness: mirrors the CLI surface
-fn train_distributed_observed(
+/// The observability plane on: journal to `journal`, shipped sidecars
+/// next to it, `alerts` evaluated on every event.
+fn observed(journal: &Path, alerts: AlertEngine) -> Telemetry {
+    Telemetry::builder()
+        .journal_path(journal)
+        .alerts(alerts)
+        .retain_events(true)
+        .try_build()
+        .expect("telemetry")
+}
+
+/// A distributed run: worker node threads against a [`RemoteEngine`]
+/// coordinator reporting to `telem` (with [`observed`], the journal and
+/// the shipped sidecars live on disk afterwards).
+fn train_distributed(
     spec: &WorkloadSpec,
     pre: &Preprocessed,
     test: &Dataset,
     cfg: &TrainConfig,
     workers: usize,
     plan: &FaultPlan,
-    journal: &Path,
-    alerts: AlertEngine,
-) -> (TrainReport, Telemetry) {
-    let telem = Telemetry::builder()
-        .journal_path(journal)
-        .alerts(alerts)
-        .retain_events(true)
-        .try_build()
-        .expect("telemetry");
+    telem: &Telemetry,
+) -> TrainReport {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind coordinator");
     let addr = listener.local_addr().expect("local addr").to_string();
     let handles: Vec<_> = (0..workers)
@@ -116,7 +118,7 @@ fn train_distributed_observed(
     for h in handles {
         h.join().expect("node thread").expect("node exit");
     }
-    (report, telem)
+    report
 }
 
 /// Reads the coordinator journal plus every shipped sidecar and merges.
@@ -236,9 +238,8 @@ fn crash_run_ships_journals_merges_within_tolerance_and_fires_the_gap_alert() {
     let dir = tmpdir("crash");
     let journal = dir.join("run.jsonl");
     let plan = FaultPlan::parse_seeded("worker-crash@6", 41).expect("plan");
-    let alerts = AlertEngine::parse("heartbeat-gap>0").expect("rules");
-    let (report, telem) =
-        train_distributed_observed(&spec, &pre, &test, &cfg, 2, &plan, &journal, alerts);
+    let telem = observed(&journal, AlertEngine::parse("heartbeat-gap>0").expect("rules"));
+    let report = train_distributed(&spec, &pre, &test, &cfg, 2, &plan, &telem);
 
     // Both workers shipped journal lines into per-node sidecars.
     let sidecars = telem.sidecar_paths();
@@ -288,22 +289,36 @@ fn crash_run_ships_journals_merges_within_tolerance_and_fires_the_gap_alert() {
 #[test]
 fn clean_two_node_merged_trace_is_byte_identical_for_a_fixed_seed() {
     let (spec, pre, test, cfg) = setup(2);
+    let clean = FaultPlan::default();
     let mut traces = Vec::new();
+    let mut observed_report = None;
     for round in 0..2 {
         let dir = tmpdir(&format!("golden-{round}"));
         let journal = dir.join("run.jsonl");
-        let (_, telem) = train_distributed_observed(
-            &spec,
-            &pre,
-            &test,
-            &cfg,
-            2,
-            &FaultPlan::default(),
-            &journal,
-            AlertEngine::empty(),
-        );
+        // The alert engine is on (the obs-smoke rule); a clean run loses
+        // no node, so it never fires.
+        let telem = observed(&journal, AlertEngine::parse("heartbeat-gap>0").expect("rules"));
+        let report = train_distributed(&spec, &pre, &test, &cfg, 2, &clean, &telem);
+        assert_eq!(telem.sidecar_paths().len(), 2, "both workers shipped a sidecar");
         traces
             .push(merged_chrome_trace(&merged_from_disk(&journal, &telem)).expect("trace export"));
+        observed_report = Some(report);
     }
     assert_eq!(traces[0], traces[1], "merged Perfetto export must be byte-identical");
+
+    // Observability must observe, never perturb: the same run with the
+    // plane off (no telemetry frame on the wire) ends on the same model,
+    // and shipping's only simulated cost — the `Phase::Framework` charge
+    // per admitted batch — stays under 10 % of simulated throughput.
+    let on = observed_report.expect("two rounds ran");
+    let off = train_distributed(&spec, &pre, &test, &cfg, 2, &clean, &Telemetry::disabled());
+    assert_eq!(off.model_digest, on.model_digest, "journal shipping changed the model");
+    let sim_steps_per_s =
+        |r: &TrainReport| (r.hot_steps + r.cold_steps) as f64 / r.simulated_seconds;
+    let overhead = 1.0 - sim_steps_per_s(&on) / sim_steps_per_s(&off);
+    assert!(
+        overhead < 0.10,
+        "journal shipping costs {:.1}% simulated throughput (gate: < 10%)",
+        overhead * 100.0
+    );
 }
