@@ -4,11 +4,20 @@
 //!
 //! Clusters of 1–8 paper servers (4 × V100 each) over 100 GbE and 25 GbE,
 //! weak scaling (batch 1024 per GPU), on the Kaggle paper-scale shape.
+//! The record also carries what the cost model charges one such server
+//! for the two recovery events `fae-net` replays at laptop scale: a
+//! hot-bag sync, and a reshard onto the surviving GPUs (communicator
+//! reinit + dense re-broadcast + hot re-replication).
 
 use fae_bench::{measure_hotness, print_table, save_json, workloads};
+use fae_core::AnyModel;
 use fae_models::bridge::profile_for;
+use fae_models::RecModel;
 use fae_sysmodel::multinode::cluster_step_cost_fae_sparse;
-use fae_sysmodel::{cluster_step_cost, ClusterConfig, ExecMode};
+use fae_sysmodel::{
+    cluster_step_cost, reshard_cost, sync_cost, ClusterConfig, ExecMode, SystemConfig,
+};
+use rand::SeedableRng;
 
 fn main() {
     let w = workloads().into_iter().next().expect("kaggle");
@@ -61,5 +70,23 @@ fn main() {
          Ethernet the naive full-hot-bag all-reduce drowns, and FAE needs a sparse \
          touched-rows-only cross-node sync — with it, FAE wins at every cluster size"
     );
-    save_json("ext_multinode", &serde_json::Value::Array(json));
+
+    let sys = SystemConfig::paper_server(4);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let dense_bytes = AnyModel::from_spec(&w.paper, &mut rng).dense_param_count() as f64 * 4.0;
+    let hot_bytes = w.budget_bytes as f64;
+    let sync_s = sync_cost(&sys, hot_bytes).total();
+    let reshard_s = reshard_cost(&sys, dense_bytes, hot_bytes).total();
+    println!(
+        "modelled recovery on one server (4 GPUs, 256 MB hot bag): hot-bag sync {:.1} ms, \
+         reshard {:.1} ms",
+        sync_s * 1e3,
+        reshard_s * 1e3
+    );
+    save_json(
+        "ext_multinode",
+        &serde_json::json!({
+            "scaling": json, "hot_bag_sync_s": sync_s, "reshard_s": reshard_s,
+        }),
+    );
 }

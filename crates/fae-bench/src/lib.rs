@@ -1,15 +1,19 @@
 //! # fae-bench — experiment harness
 //!
-//! One binary per paper figure/table (see DESIGN.md §4 for the index):
+//! One binary per paper figure/table, ablation and extension (see
+//! DESIGN.md §4 for the index):
 //!
 //! ```sh
 //! cargo run --release -p fae-bench --bin fig13_speedup
 //! ```
 //!
 //! Each binary prints the regenerated rows/series next to the paper's
-//! published values and appends a JSON record under `results/`. Shared
-//! machinery lives here: the three benchmark workloads with their
-//! measured hot fractions, text-table rendering, and JSON output.
+//! published values and writes a JSON record under `results/`. Every
+//! training speed-up here is on the simulated clock (`fae-sysmodel`);
+//! the wall clock of training, serving and the wire is measured by the
+//! `bench/` workspace and nowhere else. Shared machinery lives here:
+//! the three benchmark workloads with their measured hot fractions,
+//! text-table rendering, and JSON output.
 
 #![forbid(unsafe_code)]
 use std::fs;

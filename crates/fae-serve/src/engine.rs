@@ -163,31 +163,6 @@ impl ServeReport {
         let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
         sorted[rank - 1]
     }
-
-    /// The report as a JSON value (what `fae serve` prints and
-    /// `bench_serve` embeds in `results/BENCH_serve.json`).
-    pub fn to_json(&self) -> serde_json::Value {
-        serde_json::json!({
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "batches": self.batches,
-            "mean_batch_size": self.mean_batch_size,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-            "p99_ms": self.p99_ms,
-            "mean_ms": self.mean_ms,
-            "max_ms": self.max_ms,
-            "throughput_rps": self.throughput_rps,
-            "simulated_seconds": self.simulated_seconds,
-            "hit_rate": self.hit_rate,
-            "pinned_hits": self.cache.pinned_hits,
-            "cache_hits": self.cache.hits,
-            "cache_misses": self.cache.misses,
-            "admissions": self.cache.admissions,
-            "evictions": self.cache.evictions,
-            "mean_score": self.mean_score,
-        })
-    }
 }
 
 /// The serving engine: frozen model + embeddings + partitions + knobs.

@@ -135,7 +135,7 @@ pub fn saturation_sweep(
     SweepReport { workload: engine.spec().name.clone(), capacity_rps, points }
 }
 
-/// Serializes a sweep for `results/BENCH_serve.json`.
+/// Serializes a sweep (what `fae bench-serve --out` writes).
 pub fn sweep_json(sweep: &SweepReport) -> serde_json::Value {
     let points: Vec<serde_json::Value> = sweep
         .points

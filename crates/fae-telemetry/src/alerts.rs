@@ -22,11 +22,7 @@
 //! ```
 //!
 //! Thresholds are inclusive on the crossing side: `>` fires at or above,
-//! `<` fires strictly below. The `steps-per-sec` floor is usually
-//! derived from a baseline JSON (`steps_per_sec` key) via
-//! [`steps_floor_from_baseline`].
-
-use serde_json::Value;
+//! `<` fires strictly below.
 
 use crate::journal::JournalEvent;
 
@@ -265,21 +261,6 @@ fn parse_rule(part: &str) -> Result<AlertRule, String> {
     }
 }
 
-/// Derives a `steps-per-sec` floor from a baseline JSON text: the floor
-/// is `steps_per_sec * (1 - allowed_regression)`. The baseline must
-/// carry a top-level numeric `steps_per_sec` key.
-pub fn steps_floor_from_baseline(json: &str, allowed_regression: f64) -> Result<f64, String> {
-    let v: Value = serde_json::from_str(json).map_err(|e| format!("baseline: {e}"))?;
-    let sps = v
-        .get("steps_per_sec")
-        .and_then(Value::as_f64)
-        .ok_or("baseline: missing numeric \"steps_per_sec\"")?;
-    if !(0.0..=1.0).contains(&allowed_regression) {
-        return Err("baseline: allowed regression must be in [0, 1]".into());
-    }
-    Ok(sps * (1.0 - allowed_regression))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,13 +364,5 @@ mod tests {
         let mut e = AlertEngine::parse("heartbeat-gap>0").unwrap();
         let a = e.observe(&lost(1, 1)).remove(0);
         assert!(e.observe(&a).is_empty());
-    }
-
-    #[test]
-    fn baseline_floor_derivation() {
-        let floor = steps_floor_from_baseline("{\"steps_per_sec\": 200.0}", 0.1).unwrap();
-        assert!((floor - 180.0).abs() < 1e-12);
-        assert!(steps_floor_from_baseline("{}", 0.1).is_err());
-        assert!(steps_floor_from_baseline("{\"steps_per_sec\": 1.0}", 2.0).is_err());
     }
 }

@@ -35,7 +35,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-pub use alerts::{steps_floor_from_baseline, AlertEngine, AlertRule};
+pub use alerts::{AlertEngine, AlertRule};
 pub use journal::{
     parse_journal, parse_tagged_journal, read_journal, read_tagged_journal, JournalEvent,
     JournalWriter, PhaseSeconds, StepMode, TaggedEvent,

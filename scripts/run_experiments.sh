@@ -10,7 +10,7 @@ BINS=(
   fig10_randem_latency fig11_classify_latency fig12_accuracy
   fig13_speedup fig14_breakdown fig15_batchsize tab06_power
   nvopt_compare abl_sampling abl_randem abl_scheduler abl_budget
-  abl_sensitivity abl_overlap ext_multinode
+  abl_sensitivity abl_overlap abl_skip ext_multinode
 )
 
 cargo build --release --locked -p fae-bench

@@ -18,7 +18,8 @@
 //! `fae-net` — bit-identical to the in-process engine with the same
 //! worker count.
 //!
-//! Argument parsing is deliberately dependency-free (flag pairs only).
+//! Argument parsing is deliberately dependency-free (flag pairs only); a
+//! flag the subcommand does not read is an error, not a no-op.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -37,16 +38,89 @@ use fae::serve::{
 };
 use fae::telemetry::{self, AlertEngine, TaggedEvent, Telemetry};
 
+// The flags each helper below reads, so a subcommand's set is the sum of
+// the helpers it calls plus its own.
+const WORKLOAD: &[&str] = &["workload", "spec-file", "inputs", "seed"];
+const CALIBRATOR: &[&str] = &["budget-mb", "small-table-kb", "sample-rate"];
+const TRAIN_CONFIG: &[&str] =
+    &["epochs", "batch", "gpus", "workers", "lr", "quantize-cold", "lookahead", "stale-skip"];
+const TELEMETRY: &[&str] =
+    &["metrics-out", "journal", "trace-out", "progress", "progress-every", "alerts"];
+const RESILIENCE: &[&str] =
+    &["fault-plan", "fault-seed", "checkpoint-dir", "checkpoint-every", "resume", "halt-after"];
+const SERVE_ENGINE: &[&str] = &[
+    "stream",
+    "checkpoint",
+    "checkpoint-dir",
+    "max-batch",
+    "max-delay-us",
+    "queue-cap",
+    "serve-workers",
+    "cache-rows",
+    "cache-window",
+];
+
+type Handler = fn(&Args) -> Result<(), String>;
+
+/// The flag-pair subcommands (`report` and `top` parse positional
+/// arguments themselves): the handler and every flag it reads.
+fn subcommand(cmd: &str) -> Option<(Handler, Vec<&'static str>)> {
+    let (run, flags): (Handler, &[&[&str]]) = match cmd {
+        "gen" => (cmd_gen, &[WORKLOAD]),
+        "calibrate" => (cmd_calibrate, &[WORKLOAD, CALIBRATOR]),
+        "preprocess" => (cmd_preprocess, &[WORKLOAD, CALIBRATOR, &["out", "batch"]]),
+        "train" => (
+            cmd_train,
+            &[
+                WORKLOAD,
+                CALIBRATOR,
+                TRAIN_CONFIG,
+                TELEMETRY,
+                RESILIENCE,
+                &["stream", "test-inputs", "distributed", "telemetry-every"],
+            ],
+        ),
+        "compare" => (cmd_compare, &[WORKLOAD, CALIBRATOR, TRAIN_CONFIG]),
+        "serve" => (
+            cmd_serve,
+            &[
+                WORKLOAD,
+                CALIBRATOR,
+                SERVE_ENGINE,
+                TELEMETRY,
+                &[
+                    "requests",
+                    "arrival-rate",
+                    "closed-clients",
+                    "record",
+                    "replay",
+                    "min-completed",
+                    "min-hit-rate",
+                ],
+            ],
+        ),
+        "bench-serve" => {
+            (cmd_bench_serve, &[WORKLOAD, CALIBRATOR, SERVE_ENGINE, &["requests", "out"]])
+        }
+        "node" => (cmd_node, &[&["connect", "node-id", "workers", "fault-plan", "fault-seed"]]),
+        _ => return None,
+    };
+    Some((run, flags.concat()))
+}
+
 struct Args {
     flags: Vec<(String, String)>,
 }
 
 impl Args {
-    fn parse(argv: &[String]) -> Result<Self, String> {
+    fn parse(cmd: &str, known: &[&str], argv: &[String]) -> Result<Self, String> {
         let mut flags = Vec::new();
         let mut it = argv.iter();
         while let Some(k) = it.next() {
             let key = k.strip_prefix("--").ok_or_else(|| format!("expected --flag, got '{k}'"))?;
+            if !known.contains(&key) {
+                return Err(format!("unknown flag --{key} for '{cmd}'"));
+            }
             let v = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
             flags.push((key.to_string(), v.clone()));
         }
@@ -172,25 +246,6 @@ fn train_config(args: &Args, spec: &WorkloadSpec) -> Result<TrainConfig, String>
     })
 }
 
-/// Parses `--alerts` / `--alert-baseline` into a rule engine. The
-/// baseline JSON (a bench result with a top-level `steps_per_sec`)
-/// appends a `steps-per-sec` floor at `(1 - --alert-regression)` of the
-/// recorded throughput.
-fn alerts_from(args: &Args) -> Result<AlertEngine, String> {
-    let mut engine = match args.get("alerts") {
-        Some(spec) => AlertEngine::parse(spec).map_err(|e| format!("--alerts: {e}"))?,
-        None => AlertEngine::empty(),
-    };
-    if let Some(p) = args.get("alert-baseline") {
-        let text = std::fs::read_to_string(p).map_err(|e| format!("--alert-baseline: {e}"))?;
-        let regression: f64 = args.num("alert-regression", 0.2f64)?;
-        let floor = telemetry::steps_floor_from_baseline(&text, regression)
-            .map_err(|e| format!("--alert-baseline: {e}"))?;
-        engine.push(telemetry::AlertRule::StepsPerSecFloor { floor });
-    }
-    Ok(engine)
-}
-
 /// Builds the telemetry handle from `--metrics-out` / `--journal` /
 /// `--trace-out` / `--progress` / `--alerts`. Disabled when none of
 /// them is given, so the hot loops keep their zero-overhead path.
@@ -199,7 +254,10 @@ fn telemetry_from(args: &Args) -> Result<Telemetry, String> {
     let journal = args.get("journal");
     let trace_out = args.get("trace-out");
     let progress: bool = args.num("progress", false)?;
-    let alerts = alerts_from(args)?;
+    let alerts = match args.get("alerts") {
+        Some(spec) => AlertEngine::parse(spec).map_err(|e| format!("--alerts: {e}"))?,
+        None => AlertEngine::empty(),
+    };
     let have_alerts = !alerts.is_empty();
     if metrics_out.is_none()
         && journal.is_none()
@@ -776,17 +834,12 @@ fn cmd_bench_serve(args: &Args) -> Result<(), String> {
         );
     }
 
-    let out = args.get("out").unwrap_or("results/BENCH_serve.json");
-    let path = Path::new(out);
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).map_err(|e| format!("{out}: {e}"))?;
-        }
+    if let Some(out) = args.get("out") {
+        let json = serde_json::to_string_pretty(&sweep_json(&sweep))
+            .expect("Value serialization cannot fail");
+        std::fs::write(out, json).map_err(|e| format!("--out: {e}"))?;
+        println!("\n[saved {out}]");
     }
-    let json =
-        serde_json::to_string_pretty(&sweep_json(&sweep)).expect("Value serialization cannot fail");
-    std::fs::write(path, json).map_err(|e| format!("{out}: {e}"))?;
-    println!("\n[saved {out}]");
     Ok(())
 }
 
@@ -824,8 +877,6 @@ const USAGE: &str =
                 --telemetry-every N  (poll workers for journal events
                                       every N steps; 0 disables shipping)
                 --alerts 'heartbeat-gap>G,reshard-storm>K,hit-rate<X,steps-per-sec<S'
-                --alert-baseline BENCH.json  --alert-regression FRAC
-                  (derive a steps-per-sec floor from a recorded bench)
                 (--metrics-out FILE.prom writes Prometheus text exposition)
   node:         --connect HOST:PORT  --node-id K  --workers N
                 --fault-plan 'kind@step,...'  --fault-seed S
@@ -837,7 +888,10 @@ const USAGE: &str =
                 --record FILE | --replay FILE
                 --min-completed N  --min-hit-rate F   (CI gates)
                 --metrics-out FILE.json  --journal FILE.jsonl  --trace-out FILE.json
-  bench-serve:  [--workload W] --requests N  --out FILE.json   (saturation sweep)
+  bench-serve:  [--workload W] --requests N  [--out FILE.json]
+                  (saturation sweep on simulated latencies: prints the
+                   table; --out also writes it as JSON; takes serve's
+                   engine flags)
   report:       fae report JOURNAL.jsonl [MORE.jsonl ...] [--merged]
                   (phase-breakdown table; several journals — or --merged —
                    merge on the simulated clock and check the cross-node
@@ -862,24 +916,93 @@ fn main() -> ExitCode {
         if cmd == "top" {
             return cmd_top(rest);
         }
-        let args = Args::parse(rest)?;
-        match cmd.as_str() {
-            "gen" => cmd_gen(&args),
-            "calibrate" => cmd_calibrate(&args),
-            "preprocess" => cmd_preprocess(&args),
-            "train" => cmd_train(&args),
-            "compare" => cmd_compare(&args),
-            "serve" => cmd_serve(&args),
-            "bench-serve" => cmd_bench_serve(&args),
-            "node" => cmd_node(&args),
-            other => Err(format!("unknown command '{other}'\n{USAGE}")),
-        }
+        let (handler, known) =
+            subcommand(cmd).ok_or_else(|| format!("unknown command '{cmd}'\n{USAGE}"))?;
+        handler(&Args::parse(cmd, &known, rest)?)
     };
     match run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(cmd: &str, flags: &[&str]) -> Result<Args, String> {
+        let (_, known) = subcommand(cmd).expect("a flag-pair subcommand");
+        let argv: Vec<String> = flags.iter().flat_map(|f| [format!("--{f}"), "1".into()]).collect();
+        Args::parse(cmd, &known, &argv)
+    }
+
+    /// Every `--flag` token in `text` must be one `cmd` reads (`report`
+    /// and `top` parse their own arguments).
+    fn assert_accepts(cmd: &str, text: &str) {
+        let Some((_, known)) = subcommand(cmd) else {
+            assert!(["report", "top"].contains(&cmd), "unknown subcommand '{cmd}'");
+            return;
+        };
+        for word in text.split_whitespace() {
+            let Some(flag) = word.trim_start_matches(['(', '\'']).strip_prefix("--") else {
+                continue;
+            };
+            let flag = flag.trim_end_matches(|c: char| !c.is_ascii_alphanumeric());
+            assert!(flag.is_empty() || known.contains(&flag), "'{cmd}' rejects --{flag}");
+        }
+    }
+
+    #[test]
+    fn a_misspelt_flag_is_rejected_by_every_subcommand() {
+        for cmd in
+            ["gen", "calibrate", "preprocess", "train", "compare", "serve", "bench-serve", "node"]
+        {
+            let err = parse(cmd, &["lookahed"]).err().expect("typo accepted");
+            assert_eq!(err, format!("unknown flag --lookahed for '{cmd}'"));
+        }
+        // A flag another subcommand reads is still unknown to this one.
+        assert!(parse("train", &["lookahead"]).is_ok());
+        assert!(parse("node", &["lookahead"]).is_err());
+    }
+
+    #[test]
+    fn every_flag_usage_names_for_a_subcommand_is_accepted_by_it() {
+        // USAGE is "  name:  flags..." blocks with indented continuations;
+        // the "common flags" block applies to everything but `node`.
+        let mut blocks: Vec<(&str, String)> = Vec::new();
+        for line in USAGE.lines().skip(1) {
+            match line.trim_start().split_once(':') {
+                Some((name, rest)) if line.starts_with("  ") && !line.starts_with("   ") => {
+                    blocks.push((name, rest.to_string()));
+                }
+                _ => blocks.last_mut().expect("USAGE opens with a block").1.push_str(line),
+            }
+        }
+        let (first, common) = blocks.remove(0);
+        assert_eq!(first, "common flags");
+        for (name, text) in &blocks {
+            assert_accepts(name, text);
+            if *name != "node" {
+                assert_accepts(name, &common);
+            }
+        }
+    }
+
+    #[test]
+    fn every_fae_command_line_in_the_ci_workflow_parses() {
+        let ci = include_str!("../../.github/workflows/ci.yml");
+        // One step's command runs up to the next step.
+        let steps: Vec<&str> = ci
+            .split("--bin fae -- ")
+            .skip(1)
+            .map(|chunk| chunk.split("\n      - ").next().unwrap_or(chunk))
+            .collect();
+        assert!(steps.len() >= 10, "found only {} `fae` command lines in ci.yml", steps.len());
+        for step in steps {
+            assert_accepts(step.split_whitespace().next().expect("a subcommand"), step);
         }
     }
 }
