@@ -440,6 +440,32 @@ mod tests {
     }
 
     #[test]
+    fn one_column_products_are_bitwise_the_general_kernel() {
+        // A one-column right-hand side against the same column doubled:
+        // two columns take the general axpy kernel, and its column 0 must
+        // be the one-column result bit for bit. Zeros and `-0.0` on the
+        // left exercise the zero-skip; 37 rows straddle the 8-lane unroll.
+        let x = Tensor::from_fn(37, 19, |r, c| match (r * 19 + c) % 7 {
+            0 => 0.0,
+            3 => -0.0,
+            k => ((r * 31 + c * 17) % 23) as f32 / 7.0 - 1.5 + k as f32 * 1e-3,
+        });
+        let doubled = |col: &Tensor| Tensor::hcat(&[col, col]);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let column0 = |t: &Tensor| bits(&t.hsplit(&[1, 1])[0]);
+
+        let w = Tensor::from_fn(19, 1, |r, _| ((r * 13) % 11) as f32 / 3.0 - 1.7);
+        let forward = x.matmul(&w);
+        assert_eq!(forward.shape(), (37, 1));
+        assert_eq!(bits(&forward), column0(&x.matmul(&doubled(&w))));
+
+        let g = Tensor::from_fn(37, 1, |r, _| if r % 5 == 0 { 0.0 } else { r as f32 / 9.0 - 2.0 });
+        let dw = x.matmul_transpose_lhs(&g);
+        assert_eq!(dw.shape(), (19, 1));
+        assert_eq!(bits(&dw), column0(&x.matmul_transpose_lhs(&doubled(&g))));
+    }
+
+    #[test]
     fn fill_zero_keeps_shape() {
         let mut a = t(2, 2, &[1.0, 2.0, 3.0, 4.0]);
         a.fill_zero();
