@@ -215,42 +215,48 @@ impl HotEmbeddings {
         bytes
     }
 
-    fn translate(&self, t: usize, indices: &[u32]) -> Vec<u32> {
-        let p = &self.partitions[t];
-        indices
-            .iter()
-            .map(|&g| {
-                p.hot_local(g).unwrap_or_else(|| {
-                    // fae-lint: allow(no-panic, reason = "classifier routing corruption: continuing would train on garbage rows, so fail fast")
-                    panic!("cold row {g} of table {t} looked up through the hot source")
-                })
-            })
-            .collect()
+    /// Global → hot-local for table `t`. A cold id `how`-ed ("looked up",
+    /// "updated") through this source is a bug in the input processor.
+    fn hot_local(&self, t: usize, global: u32, how: &str) -> u32 {
+        self.partitions[t].hot_local(global).unwrap_or_else(|| {
+            // fae-lint: allow(no-panic, reason = "classifier routing corruption: continuing would train on garbage rows, so fail fast")
+            panic!("cold row {global} of table {t} {how} through the hot source")
+        })
     }
 
-    /// Applies per-table sparse gradients through `&self`: remaps global
-    /// row ids to hot-local, then updates each table under its write
-    /// lock. This is the path the execution engine uses after reducing
-    /// worker gradients, and the one `fae-net`'s worker uses for the
-    /// coordinator's apply broadcast.
+    /// Applies per-table sparse gradients through `&self`: each table is
+    /// updated under its write lock, row by row through the global →
+    /// hot-local map. Partitions number hot rows in ascending global
+    /// order, so distinct ids stay distinct and there is nothing to
+    /// re-coalesce. This is the path the execution engine uses after
+    /// reducing worker gradients, and the one `fae-net`'s worker uses for
+    /// the coordinator's apply broadcast.
     pub fn apply_shared(&self, grads: &[SparseGrad], lr: f32) {
         assert_eq!(grads.len(), self.tables.len(), "one gradient per table");
-        for ((table, p), g) in self.tables.iter().zip(&self.partitions).zip(grads) {
-            // remap_ref borrows: no clone of the gradient arena per step.
-            let local = g.remap_ref(|global| {
-                p.hot_local(global)
-                    // fae-lint: allow(no-panic, reason = "classifier routing corruption: continuing would train on garbage rows, so fail fast")
-                    .unwrap_or_else(|| panic!("cold row {global} updated through the hot source"))
-            });
-            table.write().unwrap_or_else(PoisonError::into_inner).sgd_step_sparse(&local, lr);
+        for (t, (table, g)) in self.tables.iter().zip(grads).enumerate() {
+            table.write().unwrap_or_else(PoisonError::into_inner).sgd_step_sparse_by(
+                g,
+                lr,
+                |global| self.hot_local(t, global, "updated"),
+            );
         }
     }
 }
 
 impl EmbeddingSource for HotEmbeddings {
     fn lookup(&self, t: usize, indices: &[u32], offsets: &[usize]) -> Tensor {
-        let local = self.translate(t, indices);
-        self.tables[t].read().unwrap_or_else(PoisonError::into_inner).lookup_bag(&local, offsets)
+        self.tables[t].read().unwrap_or_else(PoisonError::into_inner).lookup_bag_by(
+            indices,
+            offsets,
+            |global| self.hot_local(t, global, "looked up"),
+        )
+    }
+
+    fn lookup_rows(&self, t: usize, indices: &[u32]) -> Tensor {
+        self.tables[t]
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .lookup_rows_by(indices, |global| self.hot_local(t, global, "looked up"))
     }
 
     fn apply_sparse_grads(&mut self, grads: &[SparseGrad], lr: f32) {

@@ -155,12 +155,17 @@ impl DeferredSparse {
         let mut flushed = 0u64;
         let mut out = Vec::with_capacity(access.len());
         for (rows, pool) in access.iter().zip(&mut self.pending) {
+            let mut taken: Vec<(u32, Box<[f32]>)> = rows
+                .as_ref()
+                .iter()
+                .filter_map(|&row| pool.remove(&row).map(|acc| (row, acc)))
+                .collect();
+            flushed += taken.len() as u64;
+            // Access sets arrive in batch order; ascending ids append.
+            taken.sort_unstable_by_key(|&(row, _)| row);
             let mut g = SparseGrad::new(self.dim);
-            for &row in rows.as_ref() {
-                if let Some(acc) = pool.remove(&row) {
-                    g.accumulate(row, &acc);
-                    flushed += 1;
-                }
+            for (row, acc) in &taken {
+                g.accumulate(*row, acc);
             }
             out.push(g);
         }

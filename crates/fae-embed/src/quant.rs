@@ -13,7 +13,7 @@ use fae_nn::Tensor;
 use rand::Rng;
 
 use crate::partition::HotColdPartition;
-use crate::sparse::SparseGrad;
+use crate::sparse::{check_offsets, SparseGrad};
 use crate::table::EmbeddingTable;
 
 /// Tag bit marking a row's slot as living in the hot `f32` arena.
@@ -217,12 +217,7 @@ impl TieredTable {
     /// hot rows accumulate from the arena, cold rows dequantize on the
     /// fly (no per-row allocation).
     pub fn lookup_bag(&self, indices: &[u32], offsets: &[usize]) -> Tensor {
-        assert!(!offsets.is_empty(), "offsets must contain batch+1 entries");
-        assert_eq!(
-            offsets.last().copied(),
-            Some(indices.len()),
-            "offsets must end at indices.len()"
-        );
+        check_offsets(indices, offsets);
         let batch = offsets.len() - 1;
         let mut out = Tensor::zeros(batch, self.dim);
         for b in 0..batch {

@@ -6,10 +6,10 @@
 //! sum pooling). DLRM performs exactly one lookup per table per sample;
 //! TBSM's sequence features produce multi-index bags.
 
-use fae_nn::Tensor;
+use fae_nn::{lanes, Tensor};
 use rand::Rng;
 
-use crate::sparse::SparseGrad;
+use crate::sparse::{check_offsets, SparseGrad};
 
 /// A `rows × dim` embedding table.
 ///
@@ -81,21 +81,38 @@ impl EmbeddingTable {
     /// Sum-pooled bag lookup. `offsets` has `batch + 1` entries delimiting
     /// each sample's slice of `indices`.
     pub fn lookup_bag(&self, indices: &[u32], offsets: &[usize]) -> Tensor {
-        assert!(!offsets.is_empty(), "offsets must contain batch+1 entries");
-        assert_eq!(
-            offsets.last().copied(),
-            Some(indices.len()),
-            "offsets must end at indices.len()"
-        );
-        let batch = offsets.len() - 1;
-        let mut out = Tensor::zeros(batch, self.dim);
-        for b in 0..batch {
+        self.lookup_bag_by(indices, offsets, |idx| idx)
+    }
+
+    /// [`Self::lookup_bag`] over ids in another id space: row `map(idx)`
+    /// is read for each index, so a compact replica needs no translated
+    /// copy of `indices`.
+    pub fn lookup_bag_by(
+        &self,
+        indices: &[u32],
+        offsets: &[usize],
+        map: impl Fn(u32) -> u32,
+    ) -> Tensor {
+        check_offsets(indices, offsets);
+        let mut out = Tensor::zeros(offsets.len() - 1, self.dim);
+        for (b, w) in offsets.windows(2).enumerate() {
             let dst = out.row_mut(b);
-            for &idx in &indices[offsets[b]..offsets[b + 1]] {
+            for &idx in &indices[w[0]..w[1]] {
                 // Elementwise 8-wide add: same accumulation order as the
                 // scalar loop it replaced (bag order is preserved).
-                fae_nn::lanes::add_assign(dst, self.weights.row(idx as usize));
+                lanes::add_assign(dst, self.weights.row(map(idx) as usize));
             }
+        }
+        out
+    }
+
+    /// One output row per index — [`Self::lookup_bag_by`] over unit bags,
+    /// without the offsets. Each row is added onto zeros as a bag's is,
+    /// so both read a `-0.0` weight as `+0.0`.
+    pub fn lookup_rows_by(&self, indices: &[u32], map: impl Fn(u32) -> u32) -> Tensor {
+        let mut out = Tensor::zeros(indices.len(), self.dim);
+        for (i, &idx) in indices.iter().enumerate() {
+            lanes::add_assign(out.row_mut(i), self.weights.row(map(idx) as usize));
         }
         out
     }
@@ -109,25 +126,22 @@ impl EmbeddingTable {
         offsets: &[usize],
         grad_out: &Tensor,
     ) -> SparseGrad {
-        let batch = offsets.len() - 1;
-        assert_eq!(grad_out.rows(), batch, "grad_out batch mismatch");
-        assert_eq!(grad_out.cols(), self.dim, "grad_out dim mismatch");
-        let mut sg = SparseGrad::new(self.dim);
-        for b in 0..batch {
-            let g = grad_out.row(b);
-            for &idx in &indices[offsets[b]..offsets[b + 1]] {
-                sg.accumulate(idx, g);
-            }
-        }
-        sg
+        SparseGrad::scatter_bags(self.dim, indices, offsets, grad_out)
     }
 
     /// Sparse SGD update: `row -= lr * grad` for each touched row. The
     /// gradient is already coalesced (duplicates summed in the arena), so
     /// each touched row is read and written exactly once per step.
     pub fn sgd_step_sparse(&mut self, grad: &SparseGrad, lr: f32) {
+        self.sgd_step_sparse_by(grad, lr, |idx| idx);
+    }
+
+    /// [`Self::sgd_step_sparse`] for a gradient keyed in another id space:
+    /// row `map(idx)` is updated. `map` must send distinct ids to distinct
+    /// rows, which is what keeps the gradient coalesced on this side.
+    pub fn sgd_step_sparse_by(&mut self, grad: &SparseGrad, lr: f32, map: impl Fn(u32) -> u32) {
         for (idx, g) in grad.iter() {
-            fae_nn::lanes::axpy(self.weights.row_mut(idx as usize), -lr, g);
+            lanes::axpy(self.weights.row_mut(map(idx) as usize), -lr, g);
         }
     }
 }
@@ -162,6 +176,24 @@ mod tests {
     fn lookup_rejects_bad_offsets() {
         let t = table_with(4, 2, |_, _| 0.0);
         let _ = t.lookup_bag(&[1, 2], &[0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "offsets must contain batch+1 entries")]
+    fn bag_backward_rejects_empty_offsets_as_the_lookup_does() {
+        let t = table_with(4, 2, |_, _| 0.0);
+        let _ = t.bag_backward(&[], &[], &Tensor::zeros(0, 2));
+    }
+
+    #[test]
+    fn mapped_lookups_read_the_mapped_rows() {
+        let t = table_with(4, 2, |r, c| (r * 10 + c) as f32);
+        // Ids 100.. name rows 3, 2, 1, 0.
+        let map = |id: u32| 103 - id;
+        let bags = t.lookup_bag_by(&[100, 101, 103], &[0, 2, 3], map);
+        assert_eq!(bags.as_slice(), t.lookup_bag(&[3, 2, 0], &[0, 2, 3]).as_slice());
+        let rows = t.lookup_rows_by(&[100, 101, 103], map);
+        assert_eq!(rows.as_slice(), t.lookup_bag(&[3, 2, 0], &[0, 1, 2, 3]).as_slice());
     }
 
     #[test]

@@ -34,32 +34,19 @@ impl SeqBatch {
         self.len() == 0
     }
 
-    /// Sequence length of sample `i`.
-    pub fn seq_len(&self, i: usize) -> usize {
-        self.offsets[i + 1] - self.offsets[i]
-    }
-
     /// Vector `t` of sample `i`.
     pub fn vector(&self, i: usize, t: usize) -> &[f32] {
         let v = self.offsets[i] + t;
         &self.data[v * self.dim..(v + 1) * self.dim]
-    }
-
-    fn vector_mut(&mut self, i: usize, t: usize) -> &mut [f32] {
-        let v = self.offsets[i] + t;
-        &mut self.data[v * self.dim..(v + 1) * self.dim]
-    }
-
-    /// A zeroed batch with the same ragged layout.
-    pub fn zeros_like(&self) -> SeqBatch {
-        SeqBatch { data: vec![0.0; self.data.len()], offsets: self.offsets.clone(), dim: self.dim }
     }
 }
 
 struct Cache {
     seq: SeqBatch,
     query: Tensor,
-    alphas: Vec<Vec<f32>>,
+    /// Attention weights, one per sequence vector, laid out as
+    /// `seq.offsets` lays out the vectors.
+    alphas: Vec<f32>,
 }
 
 /// Differentiable attention pooling.
@@ -74,27 +61,24 @@ impl AttentionPool {
     }
 
     /// Pools each sample's sequence into one context vector. Samples with
-    /// empty sequences yield a zero context.
-    // Index-based loops: each iteration reads several parallel ragged
-    // structures at (i, t); iterator chains obscure that symmetry.
-    #[allow(clippy::needless_range_loop)]
-    pub fn forward(&mut self, seq: &SeqBatch, query: &Tensor) -> Tensor {
+    /// empty sequences yield a zero context. `seq` is kept for the
+    /// backward pass, so it is taken by value.
+    pub fn forward(&mut self, seq: SeqBatch, query: &Tensor) -> Tensor {
         let (batch, d) = query.shape();
         assert_eq!(seq.len(), batch, "seq/query batch mismatch");
         assert_eq!(seq.dim, d, "seq/query width mismatch");
         let scale = 1.0 / (d as f32).sqrt();
         let mut ctx = Tensor::zeros(batch, d);
-        let mut alphas = Vec::with_capacity(batch);
+        let mut alphas = vec![0.0f32; seq.offsets[batch]];
         for i in 0..batch {
-            let ln = seq.seq_len(i);
-            if ln == 0 {
-                alphas.push(Vec::new());
+            let scores = &mut alphas[seq.offsets[i]..seq.offsets[i + 1]];
+            if scores.is_empty() {
                 continue;
             }
             let q = query.row(i);
-            let mut scores: Vec<f32> = (0..ln)
-                .map(|t| q.iter().zip(seq.vector(i, t)).map(|(&a, &b)| a * b).sum::<f32>() * scale)
-                .collect();
+            for (t, s) in scores.iter_mut().enumerate() {
+                *s = q.iter().zip(seq.vector(i, t)).map(|(&a, &b)| a * b).sum::<f32>() * scale;
+            }
             // Stable softmax.
             let max = scores.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
             let mut sum = 0.0f32;
@@ -111,14 +95,15 @@ impl AttentionPool {
                     *cv += a * v;
                 }
             }
-            alphas.push(scores);
         }
-        self.cached = Some(Cache { seq: seq.clone(), query: query.clone(), alphas });
+        self.cached = Some(Cache { seq, query: query.clone(), alphas });
         ctx
     }
 
     /// Backward pass: returns gradients for the sequence vectors (same
     /// ragged layout) and the query.
+    // Index-based loops: each iteration reads several parallel ragged
+    // structures at (i, t); iterator chains obscure that symmetry.
     #[allow(clippy::needless_range_loop)]
     pub fn backward(&mut self, grad_ctx: &Tensor) -> (SeqBatch, Tensor) {
         let Cache { seq, query, alphas } =
@@ -127,38 +112,37 @@ impl AttentionPool {
         let (batch, d) = query.shape();
         assert_eq!(grad_ctx.shape(), (batch, d), "grad shape mismatch");
         let scale = 1.0 / (d as f32).sqrt();
-        let mut d_seq = seq.zeros_like();
+        let mut d_seq = vec![0.0f32; seq.data.len()];
         let mut d_query = Tensor::zeros(batch, d);
+        let mut d_alpha = Vec::new();
         for i in 0..batch {
-            let ln = seq.seq_len(i);
-            if ln == 0 {
+            let (lo, hi) = (seq.offsets[i], seq.offsets[i + 1]);
+            if lo == hi {
                 continue;
             }
-            let alpha = &alphas[i];
+            let alpha = &alphas[lo..hi];
             let dc = grad_ctx.row(i);
             // dα_t = dc·v_t ; accumulate dv_t += α_t · dc.
-            let mut d_alpha = vec![0.0f32; ln];
-            for t in 0..ln {
-                let v = seq.vector(i, t);
-                d_alpha[t] = dc.iter().zip(v).map(|(&a, &b)| a * b).sum();
-            }
+            d_alpha.clear();
+            d_alpha.extend(
+                (0..hi - lo)
+                    .map(|t| dc.iter().zip(seq.vector(i, t)).map(|(&a, &b)| a * b).sum::<f32>()),
+            );
             // Softmax backward: ds_t = α_t (dα_t − Σ_j α_j dα_j).
             let dot: f32 = alpha.iter().zip(&d_alpha).map(|(&a, &g)| a * g).sum();
-            let d_scores: Vec<f32> =
-                alpha.iter().zip(&d_alpha).map(|(&a, &g)| a * (g - dot)).collect();
-            let q = query.row(i).to_vec();
+            let q = query.row(i);
             let dq = d_query.row_mut(i);
-            for t in 0..ln {
-                let ds = d_scores[t] * scale;
-                let v: Vec<f32> = seq.vector(i, t).to_vec();
-                let dv = d_seq.vector_mut(i, t);
+            for t in 0..hi - lo {
+                let ds = alpha[t] * (d_alpha[t] - dot) * scale;
+                let v = seq.vector(i, t);
+                let dv = &mut d_seq[(lo + t) * d..(lo + t + 1) * d];
                 for c in 0..d {
                     dv[c] += alpha[t] * dc[c] + ds * q[c];
                     dq[c] += ds * v[c];
                 }
             }
         }
-        (d_seq, d_query)
+        (SeqBatch { data: d_seq, offsets: seq.offsets, dim: d }, d_query)
     }
 }
 
@@ -182,7 +166,7 @@ mod tests {
         let s = seq(vec![0, 1], vec![3.0, -2.0], 2);
         let q = Tensor::from_vec(1, 2, vec![0.5, 0.5]);
         let mut att = AttentionPool::new();
-        let c = att.forward(&s, &q);
+        let c = att.forward(s, &q);
         assert_eq!(c.as_slice(), &[3.0, -2.0]);
     }
 
@@ -192,7 +176,7 @@ mod tests {
         let s = seq(vec![0, 2], vec![10.0, 0.0, 0.0, 10.0], 2);
         let q = Tensor::from_vec(1, 2, vec![5.0, 0.0]);
         let mut att = AttentionPool::new();
-        let c = att.forward(&s, &q);
+        let c = att.forward(s, &q);
         assert!(c.get(0, 0) > 9.0, "context {:?}", c.as_slice());
         assert!(c.get(0, 1) < 1.0);
     }
@@ -202,7 +186,7 @@ mod tests {
         let s = seq(vec![0, 0, 1], vec![1.0, 1.0], 2);
         let q = Tensor::from_vec(2, 2, vec![1.0, 1.0, 1.0, 1.0]);
         let mut att = AttentionPool::new();
-        let c = att.forward(&s, &q);
+        let c = att.forward(s, &q);
         assert_eq!(c.row(0), &[0.0, 0.0]);
         assert_eq!(c.row(1), &[1.0, 1.0]);
         // Backward should not touch the empty sample.
@@ -228,10 +212,10 @@ mod tests {
         let q = Tensor::from_vec(2, 3, vec![0.6, -0.3, 0.2, -0.5, 0.1, 0.9]);
         let objective = |s: &SeqBatch, q: &Tensor| {
             let mut att = AttentionPool::new();
-            att.forward(s, q).sum()
+            att.forward(s.clone(), q).sum()
         };
         let mut att = AttentionPool::new();
-        let c = att.forward(&s, &q);
+        let c = att.forward(s.clone(), &q);
         let (ds, dq) = att.backward(&Tensor::full(c.rows(), c.cols(), 1.0));
         let eps = 1e-3;
         for k in 0..s.data.len() {

@@ -27,14 +27,7 @@ use crate::train::RecModel;
 /// Scatters a pooled-bag output gradient back onto the rows each sample's
 /// bag touched (the embedding half of the backward pass).
 pub(crate) fn scatter_bag_grad(csr: &TableIndices, grad: &Tensor) -> SparseGrad {
-    let mut sg = SparseGrad::new(grad.cols());
-    for b in 0..csr.len() {
-        let g = grad.row(b);
-        for &idx in csr.bag(b) {
-            sg.accumulate(idx, g);
-        }
-    }
-    sg
+    SparseGrad::scatter_bags(grad.cols(), &csr.indices, &csr.offsets, grad)
 }
 
 /// The DLRM model.

@@ -17,6 +17,13 @@ pub trait EmbeddingSource {
     /// Sum-pooled bag lookup into table `t` (global row ids, CSR form).
     fn lookup(&self, t: usize, indices: &[u32], offsets: &[usize]) -> Tensor;
 
+    /// One output row per index — [`Self::lookup`] over unit bags, which
+    /// is what this default does; a source holding plain tables gathers
+    /// without building the offsets.
+    fn lookup_rows(&self, t: usize, indices: &[u32]) -> Tensor {
+        self.lookup(t, indices, &unit_offsets(indices.len()))
+    }
+
     /// Applies one sparse SGD step per table; `grads[t]` is keyed by
     /// global row ids.
     fn apply_sparse_grads(&mut self, grads: &[SparseGrad], lr: f32);
@@ -26,6 +33,11 @@ pub trait EmbeddingSource {
 
     /// Number of tables.
     fn num_tables(&self) -> usize;
+}
+
+/// Unit offsets `[0, 1, 2, ..., n]` exposing each index as its own row.
+fn unit_offsets(n: usize) -> Vec<usize> {
+    (0..=n).collect()
 }
 
 /// The full tables, resident in host memory (the paper's baseline
@@ -180,6 +192,13 @@ impl EmbeddingSource for MasterEmbeddings {
         match &self.tiered {
             Some(tiered) => tiered[t].lookup_bag(indices, offsets),
             None => self.tables[t].lookup_bag(indices, offsets),
+        }
+    }
+
+    fn lookup_rows(&self, t: usize, indices: &[u32]) -> Tensor {
+        match &self.tiered {
+            Some(tiered) => tiered[t].lookup_bag(indices, &unit_offsets(indices.len())),
+            None => self.tables[t].lookup_rows_by(indices, |idx| idx),
         }
     }
 

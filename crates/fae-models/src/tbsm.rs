@@ -37,7 +37,9 @@ pub struct Tbsm {
 }
 
 struct CachedBatch {
-    items: TableIndices,
+    /// The flat item stream; its offsets travel with the attention's
+    /// sequence batch.
+    items: Vec<u32>,
     categories: TableIndices,
     users: TableIndices,
 }
@@ -66,11 +68,6 @@ impl Tbsm {
     }
 }
 
-/// Unit offsets `[0, 1, 2, ..., n]` exposing each index as its own row.
-fn unit_offsets(n: usize) -> Vec<usize> {
-    (0..=n).collect()
-}
-
 impl RecModel for Tbsm {
     fn forward(&mut self, batch: &MiniBatch, emb: &dyn EmbeddingSource) -> Tensor {
         assert_eq!(batch.sparse.len(), 3, "TBSM batch must carry 3 tables");
@@ -96,12 +93,12 @@ impl RecModel for Tbsm {
 
         // Item behaviour sequence: one embedding row per step.
         let items = &batch.sparse[ITEMS];
-        let item_rows = emb.lookup(ITEMS, &items.indices, &unit_offsets(items.indices.len()));
+        let item_rows = emb.lookup_rows(ITEMS, &items.indices);
         let seq = SeqBatch { data: item_rows.into_vec(), offsets: items.offsets.clone(), dim: d };
-        let context = self.attention.forward(&seq, &query);
+        let context = self.attention.forward(seq, &query);
 
         self.cached = Some(CachedBatch {
-            items: items.clone(),
+            items: items.indices.clone(),
             categories: cats.clone(),
             users: users.clone(),
         });
@@ -121,26 +118,20 @@ impl RecModel for Tbsm {
         // Query fans out to bottom MLP, user embedding, category mean.
         self.bottom.backward(&d_query);
 
-        let n = d_query.rows();
-        let mut user_grads = SparseGrad::new(d);
-        let mut cat_grads = SparseGrad::new(d);
-        let mut item_grads = SparseGrad::new(d);
-        for i in 0..n {
-            let gq = d_query.row(i);
-            for &u in cached.users.bag(i) {
-                user_grads.accumulate(u, gq);
-            }
-            let cbag = cached.categories.bag(i);
-            if !cbag.is_empty() {
-                let scaled: Vec<f32> = gq.iter().map(|&g| g / cbag.len() as f32).collect();
-                for &c in cbag {
-                    cat_grads.accumulate(c, &scaled);
-                }
-            }
-            for (t, &it) in cached.items.bag(i).iter().enumerate() {
-                item_grads.accumulate(it, d_seq.vector(i, t));
+        let CachedBatch { items, categories, users } = cached;
+        // Each category of a sample's bag receives its mean's share.
+        let mut d_cat = Tensor::zeros(d_query.rows(), d);
+        for i in 0..d_query.rows() {
+            let ln = categories.bag(i).len().max(1) as f32;
+            for (o, &g) in d_cat.row_mut(i).iter_mut().zip(d_query.row(i)) {
+                *o = g / ln;
             }
         }
+        // Sequence step `p` of the flat item stream owns `d_seq` vector `p`.
+        let item_grads = SparseGrad::scatter(d, &items, |p| &d_seq.data[p * d..(p + 1) * d]);
+        let cat_grads =
+            SparseGrad::scatter_bags(d, &categories.indices, &categories.offsets, &d_cat);
+        let user_grads = SparseGrad::scatter_bags(d, &users.indices, &users.offsets, &d_query);
         vec![item_grads, cat_grads, user_grads]
     }
 

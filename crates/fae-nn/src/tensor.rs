@@ -147,7 +147,9 @@ impl Tensor {
     ///
     /// Uses the classic ikj loop order (streaming over `rhs` rows) and fans
     /// out over result rows with rayon once the work exceeds
-    /// `PAR_MATMUL_THRESHOLD`.
+    /// `PAR_MATMUL_THRESHOLD`. A one-column `rhs` (every model's last
+    /// layer) is one running sum per output row instead of `k` length-1
+    /// axpys: the same additions in the same order.
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(
             self.cols, rhs.rows,
@@ -159,6 +161,16 @@ impl Tensor {
         let work = m * k * n;
         let kernel = |row: usize, out_row: &mut [f32]| {
             let a_row = &self.data[row * k..(row + 1) * k];
+            if n == 1 {
+                let mut acc = 0.0f32;
+                for (&a, &b) in a_row.iter().zip(&rhs.data) {
+                    if a != 0.0 {
+                        acc += a * b;
+                    }
+                }
+                out_row[0] = acc;
+                return;
+            }
             for (i, &a) in a_row.iter().enumerate() {
                 if a == 0.0 {
                     continue;
@@ -194,6 +206,16 @@ impl Tensor {
         );
         let (k, m, n) = (self.rows, self.cols, rhs.cols);
         let mut out = vec![0.0f32; m * n];
+        if n == 1 {
+            // One output column: sample `b` adds `g[b] · x[b]` to all of
+            // it at once. Where the loop below skips a zero `x` this adds
+            // a signed zero, which leaves a sum that started at `+0.0`
+            // as it was — unless `g[b]` is not finite.
+            for (b, &g) in rhs.data.iter().enumerate() {
+                lanes::axpy(&mut out, g, self.row(b));
+            }
+            return Tensor { data: out, rows: m, cols: n };
+        }
         for b in 0..k {
             let x_row = self.row(b);
             let g_row = rhs.row(b);

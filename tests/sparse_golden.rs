@@ -1,7 +1,8 @@
 //! Golden pins for `SparseGrad`: the map-based accumulate it was before
 //! it became sorted rows beside an arena is kept here as
-//! [`Reference::accumulate`], and every way of building a gradient is
-//! held `to_bits`-equal to it. The trainer digests compare two runs of
+//! [`Reference::accumulate`], and every way of building a gradient —
+//! an `accumulate` loop, `scatter`, `scatter_bags`, `merge`, the wire —
+//! is held `to_bits`-equal to it. The trainer digests compare two runs of
 //! one build, so a rewrite that reordered an f32 sum on both sides would
 //! pass them; this reference would not move with it.
 //!
@@ -19,6 +20,7 @@ use fae::data::WorkloadSpec;
 use fae::embed::{AccessCounter, HotColdPartition, SparseGrad};
 use fae::models::{EmbeddingSource, MasterEmbeddings};
 use fae::net::{Frame, Message};
+use fae::nn::Tensor;
 
 const DIMS: [usize; 6] = [0, 1, 7, 8, 16, 17];
 const NAN_PAYLOAD: u32 = 0x7FC0_1234;
@@ -172,10 +174,50 @@ fn an_accumulate_loop_matches_the_reference() {
 }
 
 #[test]
+fn scatter_matches_the_reference() {
+    for (dim, ids, values) in cases() {
+        let g = SparseGrad::scatter(dim, &ids, |p| contribution(&values, dim, p));
+        assert_eq!(g.dim(), dim);
+        assert_eq!(
+            rows_of(&g),
+            reference_of(dim, &ids, &values).rows(),
+            "dim {dim} n {}",
+            ids.len()
+        );
+    }
+}
+
+#[test]
+fn scatter_bags_matches_the_reference() {
+    // The id stream cut into ragged bags, empty ones among them; every
+    // index of bag `b` receives row `b` of the bag gradient.
+    for (dim, ids, _) in cases() {
+        let mut rng = StdRng::seed_from_u64(ids.len() as u64 + dim as u64);
+        let mut offsets = vec![0usize];
+        while offsets[offsets.len() - 1] < ids.len() {
+            let at = offsets[offsets.len() - 1];
+            offsets.push((at + rng.gen_range(0usize..6)).min(ids.len()));
+        }
+        let bags = offsets.len() - 1;
+        let grad = Tensor::from_fn(bags, dim, |_, _| value(&mut rng));
+        let mut reference = Reference::new(dim);
+        for (b, w) in offsets.windows(2).enumerate() {
+            for &id in &ids[w[0]..w[1]] {
+                reference.accumulate(id, grad.row(b));
+            }
+        }
+        let g = SparseGrad::scatter_bags(dim, &ids, &offsets, &grad);
+        assert_eq!(rows_of(&g), reference.rows(), "dim {dim} n {} in {bags} bags", ids.len());
+    }
+}
+
+#[test]
 fn a_lone_negative_zero_reads_positive_zero() {
     let mut g = SparseGrad::new(2);
     g.accumulate(5, &[-0.0, -0.0]);
     assert_eq!(rows_of(&g), vec![(5, vec![0, 0])]);
+    let scattered = SparseGrad::scatter(2, &[5], |_| &[-0.0, -0.0]);
+    assert_eq!(rows_of(&scattered), vec![(5, vec![0, 0])]);
     let mut merged = SparseGrad::new(2);
     merged.merge(&SparseGrad::from_ascending_rows(2, &[5], vec![-0.0, -0.0]).expect("one row"));
     assert_eq!(rows_of(&merged), vec![(5, vec![0, 0])]);
