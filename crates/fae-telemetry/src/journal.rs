@@ -14,7 +14,8 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 use fae_sysmodel::{Phase, Timeline};
-use serde_json::{Map, Value};
+use serde::{Deserialize, Serialize};
+use serde_json::{Error, Map, Value};
 
 /// Per-phase simulated seconds of one charge, in `Phase::ALL` order.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
@@ -40,25 +41,36 @@ impl PhaseSeconds {
         self.0[phase.index()]
     }
 
-    fn to_json(self) -> Value {
+    /// Adds this charge onto running per-phase `totals`.
+    pub fn add_to(&self, totals: &mut [f64; 8]) {
+        for (slot, secs) in totals.iter_mut().zip(self.0) {
+            *slot += secs;
+        }
+    }
+}
+
+// On the wire: an object of the non-zero phases by name (`{}` for none).
+impl Serialize for PhaseSeconds {
+    fn to_value(&self) -> Value {
         let mut m = Map::new();
         for (phase, secs) in Phase::ALL.iter().zip(self.0) {
             if secs != 0.0 {
-                m.insert(phase.to_string(), serde_json::to_value(&secs));
+                m.insert(phase.to_string(), secs.to_value());
             }
         }
         Value::Object(m)
     }
+}
 
-    fn from_json(v: &Value) -> Result<Self, String> {
-        let m = v.as_object().ok_or("phases: expected an object")?;
+impl Deserialize for PhaseSeconds {
+    fn from_value(v: &Value) -> Result<Self, Error> {
         let mut out = [0.0; 8];
-        for (k, secs) in m.iter() {
-            let i = Phase::ALL
+        for (k, secs) in v.as_object_for("PhaseSeconds")?.iter() {
+            let phase = Phase::ALL
                 .iter()
-                .position(|p| p.to_string() == *k)
-                .ok_or_else(|| format!("phases: unknown phase '{k}'"))?;
-            out[i] = secs.as_f64().ok_or_else(|| format!("phases.{k}: expected a number"))?;
+                .find(|p| p.to_string() == *k)
+                .ok_or_else(|| Error::msg(format!("unknown phase '{k}'")))?;
+            out[phase.index()] = f64::from_value(secs)?;
         }
         Ok(PhaseSeconds(out))
     }
@@ -74,26 +86,39 @@ pub enum StepMode {
 }
 
 impl StepMode {
-    fn as_str(self) -> &'static str {
+    /// The wire (and display) name: `hot` or `cold`.
+    pub fn as_str(self) -> &'static str {
         match self {
             StepMode::Hot => "hot",
             StepMode::Cold => "cold",
         }
     }
+}
 
-    fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "hot" => Ok(StepMode::Hot),
-            "cold" => Ok(StepMode::Cold),
-            other => Err(format!("unknown step mode '{other}'")),
-        }
+impl Serialize for StepMode {
+    fn to_value(&self) -> Value {
+        Value::String(self.as_str().into())
+    }
+}
+
+impl Deserialize for StepMode {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        [StepMode::Hot, StepMode::Cold]
+            .into_iter()
+            .find(|m| v.as_str() == Some(m.as_str()))
+            .ok_or_else(|| Error::msg("expected \"hot\" or \"cold\""))
     }
 }
 
 /// One journal line. Every variant that charges simulated time carries
 /// its per-phase breakdown; summing `phases` over all events reproduces
 /// the run's `Timeline` exactly.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// This enum is the journal's schema: the codec is derived from it, so
+/// a field's name and position here are its name and position on the
+/// wire. Add a field in this one place, last in its variant, and make
+/// it an `Option` (absent ⇒ `None`) if older journals must still parse.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum JournalEvent {
     /// Run header: emitted once, first.
     RunStart {
@@ -318,29 +343,44 @@ pub enum JournalEvent {
     },
 }
 
-impl JournalEvent {
-    /// The `"type"` tag this event serializes under.
-    pub fn type_tag(&self) -> &'static str {
-        match self {
-            JournalEvent::RunStart { .. } => "run_start",
-            JournalEvent::Step { .. } => "step",
-            JournalEvent::Sync { .. } => "sync",
-            JournalEvent::Charge { .. } => "charge",
-            JournalEvent::Eval { .. } => "eval",
-            JournalEvent::Fault { .. } => "fault",
-            JournalEvent::Recovery { .. } => "recovery",
-            JournalEvent::NodeJoin { .. } => "node_join",
-            JournalEvent::NodeLost { .. } => "node_lost",
-            JournalEvent::Reshard { .. } => "reshard",
-            JournalEvent::RunEnd { .. } => "run_end",
-            JournalEvent::ServeStart { .. } => "serve_start",
-            JournalEvent::ServeBatch { .. } => "serve_batch",
-            JournalEvent::Mark { .. } => "mark",
-            JournalEvent::Alert { .. } => "alert",
-            JournalEvent::ServeEnd { .. } => "serve_end",
-        }
-    }
+/// Pairs every wire `"type"` tag with its variant, once:
+/// [`JournalEvent::type_tag`] is a match over these rows and the codec
+/// looks the derived variant object's key up in them.
+macro_rules! event_tags {
+    ($($tag:literal => $variant:ident,)*) => {
+        const EVENT_TAGS: &[(&str, &str)] = &[$(($tag, stringify!($variant))),*];
 
+        impl JournalEvent {
+            /// The `"type"` tag this event serializes under.
+            pub fn type_tag(&self) -> &'static str {
+                match self {
+                    $(JournalEvent::$variant { .. } => $tag,)*
+                }
+            }
+        }
+    };
+}
+
+event_tags! {
+    "run_start" => RunStart,
+    "step" => Step,
+    "sync" => Sync,
+    "charge" => Charge,
+    "eval" => Eval,
+    "fault" => Fault,
+    "recovery" => Recovery,
+    "node_join" => NodeJoin,
+    "node_lost" => NodeLost,
+    "reshard" => Reshard,
+    "run_end" => RunEnd,
+    "serve_start" => ServeStart,
+    "serve_batch" => ServeBatch,
+    "mark" => Mark,
+    "alert" => Alert,
+    "serve_end" => ServeEnd,
+}
+
+impl JournalEvent {
     /// The per-phase simulated charge this event carries, if any.
     pub fn phases(&self) -> Option<&PhaseSeconds> {
         match self {
@@ -353,323 +393,71 @@ impl JournalEvent {
         }
     }
 
-    /// Serializes to a single-line JSON object.
+    /// The step this event is anchored to on the coordinator clock.
+    pub fn step(&self) -> u64 {
+        match self {
+            JournalEvent::RunStart { .. } | JournalEvent::ServeStart { .. } => 0,
+            JournalEvent::Step { step, .. }
+            | JournalEvent::Sync { step, .. }
+            | JournalEvent::Charge { step, .. }
+            | JournalEvent::Eval { step, .. }
+            | JournalEvent::Fault { step, .. }
+            | JournalEvent::Recovery { step, .. }
+            | JournalEvent::NodeJoin { step, .. }
+            | JournalEvent::NodeLost { step, .. }
+            | JournalEvent::Reshard { step, .. }
+            | JournalEvent::Mark { step, .. }
+            | JournalEvent::Alert { step, .. } => *step,
+            JournalEvent::RunEnd { steps, .. } => *steps,
+            JournalEvent::ServeBatch { batch, .. } => *batch,
+            JournalEvent::ServeEnd { .. } => u64::MAX,
+        }
+    }
+
+    /// Serializes to a flat JSON object: the `"type"` tag, then the
+    /// variant's fields in declaration order.
     pub fn to_json(&self) -> Value {
         let mut m = Map::new();
         m.insert("type".into(), Value::String(self.type_tag().into()));
-        match self {
-            JournalEvent::RunStart {
-                workload,
-                seed,
-                num_gpus,
-                epochs,
-                minibatch_size,
-                initial_rate,
-                workers,
-                lookahead,
-                stale_skip,
-            } => {
-                m.insert("workload".into(), Value::String(workload.clone()));
-                m.insert("seed".into(), serde_json::to_value(seed));
-                m.insert("num_gpus".into(), serde_json::to_value(num_gpus));
-                m.insert("epochs".into(), serde_json::to_value(epochs));
-                m.insert("minibatch_size".into(), serde_json::to_value(minibatch_size));
-                m.insert("initial_rate".into(), serde_json::to_value(initial_rate));
-                m.insert("workers".into(), serde_json::to_value(workers));
-                m.insert("lookahead".into(), serde_json::to_value(lookahead));
-                m.insert("stale_skip".into(), serde_json::to_value(stale_skip));
-            }
-            JournalEvent::Step { step, mode, rate, loss, phases } => {
-                m.insert("step".into(), serde_json::to_value(step));
-                m.insert("mode".into(), Value::String(mode.as_str().into()));
-                m.insert("rate".into(), serde_json::to_value(rate));
-                m.insert("loss".into(), serde_json::to_value(loss));
-                m.insert("phases".into(), phases.to_json());
-            }
-            JournalEvent::Sync { step, direction, bytes, phases } => {
-                m.insert("step".into(), serde_json::to_value(step));
-                m.insert("direction".into(), Value::String(direction.clone()));
-                m.insert("bytes".into(), serde_json::to_value(bytes));
-                m.insert("phases".into(), phases.to_json());
-            }
-            JournalEvent::Charge { step, label, phases } => {
-                m.insert("step".into(), serde_json::to_value(step));
-                m.insert("label".into(), Value::String(label.clone()));
-                m.insert("phases".into(), phases.to_json());
-            }
-            JournalEvent::Eval {
-                step,
-                test_loss,
-                test_accuracy,
-                rate,
-                hot_steps,
-                cold_steps,
-                sim_seconds,
-            } => {
-                m.insert("step".into(), serde_json::to_value(step));
-                m.insert("test_loss".into(), serde_json::to_value(test_loss));
-                m.insert("test_accuracy".into(), serde_json::to_value(test_accuracy));
-                m.insert("rate".into(), serde_json::to_value(rate));
-                m.insert("hot_steps".into(), serde_json::to_value(hot_steps));
-                m.insert("cold_steps".into(), serde_json::to_value(cold_steps));
-                m.insert("sim_seconds".into(), serde_json::to_value(sim_seconds));
-            }
-            JournalEvent::Fault { step, kind } => {
-                m.insert("step".into(), serde_json::to_value(step));
-                m.insert("kind".into(), Value::String(kind.clone()));
-            }
-            JournalEvent::Recovery { step, action, detail } => {
-                m.insert("step".into(), serde_json::to_value(step));
-                m.insert("action".into(), Value::String(action.clone()));
-                m.insert("detail".into(), Value::String(detail.clone()));
-            }
-            JournalEvent::NodeJoin { step, node, epoch, state_bytes } => {
-                m.insert("step".into(), serde_json::to_value(step));
-                m.insert("node".into(), serde_json::to_value(node));
-                m.insert("epoch".into(), serde_json::to_value(epoch));
-                m.insert("state_bytes".into(), serde_json::to_value(state_bytes));
-            }
-            JournalEvent::NodeLost { step, node, suspicion } => {
-                m.insert("step".into(), serde_json::to_value(step));
-                m.insert("node".into(), serde_json::to_value(node));
-                m.insert("suspicion".into(), serde_json::to_value(suspicion));
-            }
-            JournalEvent::Reshard { step, node, live, phases } => {
-                m.insert("step".into(), serde_json::to_value(step));
-                m.insert("node".into(), serde_json::to_value(node));
-                m.insert("live".into(), serde_json::to_value(live));
-                m.insert("phases".into(), phases.to_json());
-            }
-            JournalEvent::RunEnd {
-                steps,
-                hot_steps,
-                cold_steps,
-                transitions,
-                simulated_seconds,
-                final_accuracy,
-                final_rate,
-                interrupted,
-            } => {
-                m.insert("steps".into(), serde_json::to_value(steps));
-                m.insert("hot_steps".into(), serde_json::to_value(hot_steps));
-                m.insert("cold_steps".into(), serde_json::to_value(cold_steps));
-                m.insert("transitions".into(), serde_json::to_value(transitions));
-                m.insert("simulated_seconds".into(), serde_json::to_value(simulated_seconds));
-                m.insert("final_accuracy".into(), serde_json::to_value(final_accuracy));
-                m.insert("final_rate".into(), serde_json::to_value(final_rate));
-                m.insert("interrupted".into(), serde_json::to_value(interrupted));
-            }
-            JournalEvent::ServeStart {
-                workload,
-                seed,
-                workers,
-                max_batch,
-                max_delay_us,
-                queue_cap,
-            } => {
-                m.insert("workload".into(), Value::String(workload.clone()));
-                m.insert("seed".into(), serde_json::to_value(seed));
-                m.insert("workers".into(), serde_json::to_value(workers));
-                m.insert("max_batch".into(), serde_json::to_value(max_batch));
-                m.insert("max_delay_us".into(), serde_json::to_value(max_delay_us));
-                m.insert("queue_cap".into(), serde_json::to_value(queue_cap));
-            }
-            JournalEvent::Mark { step, label, detail } => {
-                m.insert("step".into(), serde_json::to_value(step));
-                m.insert("label".into(), Value::String(label.clone()));
-                m.insert("detail".into(), Value::String(detail.clone()));
-            }
-            JournalEvent::Alert { step, rule, message, value, threshold } => {
-                m.insert("step".into(), serde_json::to_value(step));
-                m.insert("rule".into(), Value::String(rule.clone()));
-                m.insert("message".into(), Value::String(message.clone()));
-                m.insert("value".into(), serde_json::to_value(value));
-                m.insert("threshold".into(), serde_json::to_value(threshold));
-            }
-            JournalEvent::ServeBatch { batch, worker, size, start_s, hits, misses, phases } => {
-                m.insert("batch".into(), serde_json::to_value(batch));
-                m.insert("worker".into(), serde_json::to_value(worker));
-                m.insert("size".into(), serde_json::to_value(size));
-                m.insert("start_s".into(), serde_json::to_value(start_s));
-                m.insert("hits".into(), serde_json::to_value(hits));
-                m.insert("misses".into(), serde_json::to_value(misses));
-                m.insert("phases".into(), phases.to_json());
-            }
-            JournalEvent::ServeEnd {
-                completed,
-                rejected,
-                p50_ms,
-                p95_ms,
-                p99_ms,
-                throughput_rps,
-                hit_rate,
-                simulated_seconds,
-            } => {
-                m.insert("completed".into(), serde_json::to_value(completed));
-                m.insert("rejected".into(), serde_json::to_value(rejected));
-                m.insert("p50_ms".into(), serde_json::to_value(p50_ms));
-                m.insert("p95_ms".into(), serde_json::to_value(p95_ms));
-                m.insert("p99_ms".into(), serde_json::to_value(p99_ms));
-                m.insert("throughput_rps".into(), serde_json::to_value(throughput_rps));
-                m.insert("hit_rate".into(), serde_json::to_value(hit_rate));
-                m.insert("simulated_seconds".into(), serde_json::to_value(simulated_seconds));
+        // The derive renders `{"Variant": {fields}}`; the fields move.
+        if let Value::Object(outer) = self.to_value() {
+            if let Some((_, Value::Object(fields))) = outer.into_iter().next() {
+                for (key, value) in fields {
+                    m.insert(key, value);
+                }
             }
         }
         Value::Object(m)
     }
 
-    /// Parses one journal line's value tree.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        let tag = v.get("type").and_then(Value::as_str).ok_or("journal event: missing \"type\"")?;
-        let get_u64 = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("{tag}: missing or non-integer \"{key}\""))
-        };
-        let get_f64 = |key: &str| -> Result<f64, String> {
-            v.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("{tag}: missing or non-numeric \"{key}\""))
-        };
-        let get_str = |key: &str| -> Result<String, String> {
-            v.get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("{tag}: missing or non-string \"{key}\""))
-        };
-        let get_phases = || -> Result<PhaseSeconds, String> {
-            PhaseSeconds::from_json(v.get("phases").ok_or(format!("{tag}: missing \"phases\""))?)
-        };
-        let get_rate_opt = |key: &str| -> Result<Option<u32>, String> {
-            match v.get(key) {
-                None | Some(Value::Null) => Ok(None),
-                Some(r) => r
-                    .as_u64()
-                    .map(|u| Some(u as u32))
-                    .ok_or_else(|| format!("{tag}: non-integer \"{key}\"")),
+    /// Parses one journal line's value tree. Keys the variant does not
+    /// declare (the origin tag among them) are ignored; an integer that
+    /// does not fit its field is an error, not a wrap.
+    pub fn from_json(v: Value) -> Result<Self, String> {
+        let missing = "journal event: missing \"type\"";
+        let Value::Object(mut fields) = v else { return Err(missing.into()) };
+        let tag = fields.get("type").and_then(Value::as_str).ok_or(missing)?;
+        let (tag, variant) = *EVENT_TAGS
+            .iter()
+            .find(|(t, _)| *t == tag)
+            .ok_or_else(|| format!("unknown journal event type '{tag}'"))?;
+        if tag == "run_start" {
+            // Pre-engine journals have no `workers` (a serial run);
+            // pre-oracle ones have neither of the others (both off).
+            let defaults = [
+                ("workers", 1u64.to_value()),
+                ("lookahead", 0u64.to_value()),
+                ("stale_skip", 0f64.to_value()),
+            ];
+            for (key, default) in defaults {
+                if fields.get(key).is_none() {
+                    fields.insert(key.into(), default);
+                }
             }
-        };
-        Ok(match tag {
-            "run_start" => JournalEvent::RunStart {
-                workload: get_str("workload")?,
-                seed: get_u64("seed")?,
-                num_gpus: get_u64("num_gpus")? as usize,
-                epochs: get_u64("epochs")? as usize,
-                minibatch_size: get_u64("minibatch_size")? as usize,
-                initial_rate: get_u64("initial_rate")? as u32,
-                // Pre-engine journals have no workers field: serial run.
-                workers: v.get("workers").and_then(Value::as_u64).unwrap_or(1) as usize,
-                // Pre-oracle journals have neither of these: both off.
-                lookahead: v.get("lookahead").and_then(Value::as_u64).unwrap_or(0),
-                stale_skip: v.get("stale_skip").and_then(Value::as_f64).unwrap_or(0.0),
-            },
-            "step" => JournalEvent::Step {
-                step: get_u64("step")?,
-                mode: StepMode::parse(&get_str("mode")?)?,
-                rate: get_u64("rate")? as u32,
-                loss: get_f64("loss")?,
-                phases: get_phases()?,
-            },
-            "sync" => JournalEvent::Sync {
-                step: get_u64("step")?,
-                direction: get_str("direction")?,
-                bytes: get_u64("bytes")?,
-                phases: get_phases()?,
-            },
-            "charge" => JournalEvent::Charge {
-                step: get_u64("step")?,
-                label: get_str("label")?,
-                phases: get_phases()?,
-            },
-            "eval" => JournalEvent::Eval {
-                step: get_u64("step")?,
-                test_loss: get_f64("test_loss")?,
-                test_accuracy: get_f64("test_accuracy")?,
-                rate: get_rate_opt("rate")?,
-                hot_steps: get_u64("hot_steps")?,
-                cold_steps: get_u64("cold_steps")?,
-                sim_seconds: get_f64("sim_seconds")?,
-            },
-            "fault" => JournalEvent::Fault { step: get_u64("step")?, kind: get_str("kind")? },
-            "recovery" => JournalEvent::Recovery {
-                step: get_u64("step")?,
-                action: get_str("action")?,
-                detail: get_str("detail")?,
-            },
-            "node_join" => JournalEvent::NodeJoin {
-                step: get_u64("step")?,
-                node: get_u64("node")?,
-                epoch: get_u64("epoch")?,
-                state_bytes: get_u64("state_bytes")?,
-            },
-            "node_lost" => JournalEvent::NodeLost {
-                step: get_u64("step")?,
-                node: get_u64("node")?,
-                suspicion: get_u64("suspicion")?,
-            },
-            "reshard" => JournalEvent::Reshard {
-                step: get_u64("step")?,
-                node: get_u64("node")?,
-                live: get_u64("live")?,
-                phases: get_phases()?,
-            },
-            "run_end" => JournalEvent::RunEnd {
-                steps: get_u64("steps")?,
-                hot_steps: get_u64("hot_steps")?,
-                cold_steps: get_u64("cold_steps")?,
-                transitions: get_u64("transitions")?,
-                simulated_seconds: get_f64("simulated_seconds")?,
-                final_accuracy: get_f64("final_accuracy")?,
-                final_rate: get_rate_opt("final_rate")?,
-                interrupted: v
-                    .get("interrupted")
-                    .and_then(|b| match b {
-                        Value::Bool(x) => Some(*x),
-                        _ => None,
-                    })
-                    .ok_or("run_end: missing \"interrupted\"")?,
-            },
-            "serve_start" => JournalEvent::ServeStart {
-                workload: get_str("workload")?,
-                seed: get_u64("seed")?,
-                workers: get_u64("workers")? as usize,
-                max_batch: get_u64("max_batch")? as usize,
-                max_delay_us: get_u64("max_delay_us")?,
-                queue_cap: get_u64("queue_cap")? as usize,
-            },
-            "mark" => JournalEvent::Mark {
-                step: get_u64("step")?,
-                label: get_str("label")?,
-                detail: get_str("detail")?,
-            },
-            "alert" => JournalEvent::Alert {
-                step: get_u64("step")?,
-                rule: get_str("rule")?,
-                message: get_str("message")?,
-                value: get_f64("value")?,
-                threshold: get_f64("threshold")?,
-            },
-            "serve_batch" => JournalEvent::ServeBatch {
-                batch: get_u64("batch")?,
-                worker: get_u64("worker")? as usize,
-                size: get_u64("size")? as usize,
-                start_s: get_f64("start_s")?,
-                hits: get_u64("hits")?,
-                misses: get_u64("misses")?,
-                phases: get_phases()?,
-            },
-            "serve_end" => JournalEvent::ServeEnd {
-                completed: get_u64("completed")?,
-                rejected: get_u64("rejected")?,
-                p50_ms: get_f64("p50_ms")?,
-                p95_ms: get_f64("p95_ms")?,
-                p99_ms: get_f64("p99_ms")?,
-                throughput_rps: get_f64("throughput_rps")?,
-                hit_rate: get_f64("hit_rate")?,
-                simulated_seconds: get_f64("simulated_seconds")?,
-            },
-            other => return Err(format!("unknown journal event type '{other}'")),
-        })
+        }
+        let mut outer = Map::new();
+        outer.insert(variant.into(), Value::Object(fields));
+        JournalEvent::from_value(&Value::Object(outer)).map_err(|e| format!("{tag}: {e}"))
     }
 }
 
@@ -693,121 +481,68 @@ pub struct TaggedEvent {
 }
 
 impl TaggedEvent {
-    /// Serializes to the single-line JSON object the journal stores:
+    /// The one-line JSONL form the journal stores (no trailing newline):
     /// the event's own object plus `node_id` and `seq` keys.
-    pub fn to_json(&self) -> Value {
+    pub fn to_line(&self) -> String {
         let mut v = self.event.to_json();
         if let Value::Object(m) = &mut v {
             m.insert("node_id".into(), serde_json::to_value(&self.node_id));
             m.insert("seq".into(), serde_json::to_value(&self.seq));
         }
-        v
-    }
-
-    /// The one-line JSONL form (no trailing newline).
-    pub fn to_line(&self) -> String {
-        serde_json::to_string(&self.to_json()).unwrap_or_default()
+        serde_json::to_string(&v).unwrap_or_default()
     }
 
     /// Parses a tagged line's value tree. Legacy lines without the tag
     /// fall back to `node_id` 0 and `seq = fallback_seq`, so pre-plane
     /// journals keep parsing.
-    pub fn from_json(v: &Value, fallback_seq: u64) -> Result<Self, String> {
-        let event = JournalEvent::from_json(v)?;
+    pub fn from_json(v: Value, fallback_seq: u64) -> Result<Self, String> {
         let node_id = v.get("node_id").and_then(Value::as_u64).unwrap_or(0);
         let seq = v.get("seq").and_then(Value::as_u64).unwrap_or(fallback_seq);
-        Ok(TaggedEvent { node_id, seq, event })
+        Ok(TaggedEvent { node_id, seq, event: JournalEvent::from_json(v)? })
+    }
+
+    /// `events` as node `node_id` would have emitted them: `seq` 0, 1, …
+    #[cfg(test)]
+    pub(crate) fn stream(node_id: u64, events: Vec<JournalEvent>) -> Vec<TaggedEvent> {
+        (0..).zip(events).map(|(seq, event)| TaggedEvent { node_id, seq, event }).collect()
     }
 }
 
-/// An incremental JSONL writer. Every [`write`](JournalWriter::write)
-/// appends one line and flushes, so the file on disk is always a valid
-/// prefix of the journal — a crash costs at most the line being written.
-/// Every line is tagged with the writer's `node_id` and a running `seq`.
+/// An incremental JSONL writer. Every line it is handed is appended and
+/// flushed, so the file on disk is always a valid prefix of the journal
+/// — a crash costs at most the line being written. Lines arrive already
+/// tagged at their origin ([`TaggedEvent::to_line`]): the coordinator
+/// persists its own events and shipped worker batches the same way.
 #[derive(Debug)]
 pub struct JournalWriter {
     out: BufWriter<File>,
-    node_id: u64,
-    lines: u64,
 }
 
 impl JournalWriter {
-    /// Creates (truncates) the journal file at `path`, tagging lines as
-    /// node 0 (the single-process / coordinator convention).
+    /// Creates (truncates) the journal file at `path`, with any missing
+    /// parent directories.
     pub fn create(path: &Path) -> io::Result<Self> {
-        Self::create_for_node(path, 0)
-    }
-
-    /// Creates (truncates) the journal file at `path`, tagging lines
-    /// with `node_id`.
-    pub fn create_for_node(path: &Path, node_id: u64) -> io::Result<Self> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        Ok(Self { out: BufWriter::new(File::create(path)?), node_id, lines: 0 })
+        Ok(Self { out: BufWriter::new(File::create(path)?) })
     }
 
-    /// Appends one event (tagged with this writer's node id and the next
-    /// sequence number) and flushes it to disk.
-    pub fn write(&mut self, event: &JournalEvent) -> io::Result<()> {
-        let tagged = TaggedEvent { node_id: self.node_id, seq: self.lines, event: event.clone() };
-        self.write_raw_line(&tagged.to_line())
-    }
-
-    /// Appends one pre-serialized JSONL line verbatim (already tagged at
-    /// its origin — used when the coordinator persists shipped worker
-    /// events without re-tagging them).
+    /// Appends one JSONL line verbatim and flushes it to disk.
     pub fn write_raw_line(&mut self, line: &str) -> io::Result<()> {
         self.out.write_all(line.as_bytes())?;
         self.out.write_all(b"\n")?;
-        self.out.flush()?;
-        self.lines += 1;
-        Ok(())
-    }
-
-    /// Lines written so far.
-    pub fn lines(&self) -> u64 {
-        self.lines
+        self.out.flush()
     }
 }
 
 /// Parses a journal text (JSONL). Blank lines are skipped; a torn final
 /// line (crash mid-write) is tolerated and dropped, but a malformed line
-/// anywhere else is an error.
-pub fn parse_journal(text: &str) -> Result<Vec<JournalEvent>, String> {
-    let lines: Vec<&str> = text.lines().collect();
-    let mut events = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let value: Value = match serde_json::from_str(line) {
-            Ok(v) => v,
-            Err(e) if i + 1 == lines.len() => {
-                eprintln!("journal: dropping torn final line: {e}");
-                break;
-            }
-            Err(e) => return Err(format!("journal line {}: {e}", i + 1)),
-        };
-        events.push(
-            JournalEvent::from_json(&value).map_err(|e| format!("journal line {}: {e}", i + 1))?,
-        );
-    }
-    Ok(events)
-}
-
-/// Reads and parses a journal file.
-pub fn read_journal(path: &Path) -> Result<Vec<JournalEvent>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    parse_journal(&text)
-}
-
-/// Parses a journal text keeping origin tags. Same torn-final-line
-/// tolerance as [`parse_journal`]; legacy untagged lines come back as
-/// node 0 with `seq` equal to their position in the file, so pre-plane
-/// journals merge like a single-node stream.
+/// anywhere else is an error. Legacy untagged lines come back as node 0
+/// with `seq` equal to their position in the file, so pre-plane journals
+/// merge like a single-node stream.
 pub fn parse_tagged_journal(text: &str) -> Result<Vec<TaggedEvent>, String> {
     let lines: Vec<&str> = text.lines().collect();
     let mut events = Vec::with_capacity(lines.len());
@@ -824,14 +559,14 @@ pub fn parse_tagged_journal(text: &str) -> Result<Vec<TaggedEvent>, String> {
             Err(e) => return Err(format!("journal line {}: {e}", i + 1)),
         };
         events.push(
-            TaggedEvent::from_json(&value, events.len() as u64)
+            TaggedEvent::from_json(value, events.len() as u64)
                 .map_err(|e| format!("journal line {}: {e}", i + 1))?,
         );
     }
     Ok(events)
 }
 
-/// Reads and parses a journal file keeping origin tags.
+/// Reads and parses a journal file.
 pub fn read_tagged_journal(path: &Path) -> Result<Vec<TaggedEvent>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     parse_tagged_journal(&text)
@@ -958,7 +693,7 @@ mod tests {
     #[test]
     fn events_round_trip_through_json() {
         for e in sample_events() {
-            let back = JournalEvent::from_json(&e.to_json()).expect("round trip");
+            let back = JournalEvent::from_json(e.to_json()).expect("round trip");
             assert_eq!(back, e);
         }
     }
@@ -968,13 +703,12 @@ mod tests {
         let dir = std::env::temp_dir().join("fae-telemetry-journal");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("j.jsonl");
-        let events = sample_events();
+        let events = TaggedEvent::stream(0, sample_events());
         let mut w = JournalWriter::create(&path).unwrap();
         for e in &events {
-            w.write(e).unwrap();
+            w.write_raw_line(&e.to_line()).unwrap();
         }
-        assert_eq!(w.lines(), events.len() as u64);
-        let back = read_journal(&path).unwrap();
+        let back = read_tagged_journal(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(back, events);
     }
@@ -988,14 +722,14 @@ mod tests {
             text.push('\n');
         }
         text.push_str("{\"type\":\"step\",\"ste"); // torn mid-write
-        let back = parse_journal(&text).expect("torn tail tolerated");
-        assert_eq!(back, events);
+        let back = parse_tagged_journal(&text).expect("torn tail tolerated");
+        assert_eq!(back, TaggedEvent::stream(0, events));
     }
 
     #[test]
     fn malformed_interior_line_is_an_error() {
         let text = "not json\n{\"type\":\"fault\",\"step\":1,\"kind\":\"device-loss\"}\n";
-        assert!(parse_journal(text).is_err());
+        assert!(parse_tagged_journal(text).is_err());
     }
 
     #[test]
@@ -1017,7 +751,7 @@ mod tests {
         let line = "{\"type\":\"run_start\",\"workload\":\"w\",\"seed\":1,\"num_gpus\":2,\
                     \"epochs\":1,\"minibatch_size\":64,\"initial_rate\":50}";
         let v: Value = serde_json::from_str(line).unwrap();
-        match JournalEvent::from_json(&v).unwrap() {
+        match JournalEvent::from_json(v).unwrap() {
             JournalEvent::RunStart { workers, .. } => assert_eq!(workers, 1),
             other => panic!("parsed as {other:?}"),
         }
@@ -1026,44 +760,11 @@ mod tests {
     #[test]
     fn unknown_event_type_is_rejected() {
         let v: Value = serde_json::from_str("{\"type\":\"mystery\"}").unwrap();
-        assert!(JournalEvent::from_json(&v).is_err());
+        assert!(JournalEvent::from_json(v).is_err());
     }
 
     #[test]
-    fn written_lines_carry_node_id_and_seq() {
-        let dir = std::env::temp_dir().join("fae-telemetry-journal-tag");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tagged.jsonl");
-        let mut w = JournalWriter::create_for_node(&path, 3).unwrap();
-        for e in sample_events().iter().take(4) {
-            w.write(e).unwrap();
-        }
-        let tagged = read_tagged_journal(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(tagged.len(), 4);
-        for (i, t) in tagged.iter().enumerate() {
-            assert_eq!(t.node_id, 3);
-            assert_eq!(t.seq, i as u64);
-        }
-        // The plain parser reads the same file, dropping the tags.
-        assert_eq!(tagged[0].event.type_tag(), "run_start");
-    }
-
-    #[test]
-    fn default_writer_tags_node_zero() {
-        let dir = std::env::temp_dir().join("fae-telemetry-journal-tag0");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("n0.jsonl");
-        let mut w = JournalWriter::create(&path).unwrap();
-        w.write(&JournalEvent::Fault { step: 1, kind: "device-loss".into() }).unwrap();
-        let tagged = read_tagged_journal(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(tagged[0].node_id, 0);
-        assert_eq!(tagged[0].seq, 0);
-    }
-
-    #[test]
-    fn legacy_untagged_lines_parse_as_node_zero_in_file_order() {
+    fn legacy_lines_without_a_tag_parse_as_node_zero_in_file_order() {
         let text = "{\"type\":\"fault\",\"step\":1,\"kind\":\"device-loss\"}\n\
                     {\"type\":\"recovery\",\"step\":1,\"action\":\"a\",\"detail\":\"d\"}\n";
         let tagged = parse_tagged_journal(text).unwrap();
@@ -1080,7 +781,7 @@ mod tests {
             event: JournalEvent::Mark { step: 5, label: "task".into(), detail: "x".into() },
         };
         let v: Value = serde_json::from_str(&t.to_line()).unwrap();
-        let back = TaggedEvent::from_json(&v, 0).unwrap();
+        let back = TaggedEvent::from_json(v, 0).unwrap();
         assert_eq!(back, t);
     }
 }

@@ -7,10 +7,17 @@
 //! * [`span`] — RAII guards measuring real wall-clock seconds and
 //!   explicitly-attributed simulated seconds per pipeline stage;
 //! * [`journal`] — a crash-safe per-step JSONL event journal whose
-//!   per-phase simulated seconds sum exactly to the run's `Timeline`;
-//! * [`trace`] + [`report`] — consumers of the journal: a deterministic
-//!   Chrome trace-event (Perfetto) exporter and the Fig.-14-style phase
-//!   breakdown behind `fae report`.
+//!   per-phase simulated seconds sum exactly to the run's `Timeline`.
+//!   [`JournalEvent`] is the schema (its JSON codec is derived from the
+//!   enum) and [`TaggedEvent`] — an event plus the node and position it
+//!   was emitted at — is the one stream type: what is written, retained,
+//!   read back and handed to every consumer;
+//! * [`merge`], [`trace`], [`report`], [`top`] — consumers of that
+//!   stream: the cross-node merge on the simulated clock
+//!   ([`merge::event_times`] is the only place a stream becomes
+//!   instants), a deterministic Chrome trace-event (Perfetto) exporter,
+//!   the Fig.-14-style phase breakdown behind `fae report` and the
+//!   `fae top` dashboard.
 //!
 //! Everything hangs off the [`Telemetry`] handle: a cheap, cloneable,
 //! global-free capability that is threaded through the trainer,
@@ -30,19 +37,19 @@ pub mod span;
 pub mod top;
 pub mod trace;
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 pub use alerts::{AlertEngine, AlertRule};
 pub use journal::{
-    parse_journal, parse_tagged_journal, read_journal, read_tagged_journal, JournalEvent,
-    JournalWriter, PhaseSeconds, StepMode, TaggedEvent,
+    parse_tagged_journal, read_tagged_journal, JournalEvent, JournalWriter, PhaseSeconds, StepMode,
+    TaggedEvent,
 };
 pub use merge::{check_invariant, merge_tagged, MergeStats, MergedInvariant, ShipLedger};
 pub use metrics::{Histogram, MetricsRegistry, SpanStat};
-pub use report::{render, summarize, summarize_tagged, PhaseBreakdown, RunSummary, ServeSummary};
+pub use report::{render, summarize, PhaseBreakdown, RunSummary, ServeSummary};
 pub use span::SpanGuard;
 pub use top::render_top;
 pub use trace::{chrome_trace, merged_chrome_trace};
@@ -55,11 +62,7 @@ struct Inner {
     /// created lazily next to the main journal file.
     sidecars: Mutex<BTreeMap<u64, JournalWriter>>,
     alerts: Mutex<AlertEngine>,
-    events: Mutex<Vec<JournalEvent>>,
-    /// Tagged JSONL lines of everything this handle saw (own emissions
-    /// plus shipped worker lines), retained when `retain_events` is on —
-    /// the source for live observers and in-process merged traces.
-    lines: Mutex<Vec<String>>,
+    events: Mutex<Vec<TaggedEvent>>,
     seq: Mutex<u64>,
     node_id: u64,
     retain_events: bool,
@@ -167,20 +170,16 @@ impl Telemetry {
             Err(_) => 0,
         };
         let tagged = TaggedEvent { node_id: inner.node_id, seq, event: event.clone() };
-        let line = tagged.to_line();
         if let Ok(mut j) = inner.journal.lock() {
             if let Some(w) = j.as_mut() {
-                if let Err(e) = w.write_raw_line(&line) {
+                if let Err(e) = w.write_raw_line(&tagged.to_line()) {
                     eprintln!("telemetry: journal write failed: {e}");
                 }
             }
         }
         if inner.retain_events {
             if let Ok(mut ev) = inner.events.lock() {
-                ev.push(event.clone());
-            }
-            if let Ok(mut ls) = inner.lines.lock() {
-                ls.push(line);
+                ev.push(tagged);
             }
         }
         if inner.progress {
@@ -200,41 +199,31 @@ impl Telemetry {
 
     /// Persists a batch of shipped worker journal lines (already tagged
     /// at their origin): appended verbatim to the per-node sidecar file
-    /// `<journal>.node<k>.jsonl` next to the main journal, and retained
-    /// for live observers when `retain_events` is on. `wire_node` is the
-    /// worker's wire id (its journal tag is `wire_node + 1`).
+    /// `<journal>.node<k>.jsonl` next to the main journal, which is
+    /// created on the node's first batch. `wire_node` is the worker's
+    /// wire id (its journal tag is `wire_node + 1`). A no-op without a
+    /// journal file.
     pub fn ship_lines(&self, wire_node: u64, batch: &str) {
         let Some(inner) = &self.0 else { return };
-        let lines: Vec<&str> = batch.lines().filter(|l| !l.trim().is_empty()).collect();
-        if lines.is_empty() {
+        let Some(path) = sidecar_path(inner.journal_path.as_deref(), wire_node) else { return };
+        let mut lines = batch.lines().filter(|l| !l.trim().is_empty()).peekable();
+        if lines.peek().is_none() {
             return;
         }
-        if let Some(path) = sidecar_path(inner.journal_path.as_deref(), wire_node) {
-            if let Ok(mut sidecars) = inner.sidecars.lock() {
-                let writer = match sidecars.entry(wire_node) {
-                    std::collections::btree_map::Entry::Occupied(e) => Some(e.into_mut()),
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        match JournalWriter::create_for_node(&path, wire_node + 1) {
-                            Ok(w) => Some(e.insert(w)),
-                            Err(err) => {
-                                eprintln!("telemetry: sidecar {} failed: {err}", path.display());
-                                None
-                            }
-                        }
-                    }
-                };
-                if let Some(w) = writer {
-                    for l in &lines {
-                        if let Err(e) = w.write_raw_line(l) {
-                            eprintln!("telemetry: sidecar write failed: {e}");
-                        }
-                    }
+        let Ok(mut sidecars) = inner.sidecars.lock() else { return };
+        let writer = match sidecars.entry(wire_node) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => match JournalWriter::create(&path) {
+                Ok(w) => e.insert(w),
+                Err(err) => {
+                    eprintln!("telemetry: sidecar {} failed: {err}", path.display());
+                    return;
                 }
-            }
-        }
-        if inner.retain_events {
-            if let Ok(mut ls) = inner.lines.lock() {
-                ls.extend(lines.iter().map(|l| l.to_string()));
+            },
+        };
+        for l in lines {
+            if let Err(e) = writer.write_raw_line(l) {
+                eprintln!("telemetry: sidecar write failed: {e}");
             }
         }
     }
@@ -249,10 +238,7 @@ impl Telemetry {
             JournalEvent::Step { step, mode, rate, loss, .. }
                 if *step % inner.progress_every == 0 =>
             {
-                let mode = match mode {
-                    StepMode::Hot => "hot",
-                    StepMode::Cold => "cold",
-                };
+                let mode = mode.as_str();
                 eprintln!("[fae] step {step} mode={mode} rate=R({rate}) loss={loss:.5}");
             }
             JournalEvent::Eval { step, test_loss, test_accuracy, rate, sim_seconds, .. } => {
@@ -287,23 +273,13 @@ impl Telemetry {
         }
     }
 
-    /// The retained in-memory event stream (empty unless
+    /// The retained in-memory stream of this handle's own emissions, as
+    /// written to its journal (empty unless
     /// [`TelemetryBuilder::retain_events`] was set).
-    pub fn events(&self) -> Vec<JournalEvent> {
+    pub fn events(&self) -> Vec<TaggedEvent> {
         match &self.0 {
             None => Vec::new(),
             Some(inner) => inner.events.lock().map(|e| e.clone()).unwrap_or_default(),
-        }
-    }
-
-    /// The retained tagged JSONL lines — this handle's own emissions
-    /// plus every shipped worker line, in arrival order. Empty unless
-    /// [`TelemetryBuilder::retain_events`] was set. This is what a live
-    /// observer (`fae top <addr>`) is served.
-    pub fn tagged_lines(&self) -> Vec<String> {
-        match &self.0 {
-            None => Vec::new(),
-            Some(inner) => inner.lines.lock().map(|l| l.clone()).unwrap_or_default(),
         }
     }
 
@@ -350,6 +326,31 @@ fn sidecar_path(journal: Option<&Path>, wire_node: u64) -> Option<PathBuf> {
     let journal = journal?;
     let stem = journal.file_stem()?.to_string_lossy().into_owned();
     Some(journal.with_file_name(format!("{stem}.node{wire_node}.jsonl")))
+}
+
+/// The sidecar journals on disk next to `journal` — the naming rule
+/// [`Telemetry::ship_lines`] writes by, read backwards: every
+/// `stem.node<k>.jsonl` in its directory, in `k` order. A sidecar is created on its node's first shipped batch, so
+/// any `k` may be missing (a worker that died before its first poll).
+pub fn discover_sidecars(journal: &Path) -> Vec<PathBuf> {
+    let Some(stem) = journal.file_stem().map(|s| s.to_string_lossy().into_owned()) else {
+        return Vec::new();
+    };
+    let dir = match journal.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    let Ok(entries) = std::fs::read_dir(dir) else { return Vec::new() };
+    let mut found: Vec<(u64, PathBuf)> = entries
+        .filter_map(|e| {
+            let name = e.ok()?.file_name();
+            let k = name.to_str()?.strip_prefix(&stem)?.strip_prefix(".node")?;
+            let k: u64 = k.strip_suffix(".jsonl")?.parse().ok()?;
+            Some((k, journal.with_file_name(&name)))
+        })
+        .collect();
+    found.sort();
+    found.into_iter().map(|(_, p)| p).collect()
 }
 
 /// Configures and builds an enabled [`Telemetry`] handle.
@@ -408,7 +409,7 @@ impl TelemetryBuilder {
     pub fn try_build(self) -> io::Result<Telemetry> {
         let journal = match &self.journal_path {
             None => None,
-            Some(p) => Some(JournalWriter::create_for_node(p, self.node_id)?),
+            Some(p) => Some(JournalWriter::create(p)?),
         };
         Ok(Telemetry(Some(Arc::new(Inner {
             metrics: Mutex::new(MetricsRegistry::new()),
@@ -417,7 +418,6 @@ impl TelemetryBuilder {
             sidecars: Mutex::new(BTreeMap::new()),
             alerts: Mutex::new(self.alerts.unwrap_or_else(AlertEngine::empty)),
             events: Mutex::new(Vec::new()),
-            lines: Mutex::new(Vec::new()),
             seq: Mutex::new(0),
             node_id: self.node_id,
             retain_events: self.retain_events,
@@ -466,10 +466,41 @@ mod tests {
             action: "shrank-replicas".into(),
             detail: "2 -> 1".into(),
         });
-        let events = read_journal(&path).unwrap();
+        let events = read_tagged_journal(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(events.len(), 2);
-        assert_eq!(events[0], JournalEvent::Fault { step: 1, kind: "device-loss".into() });
+        assert_eq!(events[0].event, JournalEvent::Fault { step: 1, kind: "device-loss".into() });
+    }
+
+    #[test]
+    fn emitted_lines_carry_node_id_and_seq() {
+        let dir = std::env::temp_dir().join("fae-telemetry-journal-tag");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("tagged.jsonl");
+        let t = Telemetry::builder().journal_path(&path).node_id(3).try_build().unwrap();
+        for step in 1..=4 {
+            t.emit(&JournalEvent::Fault { step, kind: "device-loss".into() });
+        }
+        let tagged = read_tagged_journal(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(tagged.len(), 4);
+        for (i, t) in tagged.iter().enumerate() {
+            assert_eq!(t.node_id, 3);
+            assert_eq!(t.seq, i as u64);
+        }
+    }
+
+    #[test]
+    fn default_handle_tags_node_zero() {
+        let dir = std::env::temp_dir().join("fae-telemetry-journal-tag0");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("n0.jsonl");
+        let t = Telemetry::builder().journal_path(&path).try_build().unwrap();
+        t.emit(&JournalEvent::Fault { step: 1, kind: "device-loss".into() });
+        let tagged = read_tagged_journal(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(tagged[0].node_id, 0);
+        assert_eq!(tagged[0].seq, 0);
     }
 
     #[test]
@@ -479,23 +510,19 @@ mod tests {
         t.emit(&JournalEvent::NodeLost { step: 4, node: 1, suspicion: 2 });
         let events = t.events();
         assert_eq!(events.len(), 2, "the loss plus the alert it fired");
-        assert!(matches!(&events[1], JournalEvent::Alert { rule, .. } if rule == "heartbeat-gap"));
-        // Tagged lines carry both, with consecutive seqs.
-        let lines = t.tagged_lines();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[1].contains("\"seq\":1"));
+        assert!(
+            matches!(&events[1].event, JournalEvent::Alert { rule, .. } if rule == "heartbeat-gap")
+        );
+        // The alert is an emission of its own: the next seq.
+        assert_eq!((events[0].seq, events[1].seq), (0, 1));
     }
 
     #[test]
-    fn shipped_lines_land_in_sidecars_and_retained_stream() {
+    fn shipped_lines_land_in_sidecars() {
         let dir = std::env::temp_dir().join("fae-telemetry-ship");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("dist.jsonl");
-        let t = Telemetry::builder()
-            .journal_path(&path)
-            .retain_events(true)
-            .try_build()
-            .expect("telemetry");
+        let t = Telemetry::builder().journal_path(&path).try_build().expect("telemetry");
         let worker_line = TaggedEvent {
             node_id: 2,
             seq: 0,
@@ -509,9 +536,27 @@ mod tests {
         let shipped = read_tagged_journal(&sidecars[0]).unwrap();
         assert_eq!(shipped.len(), 1);
         assert_eq!(shipped[0].node_id, 2);
-        assert_eq!(t.tagged_lines(), vec![worker_line]);
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&sidecars[0]).ok();
+    }
+
+    #[test]
+    fn sidecars_are_discovered_across_gaps_in_node_order() {
+        let dir = std::env::temp_dir().join("fae-telemetry-discover");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = dir.join("j.jsonl");
+        assert!(discover_sidecars(&journal).is_empty());
+        // Node 0 died before its first poll: only node 1 (and, later, a
+        // two-digit node) ever shipped. Near-miss names are not sidecars.
+        for name in
+            ["j.node10.jsonl", "j.node1.jsonl", "j.nodeX.jsonl", "jj.node2.jsonl", "j.node3"]
+        {
+            std::fs::write(dir.join(name), "").unwrap();
+        }
+        let found = discover_sidecars(&journal);
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(found, [dir.join("j.node1.jsonl"), dir.join("j.node10.jsonl")]);
     }
 
     #[test]

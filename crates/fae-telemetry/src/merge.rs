@@ -35,27 +35,6 @@ pub struct MergeStats {
     pub nodes: Vec<u64>,
 }
 
-/// The step a journal event is anchored to on the coordinator clock.
-fn step_of(event: &JournalEvent) -> u64 {
-    match event {
-        JournalEvent::RunStart { .. } | JournalEvent::ServeStart { .. } => 0,
-        JournalEvent::Step { step, .. }
-        | JournalEvent::Sync { step, .. }
-        | JournalEvent::Charge { step, .. }
-        | JournalEvent::Eval { step, .. }
-        | JournalEvent::Fault { step, .. }
-        | JournalEvent::Recovery { step, .. }
-        | JournalEvent::NodeJoin { step, .. }
-        | JournalEvent::NodeLost { step, .. }
-        | JournalEvent::Reshard { step, .. }
-        | JournalEvent::Mark { step, .. }
-        | JournalEvent::Alert { step, .. } => *step,
-        JournalEvent::RunEnd { steps, .. } => *steps,
-        JournalEvent::ServeBatch { batch, .. } => *batch,
-        JournalEvent::ServeEnd { .. } => u64::MAX,
-    }
-}
-
 /// Merges N per-node streams into one globally-ordered, exactly-once
 /// stream. Inputs may contain duplicates, overlap each other, or be
 /// internally out of order — `(node_id, seq)` identity and the stable
@@ -75,84 +54,45 @@ pub fn merge_tagged(streams: &[Vec<TaggedEvent>]) -> (Vec<TaggedEvent>, MergeSta
             }
         }
     }
+    let unique: Vec<TaggedEvent> = unique.into_values().collect();
+    let mut nodes: Vec<u64> = unique.iter().map(|t| t.node_id).collect();
+    nodes.dedup();
 
-    // The coordinator clock: walk node 0 in seq order, recording the
-    // cumulative simulated seconds *before* each event's own charge and
-    // the clock at the start of each step.
-    let mut clock = 0.0f64;
-    let mut step_start: BTreeMap<u64, f64> = BTreeMap::new();
-    let mut event_time: BTreeMap<(u64, u64), f64> = BTreeMap::new();
-    for ((node, seq), t) in unique.iter() {
-        if *node != 0 {
-            continue;
-        }
-        step_start.entry(step_of(&t.event)).or_insert(clock);
-        event_time.insert((*node, *seq), clock);
-        if let Some(p) = t.event.phases() {
-            clock += p.total();
-        }
-    }
-    // Anchor every non-coordinator event at the start of its step (the
-    // latest known coordinator step at or before it; before the first
-    // known step → clock zero).
-    let anchor = |step: u64| -> f64 {
-        step_start.range(..=step).next_back().map(|(_, t)| *t).unwrap_or(0.0)
-    };
-
-    let mut merged: Vec<TaggedEvent> = unique.into_values().collect();
-    let nodes = {
-        let mut ns: Vec<u64> = merged.iter().map(|t| t.node_id).collect();
-        ns.sort_unstable();
-        ns.dedup();
-        ns
-    };
-    let key = |t: &TaggedEvent| -> (f64, u64, u64, u64) {
-        let step = step_of(&t.event);
-        let time = match event_time.get(&(t.node_id, t.seq)) {
-            Some(tm) => *tm,
-            None => anchor(step),
-        };
-        (time, step, t.node_id, t.seq)
-    };
-    merged.sort_by(|a, b| {
-        let (ta, sa, na, qa) = key(a);
-        let (tb, sb, nb, qb) = key(b);
-        ta.partial_cmp(&tb)
+    let mut timed: Vec<(f64, TaggedEvent)> = event_times(&unique).into_iter().zip(unique).collect();
+    timed.sort_by(|(ta, a), (tb, b)| {
+        ta.partial_cmp(tb)
             .unwrap_or(std::cmp::Ordering::Equal)
-            .then(sa.cmp(&sb))
-            .then(na.cmp(&nb))
-            .then(qa.cmp(&qb))
+            .then(a.event.step().cmp(&b.event.step()))
+            .then(a.node_id.cmp(&b.node_id))
+            .then(a.seq.cmp(&b.seq))
     });
+    let merged: Vec<TaggedEvent> = timed.into_iter().map(|(_, t)| t).collect();
 
     let stats = MergeStats { total: merged.len(), duplicates, nodes };
     (merged, stats)
 }
 
-/// Assigns every event in a (merged) stream its simulated clock value,
-/// in seconds, by the same rules [`merge_tagged`] orders with: node-0
-/// events sit at the cumulative phase total before their own charge,
-/// worker events at the clock of the latest coordinator step at or
-/// before their anchor step. Used by the merged trace exporter.
+/// Assigns every event in a stream its simulated clock value, in
+/// seconds — the one place a stream becomes instants. Node 0 owns the
+/// clock: walking its events in stream order, each sits at the
+/// cumulative phase total *before* its own charge. A worker event sits
+/// at the clock of the first coordinator event of the latest step at or
+/// before its anchor step (clock zero before the first known step).
+/// [`merge_tagged`] sorts by these values and the merged trace exporter
+/// places instants at them.
 pub fn event_times(events: &[TaggedEvent]) -> Vec<f64> {
     let mut clock = 0.0f64;
     let mut step_start: BTreeMap<u64, f64> = BTreeMap::new();
     let mut times = vec![0.0f64; events.len()];
-    for (i, t) in events.iter().enumerate() {
-        if t.node_id != 0 {
-            continue;
-        }
-        step_start.entry(step_of(&t.event)).or_insert(clock);
-        times[i] = clock;
+    for (time, t) in times.iter_mut().zip(events).filter(|(_, t)| t.node_id == 0) {
+        step_start.entry(t.event.step()).or_insert(clock);
+        *time = clock;
         if let Some(p) = t.event.phases() {
             clock += p.total();
         }
     }
-    for (i, t) in events.iter().enumerate() {
-        if t.node_id == 0 {
-            continue;
-        }
-        times[i] =
-            step_start.range(..=step_of(&t.event)).next_back().map(|(_, tm)| *tm).unwrap_or(0.0);
+    for (time, t) in times.iter_mut().zip(events).filter(|(_, t)| t.node_id != 0) {
+        *time = step_start.range(..=t.event.step()).next_back().map_or(0.0, |(_, tm)| *tm);
     }
     times
 }

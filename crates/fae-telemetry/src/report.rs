@@ -1,15 +1,18 @@
 //! Journal aggregation and the Fig.-14-style phase-breakdown report.
 //!
-//! [`summarize`] folds a journal's event stream into a [`RunSummary`]
-//! whose per-phase totals are split by where the time was spent — hot
-//! steps, cold steps, synchronisation, other charges — exactly the
-//! decomposition the paper uses to argue FAE's win (hot mini-batches
-//! eliminate the CPU-resident embedding phases). [`render`] prints it as
+//! [`summarize`] folds a journal's event stream — one node's, or a
+//! merged multi-node one — into a [`RunSummary`] whose per-phase totals
+//! are split by where the time was spent — hot steps, cold steps,
+//! synchronisation, other charges — exactly the decomposition the paper
+//! uses to argue FAE's win (hot mini-batches eliminate the CPU-resident
+//! embedding phases). [`render`] prints it as
 //! a fixed-width table; `fae report <journal>` is a thin wrapper.
+
+use std::collections::BTreeMap;
 
 use fae_sysmodel::Phase;
 
-use crate::journal::{JournalEvent, StepMode, TaggedEvent};
+use crate::journal::{JournalEvent, PhaseSeconds, StepMode, TaggedEvent};
 
 /// Per-phase simulated seconds split by spend category. Arrays are
 /// indexed in `Phase::ALL` order.
@@ -108,6 +111,16 @@ pub struct NodeSummary {
     pub charged_seconds: f64,
 }
 
+impl NodeSummary {
+    /// The row label: `0 (coord)`, or `k (w<k-1>)` for wire worker `k - 1`.
+    pub fn label(&self) -> String {
+        match self.node_id {
+            0 => "0 (coord)".into(),
+            k => format!("{k} (w{})", k - 1),
+        }
+    }
+}
+
 /// Everything `fae report` prints, extracted from one journal.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunSummary {
@@ -149,8 +162,8 @@ pub struct RunSummary {
     pub serve: Option<ServeSummary>,
     /// Alert firings in journal order.
     pub alerts: Vec<AlertRow>,
-    /// Per-node activity, populated by [`summarize_tagged`] (empty for
-    /// plain single-journal summaries).
+    /// Per-node activity, ascending by node id (one row for a
+    /// single-process journal).
     pub per_node: Vec<NodeSummary>,
 }
 
@@ -163,11 +176,19 @@ impl RunSummary {
     }
 }
 
-/// Folds a journal into a [`RunSummary`].
-pub fn summarize(events: &[JournalEvent]) -> RunSummary {
+/// Folds a journal — one node's, or a merged multi-node stream — into
+/// a [`RunSummary`].
+pub fn summarize(events: &[TaggedEvent]) -> RunSummary {
     let mut s = RunSummary::default();
-    for e in events {
-        match e {
+    let mut nodes: BTreeMap<u64, NodeSummary> = BTreeMap::new();
+    for t in events {
+        let n = nodes
+            .entry(t.node_id)
+            .or_insert_with(|| NodeSummary { node_id: t.node_id, ..Default::default() });
+        n.events += 1;
+        n.marks += u64::from(matches!(t.event, JournalEvent::Mark { .. }));
+        n.charged_seconds += t.event.phases().map_or(0.0, PhaseSeconds::total);
+        match &t.event {
             JournalEvent::RunStart { workload, num_gpus, .. } => {
                 s.workload = Some(workload.clone());
                 s.num_gpus = Some(*num_gpus);
@@ -184,22 +205,14 @@ pub fn summarize(events: &[JournalEvent]) -> RunSummary {
                         &mut s.breakdown.cold
                     }
                 };
-                for (slot, v) in bucket.iter_mut().zip(phases.0) {
-                    *slot += v;
-                }
+                phases.add_to(bucket);
             }
             JournalEvent::Sync { bytes, phases, .. } => {
                 s.sync_count += 1;
                 s.sync_bytes += bytes;
-                for (slot, v) in s.breakdown.sync.iter_mut().zip(phases.0) {
-                    *slot += v;
-                }
+                phases.add_to(&mut s.breakdown.sync);
             }
-            JournalEvent::Charge { phases, .. } => {
-                for (slot, v) in s.breakdown.other.iter_mut().zip(phases.0) {
-                    *slot += v;
-                }
-            }
+            JournalEvent::Charge { phases, .. } => phases.add_to(&mut s.breakdown.other),
             JournalEvent::Eval { step, test_loss, test_accuracy, rate, .. } => {
                 s.evals.push(EvalRow {
                     step: *step,
@@ -214,9 +227,7 @@ pub fn summarize(events: &[JournalEvent]) -> RunSummary {
             JournalEvent::NodeLost { .. } => s.node_losses += 1,
             JournalEvent::Reshard { phases, .. } => {
                 s.reshards += 1;
-                for (slot, v) in s.breakdown.other.iter_mut().zip(phases.0) {
-                    *slot += v;
-                }
+                phases.add_to(&mut s.breakdown.other);
             }
             JournalEvent::RunEnd { simulated_seconds, final_accuracy, interrupted, .. } => {
                 s.reported_simulated_seconds = Some(*simulated_seconds);
@@ -234,9 +245,7 @@ pub fn summarize(events: &[JournalEvent]) -> RunSummary {
                 serve.batches += 1;
                 serve.hits += hits;
                 serve.misses += misses;
-                for (slot, v) in serve.phase_seconds.iter_mut().zip(phases.0) {
-                    *slot += v;
-                }
+                phases.add_to(&mut serve.phase_seconds);
             }
             JournalEvent::ServeEnd {
                 completed,
@@ -266,28 +275,6 @@ pub fn summarize(events: &[JournalEvent]) -> RunSummary {
                     message: message.clone(),
                 });
             }
-        }
-    }
-    s
-}
-
-/// Folds a tagged (usually merged, multi-node) stream into a
-/// [`RunSummary`] whose `per_node` section breaks activity down by
-/// originating node.
-pub fn summarize_tagged(tagged: &[TaggedEvent]) -> RunSummary {
-    let events: Vec<JournalEvent> = tagged.iter().map(|t| t.event.clone()).collect();
-    let mut s = summarize(&events);
-    let mut nodes: std::collections::BTreeMap<u64, NodeSummary> = Default::default();
-    for t in tagged {
-        let n = nodes
-            .entry(t.node_id)
-            .or_insert_with(|| NodeSummary { node_id: t.node_id, ..Default::default() });
-        n.events += 1;
-        if matches!(t.event, JournalEvent::Mark { .. }) {
-            n.marks += 1;
-        }
-        if let Some(p) = t.event.phases() {
-            n.charged_seconds += p.total();
         }
     }
     s.per_node = nodes.into_values().collect();
@@ -430,11 +417,7 @@ pub fn render(s: &RunSummary) -> String {
             format!("{:<10} {:>8} {:>8} {:>14}", "node", "events", "marks", "charged (s)"),
         );
         for n in &s.per_node {
-            let label = if n.node_id == 0 {
-                "0 (coord)".to_string()
-            } else {
-                format!("{} (w{})", n.node_id, n.node_id - 1)
-            };
+            let label = n.label();
             push(
                 &mut out,
                 format!("{:<10} {:>8} {:>8} {:>14.6}", label, n.events, n.marks, n.charged_seconds,),
@@ -488,10 +471,9 @@ pub fn render(s: &RunSummary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::PhaseSeconds;
 
-    fn sample() -> Vec<JournalEvent> {
-        vec![
+    fn sample() -> Vec<TaggedEvent> {
+        let events = vec![
             JournalEvent::RunStart {
                 workload: "w".into(),
                 seed: 1,
@@ -547,7 +529,8 @@ mod tests {
                 final_rate: Some(50),
                 interrupted: false,
             },
-        ]
+        ];
+        TaggedEvent::stream(0, events)
     }
 
     #[test]
@@ -580,8 +563,8 @@ mod tests {
         );
     }
 
-    fn serve_sample() -> Vec<JournalEvent> {
-        vec![
+    fn serve_sample() -> Vec<TaggedEvent> {
+        let events = vec![
             JournalEvent::ServeStart {
                 workload: "w".into(),
                 seed: 1,
@@ -618,7 +601,8 @@ mod tests {
                 hit_rate: 0.9423,
                 simulated_seconds: 0.004,
             },
-        ]
+        ];
+        TaggedEvent::stream(0, events)
     }
 
     #[test]
@@ -649,11 +633,7 @@ mod tests {
 
     #[test]
     fn tagged_summary_breaks_down_per_node_and_collects_alerts() {
-        let mut tagged: Vec<TaggedEvent> = sample()
-            .into_iter()
-            .enumerate()
-            .map(|(i, event)| TaggedEvent { node_id: 0, seq: i as u64, event })
-            .collect();
+        let mut tagged = sample();
         tagged.push(TaggedEvent {
             node_id: 2,
             seq: 0,
@@ -670,7 +650,7 @@ mod tests {
                 threshold: 2.0,
             },
         });
-        let s = summarize_tagged(&tagged);
+        let s = summarize(&tagged);
         assert_eq!(s.per_node.len(), 2);
         assert_eq!(s.per_node[0].node_id, 0);
         assert!((s.per_node[0].charged_seconds - s.journalled_seconds()).abs() < 1e-12);
@@ -683,8 +663,6 @@ mod tests {
         assert!(text.contains("2 (w1)"));
         assert!(text.contains("alerts (1 fired)"));
         assert!(text.contains("[heartbeat-gap]"));
-        // Plain summaries carry no per-node section.
-        assert!(summarize(&sample()).per_node.is_empty());
     }
 
     #[test]

@@ -9,13 +9,13 @@
 use fae_sysmodel::Phase;
 
 use crate::journal::{JournalEvent, TaggedEvent};
-use crate::report::summarize_tagged;
+use crate::report::summarize;
 
 /// Renders the dashboard for the stream as it stands. Designed for a
 /// terminal repaint loop: stable layout, one screen, no trailing blank
 /// churn.
 pub fn render_top(tagged: &[TaggedEvent]) -> String {
-    let s = summarize_tagged(tagged);
+    let s = summarize(tagged);
     let mut out = String::new();
     let push = |out: &mut String, line: String| {
         out.push_str(&line);
@@ -88,11 +88,7 @@ pub fn render_top(tagged: &[TaggedEvent]) -> String {
         ),
     );
     for n in &s.per_node {
-        let label = if n.node_id == 0 {
-            "0 (coord)".to_string()
-        } else {
-            format!("{} (w{})", n.node_id, n.node_id - 1)
-        };
+        let label = n.label();
         let pct = if sim > 0.0 { 100.0 * n.charged_seconds / sim } else { 0.0 };
         let top_phase = dominant_phase(tagged, n.node_id);
         push(
@@ -116,9 +112,7 @@ fn dominant_phase(tagged: &[TaggedEvent], node_id: u64) -> String {
     let mut totals = [0.0f64; 8];
     for t in tagged.iter().filter(|t| t.node_id == node_id) {
         if let Some(p) = t.event.phases() {
-            for (slot, v) in totals.iter_mut().zip(p.0) {
-                *slot += v;
-            }
+            p.add_to(&mut totals);
         }
     }
     let (best, secs) =

@@ -18,7 +18,7 @@
 use fae_sysmodel::Phase;
 use serde_json::{Map, Value};
 
-use crate::journal::{JournalEvent, StepMode, TaggedEvent};
+use crate::journal::{JournalEvent, PhaseSeconds, StepMode, TaggedEvent};
 
 /// The fixed pid under which all tracks are emitted. The merged
 /// cross-node exporter uses one pid per originating node —
@@ -55,7 +55,7 @@ fn track_for(phase: Phase, mode: Option<StepMode>) -> Track {
     }
 }
 
-fn meta_event_pid(pid: u64, tid: u64, name: &str, arg: &str) -> Value {
+fn meta_event(pid: u64, tid: u64, name: &str, arg: &str) -> Value {
     let mut args = Map::new();
     args.insert("name".into(), Value::String(arg.into()));
     let mut m = Map::new();
@@ -65,10 +65,6 @@ fn meta_event_pid(pid: u64, tid: u64, name: &str, arg: &str) -> Value {
     m.insert("name".into(), Value::String(name.into()));
     m.insert("args".into(), Value::Object(args));
     Value::Object(m)
-}
-
-fn meta_event(tid: u64, name: &str, arg: &str) -> Value {
-    meta_event_pid(TRACE_PID, tid, name, arg)
 }
 
 fn slice_event(tid: u64, name: &str, cat: &str, ts_us: f64, dur_us: f64, args: Map) -> Value {
@@ -84,7 +80,7 @@ fn slice_event(tid: u64, name: &str, cat: &str, ts_us: f64, dur_us: f64, args: M
     Value::Object(m)
 }
 
-fn instant_event_pid(pid: u64, tid: u64, name: &str, cat: &str, ts_us: f64, args: Map) -> Value {
+fn instant_event(pid: u64, tid: u64, name: &str, cat: &str, ts_us: f64, args: Map) -> Value {
     let mut m = Map::new();
     m.insert("ph".into(), Value::String("i".into()));
     m.insert("pid".into(), serde_json::to_value(&pid));
@@ -97,28 +93,74 @@ fn instant_event_pid(pid: u64, tid: u64, name: &str, cat: &str, ts_us: f64, args
     Value::Object(m)
 }
 
-fn instant_event(tid: u64, name: &str, cat: &str, ts_us: f64, args: Map) -> Value {
-    instant_event_pid(TRACE_PID, tid, name, cat, ts_us, args)
+/// The `args` a slice or instant of `event` carries: the journal fields
+/// worth a tooltip, picked by name out of the event's own JSON object
+/// (what the track, the name or the coordinates already say is left
+/// out). Values and order are the journal's, never re-encoded here.
+fn args_of(event: &JournalEvent) -> Map {
+    let shown: &[&str] = match event {
+        JournalEvent::Step { .. } => &["step", "rate"],
+        JournalEvent::Sync { .. } => &["step", "direction", "bytes"],
+        JournalEvent::Charge { .. } => &["step", "label"],
+        JournalEvent::Fault { .. } => &["step", "kind"],
+        JournalEvent::Mark { .. } => &["step", "detail"],
+        JournalEvent::Alert { .. } => &["step", "message", "value", "threshold"],
+        JournalEvent::NodeJoin { .. } => &["step", "epoch", "state_bytes"],
+        JournalEvent::NodeLost { .. } => &["step", "suspicion"],
+        JournalEvent::Reshard { .. } => &["step", "live"],
+        JournalEvent::ServeBatch { .. } => &["batch", "size", "hits", "misses"],
+        _ => return Map::new(),
+    };
+    let fields = event.to_json();
+    let mut args = Map::new();
+    for key in shown {
+        if let Some(v) = fields.get(key) {
+            args.insert((*key).into(), v.clone());
+        }
+    }
+    args
+}
+
+/// Lays an event's charged phases end to end from `start_us`, in
+/// `Phase::ALL` order, so slices never overlap within a track: calls
+/// `slice(phase, ts_us, dur_us)` for each and returns where the last
+/// one ends.
+fn lay_phases(phases: &PhaseSeconds, start_us: f64, mut slice: impl FnMut(Phase, f64, f64)) -> f64 {
+    let mut at_us = start_us;
+    for (phase, secs) in Phase::ALL.iter().zip(phases.0) {
+        if secs <= 0.0 {
+            continue;
+        }
+        let dur_us = secs * 1e6;
+        slice(*phase, at_us, dur_us);
+        at_us += dur_us;
+    }
+    at_us
+}
+
+fn trace_document(events: Vec<Value>) -> Result<String, serde_json::Error> {
+    let mut root = Map::new();
+    root.insert("traceEvents".into(), Value::Array(events));
+    root.insert("displayTimeUnit".into(), Value::String("ms".into()));
+    serde_json::to_string(&Value::Object(root))
 }
 
 /// Renders a journal as a Chrome trace-event JSON document.
 ///
 /// The output is a complete `{"traceEvents": [...]}` object; write it to
 /// a file and load it in Perfetto's JSON importer or `chrome://tracing`.
+/// Origin tags are not consulted: every event lands on the one simulated
+/// timeline (see [`merged_chrome_trace`] for one track group per node).
 /// Errs only if the assembled in-memory `Value` fails to serialize.
-pub fn chrome_trace(events: &[JournalEvent]) -> Result<String, serde_json::Error> {
-    let out = trace_events(events);
-    let mut root = Map::new();
-    root.insert("traceEvents".into(), Value::Array(out));
-    root.insert("displayTimeUnit".into(), Value::String("ms".into()));
-    serde_json::to_string(&Value::Object(root))
+pub fn chrome_trace(events: &[TaggedEvent]) -> Result<String, serde_json::Error> {
+    trace_document(trace_events(events.iter().map(|t| &t.event)))
 }
 
 /// The event array of [`chrome_trace`], reused by the merged exporter
 /// for the coordinator's (pid [`TRACE_PID`]) track group.
-fn trace_events(events: &[JournalEvent]) -> Vec<Value> {
+fn trace_events<'a>(events: impl Iterator<Item = &'a JournalEvent> + Clone) -> Vec<Value> {
     let (num_gpus, workers) = events
-        .iter()
+        .clone()
         .find_map(|e| match e {
             JournalEvent::RunStart { num_gpus, workers, .. } => {
                 Some(((*num_gpus).max(1), (*workers).max(1)))
@@ -134,7 +176,7 @@ fn trace_events(events: &[JournalEvent]) -> Vec<Value> {
     // Serving worker lanes sit past the training worker lanes; only
     // emitted when the journal carries serve events.
     let serve_workers = events
-        .iter()
+        .clone()
         .find_map(|e| match e {
             JournalEvent::ServeStart { workers, .. } => Some((*workers).max(1)),
             _ => None,
@@ -144,7 +186,7 @@ fn trace_events(events: &[JournalEvent]) -> Vec<Value> {
     // Per-node lanes for distributed runs: one track per worker node id
     // seen in membership events, past the serving lanes.
     let nodes = events
-        .iter()
+        .clone()
         .filter_map(|e| match e {
             JournalEvent::NodeJoin { node, .. }
             | JournalEvent::NodeLost { node, .. }
@@ -155,252 +197,111 @@ fn trace_events(events: &[JournalEvent]) -> Vec<Value> {
         .unwrap_or(0);
     let tid_node0 = tid_serve0 + serve_workers as u64;
 
-    let mut out: Vec<Value> = Vec::new();
-    out.push(meta_event(0, "process_name", "fae-simulated-timeline"));
-    out.push(meta_event(TID_CPU_RESIDENT, "thread_name", "cpu-resident"));
+    let mut out = vec![meta_event(TRACE_PID, 0, "process_name", "fae-simulated-timeline")];
+    let mut thread =
+        |tid: u64, name: &str| out.push(meta_event(TRACE_PID, tid, "thread_name", name));
+    thread(TID_CPU_RESIDENT, "cpu-resident");
     for g in 0..num_gpus {
-        out.push(meta_event(TID_DEVICE0 + g as u64, "thread_name", &format!("gpu{g}")));
+        thread(TID_DEVICE0 + g as u64, &format!("gpu{g}"));
     }
-    out.push(meta_event(tid_comm, "thread_name", "communication"));
-    out.push(meta_event(tid_framework, "thread_name", "framework"));
+    thread(tid_comm, "communication");
+    thread(tid_framework, "framework");
     if workers > 1 {
         for w in 0..workers {
-            out.push(meta_event(tid_worker0 + w as u64, "thread_name", &format!("worker{w}")));
+            thread(tid_worker0 + w as u64, &format!("worker{w}"));
         }
     }
     for w in 0..serve_workers {
-        out.push(meta_event(tid_serve0 + w as u64, "thread_name", &format!("serve-worker{w}")));
+        thread(tid_serve0 + w as u64, &format!("serve-worker{w}"));
     }
     for k in 0..nodes {
-        out.push(meta_event(tid_node0 + k, "thread_name", &format!("node{k}")));
+        thread(tid_node0 + k, &format!("node{k}"));
     }
 
     // A single simulated-time cursor: each charging event occupies the
-    // window [cursor, cursor + total), with its phases laid end to end in
-    // Phase::ALL order so slices never overlap within a track.
+    // window [cursor, cursor + total).
     let mut cursor_us = 0.0f64;
     for event in events {
-        let (phases, mode, cat, extra): (_, Option<StepMode>, &str, Vec<(&str, Value)>) =
-            match event {
-                JournalEvent::Step { step, mode, rate, phases, .. } => (
-                    phases,
-                    Some(*mode),
-                    match mode {
-                        StepMode::Hot => "step-hot",
-                        StepMode::Cold => "step-cold",
-                    },
-                    vec![
-                        ("step", serde_json::to_value(step)),
-                        ("rate", serde_json::to_value(rate)),
-                    ],
-                ),
-                JournalEvent::Sync { step, direction, bytes, phases } => (
-                    phases,
-                    None,
-                    "sync",
-                    vec![
-                        ("step", serde_json::to_value(step)),
-                        ("direction", Value::String(direction.clone())),
-                        ("bytes", serde_json::to_value(bytes)),
-                    ],
-                ),
-                JournalEvent::Charge { step, label, phases } => (
-                    phases,
-                    None,
-                    "charge",
-                    vec![
-                        ("step", serde_json::to_value(step)),
-                        ("label", Value::String(label.clone())),
-                    ],
-                ),
-                JournalEvent::Fault { step, kind } => {
-                    // Zero-duration instant marker on the framework track.
-                    let mut args = Map::new();
-                    args.insert("step".into(), serde_json::to_value(step));
-                    args.insert("kind".into(), Value::String(kind.clone()));
-                    let mut m = Map::new();
-                    m.insert("ph".into(), Value::String("i".into()));
-                    m.insert("pid".into(), serde_json::to_value(&TRACE_PID));
-                    m.insert("tid".into(), serde_json::to_value(&tid_framework));
-                    m.insert("name".into(), Value::String(format!("fault:{kind}")));
-                    m.insert("cat".into(), Value::String("fault".into()));
-                    m.insert("ts".into(), serde_json::to_value(&cursor_us));
-                    m.insert("s".into(), Value::String("p".into()));
-                    m.insert("args".into(), Value::Object(args));
-                    out.push(Value::Object(m));
-                    continue;
-                }
-                JournalEvent::Mark { step, label, detail } => {
-                    // Node-local markers carry no charge: instant on the
-                    // framework track (the merged exporter re-renders
-                    // them on their own node's track group instead).
-                    let mut args = Map::new();
-                    args.insert("step".into(), serde_json::to_value(step));
-                    args.insert("detail".into(), Value::String(detail.clone()));
-                    out.push(instant_event(
-                        tid_framework,
-                        &format!("mark:{label}"),
-                        "mark",
-                        cursor_us,
-                        args,
-                    ));
-                    continue;
-                }
-                JournalEvent::Alert { step, rule, message, value, threshold } => {
-                    let mut args = Map::new();
-                    args.insert("step".into(), serde_json::to_value(step));
-                    args.insert("message".into(), Value::String(message.clone()));
-                    args.insert("value".into(), serde_json::to_value(value));
-                    args.insert("threshold".into(), serde_json::to_value(threshold));
-                    out.push(instant_event(
-                        tid_framework,
-                        &format!("alert:{rule}"),
-                        "alert",
-                        cursor_us,
-                        args,
-                    ));
-                    continue;
-                }
-                JournalEvent::NodeJoin { step, node, epoch, state_bytes } => {
-                    let mut args = Map::new();
-                    args.insert("step".into(), serde_json::to_value(step));
-                    args.insert("epoch".into(), serde_json::to_value(epoch));
-                    args.insert("state_bytes".into(), serde_json::to_value(state_bytes));
-                    out.push(instant_event(
-                        tid_node0 + node,
-                        &format!("node-join:{node}"),
-                        "membership",
-                        cursor_us,
-                        args,
-                    ));
-                    continue;
-                }
-                JournalEvent::NodeLost { step, node, suspicion } => {
-                    let mut args = Map::new();
-                    args.insert("step".into(), serde_json::to_value(step));
-                    args.insert("suspicion".into(), serde_json::to_value(suspicion));
-                    out.push(instant_event(
-                        tid_node0 + node,
-                        &format!("node-lost:{node}"),
-                        "membership",
-                        cursor_us,
-                        args,
-                    ));
-                    continue;
-                }
-                JournalEvent::Reshard { step, node, live, phases } => {
-                    // The reshard charge runs on the lost node's lane so
-                    // the gap it tore into training is visible per node.
-                    let mut local_us = cursor_us;
-                    for (i, phase) in Phase::ALL.iter().enumerate() {
-                        let secs = phases.0[i];
-                        if secs <= 0.0 {
-                            continue;
-                        }
-                        let dur_us = secs * 1e6;
-                        let mut args = Map::new();
-                        args.insert("step".into(), serde_json::to_value(step));
-                        args.insert("live".into(), serde_json::to_value(live));
-                        out.push(slice_event(
-                            tid_node0 + node,
-                            &phase.to_string(),
-                            "reshard",
-                            local_us,
-                            dur_us,
-                            args,
-                        ));
-                        local_us += dur_us;
-                    }
-                    cursor_us = local_us;
-                    continue;
-                }
-                JournalEvent::ServeBatch { batch, worker, size, start_s, hits, misses, phases } => {
-                    // Serve batches carry their own simulated dispatch
-                    // instant and run concurrently across worker lanes, so
-                    // they are laid out from start_s on their worker's lane
-                    // and never advance the shared cursor.
-                    let mut local_us = start_s * 1e6;
-                    for (i, phase) in Phase::ALL.iter().enumerate() {
-                        let secs = phases.0[i];
-                        if secs <= 0.0 {
-                            continue;
-                        }
-                        let dur_us = secs * 1e6;
-                        let mut args = Map::new();
-                        args.insert("batch".into(), serde_json::to_value(batch));
-                        args.insert("size".into(), serde_json::to_value(size));
-                        args.insert("hits".into(), serde_json::to_value(hits));
-                        args.insert("misses".into(), serde_json::to_value(misses));
-                        out.push(slice_event(
-                            tid_serve0 + *worker as u64,
-                            &phase.to_string(),
-                            "serve-batch",
-                            local_us,
-                            dur_us,
-                            args,
-                        ));
-                        local_us += dur_us;
-                    }
-                    continue;
-                }
-                _ => continue,
-            };
-
-        let mut local_us = cursor_us;
-        for (i, phase) in Phase::ALL.iter().enumerate() {
-            let secs = phases.0[i];
-            if secs <= 0.0 {
+        let args = args_of(event);
+        // Events that charge nothing are zero-duration instants at the
+        // cursor: faults, marks and alerts on the framework track (the
+        // merged exporter re-renders shipped marks on their own node's
+        // track group instead), membership changes on the node's lane.
+        let instant = match event {
+            JournalEvent::Fault { kind, .. } => {
+                Some((tid_framework, format!("fault:{kind}"), "fault"))
+            }
+            JournalEvent::Mark { label, .. } => {
+                Some((tid_framework, format!("mark:{label}"), "mark"))
+            }
+            JournalEvent::Alert { rule, .. } => {
+                Some((tid_framework, format!("alert:{rule}"), "alert"))
+            }
+            JournalEvent::NodeJoin { node, .. } => {
+                Some((tid_node0 + node, format!("node-join:{node}"), "membership"))
+            }
+            JournalEvent::NodeLost { node, .. } => {
+                Some((tid_node0 + node, format!("node-lost:{node}"), "membership"))
+            }
+            _ => None,
+        };
+        if let Some((tid, name, cat)) = instant {
+            out.push(instant_event(TRACE_PID, tid, &name, cat, cursor_us, args));
+            continue;
+        }
+        let (phases, mode, cat) = match event {
+            JournalEvent::Step { mode: StepMode::Hot, phases, .. } => {
+                (phases, Some(StepMode::Hot), "step-hot")
+            }
+            JournalEvent::Step { mode: StepMode::Cold, phases, .. } => {
+                (phases, Some(StepMode::Cold), "step-cold")
+            }
+            JournalEvent::Sync { phases, .. } => (phases, None, "sync"),
+            JournalEvent::Charge { phases, .. } => (phases, None, "charge"),
+            JournalEvent::Reshard { node, phases, .. } => {
+                // The reshard charge runs on the lost node's lane so
+                // the gap it tore into training is visible per node.
+                let tid = tid_node0 + node;
+                cursor_us = lay_phases(phases, cursor_us, |phase, ts, dur| {
+                    let name = phase.to_string();
+                    out.push(slice_event(tid, &name, "reshard", ts, dur, args.clone()));
+                });
                 continue;
             }
-            let dur_us = secs * 1e6;
-            let name = phase.to_string();
-            let mut args = Map::new();
-            for (k, v) in &extra {
-                args.insert((*k).into(), v.clone());
+            JournalEvent::ServeBatch { worker, start_s, phases, .. } => {
+                // Serve batches carry their own simulated dispatch
+                // instant and run concurrently across worker lanes, so
+                // they are laid out from start_s on their worker's lane
+                // and never advance the shared cursor.
+                let tid = tid_serve0 + *worker as u64;
+                lay_phases(phases, start_s * 1e6, |phase, ts, dur| {
+                    let name = phase.to_string();
+                    out.push(slice_event(tid, &name, "serve-batch", ts, dur, args.clone()));
+                });
+                continue;
             }
-            match track_for(*phase, mode) {
-                Track::CpuResident => {
-                    out.push(slice_event(TID_CPU_RESIDENT, &name, cat, local_us, dur_us, args));
-                }
-                Track::Comm => {
-                    out.push(slice_event(tid_comm, &name, cat, local_us, dur_us, args));
-                }
-                Track::Framework => {
-                    out.push(slice_event(tid_framework, &name, cat, local_us, dur_us, args));
-                }
+            _ => continue,
+        };
+        cursor_us = lay_phases(phases, cursor_us, |phase, ts, dur| {
+            let name = phase.to_string();
+            let mut on = |tid: u64| out.push(slice_event(tid, &name, cat, ts, dur, args.clone()));
+            match track_for(phase, mode) {
+                Track::CpuResident => on(TID_CPU_RESIDENT),
+                Track::Comm => on(tid_comm),
+                Track::Framework => on(tid_framework),
                 Track::Devices => {
                     // Data-parallel replicas perform the same work; show
                     // the slice on every device track.
-                    for g in 0..num_gpus {
-                        out.push(slice_event(
-                            TID_DEVICE0 + g as u64,
-                            &name,
-                            cat,
-                            local_us,
-                            dur_us,
-                            args.clone(),
-                        ));
-                    }
+                    (0..num_gpus).for_each(|g| on(TID_DEVICE0 + g as u64));
                     // The execution engine's worker threads each process a
                     // contiguous shard of the same step concurrently, so the
                     // step's compute slices repeat on every worker lane.
                     if workers > 1 && mode.is_some() {
-                        for w in 0..workers {
-                            out.push(slice_event(
-                                tid_worker0 + w as u64,
-                                &name,
-                                cat,
-                                local_us,
-                                dur_us,
-                                args.clone(),
-                            ));
-                        }
+                        (0..workers).for_each(|w| on(tid_worker0 + w as u64));
                     }
                 }
             }
-            local_us += dur_us;
-        }
-        cursor_us = local_us;
+        });
     }
     out
 }
@@ -413,10 +314,7 @@ fn trace_events(events: &[JournalEvent]) -> Vec<Value> {
 /// plus a `heartbeat-gap` instant at the moment the coordinator
 /// declared it dead. Deterministic for a fixed input, byte for byte.
 pub fn merged_chrome_trace(merged: &[TaggedEvent]) -> Result<String, serde_json::Error> {
-    let times = crate::merge::event_times(merged);
-    let coordinator: Vec<JournalEvent> =
-        merged.iter().filter(|t| t.node_id == 0).map(|t| t.event.clone()).collect();
-    let mut out = trace_events(&coordinator);
+    let mut out = trace_events(merged.iter().filter(|t| t.node_id == 0).map(|t| &t.event));
 
     // One process per worker node, in node order. Pid is the journal
     // node id + 1 so the coordinator keeps TRACE_PID (= 0 + 1).
@@ -425,42 +323,23 @@ pub fn merged_chrome_trace(merged: &[TaggedEvent]) -> Result<String, serde_json:
     worker_nodes.dedup();
     for node in &worker_nodes {
         let wire = node - 1;
-        out.push(meta_event_pid(node + 1, 0, "process_name", &format!("fae-node{wire}")));
-        out.push(meta_event_pid(node + 1, 1, "thread_name", "events"));
+        out.push(meta_event(node + 1, 0, "process_name", &format!("fae-node{wire}")));
+        out.push(meta_event(node + 1, 1, "thread_name", "events"));
     }
 
-    for (t, ts) in merged.iter().zip(&times) {
-        let ts_us = ts * 1e6;
-        match (&t.event, t.node_id) {
+    for (t, ts) in merged.iter().zip(crate::merge::event_times(merged)) {
+        let (pid, name, cat) = match (&t.event, t.node_id) {
             // Shipped worker marks land on their node's own track group.
-            (JournalEvent::Mark { step, label, detail }, node) if node > 0 => {
-                let mut args = Map::new();
-                args.insert("step".into(), serde_json::to_value(step));
-                args.insert("detail".into(), Value::String(detail.clone()));
-                out.push(instant_event_pid(
-                    node + 1,
-                    1,
-                    &format!("mark:{label}"),
-                    "mark",
-                    ts_us,
-                    args,
-                ));
+            (JournalEvent::Mark { label, .. }, node) if node > 0 => {
+                (node + 1, format!("mark:{label}"), "mark")
             }
             // A declared-dead worker shows the gap on its own group.
-            (JournalEvent::NodeLost { step, node, suspicion }, 0) => {
-                let mut args = Map::new();
-                args.insert("step".into(), serde_json::to_value(step));
-                args.insert("suspicion".into(), serde_json::to_value(suspicion));
-                out.push(instant_event_pid(node + 2, 1, "heartbeat-gap", "alert", ts_us, args));
-            }
-            _ => {}
-        }
+            (JournalEvent::NodeLost { node, .. }, 0) => (node + 2, "heartbeat-gap".into(), "alert"),
+            _ => continue,
+        };
+        out.push(instant_event(pid, 1, &name, cat, ts * 1e6, args_of(&t.event)));
     }
-
-    let mut root = Map::new();
-    root.insert("traceEvents".into(), Value::Array(out));
-    root.insert("displayTimeUnit".into(), Value::String("ms".into()));
-    serde_json::to_string(&Value::Object(root))
+    trace_document(out)
 }
 
 #[cfg(test)]
@@ -468,8 +347,8 @@ mod tests {
     use super::*;
     use crate::journal::PhaseSeconds;
 
-    fn sample() -> Vec<JournalEvent> {
-        vec![
+    fn sample() -> Vec<TaggedEvent> {
+        let events = vec![
             JournalEvent::RunStart {
                 workload: "w".into(),
                 seed: 1,
@@ -512,7 +391,8 @@ mod tests {
                 final_rate: Some(100),
                 interrupted: false,
             },
-        ]
+        ];
+        TaggedEvent::stream(0, events)
     }
 
     #[test]
@@ -559,7 +439,7 @@ mod tests {
     fn slice_durations_cover_all_simulated_seconds() {
         let events = sample();
         let expected_us: f64 =
-            events.iter().filter_map(JournalEvent::phases).map(|p| p.total() * 1e6).sum();
+            events.iter().filter_map(|t| t.event.phases()).map(|p| p.total() * 1e6).sum();
         let text = chrome_trace(&events).expect("render");
         let v: Value = serde_json::from_str(&text).unwrap();
         // Sum durations once per slice position — device-track replicas of
@@ -637,6 +517,7 @@ mod tests {
                 simulated_seconds: 0.26,
             },
         ];
+        let events = TaggedEvent::stream(0, events);
         let text = chrome_trace(&events).expect("render");
         let v: Value = serde_json::from_str(&text).unwrap();
         let trace = v.get("traceEvents").and_then(Value::as_array).unwrap();
@@ -670,11 +551,7 @@ mod tests {
     }
 
     fn merged_sample() -> Vec<TaggedEvent> {
-        let mut tagged: Vec<TaggedEvent> = sample()
-            .into_iter()
-            .enumerate()
-            .map(|(i, event)| TaggedEvent { node_id: 0, seq: i as u64, event })
-            .collect();
+        let mut tagged = sample();
         // Shipped worker mark, anchored at step 1; coordinator declares
         // node (wire id) 1 lost at step 2.
         tagged.push(TaggedEvent {

@@ -373,8 +373,8 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     for r in &report.recoveries {
         println!("recovery: {r}");
     }
-    for event in telem.events() {
-        if let telemetry::JournalEvent::Alert { step, rule, message, .. } = event {
+    for t in telem.events() {
+        if let telemetry::JournalEvent::Alert { step, rule, message, .. } = t.event {
             println!("alert fired @{step} [{rule}]: {message}");
         }
     }
@@ -514,7 +514,7 @@ fn cmd_report(rest: &[String]) -> Result<(), String> {
     if tagged.is_empty() {
         return Err(format!("{}: journal contains no events", paths[0].display()));
     }
-    let summary = telemetry::summarize_tagged(&tagged);
+    let summary = telemetry::summarize(&tagged);
     print!("{}", telemetry::render(&summary));
     Ok(())
 }
@@ -550,7 +550,7 @@ fn cmd_top(rest: &[String]) -> Result<(), String> {
     let mut done: u64 = 0;
     loop {
         let mut all = paths.clone();
-        for s in discover_sidecars(&paths[0]) {
+        for s in telemetry::discover_sidecars(&paths[0]) {
             if !all.contains(&s) {
                 all.push(s);
             }
@@ -577,24 +577,6 @@ fn cmd_top(rest: &[String]) -> Result<(), String> {
         }
         std::thread::sleep(std::time::Duration::from_millis(refresh_ms));
     }
-}
-
-/// Sidecar journals already on disk next to `journal`:
-/// `stem.nodeK.jsonl` for K = 0, 1, ... (stops at the first gap).
-fn discover_sidecars(journal: &Path) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    let Some(stem) = journal.file_stem().map(|s| s.to_string_lossy().into_owned()) else {
-        return out;
-    };
-    for k in 0..64u64 {
-        let p = journal.with_file_name(format!("{stem}.node{k}.jsonl"));
-        if p.exists() {
-            out.push(p);
-        } else {
-            break;
-        }
-    }
-    out
 }
 
 fn cmd_compare(args: &Args) -> Result<(), String> {

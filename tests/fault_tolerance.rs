@@ -344,8 +344,8 @@ fn sync_bytes_counter_equals_the_journalled_sync_bytes_under_faults() {
 
     let mut directions = Vec::new();
     let mut journalled = 0u64;
-    for event in telemetry.events() {
-        if let JournalEvent::Sync { direction, bytes, .. } = event {
+    for t in telemetry.events() {
+        if let JournalEvent::Sync { direction, bytes, .. } = t.event {
             directions.push(direction);
             journalled += bytes;
         }

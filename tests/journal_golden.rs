@@ -372,6 +372,23 @@ fn a_torn_final_line_is_dropped_and_a_malformed_interior_line_is_an_error() {
     assert!(err.starts_with("journal line 1: ") && err.contains("kind"), "{err}");
 }
 
+/// A journal is outside input (`fae report` and `fae top` read files
+/// the user names): an integer that does not fit its field is an error
+/// naming the line, the event type and the field — `as u32` used to
+/// report this line as `R(50)`.
+#[test]
+fn an_out_of_range_integer_is_an_error_not_a_wrap() {
+    let (_, lines) = golden_stream();
+    let eval = lines[14];
+    assert!(eval.contains(r#""rate":25,"#));
+    let text =
+        format!("{}\n{}\n", lines[0], eval.replace(r#""rate":25,"#, r#""rate":4294967346,"#));
+    assert_eq!(
+        parse_tagged_journal(&text).unwrap_err(),
+        "journal line 2: eval: JournalEvent::Eval.rate: integer 4294967346 out of range for u32"
+    );
+}
+
 #[test]
 fn trace_exports_of_the_three_node_stream_match_the_pinned_hashes() {
     let (stream, _) = golden_stream();
@@ -390,8 +407,7 @@ fn trace_exports_of_the_three_node_stream_match_the_pinned_hashes() {
         (0, 15), (1, 1), (0, 18),
     ]);
 
-    let events: Vec<JournalEvent> = merged.iter().map(|t| t.event.clone()).collect();
-    let single = chrome_trace(&events).expect("render");
+    let single = chrome_trace(&merged).expect("render");
     let cross = merged_chrome_trace(&merged).expect("render");
     assert_eq!(
         (single.len(), fnv1a(single.as_bytes()), cross.len(), fnv1a(cross.as_bytes())),

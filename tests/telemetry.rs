@@ -12,7 +12,7 @@ use fae::core::{
     TrainConfig,
 };
 use fae::data::{generate, Dataset, GenOptions, WorkloadSpec};
-use fae::telemetry::{chrome_trace, read_journal, summarize, JournalEvent};
+use fae::telemetry::{chrome_trace, read_tagged_journal, summarize, JournalEvent, TaggedEvent};
 
 /// Shrunken budget so the tiny workload actually splits hot/cold.
 fn forced_partial_calibrator() -> CalibratorConfig {
@@ -43,17 +43,9 @@ fn tmpdir(name: &str) -> PathBuf {
     dir
 }
 
-/// Sum of every journalled per-phase second (steps, syncs, charges).
-fn journalled_seconds(events: &[JournalEvent]) -> f64 {
-    events
-        .iter()
-        .filter_map(|e| match e {
-            JournalEvent::Step { phases, .. }
-            | JournalEvent::Sync { phases, .. }
-            | JournalEvent::Charge { phases, .. } => Some(phases.total()),
-            _ => None,
-        })
-        .sum()
+/// Sum of every journalled per-phase second.
+fn journalled_seconds(events: &[TaggedEvent]) -> f64 {
+    events.iter().filter_map(|t| t.event.phases()).map(|p| p.total()).sum()
 }
 
 #[test]
@@ -77,7 +69,7 @@ fn journal_phase_seconds_sum_to_simulated_seconds() {
 
     // In-memory stream and on-disk journal agree.
     let retained = telem.events();
-    let from_disk = read_journal(&journal).expect("journal parses");
+    let from_disk = read_tagged_journal(&journal).expect("journal parses");
     assert_eq!(retained, from_disk);
 
     // The headline invariant: journalled per-phase seconds account for
@@ -141,8 +133,8 @@ fn journal_sums_hold_across_resume() {
     let r2 = train_fae_resilient(&spec, &pre, &test, &cfg, &second);
     assert!(!r2.interrupted);
     let events = telem.events();
-    assert!(events.iter().any(|e| matches!(
-        e,
+    assert!(events.iter().any(|t| matches!(
+        &t.event,
         JournalEvent::Recovery { action, .. } if action == "resumed-from-checkpoint"
     )));
     let sum = journalled_seconds(&events);
@@ -162,7 +154,7 @@ fn report_summary_matches_run() {
     let opts = ResilienceOptions { telemetry: telem, ..Default::default() };
     let report = train_fae_resilient(&spec, &pre, &test, &cfg, &opts);
 
-    let events = read_journal(&journal).expect("journal parses");
+    let events = read_tagged_journal(&journal).expect("journal parses");
     let summary = summarize(&events);
     assert_eq!(
         summary.hot_steps + summary.cold_steps,

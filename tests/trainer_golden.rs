@@ -203,10 +203,10 @@ fn trainer_runs_match_the_pinned_constants() {
     );
     actual.push(("all_faults_all_modes", fingerprint(&combo)));
     let events = telemetry.events();
-    // FNV-1a over the events' Debug rendering.
+    // FNV-1a over the events' Debug rendering (without their origin tags).
     let hash = events
         .iter()
-        .flat_map(|e| format!("{e:?}\n").into_bytes())
+        .flat_map(|t| format!("{:?}\n", t.event).into_bytes())
         .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3));
     actual.push(("all_faults_all_modes/journal", format!("{} events {hash:016x}", events.len())));
 
