@@ -29,8 +29,10 @@ const GOLDEN: &[(&str, &str)] = &[
     ("lookahead4", "76cd1bec 400742263002178c h220 c32 t14 r0 f0 o[1619 436 24584 0 103616 125888] s[0 0 0 0 0]"),
     ("stale_skip", "f9993eb3 40073fd9a1d1f375 h220 c32 t14 r0 f0 o[0 0 0 0 0 0] s[1065 901 750 0 315]"),
     ("all_modes", "fa096fca 40073fd6ac796691 h220 c32 t14 r0 f0 o[1619 436 24584 0 103616 125888] s[1065 901 750 0 315]"),
+    ("all_modes/w2", "69fab348 40073fd6ac796691 h220 c32 t14 r0 f0 o[1619 436 24584 0 103616 125888] s[1065 901 750 0 315]"),
     ("halted", "68c6453a 3fef0f5fcbb70e46 h72 c12 t5 r0 f0 o[0 0 0 0 0 0] s[0 0 0 0 0]"),
     ("resumed", "76cd1bec 40074229255aa471 h220 c32 t14 r1 f0 o[0 0 0 0 0 0] s[0 0 0 0 0]"),
+    ("all_modes/resumed", "391815bc 40073b47762a906e h220 c32 t14 r1 f0 o[1164 327 18304 0 74496 89920] s[744 696 110 634 0]"),
     ("device-loss", "76cd1bec 4015771ce5dade88 h220 c32 t14 r1 f1 o[0 0 0 0 0 0] s[0 0 0 0 0]"),
     ("last-device-loss", "76cd1bec 4008e0197ab83d29 h28 c224 t2 r1 f1 o[0 0 0 0 0 0] s[0 0 0 0 0]"),
     ("replication-oom", "76cd1bec 4008a3cc559de68b h56 c196 t4 r1 f1 o[0 0 0 0 0 0] s[0 0 0 0 0]"),
@@ -152,6 +154,10 @@ fn trainer_runs_match_the_pinned_constants() {
     actual.push(("lookahead4", fingerprint(&fae(&with(|c| c.lookahead = 4)))));
     actual.push(("stale_skip", fingerprint(&fae(&with(|c| c.stale_skip = 1e-4)))));
     actual.push(("all_modes", fingerprint(&fae(&all_modes))));
+    actual.push((
+        "all_modes/w2",
+        fingerprint(&fae(&TrainConfig { workers: 2, ..all_modes.clone() })),
+    ));
 
     // Halt a third of the way in, then resume from the checkpoint dir.
     let dir = tmpdir("resume");
@@ -172,6 +178,24 @@ fn trainer_runs_match_the_pinned_constants() {
         &ResilienceOptions { resume: true, ..checkpointing(dir) },
     );
     actual.push(("resumed", fingerprint(&resumed)));
+    // The same with every mode on: each checkpoint flushes the skip pool,
+    // and the resumed epoch's oracle starts at the restored hot cursor.
+    let dir = tmpdir("resume-modes");
+    train_fae_resilient(
+        &fx.spec,
+        &fx.pre,
+        &fx.test,
+        &all_modes,
+        &ResilienceOptions { halt_after_steps: Some(halt_at), ..checkpointing(dir.clone()) },
+    );
+    let resumed = train_fae_resilient(
+        &fx.spec,
+        &fx.pre,
+        &fx.test,
+        &all_modes,
+        &ResilienceOptions { resume: true, ..checkpointing(dir) },
+    );
+    actual.push(("all_modes/resumed", fingerprint(&resumed)));
 
     // One run per fault kind the trainer itself handles (the network
     // kinds fire inside `fae-net`'s engine, artifact corruption inside
