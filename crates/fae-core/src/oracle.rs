@@ -27,17 +27,16 @@
 //! numerics. `--lookahead K` for any K produces the same model digest as
 //! `--lookahead 0`; the trainer's tests enforce this.
 //!
+//! [`LookaheadOracle`] is a cursor over the *borrowed* hot stream: no
+//! copy, no thread. Slides hand raw CSR indices to the residency mask
+//! (which fetches a listed row once); row sets are one bit per row id.
+//!
 //! [`plan_decisions`] is the pure planner underneath: decision *i*
 //! depends only on access sets `[0, i+K)`, so decisions already emitted
 //! never change when the stream is extended — the prefix-stability
 //! property the proptests pin down.
 
-use std::collections::{BTreeSet, VecDeque};
-use std::sync::Arc;
-
 use fae_data::MiniBatch;
-
-use crate::pipeline::Prefetcher;
 
 /// The unique rows one mini-batch reads, per table, sorted ascending.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -53,10 +52,11 @@ impl AccessSet {
             .sparse
             .iter()
             .map(|csr| {
-                let mut rows = csr.indices.clone();
-                rows.sort_unstable();
-                rows.dedup();
-                rows
+                let mut rows = RowBits::default();
+                for &r in &csr.indices {
+                    rows.insert(r);
+                }
+                rows.drain()
             })
             .collect();
         Self { per_table }
@@ -82,14 +82,14 @@ pub struct StepDecision {
 /// resident. Residency only grows (eviction happens at block boundaries,
 /// outside this planner), so decision `i` is a function of `sets[0..i+K]`
 /// alone — extending the stream never changes decisions already emitted.
+/// Residency is one bit per row id.
 pub fn plan_decisions(sets: &[AccessSet], window: usize) -> Vec<StepDecision> {
     assert!(window >= 1, "a zero window means the oracle is disabled");
     let Some(first) = sets.first() else { return Vec::new() };
-    let tables = first.per_table.len();
-    let mut resident: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); tables];
+    let mut resident = vec![RowBits::default(); first.per_table.len()];
     let mut out = Vec::with_capacity(sets.len());
     for i in 0..sets.len() {
-        let mut prefetch = vec![Vec::new(); tables];
+        let mut prefetch = vec![Vec::new(); resident.len()];
         // The sets that must be resident before step i runs: the whole
         // first window at i == 0, the set entering the window after.
         let incoming: &[AccessSet] = if i == 0 {
@@ -101,11 +101,7 @@ pub fn plan_decisions(sets: &[AccessSet], window: usize) -> Vec<StepDecision> {
         };
         for set in incoming {
             for (t, rows) in set.per_table.iter().enumerate() {
-                for &r in rows {
-                    if resident[t].insert(r) {
-                        prefetch[t].push(r);
-                    }
-                }
+                prefetch[t].extend(rows.iter().copied().filter(|&r| resident[t].insert(r)));
             }
         }
         for rows in &mut prefetch {
@@ -116,35 +112,57 @@ pub fn plan_decisions(sets: &[AccessSet], window: usize) -> Vec<StepDecision> {
     out
 }
 
-/// The streaming oracle the trainer consumes: per-position access sets
-/// of the epoch's hot stream, computed on a background thread through
-/// the double-buffered [`Prefetcher`] and buffered up to the lookahead
-/// window on the consumer side.
-pub struct LookaheadOracle {
-    window: usize,
-    buf: VecDeque<AccessSet>,
-    feed: Prefetcher<AccessSet>,
+/// A set of row ids as one bit per id, grown to the largest id inserted:
+/// the planner's residency, a block plan's union, a step's seen rows.
+#[derive(Clone, Debug, Default)]
+struct RowBits(Vec<u64>);
+
+impl RowBits {
+    /// Adds `row`; true when it was not in the set yet.
+    fn insert(&mut self, row: u32) -> bool {
+        let (word, bit) = (row as usize / 64, 1u64 << (row % 64));
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        let fresh = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        fresh
+    }
+
+    /// Takes every row out of the set, ascending.
+    fn drain(&mut self) -> Vec<u32> {
+        let mut rows = Vec::new();
+        for (word, bits) in (0u32..).zip(&mut self.0) {
+            while *bits != 0 {
+                rows.push(word * 64 + bits.trailing_zeros());
+                *bits &= *bits - 1;
+            }
+        }
+        rows
+    }
 }
 
-impl LookaheadOracle {
-    /// Spawns the access-set producer over `batches` in `order` (the
-    /// epoch's shuffled hot-batch order). `window` is the lookahead K in
-    /// batches and must be ≥ 1 — a window of 0 means "no oracle" and is
-    /// handled by the caller, not here.
-    pub fn spawn(
-        batches: Arc<Vec<MiniBatch>>,
-        order: Vec<usize>,
-        window: usize,
-    ) -> std::io::Result<Self> {
+/// The streaming oracle the trainer consumes: a cursor over the epoch's
+/// hot stream, `order` over `batches`, both borrowed.
+pub struct LookaheadOracle<'a> {
+    batches: &'a [MiniBatch],
+    order: &'a [usize],
+    window: usize,
+    /// Position in `order` of the step about to execute.
+    pos: usize,
+    /// Per table: scratch for counting a step's unique rows.
+    seen: Vec<RowBits>,
+}
+
+impl<'a> LookaheadOracle<'a> {
+    /// An oracle over `batches` in `order` (the epoch's shuffled
+    /// hot-batch order). `window` is the lookahead K in batches and must
+    /// be ≥ 1 — a window of 0 means "no oracle" and is handled by the
+    /// caller, not here.
+    pub fn new(batches: &'a [MiniBatch], order: &'a [usize], window: usize) -> Self {
         assert!(window >= 1, "a zero window means the oracle is disabled");
-        let feed = Prefetcher::spawn(move |tx| {
-            for &b in &order {
-                if tx.send(AccessSet::of(&batches[b])).is_err() {
-                    return; // consumer hung up
-                }
-            }
-        })?;
-        Ok(Self { window, buf: VecDeque::new(), feed })
+        let tables = batches.first().map_or(0, |b| b.sparse.len());
+        Self { batches, order, window, pos: 0, seen: vec![RowBits::default(); tables] }
     }
 
     /// The lookahead window size K.
@@ -152,51 +170,46 @@ impl LookaheadOracle {
         self.window
     }
 
-    fn fill(&mut self, n: usize) {
-        while self.buf.len() < n {
-            match self.feed.next() {
-                Some(s) => self.buf.push_back(s),
-                None => break,
+    /// The batch `offset` steps ahead of the step about to execute (0 =
+    /// that step itself). `None` past the end of the epoch.
+    pub fn peek(&self, offset: usize) -> Option<&'a MiniBatch> {
+        self.order.get(self.pos + offset).map(|&b| &self.batches[b])
+    }
+
+    /// The block-start prefetch plan: per-table union of the rows the
+    /// next `min(K, limit)` steps read (`limit` = batches left in the
+    /// block about to run), ascending.
+    pub fn block_plan(&self, limit: usize, num_tables: usize) -> Vec<Vec<u32>> {
+        let mut union = vec![RowBits::default(); num_tables];
+        for batch in (0..self.window.min(limit)).map_while(|k| self.peek(k)) {
+            for (rows, csr) in union.iter_mut().zip(&batch.sparse) {
+                for &r in &csr.indices {
+                    rows.insert(r);
+                }
             }
         }
+        union.iter_mut().map(RowBits::drain).collect()
     }
 
-    /// The block-start prefetch plan: per-table union of the access sets
-    /// of the next `min(K, limit)` steps (`limit` = batches left in the
-    /// block about to run).
-    pub fn block_plan(&mut self, limit: usize, num_tables: usize) -> Vec<Vec<u32>> {
-        let n = self.window.min(limit);
-        self.fill(n);
-        let mut union: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); num_tables];
-        for set in self.buf.iter().take(n) {
-            for (t, rows) in set.per_table.iter().enumerate() {
-                union[t].extend(rows.iter().copied());
-            }
+    /// Consumes the step about to execute: its batch and the number of
+    /// unique rows it reads, summed over tables. `None` once the epoch
+    /// stream is exhausted.
+    pub fn advance(&mut self) -> Option<(&'a MiniBatch, u64)> {
+        let batch = self.peek(0)?;
+        self.pos += 1;
+        let mut unique = 0u64;
+        for (seen, csr) in self.seen.iter_mut().zip(&batch.sparse) {
+            unique += csr.indices.iter().map(|&r| u64::from(seen.insert(r))).sum::<u64>();
+            // Empty again in O(ids): only these ids' words hold bits.
+            csr.indices.iter().for_each(|&r| seen.0[r as usize / 64] = 0);
         }
-        union.into_iter().map(|s| s.into_iter().collect()).collect()
-    }
-
-    /// The access set `offset` steps ahead of the step about to execute
-    /// (0 = that step itself). `None` once the epoch stream is exhausted.
-    pub fn peek(&mut self, offset: usize) -> Option<&AccessSet> {
-        self.fill(offset + 1);
-        self.buf.get(offset)
-    }
-
-    /// Consumes the access set of the step about to execute.
-    pub fn advance(&mut self) -> Option<AccessSet> {
-        self.fill(1);
-        self.buf.pop_front()
+        Some((batch, unique))
     }
 
     /// Skips `n` positions — the resume path, where the hot cursor starts
     /// mid-epoch.
     pub fn skip(&mut self, n: usize) {
-        for _ in 0..n {
-            if self.advance().is_none() {
-                break;
-            }
-        }
+        self.pos = self.pos.saturating_add(n).min(self.order.len());
     }
 }
 
@@ -227,6 +240,17 @@ mod tests {
 
     fn sets(rows: &[&[u32]]) -> Vec<AccessSet> {
         rows.iter().map(|r| AccessSet { per_table: vec![r.to_vec()] }).collect()
+    }
+
+    /// `n` hot batches of 64 over the tiny spec.
+    fn batches(seed: u64, n: usize) -> Vec<MiniBatch> {
+        let spec = WorkloadSpec::tiny_test();
+        let ds = generate(&spec, &GenOptions::sized(seed, n));
+        (0..ds.len())
+            .collect::<Vec<_>>()
+            .chunks(64)
+            .map(|c| MiniBatch::gather(&ds, c, BatchKind::Hot))
+            .collect()
     }
 
     #[test]
@@ -261,6 +285,14 @@ mod tests {
     }
 
     #[test]
+    fn residency_bits_span_word_boundaries_and_large_ids() {
+        let s = sets(&[&[63, 64, u32::from(u16::MAX)], &[0, 64, 127, 128], &[63]]);
+        let d = plan_decisions(&s, 1);
+        let got: Vec<_> = d.into_iter().map(|d| d.prefetch).collect();
+        assert_eq!(got, vec![vec![vec![63, 64, 65_535]], vec![vec![0, 127, 128]], vec![vec![]]]);
+    }
+
+    #[test]
     fn access_set_dedups_and_sorts() {
         let spec = WorkloadSpec::tiny_test();
         let ds = generate(&spec, &GenOptions::sized(3, 200));
@@ -275,48 +307,39 @@ mod tests {
 
     #[test]
     fn streaming_oracle_matches_the_pure_planner_unions() {
-        let spec = WorkloadSpec::tiny_test();
-        let ds = generate(&spec, &GenOptions::sized(9, 1_000));
-        let batches: Vec<MiniBatch> = (0..ds.len())
-            .collect::<Vec<_>>()
-            .chunks(64)
-            .map(|c| MiniBatch::gather(&ds, c, BatchKind::Hot))
-            .collect();
+        let batches = batches(9, 1_000);
         let order: Vec<usize> = (0..batches.len()).rev().collect();
         let eager: Vec<AccessSet> = order.iter().map(|&b| AccessSet::of(&batches[b])).collect();
         let tables = batches[0].sparse.len();
 
-        let mut oracle = LookaheadOracle::spawn(Arc::new(batches), order, 3).expect("spawn oracle");
-        // Block plan == union of the first 3 sets.
-        let plan = oracle.block_plan(usize::MAX, tables);
-        let mut want: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); tables];
-        for s in &eager[..3] {
-            for (t, rows) in s.per_table.iter().enumerate() {
-                want[t].extend(rows.iter().copied());
-            }
-        }
-        let want: Vec<Vec<u32>> = want.into_iter().map(|s| s.into_iter().collect()).collect();
-        assert_eq!(plan, want);
-        // Advancing yields the per-position sets in order.
+        let mut oracle = LookaheadOracle::new(&batches, &order, 3);
+        // Block plan == the planner's first decision: the union of the
+        // first 3 sets. A block shorter than the window plans only itself.
+        assert_eq!(oracle.block_plan(usize::MAX, tables), plan_decisions(&eager, 3)[0].prefetch);
+        assert_eq!(oracle.block_plan(1, tables), eager[0].per_table);
+        // Advancing walks the order; each step counts its unique rows
+        // whatever the steps before it read.
         for (i, s) in eager.iter().enumerate() {
-            assert_eq!(oracle.advance().as_ref(), Some(s), "position {i}");
+            assert!(std::ptr::eq(oracle.peek(0).expect("in the epoch"), &batches[order[i]]));
+            let (batch, unique) = oracle.advance().expect("position in the epoch");
+            assert_eq!(AccessSet::of(batch), *s, "position {i}");
+            assert_eq!(unique, s.rows() as u64, "position {i}");
         }
-        assert!(oracle.advance().is_none());
+        assert!(oracle.advance().is_none() && oracle.peek(0).is_none());
+        assert_eq!(oracle.block_plan(3, tables), vec![Vec::<u32>::new(); tables]);
     }
 
     #[test]
     fn skip_fast_forwards_the_stream() {
-        let spec = WorkloadSpec::tiny_test();
-        let ds = generate(&spec, &GenOptions::sized(9, 500));
-        let batches: Vec<MiniBatch> = (0..ds.len())
-            .collect::<Vec<_>>()
-            .chunks(64)
-            .map(|c| MiniBatch::gather(&ds, c, BatchKind::Hot))
-            .collect();
+        let batches = batches(9, 500);
         let order: Vec<usize> = (0..batches.len()).collect();
-        let third = AccessSet::of(&batches[2]);
-        let mut oracle = LookaheadOracle::spawn(Arc::new(batches), order, 1).expect("spawn");
+        let mut oracle = LookaheadOracle::new(&batches, &order, 1);
         oracle.skip(2);
-        assert_eq!(oracle.advance(), Some(third));
+        let (third, unique) = oracle.advance().expect("a third batch");
+        assert!(std::ptr::eq(third, &batches[2]));
+        assert_eq!(unique, AccessSet::of(&batches[2]).rows() as u64);
+        // Skipping past the end leaves an exhausted cursor.
+        oracle.skip(usize::MAX / 2);
+        assert!(oracle.advance().is_none());
     }
 }

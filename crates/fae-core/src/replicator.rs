@@ -112,7 +112,7 @@ impl HotEmbeddings {
     /// Cold→hot transition: pulls rows updated by cold batches back into
     /// the bags. Restores full residency.
     pub fn refresh_from(&mut self, master: &MasterEmbeddings) {
-        self.refresh(master, None);
+        self.refresh_rows(master, None);
     }
 
     /// Rows currently resident on the devices, across all tables.
@@ -120,28 +120,21 @@ impl HotEmbeddings {
         self.resident.iter().map(|m| m.iter().filter(|&&r| r).count()).sum()
     }
 
-    /// Oracle-driven cold→hot transition: refreshes exactly the rows in
-    /// `plan` (per-table global ids, the union of the next window's
-    /// access sets) and marks everything else non-resident. Returns the
-    /// bytes moved and the number of previously-resident rows evicted
-    /// (eviction moves no bytes: the master already holds their values —
-    /// hot rows are only written on the devices *after* a refresh, and
-    /// written rows are written back before the next refresh). An id
-    /// listed twice in a plan is copied, and counted, once.
-    pub fn refresh_rows(&mut self, master: &MasterEmbeddings, plan: &[Vec<u32>]) -> (u64, u64) {
-        assert_eq!(plan.len(), self.tables.len(), "one plan per table");
-        self.refresh(master, Some(plan))
-    }
-
-    /// The cold→hot copy behind both refreshes: `plan` names the rows to
-    /// make resident, `None` meaning every hot row. Everything is evicted
-    /// first, so whatever was resident and is not fetched again counts as
-    /// evicted.
-    pub(crate) fn refresh(
+    /// Cold→hot transition: `plan` names the rows to make resident
+    /// (per-table global ids — the oracle's union of the next window's
+    /// access sets; an id listed twice is copied, and counted, once),
+    /// `None` meaning every hot row. Everything is evicted first, so
+    /// whatever was resident and is not fetched again counts as evicted.
+    /// Returns the bytes moved and the rows evicted (eviction moves no
+    /// bytes: the master already holds their values — hot rows are only
+    /// written on the devices *after* a refresh, and written rows are
+    /// written back before the next refresh).
+    pub fn refresh_rows(
         &mut self,
         master: &MasterEmbeddings,
         plan: Option<&[Vec<u32>]>,
     ) -> (u64, u64) {
+        assert!(plan.is_none_or(|p| p.len() == self.tables.len()), "one plan per table");
         let was: Vec<Vec<bool>> =
             self.resident.iter_mut().map(|m| std::mem::replace(m, vec![false; m.len()])).collect();
         let moved_bytes = self.fetch(master, plan) * self.row_bytes();
@@ -152,11 +145,15 @@ impl HotEmbeddings {
         (moved_bytes, evicted as u64)
     }
 
-    /// Fetches every row of `sets` (per-table global ids) that is not
-    /// already resident — the oracle's sliding-window prefetch, and the
-    /// demand-miss path should a non-resident row ever be accessed.
-    /// Returns the rows and bytes moved.
-    pub fn fetch_missing(&mut self, master: &MasterEmbeddings, sets: &[Vec<u32>]) -> (u64, u64) {
+    /// Fetches every row of `sets` (per-table global ids; duplicates are
+    /// fetched, and counted, once) that is not already resident — the
+    /// oracle's sliding-window prefetch, and the demand-miss path should a
+    /// non-resident row ever be accessed. Returns the rows and bytes moved.
+    pub fn fetch_missing<S: AsRef<[u32]>>(
+        &mut self,
+        master: &MasterEmbeddings,
+        sets: &[S],
+    ) -> (u64, u64) {
         assert_eq!(sets.len(), self.tables.len(), "one set per table");
         let rows_moved = self.fetch(master, Some(sets));
         let bytes = rows_moved * self.row_bytes();
@@ -169,12 +166,12 @@ impl HotEmbeddings {
     /// The one master→device copy loop: makes resident every row of
     /// `sets` (`None` = every hot row) that is not already. Returns the
     /// rows copied.
-    fn fetch(&mut self, master: &MasterEmbeddings, sets: Option<&[Vec<u32>]>) -> u64 {
+    fn fetch<S: AsRef<[u32]>>(&mut self, master: &MasterEmbeddings, sets: Option<&[S]>) -> u64 {
         let mut rows_moved = 0u64;
         for (t, table) in self.tables.iter_mut().enumerate() {
             let table = table.get_mut().unwrap_or_else(PoisonError::into_inner);
             let p = &self.partitions[t];
-            let rows = sets.map_or(p.hot_ids(), |s| &s[t]);
+            let rows = sets.map_or(p.hot_ids(), |s| s[t].as_ref());
             let mask = &mut self.resident[t];
             for &g in rows {
                 // Cold ids in a set would be input-processor corruption;
@@ -383,7 +380,7 @@ mod tests {
         // Plan only rows {0, 3} of table 0 (and nothing elsewhere).
         let mut plan: Vec<Vec<u32>> = vec![Vec::new(); hot.num_tables()];
         plan[0] = vec![0, 3];
-        let (moved, evicted) = hot.refresh_rows(&master, &plan);
+        let (moved, evicted) = hot.refresh_rows(&master, Some(&plan));
         assert_eq!(moved, 2 * (hot.dim() * 4) as u64);
         assert_eq!(evicted as usize, all - 2);
         assert_eq!(hot.resident_rows(), 2);
@@ -406,7 +403,7 @@ mod tests {
         let mut plan: Vec<Vec<u32>> = vec![Vec::new(); hot.num_tables()];
         // A plan naming a row twice moves (and reports) it once.
         plan[0] = vec![3, 3];
-        let (moved, _) = hot.refresh_rows(&master, &plan);
+        let (moved, _) = hot.refresh_rows(&master, Some(&plan));
         assert_eq!(moved, (hot.dim() * 4) as u64);
         // Train resident row 3 on the devices; evicted row 6 gets
         // device-side bytes that must never reach the master.

@@ -47,7 +47,6 @@
 //!   is bit-identical to never having stopped.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -493,10 +492,6 @@ where
     }
     run.start(spec, resume_cursors.is_some());
 
-    // Oracle lookahead: the hot stream is shared with a per-epoch
-    // background access-set producer.
-    let oracle_batches: Option<Arc<Vec<MiniBatch>>> =
-        (cfg.lookahead > 0).then(|| Arc::new(pre.hot_batches.clone()));
     let num_tables = pre.partitions.len();
     let n_hot = pre.hot_batches.len();
     let n_cold = pre.cold_batches.len();
@@ -512,24 +507,14 @@ where
         cold_order.shuffle(&mut ep_rng);
         let (mut hp, mut cp) = resume_cursors.take().unwrap_or((0, 0));
 
-        // The epoch's streaming oracle over the hot order just drawn. A
-        // resumed run fast-forwards to the hot cursor; a degraded
-        // (cold-only) run has no hot bags to manage, so no oracle.
-        let mut oracle = match &oracle_batches {
-            Some(batches) if !run.cold_only => {
-                match LookaheadOracle::spawn(batches.clone(), hot_order.clone(), cfg.lookahead) {
-                    Ok(mut o) => {
-                        o.skip(hp);
-                        Some(o)
-                    }
-                    Err(e) => {
-                        eprintln!("fae: lookahead oracle unavailable ({e}); full-bag syncs");
-                        None
-                    }
-                }
-            }
-            _ => None,
-        };
+        // The epoch's oracle: a cursor over the hot stream in the order
+        // just drawn. A resumed run fast-forwards to the hot cursor; a
+        // degraded (cold-only) run has no hot bags to manage, so no oracle.
+        let mut oracle = (cfg.lookahead > 0 && !run.cold_only).then(|| {
+            let mut o = LookaheadOracle::new(&pre.hot_batches, &hot_order, cfg.lookahead);
+            o.skip(hp);
+            o
+        });
 
         // §III-C: "The scheduler always begins with training on cold
         // inputs", then alternates rate-sized blocks.

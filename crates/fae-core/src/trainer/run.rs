@@ -123,8 +123,8 @@ pub(super) enum SyncDir {
 
 /// The lookahead input of one hot step: the epoch's oracle and where in
 /// its `block`-step hot block the step sits.
-pub(super) struct Lookahead<'o> {
-    pub oracle: &'o mut LookaheadOracle,
+pub(super) struct Lookahead<'o, 'b> {
+    pub oracle: &'o mut LookaheadOracle<'b>,
     pub pos: usize,
     pub block: usize,
 }
@@ -298,7 +298,7 @@ impl<'a, En: StepEngine> Run<'a, En> {
         &mut self,
         mb: &MiniBatch,
         mode: StepMode,
-        ahead: Option<Lookahead<'_>>,
+        ahead: Option<Lookahead<'_, '_>>,
     ) -> bool {
         let (lr, at) = (self.cfg.lr, self.steps as u64);
         if let Some(ahead) = ahead {
@@ -317,12 +317,9 @@ impl<'a, En: StepEngine> Run<'a, En> {
                 // to read, so the forward pass never sees starved weights.
                 let mut flushed = 0u64;
                 if let Some(pool) = self.skip.as_mut() {
-                    // Raw CSR indices, duplicates and all —
-                    // `take_for_access` tolerates them, and skipping the
-                    // sort/dedup keeps this off the step's critical path.
-                    let access: Vec<&[u32]> =
-                        mb.sparse.iter().map(|c| c.indices.as_slice()).collect();
-                    if let Some((flush, n)) = pool.take_for_access(&access) {
+                    // Raw CSR indices, duplicates and all: the pool's slot
+                    // map reads them as they lie, no sort or dedup.
+                    if let Some((flush, n)) = pool.take_for_access(&mb.sparse) {
                         self.master.apply_sparse_grads(&flush, lr);
                         flushed = n;
                     }
@@ -375,12 +372,12 @@ impl<'a, En: StepEngine> Run<'a, En> {
     /// is charged. Sets past this block are left to the next block's plan
     /// — the master thaws between blocks, so bytes fetched across the
     /// boundary would go stale.
-    fn slide_window(&mut self, ahead: Lookahead<'_>, batch: usize) {
+    fn slide_window(&mut self, ahead: Lookahead<'_, '_>, batch: usize) {
         let Lookahead { oracle, pos, block } = ahead;
         let window = oracle.window();
         if pos > 0 && pos + window - 1 < block {
             if let Some(entering) = oracle.peek(window - 1) {
-                let (rows, bytes) = self.hot.fetch_missing(&self.master, &entering.per_table);
+                let (rows, bytes) = self.hot.fetch_missing(&self.master, &entering.sparse);
                 if rows > 0 {
                     self.oracle_stats.prefetched_rows += rows;
                     self.oracle_stats.moved_bytes += bytes;
@@ -394,9 +391,8 @@ impl<'a, En: StepEngine> Run<'a, En> {
         // Demand self-check: with an exact oracle this step's rows are
         // already resident, so misses stay 0; a nonzero count is a planner
         // bug the fetch below keeps from corrupting training.
-        if let Some(cur) = oracle.advance() {
-            let accessed = cur.rows() as u64;
-            let (miss_rows, miss_bytes) = self.hot.fetch_missing(&self.master, &cur.per_table);
+        if let Some((cur, accessed)) = oracle.advance() {
+            let (miss_rows, miss_bytes) = self.hot.fetch_missing(&self.master, &cur.sparse);
             if miss_rows > 0 {
                 self.oracle_stats.misses += miss_rows;
                 self.oracle_stats.moved_bytes += miss_bytes;
@@ -420,7 +416,7 @@ impl<'a, En: StepEngine> Run<'a, En> {
             SyncDir::AbortedReplication => ("aborted-replication", full, 1),
             SyncDir::Retry(failures) => ("retry", full, failures),
             SyncDir::Refresh => {
-                let (moved, evicted) = self.hot.refresh(&self.master, plan);
+                let (moved, evicted) = self.hot.refresh_rows(&self.master, plan);
                 let planned = plan.map_or(0, |p| p.iter().map(|r| r.len() as u64).sum());
                 self.oracle_stats.prefetched_rows += planned;
                 self.oracle_stats.evicted_rows += evicted;

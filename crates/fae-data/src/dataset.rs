@@ -59,6 +59,13 @@ impl TableIndices {
     }
 }
 
+/// The flat row-id stream, duplicates and all, as a per-table id list.
+impl AsRef<[u32]> for TableIndices {
+    fn as_ref(&self) -> &[u32] {
+        &self.indices
+    }
+}
+
 /// A full synthetic dataset: dense features, per-table sparse lookups and
 /// binary labels.
 #[derive(Clone, Debug, Serialize, Deserialize)]

@@ -27,8 +27,12 @@
 //! in one apply equals applying each contribution as it arrived (up to
 //! float associativity); only *dropped* rows diverge from eager
 //! training, and the fig12-parity harness bounds that divergence.
-
-use std::collections::BTreeMap;
+//!
+//! A table's pool is a slot-indexed arena (`slot[row]` → entry in flat
+//! `rows` / `data`; a removal swaps the last entry in), so every call
+//! costs O(ids in the batch) with no map and no per-row allocation. What
+//! the pool hands back is sorted by row id, each pending sum added onto
+//! `+0.0` (`tests/modes_golden.rs` holds it to the map it used to be).
 
 use crate::partition::HotColdPartition;
 use crate::sparse::SparseGrad;
@@ -50,6 +54,53 @@ pub struct SkipStats {
     pub dropped: u64,
 }
 
+/// `slot` entry of a row that is not pending.
+const NONE: u32 = u32::MAX;
+
+/// One table's pending rows: entry `i` is row `rows[i]` with its sum at
+/// `data[i * dim..]`, and `slot[row] == i` (or [`NONE`]; sized from the
+/// partition on the first `absorb`, so an id past it is not pending).
+#[derive(Clone, Debug, Default)]
+struct Pool {
+    slot: Vec<u32>,
+    rows: Vec<u32>,
+    data: Vec<f32>,
+}
+
+impl Pool {
+    fn index(&self, row: u32) -> Option<usize> {
+        self.slot.get(row as usize).filter(|&&i| i != NONE).map(|&i| i as usize)
+    }
+
+    /// Removes arena entry `i`, moving the last entry into its place.
+    fn swap_remove(&mut self, i: usize, dim: usize) {
+        let row = self.rows.swap_remove(i);
+        self.slot[row as usize] = NONE;
+        let last = self.rows.len();
+        if i < last {
+            self.slot[self.rows[i] as usize] = i as u32;
+            self.data.copy_within(last * dim..(last + 1) * dim, i * dim);
+        }
+        self.data.truncate(last * dim);
+    }
+
+    /// Hands back and removes the entries `keys` name (`row << 32 |
+    /// entry`), rows ascending. They leave in descending entry order, so
+    /// the entry a removal moves in is never one still to be removed.
+    fn take(&mut self, mut keys: Vec<u64>, dim: usize) -> SparseGrad {
+        keys.sort_unstable();
+        let mut g = SparseGrad::with_rows(dim, keys.len());
+        for &key in &keys {
+            let i = key as u32 as usize;
+            g.push_row((key >> 32) as u32, &self.data[i * dim..(i + 1) * dim]);
+        }
+        let mut at: Vec<u32> = keys.iter().map(|&key| key as u32).collect();
+        at.sort_unstable_by(|a, b| b.cmp(a));
+        at.into_iter().for_each(|i| self.swap_remove(i as usize, dim));
+        g
+    }
+}
+
 /// Per-table pool of deferred cold-row gradients (see module docs).
 #[derive(Clone, Debug)]
 pub struct DeferredSparse {
@@ -58,9 +109,7 @@ pub struct DeferredSparse {
     /// `lr · ‖accumulated‖∞` reaches it.
     threshold: f32,
     lr: f32,
-    /// Pending accumulated gradients, keyed by global row id. A `BTreeMap`
-    /// keeps flush order deterministic.
-    pending: Vec<BTreeMap<u32, Box<[f32]>>>,
+    pools: Vec<Pool>,
     stats: SkipStats,
 }
 
@@ -70,13 +119,8 @@ impl DeferredSparse {
     /// trainer's learning rate, used to convert gradient magnitude into
     /// weight delta.
     pub fn new(num_tables: usize, dim: usize, threshold: f32, lr: f32) -> Self {
-        Self {
-            dim,
-            threshold,
-            lr,
-            pending: (0..num_tables).map(|_| BTreeMap::new()).collect(),
-            stats: SkipStats::default(),
-        }
+        let pools = vec![Pool::default(); num_tables];
+        Self { dim, threshold, lr, pools, stats: SkipStats::default() }
     }
 
     /// Lifetime counters so far.
@@ -86,7 +130,7 @@ impl DeferredSparse {
 
     /// Rows currently pending across all tables.
     pub fn pending_rows(&self) -> usize {
-        self.pending.iter().map(BTreeMap::len).sum()
+        self.pools.iter().map(|p| p.rows.len()).sum()
     }
 
     /// Splits a step's gradients into *apply now* and *defer*. Hot rows
@@ -99,46 +143,48 @@ impl DeferredSparse {
         grads: &[SparseGrad],
         partitions: &[HotColdPartition],
     ) -> (Vec<SparseGrad>, u64) {
-        assert_eq!(grads.len(), self.pending.len(), "one gradient per table");
-        assert_eq!(partitions.len(), self.pending.len(), "one partition per table");
+        assert_eq!(grads.len(), self.pools.len(), "one gradient per table");
+        assert_eq!(partitions.len(), self.pools.len(), "one partition per table");
+        let dim = self.dim;
+        let crosses =
+            |v: &[f32]| self.lr * v.iter().fold(0.0f32, |m, &x| m.max(x.abs())) >= self.threshold;
         let mut deferred_now = 0u64;
         let mut out = Vec::with_capacity(grads.len());
-        for ((g, p), pool) in grads.iter().zip(partitions).zip(&mut self.pending) {
-            let mut apply = SparseGrad::new(self.dim);
+        for ((g, p), pool) in grads.iter().zip(partitions).zip(&mut self.pools) {
+            if pool.slot.len() < p.rows() {
+                pool.slot.resize(p.rows(), NONE);
+            }
+            let mut apply = SparseGrad::with_rows(dim, g.nnz_rows());
             for (row, grad) in g.iter() {
                 if p.is_hot(row) {
-                    apply.accumulate(row, grad);
-                    continue;
-                }
-                if let Some(acc) = pool.get_mut(&row) {
+                    apply.push_row(row, grad);
+                } else if let Some(i) = pool.index(row) {
+                    let acc = &mut pool.data[i * dim..(i + 1) * dim];
                     for (a, &v) in acc.iter_mut().zip(grad) {
                         *a += v;
                     }
-                    let maxabs = acc.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-                    if self.lr * maxabs >= self.threshold {
-                        let acc = pool.remove(&row).unwrap_or_default();
-                        apply.accumulate(row, &acc);
+                    if crosses(acc) {
+                        apply.push_row(row, acc);
+                        pool.swap_remove(i, dim);
                         self.stats.flushed_threshold += 1;
                     } else {
                         deferred_now += 1;
-                        self.stats.deferred += 1;
                     }
-                    continue;
-                }
-                // Not pending: a row already over the threshold passes
-                // straight through — no pool allocation, no re-read.
-                let maxabs = grad.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-                if self.lr * maxabs >= self.threshold {
-                    apply.accumulate(row, grad);
+                } else if crosses(grad) {
+                    // Not pending: a row already over the threshold passes
+                    // straight through — no pool allocation, no re-read.
+                    apply.push_row(row, grad);
                     self.stats.flushed_threshold += 1;
                 } else {
-                    pool.insert(row, grad.to_vec().into_boxed_slice());
+                    pool.slot[row as usize] = pool.rows.len() as u32;
+                    pool.rows.push(row);
+                    pool.data.extend_from_slice(grad);
                     deferred_now += 1;
-                    self.stats.deferred += 1;
                 }
             }
             out.push(apply);
         }
+        self.stats.deferred += deferred_now;
         (out, deferred_now)
     }
 
@@ -151,23 +197,19 @@ impl DeferredSparse {
         &mut self,
         access: &[S],
     ) -> Option<(Vec<SparseGrad>, u64)> {
-        assert_eq!(access.len(), self.pending.len(), "one access set per table");
+        assert_eq!(access.len(), self.pools.len(), "one access set per table");
         let mut flushed = 0u64;
         let mut out = Vec::with_capacity(access.len());
-        for (rows, pool) in access.iter().zip(&mut self.pending) {
-            let mut taken: Vec<(u32, Box<[f32]>)> = rows
-                .as_ref()
-                .iter()
-                .filter_map(|&row| pool.remove(&row).map(|acc| (row, acc)))
-                .collect();
-            flushed += taken.len() as u64;
-            // Access sets arrive in batch order; ascending ids append.
-            taken.sort_unstable_by_key(|&(row, _)| row);
-            let mut g = SparseGrad::new(self.dim);
-            for (row, acc) in &taken {
-                g.accumulate(*row, acc);
+        for (ids, pool) in access.iter().zip(&mut self.pools) {
+            let mut keys = Vec::new();
+            for &row in ids.as_ref() {
+                if let Some(i) = pool.index(row) {
+                    pool.slot[row as usize] = NONE; // so a duplicate id is not listed twice
+                    keys.push(u64::from(row) << 32 | i as u64);
+                }
             }
-            out.push(g);
+            flushed += keys.len() as u64;
+            out.push(pool.take(keys, self.dim));
         }
         if flushed == 0 {
             return None;
@@ -181,18 +223,14 @@ impl DeferredSparse {
     /// run (which starts with an empty pool) is bit-identical to one
     /// that kept going. Returns `None` when nothing was pending.
     pub fn flush_all(&mut self) -> Option<(Vec<SparseGrad>, u64)> {
-        let mut flushed = 0u64;
-        let mut out = Vec::with_capacity(self.pending.len());
-        for pool in &mut self.pending {
-            let mut g = SparseGrad::new(self.dim);
-            for (row, acc) in std::mem::take(pool) {
-                g.accumulate(row, &acc);
-                flushed += 1;
-            }
-            out.push(g);
-        }
+        let flushed = self.pending_rows() as u64;
         if flushed == 0 {
             return None;
+        }
+        let mut out = Vec::with_capacity(self.pools.len());
+        for pool in &mut self.pools {
+            let keys = pool.rows.iter().zip(0..).map(|(&row, i)| u64::from(row) << 32 | i);
+            out.push(pool.take(keys.collect(), self.dim));
         }
         self.stats.flushed_checkpoint += flushed;
         Some((out, flushed))
@@ -203,10 +241,11 @@ impl DeferredSparse {
     /// never read again: the stale updates the paper skips outright.
     /// Returns how many rows were dropped.
     pub fn drop_pending(&mut self) -> u64 {
-        let mut dropped = 0u64;
-        for pool in &mut self.pending {
-            dropped += pool.len() as u64;
-            pool.clear();
+        let dropped = self.pending_rows() as u64;
+        for pool in &mut self.pools {
+            pool.rows.iter().for_each(|&row| pool.slot[row as usize] = NONE);
+            pool.rows.clear();
+            pool.data.clear();
         }
         self.stats.dropped += dropped;
         dropped
@@ -272,6 +311,28 @@ mod tests {
         assert_eq!(flush[0].get(4).unwrap(), &[2.0; 2]);
         assert_eq!(d.pending_rows(), 1);
         assert!(d.take_for_access(&[vec![9]]).is_none());
+        // An id past the table (or a pool that never absorbed) is simply
+        // not pending.
+        assert!(d.take_for_access(&[vec![u32::MAX]]).is_none());
+        assert!(DeferredSparse::new(1, 2, 10.0, 0.1).take_for_access(&[vec![4]]).is_none());
+    }
+
+    #[test]
+    fn taking_rows_keeps_the_rest_of_the_arena_addressable() {
+        // Removals swap the last entry into the hole: every row left
+        // behind must still come back with its own sum.
+        let p = parts(10, &[]);
+        let mut d = DeferredSparse::new(1, 1, 10.0, 0.1);
+        d.absorb(&grad(1, &[(1, 1.0), (2, 2.0), (3, 3.0), (5, 5.0), (8, 8.0)]), &p);
+        let (flush, n) = d.take_for_access(&[vec![8, 1, 3]]).expect("pending");
+        assert_eq!(n, 3);
+        let rows: Vec<(u32, f32)> = flush[0].iter().map(|(r, g)| (r, g[0])).collect();
+        assert_eq!(rows, vec![(1, 1.0), (3, 3.0), (8, 8.0)]);
+        d.absorb(&grad(1, &[(2, 0.5), (5, 0.5)]), &p);
+        let (all, n) = d.flush_all().expect("pending");
+        assert_eq!(n, 2);
+        let rows: Vec<(u32, f32)> = all[0].iter().map(|(r, g)| (r, g[0])).collect();
+        assert_eq!(rows, vec![(2, 2.5), (5, 5.5)]);
     }
 
     #[test]
@@ -286,6 +347,9 @@ mod tests {
         assert_eq!(d.drop_pending(), 1);
         let s = d.stats();
         assert_eq!((s.flushed_checkpoint, s.dropped), (2, 1));
+        // A dropped row starts over.
+        d.absorb(&grad(2, &[(5, 2.0)]), &p);
+        assert_eq!(d.flush_all().expect("row 5 pending").0[0].get(5).unwrap(), &[2.0; 2]);
     }
 
     #[test]

@@ -112,6 +112,19 @@ impl SparseGrad {
         lanes::add_assign(&mut self.data[off..off + self.dim], grad);
     }
 
+    /// An empty gradient with room for `rows` rows, for [`Self::push_row`].
+    pub(crate) fn with_rows(dim: usize, rows: usize) -> Self {
+        Self { dim, rows: Vec::with_capacity(rows), data: Vec::with_capacity(rows * dim) }
+    }
+
+    /// `accumulate` of a row past the last one (`+0.0 + grad`), unsearched.
+    pub(crate) fn push_row(&mut self, idx: u32, grad: &[f32]) {
+        assert_eq!(grad.len(), self.dim, "sparse grad width mismatch");
+        assert!(self.rows.last().is_none_or(|&last| last < idx), "rows must ascend");
+        self.rows.push(idx);
+        self.data.extend(grad.iter().map(|&v| 0.0 + v));
+    }
+
     /// Merges another sparse gradient into this one (used when averaging
     /// data-parallel replicas): each of `other`'s rows is one contribution
     /// onto this one's row, or onto `+0.0` where there is none.
