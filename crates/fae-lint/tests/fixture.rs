@@ -5,7 +5,7 @@
 
 use std::path::{Path, PathBuf};
 
-use fae_lint::{lint_tree, FileClass};
+use fae_lint::{lint_tree, Diagnostic, FileClass};
 
 const STRICT: FileClass =
     FileClass { deterministic: true, binary: false, net: false, metrics: false };
@@ -277,6 +277,78 @@ fn scanner_fixture_pins() {
 
     let clean = lint_tree(&fixture("scanner/clean"), EVERY_SCOPE).expect("fixture tree readable");
     assert!(clean.is_empty(), "clean scanner fixture reported: {clean:?}");
+}
+
+/// Runs one `scripts/lint.sh` self-test invocation through the library:
+/// `args` is the script's argument list with `$FIX/` dropped.
+fn invoke(args: &str) -> Vec<Diagnostic> {
+    let mut words = args.split_whitespace();
+    let (flag, dir) = (words.next(), fixture(words.next().expect("a fixture tree")));
+    let mut class = FileClass { deterministic: false, binary: true, net: false, metrics: false };
+    for w in words {
+        match w {
+            "--det" => class.deterministic = true,
+            "--lib" => class.binary = false,
+            "--net" => class.net = true,
+            "--metrics" => class.metrics = true,
+            _ => panic!("unknown flag {w}"),
+        }
+    }
+    match flag {
+        Some("--tree") => lint_tree(&dir, class),
+        Some("--wire") => fae_lint::lint_wire(&dir),
+        _ => panic!("unknown invocation {args}"),
+    }
+    .expect("fixture tree readable")
+}
+
+/// Every self-test invocation of `scripts/lint.sh`, in script order
+/// (eight must-fail trees, then five clean twins): the diagnostic count
+/// and an FNV-1a of the sorted `(file name, line, rule, message)` rows.
+/// File names only, because the walked paths are absolute.
+const LINT_SH: &[(&str, usize, u64)] = &[
+    ("--tree violations --det --lib", 14, 0x03f379a3fff86846),
+    ("--tree phases/bad --lib", 5, 0xba7f70b20b3b4c87),
+    ("--tree locks/bad --lib", 3, 0x2bc93fcbe9fbcbc3),
+    ("--tree taint --det --lib", 7, 0xeabffcdc6eb03542),
+    ("--wire wire/bad", 3, 0x5945c3e21c0ad0cf),
+    ("--tree net --lib --net", 7, 0x4dfdd09b1dd022c0),
+    ("--tree metrics --lib --metrics", 4, 0x188f0b5237e759a5),
+    ("--tree scanner/bad --det --lib --net --metrics", 23, 0xd302dcada50f7c55),
+    ("--tree clean --det --lib", 0, 0xcbf29ce484222325),
+    ("--tree phases/clean --lib", 0, 0xcbf29ce484222325),
+    ("--tree locks/clean --lib", 0, 0xcbf29ce484222325),
+    ("--wire wire/clean", 0, 0xcbf29ce484222325),
+    ("--tree scanner/clean --det --lib --net --metrics", 0, 0xcbf29ce484222325),
+];
+
+#[test]
+fn every_lint_sh_invocation_is_pinned() {
+    let actual: Vec<(&str, usize, u64)> = LINT_SH
+        .iter()
+        .map(|&(args, _, _)| {
+            let mut rows: Vec<(String, usize, String, String)> = invoke(args)
+                .into_iter()
+                .map(|d| {
+                    let file = d.file.file_name().expect("file name").to_string_lossy();
+                    (file.into_owned(), d.line, d.rule, d.message)
+                })
+                .collect();
+            rows.sort();
+            let hash = rows
+                .iter()
+                .flat_map(|(f, l, r, m)| format!("{f}\t{l}\t{r}\t{m}\n").into_bytes())
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+            (args, rows.len(), hash)
+        })
+        .collect();
+    let table: String = actual
+        .iter()
+        .map(|(args, n, hash)| format!("    (\"{args}\", {n}, 0x{hash:016x}),\n"))
+        .collect();
+    assert!(actual == LINT_SH, "lint.sh fixture pins moved; actual table:\n{table}");
 }
 
 #[test]
