@@ -21,7 +21,7 @@ impl Phase {
         }
     }
 
-    // No Drain arm and no wildcard — fires on the fn line.
+    // No Drain arm: rustc rejects it (E0004), so the pass does not.
     pub fn label(self) -> &'static str {
         match self {
             Phase::Load => "load",
@@ -36,5 +36,5 @@ pub struct Timeline {
 }
 
 pub fn charge(t: &mut Timeline, secs: f64) {
-    t.add(Phase::Cooldown, secs); // not a declared variant — fires here
+    t.add(Phase::Cooldown, secs); // undeclared: rustc's E0599, not a finding
 }

@@ -1,7 +1,7 @@
 //! Seeded wire-compat violations: a duplicated tag, a never-decoded
-//! variant, a decode arm that resurrects the wrong variant, a variant
-//! missing from `name`, an undeclared decode tag, and a tag outside
-//! every declared range. `tests/fixture.rs` pins each finding's line.
+//! variant, a decode arm that resurrects the wrong variant, an
+//! undeclared decode tag, and a tag outside every declared range.
+//! `tests/fixture.rs` pins each finding's line.
 
 pub enum Message {
     Hello,
@@ -25,7 +25,7 @@ impl Message {
             Message::Hello => "hello",
             Message::Data { .. } => "data",
             Message::Poll => "poll",
-            // Stats has no name arm and there is no wildcard.
+            // No Stats arm: rustc rejects it (E0004), so the pass does not.
         }
     }
 

