@@ -19,7 +19,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::tokens::TokKind;
-use crate::tree::{find_group, flatten, FnItem, Items, Node, TreeView};
+use crate::tree::{flatten, stmts, FnItem, Node, Stmt, StmtKind, TreeView};
 use crate::{Finding, Parsed};
 
 /// The kinds of nondeterminism a source can introduce.
@@ -129,6 +129,15 @@ impl FnState {
         let key = (event.line, event.kind.rule());
         self.sinks.entry(key).or_insert_with(|| (event.clone(), sink.to_string()));
     }
+
+    /// Taints `binds` with `ev` — except a sorted binding's hash order.
+    fn taint_binds(&mut self, binds: &[String], ev: &SourceEvent) {
+        for b in binds {
+            if !(ev.kind == SourceKind::HashIter && self.sorted_vars.contains(b)) {
+                self.taint.insert(b.clone(), ev.clone());
+            }
+        }
+    }
 }
 
 /// Runs the determinism-taint analysis over one determinism-scope file,
@@ -149,14 +158,14 @@ pub(crate) fn det_taint(p: &Parsed<'_>, out: &mut Vec<Finding>) {
             hash_fields.insert((f.strukt.clone(), f.field.clone()));
         }
     }
-    let mut ctx = Ctx { view: &p.view, resolve, hash_fields, returns_taint: BTreeMap::new() };
+    let mut ctx = Ctx { view: p.view, resolve, hash_fields, returns_taint: BTreeMap::new() };
 
     // Fixpoint over same-file call summaries: a helper whose return is
     // tainted makes its callers tainted too. Bounded by fn count.
     for _ in 0..items.fns.len().max(1) {
         let mut changed = false;
         for f in &items.fns {
-            let st = analyze_fn(&ctx, items, f);
+            let st = analyze_fn(&ctx, f);
             if let Some(ev) = st.returns {
                 if !ctx.returns_taint.contains_key(&f.name) {
                     ctx.returns_taint.insert(f.name.clone(), ev);
@@ -171,7 +180,7 @@ pub(crate) fn det_taint(p: &Parsed<'_>, out: &mut Vec<Finding>) {
 
     let mut sinks = BTreeMap::new();
     for f in &items.fns {
-        for (k, s) in analyze_fn(&ctx, items, f).sinks {
+        for (k, s) in analyze_fn(&ctx, f).sinks {
             sinks.entry(k).or_insert(s);
         }
     }
@@ -190,7 +199,7 @@ pub(crate) fn det_taint(p: &Parsed<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-fn analyze_fn(ctx: &Ctx<'_>, items: &Items, f: &FnItem) -> FnState {
+fn analyze_fn(ctx: &Ctx<'_>, f: &FnItem<'_>) -> FnState {
     let mut st = FnState {
         taint: BTreeMap::new(),
         hash_vars: BTreeSet::new(),
@@ -199,12 +208,7 @@ fn analyze_fn(ctx: &Ctx<'_>, items: &Items, f: &FnItem) -> FnState {
         returns: None,
         sinks: BTreeMap::new(),
     };
-    if f.body == (0, 0) || f.body.0 == 0 {
-        return st;
-    }
-    let Some(body) = find_group(&ctx.view.nodes, f.body.0 - 1) else {
-        return st;
-    };
+    let Some(body) = f.body else { return st };
     // Pre-scan: bindings that get sorted anywhere in the fn cleanse
     // hash-iteration taint (fn-wide, order-insensitive approximation).
     let flat = flatten(body);
@@ -220,133 +224,52 @@ fn analyze_fn(ctx: &Ctx<'_>, items: &Items, f: &FnItem) -> FnState {
     // Two rounds so a taint introduced late in the body reaches uses
     // earlier in a loop.
     for _ in 0..2 {
-        walk_block(ctx, items, f, body, None, true, &mut st);
+        walk_block(ctx, f, body, None, true, &mut st);
     }
     st
 }
 
-/// Splits `nodes` into statements at depth-0 `;`/`,` and after brace
-/// groups not followed by `else`, then processes each.
+/// Processes each statement of a block; only the fn body's own tail
+/// is the return value.
 fn walk_block(
     ctx: &Ctx<'_>,
-    items: &Items,
-    f: &FnItem,
+    f: &FnItem<'_>,
     nodes: &[Node],
     control: Option<&SourceEvent>,
     is_fn_body: bool,
     st: &mut FnState,
 ) {
-    let view = ctx.view;
-    let mut start = 0usize;
-    let mut i = 0usize;
-    // Angle-bracket depth, so the commas of `let m: HashMap<u32, u32>`
-    // do not split the statement (a `,` separator only matters for
-    // match arms, which sit at angle depth 0). `<<`/`->`/`=>` are
-    // excluded by adjacency.
-    let mut angle = 0i32;
-    while i < nodes.len() {
-        match &nodes[i] {
-            Node::Leaf(k) => {
-                let b = view.punct(*k).unwrap_or(0);
-                if b == b'<' {
-                    let next_shift = matches!(
-                        nodes.get(i + 1),
-                        Some(Node::Leaf(j)) if view.is_punct(*j, b'<')
-                            && view.toks[*j].start == view.toks[*k].end
-                    );
-                    let prev_shift = i > 0
-                        && matches!(
-                            nodes.get(i - 1),
-                            Some(Node::Leaf(j)) if view.is_punct(*j, b'<')
-                                && view.toks[*j].end == view.toks[*k].start
-                        );
-                    if !next_shift && !prev_shift {
-                        angle += 1;
-                    }
-                } else if b == b'>' {
-                    let at = view.toks[*k].start;
-                    let prev = if at == 0 { b' ' } else { view.source.as_bytes()[at - 1] };
-                    if prev != b'-' && prev != b'=' && angle > 0 {
-                        angle -= 1;
-                    }
-                }
-                if b == b';' || (b == b',' && angle <= 0) {
-                    if i > start {
-                        process_stmt(ctx, items, f, &nodes[start..i], control, false, st);
-                    }
-                    start = i + 1;
-                    angle = 0;
-                }
-                i += 1;
-            }
-            Node::Group { delim, .. } => {
-                if *delim == b'{' {
-                    // End the statement after the block unless an
-                    // `else` continues it.
-                    let next_is_else = matches!(
-                        nodes.get(i + 1),
-                        Some(Node::Leaf(k)) if ctx.view.is_ident(*k, "else")
-                    );
-                    if !next_is_else {
-                        process_stmt(ctx, items, f, &nodes[start..=i], control, false, st);
-                        start = i + 1;
-                        angle = 0;
-                        i += 1;
-                        continue;
-                    }
-                }
-                i += 1;
-            }
-        }
-    }
-    if start < nodes.len() {
-        // Trailing segment without `;`: the tail expression.
-        process_stmt(ctx, items, f, &nodes[start..], control, is_fn_body, st);
+    for s in stmts(ctx.view, nodes) {
+        process_stmt(ctx, f, &s, control, is_fn_body && s.tail, st);
     }
 }
 
 fn process_stmt(
     ctx: &Ctx<'_>,
-    items: &Items,
-    f: &FnItem,
-    stmt: &[Node],
+    f: &FnItem<'_>,
+    s: &Stmt<'_>,
     control: Option<&SourceEvent>,
     is_tail: bool,
     st: &mut FnState,
 ) {
-    if stmt.is_empty() {
-        return;
-    }
     let view = ctx.view;
-    let head = match stmt.first() {
-        Some(Node::Leaf(k)) => Some(*k),
-        _ => None,
+    let toks = &s.toks;
+    let eval = |st: &FnState, toks: &[usize]| {
+        eval_taint(ctx, st, toks, false).or_else(|| control.cloned())
     };
-
-    // Control statements: evaluate the header, recurse into blocks with
-    // the header's taint as implicit control taint.
-    if let Some(h) = head {
-        let word = if view.toks[h].kind == TokKind::Ident { view.text(h) } else { "" };
-        if matches!(word, "if" | "while" | "for" | "match" | "loop" | "else" | "unsafe") {
-            let header_len =
-                stmt.iter().take_while(|n| !matches!(n, Node::Group { delim: b'{', .. })).count();
-            let header_nodes = flatten(&stmt[..header_len]);
-            let header_taint = eval_taint(ctx, st, &header_nodes, word == "for");
-            // `for PAT in iter` / `if let PAT = expr`: bind pattern
-            // idents from the header's taint.
+    match s.kind {
+        // Evaluate the header, recurse into the blocks with the header's
+        // taint as implicit control taint.
+        StmtKind::Control => {
+            let header_taint = eval_taint(ctx, st, toks, s.head == "for");
+            // `for PAT in iter` / `if let PAT = expr`: the pattern's
+            // idents carry the header's taint.
             if let Some(ev) = &header_taint {
-                let binds = pattern_binds(ctx, &header_nodes, word);
-                for b in binds {
-                    if !(ev.kind == SourceKind::HashIter && st.sorted_vars.contains(&b)) {
-                        st.taint.insert(b, ev.clone());
-                    }
-                }
+                st.taint_binds(&s.binds, ev);
             }
             let inner_control = header_taint.as_ref().or(control);
-            for n in stmt {
-                if let Node::Group { delim: b'{', children, .. } = n {
-                    walk_block(ctx, items, f, children, inner_control, false, st);
-                }
+            for b in &s.blocks {
+                walk_block(ctx, f, b, inner_control, false, st);
             }
             // A tainted tail `if`/`match` expression taints the return.
             if is_tail {
@@ -354,122 +277,78 @@ fn process_stmt(
                     note_return(f, &ev, st);
                 }
             }
-            return;
         }
-        if word == "return" {
-            let rest = flatten(&stmt[1..]);
-            if !rest.is_empty() {
-                let ev = eval_taint(ctx, st, &rest, false).or_else(|| control.cloned());
-                if let Some(ev) = ev {
+        StmtKind::Return => {
+            if toks.len() > 1 {
+                if let Some(ev) = eval(st, &toks[1..]) {
                     note_return(f, &ev, st);
                 }
             }
-            return;
         }
-        if word == "let" {
-            let toks = flatten(stmt);
-            let (lhs, rhs) = split_assign(ctx, &toks);
-            let binds = lhs_idents(ctx, &lhs);
-            let annotated_hash = lhs.iter().any(|&k| {
-                view.toks[k].kind == TokKind::Ident && is_hash_name(ctx.resolved(view.text(k)))
-            });
-            let ctor_hash = rhs.iter().any(|&k| {
-                view.toks[k].kind == TokKind::Ident && is_hash_name(ctx.resolved(view.text(k)))
-            });
-            if annotated_hash || ctor_hash {
-                for b in &binds {
-                    st.hash_vars.insert(b.clone());
-                }
+        StmtKind::Let => {
+            let hash_named = |toks: &[usize]| {
+                toks.iter().any(|&k| {
+                    view.toks[k].kind == TokKind::Ident && is_hash_name(ctx.resolved(view.text(k)))
+                })
+            };
+            if hash_named(s.lhs()) || hash_named(s.rhs()) {
+                st.hash_vars.extend(s.binds.iter().cloned());
             }
-            let ev = eval_taint(ctx, st, &rhs, false).or_else(|| control.cloned());
-            match ev {
-                Some(ev) => {
-                    if !statement_cleanses(ctx, &toks, &ev) {
-                        for b in binds {
-                            if !(ev.kind == SourceKind::HashIter && st.sorted_vars.contains(&b)) {
-                                st.taint.insert(b, ev.clone());
-                            }
-                        }
-                    }
-                }
+            match eval(st, s.rhs()) {
+                Some(ev) if !statement_cleanses(ctx, toks, &ev) => st.taint_binds(&s.binds, &ev),
+                Some(_) => {}
+                // Reassignment to an untainted value clears taint.
                 None => {
-                    // Reassignment to an untainted value clears taint.
-                    for b in binds {
-                        st.taint.remove(&b);
+                    for b in &s.binds {
+                        st.taint.remove(b);
                     }
                 }
             }
-            return;
         }
-    }
-
-    let toks = flatten(stmt);
-    let (lhs, rhs) = split_assign(ctx, &toks);
-    if !rhs.is_empty() && lhs != toks {
-        // Assignment (plain or compound).
-        let ev = eval_taint(ctx, st, &rhs, false).or_else(|| control.cloned());
-        let binds = lhs_idents(ctx, &lhs);
-        let self_write = binds.first().map(String::as_str) == Some("self");
-        let param_write = binds.first().is_some_and(|b| st.params.contains(b) && b != "self");
-        if let Some(ev) = ev {
-            if !statement_cleanses(ctx, &toks, &ev) {
-                if self_write {
-                    st.sink(
-                        &ev,
-                        &format!(
-                            "state write `self.{}`",
-                            binds.get(1).cloned().unwrap_or_default()
-                        ),
-                    );
-                } else if param_write {
-                    st.sink(&ev, &format!("mutation of parameter `{}`", binds[0]));
-                } else {
-                    for b in binds {
-                        if !(ev.kind == SourceKind::HashIter && st.sorted_vars.contains(&b)) {
-                            st.taint.insert(b, ev.clone());
-                        }
+        StmtKind::Assign => {
+            // Plain or compound: either way the place is the write target.
+            let self_write = s.binds.first().map(String::as_str) == Some("self");
+            let param_write = s.binds.first().is_some_and(|b| st.params.contains(b) && b != "self");
+            match eval(st, s.rhs()) {
+                Some(ev) if statement_cleanses(ctx, toks, &ev) => {}
+                Some(ev) if self_write => {
+                    let field = s.binds.get(1).map_or("", String::as_str);
+                    st.sink(&ev, &format!("state write `self.{field}`"));
+                }
+                Some(ev) if param_write => {
+                    st.sink(&ev, &format!("mutation of parameter `{}`", s.binds[0]));
+                }
+                Some(ev) => st.taint_binds(&s.binds, &ev),
+                None if !self_write && !param_write => {
+                    for b in &s.binds {
+                        st.taint.remove(b);
                     }
                 }
-            }
-        } else if !self_write && !param_write {
-            for b in binds {
-                st.taint.remove(&b);
+                None => {}
             }
         }
-        return;
-    }
-
-    // Expression statement or tail expression.
-    let ev = eval_taint(ctx, st, &toks, false).or_else(|| control.cloned());
-    if let Some(ev) = ev {
-        if statement_cleanses(ctx, &toks, &ev) {
-            return;
-        }
-        if is_tail {
-            note_return(f, &ev, st);
-            return;
-        }
-        // A call through `self` or a parameter with tainted arguments
-        // mutates digest-relevant state.
-        let root = toks.first().and_then(|&k| {
-            if ctx.view.toks[k].kind == TokKind::Ident {
-                Some(ctx.view.text(k).to_string())
-            } else {
-                None
+        // Expression statement or tail expression.
+        StmtKind::Drop | StmtKind::Expr => {
+            let Some(ev) = eval(st, toks) else { return };
+            if statement_cleanses(ctx, toks, &ev) {
+                return;
             }
-        });
-        let has_call = stmt.iter().any(contains_paren_group);
-        if let Some(root) = root {
-            if has_call && (root == "self" || st.params.contains(&root)) {
-                let target = if root == "self" {
+            if is_tail {
+                note_return(f, &ev, st);
+                return;
+            }
+            // A call through `self` or a parameter with tainted arguments
+            // mutates digest-relevant state.
+            let has_call = toks.iter().any(|&k| view.is_punct(k, b'('));
+            if has_call && (s.head == "self" || st.params.contains(s.head)) {
+                let target = if s.head == "self" {
                     let field = toks
                         .get(2)
-                        .filter(|&&k| ctx.view.toks[k].kind == TokKind::Ident)
-                        .map(|&k| ctx.view.text(k))
-                        .unwrap_or("");
+                        .filter(|&&k| view.toks[k].kind == TokKind::Ident)
+                        .map_or("", |&k| view.text(k));
                     format!("state write `self.{field}`")
                 } else {
-                    format!("mutation of parameter `{root}`")
+                    format!("mutation of parameter `{}`", s.head)
                 };
                 st.sink(&ev, &target);
             }
@@ -477,120 +356,13 @@ fn process_stmt(
     }
 }
 
-fn contains_paren_group(n: &Node) -> bool {
-    match n {
-        Node::Leaf(_) => false,
-        Node::Group { delim, children, .. } => {
-            *delim == b'(' || children.iter().any(contains_paren_group)
-        }
-    }
-}
-
-fn note_return(f: &FnItem, ev: &SourceEvent, st: &mut FnState) {
+fn note_return(f: &FnItem<'_>, ev: &SourceEvent, st: &mut FnState) {
     if st.returns.is_none() {
         st.returns = Some(ev.clone());
     }
     if f.is_pub {
         st.sink(ev, &format!("the return value of pub fn `{}`", f.name));
     }
-}
-
-/// Splits flattened statement tokens at the top-level assignment `=`.
-/// Returns `(lhs, rhs)`; when there is no assignment, lhs is the whole
-/// statement and rhs is empty. "Top-level" means paren/brace/bracket
-/// depth 0 within the statement.
-fn split_assign(ctx: &Ctx<'_>, toks: &[usize]) -> (Vec<usize>, Vec<usize>) {
-    let view = ctx.view;
-    let mut depth = 0i32;
-    for (i, &k) in toks.iter().enumerate() {
-        let b = view.punct(k).unwrap_or(0);
-        match b {
-            b'(' | b'[' | b'{' => depth += 1,
-            b')' | b']' | b'}' => depth -= 1,
-            b'=' if depth == 0 => {
-                let prev = i.checked_sub(1).and_then(|j| view.punct(toks[j])).unwrap_or(0);
-                let next = toks.get(i + 1).and_then(|&j| view.punct(j)).unwrap_or(0);
-                // Adjacency matters: `==`, `!=`, `<=`, `>=`, `=>` are
-                // comparisons/arrows, not assignments.
-                let prev_adj = i > 0 && view.toks[toks[i - 1]].end == view.toks[k].start;
-                let next_adj =
-                    toks.get(i + 1).is_some_and(|&j| view.toks[j].start == view.toks[k].end);
-                if (next == b'=' || next == b'>') && next_adj {
-                    continue;
-                }
-                if matches!(prev, b'=' | b'!' | b'<' | b'>') && prev_adj {
-                    continue;
-                }
-                // Compound assignment (`+=` etc.): the lhs is also read,
-                // but for taint purposes it is still the write target.
-                return (toks[..i].to_vec(), toks[i + 1..].to_vec());
-            }
-            _ => {}
-        }
-    }
-    (toks.to_vec(), Vec::new())
-}
-
-/// The identifiers written by an assignment lhs (pattern idents for
-/// `let`, path roots for field writes). Everything after the first
-/// single `:` at paren depth 0 is a type annotation and is ignored.
-fn lhs_idents(ctx: &Ctx<'_>, lhs: &[usize]) -> Vec<String> {
-    let view = ctx.view;
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    for (i, &k) in lhs.iter().enumerate() {
-        let b = view.punct(k).unwrap_or(0);
-        match b {
-            b'(' | b'[' | b'{' => depth += 1,
-            b')' | b']' | b'}' => depth -= 1,
-            b':' if depth == 0 => {
-                let next_adj = lhs.get(i + 1).is_some_and(|&j| {
-                    view.is_punct(j, b':') && view.toks[j].start == view.toks[k].end
-                });
-                let prev_adj = i > 0
-                    && view.is_punct(lhs[i - 1], b':')
-                    && view.toks[lhs[i - 1]].end == view.toks[k].start;
-                if !next_adj && !prev_adj {
-                    break;
-                }
-            }
-            _ => {}
-        }
-        if view.toks[k].kind == TokKind::Ident {
-            let w = view.text(k);
-            if !matches!(w, "let" | "mut" | "ref" | "box") {
-                out.push(w.to_string());
-            }
-        }
-    }
-    out
-}
-
-/// Pattern identifiers bound by a control header (`for PAT in ..`,
-/// `if let PAT = ..`, `while let PAT = ..`).
-fn pattern_binds(ctx: &Ctx<'_>, header: &[usize], word: &str) -> Vec<String> {
-    let view = ctx.view;
-    let mut out = Vec::new();
-    let mut active = false;
-    for &k in header {
-        if view.toks[k].kind == TokKind::Ident {
-            let w = view.text(k);
-            if (word == "for" && w == "for") || w == "let" {
-                active = true;
-                continue;
-            }
-            if w == "in" {
-                break;
-            }
-            if active && w.chars().next().is_some_and(|c| c.is_lowercase() || c == '_') {
-                out.push(w.to_string());
-            }
-        }
-        if view.is_punct(k, b'=') && word != "for" {
-            break;
-        }
-    }
-    out
 }
 
 /// Does this statement consume the taint in an order-insensitive way?
@@ -746,7 +518,8 @@ mod tests {
     fn run(src: &str) -> Vec<Finding> {
         let class = FileClass { deterministic: true, binary: false, net: false, metrics: false };
         let mut out = Vec::new();
-        det_taint(&Parsed::new(0, Path::new("x.rs"), src, class), &mut out);
+        let view = TreeView::new(src);
+        det_taint(&Parsed::new(0, Path::new("x.rs"), &view, class), &mut out);
         out
     }
 

@@ -62,6 +62,8 @@ mod rules;
 mod tokens;
 mod tree;
 
+use tree::TreeView;
+
 pub use rules::{RuleInfo, Scope, RULES};
 
 /// The determinism-critical crates: rules in [`Scope::Deterministic`]
@@ -141,17 +143,17 @@ pub(crate) struct Finding {
 
 /// One file, parsed once per lint run: everything the rules, the passes
 /// and [`finalize`] borrow.
-pub(crate) struct Parsed<'s> {
+pub(crate) struct Parsed<'a> {
     /// Position in the file set; findings name their file by it.
     pub index: usize,
     /// Path used in diagnostics.
-    pub rel: &'s Path,
+    pub rel: &'a Path,
     /// Which rule scopes apply.
     pub class: FileClass,
     /// Source, tokens and token tree.
-    pub view: tree::TreeView<'s>,
-    /// Functions, enums, struct fields and `use` aliases.
-    pub items: tree::Items,
+    pub view: &'a TreeView<'a>,
+    /// Functions, consts, enums, struct fields and `use` aliases.
+    pub items: tree::Items<'a>,
     /// Well-formed pragmas, in file order.
     pub pragmas: Vec<pragma::Pragma>,
     /// Malformed pragmas: `(line, what is wrong)`.
@@ -160,12 +162,16 @@ pub(crate) struct Parsed<'s> {
     pub test_ranges: Vec<(usize, usize)>,
 }
 
-impl<'s> Parsed<'s> {
-    pub(crate) fn new(index: usize, rel: &'s Path, source: &'s str, class: FileClass) -> Self {
-        let view = tree::TreeView::new(source);
-        let items = tree::items(&view);
-        let (pragmas, pragma_errors) = pragma::collect(&view);
-        let test_ranges = tree::test_ranges(&view);
+impl<'a> Parsed<'a> {
+    pub(crate) fn new(
+        index: usize,
+        rel: &'a Path,
+        view: &'a TreeView<'a>,
+        class: FileClass,
+    ) -> Self {
+        let items = tree::items(view);
+        let (pragmas, pragma_errors) = pragma::collect(view);
+        let test_ranges = tree::test_ranges(view);
         Parsed { index, rel, class, view, items, pragmas, pragma_errors, test_ranges }
     }
 
@@ -272,7 +278,8 @@ fn finalize(p: &Parsed<'_>, findings: Vec<Finding>) -> Vec<Diagnostic> {
 
 /// Lints one file's source text. `label` is used in diagnostics.
 pub fn lint_source(label: &Path, source: &str, class: FileClass) -> Vec<Diagnostic> {
-    let p = Parsed::new(0, label, source, class);
+    let view = TreeView::new(source);
+    let p = Parsed::new(0, label, &view, class);
     let mut findings = Vec::new();
     per_file_findings(&p, &mut findings);
     finalize(&p, findings)
@@ -340,10 +347,13 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), WalkError> {
 /// when `design` text is supplied — wire-compat on the wire file), with
 /// every finding funneled through [`finalize`].
 fn lint_file_set(files: &[(PathBuf, String, FileClass)], design: Option<&str>) -> Vec<Diagnostic> {
+    let views: Vec<TreeView<'_>> =
+        files.iter().map(|(_, source, _)| TreeView::new(source)).collect();
     let parsed: Vec<Parsed<'_>> = files
         .iter()
+        .zip(&views)
         .enumerate()
-        .map(|(index, (rel, source, class))| Parsed::new(index, rel, source, *class))
+        .map(|(index, ((rel, _, class), view))| Parsed::new(index, rel, view, *class))
         .collect();
 
     let mut findings = Vec::new();
@@ -372,8 +382,8 @@ fn lint_file_set(files: &[(PathBuf, String, FileClass)], design: Option<&str>) -
 
 /// Lints a whole workspace rooted at `root`: the root package's `src/`
 /// plus every `crates/*/src/`, per-file rules plus the cross-file
-/// passes (wire-compat reads the tag ranges out of `root/DESIGN.md`).
-/// Returns sorted diagnostics.
+/// passes (wire-compat checks the net scope's `wire.rs` against the tag
+/// ranges in `root/DESIGN.md`). Returns sorted diagnostics.
 pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, WalkError> {
     let mut files = Vec::new();
     let root_src = root.join("src");
@@ -402,9 +412,10 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, WalkError> {
 
 /// Lints every `.rs` file under `dir` with a fixed [`FileClass`] —
 /// used for the seeded-violation fixture trees, where the files are not
-/// workspace members. The cross-file passes (phase-balance, lock-order)
-/// run over the tree too, so fixture trees can seed their violations;
-/// wire-compat needs a DESIGN.md and is exercised via [`lint_wire`].
+/// workspace members. The cross-file passes run over the tree too, so
+/// fixture trees can seed their violations; a tree holding a
+/// `design.md` gets wire-compat against it, as a workspace does with
+/// its `DESIGN.md`.
 pub fn lint_tree(dir: &Path, class: FileClass) -> Result<Vec<Diagnostic>, WalkError> {
     let mut files = Vec::new();
     walk(dir, &mut files)?;
@@ -413,31 +424,17 @@ pub fn lint_tree(dir: &Path, class: FileClass) -> Result<Vec<Diagnostic>, WalkEr
         let source = read(&file)?;
         set.push((file, source, class));
     }
-    Ok(lint_file_set(&set, None))
-}
-
-/// How a wire module is classified when linted on its own.
-const WIRE_FILE: FileClass =
-    FileClass { deterministic: false, binary: false, net: true, metrics: false };
-
-/// Runs the wire-compat pass on a fixture directory holding `wire.rs`
-/// (the message module) and `design.md` (the declared tag ranges).
-/// Pragmas and test regions in `wire.rs` apply as usual.
-pub fn lint_wire(dir: &Path) -> Result<Vec<Diagnostic>, WalkError> {
-    let wire_path = dir.join("wire.rs");
-    let source = read(&wire_path)?;
-    let design = read(&dir.join("design.md"))?;
-    let wire = Parsed::new(0, &wire_path, &source, WIRE_FILE);
-    let mut findings = Vec::new();
-    passes::wire_compat::run(&wire, &design, &mut findings);
-    Ok(finalize(&wire, findings))
+    let design = fs::read_to_string(dir.join("design.md")).ok();
+    Ok(lint_file_set(&set, design.as_deref()))
 }
 
 /// The wire-compat pass's raw findings for `wire_source` against
 /// `design`, as `(line, message)` pairs before any suppression or
 /// per-line dedupe — what the fixture pins check one by one.
 pub fn wire_findings(wire_source: &str, design: &str) -> Vec<(usize, String)> {
-    let wire = Parsed::new(0, Path::new("wire.rs"), wire_source, WIRE_FILE);
+    let view = TreeView::new(wire_source);
+    let class = FileClass { deterministic: false, binary: false, net: true, metrics: false };
+    let wire = Parsed::new(0, Path::new("wire.rs"), &view, class);
     let mut findings = Vec::new();
     passes::wire_compat::run(&wire, design, &mut findings);
     findings.into_iter().map(|f| (f.line, f.message)).collect()

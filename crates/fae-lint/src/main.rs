@@ -6,9 +6,8 @@
 //! fae-lint --tree DIR [--det] [--lib] [--net] [--metrics]
 //!                               lint a bare directory of .rs files with a
 //!                               fixed classification (fixture testing);
-//!                               phase-balance and lock-order run too
-//! fae-lint --wire DIR           run wire-compat on DIR/wire.rs against
-//!                               DIR/design.md (fixture testing)
+//!                               the cross-file passes run too, wire-compat
+//!                               against DIR/design.md when there is one
 //! fae-lint --format json        machine-readable diagnostics (an array
 //!                               of {file, line, rule, message} records)
 //! fae-lint --list-rules         print the rule table
@@ -23,12 +22,12 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use fae_lint::{lint_tree, lint_wire, lint_workspace, Diagnostic, FileClass, DET_CRATES, RULES};
+use fae_lint::{lint_tree, lint_workspace, Diagnostic, FileClass, DET_CRATES, RULES};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: fae-lint [--root DIR] [--tree DIR [--det] [--lib] [--net] [--metrics]]\n\
-         \u{20}               [--wire DIR] [--format text|json] [--list-rules]\n\
+         \u{20}               [--format text|json] [--list-rules]\n\
          see DESIGN.md §11 for the rule table and pragma syntax"
     );
     ExitCode::from(2)
@@ -110,7 +109,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut root: Option<PathBuf> = None;
     let mut tree: Option<PathBuf> = None;
-    let mut wire: Option<PathBuf> = None;
     let mut det = false;
     let mut lib = false;
     let mut net = false;
@@ -119,12 +117,13 @@ fn main() -> ExitCode {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--root" | "--tree" | "--wire" => {
+            "--root" | "--tree" => {
                 let Some(value) = args.get(i + 1) else { return usage() };
-                match args[i].as_str() {
-                    "--root" => root = Some(PathBuf::from(value)),
-                    "--tree" => tree = Some(PathBuf::from(value)),
-                    _ => wire = Some(PathBuf::from(value)),
+                let dir = Some(PathBuf::from(value));
+                if args[i] == "--root" {
+                    root = dir;
+                } else {
+                    tree = dir;
                 }
                 i += 2;
             }
@@ -164,10 +163,8 @@ fn main() -> ExitCode {
         }
     }
 
-    let workspace_run = tree.is_none() && wire.is_none();
-    let result = if let Some(dir) = wire {
-        lint_wire(&dir)
-    } else if let Some(dir) = tree {
+    let workspace_run = tree.is_none();
+    let result = if let Some(dir) = tree {
         lint_tree(&dir, FileClass { deterministic: det, binary: !lib, net, metrics })
     } else {
         let root = match root {

@@ -21,7 +21,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::tokens::TokKind;
-use crate::tree::{find_group, flat_into, flatten, Node};
+use crate::tree::{stmts, Node, Stmt, StmtKind};
 use crate::{Finding, Parsed};
 
 const RULE: &str = "lock-order";
@@ -66,11 +66,7 @@ pub(crate) fn run(files: &[Parsed<'_>], out: &mut Vec<Finding>) {
 
     let mut edges: Vec<Edge> = Vec::new();
     for f in files {
-        for func in &f.items.fns {
-            if func.body == (0, 0) || func.body.0 == 0 {
-                continue;
-            }
-            let Some(body) = find_group(&f.view.nodes, func.body.0 - 1) else { continue };
+        for body in f.items.fns.iter().filter_map(|func| func.body) {
             let mut held: Vec<Acq> = Vec::new();
             let mut aliases: BTreeMap<String, String> = BTreeMap::new();
             walk(f, &classes, body, &mut held, &mut aliases, &mut edges, out);
@@ -123,6 +119,8 @@ fn cyclic_nodes<'a>(adj: &BTreeMap<&'a str, BTreeSet<&'a str>>) -> BTreeSet<&'a 
     out
 }
 
+/// Walks one block: guards acquired by its `let`s are released (and
+/// its `for` aliases forgotten) at its end.
 fn walk(
     f: &Parsed<'_>,
     classes: &BTreeMap<String, String>,
@@ -132,31 +130,10 @@ fn walk(
     edges: &mut Vec<Edge>,
     out: &mut Vec<Finding>,
 ) {
-    let view = &f.view;
     let entry_held = held.len();
     let entry_aliases = aliases.clone();
-    let mut start = 0usize;
-    let mut i = 0usize;
-    while i < nodes.len() {
-        let end_stmt = match &nodes[i] {
-            Node::Leaf(k) => view.is_punct(*k, b';'),
-            Node::Group { delim, .. } => {
-                *delim == b'{'
-                    && !matches!(
-                        nodes.get(i + 1),
-                        Some(Node::Leaf(k)) if view.is_ident(*k, "else")
-                    )
-            }
-        };
-        if end_stmt {
-            let stmt = &nodes[start..=i];
-            process(f, classes, stmt, held, aliases, edges, out);
-            start = i + 1;
-        }
-        i += 1;
-    }
-    if start < nodes.len() {
-        process(f, classes, &nodes[start..], held, aliases, edges, out);
+    for s in stmts(f.view, nodes) {
+        process(f, classes, &s, held, aliases, edges, out);
     }
     held.truncate(entry_held);
     *aliases = entry_aliases;
@@ -165,114 +142,53 @@ fn walk(
 fn process(
     f: &Parsed<'_>,
     classes: &BTreeMap<String, String>,
-    stmt: &[Node],
+    s: &Stmt<'_>,
     held: &mut Vec<Acq>,
     aliases: &mut BTreeMap<String, String>,
     edges: &mut Vec<Edge>,
     out: &mut Vec<Finding>,
 ) {
-    if stmt.is_empty() {
-        return;
-    }
-    let view = &f.view;
-    let head_word = match stmt.first() {
-        Some(Node::Leaf(k)) if view.toks[*k].kind == TokKind::Ident => view.text(*k),
-        _ => "",
-    };
-    let is_control = matches!(head_word, "if" | "while" | "for" | "match" | "loop" | "unsafe");
+    let view = f.view;
+    let header = &s.toks;
+    let ident = |k: usize| (view.toks[k].kind == TokKind::Ident).then(|| view.text(k));
 
     // `drop(g)` releases a held guard.
-    if head_word == "drop" {
-        let toks = flatten(stmt);
-        if let Some(&arg) = toks.get(2) {
-            if view.toks[arg].kind == TokKind::Ident {
-                let name = view.text(arg);
-                held.retain(|a| a.binding.as_deref() != Some(name));
-            }
+    if s.kind == StmtKind::Drop {
+        if let Some(name) = header.get(2).and_then(|&arg| ident(arg)) {
+            held.retain(|a| a.binding.as_deref() != Some(name));
         }
         return;
-    }
-
-    // Header/expression tokens: everything outside the brace blocks.
-    let mut header: Vec<usize> = Vec::new();
-    let mut blocks: Vec<&[Node]> = Vec::new();
-    for n in stmt {
-        match n {
-            Node::Group { delim: b'{', children, .. } if is_control => blocks.push(children),
-            other => flat_into(std::slice::from_ref(other), &mut header),
-        }
     }
 
     // `for pat in ..lock-collection..` aliases the loop variable(s).
     let mut local_aliases: Vec<(String, String)> = Vec::new();
-    if head_word == "for" {
-        let field_in_header = header.iter().find_map(|&k| {
-            if view.toks[k].kind == TokKind::Ident {
-                classes.get(view.text(k)).cloned()
-            } else {
-                None
-            }
-        });
-        if let Some(class) = field_in_header {
-            let mut active = false;
-            for &k in &header {
-                if view.toks[k].kind == TokKind::Ident {
-                    let w = view.text(k);
-                    if w == "for" {
-                        active = true;
-                        continue;
-                    }
-                    if w == "in" {
-                        break;
-                    }
-                    if active {
-                        local_aliases.push((w.to_string(), class.clone()));
-                    }
-                }
-            }
+    if s.head == "for" {
+        if let Some(class) = header.iter().find_map(|&k| classes.get(ident(k)?)) {
+            local_aliases = s.binds.iter().map(|b| (b.clone(), class.clone())).collect();
         }
     }
 
     // Acquisitions in the header/expression, left to right.
     let statement_scoped =
-        is_control || header.iter().any(|&k| view.is_ident(k, "match")) || head_word != "let";
-    let binding = if head_word == "let" {
-        header.iter().skip(1).find_map(|&k| {
-            if view.toks[k].kind == TokKind::Ident && view.text(k) != "mut" {
-                Some(view.text(k).to_string())
-            } else {
-                None
-            }
-        })
-    } else {
-        None
-    };
+        s.kind != StmtKind::Let || header.iter().any(|&k| view.is_ident(k, "match"));
+    let binding = if s.kind == StmtKind::Let { s.binds.first().cloned() } else { None };
     let mut acquired_here: Vec<Acq> = Vec::new();
     for (pos, &k) in header.iter().enumerate() {
-        if view.toks[k].kind != TokKind::Ident {
-            continue;
-        }
-        let m = view.text(k);
-        if !matches!(m, "read" | "write" | "lock") {
-            continue;
-        }
+        let Some(m @ ("read" | "write" | "lock")) = ident(k) else { continue };
         let prev_dot = pos > 0 && view.is_punct(header[pos - 1], b'.');
         let next_paren = header.get(pos + 1).is_some_and(|&j| view.is_punct(j, b'('));
         if !prev_dot || !next_paren {
             continue;
         }
         // Class: nearest known lock field (or alias) to the left.
-        let class =
-            header[..pos].iter().rev().find_map(|&j| {
-                if view.toks[j].kind == TokKind::Ident {
-                    let w = view.text(j);
-                    classes.get(w).cloned().or_else(|| aliases.get(w).cloned()).or_else(|| {
-                        local_aliases.iter().find(|(n, _)| n == w).map(|(_, c)| c.clone())
-                    })
-                } else {
-                    None
-                }
-            });
+        let class = header[..pos].iter().rev().find_map(|&j| {
+            let w = ident(j)?;
+            classes
+                .get(w)
+                .or_else(|| aliases.get(w))
+                .cloned()
+                .or_else(|| local_aliases.iter().find(|(n, _)| n == w).map(|(_, c)| c.clone()))
+        });
         let Some(class) = class else { continue };
         let acq = Acq { class, is_read: m == "read", binding: binding.clone(), tok: k };
         for prior in held.iter().chain(acquired_here.iter()) {
@@ -305,7 +221,7 @@ fn process(
     for (n, c) in &local_aliases {
         aliases.insert(n.clone(), c.clone());
     }
-    for b in &blocks {
+    for b in &s.blocks {
         walk(f, classes, b, held, aliases, edges, out);
     }
     for (n, _) in &local_aliases {

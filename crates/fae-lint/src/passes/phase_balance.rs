@@ -20,6 +20,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::tokens::TokKind;
+use crate::tree::{variant_refs, ConstItem, Node};
 use crate::{Finding, Parsed};
 
 const RULE: &str = "phase-balance";
@@ -30,69 +31,54 @@ pub(crate) fn run(files: &[Parsed<'_>], out: &mut Vec<Finding>) {
     // declares `ALL`. Fixture trees without one skip the pass.
     let canonical = files.iter().find_map(|f| {
         let phase = f.items.enums.iter().find(|e| e.name == "Phase")?;
-        let declares_all = (0..f.view.toks.len()).any(|i| f.view.is_ident(i, "ALL"));
-        declares_all.then_some((f, &phase.variants))
+        let all = f.items.consts.iter().find(|c| f.view.is_ident(c.name, "ALL"))?;
+        Some((f, all, &phase.variants))
     });
-    let Some((pf, variants)) = canonical else { return };
+    let Some((pf, all, variants)) = canonical else { return };
 
-    check_all_const(pf, variants, out);
+    check_all_const(pf, all, variants, out);
     check_index(pf, variants, out);
     check_arrays(files, variants.len(), out);
 }
 
 /// `Phase::ALL` must list every variant exactly once, and its declared
 /// length `[Phase; N]` must equal the variant count.
-fn check_all_const(pf: &Parsed<'_>, variants: &[(String, usize)], out: &mut Vec<Finding>) {
-    let view = &pf.view;
-    let toks = &view.toks;
-    // `run` picked this file because it mentions `ALL`.
-    let Some(all) = (0..toks.len()).find(|&i| view.is_ident(i, "ALL")) else { return };
-    // `ALL: [Phase; N] = [Phase::A, ...];` — scan to the `;` ending the
-    // item, collecting `Phase :: V` pairs and the first `[Phase ; N]`
-    // length.
-    let mut all_entries: Vec<String> = Vec::new();
-    let mut declared_len: Option<usize> = None;
-    let mut depth = 0i32;
-    let mut j = all + 1;
-    while j < toks.len() {
-        match view.punct(j) {
-            Some(b'[') | Some(b'(') | Some(b'{') => depth += 1,
-            Some(b']') | Some(b')') | Some(b'}') => depth -= 1,
-            Some(b';') if depth == 0 => break,
-            Some(b';')
-                if depth == 1
-                    && declared_len.is_none()
-                    && toks.get(j + 1).is_some_and(|t| t.kind == TokKind::Num) =>
+fn check_all_const(
+    pf: &Parsed<'_>,
+    all: &ConstItem<'_>,
+    variants: &[(String, usize)],
+    out: &mut Vec<Finding>,
+) {
+    let view = pf.view;
+    // `ALL: [Phase; N] = [Phase::A, ...];` — the first `; N` inside a
+    // group is the declared length.
+    let declared_len = all.rest.iter().find_map(|n| match n {
+        Node::Group { children, .. } => children.windows(2).find_map(|w| match w {
+            [Node::Leaf(semi), Node::Leaf(num)]
+                if view.is_punct(*semi, b';') && view.toks[*num].kind == TokKind::Num =>
             {
-                declared_len = view.text(j + 1).parse::<usize>().ok();
+                view.text(*num).parse::<usize>().ok()
             }
-            _ => {}
-        }
-        if let Some(v) = view.variant_at(j, "Phase") {
-            all_entries.push(v.to_string());
-            j += 4;
-            continue;
-        }
-        j += 1;
-    }
-    if let Some(n) = declared_len {
-        if n != variants.len() {
-            out.push(pf.finding_at(
-                RULE,
-                all,
-                format!(
-                    "`Phase::ALL` declares length {n} but the enum has {} variants",
-                    variants.len()
-                ),
-            ));
-        }
+            _ => None,
+        }),
+        Node::Leaf(_) => None,
+    });
+    if let Some(n) = declared_len.filter(|&n| n != variants.len()) {
+        out.push(pf.finding_at(
+            RULE,
+            all.name,
+            format!(
+                "`Phase::ALL` declares length {n} but the enum has {} variants",
+                variants.len()
+            ),
+        ));
     }
     let mut seen = BTreeMap::new();
-    for v in &all_entries {
-        *seen.entry(v.clone()).or_insert(0usize) += 1;
+    for (v, _) in variant_refs(view, all.rest, "Phase") {
+        *seen.entry(v).or_insert(0usize) += 1;
     }
     for (name, line) in variants {
-        match seen.get(name).copied().unwrap_or(0) {
+        match seen.get(name.as_str()).copied().unwrap_or(0) {
             0 => out.push(pf.finding(
                 RULE,
                 *line,
@@ -102,7 +88,7 @@ fn check_all_const(pf: &Parsed<'_>, variants: &[(String, usize)], out: &mut Vec<
             1 => {}
             k => out.push(pf.finding_at(
                 RULE,
-                all,
+                all.name,
                 format!("variant `{name}` appears {k} times in `Phase::ALL`"),
             )),
         }
@@ -111,46 +97,24 @@ fn check_all_const(pf: &Parsed<'_>, variants: &[(String, usize)], out: &mut Vec<
         if !variants.iter().any(|(v, _)| v == name) {
             out.push(pf.finding_at(
                 RULE,
-                all,
+                all.name,
                 format!("`Phase::ALL` lists `{name}`, which is not a variant"),
             ));
         }
     }
 }
 
-/// `Phase::index` arm values must be a bijection onto `0..n`. (Match
-/// coverage is rustc's E0004 and is not checked here.)
+/// `Phase::index` arm values must be a bijection onto `0..n`.
 fn check_index(pf: &Parsed<'_>, variants: &[(String, usize)], out: &mut Vec<Finding>) {
-    let view = &pf.view;
-    for f in &pf.items.fns {
-        if f.body == (0, 0) || f.name != "index" {
-            continue;
-        }
-        let (lo, hi) = f.body;
-        let mut index_map: BTreeMap<String, usize> = BTreeMap::new();
-        let mut j = lo;
-        while j < hi.min(view.toks.len()) {
-            // Pattern position: `Phase :: V` followed (after optional
-            // `{..}`/`(..)`) by `=> N`.
-            if let Some(vname) = view.variant_at(j, "Phase") {
-                let k = view.skip_subpattern(j + 4);
-                if view.fat_arrow_at(k) {
-                    if let Some(t) = view.toks.get(k + 2) {
-                        if t.kind == TokKind::Num {
-                            if let Ok(n) = view.text(k + 2).parse::<usize>() {
-                                index_map.insert(vname.to_string(), n);
-                            }
-                        }
-                    }
-                    j = k + 2;
-                    continue;
-                }
-            }
-            j += 1;
-        }
+    for f in pf.items.fns.iter().filter(|f| f.name == "index") {
+        let Some(body) = f.body else { continue };
+        let index_map: BTreeMap<&str, u64> = variant_refs(pf.view, body, "Phase")
+            .into_iter()
+            .filter_map(|(v, n)| Some((v, n?)))
+            .collect();
         let mut used = BTreeSet::new();
         for (v, n) in &index_map {
-            if *n >= variants.len() {
+            if *n >= variants.len() as u64 {
                 out.push(pf.finding(
                     RULE,
                     f.line,

@@ -17,8 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::tokens::TokKind;
-use crate::tree::TreeView;
+use crate::tree::variant_refs;
 use crate::{Finding, Parsed};
 
 /// A declared tag range from DESIGN.md §12.
@@ -54,32 +53,28 @@ pub(crate) fn run(wire: &Parsed<'_>, design: &str, out: &mut Vec<Finding>) {
     // outside every test region.
     let mut diag =
         |line: usize, message: String| out.push(wire.finding("wire-compat", line, 0, message));
-    let view = &wire.view;
     let Some(msg) = wire.items.enums.iter().find(|e| e.name == "Message") else {
         return;
     };
     let enum_line = msg.line;
 
-    let mut tag_map: BTreeMap<String, u64> = BTreeMap::new();
-    let mut decode_map: BTreeMap<u64, String> = BTreeMap::new();
-
+    // `Message::V => N` arms of `tag`, `N => Message::V` of the decoder.
+    let mut tag_map: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut decode_map: BTreeMap<u64, &str> = BTreeMap::new();
     for f in &wire.items.fns {
-        if f.body == (0, 0) {
-            continue;
-        }
-        let (lo, hi) = f.body;
+        let Some(body) = f.body else { continue };
+        let arms = variant_refs(wire.view, body, "Message").into_iter();
+        let arms = arms.filter_map(|(v, n)| Some((v, n?)));
         match f.name.as_str() {
             "tag" => {
-                for (v, n, _line) in variant_arms(view, lo, hi) {
-                    if let Some(prev) = tag_map.insert(v.clone(), n) {
-                        if prev != n {
-                            diag(f.line, format!("variant `{v}` is tagged both {prev} and {n}"));
-                        }
+                for (v, n) in arms {
+                    if let Some(prev) = tag_map.insert(v, n).filter(|&prev| prev != n) {
+                        diag(f.line, format!("variant `{v}` is tagged both {prev} and {n}"));
                     }
                 }
             }
             "decode_payload" | "decode" => {
-                for (n, v) in decode_arms(view, lo, hi) {
+                for (v, n) in arms {
                     decode_map.entry(n).or_insert(v);
                 }
             }
@@ -90,7 +85,7 @@ pub(crate) fn run(wire: &Parsed<'_>, design: &str, out: &mut Vec<Finding>) {
     // 1. Every variant tagged, tags unique.
     let mut by_tag: BTreeMap<u64, Vec<&str>> = BTreeMap::new();
     for (v, line) in &msg.variants {
-        match tag_map.get(v) {
+        match tag_map.get(v.as_str()) {
             Some(n) => by_tag.entry(*n).or_default().push(v),
             None => diag(*line, format!("variant `{v}` has no tag in `Message::tag`")),
         }
@@ -103,7 +98,7 @@ pub(crate) fn run(wire: &Parsed<'_>, design: &str, out: &mut Vec<Finding>) {
 
     // 2. decode is the inverse of tag.
     for (v, line) in &msg.variants {
-        let Some(n) = tag_map.get(v) else { continue };
+        let Some(n) = tag_map.get(v.as_str()) else { continue };
         match decode_map.get(n) {
             Some(dv) if dv == v => {}
             Some(dv) => diag(*line, format!("tag {n} encodes `{v}` but decodes to `{dv}`")),
@@ -148,7 +143,7 @@ pub(crate) fn run(wire: &Parsed<'_>, design: &str, out: &mut Vec<Finding>) {
             }
         }
         for (v, line) in &msg.variants {
-            let Some(n) = tag_map.get(v) else { continue };
+            let Some(n) = tag_map.get(v.as_str()) else { continue };
             let homes: Vec<&TagRange> =
                 ranges.iter().filter(|r| *n >= r.lo && *n <= r.hi).collect();
             if homes.is_empty() {
@@ -162,55 +157,4 @@ pub(crate) fn run(wire: &Parsed<'_>, design: &str, out: &mut Vec<Finding>) {
             }
         }
     }
-}
-
-/// `Message::V .. => NUM` arms (the `tag` fn shape).
-fn variant_arms(view: &TreeView<'_>, lo: usize, hi: usize) -> Vec<(String, u64, usize)> {
-    let mut out = Vec::new();
-    let mut j = lo;
-    let hi = hi.min(view.toks.len());
-    while j < hi {
-        if let Some(v) = view.variant_at(j, "Message") {
-            let k = view.skip_subpattern(j + 4);
-            if view.fat_arrow_at(k) {
-                if let Some(t) = view.toks.get(k + 2) {
-                    if t.kind == TokKind::Num {
-                        if let Ok(n) = view.text(k + 2).parse::<u64>() {
-                            out.push((v.to_string(), n, view.line(j)));
-                        }
-                    }
-                }
-            }
-            j = k;
-            continue;
-        }
-        j += 1;
-    }
-    out
-}
-
-/// `NUM => .. Message::V ..` arms (the `decode_payload` shape).
-fn decode_arms(view: &TreeView<'_>, lo: usize, hi: usize) -> Vec<(u64, String)> {
-    let mut out = Vec::new();
-    let mut current: Option<u64> = None;
-    let mut j = lo;
-    let hi = hi.min(view.toks.len());
-    while j < hi {
-        if view.toks[j].kind == TokKind::Num && view.fat_arrow_at(j + 1) {
-            if let Ok(n) = view.text(j).parse::<u64>() {
-                current = Some(n);
-            }
-            j += 3;
-            continue;
-        }
-        if let Some(v) = view.variant_at(j, "Message") {
-            if let Some(n) = current.take() {
-                out.push((n, v.to_string()));
-            }
-            j += 4;
-            continue;
-        }
-        j += 1;
-    }
-    out
 }

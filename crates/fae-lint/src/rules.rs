@@ -9,7 +9,6 @@
 //! documented per rule and in DESIGN.md §11.
 
 use crate::tokens::TokKind;
-use crate::tree::{find_group, flatten};
 use crate::{Finding, Parsed};
 
 /// Where a rule applies.
@@ -120,7 +119,7 @@ pub fn is_known_rule(id: &str) -> bool {
 /// net scope, `metric-name` in the metrics scope, `timeline-phase` in
 /// the determinism scope.
 pub(crate) fn scan(p: &Parsed<'_>, out: &mut Vec<Finding>) {
-    let v = &p.view;
+    let v = p.view;
     let class = p.class;
     let lib = !class.binary;
     let ident = |i: usize| v.toks.get(i).filter(|t| t.kind == TokKind::Ident).map(|_| v.text(i));
@@ -248,7 +247,7 @@ fn net_deadline(p: &Parsed<'_>, tok: usize, call: &str) -> Finding {
 /// telemetry crate's own forwarding layer) is not checked — the rule
 /// audits the literal emission sites, which is where names are minted.
 fn metric_name(p: &Parsed<'_>, dot: usize) -> Option<Finding> {
-    let v = &p.view;
+    let v = p.view;
     let arg = dot + 3;
     if v.toks.get(arg)?.kind != TokKind::Str {
         return None;
@@ -306,16 +305,31 @@ fn float_fuse(p: &Parsed<'_>, dot: usize, call: &str) -> Finding {
 /// a binding whose name contains `phase`. Charges through receivers
 /// with other names are not checked; this is the documented gap.
 fn timeline_phase(p: &Parsed<'_>, dot: usize) -> Option<Finding> {
-    let v = &p.view;
+    let v = p.view;
     let segment = dot.checked_sub(1)?;
     if v.toks[segment].kind != TokKind::Ident
         || !v.text(segment).to_ascii_lowercase().contains("timeline")
     {
         return None;
     }
-    // First argument: the paren group's children up to its first comma.
-    let args = find_group(&v.nodes, dot + 2)?;
-    let first = flatten(args.split(|n| v.is_leaf_punct(n, b',')).next().unwrap_or_default());
+    // First argument: the tokens up to the first comma outside nested
+    // groups, or to the call's closing paren.
+    let mut depth = 0usize;
+    let end = (dot + 3..v.toks.len())
+        .find(|&k| match v.punct(k) {
+            Some(b'(' | b'[' | b'{') => {
+                depth += 1;
+                false
+            }
+            Some(b')' | b']' | b'}') if depth > 0 => {
+                depth -= 1;
+                false
+            }
+            Some(b')' | b']' | b'}' | b',') => depth == 0,
+            _ => false,
+        })
+        .unwrap_or(v.toks.len());
+    let first: Vec<usize> = (dot + 3..end).collect();
     let named = first.iter().any(|&k| {
         v.toks[k].kind == TokKind::Ident && v.text(k).to_ascii_lowercase().contains("phase")
     });
@@ -358,7 +372,8 @@ mod tests {
     /// Rule ids fired by `src` with every scope on (pre-suppression).
     fn fired(src: &str) -> Vec<&'static str> {
         let class = FileClass { deterministic: true, binary: false, net: true, metrics: true };
-        let p = Parsed::new(0, Path::new("x.rs"), src, class);
+        let view = crate::tree::TreeView::new(src);
+        let p = Parsed::new(0, Path::new("x.rs"), &view, class);
         let mut out = Vec::new();
         scan(&p, &mut out);
         out.into_iter().map(|f| f.rule).collect()

@@ -3,12 +3,17 @@
 //! Sits between the flat token stream ([`crate::tokens`]) and every rule
 //! and pass: groups `()`/`[]`/`{}` into nested nodes, then walks the tree
 //! pulling out the items the passes reason about — functions (with
-//! their body groups), enums (with variant names and lines), struct
-//! fields (with flattened type text) and `use` aliases — and the byte
-//! ranges of `#[cfg(test)]`/`#[test]` items. This is *use-resolution
-//! light*: `use std::collections::HashMap as FastMap` makes `FastMap`
-//! resolve to the full path, so renamed imports cannot dodge the
-//! determinism rules.
+//! their body groups), consts, enums (with variant names and lines),
+//! struct fields (with flattened type text) and `use` aliases — and the
+//! byte ranges of `#[cfg(test)]`/`#[test]` items. This is
+//! *use-resolution light*: `use std::collections::HashMap as FastMap`
+//! makes `FastMap` resolve to the full path, so renamed imports cannot
+//! dodge the determinism rules.
+//!
+//! Two readers serve every pass that looks inside a function: [`stmts`]
+//! splits a block into classified statements (taint flow, lock order),
+//! and [`variant_refs`] reads `Enum::Variant => N` / `N => Enum::Variant`
+//! match arms (phase balance, wire compat).
 //!
 //! Not a parser: generics are skipped by angle-depth counting, patterns
 //! are treated as token runs, and macro bodies are walked like ordinary
@@ -102,11 +107,6 @@ impl<'s> TreeView<'s> {
         matches!(n, Node::Leaf(k) if self.is_punct(*k, b))
     }
 
-    /// True when tokens `k`, `k + 1` spell `=>`.
-    pub fn fat_arrow_at(&self, k: usize) -> bool {
-        self.is_punct(k, b'=') && self.is_punct(k + 1, b'>') && self.adjacent(k)
-    }
-
     /// The variant name when tokens `j..j + 4` spell `<enum_name>::Variant`.
     pub fn variant_at(&self, j: usize, enum_name: &str) -> Option<&'s str> {
         let is_path = j < self.toks.len()
@@ -116,34 +116,15 @@ impl<'s> TreeView<'s> {
         (is_path && self.toks.get(j + 3)?.kind == TokKind::Ident).then(|| self.text(j + 3))
     }
 
-    /// The token index past a `{..}`/`(..)` sub-pattern opening at `k`
-    /// (as after `Message::V`), or `k` itself when none opens there.
-    pub fn skip_subpattern(&self, mut k: usize) -> usize {
-        let mut depth = 0i32;
-        while k < self.toks.len() {
-            match self.punct(k) {
-                Some(b'{') | Some(b'(') => depth += 1,
-                Some(b'}') | Some(b')') => {
-                    if depth == 0 {
-                        break;
-                    }
-                    depth -= 1;
-                    if depth == 0 {
-                        return k + 1;
-                    }
-                }
-                _ if depth > 0 => {}
-                _ => break,
-            }
-            k += 1;
-        }
-        k
-    }
-
     /// True when tokens `i` and `i + 1` touch (no whitespace or comment
     /// between them) — how `::`, `=>`, `m["k"]` are told from lookalikes.
     pub fn adjacent(&self, i: usize) -> bool {
         self.toks.get(i + 1).is_some_and(|next| next.start == self.toks[i].end)
+    }
+
+    /// True when the `>` at token `k` ends a `->` or `=>`.
+    fn arrow_end(&self, k: usize) -> bool {
+        k > 0 && self.adjacent(k - 1) && matches!(self.punct(k - 1), Some(b'-' | b'='))
     }
 }
 
@@ -175,24 +156,9 @@ fn build_until(view: &TreeView<'_>, pos: &mut usize, until: Option<u8>) -> Vec<N
     out
 }
 
-/// The children of the group whose opening token index is `open`.
-pub fn find_group(nodes: &[Node], open: usize) -> Option<&[Node]> {
-    for n in nodes {
-        if let Node::Group { open: o, close, children, .. } = n {
-            if *o == open {
-                return Some(children);
-            }
-            if *o < open && open < *close {
-                return find_group(children, open);
-            }
-        }
-    }
-    None
-}
-
 /// Appends every token index under `nodes`, delimiters included, in
 /// source order.
-pub fn flat_into(nodes: &[Node], out: &mut Vec<usize>) {
+fn flat_into(nodes: &[Node], out: &mut Vec<usize>) {
     for n in nodes {
         match n {
             Node::Leaf(i) => out.push(*i),
@@ -210,6 +176,278 @@ pub fn flatten(nodes: &[Node]) -> Vec<usize> {
     let mut out = Vec::new();
     flat_into(nodes, &mut out);
     out
+}
+
+/// What a statement is, read off its first token.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StmtKind {
+    /// `let PAT [: TY] [= EXPR] [else {…}]`.
+    Let,
+    /// `if`/`while`/`for`/`match`/`loop`/`else`/`unsafe`: a header and
+    /// its blocks.
+    Control,
+    /// `return [EXPR]`.
+    Return,
+    /// `drop(…)`.
+    Drop,
+    /// `PLACE = EXPR`, compound assignments included.
+    Assign,
+    /// Any other expression, a block's tail included.
+    Expr,
+}
+
+/// One statement of a block, as [`stmts`] split it.
+pub struct Stmt<'a> {
+    /// What it is.
+    pub kind: StmtKind,
+    /// The leading identifier (`let`, `for`, a path root), or `""`.
+    pub head: &'a str,
+    /// Every token outside `blocks`, delimiters included, in source
+    /// order: all of it, or a control statement's header.
+    pub toks: Vec<usize>,
+    /// A control statement's `{…}` bodies, in order.
+    pub blocks: Vec<&'a [Node]>,
+    /// Position in `toks` of the top-level `=` of a `let` or assignment
+    /// (`==`, `<=`, `=>` and friends are told apart by adjacency).
+    pub eq: Option<usize>,
+    /// The identifiers it binds or writes: a `let` pattern's (a type
+    /// annotation excluded), a `for`/`if let`/`while let` pattern's, or
+    /// an assignment place's path (`self.a = ..` → `self`, `a`).
+    pub binds: Vec<String>,
+    /// The block's last statement, with no `;` or `}` ending it.
+    pub tail: bool,
+}
+
+impl Stmt<'_> {
+    /// The tokens left of the top-level `=` (all of them without one).
+    pub fn lhs(&self) -> &[usize] {
+        &self.toks[..self.eq.unwrap_or(self.toks.len())]
+    }
+
+    /// The tokens right of the top-level `=` (none without one).
+    pub fn rhs(&self) -> &[usize] {
+        self.eq.map_or(&[], |e| &self.toks[e + 1..])
+    }
+}
+
+/// Splits a block's nodes into statements: at `;`, at a `,` outside
+/// angle brackets (match arms; the commas of `HashMap<u32, u32>` do not
+/// split), and after a `{…}` group that no `else` follows.
+pub fn stmts<'a>(view: &TreeView<'a>, nodes: &'a [Node]) -> Vec<Stmt<'a>> {
+    let mut out = Vec::new();
+    let mut start = 0;
+    let mut angle = 0i32;
+    for (i, n) in nodes.iter().enumerate() {
+        let end = match n {
+            Node::Leaf(k) => {
+                let k = *k;
+                match view.punct(k) {
+                    Some(b'<') => {
+                        let shift = (view.is_punct(k + 1, b'<') && view.adjacent(k))
+                            || (k > 0 && view.is_punct(k - 1, b'<') && view.adjacent(k - 1));
+                        angle += i32::from(!shift);
+                        None
+                    }
+                    Some(b'>') => {
+                        angle -= i32::from(angle > 0 && !view.arrow_end(k));
+                        None
+                    }
+                    Some(b';') => Some(i),
+                    Some(b',') if angle <= 0 => Some(i),
+                    _ => None,
+                }
+            }
+            Node::Group { delim: b'{', .. } => {
+                let else_follows =
+                    matches!(nodes.get(i + 1), Some(Node::Leaf(k)) if view.is_ident(*k, "else"));
+                (!else_follows).then_some(i + 1)
+            }
+            Node::Group { .. } => None,
+        };
+        if let Some(end) = end {
+            if end > start {
+                out.push(stmt(view, &nodes[start..end], false));
+            }
+            start = i + 1;
+            angle = 0;
+        }
+    }
+    if start < nodes.len() {
+        out.push(stmt(view, &nodes[start..], true));
+    }
+    out
+}
+
+fn stmt<'a>(view: &TreeView<'a>, nodes: &'a [Node], tail: bool) -> Stmt<'a> {
+    let head = match nodes.first() {
+        Some(Node::Leaf(k)) if view.toks[*k].kind == TokKind::Ident => view.text(*k),
+        _ => "",
+    };
+    let control = matches!(head, "if" | "while" | "for" | "match" | "loop" | "else" | "unsafe");
+    let mut toks = Vec::new();
+    let mut blocks = Vec::new();
+    for n in nodes {
+        match n {
+            Node::Group { delim: b'{', children, .. } if control => {
+                blocks.push(children.as_slice())
+            }
+            n => flat_into(std::slice::from_ref(n), &mut toks),
+        }
+    }
+    let (kind, eq) = match head {
+        _ if control => (StmtKind::Control, None),
+        "return" => (StmtKind::Return, None),
+        "drop" => (StmtKind::Drop, None),
+        "let" => (StmtKind::Let, assign_eq(view, &toks)),
+        _ => match assign_eq(view, &toks) {
+            Some(eq) => (StmtKind::Assign, Some(eq)),
+            None => (StmtKind::Expr, None),
+        },
+    };
+    let binds = match kind {
+        StmtKind::Let | StmtKind::Assign => place_idents(view, &toks[..eq.unwrap_or(toks.len())]),
+        StmtKind::Control => pattern_binds(view, &toks, head),
+        _ => Vec::new(),
+    };
+    Stmt { kind, head, toks, blocks, eq, binds, tail }
+}
+
+/// Position of the top-level assignment `=` in `toks` (outside every
+/// group), when something follows it.
+fn assign_eq(view: &TreeView<'_>, toks: &[usize]) -> Option<usize> {
+    let mut depth = 0i32;
+    for (i, &k) in toks.iter().enumerate() {
+        match view.punct(k) {
+            Some(b'(' | b'[' | b'{') => depth += 1,
+            Some(b')' | b']' | b'}') => depth -= 1,
+            Some(b'=') if depth == 0 => {
+                let joins_next = view.adjacent(k) && matches!(view.punct(k + 1), Some(b'=' | b'>'));
+                let joins_prev = k > 0
+                    && view.adjacent(k - 1)
+                    && matches!(view.punct(k - 1), Some(b'=' | b'!' | b'<' | b'>'));
+                if !joins_next && !joins_prev {
+                    return (i + 1 < toks.len()).then_some(i);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
+/// The identifiers an assignment place or `let` pattern names; a type
+/// annotation (after the first lone `:` outside groups) is not one.
+fn place_idents(view: &TreeView<'_>, lhs: &[usize]) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut depth = 0i32;
+    for &k in lhs {
+        match view.punct(k) {
+            Some(b'(' | b'[' | b'{') => depth += 1,
+            Some(b')' | b']' | b'}') => depth -= 1,
+            Some(b':') if depth == 0 => {
+                let path = (view.adjacent(k) && view.is_punct(k + 1, b':'))
+                    || (k > 0 && view.adjacent(k - 1) && view.is_punct(k - 1, b':'));
+                if !path {
+                    break;
+                }
+            }
+            _ => {}
+        }
+        if view.toks[k].kind == TokKind::Ident
+            && !matches!(view.text(k), "let" | "mut" | "ref" | "box")
+        {
+            out.push(view.text(k).to_string());
+        }
+    }
+    out
+}
+
+/// The lowercase identifiers a control header's pattern binds:
+/// `for PAT in ..`, `if let PAT = ..`, `while let PAT = ..`.
+fn pattern_binds(view: &TreeView<'_>, header: &[usize], head: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut active = false;
+    for &k in header {
+        if view.toks[k].kind == TokKind::Ident {
+            let w = view.text(k);
+            if (head == "for" && w == "for") || w == "let" {
+                active = true;
+                continue;
+            }
+            if w == "in" {
+                break;
+            }
+            if active && w.starts_with(|c: char| c.is_lowercase() || c == '_') {
+                out.push(w.to_string());
+            }
+        }
+        if view.is_punct(k, b'=') && head != "for" {
+            break;
+        }
+    }
+    out
+}
+
+/// Every `<enum_name>::Variant` path under `nodes`, in source order,
+/// each with the integer literal across its `=>` when it is one side of
+/// a match arm: `Variant => N`, or the first path in the body of an
+/// `N => ..` arm. The one reader of `tag`/`index`/`decode` tables.
+pub fn variant_refs<'s>(
+    view: &TreeView<'s>,
+    nodes: &[Node],
+    enum_name: &str,
+) -> Vec<(&'s str, Option<u64>)> {
+    let mut out = Vec::new();
+    read_arms(view, nodes, enum_name, &mut None, &mut out);
+    out
+}
+
+fn read_arms<'s>(
+    view: &TreeView<'s>,
+    nodes: &[Node],
+    enum_name: &str,
+    pending: &mut Option<u64>,
+    out: &mut Vec<(&'s str, Option<u64>)>,
+) {
+    let leaf = |i: usize| match nodes.get(i) {
+        Some(Node::Leaf(k)) => Some(*k),
+        _ => None,
+    };
+    let arrow_at = |i: usize| {
+        leaf(i).zip(leaf(i + 1)).is_some_and(|(a, b)| {
+            view.is_punct(a, b'=') && view.is_punct(b, b'>') && view.adjacent(a)
+        })
+    };
+    let num_at = |i: usize| {
+        leaf(i)
+            .filter(|&k| view.toks[k].kind == TokKind::Num)
+            .and_then(|k| view.text(k).parse::<u64>().ok())
+    };
+    let mut i = 0;
+    while i < nodes.len() {
+        match &nodes[i] {
+            Node::Group { children, .. } => read_arms(view, children, enum_name, pending, out),
+            Node::Leaf(k) => {
+                if let Some(n) = num_at(i).filter(|_| arrow_at(i + 1)) {
+                    *pending = Some(n);
+                    i += 3;
+                    continue;
+                }
+                if let Some(v) = view.variant_at(*k, enum_name) {
+                    // Past the path and an optional `{..}`/`(..)` subpattern.
+                    let mut j = i + 4;
+                    if matches!(nodes.get(j), Some(Node::Group { delim: b'{' | b'(', .. })) {
+                        j += 1;
+                    }
+                    let n = if arrow_at(j) { num_at(j + 2) } else { None };
+                    out.push((v, n.or_else(|| pending.take())));
+                    i = j;
+                    continue;
+                }
+            }
+        }
+        i += 1;
+    }
 }
 
 /// Half-open byte ranges of test-only items: an attribute whose
@@ -281,7 +519,7 @@ fn gates_on_test(view: &TreeView<'_>, pred: &[Node]) -> bool {
 }
 
 /// A function found in the tree.
-pub struct FnItem {
+pub struct FnItem<'a> {
     /// Function name.
     pub name: String,
     /// True when any ancestor item or the fn itself is `pub`.
@@ -290,9 +528,17 @@ pub struct FnItem {
     pub line: usize,
     /// Parameter names (pattern identifiers, `self` included).
     pub params: Vec<String>,
-    /// Indices into the flat token stream covering the body group's
-    /// interior (between, not including, the braces).
-    pub body: (usize, usize),
+    /// The body's nodes, between the braces; `None` for a signature.
+    pub body: Option<&'a [Node]>,
+}
+
+/// A `const` item: its name and what follows the name up to the `;`
+/// (the type and the value).
+pub struct ConstItem<'a> {
+    /// Token index of the name.
+    pub name: usize,
+    /// The nodes after the name.
+    pub rest: &'a [Node],
 }
 
 /// An enum found in the tree.
@@ -327,9 +573,11 @@ pub struct UseItem {
 }
 
 /// Everything the passes need from one file.
-pub struct Items {
+pub struct Items<'a> {
     /// Functions, including those nested in `impl`/`mod` blocks.
-    pub fns: Vec<FnItem>,
+    pub fns: Vec<FnItem<'a>>,
+    /// Consts, including associated ones.
+    pub consts: Vec<ConstItem<'a>>,
     /// Enums.
     pub enums: Vec<EnumItem>,
     /// Struct fields.
@@ -339,14 +587,19 @@ pub struct Items {
 }
 
 /// Extracts items from a [`TreeView`].
-pub fn items(view: &TreeView<'_>) -> Items {
-    let mut out =
-        Items { fns: Vec::new(), enums: Vec::new(), fields: Vec::new(), uses: Vec::new() };
+pub fn items<'a>(view: &'a TreeView<'_>) -> Items<'a> {
+    let mut out = Items {
+        fns: Vec::new(),
+        consts: Vec::new(),
+        enums: Vec::new(),
+        fields: Vec::new(),
+        uses: Vec::new(),
+    };
     scan_items(view, &view.nodes, false, &mut out);
     out
 }
 
-fn scan_items(view: &TreeView<'_>, nodes: &[Node], outer_pub: bool, out: &mut Items) {
+fn scan_items<'a>(view: &TreeView<'_>, nodes: &'a [Node], outer_pub: bool, out: &mut Items<'a>) {
     let n = nodes.len();
     let mut idx = 0usize;
     let mut last_pub = false;
@@ -372,6 +625,20 @@ fn scan_items(view: &TreeView<'_>, nodes: &[Node], outer_pub: bool, out: &mut It
         }
         if view.is_ident(i, "fn") {
             scan_fn(view, nodes, &mut idx, outer_pub || last_pub, out);
+            last_pub = false;
+            continue;
+        }
+        let const_name = match nodes.get(idx + 1..idx + 3) {
+            Some([Node::Leaf(name), Node::Leaf(colon)]) if view.is_punct(*colon, b':') => {
+                Some(*name)
+            }
+            _ => None,
+        };
+        if let Some(name) = const_name.filter(|_| view.is_ident(i, "const")) {
+            let end = nodes[idx..].iter().position(|n| view.is_leaf_punct(n, b';'));
+            let rest = &nodes[idx + 2..end.map_or(n, |e| idx + e)];
+            out.consts.push(ConstItem { name, rest });
+            idx += rest.len() + 3;
             last_pub = false;
             continue;
         }
@@ -407,7 +674,7 @@ fn scan_items(view: &TreeView<'_>, nodes: &[Node], outer_pub: bool, out: &mut It
     }
 }
 
-fn scan_use(view: &TreeView<'_>, nodes: &[Node], idx: &mut usize, out: &mut Items) {
+fn scan_use(view: &TreeView<'_>, nodes: &[Node], idx: &mut usize, out: &mut Items<'_>) {
     // Collect tokens up to `;`, handling `use a::b::{C, D as E};` one
     // level deep (the only shapes in this workspace).
     let mut prefix: Vec<String> = Vec::new();
@@ -430,7 +697,7 @@ fn scan_use(view: &TreeView<'_>, nodes: &[Node], idx: &mut usize, out: &mut Item
                 let mut alias: Option<String> = None;
                 let mut in_alias = false;
                 let push_entry =
-                    |entry: &mut Vec<String>, alias: &mut Option<String>, out: &mut Items| {
+                    |entry: &mut Vec<String>, alias: &mut Option<String>, out: &mut Items<'_>| {
                         if let Some(last) = entry.last() {
                             let name = alias.clone().unwrap_or_else(|| last.clone());
                             let mut path = prefix.clone();
@@ -475,7 +742,13 @@ fn scan_use(view: &TreeView<'_>, nodes: &[Node], idx: &mut usize, out: &mut Item
     *idx = j + 1;
 }
 
-fn scan_fn(view: &TreeView<'_>, nodes: &[Node], idx: &mut usize, is_pub: bool, out: &mut Items) {
+fn scan_fn<'a>(
+    view: &TreeView<'_>,
+    nodes: &'a [Node],
+    idx: &mut usize,
+    is_pub: bool,
+    out: &mut Items<'a>,
+) {
     let fn_tok = match &nodes[*idx] {
         Node::Leaf(i) => *i,
         Node::Group { .. } => {
@@ -500,40 +773,28 @@ fn scan_fn(view: &TreeView<'_>, nodes: &[Node], idx: &mut usize, is_pub: bool, o
     // ones containing `Fn(..)` bounds).
     let mut angle = 0i32;
     let mut params: Vec<String> = Vec::new();
-    let mut body: Option<(usize, usize)> = None;
+    let mut body = None;
     while j < nodes.len() {
         match &nodes[j] {
             Node::Leaf(i) => {
                 if view.is_punct(*i, b'<') {
                     angle += 1;
-                } else if view.is_punct(*i, b'>') && angle > 0 {
-                    // `->` must not close an angle: check the previous
-                    // byte is not `-` or `=`.
-                    let at = view.toks[*i].start;
-                    let prev = if at == 0 { b' ' } else { view.source.as_bytes()[at - 1] };
-                    if prev != b'-' && prev != b'=' {
-                        angle -= 1;
-                    }
+                } else if view.is_punct(*i, b'>') && angle > 0 && !view.arrow_end(*i) {
+                    angle -= 1;
                 } else if view.is_punct(*i, b';') {
                     // Trait method signature without a body.
                     *idx = j + 1;
-                    out.fns.push(FnItem {
-                        name,
-                        is_pub,
-                        line: view.line(fn_tok),
-                        params,
-                        body: (0, 0),
-                    });
+                    out.fns.push(FnItem { name, is_pub, line: view.line(fn_tok), params, body });
                     return;
                 }
                 j += 1;
             }
-            Node::Group { delim, open, close, children } => {
+            Node::Group { delim, children, .. } => {
                 if *delim == b'(' && angle == 0 && params.is_empty() && body.is_none() {
                     params = param_names(view, children);
                     j += 1;
                 } else if *delim == b'{' {
-                    body = Some((*open + 1, *close));
+                    body = Some(children.as_slice());
                     // Nested fns/closures inside the body: recurse.
                     scan_items(view, children, false, out);
                     j += 1;
@@ -544,13 +805,7 @@ fn scan_fn(view: &TreeView<'_>, nodes: &[Node], idx: &mut usize, is_pub: bool, o
             }
         }
     }
-    out.fns.push(FnItem {
-        name,
-        is_pub,
-        line: view.line(fn_tok),
-        params,
-        body: body.unwrap_or((0, 0)),
-    });
+    out.fns.push(FnItem { name, is_pub, line: view.line(fn_tok), params, body });
     *idx = j;
 }
 
@@ -584,7 +839,7 @@ fn param_names(view: &TreeView<'_>, children: &[Node]) -> Vec<String> {
     out
 }
 
-fn scan_enum(view: &TreeView<'_>, nodes: &[Node], idx: &mut usize, out: &mut Items) {
+fn scan_enum(view: &TreeView<'_>, nodes: &[Node], idx: &mut usize, out: &mut Items<'_>) {
     let mut j = *idx + 1;
     let mut name = String::new();
     let mut line = 0usize;
@@ -632,7 +887,7 @@ fn scan_enum(view: &TreeView<'_>, nodes: &[Node], idx: &mut usize, out: &mut Ite
     *idx = j + 1;
 }
 
-fn scan_struct(view: &TreeView<'_>, nodes: &[Node], idx: &mut usize, out: &mut Items) {
+fn scan_struct(view: &TreeView<'_>, nodes: &[Node], idx: &mut usize, out: &mut Items<'_>) {
     let mut j = *idx + 1;
     let mut name = String::new();
     while j < nodes.len() {
@@ -663,7 +918,7 @@ fn scan_struct(view: &TreeView<'_>, nodes: &[Node], idx: &mut usize, out: &mut I
     *idx = j + 1;
 }
 
-fn scan_fields_braced(view: &TreeView<'_>, children: &[Node], strukt: &str, out: &mut Items) {
+fn scan_fields_braced(view: &TreeView<'_>, children: &[Node], strukt: &str, out: &mut Items<'_>) {
     // field: `name : <type tokens> ,`
     let mut i = 0usize;
     let n = children.len();
@@ -702,7 +957,7 @@ fn scan_fields_braced(view: &TreeView<'_>, children: &[Node], strukt: &str, out:
 }
 
 /// Tuple fields: comma-separated type runs, named `0`, `1`, ...
-fn scan_fields_tuple(view: &TreeView<'_>, children: &[Node], strukt: &str, out: &mut Items) {
+fn scan_fields_tuple(view: &TreeView<'_>, children: &[Node], strukt: &str, out: &mut Items<'_>) {
     let fields = children
         .split(|n| view.is_leaf_punct(n, b','))
         .map(|run| flatten(run).into_iter().filter(|&k| !view.is_ident(k, "pub")).collect())

@@ -219,10 +219,10 @@ fn wire_fixture_pins() {
 
     // The post-suppression entry point used by the CLI must fail on
     // the bad pair and accept the clean pair.
-    let bad = fae_lint::lint_wire(&dir).expect("bad wire fixture readable");
+    let bad = lint_tree(&dir, NET).expect("bad wire fixture readable");
     assert!(!bad.is_empty());
     assert!(bad.iter().all(|d| d.rule == "wire-compat"));
-    let clean = fae_lint::lint_wire(&fixture("wire/clean")).expect("clean wire fixture readable");
+    let clean = lint_tree(&fixture("wire/clean"), NET).expect("clean wire fixture readable");
     assert!(clean.is_empty(), "clean wire fixture reported: {clean:?}");
 }
 
@@ -291,12 +291,8 @@ fn invoke(args: &str) -> Vec<Diagnostic> {
             _ => panic!("unknown flag {w}"),
         }
     }
-    match flag {
-        Some("--tree") => lint_tree(&dir, class),
-        Some("--wire") => fae_lint::lint_wire(&dir),
-        _ => panic!("unknown invocation {args}"),
-    }
-    .expect("fixture tree readable")
+    assert_eq!(flag, Some("--tree"), "unknown invocation {args}");
+    lint_tree(&dir, class).expect("fixture tree readable")
 }
 
 /// Every self-test invocation of `scripts/lint.sh`, in script order
@@ -308,14 +304,14 @@ const LINT_SH: &[(&str, usize, u64)] = &[
     ("--tree phases/bad --lib", 4, 0xddf6e7a93085efeb),
     ("--tree locks/bad --lib", 3, 0x2bc93fcbe9fbcbc3),
     ("--tree taint --det --lib", 7, 0xeabffcdc6eb03542),
-    ("--wire wire/bad", 3, 0x5945c3e21c0ad0cf),
+    ("--tree wire/bad --lib --net", 3, 0x5945c3e21c0ad0cf),
     ("--tree net --lib --net", 7, 0x4dfdd09b1dd022c0),
     ("--tree metrics --lib --metrics", 4, 0x188f0b5237e759a5),
     ("--tree scanner/bad --det --lib --net --metrics", 23, 0xd302dcada50f7c55),
     ("--tree clean --det --lib", 0, 0xcbf29ce484222325),
     ("--tree phases/clean --lib", 0, 0xcbf29ce484222325),
     ("--tree locks/clean --lib", 0, 0xcbf29ce484222325),
-    ("--wire wire/clean", 0, 0xcbf29ce484222325),
+    ("--tree wire/clean --lib --net", 0, 0xcbf29ce484222325),
     ("--tree scanner/clean --det --lib --net --metrics", 0, 0xcbf29ce484222325),
 ];
 

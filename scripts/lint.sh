@@ -42,14 +42,14 @@ must_fail "determinism fixtures" --tree "$FIX/violations" --det --lib
 must_fail "phase-balance fixtures" --tree "$FIX/phases/bad" --lib
 must_fail "lock-order fixtures" --tree "$FIX/locks/bad" --lib
 must_fail "taint fixtures" --tree "$FIX/taint" --det --lib
-must_fail "wire-compat fixtures" --wire "$FIX/wire/bad"
+must_fail "wire-compat fixtures" --tree "$FIX/wire/bad" --lib --net
 must_fail "net-deadline fixtures" --tree "$FIX/net" --lib --net
 must_fail "metric-name fixtures" --tree "$FIX/metrics" --lib --metrics
 must_fail "scanner fixtures" --tree "$FIX/scanner/bad" --det --lib --net --metrics
 must_pass "clean det fixtures" --tree "$FIX/clean" --det --lib
 must_pass "clean phase fixtures" --tree "$FIX/phases/clean" --lib
 must_pass "clean lock fixtures" --tree "$FIX/locks/clean" --lib
-must_pass "clean wire fixtures" --wire "$FIX/wire/clean"
+must_pass "clean wire fixtures" --tree "$FIX/wire/clean" --lib --net
 must_pass "clean scanner fixtures" --tree "$FIX/scanner/clean" --det --lib --net --metrics
 
 if [ "$fail" -ne 0 ]; then
