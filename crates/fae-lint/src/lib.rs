@@ -448,88 +448,9 @@ mod tests {
         FileClass { deterministic: true, binary: false, net: false, metrics: true };
 
     #[test]
-    fn clean_source_is_clean() {
-        let d =
-            lint_source(Path::new("x.rs"), "pub fn f(x: Option<u8>) -> u8 { x.unwrap_or(0) }", LIB);
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn pragma_suppresses_and_is_used() {
-        let src = "// fae-lint: allow(no-panic, reason = \"len checked above\")\nlet x = v.first().unwrap();\n";
-        let d = lint_source(Path::new("x.rs"), src, LIB);
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn unused_pragma_fires() {
-        let src = "// fae-lint: allow(no-panic, reason = \"nothing here\")\nlet x = 1;\n";
-        let d = lint_source(Path::new("x.rs"), src, LIB);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "unused-pragma");
-    }
-
-    #[test]
-    fn test_code_is_exempt() {
-        let src =
-            "#[cfg(test)]\nmod tests {\n use std::time::Instant;\n fn t() { x.unwrap(); }\n}\n";
-        let d = lint_source(Path::new("x.rs"), src, LIB);
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn binary_skips_no_panic_keeps_determinism() {
-        let bin = FileClass { deterministic: true, binary: true, net: false, metrics: true };
-        // The unwrap is exempt (binary target); the clock read flowing
-        // into the public return is not.
-        let src = "pub fn run() -> u64 {\n    args.next().unwrap();\n    let t = Instant::now();\n    t.elapsed().as_nanos() as u64\n}\n";
-        let d = lint_source(Path::new("bin.rs"), src, bin);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "wall-clock");
-        assert_eq!(d[0].line, 3, "reported at the clock read, not the return");
-    }
-
-    #[test]
-    fn net_rule_applies_only_with_the_net_classification() {
-        let net = FileClass { deterministic: false, binary: false, net: true, metrics: false };
-        let src = "fn f(s: &mut TcpStream) { s.read_exact(&mut b).ok(); }\n";
-        let d = lint_source(Path::new("x.rs"), src, net);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "net-deadline");
-        assert!(lint_source(Path::new("x.rs"), src, LIB).is_empty(), "scope is fae-net only");
-    }
-
-    #[test]
-    fn metric_name_rule_applies_only_with_the_metrics_classification() {
-        let src = "pub fn f(t: &T) { t.counter_add(\"Bad Name\", 1); }\n";
-        let d = lint_source(Path::new("x.rs"), src, LIB);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "metric-name");
-        let unmetered = FileClass { metrics: false, ..LIB };
-        assert!(
-            lint_source(Path::new("x.rs"), src, unmetered).is_empty(),
-            "metric-name must stay inside its scope"
-        );
-    }
-
-    #[test]
-    fn float_fuse_pragma_must_cite_the_design_anchor() {
-        // A citing pragma suppresses the unroll site cleanly.
-        let good = "// fae-lint: allow(float-fuse, reason = \"elementwise; DESIGN.md §14\")\nlet mut d = dst.chunks_exact_mut(8);\n";
-        assert!(lint_source(Path::new("x.rs"), good, LIB).is_empty());
-        // A pragma without the citation is itself a violation (and the
-        // site stays suppressed, so exactly one diagnostic comes out).
-        let bad = "// fae-lint: allow(float-fuse, reason = \"it is fine\")\nlet mut d = dst.chunks_exact_mut(8);\n";
-        let d = lint_source(Path::new("x.rs"), bad, LIB);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "bad-pragma");
-        assert!(d[0].message.contains("DESIGN.md §14"));
-        // A naked unroll site fires the rule itself.
+    fn float_fuse_exempts_binary_targets() {
         let naked = "let mut d = dst.chunks_exact_mut(8);\n";
-        let d = lint_source(Path::new("x.rs"), naked, LIB);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "float-fuse");
-        // Binary targets are exempt (Scope::AllLibs, like no-panic).
+        assert_eq!(lint_source(Path::new("x.rs"), naked, LIB).len(), 1);
         let bin = FileClass { binary: true, ..LIB };
         assert!(lint_source(Path::new("bin.rs"), naked, bin).is_empty());
     }

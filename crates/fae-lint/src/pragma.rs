@@ -88,33 +88,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pragma_parses() {
-        let src = "// fae-lint: allow(no-panic, reason = \"checked, above, twice\")\nx";
-        let (pragmas, errors) = collect(&TreeView::new(src));
-        assert_eq!(pragmas.len(), 1);
-        assert_eq!(pragmas[0].rules, vec!["no-panic"]);
-        assert_eq!(pragmas[0].reason, "checked, above, twice");
-        assert!(errors.is_empty());
-    }
-
-    #[test]
     fn pragma_multi_rule() {
         let src = "// fae-lint: allow(wall-clock, ambient-rng, reason = \"bench only\")\n";
         let (pragmas, _) = collect(&TreeView::new(src));
         assert_eq!(pragmas[0].rules, vec!["wall-clock", "ambient-rng"]);
-    }
-
-    #[test]
-    fn malformed_pragma_is_an_error() {
-        let (pragmas, errors) = collect(&TreeView::new("// fae-lint: allow(no-panic)\n"));
-        assert!(pragmas.is_empty());
-        assert_eq!(errors.len(), 1);
-    }
-
-    #[test]
-    fn quoted_pragmas_are_not_pragmas() {
-        let src = "/// fae-lint: allow(no-panic)\n/* // fae-lint: allow(x) */ let s = \"// fae-lint: allow(y)\";";
-        let (pragmas, errors) = collect(&TreeView::new(src));
-        assert!(pragmas.is_empty() && errors.is_empty());
     }
 }

@@ -367,113 +367,35 @@ mod tests {
     use std::path::Path;
 
     use super::*;
+    use crate::tree::TreeView;
     use crate::FileClass;
 
-    /// Rule ids fired by `src` with every scope on (pre-suppression).
-    fn fired(src: &str) -> Vec<&'static str> {
+    /// Hit and miss shapes that no fixture tree pins: how many findings
+    /// of `rule` each fires with every scope on (pre-suppression).
+    #[test]
+    fn shapes_outside_the_fixtures() {
+        let cases: &[(&str, &str, usize)] = &[
+            ("x.unwrap_or_else(f)", "no-panic", 0),
+            ("x\n    .unwrap()", "no-panic", 1),
+            ("if panic != 0 {}", "no-panic", 0),
+            ("stream.flush()?;", "net-deadline", 0),
+            ("t.gauge_set(\"serve.hit_rate\", r);", "metric-name", 0),
+            ("t.observe(\"serve.latency_s\", v);", "metric-name", 0),
+            ("t.counter_add( \"net.joins\", 1);", "metric-name", 0),
+            ("t.counter_add(\"\", 1);", "metric-name", 1),
+            ("t.counter_add(\".joins\", 1);", "metric-name", 1),
+            ("t.counter_add(\"net.joins_\", 1);", "metric-name", 1),
+            ("for (a, b) in x.chunks_exact(8).zip(y.chunks_exact(8)) {", "float-fuse", 2),
+            ("let mut d = dst.chunks_exact(width);", "float-fuse", 0),
+            ("let n = dst.len() / 8;", "float-fuse", 0),
+            ("self.timeline.add(\n    secs,\n    Phase::Transfer,\n);", "timeline-phase", 1),
+        ];
         let class = FileClass { deterministic: true, binary: false, net: true, metrics: true };
-        let view = crate::tree::TreeView::new(src);
-        let p = Parsed::new(0, Path::new("x.rs"), &view, class);
-        let mut out = Vec::new();
-        scan(&p, &mut out);
-        out.into_iter().map(|f| f.rule).collect()
-    }
-
-    fn count(src: &str, rule: &str) -> usize {
-        fired(src).into_iter().filter(|r| *r == rule).count()
-    }
-
-    #[test]
-    fn mentions_alone_fire_nothing() {
-        // wall-clock/ambient-rng/hash-container are flow rules
-        // ([`crate::flow`]); no token pattern fires on a mere mention.
-        assert!(fired("let t = Instant::now();").is_empty());
-        assert!(fired("let m: HashMap<u32, f32> = HashMap::new();").is_empty());
-        assert!(fired("let x = instant_rate;").is_empty());
-    }
-
-    #[test]
-    fn no_panic_hits_and_misses() {
-        let nopanic = |src: &str| count(src, "no-panic");
-        assert_eq!(nopanic("x.unwrap()"), 1);
-        assert_eq!(nopanic("x.expect(\"m\")"), 1);
-        assert_eq!(nopanic("panic!(\"boom\")"), 1);
-        assert_eq!(nopanic("x.unwrap_or(0)"), 0);
-        assert_eq!(nopanic("x.unwrap_or_else(f)"), 0);
-        assert_eq!(nopanic("let v = arr[i];"), 0);
-        assert_eq!(nopanic("let v = m[\"key\"];"), 1);
-        assert_eq!(nopanic("let v = [\"a\", \"b\"];"), 0);
-        // Spacing and wrapping do not hide a site.
-        assert_eq!(nopanic("x.unwrap ()"), 1);
-        assert_eq!(nopanic("x\n    .unwrap()"), 1);
-        assert_eq!(nopanic("if panic != 0 {}"), 0);
-    }
-
-    #[test]
-    fn net_deadline_hits_and_misses() {
-        let net = |src: &str| count(src, "net-deadline");
-        assert_eq!(net("stream.read_exact(&mut buf)?;"), 1);
-        assert_eq!(net("stream.write_all(&bytes)?;"), 1);
-        assert_eq!(net("stream.read_to_end(&mut v)?;"), 1);
-        assert_eq!(net("reader.read_until(b'\\n', &mut v)?;"), 1);
-        assert_eq!(net("TcpStream::connect(addr)?;"), 1);
-        assert_eq!(net("stream.set_read_timeout(None)?;"), 1);
-        assert_eq!(net("stream.set_write_timeout(None)?;"), 1);
-        // The deadline-carrying forms are exactly what the rule demands.
-        assert_eq!(net("TcpStream::connect_timeout(&a, dur(ms))?;"), 0);
-        assert_eq!(net("stream.set_read_timeout(Some(dur(ms)))?;"), 0);
-        assert_eq!(net("stream.flush()?;"), 0);
-        assert_eq!(net("let reconnect = true;"), 0);
-    }
-
-    #[test]
-    fn metric_name_hits_and_misses() {
-        let check = |src: &str| count(src, "metric-name");
-        assert_eq!(check("t.counter_add(\"train.steps_hot\", 1);"), 0);
-        assert_eq!(check("t.gauge_set(\"serve.hit_rate\", r);"), 0);
-        assert_eq!(check("t.observe(\"serve.latency_s\", v);"), 0);
-        assert_eq!(check("t.counter_add( \"net.joins\", 1);"), 0, "leading space before literal");
-        // Dynamic names (the forwarding layer) are out of reach.
-        assert_eq!(check("m.counter_add(name, v);"), 0);
-        // Numeric observe (a histogram value, not a telemetry name).
-        assert_eq!(check("window.observe(loss);"), 0);
-        // Names quoted in comments never fire: comments are not tokens.
-        assert_eq!(check("let x = 1; // call t.counter_add(\"Bad Name\", 1)"), 0);
-        // Violations: uppercase, spaces, dashes, separators misused.
-        assert_eq!(check("t.counter_add(\"Train.Steps\", 1);"), 1);
-        assert_eq!(check("t.gauge_set(\"serve hit rate\", r);"), 1);
-        assert_eq!(check("t.observe(\"serve-latency\", v);"), 1);
-        assert_eq!(check("t.counter_add(\"\", 1);"), 1);
-        assert_eq!(check("t.counter_add(\".joins\", 1);"), 1);
-        assert_eq!(check("t.counter_add(\"net..joins\", 1);"), 1);
-        assert_eq!(check("t.counter_add(\"net.joins_\", 1);"), 1);
-        // A rustfmt-wrapped argument list is the same call.
-        assert_eq!(check("t.counter_add(\n    \"Bad Name\",\n    1,\n);"), 1);
-        assert_eq!(check("t.counter_add(\n    \"good.name\",\n    1,\n);"), 0);
-    }
-
-    #[test]
-    fn float_fuse_hits_and_misses() {
-        let fuse = |src: &str| count(src, "float-fuse");
-        assert_eq!(fuse("let mut d = dst.chunks_exact_mut(8);"), 1);
-        assert_eq!(fuse("let mut s = src.chunks_exact(8);"), 1);
-        assert_eq!(fuse("for (a, b) in x.chunks_exact(8).zip(y.chunks_exact(8)) {"), 2);
-        // Other widths and dynamic widths are not the unroll idiom.
-        assert_eq!(fuse("let mut d = dst.chunks_exact(4);"), 0);
-        assert_eq!(fuse("let mut d = dst.chunks_exact(width);"), 0);
-        assert_eq!(fuse("let n = dst.len() / 8;"), 0);
-    }
-
-    #[test]
-    fn timeline_rule() {
-        let fire = |src: &str| count(src, "timeline-phase") > 0;
-        assert!(fire("self.timeline.add(p, secs);"));
-        assert!(!fire("self.timeline.add(Phase::Transfer, secs);"));
-        assert!(!fire("timeline.add(*phase, d.phases.0[i]);"));
-        assert!(!fire("hist.add(v);"));
-        assert!(!fire("t.add(Phase::Framework, 1.0);"));
-        // The first argument is read from the paren group, not the line.
-        assert!(!fire("self.timeline.add(\n    Phase::Transfer,\n    1.0,\n);"));
-        assert!(fire("self.timeline.add(\n    secs,\n    Phase::Transfer,\n);"));
+        for &(src, rule, n) in cases {
+            let view = TreeView::new(src);
+            let mut out = Vec::new();
+            scan(&Parsed::new(0, Path::new("x.rs"), &view, class), &mut out);
+            assert_eq!(out.iter().filter(|f| f.rule == rule).count(), n, "{rule} on {src:?}");
+        }
     }
 }

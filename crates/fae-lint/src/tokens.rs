@@ -253,80 +253,6 @@ mod tests {
 
     use super::*;
 
-    fn kinds(src: &str) -> Vec<(TokKind, String)> {
-        tokenize(src).toks.iter().map(|t| (t.kind, t.text(src).to_string())).collect()
-    }
-
-    fn idents(src: &str) -> Vec<&str> {
-        let toks = tokenize(src).toks;
-        toks.iter().filter(|t| t.kind == TokKind::Ident).map(|t| t.text(src)).collect()
-    }
-
-    #[test]
-    fn idents_numbers_puncts() {
-        let got = kinds("let x = 42;");
-        assert_eq!(got[0], (TokKind::Ident, "let".into()));
-        assert_eq!(got[1], (TokKind::Ident, "x".into()));
-        assert_eq!(got[2], (TokKind::Punct, "=".into()));
-        assert_eq!(got[3], (TokKind::Num, "42".into()));
-        assert_eq!(got[4], (TokKind::Punct, ";".into()));
-    }
-
-    #[test]
-    fn comments_vanish_and_lines_advance() {
-        let src = "a // HashMap\n/* b\nc */ d";
-        let lexed = tokenize(src);
-        let t = &lexed.toks;
-        assert_eq!(t.len(), 2);
-        assert_eq!(t[0].text(src), "a");
-        assert_eq!(t[0].line, 1);
-        assert_eq!(t[1].text(src), "d");
-        assert_eq!(t[1].line, 3);
-        // The line comment is kept on the side channel; the block
-        // comment is gone.
-        assert_eq!(lexed.comments.len(), 1);
-        assert_eq!(lexed.comments[0].text(src), "// HashMap");
-        assert_eq!(lexed.comments[0].line, 1);
-    }
-
-    #[test]
-    fn strings_and_comments_hide_their_words() {
-        let src = "let x = \"HashMap\"; // HashMap\nlet y = 1;";
-        assert_eq!(idents(src), vec!["let", "x", "let", "y"]);
-    }
-
-    #[test]
-    fn raw_strings_and_chars_hide_their_words_and_lifetimes_stay_code() {
-        let src = "let r = r#\"unwrap()\"#; let c = '\\n'; fn f<'a>(x: &'a str) {}";
-        assert_eq!(idents(src), vec!["let", "r", "let", "c", "fn", "f", "x", "str"]);
-    }
-
-    #[test]
-    fn nested_block_comment() {
-        assert_eq!(idents("a /* x /* panic!() */ y */ b"), vec!["a", "b"]);
-    }
-
-    #[test]
-    fn strings_are_single_tokens() {
-        let src = "f(\"a b\", r#\"c \" d\"#, 'x', '\\n')";
-        let t = tokenize(src).toks;
-        let texts: Vec<_> = t.iter().map(|t| t.text(src)).collect();
-        assert!(texts.contains(&"\"a b\""));
-        assert!(texts.contains(&"r#\"c \" d\"#"));
-        assert!(texts.contains(&"'x'"));
-        assert!(texts.contains(&"'\\n'"));
-    }
-
-    #[test]
-    fn lifetimes_vs_chars() {
-        let src = "fn f<'a>(x: &'a str) { let c = 'y'; }";
-        let t = tokenize(src).toks;
-        let lifes: Vec<_> =
-            t.iter().filter(|t| t.kind == TokKind::Lifetime).map(|t| t.text(src)).collect();
-        assert_eq!(lifes, vec!["'a", "'a"]);
-        assert!(t.iter().any(|t| t.kind == TokKind::Char && t.text(src) == "'y'"));
-    }
-
     #[test]
     fn floats_and_ranges() {
         let src = "a(1.5, 0..8, x.0)";
