@@ -96,8 +96,8 @@ struct Ctx<'a> {
     view: &'a TreeView<'a>,
     /// Local name → resolved full path (from `use` items).
     resolve: BTreeMap<&'a str, &'a str>,
-    /// Struct fields (per owner) whose type mentions a hash container.
-    hash_fields: BTreeSet<(String, String)>,
+    /// Struct fields whose type mentions a hash container.
+    hash_fields: BTreeSet<&'a str>,
     /// Function name → the source event its return value carries.
     returns_taint: BTreeMap<String, SourceEvent>,
 }
@@ -108,6 +108,7 @@ impl<'a> Ctx<'a> {
     }
 }
 
+#[derive(Default)]
 struct FnState {
     /// Tainted binding → originating event.
     taint: BTreeMap<String, SourceEvent>,
@@ -145,19 +146,14 @@ impl FnState {
 /// pragma there suppresses the flow).
 pub(crate) fn det_taint(p: &Parsed<'_>, out: &mut Vec<Finding>) {
     let items = &p.items;
-    let mut resolve = BTreeMap::new();
-    for u in &items.uses {
-        resolve.insert(u.name.as_str(), u.path.as_str());
-    }
-    let mut hash_fields = BTreeSet::new();
-    for f in &items.fields {
-        let hash_typed =
-            f.ty.split_whitespace()
-                .any(|w| is_hash_name(w) || is_hash_name(resolve.get(w).copied().unwrap_or("")));
-        if hash_typed {
-            hash_fields.insert((f.strukt.clone(), f.field.clone()));
-        }
-    }
+    let resolve: BTreeMap<&str, &str> =
+        items.uses.iter().map(|u| (u.name.as_str(), u.path.as_str())).collect();
+    let hash_typed = |ty: &str| {
+        ty.split_whitespace()
+            .any(|w| is_hash_name(w) || resolve.get(w).is_some_and(|r| is_hash_name(r)))
+    };
+    let hash_fields =
+        items.fields.iter().filter(|f| hash_typed(&f.ty)).map(|f| f.field.as_str()).collect();
     let mut ctx = Ctx { view: p.view, resolve, hash_fields, returns_taint: BTreeMap::new() };
 
     // Fixpoint over same-file call summaries: a helper whose return is
@@ -200,14 +196,7 @@ pub(crate) fn det_taint(p: &Parsed<'_>, out: &mut Vec<Finding>) {
 }
 
 fn analyze_fn(ctx: &Ctx<'_>, f: &FnItem<'_>) -> FnState {
-    let mut st = FnState {
-        taint: BTreeMap::new(),
-        hash_vars: BTreeSet::new(),
-        sorted_vars: BTreeSet::new(),
-        params: f.params.iter().cloned().collect(),
-        returns: None,
-        sinks: BTreeMap::new(),
-    };
+    let mut st = FnState { params: f.params.iter().cloned().collect(), ..FnState::default() };
     let Some(body) = f.body else { return st };
     // Pre-scan: bindings that get sorted anywhere in the fn cleanse
     // hash-iteration taint (fn-wide, order-insensitive approximation).
@@ -298,11 +287,7 @@ fn process_stmt(
                 Some(ev) if !statement_cleanses(ctx, toks, &ev) => st.taint_binds(&s.binds, &ev),
                 Some(_) => {}
                 // Reassignment to an untainted value clears taint.
-                None => {
-                    for b in &s.binds {
-                        st.taint.remove(b);
-                    }
-                }
+                None => st.taint.retain(|b, _| !s.binds.contains(b)),
             }
         }
         StmtKind::Assign => {
@@ -319,11 +304,7 @@ fn process_stmt(
                     st.sink(&ev, &format!("mutation of parameter `{}`", s.binds[0]));
                 }
                 Some(ev) => st.taint_binds(&s.binds, &ev),
-                None if !self_write && !param_write => {
-                    for b in &s.binds {
-                        st.taint.remove(b);
-                    }
-                }
+                None if !self_write && !param_write => st.taint.retain(|b, _| !s.binds.contains(b)),
                 None => {}
             }
         }
@@ -454,9 +435,9 @@ fn eval_taint(
         // on a hash field — or the bare binding in a `for .. in` header.
         let is_hash_root = st.hash_vars.contains(w)
             || (w == "self"
-                && toks.get(i + 2).is_some_and(|&j| {
-                    ident(j) && ctx.hash_fields.iter().any(|(_, field)| field == view.text(j))
-                }));
+                && toks
+                    .get(i + 2)
+                    .is_some_and(|&j| ident(j) && ctx.hash_fields.contains(view.text(j))));
         if is_hash_root {
             let label = if w == "self" {
                 format!("self.{}", toks.get(i + 2).map(|&j| view.text(j)).unwrap_or(""))

@@ -106,52 +106,27 @@ fn print_summary(diags: &[Diagnostic]) {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1);
     let mut root: Option<PathBuf> = None;
     let mut tree: Option<PathBuf> = None;
-    let mut det = false;
-    let mut lib = false;
-    let mut net = false;
-    let mut metrics = false;
+    let mut class = FileClass { deterministic: false, binary: true, net: false, metrics: false };
     let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--root" | "--tree" => {
-                let Some(value) = args.get(i + 1) else { return usage() };
-                let dir = Some(PathBuf::from(value));
-                if args[i] == "--root" {
-                    root = dir;
-                } else {
-                    tree = dir;
-                }
-                i += 2;
-            }
-            "--format" => {
-                let Some(value) = args.get(i + 1) else { return usage() };
-                match value.as_str() {
-                    "json" => json = true,
-                    "text" => json = false,
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--root" | "--tree" | "--format" => {
+                let Some(value) = args.next() else { return usage() };
+                match (arg.as_str(), value.as_str()) {
+                    ("--root", _) => root = Some(PathBuf::from(value)),
+                    ("--tree", _) => tree = Some(PathBuf::from(value)),
+                    (_, "json") => json = true,
+                    (_, "text") => json = false,
                     _ => return usage(),
                 }
-                i += 2;
             }
-            "--det" => {
-                det = true;
-                i += 1;
-            }
-            "--lib" => {
-                lib = true;
-                i += 1;
-            }
-            "--net" => {
-                net = true;
-                i += 1;
-            }
-            "--metrics" => {
-                metrics = true;
-                i += 1;
-            }
+            "--det" => class.deterministic = true,
+            "--lib" => class.binary = false,
+            "--net" => class.net = true,
+            "--metrics" => class.metrics = true,
             "--list-rules" => {
                 println!("determinism-critical crates: {}", DET_CRATES.join(", "));
                 for r in RULES {
@@ -165,50 +140,38 @@ fn main() -> ExitCode {
 
     let workspace_run = tree.is_none();
     let result = if let Some(dir) = tree {
-        lint_tree(&dir, FileClass { deterministic: det, binary: !lib, net, metrics })
+        lint_tree(&dir, class)
     } else {
-        let root = match root {
-            Some(r) => r,
-            None => {
-                let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-                match find_root(&cwd) {
-                    Some(r) => r,
-                    None => {
-                        eprintln!("fae-lint: no workspace root found above {}", cwd.display());
-                        return ExitCode::from(2);
-                    }
-                }
-            }
+        let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+        let Some(root) = root.or_else(|| find_root(&cwd)) else {
+            eprintln!("fae-lint: no workspace root found above {}", cwd.display());
+            return ExitCode::from(2);
         };
         lint_workspace(&root)
     };
-
-    match result {
-        Ok(diags) if diags.is_empty() => {
-            if json {
-                print_json(&diags);
-            } else {
-                println!("fae-lint: clean");
-            }
-            ExitCode::SUCCESS
-        }
-        Ok(diags) => {
-            if json {
-                print_json(&diags);
-            } else {
-                for d in &diags {
-                    println!("{d}");
-                }
-                if workspace_run {
-                    print_summary(&diags);
-                }
-            }
-            eprintln!("fae-lint: {} violation(s)", diags.len());
-            ExitCode::FAILURE
-        }
+    let diags = match result {
+        Ok(diags) => diags,
         Err(e) => {
             eprintln!("fae-lint: {e}");
-            ExitCode::from(2)
+            return ExitCode::from(2);
+        }
+    };
+
+    if json {
+        print_json(&diags);
+    } else if diags.is_empty() {
+        println!("fae-lint: clean");
+    } else {
+        for d in &diags {
+            println!("{d}");
+        }
+        if workspace_run {
+            print_summary(&diags);
         }
     }
+    if diags.is_empty() {
+        return ExitCode::SUCCESS;
+    }
+    eprintln!("fae-lint: {} violation(s)", diags.len());
+    ExitCode::FAILURE
 }

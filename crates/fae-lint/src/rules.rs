@@ -66,8 +66,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "phase-balance",
         scope: Scope::Deterministic,
-        summary: "Phase enum / Phase::ALL / index() / phase arrays / charge sites must agree, \
-                  so the journal's phase-sum invariant holds statically",
+        summary: "Phase enum / Phase::ALL / index() / phase arrays must agree, so the \
+                  journal's phase-sum invariant holds statically",
     },
     RuleInfo {
         id: "lock-order",

@@ -600,77 +600,47 @@ pub fn items<'a>(view: &'a TreeView<'_>) -> Items<'a> {
 }
 
 fn scan_items<'a>(view: &TreeView<'_>, nodes: &'a [Node], outer_pub: bool, out: &mut Items<'a>) {
-    let n = nodes.len();
     let mut idx = 0usize;
     let mut last_pub = false;
-    while idx < n {
-        let node = &nodes[idx];
-        let leaf = match node {
-            Node::Leaf(i) => Some(*i),
-            Node::Group { .. } => None,
-        };
-        let Some(i) = leaf else {
+    while idx < nodes.len() {
+        // Groups (`pub(crate)`, attributes) leave a pending `pub` as is.
+        let Node::Leaf(i) = nodes[idx] else {
             idx += 1;
             continue;
         };
-        if view.is_ident(i, "pub") {
-            last_pub = true;
-            idx += 1;
-            continue;
-        }
-        if view.is_ident(i, "use") {
-            scan_use(view, nodes, &mut idx, out);
-            last_pub = false;
-            continue;
-        }
-        if view.is_ident(i, "fn") {
-            scan_fn(view, nodes, &mut idx, outer_pub || last_pub, out);
-            last_pub = false;
-            continue;
-        }
+        let is_pub = outer_pub || last_pub;
+        last_pub = view.is_ident(i, "pub");
+        let word = if view.toks[i].kind == TokKind::Ident { view.text(i) } else { "" };
         let const_name = match nodes.get(idx + 1..idx + 3) {
             Some([Node::Leaf(name), Node::Leaf(colon)]) if view.is_punct(*colon, b':') => {
                 Some(*name)
             }
             _ => None,
         };
-        if let Some(name) = const_name.filter(|_| view.is_ident(i, "const")) {
-            let end = nodes[idx..].iter().position(|n| view.is_leaf_punct(n, b';'));
-            let rest = &nodes[idx + 2..end.map_or(n, |e| idx + e)];
-            out.consts.push(ConstItem { name, rest });
-            idx += rest.len() + 3;
-            last_pub = false;
-            continue;
-        }
-        if view.is_ident(i, "enum") {
-            scan_enum(view, nodes, &mut idx, out);
-            last_pub = false;
-            continue;
-        }
-        if view.is_ident(i, "struct") {
-            scan_struct(view, nodes, &mut idx, out);
-            last_pub = false;
-            continue;
-        }
-        if view.is_ident(i, "impl") || view.is_ident(i, "mod") || view.is_ident(i, "trait") {
-            // Recurse into the block (or stop at `mod name;`).
-            let mut j = idx + 1;
-            while j < n {
-                match &nodes[j] {
-                    Node::Leaf(k) if view.is_punct(*k, b';') => break,
-                    Node::Group { delim: b'{', children, .. } => {
-                        scan_items(view, children, outer_pub || last_pub, out);
-                        break;
-                    }
-                    _ => j += 1,
-                }
+        match (word, const_name) {
+            ("use", _) => scan_use(view, nodes, &mut idx, out),
+            ("fn", _) => scan_fn(view, nodes, &mut idx, is_pub, out),
+            ("enum", _) => scan_enum(view, nodes, &mut idx, out),
+            ("struct", _) => scan_struct(view, nodes, &mut idx, out),
+            ("const", Some(name)) => {
+                let end = nodes[idx..].iter().position(|n| view.is_leaf_punct(n, b';'));
+                let rest = &nodes[idx + 2..end.map_or(nodes.len(), |e| idx + e)];
+                out.consts.push(ConstItem { name, rest });
+                idx += rest.len() + 3;
             }
-            idx = j + 1;
-            last_pub = false;
-            continue;
+            ("impl" | "mod" | "trait", _) => {
+                // Recurse into the block (or stop at `mod name;`).
+                let end = nodes[idx..].iter().position(|n| {
+                    view.is_leaf_punct(n, b';') || matches!(n, Node::Group { delim: b'{', .. })
+                });
+                let end = end.map_or(nodes.len(), |e| idx + e);
+                if let Some(Node::Group { delim: b'{', children, .. }) = nodes.get(end) {
+                    scan_items(view, children, is_pub, out);
+                }
+                idx = end + 1;
+            }
+            _ => idx += 1,
         }
-        last_pub = false;
-        idx += 1;
     }
 }
 
@@ -749,26 +719,11 @@ fn scan_fn<'a>(
     is_pub: bool,
     out: &mut Items<'a>,
 ) {
-    let fn_tok = match &nodes[*idx] {
-        Node::Leaf(i) => *i,
-        Node::Group { .. } => {
-            *idx += 1;
-            return;
-        }
+    let line = match nodes[*idx] {
+        Node::Leaf(k) => view.line(k),
+        Node::Group { .. } => 0,
     };
-    let mut j = *idx + 1;
-    let mut name = String::new();
-    // Name is the next ident.
-    while j < nodes.len() {
-        if let Node::Leaf(i) = &nodes[j] {
-            if view.toks[*i].kind == TokKind::Ident {
-                name = view.text(*i).to_string();
-                j += 1;
-                break;
-            }
-        }
-        j += 1;
-    }
+    let (mut j, name, _) = item_name(view, nodes, *idx);
     // Params: first paren group at angle-depth 0 (skips generics, even
     // ones containing `Fn(..)` bounds).
     let mut angle = 0i32;
@@ -784,7 +739,7 @@ fn scan_fn<'a>(
                 } else if view.is_punct(*i, b';') {
                     // Trait method signature without a body.
                     *idx = j + 1;
-                    out.fns.push(FnItem { name, is_pub, line: view.line(fn_tok), params, body });
+                    out.fns.push(FnItem { name, is_pub, line, params, body });
                     return;
                 }
                 j += 1;
@@ -805,7 +760,7 @@ fn scan_fn<'a>(
             }
         }
     }
-    out.fns.push(FnItem { name, is_pub, line: view.line(fn_tok), params, body });
+    out.fns.push(FnItem { name, is_pub, line, params, body });
     *idx = j;
 }
 
@@ -839,124 +794,87 @@ fn param_names(view: &TreeView<'_>, children: &[Node]) -> Vec<String> {
     out
 }
 
+/// The name of the item whose keyword is node `idx` — its first
+/// identifier after it: the node index past the name, its text and line.
+fn item_name(view: &TreeView<'_>, nodes: &[Node], idx: usize) -> (usize, String, usize) {
+    let name = (idx + 1..nodes.len()).find_map(|j| match nodes[j] {
+        Node::Leaf(k) if view.toks[k].kind == TokKind::Ident => Some((j, k)),
+        _ => None,
+    });
+    name.map_or((nodes.len(), String::new(), 0), |(j, k)| {
+        (j + 1, view.text(k).to_string(), view.line(k))
+    })
+}
+
 fn scan_enum(view: &TreeView<'_>, nodes: &[Node], idx: &mut usize, out: &mut Items<'_>) {
-    let mut j = *idx + 1;
-    let mut name = String::new();
-    let mut line = 0usize;
-    while j < nodes.len() {
-        match &nodes[j] {
-            Node::Leaf(i) => {
-                if view.toks[*i].kind == TokKind::Ident && name.is_empty() {
-                    name = view.text(*i).to_string();
-                    line = view.line(*i);
-                }
-                if view.is_punct(*i, b';') {
-                    break;
-                }
-                j += 1;
-            }
-            Node::Group { delim, children, .. } => {
-                if *delim == b'{' {
-                    let mut variants = Vec::new();
-                    // A variant is an ident at depth 0 that is either
-                    // followed by `,` / `(` / `{` / `=` or ends the list.
-                    let mut expecting = true;
-                    for c in children {
-                        match c {
-                            Node::Leaf(k) => {
-                                if view.is_punct(*k, b',') {
-                                    expecting = true;
-                                } else if view.is_punct(*k, b'#') {
-                                    // attribute start; the bracket group
-                                    // is skipped as a Group below
-                                } else if view.toks[*k].kind == TokKind::Ident && expecting {
-                                    variants.push((view.text(*k).to_string(), view.line(*k)));
-                                    expecting = false;
-                                }
-                            }
-                            Node::Group { .. } => {}
-                        }
+    let (_, name, line) = item_name(view, nodes, *idx);
+    let end = nodes[*idx..]
+        .iter()
+        .position(|n| view.is_leaf_punct(n, b';') || matches!(n, Node::Group { delim: b'{', .. }));
+    let end = end.map_or(nodes.len(), |e| *idx + e);
+    if let Some(Node::Group { delim: b'{', children, .. }) = nodes.get(end) {
+        // A variant is the first identifier of each comma-separated
+        // entry; attributes and payloads are groups.
+        let variants = children
+            .split(|n| view.is_leaf_punct(n, b','))
+            .filter_map(|entry| {
+                entry.iter().find_map(|n| match *n {
+                    Node::Leaf(k) if view.toks[k].kind == TokKind::Ident => {
+                        Some((view.text(k).to_string(), view.line(k)))
                     }
-                    out.enums.push(EnumItem { name, line, variants });
-                    break;
-                }
-                j += 1;
-            }
-        }
+                    _ => None,
+                })
+            })
+            .collect();
+        out.enums.push(EnumItem { name, line, variants });
     }
-    *idx = j + 1;
+    *idx = end + 1;
 }
 
 fn scan_struct(view: &TreeView<'_>, nodes: &[Node], idx: &mut usize, out: &mut Items<'_>) {
+    let (_, name, _) = item_name(view, nodes, *idx);
     let mut j = *idx + 1;
-    let mut name = String::new();
     while j < nodes.len() {
         match &nodes[j] {
-            Node::Leaf(i) => {
-                if view.toks[*i].kind == TokKind::Ident && name.is_empty() {
-                    name = view.text(*i).to_string();
-                }
-                if view.is_punct(*i, b';') {
-                    break; // unit struct or tuple struct already handled
-                }
-                j += 1;
+            // A unit struct, or a tuple struct's `;`.
+            Node::Leaf(i) if view.is_punct(*i, b';') => break,
+            Node::Group { delim: b'{', children, .. } => {
+                scan_fields_braced(view, children, &name, out);
+                break;
             }
-            Node::Group { delim, children, .. } => {
-                if *delim == b'{' {
-                    scan_fields_braced(view, children, &name, out);
-                    break;
-                }
-                if *delim == b'(' {
-                    scan_fields_tuple(view, children, &name, out);
-                    j += 1;
-                    continue;
-                }
-                j += 1;
+            Node::Group { delim: b'(', children, .. } => {
+                scan_fields_tuple(view, children, &name, out)
             }
+            _ => {}
         }
+        j += 1;
     }
     *idx = j + 1;
 }
 
+/// Braced fields: `name: <type tokens>` runs between commas; the name
+/// is the first identifier other than `pub` (attributes and the
+/// `(crate)` of `pub(crate)` are groups).
 fn scan_fields_braced(view: &TreeView<'_>, children: &[Node], strukt: &str, out: &mut Items<'_>) {
-    // field: `name : <type tokens> ,`
-    let mut i = 0usize;
-    let n = children.len();
-    while i < n {
-        // Skip attributes and `pub`.
-        let mut field: Option<(String, usize)> = None;
-        while i < n {
-            match &children[i] {
-                Node::Leaf(k) => {
-                    i += 1;
-                    if view.toks[*k].kind == TokKind::Ident && !view.is_ident(*k, "pub") {
-                        field = Some((view.text(*k).to_string(), view.line(*k)));
-                        break;
-                    }
-                }
-                // An attribute's `[…]` or the `(crate)` of `pub(crate)`.
-                Node::Group { .. } => i += 1,
+    for run in children.split(|n| view.is_leaf_punct(n, b',')) {
+        let name = run.iter().find_map(|n| match *n {
+            Node::Leaf(k) if view.toks[k].kind == TokKind::Ident && !view.is_ident(k, "pub") => {
+                Some(k)
             }
-        }
-        let Some((fname, fline)) = field else { break };
-        // The field runs to the next sibling `,`; its type is whatever
-        // follows the first `:`.
-        let end =
-            children[i..].iter().position(|n| view.is_leaf_punct(n, b',')).map_or(n, |p| i + p);
-        let run = &children[i..end];
-        i = end + 1;
-        if let Some(colon) = run.iter().position(|n| view.is_leaf_punct(n, b':')) {
+            _ => None,
+        });
+        let colon = run.iter().position(|n| view.is_leaf_punct(n, b':'));
+        if let (Some(name), Some(colon)) = (name, colon) {
             out.fields.push(FieldItem {
                 strukt: strukt.to_string(),
-                field: fname,
+                field: view.text(name).to_string(),
                 ty: type_text(view, &flatten(&run[colon + 1..])),
-                line: fline,
+                line: view.line(name),
             });
         }
     }
 }
 
-/// Tuple fields: comma-separated type runs, named `0`, `1`, ...
 fn scan_fields_tuple(view: &TreeView<'_>, children: &[Node], strukt: &str, out: &mut Items<'_>) {
     let fields = children
         .split(|n| view.is_leaf_punct(n, b','))
