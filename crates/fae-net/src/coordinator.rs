@@ -39,7 +39,7 @@
 //! [`StepEngine::drain_net`], so the journal's phase-sum invariant and
 //! the run report see network life exactly like any other fault domain.
 
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 use fae_core::exec::{
@@ -114,6 +114,11 @@ impl RemoteEngine {
     /// to `cfg.initial_wait_ms` for `workers` nodes to say Hello.
     /// Workers that miss the window are treated as lost — their shards
     /// run coordinator-side — and may still join later.
+    ///
+    /// Hellos are held until every slot has sent one, then admitted in
+    /// node-id order, so the initial group's epochs never depend on which
+    /// node dialled first. A Hello is held at most half the node's
+    /// `welcome_timeout_ms` past the first one held.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         model: AnyModel,
@@ -157,11 +162,23 @@ impl RemoteEngine {
             payload: Vec::new(),
         };
         let deadline = Instant::now() + initial_wait;
-        while eng.live_count() < eng.workers && Instant::now() < deadline {
-            eng.drain_joins(0);
-            if eng.live_count() < eng.workers {
-                std::thread::sleep(Duration::from_millis(5));
+        let hold = Duration::from_millis(eng.cfg.welcome_timeout_ms / 2);
+        let mut held: Vec<(usize, Link)> = Vec::new();
+        let mut held_since: Option<Instant> = None;
+        loop {
+            held.extend(eng.accept_hellos());
+            let now = Instant::now();
+            held_since = if held.is_empty() { None } else { held_since.or(Some(now)) };
+            let every_slot = (0..eng.workers).all(|k| {
+                matches!(eng.slots[k], Slot::Live(_)) || held.iter().any(|(n, _)| *n == k)
+            });
+            if every_slot || now >= deadline || held_since.is_some_and(|t| now >= t + hold) {
+                eng.admit_in_order(std::mem::take(&mut held), 0);
             }
+            if eng.live_count() == eng.workers || now >= deadline {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
         }
         Ok(eng)
     }
@@ -181,38 +198,46 @@ impl RemoteEngine {
         self.next_seq
     }
 
-    /// Accepts every pending connection and runs the join handshake.
-    /// Joins are only admitted here — at a step boundary — so a crash
-    /// and its rejoin can never interleave within one step's fan-out.
+    /// Accepts every pending connection and admits the nodes that said
+    /// Hello. Joins are only admitted here — at a step boundary — so a
+    /// crash and its rejoin can never interleave within one step's
+    /// fan-out.
     fn drain_joins(&mut self, step: u64) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => self.admit(stream, step),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
+        let hellos = self.accept_hellos();
+        self.admit_in_order(hellos, step);
+    }
+
+    /// Every pending connection whose first frame is a Hello from a
+    /// valid slot, as `(node, link)`, in accept order.
+    fn accept_hellos(&mut self) -> Vec<(usize, Link)> {
+        let mut hellos = Vec::new();
+        while let Ok((stream, _)) = self.listener.accept() {
+            if stream.set_nonblocking(false).is_err() {
+                continue;
             }
+            let _ = stream.set_nodelay(true);
+            let mut link = Link::new(stream);
+            let Ok(hello) = link.recv(self.cfg.read_timeout_ms) else { continue };
+            let node = hello.node as usize;
+            if matches!(hello.msg, Message::Hello) && node < self.workers {
+                hellos.push((node, link));
+            }
+        }
+        hellos
+    }
+
+    /// Admits `hellos` in node-id order, never accept order: every admit
+    /// bumps the epoch, so the order is part of the journal.
+    fn admit_in_order(&mut self, mut hellos: Vec<(usize, Link)>, step: u64) {
+        hellos.sort_by_key(|(node, _)| *node);
+        for (node, link) in hellos {
+            self.admit(node, link, step);
         }
     }
 
-    /// The join handshake: Hello in, Welcome (current params + hot-bag
-    /// snapshot) out, epoch bump, journal + recovery bookkeeping.
-    fn admit(&mut self, stream: TcpStream, step: u64) {
-        if stream.set_nonblocking(false).is_err() {
-            return;
-        }
-        let _ = stream.set_nodelay(true);
-        let mut link = Link::new(stream);
-        let hello = match link.recv(self.cfg.read_timeout_ms) {
-            Ok(f) => f,
-            Err(_) => return,
-        };
-        if !matches!(hello.msg, Message::Hello) {
-            return;
-        }
-        let node = hello.node as usize;
-        if node >= self.workers {
-            return;
-        }
+    /// The join handshake after the Hello: Welcome (current params +
+    /// hot-bag snapshot) out, epoch bump, journal + recovery bookkeeping.
+    fn admit(&mut self, node: usize, mut link: Link, step: u64) {
         // A Hello for a slot we still believe is live means the old
         // socket is a zombie (fast crash + restart): declare the loss
         // first so NodeLost always precedes the rejoin's NodeJoin.
@@ -227,7 +252,7 @@ impl RemoteEngine {
         let state_bytes = (dense_bytes + hot_bytes + self.partitions_json.len()) as u64;
         self.epoch += 1;
         let welcome = Frame {
-            node: hello.node,
+            node: node as u32,
             epoch: self.epoch,
             seq: self.bump_seq(),
             step,

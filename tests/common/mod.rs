@@ -5,6 +5,7 @@
 
 use std::net::TcpListener;
 use std::thread;
+use std::time::Duration;
 
 use fae::core::input_processor::{PreprocessConfig, Preprocessed};
 use fae::core::{
@@ -54,6 +55,22 @@ pub fn train_distributed(
     plan: &FaultPlan,
     telem: &Telemetry,
 ) -> TrainReport {
+    train_dialing_late(spec, pre, test, cfg, workers, plan, telem, &[])
+}
+
+/// [`train_distributed`] with node `k` dialling `late_ms[k]` ms after
+/// the others start (no delay past the slice's end).
+#[allow(clippy::too_many_arguments)]
+pub fn train_dialing_late(
+    spec: &WorkloadSpec,
+    pre: &Preprocessed,
+    test: &Dataset,
+    cfg: &TrainConfig,
+    workers: usize,
+    plan: &FaultPlan,
+    telem: &Telemetry,
+    late_ms: &[u64],
+) -> TrainReport {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind coordinator");
     let addr = listener.local_addr().expect("local addr").to_string();
     let handles: Vec<_> = (0..workers)
@@ -69,7 +86,11 @@ pub fn train_distributed(
                 net: NetConfig { reconnect_base_ms: 2, ..NetConfig::default() },
                 plan: plan.clone(),
             };
-            thread::spawn(move || fae::net::run_node(node))
+            let late = Duration::from_millis(late_ms.get(k).copied().unwrap_or(0));
+            thread::spawn(move || {
+                thread::sleep(late);
+                fae::net::run_node(node)
+            })
         })
         .collect();
     let seed = cfg.seed;

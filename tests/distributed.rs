@@ -12,9 +12,9 @@
 
 mod common;
 
-use common::{setup, train_distributed};
+use common::{setup, train_dialing_late, train_distributed};
 use fae::core::{train_fae_resilient, FaultPlan, RecoveryAction, ResilienceOptions};
-use fae::telemetry::Telemetry;
+use fae::telemetry::{JournalEvent, Telemetry};
 
 #[test]
 fn two_remote_workers_match_the_in_process_engine_bit_for_bit() {
@@ -37,6 +37,25 @@ fn two_remote_workers_match_the_in_process_engine_bit_for_bit() {
         assert_eq!(local.hot_steps, remote.hot_steps);
         assert_eq!(local.cold_steps, remote.cold_steps);
     }
+}
+
+#[test]
+fn nodes_are_admitted_in_node_id_order_whatever_order_they_dial_in() {
+    // Node 1 dials about 50 ms before node 0. Every admission bumps the
+    // membership epoch, so admitting in accept order would hand node 1
+    // the first epoch and make the journal depend on a thread race.
+    let (spec, pre, test, cfg) = setup(2);
+    let telem = Telemetry::builder().retain_events(true).try_build().expect("telemetry");
+    train_dialing_late(&spec, &pre, &test, &cfg, 2, &FaultPlan::default(), &telem, &[50]);
+    let joins: Vec<(u64, u64)> = telem
+        .events()
+        .iter()
+        .filter_map(|t| match t.event {
+            JournalEvent::NodeJoin { node, epoch, .. } => Some((node, epoch)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(joins, vec![(0, 1), (1, 2)], "node-join:0 must carry epoch 1");
 }
 
 #[test]
