@@ -213,14 +213,14 @@ fn analyze_fn(ctx: &Ctx<'_>, f: &FnItem<'_>) -> FnState {
     // Two rounds so a taint introduced late in the body reaches uses
     // earlier in a loop.
     for _ in 0..2 {
-        walk_block(ctx, f, body, None, true, &mut st);
+        taint_block(ctx, f, body, None, true, &mut st);
     }
     st
 }
 
 /// Processes each statement of a block; only the fn body's own tail
 /// is the return value.
-fn walk_block(
+fn taint_block(
     ctx: &Ctx<'_>,
     f: &FnItem<'_>,
     nodes: &[Node],
@@ -229,11 +229,11 @@ fn walk_block(
     st: &mut FnState,
 ) {
     for s in stmts(ctx.view, nodes) {
-        process_stmt(ctx, f, &s, control, is_fn_body && s.tail, st);
+        taint_stmt(ctx, f, &s, control, is_fn_body && s.tail, st);
     }
 }
 
-fn process_stmt(
+fn taint_stmt(
     ctx: &Ctx<'_>,
     f: &FnItem<'_>,
     s: &Stmt<'_>,
@@ -258,7 +258,7 @@ fn process_stmt(
             }
             let inner_control = header_taint.as_ref().or(control);
             for b in &s.blocks {
-                walk_block(ctx, f, b, inner_control, false, st);
+                taint_block(ctx, f, b, inner_control, false, st);
             }
             // A tainted tail `if`/`match` expression taints the return.
             if is_tail {

@@ -209,7 +209,7 @@ pub struct Stmt<'a> {
     pub blocks: Vec<&'a [Node]>,
     /// Position in `toks` of the top-level `=` of a `let` or assignment
     /// (`==`, `<=`, `=>` and friends are told apart by adjacency).
-    pub eq: Option<usize>,
+    eq: Option<usize>,
     /// The identifiers it binds or writes: a `let` pattern's (a type
     /// annotation excluded), a `for`/`if let`/`while let` pattern's, or
     /// an assignment place's path (`self.a = ..` → `self`, `a`).
@@ -306,7 +306,7 @@ fn stmt<'a>(view: &TreeView<'a>, nodes: &'a [Node], tail: bool) -> Stmt<'a> {
     };
     let binds = match kind {
         StmtKind::Let | StmtKind::Assign => place_idents(view, &toks[..eq.unwrap_or(toks.len())]),
-        StmtKind::Control => pattern_binds(view, &toks, head),
+        StmtKind::Control => control_binds(view, &toks, head),
         _ => Vec::new(),
     };
     Stmt { kind, head, toks, blocks, eq, binds, tail }
@@ -364,7 +364,7 @@ fn place_idents(view: &TreeView<'_>, lhs: &[usize]) -> Vec<String> {
 
 /// The lowercase identifiers a control header's pattern binds:
 /// `for PAT in ..`, `if let PAT = ..`, `while let PAT = ..`.
-fn pattern_binds(view: &TreeView<'_>, header: &[usize], head: &str) -> Vec<String> {
+fn control_binds(view: &TreeView<'_>, header: &[usize], head: &str) -> Vec<String> {
     let mut out = Vec::new();
     let mut active = false;
     for &k in header {
