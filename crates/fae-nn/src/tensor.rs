@@ -487,6 +487,107 @@ mod tests {
         assert_eq!(bits(&dw), column0(&x.matmul_transpose_lhs(&doubled(&g))));
     }
 
+    /// Which product a pin row runs: forward `x·W`, dW `xᵀ·dY`, dX `dY·Wᵀ`.
+    #[derive(Clone, Copy)]
+    enum Op {
+        Fwd,
+        Dw,
+        Dx,
+    }
+
+    fn run(op: Op, a: &Tensor, b: &Tensor) -> Tensor {
+        match op {
+            Op::Fwd => a.matmul(b),
+            Op::Dw => a.matmul_transpose_lhs(b),
+            Op::Dx => a.matmul_transpose_rhs(b),
+        }
+    }
+
+    /// A seeded operand in which about a quarter of the elements are
+    /// `+0.0`, `-0.0` or subnormal, so the zero-skip and denormal
+    /// arithmetic are both on the pinned path.
+    fn operand(rows: usize, cols: usize, salt: u64) -> Tensor {
+        Tensor::from_fn(rows, cols, |r, c| {
+            let h =
+                ((r as u64) << 32 | (c as u64) ^ (salt << 20)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let h = h ^ (h >> 29);
+            match h % 12 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::from_bits(((h >> 32) as u32 & 0x807f_ffff) | 1),
+                _ => ((h >> 40) % 2001) as f32 / 1000.0 - 1.0,
+            }
+        })
+    }
+
+    /// The pinned products: Kaggle's widest layers at batch 256, a 13-row
+    /// weight's dW, 37 rows (odd, and under the 8-lane unroll in width),
+    /// a 1-row batch and one-column right-hand sides.
+    fn pin_cases() -> Vec<(&'static str, Op, Tensor, Tensor)> {
+        vec![
+            ("fwd 256x367 . 367x512", Op::Fwd, operand(256, 367, 1), operand(367, 512, 2)),
+            ("fwd 256x13 . 13x512", Op::Fwd, operand(256, 13, 3), operand(13, 512, 4)),
+            ("dw 256x13 T. 256x512", Op::Dw, operand(256, 13, 3), operand(256, 512, 5)),
+            ("dw 256x367 T. 256x512", Op::Dw, operand(256, 367, 1), operand(256, 512, 5)),
+            ("dx 256x512 . (13x512)T", Op::Dx, operand(256, 512, 5), operand(13, 512, 4)),
+            ("dx 256x512 . (367x512)T", Op::Dx, operand(256, 512, 5), operand(367, 512, 6)),
+            ("fwd 37x19 . 19x24", Op::Fwd, operand(37, 19, 7), operand(19, 24, 8)),
+            ("dw 37x19 T. 37x24", Op::Dw, operand(37, 19, 7), operand(37, 24, 9)),
+            ("dx 37x24 . (19x24)T", Op::Dx, operand(37, 24, 9), operand(19, 24, 8)),
+            ("fwd 1x19 . 19x24", Op::Fwd, operand(1, 19, 10), operand(19, 24, 8)),
+            ("dw 1x19 T. 1x24", Op::Dw, operand(1, 19, 10), operand(1, 24, 11)),
+            ("dx 1x24 . (19x24)T", Op::Dx, operand(1, 24, 11), operand(19, 24, 8)),
+            ("fwd 37x19 . 19x1", Op::Fwd, operand(37, 19, 7), operand(19, 1, 12)),
+            ("dw 37x19 T. 37x1", Op::Dw, operand(37, 19, 7), operand(37, 1, 13)),
+            ("dx 37x1 . (19x1)T", Op::Dx, operand(37, 1, 13), operand(19, 1, 12)),
+            ("fwd 1x19 . 19x1", Op::Fwd, operand(1, 19, 10), operand(19, 1, 12)),
+        ]
+    }
+
+    /// FNV-1a 64 over the shape and every element's `to_bits`.
+    fn fnv_bits(t: &Tensor) -> u64 {
+        let dims = [t.rows as u32, t.cols as u32];
+        let words = dims.into_iter().chain(t.as_slice().iter().map(|v| v.to_bits()));
+        words
+            .flat_map(u32::to_le_bytes)
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x1_0000_0000_01b3))
+    }
+
+    /// Printed by the code before any product was split across threads.
+    /// A change that is meant to move a product prints the table to paste.
+    const PINS: [u64; 16] = [
+        0x87cf78657be139bd, // fwd 256x367 . 367x512
+        0xfd00286b87b02a88, // fwd 256x13 . 13x512
+        0x3964f3972f976a78, // dw 256x13 T. 256x512
+        0xc22dcb59976b840e, // dw 256x367 T. 256x512
+        0x5c44851a59998e34, // dx 256x512 . (13x512)T
+        0x4a47f2cd02bb0c14, // dx 256x512 . (367x512)T
+        0x0a8d0f3467ac42a6, // fwd 37x19 . 19x24
+        0xc78a331b8c0f8a59, // dw 37x19 T. 37x24
+        0x79dc1fe817106d12, // dx 37x24 . (19x24)T
+        0x0e5911882fe4b726, // fwd 1x19 . 19x24
+        0xce2433959439dfbd, // dw 1x19 T. 1x24
+        0x23f2ff50daa87d80, // dx 1x24 . (19x24)T
+        0xbfbcc9d163fe7b6f, // fwd 37x19 . 19x1
+        0x13b02c2516d48556, // dw 37x19 T. 37x1
+        0xe09395efbc9a1821, // dx 37x1 . (19x1)T
+        0x0927905fdbf599c0, // fwd 1x19 . 19x1
+    ];
+
+    #[test]
+    fn products_are_pinned_to_the_serial_bits() {
+        let got: Vec<u64> =
+            pin_cases().iter().map(|(_, op, a, b)| fnv_bits(&run(*op, a, b))).collect();
+        if got != PINS {
+            let table: String = pin_cases()
+                .iter()
+                .zip(&got)
+                .map(|((name, ..), h)| format!("        0x{h:016x}, // {name}\n"))
+                .collect();
+            panic!("products moved; the table is now:\n{table}");
+        }
+    }
+
     #[test]
     fn fill_zero_keeps_shape() {
         let mut a = t(2, 2, &[1.0, 2.0, 3.0, 4.0]);
