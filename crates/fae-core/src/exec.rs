@@ -207,6 +207,7 @@ impl ParallelEngine {
                 }
                 let telemetry = self.telemetry.clone();
                 scope.spawn(move || {
+                    fae_nn::tensor::set_siblings(w);
                     let _span = telemetry.span(&format!("train/worker{widx}"));
                     *slot = Some(compute_shard(replica, emb, shard, n));
                 });

@@ -148,6 +148,20 @@ mod tests {
     }
 
     #[test]
+    fn kaggle_widest_products_split_at_batch_256() {
+        let spec = WorkloadSpec::rmc2_kaggle();
+        let model = Dlrm::from_spec(&spec, &mut StdRng::seed_from_u64(1));
+        let layers: Vec<&[usize]> = [&model.bottom, &model.top]
+            .into_iter()
+            .flat_map(|mlp| mlp.sizes().windows(2))
+            .collect();
+        for (fan_in, fan_out) in [(367, 256), (512, 256)] {
+            assert!(layers.contains(&&[fan_in, fan_out][..]), "no {fan_in}x{fan_out} layer");
+            assert!(256 * fan_in * fan_out >= fae_nn::tensor::SPLIT_THRESHOLD);
+        }
+    }
+
+    #[test]
     fn forward_emits_probabilities() {
         let (_, mut model, emb, ds) = setup();
         let mb = MiniBatch::gather(&ds, &(0..32).collect::<Vec<_>>(), BatchKind::Unclassified);

@@ -197,6 +197,22 @@ mod tests {
     }
 
     #[test]
+    fn every_product_stays_on_one_thread_at_the_minibatch_size() {
+        // TBSM steps are ms-scale: a scoped spawn per product would cost
+        // more than half the product saves.
+        let spec = WorkloadSpec::rmc1_taobao();
+        let model = Tbsm::from_spec(&spec, &mut StdRng::seed_from_u64(1));
+        let b = spec.minibatch_size;
+        let layers = [&model.bottom, &model.top].into_iter().flat_map(|mlp| mlp.sizes().windows(2));
+        let mut products: Vec<usize> = layers.map(|w| b * w[0] * w[1]).collect();
+        // Attention: one score and one context term per step and dimension.
+        products.push(b * spec.tables[ITEMS].lookups_per_input * spec.embedding_dim);
+        for work in products {
+            assert!(work < fae_nn::tensor::SPLIT_THRESHOLD, "{work} multiply-adds would split");
+        }
+    }
+
+    #[test]
     fn forward_shape_and_range() {
         let (mut model, emb, ds) = setup();
         let mb = MiniBatch::gather(&ds, &(0..16).collect::<Vec<_>>(), BatchKind::Unclassified);

@@ -20,8 +20,10 @@
 //! * [`gradcheck`] — finite-difference gradient checking used throughout
 //!   the test suites.
 //!
-//! Everything is deterministic given a seed; no threads are spawned except
-//! inside matmul for large matrices (via rayon).
+//! Everything is deterministic given a seed. The only threads spawned are
+//! scoped ones inside the large matrix products ([`tensor::split_rows`]),
+//! and each output element is still summed in one fixed order, so the bits
+//! do not depend on how many cores ran it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,13 +7,65 @@
 //! the rest of the workspace.
 
 use crate::lanes;
-use rayon::prelude::*;
+use std::cell::Cell;
 use std::fmt;
+use std::sync::OnceLock;
 
-/// Minimum `rows * cols * inner` product before matmul fans out to rayon.
-/// Small matrices (the common case inside per-mini-batch layers) stay on
-/// one thread to avoid scheduling overhead.
-const PAR_MATMUL_THRESHOLD: usize = 64 * 64 * 64;
+/// Smallest product, in multiply-adds, whose output rows are split across
+/// cores. Measured on a 2-vCPU host: a scoped spawn + join costs ~26 µs,
+/// yet a 1.7 M product (Kaggle's 13·512 layer at batch 256) ran no faster
+/// split, while a 4.2 M one (its 256·64 layer) ran 1.7× faster. Every TBSM
+/// product at batch 256 (the largest is 0.5 M) stays on one thread.
+pub const SPLIT_THRESHOLD: usize = 1 << 22;
+
+thread_local! {
+    static SIBLINGS: Cell<usize> = const { Cell::new(1) };
+}
+
+/// Declares that the calling thread computes beside `n - 1` others, so a
+/// product it splits takes only its `1/n` share of the cores. Engines
+/// that run one model per thread call it inside each thread they spawn.
+pub fn set_siblings(n: usize) {
+    SIBLINGS.with(|s| s.set(n.max(1)));
+}
+
+/// How many threads a product of `work` multiply-adds over `rows` output
+/// rows runs on: 1 below [`SPLIT_THRESHOLD`], otherwise this thread's share
+/// of the cores, clamped to `[1, rows]`.
+pub fn split_width(work: usize, rows: usize) -> usize {
+    if work < SPLIT_THRESHOLD {
+        return 1;
+    }
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |c| c.get()));
+    (cores / SIBLINGS.with(Cell::get)).clamp(1, rows.max(1))
+}
+
+/// Runs `kernel(first_row, chunk)` over `out`, cut into at most `parts`
+/// runs of whole `n`-wide rows. The calling thread takes the first run and
+/// scoped threads the rest. Every element is written by exactly one
+/// kernel call, so a kernel that is deterministic per row gives the same
+/// bits at every `parts`.
+pub fn split_rows<T: Send>(
+    out: &mut [T],
+    n: usize,
+    parts: usize,
+    kernel: impl Fn(usize, &mut [T]) + Sync,
+) {
+    let rows = out.len() / n.max(1);
+    if parts <= 1 || rows <= 1 {
+        return kernel(0, out);
+    }
+    let per = rows.div_ceil(parts);
+    let (first, rest) = out.split_at_mut(per * n);
+    let kernel = &kernel;
+    std::thread::scope(|scope| {
+        for (c, chunk) in rest.chunks_mut(per * n).enumerate() {
+            scope.spawn(move || kernel((c + 1) * per, chunk));
+        }
+        kernel(0, first);
+    });
+}
 
 /// A dense, row-major, 2-D `f32` matrix.
 ///
@@ -145,12 +197,15 @@ impl Tensor {
 
     /// Matrix product `self (m×k) · rhs (k×n) -> m×n`.
     ///
-    /// Uses the classic ikj loop order (streaming over `rhs` rows) and fans
-    /// out over result rows with rayon once the work exceeds
-    /// `PAR_MATMUL_THRESHOLD`. A one-column `rhs` (every model's last
-    /// layer) is one running sum per output row instead of `k` length-1
-    /// axpys: the same additions in the same order.
+    /// Uses the classic ikj loop order (streaming over `rhs` rows); output
+    /// rows are split across cores by [`split_width`]. A one-column `rhs`
+    /// (every model's last layer) is one running sum per output row
+    /// instead of `k` length-1 axpys: the same additions in the same order.
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
+        self.matmul_parts(rhs, split_width(self.rows * self.cols * rhs.cols, self.rows))
+    }
+
+    fn matmul_parts(&self, rhs: &Tensor, parts: usize) -> Tensor {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul shape mismatch: {}x{} · {}x{}",
@@ -158,47 +213,48 @@ impl Tensor {
         );
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
         let mut out = vec![0.0f32; m * n];
-        let work = m * k * n;
-        let kernel = |row: usize, out_row: &mut [f32]| {
-            let a_row = &self.data[row * k..(row + 1) * k];
-            if n == 1 {
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(&rhs.data) {
-                    if a != 0.0 {
-                        acc += a * b;
+        split_rows(&mut out, n, parts, |first, chunk| {
+            for (row, out_row) in (first..).zip(chunk.chunks_mut(n)) {
+                let a_row = &self.data[row * k..(row + 1) * k];
+                if n == 1 {
+                    let mut acc = 0.0f32;
+                    for (&a, &b) in a_row.iter().zip(&rhs.data) {
+                        if a != 0.0 {
+                            acc += a * b;
+                        }
                     }
-                }
-                out_row[0] = acc;
-                return;
-            }
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
+                    out_row[0] = acc;
                     continue;
                 }
-                let b_row = &rhs.data[i * n..(i + 1) * n];
-                lanes::axpy(out_row, a, b_row);
+                for (i, &a) in a_row.iter().enumerate() {
+                    if a == 0.0 {
+                        continue;
+                    }
+                    lanes::axpy(out_row, a, &rhs.data[i * n..(i + 1) * n]);
+                }
             }
-        };
-        if work >= PAR_MATMUL_THRESHOLD {
-            out.par_chunks_mut(n).enumerate().for_each(|(row, out_row)| kernel(row, out_row));
-        } else {
-            for (row, out_row) in out.chunks_mut(n).enumerate() {
-                kernel(row, out_row);
-            }
-        }
+        });
         Tensor { data: out, rows: m, cols: n }
     }
 
     /// Matrix product `selfᵀ (m×k from k×m) · rhs (k×n) -> m×n`, without
     /// materializing the transpose.
     ///
-    /// Bit-identical to `self.transpose().matmul(rhs)` on one thread: for
-    /// every output element the contributions accumulate over the shared
-    /// dimension in the same ascending order, and the same zero-skip
-    /// applies, so no f32 addition is reordered. Used by the backward pass
-    /// for weight gradients (`dW = xᵀ · dY`), where the transpose copy of
-    /// the activation matrix was pure overhead.
+    /// Bit-identical to `self.transpose().matmul(rhs)`: for every output
+    /// element the contributions accumulate over the shared dimension in
+    /// the same ascending order, and the same zero-skip applies, so no f32
+    /// addition is reordered. Output rows are split across cores as in
+    /// [`matmul`](Tensor::matmul); each run walks every sample in order.
+    /// Used by the backward pass for weight gradients (`dW = xᵀ · dY`),
+    /// where the transpose copy of the activation matrix was pure overhead.
     pub fn matmul_transpose_lhs(&self, rhs: &Tensor) -> Tensor {
+        self.matmul_transpose_lhs_parts(
+            rhs,
+            split_width(self.rows * self.cols * rhs.cols, self.cols),
+        )
+    }
+
+    fn matmul_transpose_lhs_parts(&self, rhs: &Tensor, parts: usize) -> Tensor {
         assert_eq!(
             self.rows, rhs.rows,
             "matmul_transpose_lhs shape mismatch: {}x{} ᵀ· {}x{}",
@@ -216,16 +272,18 @@ impl Tensor {
             }
             return Tensor { data: out, rows: m, cols: n };
         }
-        for b in 0..k {
-            let x_row = self.row(b);
-            let g_row = rhs.row(b);
-            for (i, &a) in x_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
+        split_rows(&mut out, n, parts, |first, chunk| {
+            for b in 0..k {
+                let x_run = &self.row(b)[first..first + chunk.len() / n];
+                let g_row = rhs.row(b);
+                for (out_row, &a) in chunk.chunks_mut(n).zip(x_run) {
+                    if a == 0.0 {
+                        continue;
+                    }
+                    lanes::axpy(out_row, a, g_row);
                 }
-                lanes::axpy(&mut out[i * n..(i + 1) * n], a, g_row);
             }
-        }
+        });
         Tensor { data: out, rows: m, cols: n }
     }
 
@@ -425,21 +483,32 @@ mod tests {
     }
 
     #[test]
-    fn large_matmul_matches_small_path() {
-        // Force the rayon path and compare against a scalar reference.
-        let n = 80;
-        let a = Tensor::from_fn(n, n, |r, c| ((r * 31 + c * 17) % 7) as f32 - 3.0);
-        let b = Tensor::from_fn(n, n, |r, c| ((r * 13 + c * 5) % 5) as f32 - 2.0);
-        let c = a.matmul(&b);
-        for r in (0..n).step_by(17) {
-            for cc in (0..n).step_by(13) {
-                let mut acc = 0.0;
-                for k in 0..n {
-                    acc += a.get(r, k) * b.get(k, cc);
-                }
-                assert!((c.get(r, cc) - acc).abs() < 1e-3);
-            }
+    fn split_products_are_bitwise_the_serial_ones() {
+        // Kaggle's 512·256 layer at batch 256 clears the threshold, so the
+        // public entry points split it wherever there is a second core.
+        let x = operand(256, 512, 21);
+        let w = operand(512, 256, 22);
+        let g = operand(256, 256, 23);
+        const { assert!(256 * 512 * 256 >= SPLIT_THRESHOLD) };
+        assert_eq!(x.matmul(&w), x.matmul_parts(&w, 1));
+        assert_eq!(x.matmul_transpose_lhs(&g), x.matmul_transpose_lhs_parts(&g, 1));
+        assert_eq!(g.matmul_transpose_rhs(&w), g.matmul_parts(&w.transpose(), 1));
+    }
+
+    #[test]
+    fn split_width_is_gated_by_work_siblings_and_rows() {
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        let big = SPLIT_THRESHOLD;
+        assert_eq!(split_width(big - 1, 256), 1);
+        assert_eq!(split_width(big, 256), cores.min(256));
+        for rows in 0..4 {
+            assert!(split_width(big, rows) <= rows.max(1));
         }
+        set_siblings(cores);
+        assert_eq!(split_width(big, 256), 1);
+        set_siblings(cores + 1);
+        assert_eq!(split_width(big, 256), 1);
+        set_siblings(1);
     }
 
     #[test]
@@ -495,11 +564,16 @@ mod tests {
         Dx,
     }
 
-    fn run(op: Op, a: &Tensor, b: &Tensor) -> Tensor {
-        match op {
-            Op::Fwd => a.matmul(b),
-            Op::Dw => a.matmul_transpose_lhs(b),
-            Op::Dx => a.matmul_transpose_rhs(b),
+    /// Runs `op` split into `parts` row runs; `None` takes the public
+    /// entry point and its own width.
+    fn run(op: Op, a: &Tensor, b: &Tensor, parts: Option<usize>) -> Tensor {
+        match (op, parts) {
+            (Op::Fwd, None) => a.matmul(b),
+            (Op::Dw, None) => a.matmul_transpose_lhs(b),
+            (Op::Dx, None) => a.matmul_transpose_rhs(b),
+            (Op::Fwd, Some(p)) => a.matmul_parts(b, p),
+            (Op::Dw, Some(p)) => a.matmul_transpose_lhs_parts(b, p),
+            (Op::Dx, Some(p)) => a.matmul_parts(&b.transpose(), p),
         }
     }
 
@@ -575,16 +649,27 @@ mod tests {
     ];
 
     #[test]
-    fn products_are_pinned_to_the_serial_bits() {
+    fn products_are_pinned_to_the_serial_bits_at_every_split_width() {
+        let cases = pin_cases();
         let got: Vec<u64> =
-            pin_cases().iter().map(|(_, op, a, b)| fnv_bits(&run(*op, a, b))).collect();
+            cases.iter().map(|(_, op, a, b)| fnv_bits(&run(*op, a, b, None))).collect();
         if got != PINS {
-            let table: String = pin_cases()
+            let table: String = cases
                 .iter()
                 .zip(&got)
                 .map(|((name, ..), h)| format!("        0x{h:016x}, // {name}\n"))
                 .collect();
             panic!("products moved; the table is now:\n{table}");
+        }
+        for ((name, op, a, b), &pin) in cases.iter().zip(&PINS) {
+            let rows = run(*op, a, b, Some(1)).rows();
+            for parts in [1, 2, 3, rows + 1] {
+                assert_eq!(
+                    fnv_bits(&run(*op, a, b, Some(parts))),
+                    pin,
+                    "{name} split {parts} ways"
+                );
+            }
         }
     }
 

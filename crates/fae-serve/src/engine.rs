@@ -509,7 +509,9 @@ impl ServeEngine {
                     let spec = &self.spec;
                     let params = &self.dense_params;
                     let seed = self.cfg.seed;
+                    let siblings = self.cfg.workers;
                     scope.spawn(move || {
+                        fae_nn::tensor::set_siblings(siblings);
                         let _span = telemetry.span(&format!("serve/worker{w}"));
                         let mut rng = StdRng::seed_from_u64(seed);
                         let mut model = AnyModel::from_spec(spec, &mut rng);
