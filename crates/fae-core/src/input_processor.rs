@@ -3,20 +3,19 @@
 //!
 //! "A sparse-input is classified as hot only if all its embedding table
 //! accesses are to hot entries. ... As this is completely parallelizable
-//! ... we divide this task across multiple cores" — classification splits
-//! its inputs across scoped threads (`fae_nn::tensor::split_rows`). Batch
-//! purity is what rescues the probability collapse of Fig 4: a random
-//! mini-batch of B inputs is all-hot with probability `p^B`, so FAE
-//! *constructs* pure batches instead of hoping for them.
+//! ... we divide this task across multiple cores" — classification fans
+//! out with rayon. Batch purity is what rescues the probability collapse
+//! of Fig 4: a random mini-batch of B inputs is all-hot with probability
+//! `p^B`, so FAE *constructs* pure batches instead of hoping for them.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use rayon::prelude::*;
 
 use fae_data::format::FaeFile;
 use fae_data::{BatchKind, Dataset, MiniBatch};
 use fae_embed::HotColdPartition;
-use fae_nn::tensor::{split_rows, split_width};
 
 /// Input-processor options.
 #[derive(Clone, Copy, Debug)]
@@ -66,21 +65,18 @@ impl Preprocessed {
 }
 
 /// Classifies every input: `true` iff *all* its lookups in *all* tables
-/// hit hot rows. Parallel over inputs: one pass over the whole dataset is
-/// always worth a spawn, so it splits across every core this thread has.
+/// hit hot rows. Parallel over inputs.
 pub fn classify_inputs(ds: &Dataset, partitions: &[HotColdPartition]) -> Vec<bool> {
     assert_eq!(partitions.len(), ds.sparse.len(), "one partition per table");
-    let mut is_hot = vec![false; ds.len()];
-    split_rows(&mut is_hot, 1, split_width(usize::MAX, ds.len()), |first, run| {
-        for (i, hot) in (first..).zip(run) {
-            *hot = ds
-                .sparse
+    (0..ds.len())
+        .into_par_iter()
+        .map(|i| {
+            ds.sparse
                 .iter()
                 .zip(partitions)
-                .all(|(csr, p)| csr.bag(i).iter().all(|&idx| p.is_hot(idx)));
-        }
-    });
-    is_hot
+                .all(|(csr, p)| csr.bag(i).iter().all(|&idx| p.is_hot(idx)))
+        })
+        .collect()
 }
 
 /// Runs the full input-processing stage: classify, split, shuffle, pack.

@@ -20,10 +20,8 @@
 //! * [`gradcheck`] — finite-difference gradient checking used throughout
 //!   the test suites.
 //!
-//! Everything is deterministic given a seed. The only threads spawned are
-//! scoped ones inside the large matrix products ([`tensor::split_rows`]),
-//! and each output element is still summed in one fixed order, so the bits
-//! do not depend on how many cores ran it.
+//! Everything is deterministic given a seed; the only threads are scoped ones
+//! splitting large products' output rows (see [`tensor`]), bit-exact.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

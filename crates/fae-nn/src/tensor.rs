@@ -12,15 +12,13 @@ use std::fmt;
 use std::sync::OnceLock;
 
 /// Smallest product, in multiply-adds, whose output rows are split across
-/// cores. Measured on a 2-vCPU host: a scoped spawn + join costs ~26 µs,
+/// cores. On a 2-vCPU 2.1 GHz Xeon a scoped spawn + join costs 28–34 µs,
 /// yet a 1.7 M product (Kaggle's 13·512 layer at batch 256) ran no faster
 /// split, while a 4.2 M one (its 256·64 layer) ran 1.7× faster. Every TBSM
 /// product at batch 256 (the largest is 0.5 M) stays on one thread.
 pub const SPLIT_THRESHOLD: usize = 1 << 22;
 
-thread_local! {
-    static SIBLINGS: Cell<usize> = const { Cell::new(1) };
-}
+thread_local!(static SIBLINGS: Cell<usize> = const { Cell::new(1) });
 
 /// Declares that the calling thread computes beside `n - 1` others, so a
 /// product it splits takes only its `1/n` share of the cores. Engines
@@ -32,7 +30,7 @@ pub fn set_siblings(n: usize) {
 /// How many threads a product of `work` multiply-adds over `rows` output
 /// rows runs on: 1 below [`SPLIT_THRESHOLD`], otherwise this thread's share
 /// of the cores, clamped to `[1, rows]`.
-pub fn split_width(work: usize, rows: usize) -> usize {
+fn split_width(work: usize, rows: usize) -> usize {
     if work < SPLIT_THRESHOLD {
         return 1;
     }
@@ -46,17 +44,11 @@ pub fn split_width(work: usize, rows: usize) -> usize {
 /// scoped threads the rest. Every element is written by exactly one
 /// kernel call, so a kernel that is deterministic per row gives the same
 /// bits at every `parts`.
-pub fn split_rows<T: Send>(
-    out: &mut [T],
-    n: usize,
-    parts: usize,
-    kernel: impl Fn(usize, &mut [T]) + Sync,
-) {
-    let rows = out.len() / n.max(1);
-    if parts <= 1 || rows <= 1 {
+fn split_rows(out: &mut [f32], n: usize, parts: usize, kernel: impl Fn(usize, &mut [f32]) + Sync) {
+    if parts <= 1 || out.len() <= n {
         return kernel(0, out);
     }
-    let per = rows.div_ceil(parts);
+    let per = (out.len() / n).div_ceil(parts);
     let (first, rest) = out.split_at_mut(per * n);
     let kernel = &kernel;
     std::thread::scope(|scope| {
@@ -198,7 +190,7 @@ impl Tensor {
     /// Matrix product `self (m×k) · rhs (k×n) -> m×n`.
     ///
     /// Uses the classic ikj loop order (streaming over `rhs` rows); output
-    /// rows are split across cores by [`split_width`]. A one-column `rhs`
+    /// rows are split across cores above [`SPLIT_THRESHOLD`]. A one-column `rhs`
     /// (every model's last layer) is one running sum per output row
     /// instead of `k` length-1 axpys: the same additions in the same order.
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
@@ -248,10 +240,8 @@ impl Tensor {
     /// Used by the backward pass for weight gradients (`dW = xᵀ · dY`),
     /// where the transpose copy of the activation matrix was pure overhead.
     pub fn matmul_transpose_lhs(&self, rhs: &Tensor) -> Tensor {
-        self.matmul_transpose_lhs_parts(
-            rhs,
-            split_width(self.rows * self.cols * rhs.cols, self.cols),
-        )
+        let work = self.rows * self.cols * rhs.cols;
+        self.matmul_transpose_lhs_parts(rhs, split_width(work, self.cols))
     }
 
     fn matmul_transpose_lhs_parts(&self, rhs: &Tensor, parts: usize) -> Tensor {
