@@ -1,10 +1,12 @@
 //! Golden pins for the byte codecs: the CRC-32, the wire frame and the
 //! checkpoint container are held to constants printed by the commit
 //! *before* the checksum became table-driven and the frame codec
-//! single-pass. Round-trip tests compare two halves of the same build,
-//! so a change that moved encoder and decoder together would pass them
-//! all; these constants would not move with it. A frame or checkpoint
-//! written by either side of that change must stay readable by the other.
+//! single-pass; the FAE container to one printed before its decoder
+//! moved onto the shared reader. Round-trip tests compare two halves of
+//! the same build, so a change that moved encoder and decoder together
+//! would pass them all; these constants would not move with it. A file or
+//! frame written by either side of that change must stay readable by the
+//! other.
 
 use proptest::prelude::*;
 
@@ -13,6 +15,7 @@ use fae::core::faults::{FaultKind, InjectedFault, RecoveryAction};
 use fae::core::scheduler::SchedulerState;
 use fae::core::trainer::EvalPoint;
 use fae::core::{TableSnapshot, TrainCheckpoint};
+use fae::data::format::{FaeFile, FaeStreamReader};
 use fae::data::{BatchKind, MiniBatch, TableIndices};
 use fae::embed::SparseGrad;
 use fae::net::{Frame, HotEntry, Message};
@@ -269,4 +272,77 @@ fn checkpoint_bytes_written_by_the_parent_decode_and_re_encode_identically() {
     let body = &parent_bytes[..parent_bytes.len() - 4];
     assert_eq!(parent_bytes[body.len()..], crc32_bitwise(body).to_le_bytes());
     assert_eq!(ck.digest(), crc32_bitwise(&parent_bytes));
+}
+
+// ---------- FAE container ----------
+
+fn golden_fae() -> FaeFile {
+    let batch =
+        |kind, dense, labels, sparse| MiniBatch { kind, dense, dense_width: 2, sparse, labels };
+    let csr = |indices: Vec<u32>, offsets: Vec<usize>| TableIndices { indices, offsets };
+    FaeFile::new(
+        "kaggle-golden",
+        vec![
+            batch(
+                BatchKind::Hot,
+                vec![0.5, -0.0, 1e-40, 3.25],
+                vec![1.0, 0.0],
+                vec![csr(vec![3, 7, 7], vec![0, 2, 3]), csr(vec![], vec![0, 0, 0])],
+            ),
+            batch(
+                BatchKind::Cold,
+                vec![-7.75, f32::MIN_POSITIVE],
+                vec![0.0],
+                vec![csr(vec![u32::MAX], vec![0, 1]), csr(vec![0, 1], vec![0, 2])],
+            ),
+            batch(
+                BatchKind::Unclassified,
+                vec![f32::MAX, -1e-45],
+                vec![-0.0],
+                vec![csr(vec![42], vec![0, 1]), csr(vec![], vec![0, 0])],
+            ),
+        ],
+    )
+}
+
+/// Everything a batch carries, floats as bits so `-0.0` and `0.0` differ.
+fn batch_bits(b: &MiniBatch) -> (BatchKind, usize, Vec<u32>, Vec<u32>, Vec<TableIndices>) {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect();
+    (b.kind, b.dense_width, bits(&b.dense), bits(&b.labels), b.sparse.clone())
+}
+
+/// `golden_fae().encode()` as the parent wrote it.
+const FAE_GOLDEN_HEX: &str = "\
+46414531010000000d0000006b6167676c652d676f6c64656e02000000020000000300000000020000000000003f0000\
+0080c2160100000050400000803f00000000030000000300000007000000070000000000000002000000030000000000\
+000000000000000000000000000001010000000000f8c0000080000000000001000000ffffffff000000000100000002\
+000000000000000100000000000000020000000201000000ffff7f7f0100008000000080010000002a00000000000000\
+01000000000000000000000000000000";
+
+#[test]
+fn fae_bytes_written_by_the_parent_decode_and_stream_identically() {
+    let f = golden_fae();
+    let bytes = f.encode();
+    let lines: String = hex(&bytes)
+        .as_bytes()
+        .chunks(96)
+        .map(|c| format!("{}\\\n", String::from_utf8_lossy(c)))
+        .collect();
+    assert_eq!(hex(&bytes), FAE_GOLDEN_HEX, "container bytes moved; actual:\n{lines}");
+    let parent_bytes = unhex(FAE_GOLDEN_HEX);
+    let back = FaeFile::decode(&parent_bytes).expect("the parent's bytes decode");
+    assert_eq!(
+        (back.workload.as_str(), back.dense_width, back.num_tables),
+        ("kaggle-golden", 2, 2)
+    );
+    let want: Vec<_> = f.batches.iter().map(batch_bits).collect();
+    assert_eq!(back.batches.iter().map(batch_bits).collect::<Vec<_>>(), want);
+    assert_eq!(back.encode()[..], parent_bytes[..]);
+
+    let mut reader = FaeStreamReader::open(&parent_bytes).expect("the parent's header opens");
+    assert_eq!((reader.workload(), reader.batches_remaining()), ("kaggle-golden", 3));
+    let streamed: Vec<MiniBatch> =
+        reader.by_ref().collect::<Result<_, _>>().expect("the parent's batches stream");
+    assert_eq!(streamed.iter().map(batch_bits).collect::<Vec<_>>(), want);
+    assert_eq!(reader.trailing_bytes(), 0);
 }
