@@ -361,6 +361,29 @@ mod tests {
     }
 
     #[test]
+    fn a_huge_table_count_in_the_stream_is_rebuilt_over_not_an_abort() {
+        let a = artifacts();
+        let dir = std::env::temp_dir().join("fae-artifacts-table-count");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("stream.fae");
+        save(&a, "tiny-test", &path).expect("save");
+        // Magic, version, the name's length and its 9 bytes, then the
+        // dense width: the table count is the word at 25..29.
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[25..29].copy_from_slice(&0x4000_0001u32.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+
+        let retry = RetryPolicy::default();
+        let (b, name, recs) =
+            load_or_rebuild(&path, "tiny-test", &mut FaultInjector::none(), &retry, || a.clone())
+                .expect("rebuilt");
+        assert_eq!((name.as_str(), recs), ("tiny-test", vec![RecoveryAction::RebuiltArtifacts]));
+        assert_eq!(b.preprocessed.total_batches(), a.preprocessed.total_batches());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn load_or_rebuild_retries_transient_io_and_reports_it() {
         let a = artifacts();
         let dir = std::env::temp_dir().join("fae-artifacts-transient");

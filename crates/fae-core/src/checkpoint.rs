@@ -16,8 +16,9 @@
 //! (`"FAEK"` magic, version, payload, CRC-32 trailer), written atomically
 //! via write-temp-then-rename so a crash mid-write never leaves a torn
 //! file that a resume could trip over. Decoding treats the bytes as
-//! untrusted: every read is bounds-checked, sizes are checked for
-//! overflow, and the CRC is verified before any field is trusted —
+//! untrusted: the CRC is verified before any field is trusted, and every
+//! read goes through [`fae_data::codec::Reader`], so each declared count
+//! is checked against the bytes left before it sizes an allocation —
 //! corruption yields [`CheckpointError`], never a panic.
 
 use std::fmt;
@@ -25,8 +26,9 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use bytes::{Buf, BufMut};
-
+use fae_data::codec::{
+    crc32, put_counted, put_f64, put_u32, put_u64, put_words, Crc32, ReadError, Reader,
+};
 use fae_embed::EmbeddingTable;
 use fae_models::{EmbeddingSource, MasterEmbeddings};
 use fae_nn::Tensor;
@@ -66,9 +68,7 @@ impl fmt::Display for CheckpointError {
             CheckpointError::BadMagic => write!(f, "not an FAE checkpoint (bad magic)"),
             CheckpointError::BadVersion(v) => write!(f, "unsupported checkpoint version {v}"),
             CheckpointError::BadChecksum => write!(f, "checkpoint checksum mismatch"),
-            CheckpointError::Truncated(what) => {
-                write!(f, "checkpoint truncated while reading {what}")
-            }
+            CheckpointError::Truncated(what) => write!(f, "checkpoint truncated: {what}"),
             CheckpointError::Corrupt(what) => write!(f, "checkpoint corrupt: {what}"),
             CheckpointError::Io(e) => write!(f, "io error: {e}"),
         }
@@ -80,6 +80,15 @@ impl std::error::Error for CheckpointError {}
 impl From<io::Error> for CheckpointError {
     fn from(e: io::Error) -> Self {
         CheckpointError::Io(e)
+    }
+}
+
+impl From<ReadError> for CheckpointError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Truncated => CheckpointError::Truncated(e.what()),
+            ReadError::Overflow | ReadError::NotUtf8 => CheckpointError::Corrupt(e.what()),
+        }
     }
 }
 
@@ -180,125 +189,109 @@ impl TrainCheckpoint {
         let floats =
             self.dense_params.len() + self.tables.iter().map(|t| t.weights.len()).sum::<usize>();
         let mut buf = Vec::with_capacity(4096 + floats * 4);
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u64_le(self.config_seed);
-        buf.put_u32_le(self.epoch);
-        buf.put_u64_le(self.hot_cursor);
-        buf.put_u64_le(self.cold_cursor);
-        buf.put_u64_le(self.steps);
-        buf.put_u64_le(self.hot_steps);
-        buf.put_u64_le(self.cold_steps);
-        buf.put_u64_le(self.transitions);
-        buf.put_u32_le(self.gpus_active);
-        buf.put_u8(self.cold_only as u8);
+        let out = &mut buf;
+        out.extend_from_slice(MAGIC);
+        put_u32(out, VERSION);
+        put_u64(out, self.config_seed);
+        put_u32(out, self.epoch);
+        put_u64(out, self.hot_cursor);
+        put_u64(out, self.cold_cursor);
+        put_u64(out, self.steps);
+        put_u64(out, self.hot_steps);
+        put_u64(out, self.cold_steps);
+        put_u64(out, self.transitions);
+        put_u32(out, self.gpus_active);
+        out.push(self.cold_only as u8);
         // Scheduler.
-        buf.put_u32_le(self.scheduler.rate);
-        match self.scheduler.prev_loss {
-            Some(l) => {
-                buf.put_u8(1);
-                buf.put_f64_le(l);
-            }
-            None => {
-                buf.put_u8(0);
-                buf.put_f64_le(0.0);
-            }
-        }
-        buf.put_u32_le(self.scheduler.improving_streak);
-        buf.put_u32_le(self.scheduler.u);
-        buf.put_u32_le(self.scheduler.history.len() as u32);
+        put_u32(out, self.scheduler.rate);
+        out.push(self.scheduler.prev_loss.is_some() as u8);
+        put_f64(out, self.scheduler.prev_loss.unwrap_or(0.0));
+        put_u32(out, self.scheduler.improving_streak);
+        put_u32(out, self.scheduler.u);
+        put_u32(out, self.scheduler.history.len() as u32);
         for &(loss, rate) in &self.scheduler.history {
-            buf.put_f64_le(loss);
-            buf.put_u32_le(rate);
+            put_f64(out, loss);
+            put_u32(out, rate);
         }
         // Timeline: the eight phases in display order, then CPU-resident.
         for phase in Phase::ALL {
-            buf.put_f64_le(self.timeline.get(phase));
+            put_f64(out, self.timeline.get(phase));
         }
-        buf.put_f64_le(self.timeline.cpu_resident());
+        put_f64(out, self.timeline.cpu_resident());
         // Eval history.
-        buf.put_u32_le(self.history.len() as u32);
+        put_u32(out, self.history.len() as u32);
         for p in &self.history {
-            buf.put_u64_le(p.iteration as u64);
-            buf.put_f64_le(p.test_loss);
-            buf.put_f64_le(p.test_accuracy);
-            match p.rate {
-                Some(r) => {
-                    buf.put_u8(1);
-                    buf.put_u32_le(r);
-                }
-                None => {
-                    buf.put_u8(0);
-                    buf.put_u32_le(0);
-                }
-            }
-            buf.put_u64_le(p.hot_steps as u64);
-            buf.put_u64_le(p.cold_steps as u64);
-            buf.put_f64_le(p.sim_seconds);
+            put_u64(out, p.iteration as u64);
+            put_f64(out, p.test_loss);
+            put_f64(out, p.test_accuracy);
+            out.push(p.rate.is_some() as u8);
+            put_u32(out, p.rate.unwrap_or(0));
+            put_u64(out, p.hot_steps as u64);
+            put_u64(out, p.cold_steps as u64);
+            put_f64(out, p.sim_seconds);
         }
         // Fault log.
-        buf.put_u32_le(self.faults.len() as u32);
+        put_u32(out, self.faults.len() as u32);
         for f in &self.faults {
-            buf.put_u8(f.kind.tag());
-            buf.put_u64_le(f.at);
-            buf.put_u64_le(f.step);
+            out.push(f.kind.tag());
+            put_u64(out, f.at);
+            put_u64(out, f.step);
         }
         // Recovery log.
-        buf.put_u32_le(self.recoveries.len() as u32);
+        put_u32(out, self.recoveries.len() as u32);
         for r in &self.recoveries {
             match *r {
                 RecoveryAction::ShrankReplicas { step, from, to } => {
-                    buf.put_u8(0);
-                    buf.put_u64_le(step);
-                    buf.put_u32_le(from);
-                    buf.put_u32_le(to);
+                    out.push(0);
+                    put_u64(out, step);
+                    put_u32(out, from);
+                    put_u32(out, to);
                 }
                 RecoveryAction::ColdFallback { step } => {
-                    buf.put_u8(1);
-                    buf.put_u64_le(step);
+                    out.push(1);
+                    put_u64(out, step);
                 }
                 RecoveryAction::SyncRetried { step, attempts, waited_s } => {
-                    buf.put_u8(2);
-                    buf.put_u64_le(step);
-                    buf.put_u32_le(attempts);
-                    buf.put_f64_le(waited_s);
+                    out.push(2);
+                    put_u64(out, step);
+                    put_u32(out, attempts);
+                    put_f64(out, waited_s);
                 }
                 RecoveryAction::RetriedIo { attempts, waited_s } => {
-                    buf.put_u8(3);
-                    buf.put_u32_le(attempts);
-                    buf.put_f64_le(waited_s);
+                    out.push(3);
+                    put_u32(out, attempts);
+                    put_f64(out, waited_s);
                 }
-                RecoveryAction::RebuiltArtifacts => buf.put_u8(4),
+                RecoveryAction::RebuiltArtifacts => out.push(4),
                 RecoveryAction::ResumedFromCheckpoint { step } => {
-                    buf.put_u8(5);
-                    buf.put_u64_le(step);
+                    out.push(5);
+                    put_u64(out, step);
                 }
                 RecoveryAction::ReshardedToSurvivors { step, node, live } => {
-                    buf.put_u8(6);
-                    buf.put_u64_le(step);
-                    buf.put_u32_le(node);
-                    buf.put_u32_le(live);
+                    out.push(6);
+                    put_u64(out, step);
+                    put_u32(out, node);
+                    put_u32(out, live);
                 }
                 RecoveryAction::NodeRejoined { step, node, state_bytes } => {
-                    buf.put_u8(7);
-                    buf.put_u64_le(step);
-                    buf.put_u32_le(node);
-                    buf.put_u64_le(state_bytes);
+                    out.push(7);
+                    put_u64(out, step);
+                    put_u32(out, node);
+                    put_u64(out, state_bytes);
                 }
             }
         }
         // Dense parameters.
-        buf.put_u32_le(self.dense_params.len() as u32);
-        put_f32s_le(&mut buf, &self.dense_params);
+        put_counted(out, &self.dense_params, f32::to_le_bytes);
         // Embedding tables.
-        buf.put_u32_le(self.tables.len() as u32);
+        put_u32(out, self.tables.len() as u32);
         for t in &self.tables {
-            buf.put_u32_le(t.rows);
-            buf.put_u32_le(t.dim);
-            put_f32s_le(&mut buf, &t.weights);
+            put_u32(out, t.rows);
+            put_u32(out, t.dim);
+            put_words(out, &t.weights, f32::to_le_bytes);
         }
-        let crc = crc32(&buf);
-        buf.put_u32_le(crc);
+        let crc = crc32(out);
+        put_u32(out, crc);
         buf
     }
 
@@ -308,91 +301,68 @@ impl TrainCheckpoint {
             return Err(CheckpointError::Truncated("crc trailer"));
         }
         let (payload, trailer) = data.split_at(data.len() - 4);
-        let stored = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-        if crc32(payload) != stored {
+        if trailer != crc32(payload).to_le_bytes() {
             return Err(CheckpointError::BadChecksum);
         }
-        let mut buf = payload;
-        let buf = &mut buf;
-        need(buf, 8, "header")?;
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
+        let r = &mut Reader::new(payload);
+        if r.take(4)? != MAGIC {
             return Err(CheckpointError::BadMagic);
         }
-        let version = buf.get_u32_le();
+        let version = r.u32()?;
         if version != VERSION {
             return Err(CheckpointError::BadVersion(version));
         }
-        need(buf, 8 + 4 + 8 * 6 + 4 + 1, "run state")?;
-        let config_seed = buf.get_u64_le();
-        let epoch = buf.get_u32_le();
-        let hot_cursor = buf.get_u64_le();
-        let cold_cursor = buf.get_u64_le();
-        let steps = buf.get_u64_le();
-        let hot_steps = buf.get_u64_le();
-        let cold_steps = buf.get_u64_le();
-        let transitions = buf.get_u64_le();
-        let gpus_active = buf.get_u32_le();
-        let cold_only = match buf.get_u8() {
+        let config_seed = r.u64()?;
+        let epoch = r.u32()?;
+        let hot_cursor = r.u64()?;
+        let cold_cursor = r.u64()?;
+        let steps = r.u64()?;
+        let hot_steps = r.u64()?;
+        let cold_steps = r.u64()?;
+        let transitions = r.u64()?;
+        let gpus_active = r.u32()?;
+        let cold_only = match r.u8()? {
             0 => false,
             1 => true,
             _ => return Err(CheckpointError::Corrupt("cold_only flag")),
         };
         // Scheduler.
-        need(buf, 4 + 1 + 8 + 4 + 4 + 4, "scheduler state")?;
-        let rate = buf.get_u32_le();
-        let has_prev = buf.get_u8();
-        let prev_raw = buf.get_f64_le();
-        let prev_loss = match has_prev {
-            0 => None,
-            1 => Some(prev_raw),
-            _ => return Err(CheckpointError::Corrupt("prev_loss flag")),
-        };
-        let improving_streak = buf.get_u32_le();
-        let u = buf.get_u32_le();
-        let hist_len = buf.get_u32_le() as usize;
-        need(buf, checked(hist_len, 12, "scheduler history")?, "scheduler history")?;
+        let rate = r.u32()?;
+        let has_prev = r.u8()?;
+        let prev_loss = flag(has_prev, r.f64()?, "prev_loss flag")?;
+        let improving_streak = r.u32()?;
+        let u = r.u32()?;
+        let hist_len = r.count(12)?;
         let mut sched_history = Vec::with_capacity(hist_len);
         for _ in 0..hist_len {
-            let loss = buf.get_f64_le();
-            let r = buf.get_u32_le();
-            sched_history.push((loss, r));
+            sched_history.push((r.f64()?, r.u32()?));
         }
         // Timeline.
-        need(buf, 8 * 9, "timeline")?;
         let mut timeline = Timeline::new();
         for phase in Phase::ALL {
-            let secs = buf.get_f64_le();
+            let secs = r.f64()?;
             if !secs.is_finite() || secs < 0.0 {
                 return Err(CheckpointError::Corrupt("negative or non-finite phase time"));
             }
             timeline.add(phase, secs);
         }
-        let cpu_res = buf.get_f64_le();
+        let cpu_res = r.f64()?;
         if !cpu_res.is_finite() || cpu_res < 0.0 {
             return Err(CheckpointError::Corrupt("negative or non-finite cpu-resident time"));
         }
         timeline.add_cpu_resident(cpu_res);
         // Eval history.
-        need(buf, 4, "eval history length")?;
-        let n_hist = buf.get_u32_le() as usize;
-        need(buf, checked(n_hist, 53, "eval history")?, "eval history")?;
+        let n_hist = r.count(53)?;
         let mut history = Vec::with_capacity(n_hist);
         for _ in 0..n_hist {
-            let iteration = buf.get_u64_le() as usize;
-            let test_loss = buf.get_f64_le();
-            let test_accuracy = buf.get_f64_le();
-            let has_rate = buf.get_u8();
-            let rate_raw = buf.get_u32_le();
-            let rate = match has_rate {
-                0 => None,
-                1 => Some(rate_raw),
-                _ => return Err(CheckpointError::Corrupt("eval rate flag")),
-            };
-            let hot_steps = buf.get_u64_le() as usize;
-            let cold_steps = buf.get_u64_le() as usize;
-            let sim_seconds = buf.get_f64_le();
+            let iteration = r.u64()? as usize;
+            let test_loss = r.f64()?;
+            let test_accuracy = r.f64()?;
+            let has_rate = r.u8()?;
+            let rate = flag(has_rate, r.u32()?, "eval rate flag")?;
+            let hot_steps = r.u64()? as usize;
+            let cold_steps = r.u64()? as usize;
+            let sim_seconds = r.f64()?;
             if !sim_seconds.is_finite() || sim_seconds < 0.0 {
                 return Err(CheckpointError::Corrupt("negative or non-finite eval sim time"));
             }
@@ -407,101 +377,57 @@ impl TrainCheckpoint {
             });
         }
         // Fault log.
-        need(buf, 4, "fault log length")?;
-        let n_faults = buf.get_u32_le() as usize;
-        need(buf, checked(n_faults, 17, "fault log")?, "fault log")?;
+        let n_faults = r.count(17)?;
         let mut faults = Vec::with_capacity(n_faults);
         for _ in 0..n_faults {
-            let kind = FaultKind::from_tag(buf.get_u8())
+            let kind = FaultKind::from_tag(r.u8()?)
                 .ok_or(CheckpointError::Corrupt("unknown fault kind"))?;
-            let at = buf.get_u64_le();
-            let step = buf.get_u64_le();
-            faults.push(InjectedFault { kind, at, step });
+            faults.push(InjectedFault { kind, at: r.u64()?, step: r.u64()? });
         }
-        // Recovery log.
-        need(buf, 4, "recovery log length")?;
-        let n_rec = buf.get_u32_le() as usize;
-        let mut recoveries = Vec::with_capacity(n_rec.min(1024));
+        // Recovery log: every record is at least its tag.
+        let n_rec = r.count(1)?;
+        let mut recoveries = Vec::with_capacity(n_rec);
         for _ in 0..n_rec {
-            need(buf, 1, "recovery tag")?;
-            let action = match buf.get_u8() {
+            recoveries.push(match r.u8()? {
                 0 => {
-                    need(buf, 16, "shrank-replicas record")?;
-                    RecoveryAction::ShrankReplicas {
-                        step: buf.get_u64_le(),
-                        from: buf.get_u32_le(),
-                        to: buf.get_u32_le(),
-                    }
+                    RecoveryAction::ShrankReplicas { step: r.u64()?, from: r.u32()?, to: r.u32()? }
                 }
-                1 => {
-                    need(buf, 8, "cold-fallback record")?;
-                    RecoveryAction::ColdFallback { step: buf.get_u64_le() }
-                }
-                2 => {
-                    need(buf, 20, "sync-retried record")?;
-                    RecoveryAction::SyncRetried {
-                        step: buf.get_u64_le(),
-                        attempts: buf.get_u32_le(),
-                        waited_s: buf.get_f64_le(),
-                    }
-                }
-                3 => {
-                    need(buf, 12, "retried-io record")?;
-                    RecoveryAction::RetriedIo {
-                        attempts: buf.get_u32_le(),
-                        waited_s: buf.get_f64_le(),
-                    }
-                }
+                1 => RecoveryAction::ColdFallback { step: r.u64()? },
+                2 => RecoveryAction::SyncRetried {
+                    step: r.u64()?,
+                    attempts: r.u32()?,
+                    waited_s: r.f64()?,
+                },
+                3 => RecoveryAction::RetriedIo { attempts: r.u32()?, waited_s: r.f64()? },
                 4 => RecoveryAction::RebuiltArtifacts,
-                5 => {
-                    need(buf, 8, "resumed record")?;
-                    RecoveryAction::ResumedFromCheckpoint { step: buf.get_u64_le() }
-                }
-                6 => {
-                    need(buf, 16, "resharded record")?;
-                    RecoveryAction::ReshardedToSurvivors {
-                        step: buf.get_u64_le(),
-                        node: buf.get_u32_le(),
-                        live: buf.get_u32_le(),
-                    }
-                }
-                7 => {
-                    need(buf, 20, "node-rejoined record")?;
-                    RecoveryAction::NodeRejoined {
-                        step: buf.get_u64_le(),
-                        node: buf.get_u32_le(),
-                        state_bytes: buf.get_u64_le(),
-                    }
-                }
+                5 => RecoveryAction::ResumedFromCheckpoint { step: r.u64()? },
+                6 => RecoveryAction::ReshardedToSurvivors {
+                    step: r.u64()?,
+                    node: r.u32()?,
+                    live: r.u32()?,
+                },
+                7 => RecoveryAction::NodeRejoined {
+                    step: r.u64()?,
+                    node: r.u32()?,
+                    state_bytes: r.u64()?,
+                },
                 _ => return Err(CheckpointError::Corrupt("unknown recovery tag")),
-            };
-            recoveries.push(action);
+            });
         }
         // Dense parameters.
-        need(buf, 4, "dense param count")?;
-        let n_params = buf.get_u32_le() as usize;
-        need(buf, checked(n_params, 4, "dense params")?, "dense params")?;
-        let mut dense_params = Vec::with_capacity(n_params);
-        for _ in 0..n_params {
-            dense_params.push(buf.get_f32_le());
-        }
+        let dense_params = r.counted(f32::from_le_bytes)?;
         // Embedding tables.
-        need(buf, 4, "table count")?;
-        let n_tables = buf.get_u32_le() as usize;
-        let mut tables = Vec::with_capacity(n_tables.min(4096));
+        let n_tables = r.count(8)?;
+        let mut tables = Vec::with_capacity(n_tables);
         for _ in 0..n_tables {
-            need(buf, 8, "table header")?;
-            let rows = buf.get_u32_le();
-            let dim = buf.get_u32_le();
-            let count = checked(rows as usize, dim as usize, "table size")?;
-            need(buf, checked(count, 4, "table weights")?, "table weights")?;
-            let mut weights = Vec::with_capacity(count);
-            for _ in 0..count {
-                weights.push(buf.get_f32_le());
-            }
+            let rows = r.u32()?;
+            let dim = r.u32()?;
+            let weights = r
+                .words((rows as usize).saturating_mul(dim as usize), f32::from_le_bytes)?
+                .collect();
             tables.push(TableSnapshot { rows, dim, weights });
         }
-        if buf.remaining() > 0 {
+        if r.remaining() > 0 {
             return Err(CheckpointError::Corrupt("trailing bytes before crc"));
         }
         Ok(Self {
@@ -575,16 +501,14 @@ pub fn latest_in(dir: &Path) -> Result<Option<PathBuf>, CheckpointError> {
     Ok(best.map(|(_, p)| p))
 }
 
-fn need(buf: &[u8], n: usize, what: &'static str) -> Result<(), CheckpointError> {
-    if buf.remaining() < n {
-        Err(CheckpointError::Truncated(what))
-    } else {
-        Ok(())
+/// A presence flag and the value written after it whether present or
+/// not: `0` is `None`, `1` is `Some(value)`, anything else is corrupt.
+fn flag<T>(tag: u8, value: T, what: &'static str) -> Result<Option<T>, CheckpointError> {
+    match tag {
+        0 => Ok(None),
+        1 => Ok(Some(value)),
+        _ => Err(CheckpointError::Corrupt(what)),
     }
-}
-
-fn checked(elems: usize, width: usize, what: &'static str) -> Result<usize, CheckpointError> {
-    elems.checked_mul(width).ok_or(CheckpointError::Corrupt(what))
 }
 
 /// CRC-32 fingerprint of the *model* alone: flattened dense parameters
@@ -622,122 +546,6 @@ fn digest_dense(dense_params: &[f32], tables: usize) -> Crc32 {
     h.update_f32s(dense_params);
     h.update(&(tables as u32).to_le_bytes());
     h
-}
-
-/// Writes `v` as little-endian bytes into `dst` (`4 * v.len()` long); on
-/// a little-endian target this compiles to a plain copy.
-fn fill_f32s_le(dst: &mut [u8], v: &[f32]) {
-    for (d, x) in dst.chunks_exact_mut(4).zip(v) {
-        d.copy_from_slice(&x.to_le_bytes());
-    }
-}
-
-fn put_f32s_le(out: &mut Vec<u8>, v: &[f32]) {
-    let at = out.len();
-    out.resize(at + v.len() * 4, 0);
-    fill_f32s_le(&mut out[at..], v);
-}
-
-/// Bytes folded per round of the slicing-by-8 loop.
-const STRIDE: usize = 8;
-
-/// Slicing-by-8 lookup tables for the reflected polynomial 0xEDB88320:
-/// `CRC_TABLES[0]` is the classic byte table, and `CRC_TABLES[k][b]` is
-/// the CRC of byte `b` followed by `k` zero bytes, so eight input bytes
-/// fold into the state with eight independent lookups.
-static CRC_TABLES: [[u32; 256]; STRIDE] = {
-    let mut t = [[0u32; 256]; STRIDE];
-    let mut b = 0;
-    while b < 256 {
-        let mut crc = b as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
-            bit += 1;
-        }
-        t[0][b] = crc;
-        b += 1;
-    }
-    let mut k = 1;
-    while k < STRIDE {
-        let mut b = 0;
-        while b < 256 {
-            let prev = t[k - 1][b];
-            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
-            b += 1;
-        }
-        k += 1;
-    }
-    t
-};
-
-/// Incremental CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320):
-/// feeding a buffer in any split gives the checksum of the whole, so a
-/// digest can stream over tables it never concatenates.
-#[derive(Clone, Copy, Debug)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32 {
-    /// The checksum of no bytes yet.
-    pub fn new() -> Self {
-        Self { state: !0 }
-    }
-
-    /// Folds `data` into the checksum.
-    pub fn update(&mut self, data: &[u8]) {
-        let t = &CRC_TABLES;
-        let mut crc = self.state;
-        let mut chunks = data.chunks_exact(STRIDE);
-        for c in &mut chunks {
-            let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-            let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-            crc = t[7][(lo & 0xFF) as usize]
-                ^ t[6][((lo >> 8) & 0xFF) as usize]
-                ^ t[5][((lo >> 16) & 0xFF) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][(hi & 0xFF) as usize]
-                ^ t[2][((hi >> 8) & 0xFF) as usize]
-                ^ t[1][((hi >> 16) & 0xFF) as usize]
-                ^ t[0][(hi >> 24) as usize];
-        }
-        for &byte in chunks.remainder() {
-            crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
-        }
-        self.state = crc;
-    }
-
-    /// Folds the little-endian bytes of `v` into the checksum, through a
-    /// small stack buffer — what `update` over the encoded floats would
-    /// give, without encoding them anywhere.
-    pub fn update_f32s(&mut self, v: &[f32]) {
-        let mut bytes = [0u8; 4096];
-        for part in v.chunks(bytes.len() / 4) {
-            let n = part.len() * 4;
-            fill_f32s_le(&mut bytes[..n], part);
-            self.update(&bytes[..n]);
-        }
-    }
-
-    /// The checksum of everything fed so far.
-    pub fn finish(&self) -> u32 {
-        !self.state
-    }
-}
-
-/// CRC-32 of `data` in one call. Public so the wire protocol (`fae-net`)
-/// frames carry the same checksum the on-disk containers do.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut h = Crc32::new();
-    h.update(data);
-    h.finish()
 }
 
 #[cfg(test)]
@@ -888,25 +696,6 @@ mod tests {
             assert_eq!(master_digest(&dense, master), model_digest(&dense, &snapshot));
         }
         assert_ne!(master_digest(&dense, &f32_master), master_digest(&dense, &int8_master));
-    }
-
-    #[test]
-    fn crc_of_any_split_is_the_crc_of_the_whole() {
-        let data: Vec<u8> = (0..300u32).map(|i| (i * 31 + 7) as u8).collect();
-        let whole = crc32(&data);
-        for cut in 0..=data.len() {
-            let mut h = Crc32::new();
-            h.update(&data[..cut]);
-            h.update(&data[cut..]);
-            assert_eq!(h.finish(), whole, "split at {cut}");
-        }
-        // Floats fed as floats hash like their little-endian bytes, across
-        // the stack buffer's boundary too.
-        let floats: Vec<f32> = (0..2_500).map(|i| i as f32 * 0.37 - 400.0).collect();
-        let bytes: Vec<u8> = floats.iter().flat_map(|x| x.to_le_bytes()).collect();
-        let mut h = Crc32::new();
-        h.update_f32s(&floats);
-        assert_eq!(h.finish(), crc32(&bytes));
     }
 
     #[test]

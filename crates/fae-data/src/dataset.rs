@@ -49,6 +49,23 @@ impl TableIndices {
         &self.indices[self.offsets[i]..self.offsets[i + 1]]
     }
 
+    /// The CSR invariant every decoder holds decoded bytes to before
+    /// anything indexes by them: `samples + 1` offsets that start at 0,
+    /// never go back, and end at `indices.len()`.
+    pub fn validate(&self, samples: usize) -> Result<(), &'static str> {
+        if self.offsets.len() != samples + 1 {
+            return Err("csr has the wrong number of offsets for its samples");
+        }
+        let in_order = self.offsets.first() == Some(&0)
+            && self.offsets.last() == Some(&self.indices.len())
+            && self.offsets.windows(2).all(|w| w[0] <= w[1]);
+        if in_order {
+            Ok(())
+        } else {
+            Err("csr offsets do not run from 0 to nnz in order")
+        }
+    }
+
     /// Gathers the listed samples into a new CSR (mini-batch assembly).
     pub fn gather(&self, samples: &[usize]) -> TableIndices {
         let mut out = TableIndices::with_capacity(samples.len(), samples.len());

@@ -14,16 +14,19 @@
 //!   per table: nnz u32 | indices u32[nnz] | offsets u32[batch_len + 1]
 //! ```
 //!
-//! Decoding validates magic, version, offset monotonicity and trailing
-//! bytes, returning [`FormatError`] instead of panicking — this file
-//! crosses process boundaries, so it is treated as untrusted input.
+//! Decoding validates magic, version, every declared length, the CSR
+//! invariant ([`TableIndices::validate`]) and trailing bytes, returning
+//! [`FormatError`] instead of panicking — this file crosses process
+//! boundaries, so it is treated as untrusted input. Every read goes
+//! through [`codec::Reader`](crate::codec::Reader), so a declared count is
+//! checked against the bytes left before anything is allocated for it.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
 
+use crate::codec::{put_counted, put_str, put_u32, put_words, ReadError, Reader};
 use crate::dataset::TableIndices;
 use crate::minibatch::{BatchKind, MiniBatch};
 
@@ -50,7 +53,7 @@ impl fmt::Display for FormatError {
         match self {
             FormatError::BadMagic => write!(f, "not an FAE file (bad magic)"),
             FormatError::BadVersion(v) => write!(f, "unsupported FAE version {v}"),
-            FormatError::Truncated(what) => write!(f, "FAE file truncated while reading {what}"),
+            FormatError::Truncated(what) => write!(f, "FAE file truncated: {what}"),
             FormatError::Corrupt(what) => write!(f, "FAE file corrupt: {what}"),
             FormatError::Io(e) => write!(f, "io error: {e}"),
         }
@@ -62,6 +65,15 @@ impl std::error::Error for FormatError {}
 impl From<io::Error> for FormatError {
     fn from(e: io::Error) -> Self {
         FormatError::Io(e)
+    }
+}
+
+impl From<ReadError> for FormatError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Truncated => FormatError::Truncated(e.what()),
+            ReadError::Overflow | ReadError::NotUtf8 => FormatError::Corrupt(e.what()),
+        }
     }
 }
 
@@ -104,50 +116,35 @@ impl FaeFile {
     }
 
     /// Serialises to bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(1024);
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u32_le(self.workload.len() as u32);
-        buf.put_slice(self.workload.as_bytes());
-        buf.put_u32_le(self.dense_width);
-        buf.put_u32_le(self.num_tables);
-        buf.put_u32_le(self.batches.len() as u32);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(1024);
+        buf.extend_from_slice(MAGIC);
+        put_u32(&mut buf, VERSION);
+        put_str(&mut buf, &self.workload);
+        put_u32(&mut buf, self.dense_width);
+        put_u32(&mut buf, self.num_tables);
+        put_u32(&mut buf, self.batches.len() as u32);
         for b in &self.batches {
-            buf.put_u8(match b.kind {
+            buf.push(match b.kind {
                 BatchKind::Hot => 0,
                 BatchKind::Cold => 1,
                 BatchKind::Unclassified => 2,
             });
-            buf.put_u32_le(b.len() as u32);
-            for &v in &b.dense {
-                buf.put_f32_le(v);
-            }
-            for &v in &b.labels {
-                buf.put_f32_le(v);
-            }
+            put_u32(&mut buf, b.len() as u32);
+            put_words(&mut buf, &b.dense, f32::to_le_bytes);
+            put_words(&mut buf, &b.labels, f32::to_le_bytes);
             for csr in &b.sparse {
-                buf.put_u32_le(csr.indices.len() as u32);
-                for &i in &csr.indices {
-                    buf.put_u32_le(i);
-                }
-                for &o in &csr.offsets {
-                    buf.put_u32_le(o as u32);
-                }
+                put_counted(&mut buf, &csr.indices, u32::to_le_bytes);
+                put_words(&mut buf, &csr.offsets, |o| (o as u32).to_le_bytes());
             }
         }
-        buf.freeze()
+        buf
     }
 
     /// Parses a container from bytes.
     pub fn decode(buf: &[u8]) -> Result<Self, FormatError> {
         let mut reader = FaeStreamReader::open(buf)?;
-        // The declared batch count is untrusted: clamp the up-front
-        // allocation by what the buffer could physically hold (a batch
-        // header alone is 5 bytes), so a corrupt header cannot force a
-        // huge allocation before the first decode error surfaces.
-        let plausible = (reader.batches_remaining() as usize).min(buf.len() / 5 + 1);
-        let mut batches = Vec::with_capacity(plausible);
+        let mut batches = Vec::with_capacity(reader.batches_remaining() as usize);
         while let Some(batch) = reader.next_batch()? {
             batches.push(batch);
         }
@@ -175,19 +172,11 @@ impl FaeFile {
     }
 }
 
-fn need(buf: &[u8], n: usize, what: &'static str) -> Result<(), FormatError> {
-    if buf.remaining() < n {
-        Err(FormatError::Truncated(what))
-    } else {
-        Ok(())
-    }
-}
-
 /// Incremental decoder over an FAE container: yields one [`MiniBatch`] at
 /// a time, so a training loop can stream a large preprocessed file
 /// without materialising every batch up front.
 pub struct FaeStreamReader<'a> {
-    buf: &'a [u8],
+    reader: Reader<'a>,
     workload: String,
     dense_width: u32,
     num_tables: u32,
@@ -196,28 +185,23 @@ pub struct FaeStreamReader<'a> {
 
 impl<'a> FaeStreamReader<'a> {
     /// Validates the header and positions the reader at the first batch.
-    pub fn open(mut buf: &'a [u8]) -> Result<Self, FormatError> {
-        need(buf, 8, "header")?;
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
+    pub fn open(buf: &'a [u8]) -> Result<Self, FormatError> {
+        let mut reader = Reader::new(buf);
+        if reader.take(4)? != MAGIC {
             return Err(FormatError::BadMagic);
         }
-        let version = buf.get_u32_le();
+        let version = reader.u32()?;
         if version != VERSION {
             return Err(FormatError::BadVersion(version));
         }
-        need(buf, 4, "workload name")?;
-        let name_len = buf.get_u32_le() as usize;
-        need(buf, name_len, "workload name")?;
-        let workload = String::from_utf8(buf[..name_len].to_vec())
-            .map_err(|_| FormatError::Corrupt("workload name not utf8"))?;
-        buf.advance(name_len);
-        need(buf, 12, "shape header")?;
-        let dense_width = buf.get_u32_le();
-        let num_tables = buf.get_u32_le();
-        let remaining = buf.get_u32_le();
-        Ok(Self { buf, workload, dense_width, num_tables, remaining })
+        let workload = reader.str()?.to_owned();
+        let dense_width = reader.u32()?;
+        let num_tables = reader.u32()?;
+        // Every batch holds at least its kind, its length and, per table,
+        // an nnz and one offset: so a table count is bounded by the bytes
+        // too whenever a batch is declared.
+        let remaining = reader.count(5 + 8 * num_tables as usize)? as u32;
+        Ok(Self { reader, workload, dense_width, num_tables, remaining })
     }
 
     /// Workload name recorded in the header.
@@ -244,7 +228,7 @@ impl<'a> FaeStreamReader<'a> {
     /// only meaningful once every batch has been read).
     pub fn trailing_bytes(&self) -> usize {
         if self.remaining == 0 {
-            self.buf.remaining()
+            self.reader.remaining()
         } else {
             0
         }
@@ -257,56 +241,27 @@ impl<'a> FaeStreamReader<'a> {
             return Ok(None);
         }
         self.remaining -= 1;
-        let buf = &mut self.buf;
-        need(buf, 5, "batch header")?;
-        let kind = match buf.get_u8() {
+        let r = &mut self.reader;
+        let kind = match r.u8()? {
             0 => BatchKind::Hot,
             1 => BatchKind::Cold,
             2 => BatchKind::Unclassified,
             _ => return Err(FormatError::Corrupt("unknown batch kind")),
         };
-        let len = buf.get_u32_le() as usize;
-        // Both factors are untrusted u32s: the products can exceed usize
-        // on 32-bit targets (and `dense_n * 4` can on 64-bit), so every
-        // size computation is overflow-checked before it sizes a read.
-        let dense_n = len
-            .checked_mul(self.dense_width as usize)
-            .ok_or(FormatError::Corrupt("dense block size overflows"))?;
-        let dense_bytes =
-            dense_n.checked_mul(4).ok_or(FormatError::Corrupt("dense block size overflows"))?;
-        need(buf, dense_bytes, "dense block")?;
-        let mut dense = Vec::with_capacity(dense_n);
-        for _ in 0..dense_n {
-            dense.push(buf.get_f32_le());
+        let (dense_width, num_tables) = (self.dense_width as usize, self.num_tables as usize);
+        // A sample holds its dense row, its label and one offset per table.
+        let len = r.count(4 * (dense_width + 1 + num_tables))?;
+        let dense = r.words(len * dense_width, f32::from_le_bytes)?.collect();
+        let labels = r.words(len, f32::from_le_bytes)?.collect();
+        let mut sparse = Vec::with_capacity(num_tables);
+        for _ in 0..num_tables {
+            let indices = r.counted(u32::from_le_bytes)?;
+            let offsets = r.words(len + 1, |w| u32::from_le_bytes(w) as usize)?.collect();
+            let csr = TableIndices { indices, offsets };
+            csr.validate(len).map_err(FormatError::Corrupt)?;
+            sparse.push(csr);
         }
-        need(buf, len * 4, "labels")?;
-        let mut labels = Vec::with_capacity(len);
-        for _ in 0..len {
-            labels.push(buf.get_f32_le());
-        }
-        let mut sparse = Vec::with_capacity(self.num_tables as usize);
-        for _ in 0..self.num_tables {
-            need(buf, 4, "csr nnz")?;
-            let nnz = buf.get_u32_le() as usize;
-            let csr_bytes = nnz
-                .checked_mul(4)
-                .and_then(|b| (len + 1).checked_mul(4).and_then(|c| b.checked_add(c)))
-                .ok_or(FormatError::Corrupt("csr body size overflows"))?;
-            need(buf, csr_bytes, "csr body")?;
-            let mut indices = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                indices.push(buf.get_u32_le());
-            }
-            let mut offsets = Vec::with_capacity(len + 1);
-            for _ in 0..=len {
-                offsets.push(buf.get_u32_le() as usize);
-            }
-            if offsets[0] != 0 || offsets[len] != nnz || offsets.windows(2).any(|w| w[0] > w[1]) {
-                return Err(FormatError::Corrupt("csr offsets not monotonic"));
-            }
-            sparse.push(TableIndices { indices, offsets });
-        }
-        Ok(Some(MiniBatch { kind, dense, dense_width: self.dense_width as usize, sparse, labels }))
+        Ok(Some(MiniBatch { kind, dense, dense_width, sparse, labels }))
     }
 }
 
@@ -373,14 +328,14 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let mut bytes = FaeFile::new("x", vec![]).encode().to_vec();
+        let mut bytes = FaeFile::new("x", vec![]).encode();
         bytes[0] = b'X';
         assert!(matches!(FaeFile::decode(&bytes), Err(FormatError::BadMagic)));
     }
 
     #[test]
     fn rejects_bad_version() {
-        let mut bytes = FaeFile::new("x", vec![]).encode().to_vec();
+        let mut bytes = FaeFile::new("x", vec![]).encode();
         bytes[4] = 99;
         assert!(matches!(FaeFile::decode(&bytes), Err(FormatError::BadVersion(99))));
     }
@@ -396,7 +351,7 @@ mod tests {
 
     #[test]
     fn rejects_trailing_garbage() {
-        let mut bytes = FaeFile::new("t", vec![sample_batch(BatchKind::Cold, 1)]).encode().to_vec();
+        let mut bytes = FaeFile::new("t", vec![sample_batch(BatchKind::Cold, 1)]).encode();
         bytes.push(0);
         assert!(matches!(FaeFile::decode(&bytes), Err(FormatError::Corrupt(_))));
     }
@@ -421,7 +376,7 @@ mod tests {
 
     #[test]
     fn huge_declared_batch_count_fails_fast_without_allocating() {
-        let mut bytes = FaeFile::new("t", vec![sample_batch(BatchKind::Hot, 1)]).encode().to_vec();
+        let mut bytes = FaeFile::new("t", vec![sample_batch(BatchKind::Hot, 1)]).encode();
         bytes[21..25].copy_from_slice(&u32::MAX.to_le_bytes());
         // Must error (the buffer holds one batch, not 4 billion) without
         // reserving u32::MAX batch slots first.
@@ -429,8 +384,18 @@ mod tests {
     }
 
     #[test]
+    fn a_huge_declared_table_count_is_an_error_not_an_abort() {
+        for tables in [0x4000_0001u32, u32::MAX] {
+            let mut bytes = FaeFile::new("t", vec![sample_batch(BatchKind::Hot, 1)]).encode();
+            bytes[17..21].copy_from_slice(&tables.to_le_bytes());
+            // Must error on the bytes at hand, not reserve `tables` CSRs.
+            assert!(FaeFile::decode(&bytes).is_err(), "table count {tables:#x}");
+        }
+    }
+
+    #[test]
     fn overflowing_declared_sizes_are_corrupt_not_a_panic() {
-        let mut bytes = FaeFile::new("t", vec![sample_batch(BatchKind::Hot, 1)]).encode().to_vec();
+        let mut bytes = FaeFile::new("t", vec![sample_batch(BatchKind::Hot, 1)]).encode();
         // dense_width = u32::MAX and batch len = u32::MAX: the dense block
         // byte count overflows usize — the checked math must catch it.
         bytes[13..17].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -440,7 +405,7 @@ mod tests {
 
     #[test]
     fn huge_declared_nnz_is_truncation_not_a_panic() {
-        let mut bytes = FaeFile::new("t", vec![sample_batch(BatchKind::Hot, 1)]).encode().to_vec();
+        let mut bytes = FaeFile::new("t", vec![sample_batch(BatchKind::Hot, 1)]).encode();
         // First CSR's nnz follows the batch header (1+4), one dense row
         // (3×4) and one label (4): offset 25 + 5 + 12 + 4 = 46.
         bytes[46..50].copy_from_slice(&u32::MAX.to_le_bytes());

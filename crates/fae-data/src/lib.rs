@@ -16,9 +16,12 @@
 //! * [`Dataset`] / [`TableIndices`] / [`MiniBatch`] — CSR-style storage,
 //! * [`mod@format`] — the *FAE format*: a binary container for the
 //!   preprocessed hot/cold mini-batch stream, written once per dataset and
-//!   reloaded on subsequent training runs (§III-B).
+//!   reloaded on subsequent training runs (§III-B),
+//! * [`codec`] — the bounds-checked little-endian reader, writers and
+//!   CRC-32 under the FAE format, the checkpoint and the wire frame.
 
 #![forbid(unsafe_code)]
+pub mod codec;
 pub mod dataset;
 pub mod format;
 pub mod gen;

@@ -14,14 +14,15 @@
 //!   seq     u64      per-coordinator monotone sequence number
 //!   step    u64      training step the frame is about
 //!   payload ...      kind-specific, see [`Message`]
-//! u32 crc        CRC-32 over the body (same polynomial/table as the
-//!                checkpoint container, `fae_core::checkpoint::crc32`)
+//! u32 crc        CRC-32 over the body (the checkpoint container's
+//!                checksum, `fae_data::codec::crc32`)
 //! ```
 //!
 //! A frame is written in one pass into one buffer ([`Frame::encode_into`]:
 //! length placeholder, header, payload, CRC, length patched in) and its
-//! `f32` / `u32` / `u64` runs are copied as slices in both directions, so
-//! the codec costs about one checksum over the bytes.
+//! `f32` / `u32` / `u64` runs are copied as slices in both directions
+//! (`fae_data::codec`'s word readers and writers), so the codec costs
+//! about one checksum over the bytes.
 //!
 //! Replies echo the request's `seq`, `epoch` and `step`, which is what
 //! lets the coordinator discard stale or duplicated replies and lets the
@@ -30,13 +31,16 @@
 //! precondition for the distributed run matching the single-process model
 //! digest.
 //!
-//! Decoding is fully bounds-checked and never panics: torn, truncated or
-//! bit-flipped frames surface as [`NetError::Corrupt`], and so does a
-//! frame whose checksum is right but whose structure is not (a count past
-//! the payload, CSR offsets out of order, a sparse table whose rows are
-//! not strictly ascending, bytes left over).
+//! Decoding goes through `fae_data::codec::Reader`, so it is fully
+//! bounds-checked and never panics: torn, truncated or bit-flipped frames
+//! surface as [`NetError::Corrupt`], and so does a frame whose checksum
+//! is right but whose structure is not (a count past the payload, CSR
+//! offsets that break [`TableIndices::validate`], a sparse table whose
+//! rows are not strictly ascending, bytes left over).
 
-use fae_core::checkpoint::crc32;
+use fae_data::codec::{
+    crc32, put_counted, put_f32, put_str, put_u16, put_u32, put_u64, put_words, ReadError, Reader,
+};
 use fae_data::{BatchKind, MiniBatch, TableIndices};
 use fae_embed::SparseGrad;
 use fae_telemetry::StepMode;
@@ -81,6 +85,12 @@ impl std::fmt::Display for NetError {
             NetError::Corrupt(m) => write!(f, "corrupt frame: {m}"),
             NetError::Protocol(m) => write!(f, "protocol violation: {m}"),
         }
+    }
+}
+
+impl From<ReadError> for NetError {
+    fn from(e: ReadError) -> Self {
+        NetError::Corrupt(format!("payload: {e}"))
     }
 }
 
@@ -292,25 +302,24 @@ impl Frame {
         if want != got {
             return Err(NetError::Corrupt(format!("crc mismatch: {want:#010x} != {got:#010x}")));
         }
-        let mut rd = Rd { buf: body, pos: 0 };
-        let magic = rd.take(4)?;
-        if magic != MAGIC {
+        let mut r = Reader::new(body);
+        if r.take(4)? != MAGIC {
             return Err(NetError::Corrupt("bad magic".into()));
         }
-        let version = rd.u16()?;
+        let version = r.u16()?;
         if version != VERSION {
             return Err(NetError::Corrupt(format!("unsupported version {version}")));
         }
-        let kind = rd.u8()?;
-        let node = rd.u32()?;
-        let epoch = rd.u32()?;
-        let seq = rd.u64()?;
-        let step = rd.u64()?;
-        let msg = decode_payload(kind, &mut rd)?;
-        if rd.pos != rd.buf.len() {
+        let kind = r.u8()?;
+        let node = r.u32()?;
+        let epoch = r.u32()?;
+        let seq = r.u64()?;
+        let step = r.u64()?;
+        let msg = decode_payload(kind, &mut r)?;
+        if r.remaining() != 0 {
             return Err(NetError::Corrupt(format!(
                 "{} trailing bytes after payload",
-                rd.buf.len() - rd.pos
+                r.remaining()
             )));
         }
         Ok(Frame { node, epoch, seq, step, msg })
@@ -397,7 +406,7 @@ pub(crate) fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
             put_u64(out, *seed);
             put_str(out, spec_json);
             put_str(out, partitions_json);
-            put_f32s(out, dense);
+            put_counted(out, dense, f32::to_le_bytes);
             put_entries(out, hot);
         }
         Message::Task { total, mode, shard } => {
@@ -408,13 +417,13 @@ pub(crate) fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
         Message::Grads { loss, samples, dense, sparse } => {
             put_f32(out, *loss);
             put_u32(out, *samples);
-            put_f32s(out, dense);
+            put_counted(out, dense, f32::to_le_bytes);
             put_sparse(out, sparse);
         }
         Message::Apply { mode, lr, dense, sparse } => {
             out.push(step_mode_tag(*mode));
             put_f32(out, *lr);
-            put_f32s(out, dense);
+            put_counted(out, dense, f32::to_le_bytes);
             put_sparse(out, sparse);
         }
         Message::HotBagSync { partitions_json, hot } => {
@@ -424,99 +433,39 @@ pub(crate) fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_payload(kind: u8, rd: &mut Rd<'_>) -> Result<Message, NetError> {
+fn decode_payload(kind: u8, r: &mut Reader<'_>) -> Result<Message, NetError> {
     Ok(match kind {
         0 => Message::Hello,
         1 => Message::Welcome {
-            workers: rd.u32()?,
-            seed: rd.u64()?,
-            spec_json: rd.str_()?,
-            partitions_json: rd.str_()?,
-            dense: rd.f32s()?,
-            hot: rd.entries()?,
+            workers: r.u32()?,
+            seed: r.u64()?,
+            spec_json: r.str()?.to_owned(),
+            partitions_json: r.str()?.to_owned(),
+            dense: r.counted(f32::from_le_bytes)?,
+            hot: entries(r)?,
         },
-        2 => {
-            Message::Task { total: rd.u32()?, mode: step_mode_from(rd.u8()?)?, shard: rd.batch()? }
-        }
+        2 => Message::Task { total: r.u32()?, mode: step_mode_from(r.u8()?)?, shard: batch(r)? },
         3 => Message::Grads {
-            loss: rd.f32()?,
-            samples: rd.u32()?,
-            dense: rd.f32s()?,
-            sparse: rd.sparse()?,
+            loss: r.f32()?,
+            samples: r.u32()?,
+            dense: r.counted(f32::from_le_bytes)?,
+            sparse: sparse(r)?,
         },
         4 => Message::Apply {
-            mode: step_mode_from(rd.u8()?)?,
-            lr: rd.f32()?,
-            dense: rd.f32s()?,
-            sparse: rd.sparse()?,
+            mode: step_mode_from(r.u8()?)?,
+            lr: r.f32()?,
+            dense: r.counted(f32::from_le_bytes)?,
+            sparse: sparse(r)?,
         },
         5 => Message::Ack,
-        6 => Message::HotBagSync { partitions_json: rd.str_()?, hot: rd.entries()? },
+        6 => Message::HotBagSync { partitions_json: r.str()?.to_owned(), hot: entries(r)? },
         7 => Message::Heartbeat,
         8 => Message::HeartbeatAck,
         9 => Message::Shutdown,
-        10 => Message::TelemetryPoll { ack: rd.u64()? },
-        11 => Message::Telemetry { from: rd.u64()?, events_jsonl: rd.str_()? },
+        10 => Message::TelemetryPoll { ack: r.u64()? },
+        11 => Message::Telemetry { from: r.u64()?, events_jsonl: r.str()?.to_owned() },
         other => return Err(NetError::Corrupt(format!("unknown message kind {other}"))),
     })
-}
-
-// ---- encoders --------------------------------------------------------
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32(out: &mut Vec<u8>, v: f32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Bulk little-endian slice codecs. `to_le_bytes` over `chunks_exact`
-/// compiles to a plain copy on a little-endian target, which is what
-/// makes these one pass over the bytes rather than a call per element.
-macro_rules! le_slices {
-    ($put:ident, $get:ident, $t:ty, $width:literal, $to:expr, $from:expr) => {
-        fn $put(out: &mut Vec<u8>, v: &[$t]) {
-            let at = out.len();
-            out.resize(at + v.len() * $width, 0);
-            for (dst, x) in out[at..].chunks_exact_mut($width).zip(v) {
-                dst.copy_from_slice(&$to(*x));
-            }
-        }
-
-        fn $get(bytes: &[u8]) -> impl Iterator<Item = $t> + '_ {
-            bytes.chunks_exact($width).map(|b| {
-                let mut word = [0u8; $width];
-                word.copy_from_slice(b);
-                $from(word)
-            })
-        }
-    };
-}
-
-le_slices!(put_f32_slice, get_f32_slice, f32, 4, f32::to_le_bytes, f32::from_le_bytes);
-le_slices!(put_u32_slice, get_u32_slice, u32, 4, u32::to_le_bytes, u32::from_le_bytes);
-// CSR offsets travel as u64 whatever the host's pointer width.
-le_slices!(put_offset_slice, get_offset_slice, usize, 8, |o| (o as u64).to_le_bytes(), |w| {
-    u64::from_le_bytes(w) as usize
-});
-
-fn put_f32s(out: &mut Vec<u8>, v: &[f32]) {
-    put_u32(out, v.len() as u32);
-    put_f32_slice(out, v);
 }
 
 fn put_entries(out: &mut Vec<u8>, entries: &[HotEntry]) {
@@ -524,7 +473,7 @@ fn put_entries(out: &mut Vec<u8>, entries: &[HotEntry]) {
     for e in entries {
         put_u32(out, e.table);
         put_u32(out, e.row);
-        put_f32s(out, &e.values);
+        put_counted(out, &e.values, f32::to_le_bytes);
     }
 }
 
@@ -535,7 +484,7 @@ fn put_sparse(out: &mut Vec<u8>, grads: &[SparseGrad]) {
         put_u32(out, g.nnz_rows() as u32);
         for (row, values) in g.iter() {
             put_u32(out, row);
-            put_f32_slice(out, values);
+            put_words(out, values, f32::to_le_bytes);
         }
     }
 }
@@ -543,175 +492,76 @@ fn put_sparse(out: &mut Vec<u8>, grads: &[SparseGrad]) {
 fn put_batch(out: &mut Vec<u8>, b: &MiniBatch) {
     out.push(batch_kind_tag(b.kind));
     put_u32(out, b.dense_width as u32);
-    put_f32s(out, &b.labels);
-    put_f32s(out, &b.dense);
+    put_counted(out, &b.labels, f32::to_le_bytes);
+    put_counted(out, &b.dense, f32::to_le_bytes);
     put_u32(out, b.sparse.len() as u32);
     for t in &b.sparse {
-        put_u32(out, t.indices.len() as u32);
-        put_u32_slice(out, &t.indices);
-        put_u32(out, t.offsets.len() as u32);
-        put_offset_slice(out, &t.offsets);
+        put_counted(out, &t.indices, u32::to_le_bytes);
+        // CSR offsets travel as u64 whatever the host's pointer width.
+        put_counted(out, &t.offsets, |o| (o as u64).to_le_bytes());
     }
 }
 
-// ---- bounds-checked reader ------------------------------------------
-
-struct Rd<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn entries(r: &mut Reader<'_>) -> Result<Vec<HotEntry>, NetError> {
+    let n = r.count(12)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(HotEntry {
+            table: r.u32()?,
+            row: r.u32()?,
+            values: r.counted(f32::from_le_bytes)?,
+        });
+    }
+    Ok(out)
 }
 
-impl<'a> Rd<'a> {
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], NetError> {
-        if self.remaining() < n {
-            return Err(NetError::Corrupt(format!(
-                "payload truncated: wanted {n} bytes, {} left",
-                self.remaining()
-            )));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, NetError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, NetError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, NetError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, NetError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    fn f32(&mut self) -> Result<f32, NetError> {
-        let b = self.take(4)?;
-        Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Reads a `u32` element count and checks the elements (each at
-    /// least `elem_bytes` wide) actually fit in the remaining payload —
-    /// a corrupt count can therefore never trigger a huge allocation.
-    fn count(&mut self, elem_bytes: usize) -> Result<usize, NetError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(elem_bytes) > self.remaining() {
-            return Err(NetError::Corrupt(format!(
-                "element count {n} exceeds remaining payload ({} bytes)",
-                self.remaining()
-            )));
-        }
-        Ok(n)
-    }
-
-    fn str_(&mut self) -> Result<String, NetError> {
-        let n = self.count(1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| NetError::Corrupt("string payload is not utf-8".into()))
-    }
-
-    fn f32s(&mut self) -> Result<Vec<f32>, NetError> {
-        let n = self.count(4)?;
-        Ok(get_f32_slice(self.take(n * 4)?).collect())
-    }
-
-    fn u32s(&mut self) -> Result<Vec<u32>, NetError> {
-        let n = self.count(4)?;
-        Ok(get_u32_slice(self.take(n * 4)?).collect())
-    }
-
-    fn usizes(&mut self) -> Result<Vec<usize>, NetError> {
-        let n = self.count(8)?;
-        Ok(get_offset_slice(self.take(n * 8)?).collect())
-    }
-
-    fn entries(&mut self) -> Result<Vec<HotEntry>, NetError> {
-        let n = self.count(12)?;
-        let mut out = Vec::with_capacity(n);
+/// Each table is a run of `(row, dim values)` records. The encoder walks
+/// [`SparseGrad::iter`], so rows arrive strictly ascending; a run that
+/// does not is corruption, and holding to that lets the values be taken
+/// over bit for bit instead of re-accumulated.
+fn sparse(r: &mut Reader<'_>) -> Result<Vec<SparseGrad>, NetError> {
+    let tables = r.count(8)?;
+    let mut out = Vec::with_capacity(tables);
+    for _ in 0..tables {
+        let dim = r.u32()? as usize;
+        let n = r.count(4 + dim * 4)?;
+        let mut rows = Vec::with_capacity(n);
+        let mut values = Vec::with_capacity(n * dim);
         for _ in 0..n {
-            let table = self.u32()?;
-            let row = self.u32()?;
-            let values = self.f32s()?;
-            out.push(HotEntry { table, row, values });
+            rows.push(r.u32()?);
+            values.extend(r.words(dim, f32::from_le_bytes)?);
         }
-        Ok(out)
+        let grad = SparseGrad::from_ascending_rows(dim, &rows, values).ok_or_else(|| {
+            NetError::Corrupt("sparse gradient rows not strictly ascending".into())
+        })?;
+        out.push(grad);
     }
+    Ok(out)
+}
 
-    /// Each table is a run of `(row, dim values)` records. The encoder
-    /// walks [`SparseGrad::iter`], so rows arrive strictly ascending; a
-    /// run that does not is corruption, and holding to that lets the
-    /// values be taken over bit for bit instead of re-accumulated.
-    fn sparse(&mut self) -> Result<Vec<SparseGrad>, NetError> {
-        let tables = self.count(8)?;
-        let mut out = Vec::with_capacity(tables);
-        for _ in 0..tables {
-            let dim = self.u32()? as usize;
-            let record = 4 + dim * 4;
-            let n = self.count(record)?;
-            let run = self.take(n * record)?;
-            let mut rows = Vec::with_capacity(n);
-            let mut values = Vec::with_capacity(n * dim);
-            for rec in run.chunks_exact(record) {
-                rows.push(u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]));
-                values.extend(get_f32_slice(&rec[4..]));
-            }
-            let grad = SparseGrad::from_ascending_rows(dim, &rows, values).ok_or_else(|| {
-                NetError::Corrupt("sparse gradient rows not strictly ascending".into())
-            })?;
-            out.push(grad);
-        }
-        Ok(out)
+fn batch(r: &mut Reader<'_>) -> Result<MiniBatch, NetError> {
+    let kind = batch_kind_from(r.u8()?)?;
+    let dense_width = r.u32()? as usize;
+    let labels: Vec<f32> = r.counted(f32::from_le_bytes)?;
+    let dense = r.counted(f32::from_le_bytes)?;
+    if dense.len() != labels.len() * dense_width {
+        return Err(NetError::Corrupt(format!(
+            "dense block is {} floats, want {} samples x {} features",
+            dense.len(),
+            labels.len(),
+            dense_width
+        )));
     }
-
-    fn batch(&mut self) -> Result<MiniBatch, NetError> {
-        let kind = batch_kind_from(self.u8()?)?;
-        let dense_width = self.u32()? as usize;
-        let labels = self.f32s()?;
-        let dense = self.f32s()?;
-        if dense.len() != labels.len() * dense_width {
-            return Err(NetError::Corrupt(format!(
-                "dense block is {} floats, want {} samples x {} features",
-                dense.len(),
-                labels.len(),
-                dense_width
-            )));
-        }
-        let tables = self.count(8)?;
-        let mut sparse = Vec::with_capacity(tables);
-        for _ in 0..tables {
-            let indices = self.u32s()?;
-            let offsets = self.usizes()?;
-            if offsets.len() != labels.len() + 1 {
-                return Err(NetError::Corrupt(format!(
-                    "csr has {} offsets for {} samples",
-                    offsets.len(),
-                    labels.len()
-                )));
-            }
-            let mut prev = 0usize;
-            for &o in &offsets {
-                if o < prev || o > indices.len() {
-                    return Err(NetError::Corrupt("csr offsets not monotone in-range".into()));
-                }
-                prev = o;
-            }
-            sparse.push(TableIndices { indices, offsets });
-        }
-        Ok(MiniBatch { kind, dense, dense_width, sparse, labels })
+    let tables = r.count(8)?;
+    let mut sparse = Vec::with_capacity(tables);
+    for _ in 0..tables {
+        let indices = r.counted(u32::from_le_bytes)?;
+        let offsets = r.counted(|w| u64::from_le_bytes(w) as usize)?;
+        let csr = TableIndices { indices, offsets };
+        csr.validate(labels.len()).map_err(|e| NetError::Corrupt(e.into()))?;
+        sparse.push(csr);
     }
+    Ok(MiniBatch { kind, dense, dense_width, sparse, labels })
 }
 
 #[cfg(test)]
@@ -890,13 +740,13 @@ mod tests {
         let sparse_rows = |rows: [u32; 2]| {
             move |out: &mut Vec<u8>| {
                 grads_head(out);
-                put_f32s(out, &[]);
+                put_u32(out, 0); // no dense gradient
                 put_u32(out, 1); // one table
                 put_u32(out, 2); // dim
                 put_u32(out, rows.len() as u32);
                 for row in rows {
                     put_u32(out, row);
-                    put_f32_slice(out, &[1.0, 2.0]);
+                    put_words(out, &[1.0f32, 2.0], f32::to_le_bytes);
                 }
             }
         };
@@ -926,7 +776,7 @@ mod tests {
                 "exceeds remaining",
                 sealed(3, |out| {
                     grads_head(out);
-                    put_f32s(out, &[]);
+                    put_u32(out, 0);
                     put_u32(out, 1);
                     put_u32(out, u32::MAX); // dim x rows: absurd
                     put_u32(out, 1);
@@ -940,6 +790,10 @@ mod tests {
             ("csr has", sealed(2, task(6, vec![0, 1]))),
             ("csr offsets", sealed(2, task(6, vec![0, 2, 1]))),
             ("csr offsets", sealed(2, task(6, vec![0, 1, 3]))),
+            // Monotone and within nnz, but not the CSR the FAE file holds:
+            // starting above 0, or ending short of the indices.
+            ("csr offsets", sealed(2, task(6, vec![1, 1, 2]))),
+            ("csr offsets", sealed(2, task(6, vec![0, 1, 1]))),
             ("bad step mode", sealed(4, |out| out.push(7))),
             ("unknown message kind", sealed(99, |_| {})),
             (
@@ -1042,7 +896,7 @@ mod tests {
             cuts in proptest::collection::vec(0usize..=200, 0..20),
         ) {
             let mut offsets: Vec<usize> = cuts.iter().map(|c| c.min(&indices.len()).to_owned()).collect();
-            offsets.push(0);
+            offsets.extend([0, indices.len()]);
             offsets.sort_unstable();
             let samples = offsets.len() - 1;
             let shard = MiniBatch {

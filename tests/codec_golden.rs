@@ -10,11 +10,11 @@
 
 use proptest::prelude::*;
 
-use fae::core::checkpoint::crc32;
 use fae::core::faults::{FaultKind, InjectedFault, RecoveryAction};
 use fae::core::scheduler::SchedulerState;
 use fae::core::trainer::EvalPoint;
 use fae::core::{TableSnapshot, TrainCheckpoint};
+use fae::data::codec::crc32;
 use fae::data::format::{FaeFile, FaeStreamReader};
 use fae::data::{BatchKind, MiniBatch, TableIndices};
 use fae::embed::SparseGrad;
@@ -22,7 +22,7 @@ use fae::net::{Frame, HotEntry, Message};
 use fae::sysmodel::{Phase, Timeline};
 use fae::telemetry::StepMode;
 
-/// The bit-at-a-time loop `checkpoint::crc32` was before it became
+/// The bit-at-a-time loop `crc32` was before it became
 /// table-driven (IEEE 802.3, reflected, polynomial 0xEDB88320) — kept
 /// here as the reference every faster implementation is held to.
 fn crc32_bitwise(data: &[u8]) -> u32 {
