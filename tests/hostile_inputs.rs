@@ -1,7 +1,8 @@
 //! Hostile inputs for the three binary decoders: `Frame::decode`,
 //! `TrainCheckpoint::decode` and the FAE container (`FaeFile::decode` and
-//! `FaeStreamReader`). One seeded mutator forces a 32-bit field to a
-//! hostile value, overwrites a few bytes, then maybe truncates or pads.
+//! `FaeStreamReader`). One seeded mutator, shared with
+//! `tests/wire_malformed.rs`, forces a 32-bit field to a hostile value,
+//! overwrites a few bytes, then maybe truncates or pads.
 //!
 //! A flipped bit in a frame or a checkpoint is caught by its CRC, so the
 //! unsealed mutation must fail to decode; the harness then re-seals the
@@ -15,8 +16,9 @@
 //! One `#[test]` only: the counting allocator is process-wide, and a
 //! neighbouring test thread would show up in its peak.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+#[path = "common/hostile.rs"]
+mod hostile;
+
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -24,97 +26,12 @@ use proptest::prelude::*;
 use fae::core::faults::{FaultKind, InjectedFault, RecoveryAction};
 use fae::core::trainer::EvalPoint;
 use fae::core::{CheckpointError, SchedulerState, TableSnapshot, TrainCheckpoint};
-use fae::data::codec::crc32;
 use fae::data::format::{FaeFile, FaeStreamReader, FormatError};
-use fae::data::{generate, BatchKind, GenOptions, MiniBatch, TableIndices, WorkloadSpec};
-use fae::embed::SparseGrad;
-use fae::net::{Frame, HotEntry, Message, NetError};
+use fae::data::{generate, BatchKind, GenOptions, MiniBatch, WorkloadSpec};
+use fae::net::{Frame, NetError};
 use fae::sysmodel::{Phase, Timeline};
-use fae::telemetry::StepMode;
 
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every call is forwarded to `System` unchanged; the counters
-// beside it never touch the memory being handed out.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            let now = LIVE.fetch_add(layout.size(), Relaxed) + layout.size();
-            PEAK.fetch_max(now, Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
-
-/// Runs `f` and returns its result with the most bytes that were live
-/// above the starting level at any moment inside it.
-fn peak_above_start<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let start = LIVE.load(Relaxed);
-    PEAK.store(start, Relaxed);
-    let out = f();
-    (out, PEAK.load(Relaxed).saturating_sub(start))
-}
-
-fn frames() -> Vec<Vec<u8>> {
-    let mut grad = SparseGrad::new(3);
-    for row in [2u32, 11, 40, 41, 9_000] {
-        grad.accumulate(row, &[0.5, -1.0, 2.0]);
-    }
-    let sparse = vec![grad, SparseGrad::new(3), SparseGrad::new(0)];
-    let hot = vec![
-        HotEntry { table: 0, row: 7, values: vec![1.0, -2.0, 0.125] },
-        HotEntry { table: 1, row: 0, values: Vec::new() },
-    ];
-    let shard = MiniBatch {
-        kind: BatchKind::Hot,
-        dense: vec![0.5; 6],
-        dense_width: 2,
-        sparse: vec![
-            TableIndices { indices: vec![4, 9, 9, 1], offsets: vec![0, 1, 3, 4] },
-            TableIndices { indices: Vec::new(), offsets: vec![0; 4] },
-        ],
-        labels: vec![1.0, 0.0, 1.0],
-    };
-    let msgs = vec![
-        Message::Hello,
-        Message::Welcome {
-            workers: 2,
-            seed: 9,
-            spec_json: "{\"name\":\"tiny\"}".into(),
-            partitions_json: "[]".into(),
-            dense: vec![0.25; 9],
-            hot: hot.clone(),
-        },
-        Message::Task { total: 3, mode: StepMode::Hot, shard },
-        Message::Grads { loss: 0.7, samples: 3, dense: vec![-0.5; 7], sparse: sparse.clone() },
-        Message::Apply { mode: StepMode::Hot, lr: 0.05, dense: vec![1.5; 7], sparse },
-        Message::Ack,
-        Message::HotBagSync { partitions_json: "[{}]".into(), hot },
-        Message::TelemetryPoll { ack: 5 },
-        Message::Telemetry { from: 5, events_jsonl: "{\"type\":\"mark\"}\n{}".into() },
-    ];
-    msgs.into_iter()
-        .enumerate()
-        .map(|(i, msg)| body_and_crc(&Frame { node: 1, epoch: 2, seq: i as u64, step: 3, msg }))
-        .collect()
-}
-
-/// `Frame::encode()` minus its length prefix: what `decode` takes.
-fn body_and_crc(frame: &Frame) -> Vec<u8> {
-    frame.encode().split_off(4)
-}
+use hostile::{body_and_crc, frames, mutate, peak_above_start, reseal, HOSTILE};
 
 /// A checkpoint with every variable-length section non-empty and every
 /// recovery record kind.
@@ -195,18 +112,6 @@ fn samples() -> &'static Samples {
     SAMPLES.get_or_init(|| Samples { frames: frames(), checkpoint: checkpoint(), fae: fae_file() })
 }
 
-/// Replaces the trailer with the CRC of whatever the body now is.
-fn reseal(bytes: &mut Vec<u8>) {
-    let body = bytes.len().saturating_sub(4);
-    bytes.truncate(body);
-    let crc = crc32(bytes);
-    bytes.extend_from_slice(&crc.to_le_bytes());
-}
-
-/// The values a damaged count or id is most likely to break a decoder
-/// with.
-const HOSTILE: [u32; 6] = [u32::MAX, 0x7FFF_FFFF, 0x4000_0001, 0, 1, 0xFFFF];
-
 const FRAME: usize = 0;
 const CHECKPOINT: usize = 1;
 
@@ -230,23 +135,9 @@ proptest! {
         };
         let trailer = if decoder == FRAME || decoder == CHECKPOINT { 4 } else { 0 };
         let mut bytes = pristine.clone();
-        let body = bytes.len() - trailer;
-        // One 32-bit field forced to a hostile value, a few stray bytes,
-        // then maybe a truncation or a padded tail — all inside the body.
-        let at = word_at % body.saturating_sub(3).max(1);
-        if at + 4 <= body {
-            bytes[at..at + 4].copy_from_slice(&HOSTILE[word].to_le_bytes());
-        }
-        for (at, value) in bytes_at {
-            bytes[at % body] = value;
-        }
         let (truncate, keep) = cut;
-        if truncate == 1 {
-            bytes.drain(keep % (body + 1)..body);
-        }
-        for _ in 0..grow {
-            bytes.insert(bytes.len() - trailer, 0xA5);
-        }
+        let body_keep = if truncate == 1 { keep % (bytes.len() - trailer + 1) } else { usize::MAX };
+        mutate(&mut bytes, trailer, (word_at, word), &bytes_at, body_keep, grow);
 
         // The checksum catches any change; a strict prefix of an FAE file
         // is an error.
