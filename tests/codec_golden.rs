@@ -11,11 +11,12 @@
 use proptest::prelude::*;
 
 use fae::core::faults::{FaultKind, InjectedFault, RecoveryAction};
+use fae::core::pipeline::prefetch_fae_blocks;
 use fae::core::scheduler::SchedulerState;
 use fae::core::trainer::EvalPoint;
 use fae::core::{TableSnapshot, TrainCheckpoint};
 use fae::data::codec::crc32;
-use fae::data::format::{FaeFile, FaeStreamReader};
+use fae::data::format::{FaeFile, FaeStreamReader, FormatError};
 use fae::data::{BatchKind, MiniBatch, TableIndices};
 use fae::embed::SparseGrad;
 use fae::net::{Frame, HotEntry, Message};
@@ -345,4 +346,46 @@ fn fae_bytes_written_by_the_parent_decode_and_stream_identically() {
         reader.by_ref().collect::<Result<_, _>>().expect("the parent's batches stream");
     assert_eq!(streamed.iter().map(batch_bits).collect::<Vec<_>>(), want);
     assert_eq!(reader.trailing_bytes(), 0);
+}
+
+/// Every item `prefetch_fae_blocks` yields over `bytes` (an error at
+/// open is the stream's one item), and whether the drained stream stays
+/// ended when asked again.
+fn prefetched(bytes: &[u8]) -> (Vec<Result<MiniBatch, FormatError>>, bool) {
+    match prefetch_fae_blocks(bytes.to_vec()) {
+        Err(e) => (vec![Err(e)], true),
+        Ok((workload, mut stream)) => {
+            assert_eq!(workload, "kaggle-golden");
+            let items: Vec<_> = stream.by_ref().collect();
+            (items, stream.next().is_none())
+        }
+    }
+}
+
+#[test]
+fn prefetched_fae_blocks_match_the_eager_decode_and_end_at_the_first_error() {
+    let parent_bytes = unhex(FAE_GOLDEN_HEX);
+    let want: Vec<_> =
+        FaeFile::decode(&parent_bytes).expect("decodes").batches.iter().map(batch_bits).collect();
+    let (items, ended) = prefetched(&parent_bytes);
+    let got: Vec<_> = items.iter().map(|r| batch_bits(r.as_ref().expect("clean"))).collect();
+    assert_eq!(got, want);
+    assert!(ended);
+
+    // Where the header ends, then where each batch ends.
+    let batches = golden_fae().batches;
+    let ends: Vec<usize> = (0..=batches.len())
+        .map(|k| FaeFile::new("kaggle-golden", batches[..k].to_vec()).encode().len())
+        .collect();
+    assert_eq!(ends[batches.len()], parent_bytes.len());
+    for cut in ends[0] + 1..parent_bytes.len() {
+        let whole = ends[1..].iter().filter(|&&end| end <= cut).count();
+        let (items, ended) = prefetched(&parent_bytes[..cut]);
+        assert_eq!(items.len(), whole + 1, "cut {cut}: {whole} whole batches, then one error");
+        for (item, want) in items.iter().zip(&want[..whole]) {
+            assert_eq!(batch_bits(item.as_ref().expect("a whole batch")), *want, "cut {cut}");
+        }
+        assert!(items[whole].is_err(), "cut {cut}");
+        assert!(ended, "cut {cut}: the stream ends at its error");
+    }
 }
