@@ -1,7 +1,8 @@
 //! Fig 11: input-processor latency — classifying every sparse input as
 //! hot or cold, across access thresholds. The op is embarrassingly
-//! parallel (rayon over inputs); lower thresholds mean larger hot sets
-//! but the per-input work is constant, so latency stays flat-ish.
+//! parallel (here one sequential pass over inputs); lower thresholds mean
+//! larger hot sets but the per-input work is constant, so latency stays
+//! flat-ish.
 
 use fae_bench::{print_table, save_json, timed};
 use fae_core::calibrator::log_accesses;

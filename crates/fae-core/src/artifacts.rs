@@ -121,10 +121,9 @@ pub fn save(artifacts: &StaticArtifacts, workload: &str, path: &Path) -> Result<
 /// Loads artifacts saved by [`save`], returning them plus the workload
 /// name recorded in the container.
 ///
-/// The batch stream decodes on a background thread (see
-/// [`Prefetcher`](crate::pipeline::Prefetcher)): while the decoder runs
-/// ahead, this thread parses the JSON sidecar and sorts arriving batches
-/// into the hot and cold streams.
+/// The container's header is checked first; then the JSON sidecar is
+/// parsed and each batch, decoded as it is read, is sorted into the hot
+/// or the cold stream.
 pub fn load(path: &Path) -> Result<(StaticArtifacts, String), ArtifactError> {
     let (workload, blocks) = prefetch_fae_blocks(fs::read(path)?)?;
     // The stream was just read successfully, so the set existed; a

@@ -18,7 +18,6 @@ use serde::{Deserialize, Serialize};
 
 use fae_data::Dataset;
 use fae_embed::AccessCounter;
-use fae_telemetry::Telemetry;
 
 /// Calibrator configuration (all defaults follow §III-A).
 #[derive(Clone, Debug)]
@@ -106,44 +105,22 @@ pub fn log_accesses(ds: &Dataset, samples: &[usize]) -> Vec<AccessCounter> {
 pub struct Calibrator {
     /// Configuration knobs.
     pub config: CalibratorConfig,
-    telemetry: Telemetry,
 }
 
 impl Calibrator {
     /// Creates a calibrator with the given config.
     pub fn new(config: CalibratorConfig) -> Self {
-        Self { config, telemetry: Telemetry::disabled() }
-    }
-
-    /// Attaches a telemetry handle: each calibration stage runs under a
-    /// span (`calibrate/sample`, `calibrate/log`, `calibrate/converge`)
-    /// and the outcome is exported as gauges.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
+        Self { config }
     }
 
     /// Runs the full static pipeline on a dataset: sample → log →
     /// converge on a threshold.
     pub fn calibrate(&self, ds: &Dataset) -> CalibrationResult {
-        let _span = self.telemetry.span("calibrate");
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let samples = {
-            let _s = self.telemetry.span("calibrate/sample");
-            sample_inputs(ds, self.config.sample_rate, &mut rng)
-        };
-        let counters = {
-            let _s = self.telemetry.span("calibrate/log");
-            log_accesses(ds, &samples)
-        };
-        let mut result = {
-            let _s = self.telemetry.span("calibrate/converge");
-            self.converge(ds, &counters, &mut rng)
-        };
+        let samples = sample_inputs(ds, self.config.sample_rate, &mut rng);
+        let counters = log_accesses(ds, &samples);
+        let mut result = self.converge(ds, &counters, &mut rng);
         result.sampled_inputs = samples.len();
-        self.telemetry.counter_add("calibrator.sampled_inputs", result.sampled_inputs as u64);
-        self.telemetry.gauge_set("calibrator.threshold", result.threshold);
-        self.telemetry.gauge_set("calibrator.est_hot_bytes", result.est_hot_bytes);
         result
     }
 

@@ -226,22 +226,6 @@ impl ParallelEngine {
         (loss, merged)
     }
 
-    /// Maximum absolute dense-parameter divergence across replicas
-    /// (tests; must stay exactly 0.0).
-    pub fn max_divergence(&self) -> f32 {
-        let mut p0 = Vec::new();
-        self.replicas[0].write_params(&mut p0);
-        let mut worst = 0.0f32;
-        for r in &self.replicas[1..] {
-            let mut p = Vec::new();
-            r.write_params(&mut p);
-            for (a, b) in p0.iter().zip(&p) {
-                worst = worst.max((a - b).abs());
-            }
-        }
-        worst
-    }
-
     /// Mutable access to replica `k` — a networked engine computing an
     /// unreachable node's shard locally runs the exact per-worker
     /// arithmetic ([`compute_shard`]) against this replica.
@@ -412,6 +396,24 @@ mod tests {
     use super::*;
     use fae_data::{generate, BatchKind, Dataset, GenOptions};
     use fae_models::MasterEmbeddings;
+
+    impl ParallelEngine {
+        /// Maximum absolute dense-parameter divergence across replicas
+        /// (must stay exactly 0.0).
+        fn max_divergence(&self) -> f32 {
+            let mut p0 = Vec::new();
+            self.replicas[0].write_params(&mut p0);
+            let mut worst = 0.0f32;
+            for r in &self.replicas[1..] {
+                let mut p = Vec::new();
+                r.write_params(&mut p);
+                for (a, b) in p0.iter().zip(&p) {
+                    worst = worst.max((a - b).abs());
+                }
+            }
+            worst
+        }
+    }
 
     fn setup(seed: u64) -> (WorkloadSpec, Dataset) {
         let spec = WorkloadSpec::tiny_test();

@@ -2,16 +2,15 @@
 //! cold and packs them into *pure* mini-batches.
 //!
 //! "A sparse-input is classified as hot only if all its embedding table
-//! accesses are to hot entries. ... As this is completely parallelizable
-//! ... we divide this task across multiple cores" — classification fans
-//! out with rayon. Batch purity is what rescues the probability collapse
-//! of Fig 4: a random mini-batch of B inputs is all-hot with probability
-//! `p^B`, so FAE *constructs* pure batches instead of hoping for them.
+//! accesses are to hot entries." The paper splits that pass across cores;
+//! here it is one sequential pass over the inputs. Batch purity is what
+//! rescues the probability collapse of Fig 4: a random mini-batch of B
+//! inputs is all-hot with probability `p^B`, so FAE *constructs* pure
+//! batches instead of hoping for them.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use fae_data::format::FaeFile;
 use fae_data::{BatchKind, Dataset, MiniBatch};
@@ -65,11 +64,10 @@ impl Preprocessed {
 }
 
 /// Classifies every input: `true` iff *all* its lookups in *all* tables
-/// hit hot rows. Parallel over inputs.
+/// hit hot rows.
 pub fn classify_inputs(ds: &Dataset, partitions: &[HotColdPartition]) -> Vec<bool> {
     assert_eq!(partitions.len(), ds.sparse.len(), "one partition per table");
     (0..ds.len())
-        .into_par_iter()
         .map(|i| {
             ds.sparse
                 .iter()

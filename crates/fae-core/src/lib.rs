@@ -9,8 +9,8 @@
 //!   optimizer** that walks a threshold ladder until the hot bag fits the
 //!   GPU memory budget `L`,
 //! * [`classifier`] — one-pass tagging of hot embedding rows per table,
-//! * [`input_processor`] — parallel hot/cold classification of sparse
-//!   inputs and packing into *pure* hot / *pure* cold mini-batches,
+//! * [`input_processor`] — hot/cold classification of sparse inputs and
+//!   packing into *pure* hot / *pure* cold mini-batches,
 //!   persisted in the FAE format,
 //! * [`replicator`] — the hot-embedding source replicated per GPU, with
 //!   the one residency-masked CPU↔GPU sync per direction that schedule
@@ -31,8 +31,8 @@
 //! * [`artifacts`] — calibration + partitions persisted next to the FAE
 //!   batch container,
 //! * [`pipeline`] — one-call convenience wrappers used by the examples
-//!   and the experiment harness, plus the double-buffered mini-batch
-//!   prefetcher that decodes FAE-format blocks on a background thread,
+//!   and the experiment harness, plus the stream that reads a saved FAE
+//!   container back one mini-batch at a time,
 //! * [`faults`] — deterministic, seed-driven fault injection (device
 //!   loss, replication OOM, sync failure, artifact corruption, transient
 //!   I/O) with bounded-backoff retry plumbing,
@@ -66,7 +66,7 @@ pub use faults::{
 };
 pub use input_processor::{preprocess_inputs, PreprocessConfig, Preprocessed};
 pub use oracle::{plan_decisions, AccessSet, LookaheadOracle, OracleStats, StepDecision};
-pub use pipeline::{prefetch_fae_blocks, Prefetcher};
+pub use pipeline::prefetch_fae_blocks;
 pub use replicator::HotEmbeddings;
 pub use scheduler::{Rate, SchedulerState, ShuffleScheduler};
 pub use trainer::{

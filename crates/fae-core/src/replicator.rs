@@ -115,11 +115,6 @@ impl HotEmbeddings {
         self.refresh_rows(master, None);
     }
 
-    /// Rows currently resident on the devices, across all tables.
-    pub fn resident_rows(&self) -> usize {
-        self.resident.iter().map(|m| m.iter().filter(|&&r| r).count()).sum()
-    }
-
     /// Cold→hot transition: `plan` names the rows to make resident
     /// (per-table global ids — the oracle's union of the next window's
     /// access sets; an id listed twice is copied, and counted, once),
@@ -276,6 +271,13 @@ mod tests {
     use fae_embed::AccessCounter;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl HotEmbeddings {
+        /// Rows currently resident on the devices, across all tables.
+        fn resident_rows(&self) -> usize {
+            self.resident.iter().map(|m| m.iter().filter(|&&r| r).count()).sum()
+        }
+    }
 
     fn setup() -> (MasterEmbeddings, HotEmbeddings) {
         let spec = WorkloadSpec::tiny_test();

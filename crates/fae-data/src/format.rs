@@ -174,19 +174,23 @@ impl FaeFile {
 
 /// Incremental decoder over an FAE container: yields one [`MiniBatch`] at
 /// a time, so a training loop can stream a large preprocessed file
-/// without materialising every batch up front.
-pub struct FaeStreamReader<'a> {
-    reader: Reader<'a>,
+/// without materialising every batch up front. It reads borrowed bytes
+/// (`&[u8]`) or owns them (`Vec<u8>`). The stream ends at its first
+/// error: a torn or corrupt batch leaves no offset to trust for the next.
+pub struct FaeStreamReader<B> {
+    buf: B,
+    /// Offset of the next batch in `buf`.
+    pos: usize,
     workload: String,
     dense_width: u32,
     num_tables: u32,
     remaining: u32,
 }
 
-impl<'a> FaeStreamReader<'a> {
+impl<B: AsRef<[u8]>> FaeStreamReader<B> {
     /// Validates the header and positions the reader at the first batch.
-    pub fn open(buf: &'a [u8]) -> Result<Self, FormatError> {
-        let mut reader = Reader::new(buf);
+    pub fn open(buf: B) -> Result<Self, FormatError> {
+        let mut reader = Reader::new(buf.as_ref());
         if reader.take(4)? != MAGIC {
             return Err(FormatError::BadMagic);
         }
@@ -201,7 +205,8 @@ impl<'a> FaeStreamReader<'a> {
         // an nnz and one offset: so a table count is bounded by the bytes
         // too whenever a batch is declared.
         let remaining = reader.count(5 + 8 * num_tables as usize)? as u32;
-        Ok(Self { reader, workload, dense_width, num_tables, remaining })
+        let pos = buf.as_ref().len() - reader.remaining();
+        Ok(Self { buf, pos, workload, dense_width, num_tables, remaining })
     }
 
     /// Workload name recorded in the header.
@@ -228,20 +233,36 @@ impl<'a> FaeStreamReader<'a> {
     /// only meaningful once every batch has been read).
     pub fn trailing_bytes(&self) -> usize {
         if self.remaining == 0 {
-            self.reader.remaining()
+            self.buf.as_ref().len() - self.pos
         } else {
             0
         }
     }
 
-    /// Decodes the next batch, or `Ok(None)` when the stream is done.
+    /// Decodes the next batch, or `Ok(None)` when the stream is done. After
+    /// an `Err` the stream is done.
     #[allow(clippy::should_implement_trait)] // fallible next; Iterator wraps it
     pub fn next_batch(&mut self) -> Result<Option<MiniBatch>, FormatError> {
         if self.remaining == 0 {
             return Ok(None);
         }
-        self.remaining -= 1;
-        let r = &mut self.reader;
+        let rest = &self.buf.as_ref()[self.pos..];
+        let mut r = Reader::new(rest);
+        match self.read_batch(&mut r) {
+            Ok(batch) => {
+                self.pos += rest.len() - r.remaining();
+                self.remaining -= 1;
+                Ok(Some(batch))
+            }
+            Err(e) => {
+                self.pos = self.buf.as_ref().len();
+                self.remaining = 0;
+                Err(e)
+            }
+        }
+    }
+
+    fn read_batch(&self, r: &mut Reader<'_>) -> Result<MiniBatch, FormatError> {
         let kind = match r.u8()? {
             0 => BatchKind::Hot,
             1 => BatchKind::Cold,
@@ -261,11 +282,11 @@ impl<'a> FaeStreamReader<'a> {
             csr.validate(len).map_err(FormatError::Corrupt)?;
             sparse.push(csr);
         }
-        Ok(Some(MiniBatch { kind, dense, dense_width, sparse, labels }))
+        Ok(MiniBatch { kind, dense, dense_width, sparse, labels })
     }
 }
 
-impl Iterator for FaeStreamReader<'_> {
+impl<B: AsRef<[u8]>> Iterator for FaeStreamReader<B> {
     type Item = Result<MiniBatch, FormatError>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -464,16 +485,23 @@ mod stream_tests {
     }
 
     #[test]
-    fn truncated_stream_errors_midway_not_upfront() {
-        let f = FaeFile::new(
-            "trunc",
-            vec![sample_batch(BatchKind::Hot, 2), sample_batch(BatchKind::Cold, 2)],
-        );
+    fn the_stream_ends_at_its_first_error() {
+        let f = FaeFile::new("end", vec![sample_batch(BatchKind::Hot, 2); 3]);
         let bytes = f.encode();
-        // Cut inside the second batch.
-        let cut = bytes.len() - 8;
-        let mut reader = FaeStreamReader::open(&bytes[..cut]).expect("header ok");
-        assert!(reader.next_batch().expect("first batch intact").is_some());
-        assert!(reader.next_batch().is_err(), "second batch should fail");
+        let second = FaeFile::new("end", f.batches[..1].to_vec()).encode().len();
+        let mut bad_kind = bytes.clone();
+        bad_kind[second] = 7;
+        let torn = &bytes[..second + 10];
+        for (buf, unknown_kind) in [(&bad_kind[..], true), (torn, false)] {
+            let mut reader = FaeStreamReader::open(buf).expect("the header is whole");
+            assert!(reader.next_batch().expect("the first batch is whole").is_some());
+            match reader.next_batch() {
+                Err(FormatError::Corrupt("unknown batch kind")) => assert!(unknown_kind),
+                Err(FormatError::Truncated(_)) => assert!(!unknown_kind),
+                other => panic!("expected the second batch's error, got {other:?}"),
+            }
+            assert!(reader.next_batch().expect("no second error").is_none());
+            assert_eq!(reader.trailing_bytes(), 0);
+        }
     }
 }

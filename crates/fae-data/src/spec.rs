@@ -239,13 +239,6 @@ impl WorkloadSpec {
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(s)
     }
-
-    /// All three scaled benchmark workloads, in paper order (RMC2, RMC1,
-    /// RMC3 appear in various orders; we use Kaggle, Taobao, Terabyte as in
-    /// the result figures).
-    pub fn all_scaled() -> Vec<Self> {
-        vec![Self::rmc2_kaggle(), Self::rmc1_taobao(), Self::rmc3_terabyte()]
-    }
 }
 
 /// Builds a Criteo-like heavy-tailed table size distribution: a few huge

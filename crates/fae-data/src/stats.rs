@@ -1,9 +1,9 @@
 //! Dataset access-skew statistics.
 //!
 //! The quantities behind Fig 2 and the paper's motivating claims: how
-//! concentrated are accesses per table (top-k shares, Gini coefficient),
-//! and what does the access CDF look like. Works on raw per-row access
-//! counts, so both full scans and sampled logs can be summarised.
+//! concentrated are accesses per table (top-k shares, Gini coefficient).
+//! Works on raw per-row access counts, so both full scans and sampled logs
+//! can be summarised.
 
 use serde::{Deserialize, Serialize};
 
@@ -64,32 +64,6 @@ fn gini(sorted_desc: &[u64]) -> f64 {
     (2.0 * weighted) / (n as f64 * total as f64) - (n as f64 + 1.0) / n as f64
 }
 
-/// The empirical access CDF over popularity ranks: `cdf[k]` = share of
-/// accesses captured by the `k+1` most-accessed rows, at the requested
-/// sample points. Useful for plotting Fig 2/Fig 7-style curves.
-pub fn access_cdf(counts: &[u64], sample_points: &[usize]) -> Vec<(usize, f64)> {
-    let mut sorted: Vec<u64> = counts.to_vec();
-    sorted.sort_unstable_by(|a, b| b.cmp(a));
-    let total: u64 = sorted.iter().sum();
-    if total == 0 {
-        return sample_points.iter().map(|&k| (k, 0.0)).collect();
-    }
-    let mut prefix = 0u64;
-    let mut out = Vec::with_capacity(sample_points.len());
-    let mut next = sample_points.iter().copied().peekable();
-    for (i, &c) in sorted.iter().enumerate() {
-        prefix += c;
-        while next.peek() == Some(&(i + 1)) {
-            out.push((i + 1, prefix as f64 / total as f64));
-            next.next();
-        }
-    }
-    for k in next {
-        out.push((k, 1.0));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,27 +103,5 @@ mod tests {
         let z = table_skew(&[0, 0, 0]);
         assert_eq!(z.total_accesses, 0);
         assert_eq!(z.top10pct_share, 0.0);
-    }
-
-    #[test]
-    fn cdf_is_monotone_and_ends_at_one() {
-        let counts: Vec<u64> = (0..1000).map(|i| (1000 - i) as u64).collect();
-        let pts = [1usize, 10, 100, 500, 1000];
-        let cdf = access_cdf(&counts, &pts);
-        assert_eq!(cdf.len(), pts.len());
-        let mut prev = 0.0;
-        for &(_, v) in &cdf {
-            assert!(v >= prev);
-            prev = v;
-        }
-        assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cdf_sample_beyond_rows_clamps_to_one() {
-        let cdf = access_cdf(&[3, 1], &[1, 2, 50]);
-        assert!((cdf[0].1 - 0.75).abs() < 1e-12);
-        assert!((cdf[1].1 - 1.0).abs() < 1e-12);
-        assert_eq!(cdf[2], (50, 1.0));
     }
 }

@@ -5,7 +5,7 @@
 //! crate provides:
 //!
 //! * [`EmbeddingTable`] — a dense `rows × dim` table with CSR-style bag
-//!   lookups (sum pooling), sparse gradient accumulation and sparse SGD,
+//!   lookups (sum pooling) and sparse SGD,
 //! * [`AccessCounter`] — per-row access statistics (the paper's *embedding
 //!   logger* writes into one of these),
 //! * [`HotColdPartition`] — the hot/cold row split induced by an access
@@ -14,7 +14,8 @@
 //!   per-row affine scale while its hot rows stay exact f32,
 //! * [`DeferredSparse`] — the stale-skip pool of deferred cold-row
 //!   gradients,
-//! * [`sparse::SparseGrad`] — coalesced sparse gradients.
+//! * [`sparse::SparseGrad`] — coalesced sparse gradients, including a bag
+//!   lookup's backward pass ([`SparseGrad::scatter_bags`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +30,6 @@ pub mod table;
 pub use deferred::{DeferredSparse, SkipStats};
 pub use partition::{HotColdPartition, RowClass};
 pub use quant::{dequantize, quantize_row, TieredTable};
-pub use sparse::{RowwiseAdagrad, SparseGrad};
+pub use sparse::SparseGrad;
 pub use stats::AccessCounter;
 pub use table::EmbeddingTable;

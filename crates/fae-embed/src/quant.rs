@@ -259,33 +259,6 @@ impl TieredTable {
             }
         }
     }
-
-    /// Materializes a dequantized `f32` snapshot (checkpointing, eval
-    /// parity tests). This is the one place the full `f32` footprint is
-    /// paid, and only transiently.
-    pub fn to_table(&self) -> EmbeddingTable {
-        let mut weights = Tensor::zeros(self.rows, self.dim);
-        for r in 0..self.rows as u32 {
-            self.copy_row_into(r, weights.row_mut(r as usize));
-        }
-        EmbeddingTable::from_weights(weights)
-    }
-
-    /// Maximum absolute dequantization error against an `f32` reference
-    /// table of identical shape.
-    pub fn max_abs_error(&self, reference: &EmbeddingTable) -> f32 {
-        assert_eq!(reference.rows(), self.rows, "shape mismatch");
-        assert_eq!(reference.dim(), self.dim, "shape mismatch");
-        let mut worst = 0.0f32;
-        let mut buf = vec![0.0f32; self.dim];
-        for r in 0..self.rows as u32 {
-            self.copy_row_into(r, &mut buf);
-            for (a, &b) in buf.iter().zip(reference.row(r)) {
-                worst = worst.max((a - b).abs());
-            }
-        }
-        worst
-    }
 }
 
 #[cfg(test)]
@@ -293,6 +266,33 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl TieredTable {
+        /// Materializes a dequantized `f32` snapshot.
+        fn to_table(&self) -> EmbeddingTable {
+            let mut weights = Tensor::zeros(self.rows, self.dim);
+            for r in 0..self.rows as u32 {
+                self.copy_row_into(r, weights.row_mut(r as usize));
+            }
+            EmbeddingTable::from_weights(weights)
+        }
+
+        /// Maximum absolute dequantization error against an `f32` reference
+        /// table of identical shape.
+        fn max_abs_error(&self, reference: &EmbeddingTable) -> f32 {
+            assert_eq!(reference.rows(), self.rows, "shape mismatch");
+            assert_eq!(reference.dim(), self.dim, "shape mismatch");
+            let mut worst = 0.0f32;
+            let mut buf = vec![0.0f32; self.dim];
+            for r in 0..self.rows as u32 {
+                self.copy_row_into(r, &mut buf);
+                for (a, &b) in buf.iter().zip(reference.row(r)) {
+                    worst = worst.max((a - b).abs());
+                }
+            }
+            worst
+        }
+    }
 
     fn partition_with_hot(rows: usize, hot: &[u32]) -> HotColdPartition {
         let mut counter = crate::stats::AccessCounter::new(rows);

@@ -336,96 +336,3 @@ mod tests {
         sg.accumulate(0, &[1.0]);
     }
 }
-
-/// Row-wise sparse Adagrad — the embedding optimizer the open-source DLRM
-/// ships with: one accumulator *per row* (not per element), `s_r += mean(g_r²)`,
-/// `row -= lr · g_r / (sqrt(s_r) + ε)`. Only touched rows pay any cost,
-/// which is what makes it GPU-friendly in FAE's hot path.
-#[derive(Clone, Debug)]
-pub struct RowwiseAdagrad {
-    /// Learning rate.
-    pub lr: f32,
-    /// Numerical-stability floor.
-    pub eps: f32,
-    accum: Vec<f32>,
-}
-
-impl RowwiseAdagrad {
-    /// Creates state for a table with `rows` rows.
-    pub fn new(lr: f32, rows: usize) -> Self {
-        assert!(lr > 0.0 && lr.is_finite(), "learning rate must be positive");
-        Self { lr, eps: 1e-8, accum: vec![0.0; rows] }
-    }
-
-    /// Applies one sparse step to `table` for the rows in `grad`.
-    pub fn step(&mut self, table: &mut crate::table::EmbeddingTable, grad: &SparseGrad) {
-        assert_eq!(grad.dim(), table.dim(), "gradient width mismatch");
-        for (idx, g) in grad.iter() {
-            // 8-lane sum_squares reorders the f32 sum (DESIGN.md §14).
-            let mean_sq: f32 = lanes::sum_squares(g) / g.len() as f32;
-            let s = &mut self.accum[idx as usize];
-            *s += mean_sq;
-            let scale = self.lr / (s.sqrt() + self.eps);
-            let row = table.weights_mut().row_mut(idx as usize);
-            lanes::axpy(row, -scale, g);
-        }
-    }
-
-    /// Accumulator value for one row (tests / inspection).
-    pub fn accumulator(&self, row: u32) -> f32 {
-        self.accum[row as usize]
-    }
-}
-
-#[cfg(test)]
-mod adagrad_tests {
-    use super::*;
-    use crate::table::EmbeddingTable;
-    use fae_nn::Tensor;
-
-    fn table_of_ones(rows: usize, dim: usize) -> EmbeddingTable {
-        EmbeddingTable::from_weights(Tensor::full(rows, dim, 1.0))
-    }
-
-    #[test]
-    fn only_touched_rows_change() {
-        let mut t = table_of_ones(4, 2);
-        let mut opt = RowwiseAdagrad::new(0.1, 4);
-        let mut g = SparseGrad::new(2);
-        g.accumulate(2, &[1.0, 1.0]);
-        opt.step(&mut t, &g);
-        assert_eq!(t.row(0), &[1.0, 1.0]);
-        assert_ne!(t.row(2), &[1.0, 1.0]);
-        assert_eq!(opt.accumulator(0), 0.0);
-        assert!(opt.accumulator(2) > 0.0);
-    }
-
-    #[test]
-    fn first_step_magnitude_is_lr_independent_of_grad_scale() {
-        // Row-wise normalisation: first step ≈ lr in the gradient's
-        // direction regardless of magnitude.
-        for scale in [0.01f32, 1.0, 100.0] {
-            let mut t = table_of_ones(1, 2);
-            let mut opt = RowwiseAdagrad::new(0.1, 1);
-            let mut g = SparseGrad::new(2);
-            g.accumulate(0, &[scale, scale]);
-            opt.step(&mut t, &g);
-            let moved = 1.0 - t.row(0)[0];
-            assert!((moved - 0.1).abs() < 1e-3, "scale {scale}: moved {moved}");
-        }
-    }
-
-    #[test]
-    fn repeated_updates_decay() {
-        let mut t = table_of_ones(1, 2);
-        let mut opt = RowwiseAdagrad::new(0.1, 1);
-        let mut g = SparseGrad::new(2);
-        g.accumulate(0, &[1.0, 1.0]);
-        opt.step(&mut t, &g);
-        let first = 1.0 - t.row(0)[0];
-        let before = t.row(0)[0];
-        opt.step(&mut t, &g);
-        let second = before - t.row(0)[0];
-        assert!(second < first);
-    }
-}

@@ -79,7 +79,8 @@ impl EmbeddingTable {
     }
 
     /// Sum-pooled bag lookup. `offsets` has `batch + 1` entries delimiting
-    /// each sample's slice of `indices`.
+    /// each sample's slice of `indices`. Its backward pass is
+    /// [`SparseGrad::scatter_bags`].
     pub fn lookup_bag(&self, indices: &[u32], offsets: &[usize]) -> Tensor {
         self.lookup_bag_by(indices, offsets, |idx| idx)
     }
@@ -115,18 +116,6 @@ impl EmbeddingTable {
             lanes::add_assign(out.row_mut(i), self.weights.row(map(idx) as usize));
         }
         out
-    }
-
-    /// Backward pass of [`Self::lookup_bag`]: scatters `grad_out`
-    /// (`batch × dim`) onto the rows each sample touched, coalescing
-    /// duplicates into a [`SparseGrad`].
-    pub fn bag_backward(
-        &self,
-        indices: &[u32],
-        offsets: &[usize],
-        grad_out: &Tensor,
-    ) -> SparseGrad {
-        SparseGrad::scatter_bags(self.dim, indices, offsets, grad_out)
     }
 
     /// Sparse SGD update: `row -= lr * grad` for each touched row. The
@@ -180,9 +169,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "offsets must contain batch+1 entries")]
-    fn bag_backward_rejects_empty_offsets_as_the_lookup_does() {
-        let t = table_with(4, 2, |_, _| 0.0);
-        let _ = t.bag_backward(&[], &[], &Tensor::zeros(0, 2));
+    fn scatter_bags_rejects_empty_offsets_as_the_lookup_does() {
+        let _ = SparseGrad::scatter_bags(2, &[], &[], &Tensor::zeros(0, 2));
     }
 
     #[test]
@@ -197,11 +185,10 @@ mod tests {
     }
 
     #[test]
-    fn bag_backward_coalesces_duplicates() {
-        let t = table_with(4, 2, |_, _| 0.0);
+    fn scatter_bags_coalesces_duplicates() {
         let grad = Tensor::from_vec(2, 2, vec![1.0, 2.0, 10.0, 20.0]);
         // Both samples touch row 1; sample 1 also touches row 3.
-        let sg = t.bag_backward(&[1, 1, 3], &[0, 1, 3], &grad);
+        let sg = SparseGrad::scatter_bags(2, &[1, 1, 3], &[0, 1, 3], &grad);
         assert_eq!(sg.nnz_rows(), 2);
         let rows: Vec<_> = sg.iter().collect();
         assert_eq!(rows[0].0, 1);
@@ -235,7 +222,7 @@ mod tests {
                 4,
                 out.row(0).iter().zip(&target).map(|(&o, &t)| 2.0 * (o - t)).collect(),
             );
-            let sg = t.bag_backward(&[5], &[0, 1], &grad);
+            let sg = SparseGrad::scatter_bags(t.dim(), &[5], &[0, 1], &grad);
             t.sgd_step_sparse(&sg, 0.1);
         }
         for (v, tgt) in t.row(5).iter().zip(&target) {

@@ -8,10 +8,10 @@
 //! * **Elementwise** kernels ([`add_assign`], [`axpy`], [`scale_assign`])
 //!   touch each element independently; unrolling changes no addition order,
 //!   so results are bit-identical to the scalar loop they replace.
-//! * **Reduction** kernels ([`dot`], [`sum_squares`]) keep 8 partial
-//!   accumulators and fold them pairwise at the end. This *reorders* f32
-//!   addition relative to a left-to-right scalar sum — the documented
-//!   carve-out of DESIGN.md §14. Every digest/golden test in the workspace
+//! * The **reduction** kernel [`dot`] keeps 8 partial accumulators and
+//!   folds them pairwise at the end. This *reorders* f32 addition
+//!   relative to a left-to-right scalar sum — the documented carve-out of
+//!   DESIGN.md §14. Every digest/golden test in the workspace
 //!   compares two runs of the *same* binary, so the contract that matters
 //!   (run-to-run and serial-vs-parallel bit-identity) is preserved because
 //!   every path shares these kernels.
@@ -109,30 +109,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
 }
 
-/// Sum of squares with 8 partial accumulators folded pairwise at the end.
-///
-/// Reorders f32 addition (DESIGN.md §14 carve-out), like [`dot`].
-pub fn sum_squares(x: &[f32]) -> f32 {
-    let mut acc = [0.0f32; 8];
-    // fae-lint: allow(float-fuse, reason = "8 partial sums reorder f32 addition; DESIGN.md §14")
-    let mut xc = x.chunks_exact(8);
-    for c in &mut xc {
-        acc[0] += c[0] * c[0];
-        acc[1] += c[1] * c[1];
-        acc[2] += c[2] * c[2];
-        acc[3] += c[3] * c[3];
-        acc[4] += c[4] * c[4];
-        acc[5] += c[5] * c[5];
-        acc[6] += c[6] * c[6];
-        acc[7] += c[7] * c[7];
-    }
-    let mut tail = 0.0f32;
-    for &v in xc.remainder() {
-        tail += v * v;
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,16 +171,6 @@ mod tests {
             assert!((f64::from(fast) - scalar).abs() < 1e-2 * (1.0 + scalar.abs()), "n={n}");
             // Deterministic: the same inputs always give the same bits.
             assert_eq!(fast.to_bits(), dot(&a, &b).to_bits());
-        }
-    }
-
-    #[test]
-    fn sum_squares_close_to_scalar() {
-        for n in [0, 1, 7, 8, 9, 16, 23, 64] {
-            let x = seq(n, 8);
-            let scalar: f64 = x.iter().map(|&v| f64::from(v) * f64::from(v)).sum();
-            let fast = f64::from(sum_squares(&x));
-            assert!((fast - scalar).abs() < 1e-2 * (1.0 + scalar), "n={n}");
         }
     }
 

@@ -7,16 +7,14 @@
 //! * [`Tensor`] — a row-major 2-D `f32` matrix with the linear-algebra ops
 //!   used by MLP training (matmul, transpose, broadcast bias, Hadamard),
 //! * [`lanes`] — manually 8-wide unrolled `f32` kernels (`axpy`, `dot`,
-//!   `sum_squares`, …) shared by the matmul inner loops, the interaction
-//!   head, and the sparse-embedding update path (DESIGN.md §14),
+//!   …) shared by the matmul inner loops, the interaction head, and the
+//!   sparse-embedding update path (DESIGN.md §14),
 //! * [`layers`] — differentiable layers ([`layers::Linear`],
 //!   [`layers::Relu`], [`layers::Sigmoid`]) with explicit forward/backward,
 //! * [`Mlp`] — a sequential container mirroring the paper's
 //!   `bottom MLP` / `top MLP` blocks,
 //! * [`loss`] — binary cross-entropy (the click-through-rate objective of
 //!   DLRM/TBSM) and MSE,
-//! * [`optim::Sgd`] — the stochastic-gradient-descent optimizer whose
-//!   CPU-vs-GPU placement is one of the paper's headline costs (Fig 14),
 //! * [`gradcheck`] — finite-difference gradient checking used throughout
 //!   the test suites.
 //!
@@ -31,11 +29,9 @@ pub mod lanes;
 pub mod layers;
 pub mod loss;
 pub mod mlp;
-pub mod optim;
 pub mod tensor;
 
 pub use layers::{Layer, Linear, Relu, Sigmoid};
 pub use loss::{bce_loss, bce_loss_backward, mse_loss, mse_loss_backward};
 pub use mlp::{Activation, Mlp};
-pub use optim::{Adagrad, Momentum, Sgd};
 pub use tensor::Tensor;

@@ -62,11 +62,6 @@ impl Mlp {
         &self.sizes
     }
 
-    /// Input width.
-    pub fn in_width(&self) -> usize {
-        self.sizes[0]
-    }
-
     /// Output width.
     pub fn out_width(&self) -> usize {
         // fae-lint: allow(no-panic, reason = "Mlp::new asserts sizes.len() >= 2, so sizes is never empty")
@@ -148,7 +143,7 @@ mod tests {
     fn shapes_and_param_counts() {
         let mut rng = StdRng::seed_from_u64(1);
         let mlp = Mlp::new(&[13, 512, 256, 64, 16], Activation::Relu, &mut rng);
-        assert_eq!(mlp.in_width(), 13);
+        assert_eq!(mlp.sizes()[0], 13);
         assert_eq!(mlp.out_width(), 16);
         let expected = 13 * 512 + 512 + 512 * 256 + 256 + 256 * 64 + 64 + 64 * 16 + 16;
         assert_eq!(mlp.param_count(), expected);

@@ -111,11 +111,6 @@ impl FreqCache {
         Self::new(p.hot_ids().iter().copied(), capacity, window)
     }
 
-    /// Number of calibrator-pinned rows.
-    pub fn pinned_len(&self) -> usize {
-        self.pinned.len()
-    }
-
     /// True when `row` is GPU-resident (pinned or dynamic).
     pub fn is_resident(&self, row: u32) -> bool {
         self.pinned.contains(&row) || self.resident.contains(&row)

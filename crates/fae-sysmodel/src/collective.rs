@@ -13,15 +13,6 @@ pub fn ring_allreduce_time(link: &LinkSpec, n: usize, bytes: f64) -> f64 {
     2.0 * (n_f - 1.0) / n_f * bytes / link.bandwidth + (n_f - 1.0) * link.latency
 }
 
-/// One-to-all broadcast of `bytes` over `link` (pipelined ring): ≈ one
-/// full traversal plus per-hop latencies.
-pub fn broadcast_time(link: &LinkSpec, n: usize, bytes: f64) -> f64 {
-    if n <= 1 || bytes <= 0.0 {
-        return 0.0;
-    }
-    bytes / link.bandwidth + (n as f64 - 1.0) * link.latency
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -30,7 +21,6 @@ mod tests {
     fn single_device_is_free() {
         let l = LinkSpec::nvlink2();
         assert_eq!(ring_allreduce_time(&l, 1, 1e9), 0.0);
-        assert_eq!(broadcast_time(&l, 1, 1e9), 0.0);
     }
 
     #[test]

@@ -54,16 +54,6 @@ impl ClusterConfig {
     }
 }
 
-/// Hierarchical all-reduce: intra-node ring (NVLink) reduce-scatter +
-/// inter-node ring over one network link per node + intra-node broadcast.
-/// Modelled as the intra-node ring plus a full inter-node ring of the
-/// same payload.
-pub fn hierarchical_allreduce_time(cluster: &ClusterConfig, bytes: f64) -> f64 {
-    let intra = ring_allreduce_time(&cluster.node.nvlink, cluster.node.num_gpus, bytes);
-    let inter = ring_allreduce_time(&cluster.network, cluster.nodes, bytes);
-    intra + inter
-}
-
 /// Cost of one training step over a cluster-global mini-batch of `batch`
 /// samples. Per-node work uses the single-node model on the node's shard;
 /// collective terms are replaced by the hierarchical version.
@@ -129,20 +119,6 @@ mod tests {
             host_prep_per_sample: 0.0,
             cpu_embed_per_sample: 0.0,
         }
-    }
-
-    #[test]
-    fn hierarchical_allreduce_adds_network_term() {
-        let c = ClusterConfig::paper_cluster(4, 4, ClusterConfig::network_100g());
-        let single = ClusterConfig::paper_cluster(1, 4, ClusterConfig::network_100g());
-        let bytes = 64e6;
-        assert!(
-            hierarchical_allreduce_time(&c, bytes) > hierarchical_allreduce_time(&single, bytes)
-        );
-        // Network ring dominates NVLink ring for equal payloads.
-        let intra = ring_allreduce_time(&c.node.nvlink, 4, bytes);
-        let total = hierarchical_allreduce_time(&c, bytes);
-        assert!(total > 5.0 * intra, "network term too cheap: {total} vs intra {intra}");
     }
 
     #[test]

@@ -87,12 +87,6 @@ impl ModelProfile {
         (self.lookups_per_sample * self.emb_dim * 4) as f64
     }
 
-    /// Bytes of pooled embedding activations per sample (what the baseline
-    /// ships CPU→GPU: one `emb_dim` vector per table).
-    pub fn emb_activation_bytes_per_sample(&self) -> f64 {
-        (self.num_tables * self.emb_dim * 4) as f64
-    }
-
     /// Bytes of dense input features per sample.
     pub fn dense_input_bytes_per_sample(&self) -> f64 {
         (self.dense_features * 4) as f64
@@ -157,7 +151,6 @@ mod tests {
     fn byte_accounting() {
         let p = kaggle_like();
         assert_eq!(p.emb_gather_bytes_per_sample(), 26.0 * 16.0 * 4.0);
-        assert_eq!(p.emb_activation_bytes_per_sample(), 26.0 * 16.0 * 4.0);
         assert_eq!(p.dense_input_bytes_per_sample(), 52.0);
         assert_eq!(p.emb_rows_updated_per_sample(), 26.0);
     }

@@ -23,6 +23,10 @@ use fae::net::{Frame, HotEntry, Message};
 use fae::sysmodel::{Phase, Timeline};
 use fae::telemetry::StepMode;
 
+#[path = "common/fnv.rs"]
+mod fnv;
+use fnv::fnv1a;
+
 /// The bit-at-a-time loop `crc32` was before it became
 /// table-driven (IEEE 802.3, reflected, polynomial 0xEDB88320) — kept
 /// here as the reference every faster implementation is held to.
@@ -36,16 +40,6 @@ fn crc32_bitwise(data: &[u8]) -> u32 {
         }
     }
     !crc
-}
-
-/// FNV-1a 64: a hash that shares no code with the CRC under test.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_0000_01b3);
-    }
-    h
 }
 
 #[test]

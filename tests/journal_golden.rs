@@ -11,15 +11,9 @@ use fae::telemetry::{
     PhaseSeconds, StepMode, TaggedEvent,
 };
 
-/// FNV-1a 64 (as in `tests/codec_golden.rs`).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_0000_01b3);
-    }
-    h
-}
+#[path = "common/fnv.rs"]
+mod fnv;
+use fnv::fnv1a;
 
 /// One coordinator (node 0) and two workers (nodes 1 and 2): a two-GPU,
 /// two-worker run that loses wire node 1, with a serve run's records
