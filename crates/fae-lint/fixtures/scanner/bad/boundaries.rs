@@ -4,61 +4,61 @@
 //! (file, line, rule) triples are pinned by `scanner_fixture_pins` in
 //! `tests/fixture.rs`; the silent twins live in `../clean/`.
 
-pub fn after_raw_strings(v: &[u32]) -> u32 {
-    let _a = r#"x.unwrap() "quoted" panic!("no")"#; let a = v.first().unwrap();
-    let _b = r##"y.expect("m") "# still raw"##; let b = v.last().expect("live");
+pub fn after_raw_strings(m: &Map) -> u32 {
+    let _a = r#"m["k"] "quoted" panic!("no")"#; let a = m["k"];
+    let _b = r##"m["j"] "# still raw"##; let b = m["j"];
     a + b
 }
 
-pub fn after_byte_string_and_nested_comment(v: &[u32]) -> u32 {
-    let _c = b"z.unwrap()"; let c = v.first().unwrap();
-    /* outer /* inner x.unwrap() */ still comment todo!() */ panic!("live {c}");
+pub fn after_byte_string_and_nested_comment(m: &Map) -> u32 {
+    let _c = b"m[\"k\"]"; let c = m["k"];
+    /* outer /* inner m["k"] */ still comment m["j"] */ c + m["live"]
 }
 
-pub fn after_a_quote_char(v: &[u32]) -> u32 {
-    let _q = '"'; let r = v.first().unwrap(); let _s = "tail";
-    *r
+pub fn after_a_quote_char(m: &Map) -> u32 {
+    let _q = '"'; let r = m["k"]; let _s = "tail";
+    r
 }
 
-pub fn life<'a>(x: &'a [u8], _s: &'static str) -> u8 {
-    let _c = 'a'; let _d = b'\''; *x.first().unwrap()
+pub fn life<'a>(x: &'a [u8], _s: &'static str, m: &Map) -> u8 {
+    let _c = 'a'; let _d = b'\''; x[0] + m["k"]
 }
 
-pub fn pragma_inside_a_string(v: &[u32]) -> u32 {
+pub fn pragma_inside_a_string(m: &Map) -> u32 {
     let _p = "// fae-lint: allow(no-panic, reason = \"inside a string\")";
-    *v.first().unwrap()
+    m["k"]
 }
 
-pub fn pragma_inside_a_block_comment(v: &[u32]) -> u32 {
+pub fn pragma_inside_a_block_comment(m: &Map) -> u32 {
     /* // fae-lint: allow(no-panic, reason = "inside a block comment") */
-    *v.first().unwrap()
+    m["k"]
 }
 
 /// fae-lint: allow(no-panic, reason = "doc comments describe the syntax, they never suppress")
-pub fn pragma_inside_a_doc_comment(v: &[u32]) -> u32 { *v.first().unwrap() }
+pub fn pragma_inside_a_doc_comment(m: &Map) -> u32 { m["k"] }
 
-pub fn pragma_window_is_two_lines(v: &[u32]) -> u32 {
+pub fn pragma_window_is_two_lines(v: &[u32], m: &Map) -> u32 {
     // fae-lint: allow(no-panic, reason = "covers this line and the next, no further")
     let a = v.first().unwrap();
-    let b = v.last().unwrap();
+    let b = m["k"];
     a + b
 }
 
-pub fn after_multibyte_text(v: &[u32], t: &Telemetry) -> u32 {
-    let _s = "héllo — ünïcödé ✓"; /* ∑ naïve */ let z = v.first().unwrap();
-    /* naïve → */ t.counter_add("Bad Näme", 1);
-    *z
+pub fn after_multibyte_text(m: &Map) -> u32 {
+    let _s = "héllo — ünïcödé ✓"; /* ∑ naïve */ let z = m["k"];
+    /* naïve → */ let y = m["Bäd Näme"];
+    z + y
 }
 
-pub fn strings_hide_delimiters(timeline: &mut Timeline, secs: f64, m: &Map) -> u64 {
-    timeline.add(lookup("a,b)"), secs);
+pub fn strings_hide_delimiters(m: &Map) -> u64 {
+    let _ = (lookup("a,b)"), m["k"]);
     let _names = ["k", "j"];
     m["k"]
 }
 
-pub fn socket_calls(s: &mut TcpStream, buf: &mut [u8]) {
-    let _doc = "s.read_exact(buf) is only text here"; s.read_exact(buf).ok();
-    let _ = reconnect(s); let _ = TcpStream::connect_timeout(&addr(), dur(5));
+pub fn after_the_same_index_quoted(m: &Map) {
+    let _doc = "m[\"k\"] is only text here"; let _ = m["k"];
+    let _ = m.get("k");
 }
 
 pub fn unroll(dst: &mut [f32]) {
@@ -68,17 +68,17 @@ pub fn unroll(dst: &mut [f32]) {
 #[cfg(test)]
 mod tests;
 
-pub fn after_an_out_of_line_test_module(v: &[u32]) -> u32 { *v.first().unwrap() }
+pub fn after_an_out_of_line_test_module(m: &Map) -> u32 { m["k"] }
 
 #[cfg(all(test, unix))]
 mod gated {
-    pub fn exempt(v: &[u32]) -> u32 { let _s = "}"; let _c = '}'; *v.first().unwrap() }
+    pub fn exempt(m: &Map) -> u32 { let _s = "}"; let _c = '}'; m["k"] }
 }
 
-pub fn after_a_gated_module(v: &[u32]) -> u32 { *v.first().unwrap() }
+pub fn after_a_gated_module(m: &Map) -> u32 { m["k"] }
 
 #[test]
 #[should_panic]
-fn exempt_test_fn() { None::<u8>.unwrap(); }
+fn exempt_test_fn() { Map::new()["k"]; }
 
-pub fn after_a_test_fn(v: &[u32]) -> u32 { *v.first().unwrap() }
+pub fn after_a_test_fn(m: &Map) -> u32 { m["k"] }

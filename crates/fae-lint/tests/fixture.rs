@@ -243,30 +243,30 @@ fn scanner_fixture_pins() {
         })
         .collect();
     let want: &[(&str, usize, &str)] = &[
-        ("boundaries.rs", 8, "no-panic"),        // after r#"…"#
-        ("boundaries.rs", 9, "no-panic"),        // after r##"…"##
-        ("boundaries.rs", 14, "no-panic"),       // after a byte string
-        ("boundaries.rs", 15, "no-panic"),       // after a nested block comment
-        ("boundaries.rs", 19, "no-panic"),       // after '"'
-        ("boundaries.rs", 24, "no-panic"),       // lifetimes beside char literals
-        ("boundaries.rs", 29, "no-panic"),       // pragma text in a string is not a pragma
-        ("boundaries.rs", 34, "no-panic"),       // ... nor in a block comment
-        ("boundaries.rs", 38, "no-panic"),       // ... nor in a `///` doc comment
-        ("boundaries.rs", 43, "no-panic"),       // two lines below a pragma
-        ("boundaries.rs", 48, "no-panic"),       // multi-byte text earlier on the line
-        ("boundaries.rs", 49, "metric-name"),    // multi-byte text inside the name
-        ("boundaries.rs", 54, "timeline-phase"), // `,` and `)` inside a string argument
-        ("boundaries.rs", 56, "no-panic"),       // m["k"], but not ["k", "j"]
-        ("boundaries.rs", 60, "net-deadline"),   // after the same call quoted in a string
-        ("boundaries.rs", 65, "float-fuse"),     // after the same call quoted in a string
-        ("boundaries.rs", 71, "no-panic"),       // `#[cfg(test)] mod tests;` ends at the `;`
-        ("boundaries.rs", 78, "no-panic"),       // `#[cfg(all(test, unix))] mod` ends at its `}`
-        ("boundaries.rs", 84, "no-panic"),       // `#[test] #[should_panic] fn` ends at its `}`
+        ("boundaries.rs", 8, "no-panic"),    // after r#"…"#
+        ("boundaries.rs", 9, "no-panic"),    // after r##"…"##
+        ("boundaries.rs", 14, "no-panic"),   // after a byte string
+        ("boundaries.rs", 15, "no-panic"),   // after a nested block comment
+        ("boundaries.rs", 19, "no-panic"),   // after '"'
+        ("boundaries.rs", 24, "no-panic"),   // lifetimes beside char literals
+        ("boundaries.rs", 29, "no-panic"),   // pragma text in a string is not a pragma
+        ("boundaries.rs", 34, "no-panic"),   // ... nor in a block comment
+        ("boundaries.rs", 38, "no-panic"),   // ... nor in a `///` doc comment
+        ("boundaries.rs", 43, "no-panic"),   // two lines below a pragma
+        ("boundaries.rs", 48, "no-panic"),   // multi-byte text earlier on the line
+        ("boundaries.rs", 49, "no-panic"),   // multi-byte text inside the key
+        ("boundaries.rs", 54, "no-panic"),   // `,` and `)` inside a string argument
+        ("boundaries.rs", 56, "no-panic"),   // m["k"], but not ["k", "j"]
+        ("boundaries.rs", 60, "no-panic"),   // after the same index quoted in a string
+        ("boundaries.rs", 65, "float-fuse"), // after the same call quoted in a string
+        ("boundaries.rs", 71, "no-panic"),   // `#[cfg(test)] mod tests;` ends at the `;`
+        ("boundaries.rs", 78, "no-panic"),   // `#[cfg(all(test, unix))] mod` ends at its `}`
+        ("boundaries.rs", 84, "no-panic"),   // `#[test] #[should_panic] fn` ends at its `}`
         // Rows the two-scanner build got wrong (missed, all four):
         ("gates_and_wraps.rs", 7, "no-panic"), // `#[cfg(not(test))]` is not a test gate
         ("gates_and_wraps.rs", 12, "no-panic"), // nor is `#[cfg_attr(test, …)]`
-        ("gates_and_wraps.rs", 16, "metric-name"), // name wrapped onto the next line
-        ("gates_and_wraps.rs", 23, "no-panic"), // `x.unwrap ()`
+        ("gates_and_wraps.rs", 16, "float-fuse"), // width wrapped onto the next line
+        ("gates_and_wraps.rs", 23, "float-fuse"), // `x.chunks_exact (8)`
     ];
     let want: Vec<(String, usize, String)> =
         want.iter().map(|(f, l, r)| (f.to_string(), *l, r.to_string())).collect();
@@ -307,7 +307,7 @@ const LINT_SH: &[(&str, usize, u64)] = &[
     ("--tree wire/bad --lib --net", 3, 0x5945c3e21c0ad0cf),
     ("--tree net --lib --net", 7, 0x4dfdd09b1dd022c0),
     ("--tree metrics --lib --metrics", 4, 0x188f0b5237e759a5),
-    ("--tree scanner/bad --det --lib --net --metrics", 23, 0xd302dcada50f7c55),
+    ("--tree scanner/bad --det --lib --net --metrics", 23, 0x0f270f5acbbd440f),
     ("--tree clean --det --lib", 0, 0xcbf29ce484222325),
     ("--tree phases/clean --lib", 0, 0xcbf29ce484222325),
     ("--tree locks/clean --lib", 0, 0xcbf29ce484222325),

@@ -48,7 +48,7 @@ pub use journal::{
     TaggedEvent,
 };
 pub use merge::{check_invariant, merge_tagged, MergeStats, MergedInvariant, ShipLedger};
-pub use metrics::{Histogram, MetricsRegistry, SpanStat};
+pub use metrics::{Histogram, Metric, MetricsRegistry, SpanStat};
 pub use report::{render, summarize, PhaseBreakdown, RunSummary, ServeSummary};
 pub use span::SpanGuard;
 pub use top::render_top;

@@ -146,6 +146,82 @@ pub struct SpanStat {
     pub sim_s: f64,
 }
 
+/// A metric name that is valid by construction: lowercase letters,
+/// digits, `.` and `_`, starting with a letter, with no doubled `.` and
+/// no trailing separator. The Prometheus exposition maps every other
+/// byte to `_`, so a looser name could collide with another one after
+/// that mapping or churn the scrape schema.
+///
+/// Build one with [`metric!`](crate::metric), which checks the name at
+/// compile time.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Metric(&'static str);
+
+impl Metric {
+    /// Checks `name` against the rule above. [`metric!`](crate::metric)
+    /// calls this in a `const` block, where a bad name fails the build;
+    /// called at run time it panics instead.
+    pub const fn new(name: &'static str) -> Self {
+        let b = name.as_bytes();
+        assert!(!b.is_empty() && b[0].is_ascii_lowercase(), "a metric name starts with [a-z]");
+        let mut i = 0;
+        while i < b.len() {
+            let c = b[i];
+            let ok = c.is_ascii_lowercase() || c.is_ascii_digit() || c == b'.' || c == b'_';
+            assert!(ok, "a metric name is made of [a-z0-9._]");
+            assert!(!(c == b'.' && i > 0 && b[i - 1] == b'.'), "a metric name has no `..`");
+            i += 1;
+        }
+        let last = b[b.len() - 1];
+        assert!(last != b'.' && last != b'_', "a metric name does not end with `.` or `_`");
+        Metric(name)
+    }
+
+    /// The name as recorded in the registry.
+    pub const fn name(self) -> &'static str {
+        self.0
+    }
+}
+
+/// A [`Metric`] whose name is checked at compile time.
+///
+/// ```
+/// let steps = fae_telemetry::metric!("train.steps_hot");
+/// assert_eq!(steps.name(), "train.steps_hot");
+/// ```
+///
+/// Each name below breaks the rule, so none of these builds:
+///
+/// ```compile_fail,E0080
+/// let _ = fae_telemetry::metric!("Train.Steps"); // uppercase
+/// ```
+///
+/// ```compile_fail,E0080
+/// let _ = fae_telemetry::metric!("serve hit rate"); // spaces
+/// ```
+///
+/// ```compile_fail,E0080
+/// let _ = fae_telemetry::metric!("serve-latency"); // dashes
+/// ```
+///
+/// ```compile_fail,E0080
+/// let _ = fae_telemetry::metric!("net..joins"); // doubled separator
+/// ```
+///
+/// ```compile_fail,E0080
+/// let _ = fae_telemetry::metric!(".joins"); // leading separator
+/// ```
+///
+/// ```compile_fail,E0080
+/// let _ = fae_telemetry::metric!("net.joins_"); // trailing separator
+/// ```
+#[macro_export]
+macro_rules! metric {
+    ($name:literal) => {
+        const { $crate::Metric::new($name) }
+    };
+}
+
 /// The registry: three name-keyed maps plus the span aggregate.
 ///
 /// `BTreeMap` keeps snapshots deterministically ordered, so two runs with
