@@ -9,6 +9,11 @@
 //! hot-bag sync, and a reshard onto the surviving GPUs (communicator
 //! reinit + dense re-broadcast + hot re-replication).
 
+#![expect(
+    clippy::expect_used,
+    reason = "a binary dies loudly on a broken setup; only library code owes typed errors"
+)]
+
 use fae_bench::{measure_hotness, print_table, save_json, workloads};
 use fae_core::AnyModel;
 use fae_models::bridge::profile_for;

@@ -2,6 +2,11 @@
 //! Terabyte, mini-batch 32k, single V100. Paper: FAE cuts the per-epoch
 //! time from 105.98 to 71.58 minutes (1.48× faster).
 
+#![expect(
+    clippy::expect_used,
+    reason = "a binary dies loudly on a broken setup; only library code owes typed errors"
+)]
+
 use fae_bench::{measure_hotness, print_table, save_json, workloads};
 use fae_core::scheduler::Rate;
 use fae_core::simsched::{simulate_fae, simulate_uvm, SimConfig};

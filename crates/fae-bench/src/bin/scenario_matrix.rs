@@ -19,6 +19,12 @@
 //!
 //! Exits nonzero when any assertion fails, so the CI job gates on it.
 
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a binary dies loudly on a broken setup; only library code owes typed errors"
+)]
+
 use std::path::PathBuf;
 
 use fae_bench::{print_table, save_json, timed};

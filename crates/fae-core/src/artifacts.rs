@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use fae_data::format::FormatError;
 use fae_data::BatchKind;
 use fae_embed::HotColdPartition;
-use fae_telemetry::{JournalEvent, Telemetry};
+use fae_telemetry::{metric, JournalEvent, Telemetry};
 
 use crate::calibrator::CalibrationResult;
 use crate::faults::{retry_with_backoff, FaultInjector, FaultKind, RecoveryAction, RetryPolicy};
@@ -192,7 +192,7 @@ pub fn load_or_rebuild_with(
     telemetry: &Telemetry,
 ) -> Result<(StaticArtifacts, String, Vec<RecoveryAction>), ArtifactError> {
     let _span = telemetry.span("artifacts/load_or_rebuild");
-    telemetry.counter_add("artifacts.loads", 1);
+    telemetry.counter_add(metric!("artifacts.loads"), 1);
     let mut recoveries = Vec::new();
     if let Some(f) = injector.fire(FaultKind::ArtifactCorruption, 0) {
         if let Ok(mut bytes) = fs::read(path) {
@@ -228,7 +228,7 @@ pub fn load_or_rebuild_with(
                 recoveries
                     .push(RecoveryAction::RetriedIo { attempts: r.attempts, waited_s: r.waited_s });
                 if telemetry.enabled() {
-                    telemetry.counter_add("artifacts.io_retries", (r.attempts - 1) as u64);
+                    telemetry.counter_add(metric!("artifacts.io_retries"), (r.attempts - 1) as u64);
                     telemetry.emit(&JournalEvent::Recovery {
                         step: 0,
                         action: "retried-io".into(),
@@ -255,7 +255,7 @@ pub fn load_or_rebuild_with(
                 path.display()
             );
             if telemetry.enabled() {
-                telemetry.counter_add("artifacts.rebuilds", 1);
+                telemetry.counter_add(metric!("artifacts.rebuilds"), 1);
                 telemetry.emit(&JournalEvent::Recovery {
                     step: 0,
                     action: "rebuilt-artifacts".into(),

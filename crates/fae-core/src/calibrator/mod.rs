@@ -127,6 +127,10 @@ impl Calibrator {
     /// The statistical optimizer (§III-A.3): walks the threshold ladder
     /// from the largest threshold (smallest hot set) downwards, keeping
     /// the smallest threshold whose Rand-Em-estimated hot size fits `L`.
+    #[expect(
+        clippy::expect_used,
+        reason = "ladder is asserted non-empty above and every branch of the first loop iteration seeds `best`"
+    )]
     pub fn converge(
         &self,
         ds: &Dataset,
@@ -205,7 +209,6 @@ impl Calibrator {
                 break;
             }
         }
-        // fae-lint: allow(no-panic, reason = "ladder is asserted non-empty above and every branch of the first loop iteration seeds `best`")
         best.expect("ladder is non-empty")
     }
 }

@@ -23,7 +23,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use fae_telemetry::{JournalEvent, Telemetry};
+use fae_telemetry::{metric, JournalEvent, Telemetry};
 
 /// The failure modes the injector can simulate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -398,7 +398,7 @@ impl FaultInjector {
         let fault = InjectedFault { kind, at: self.plan.events[idx].at, step };
         self.log.push(fault);
         if self.telemetry.enabled() {
-            self.telemetry.counter_add(&format!("faults.injected.{}", kind.as_str()), 1);
+            self.telemetry.counter_add_labelled(metric!("faults.injected"), kind.as_str(), 1);
             self.telemetry.emit(&JournalEvent::Fault { step, kind: kind.as_str().to_string() });
         }
         Some(fault)

@@ -5,7 +5,7 @@
 
 use fae_data::format::{FaeStreamReader, FormatError};
 use fae_data::{Dataset, WorkloadSpec};
-use fae_telemetry::Telemetry;
+use fae_telemetry::{metric, Telemetry};
 
 use crate::calibrator::{
     log_accesses, sample_inputs, CalibrationResult, Calibrator, CalibratorConfig,
@@ -78,12 +78,13 @@ pub fn prepare_with(
         let _s = telemetry.span("prepare/preprocess");
         preprocess_inputs(train, partitions, pre_cfg)
     };
-    telemetry.counter_add("calibrator.sampled_inputs", calibration.sampled_inputs as u64);
-    telemetry.gauge_set("calibrator.threshold", calibration.threshold);
-    telemetry.gauge_set("calibrator.est_hot_bytes", calibration.est_hot_bytes);
-    telemetry.counter_add("preprocess.hot_batches", preprocessed.hot_batches.len() as u64);
-    telemetry.counter_add("preprocess.cold_batches", preprocessed.cold_batches.len() as u64);
-    telemetry.gauge_set("preprocess.hot_input_fraction", preprocessed.hot_input_fraction);
+    telemetry.counter_add(metric!("calibrator.sampled_inputs"), calibration.sampled_inputs as u64);
+    telemetry.gauge_set(metric!("calibrator.threshold"), calibration.threshold);
+    telemetry.gauge_set(metric!("calibrator.est_hot_bytes"), calibration.est_hot_bytes);
+    telemetry.counter_add(metric!("preprocess.hot_batches"), preprocessed.hot_batches.len() as u64);
+    telemetry
+        .counter_add(metric!("preprocess.cold_batches"), preprocessed.cold_batches.len() as u64);
+    telemetry.gauge_set(metric!("preprocess.hot_input_fraction"), preprocessed.hot_input_fraction);
     StaticArtifacts { calibration, preprocessed }
 }
 

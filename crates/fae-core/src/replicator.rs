@@ -27,7 +27,7 @@ use fae_nn::Tensor;
 
 use fae_embed::{EmbeddingTable, HotColdPartition, SparseGrad};
 use fae_models::{EmbeddingSource, MasterEmbeddings};
-use fae_telemetry::Telemetry;
+use fae_telemetry::{metric, Telemetry};
 
 /// Hot-embedding bags for every table, with global→local id translation.
 ///
@@ -73,7 +73,7 @@ impl HotEmbeddings {
     /// (`replicator.refreshes` / `replicator.write_backs`) along with the
     /// bytes they move (`replicator.moved_bytes`).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        telemetry.gauge_set("replicator.hot_bytes", self.hot_bytes() as f64);
+        telemetry.gauge_set(metric!("replicator.hot_bytes"), self.hot_bytes() as f64);
         self.telemetry = telemetry;
     }
 
@@ -135,8 +135,8 @@ impl HotEmbeddings {
         let moved_bytes = self.fetch(master, plan) * self.row_bytes();
         let now = self.resident.iter().flatten();
         let evicted = was.iter().flatten().zip(now).filter(|&(&was, &is)| was && !is).count();
-        self.telemetry.counter_add("replicator.refreshes", 1);
-        self.telemetry.counter_add("replicator.moved_bytes", moved_bytes);
+        self.telemetry.counter_add(metric!("replicator.refreshes"), 1);
+        self.telemetry.counter_add(metric!("replicator.moved_bytes"), moved_bytes);
         (moved_bytes, evicted as u64)
     }
 
@@ -153,7 +153,7 @@ impl HotEmbeddings {
         let rows_moved = self.fetch(master, Some(sets));
         let bytes = rows_moved * self.row_bytes();
         if rows_moved > 0 {
-            self.telemetry.counter_add("replicator.moved_bytes", bytes);
+            self.telemetry.counter_add(metric!("replicator.moved_bytes"), bytes);
         }
         (rows_moved, bytes)
     }
@@ -202,16 +202,19 @@ impl HotEmbeddings {
             }
         }
         let bytes = rows_moved * self.row_bytes();
-        self.telemetry.counter_add("replicator.write_backs", 1);
-        self.telemetry.counter_add("replicator.moved_bytes", bytes);
+        self.telemetry.counter_add(metric!("replicator.write_backs"), 1);
+        self.telemetry.counter_add(metric!("replicator.moved_bytes"), bytes);
         bytes
     }
 
     /// Global → hot-local for table `t`. A cold id `how`-ed ("looked up",
     /// "updated") through this source is a bug in the input processor.
+    #[expect(
+        clippy::panic,
+        reason = "classifier routing corruption: continuing would train on garbage rows, so fail fast"
+    )]
     fn hot_local(&self, t: usize, global: u32, how: &str) -> u32 {
         self.partitions[t].hot_local(global).unwrap_or_else(|| {
-            // fae-lint: allow(no-panic, reason = "classifier routing corruption: continuing would train on garbage rows, so fail fast")
             panic!("cold row {global} of table {t} {how} through the hot source")
         })
     }

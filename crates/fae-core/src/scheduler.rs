@@ -14,7 +14,7 @@
 //! leave its bounds; we implement the evident intent: clamp to
 //! `[R(1), R(100)]`.)
 
-use fae_telemetry::Telemetry;
+use fae_telemetry::{metric, Telemetry};
 use serde::{Deserialize, Serialize};
 
 /// An interleaving rate in percent of each class issued per round.
@@ -105,7 +105,7 @@ impl ShuffleScheduler {
     /// (`scheduler.rate_halved` / `rate_doubled` / `rate_held`) and the
     /// live rate is exported as the `scheduler.rate` gauge.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        telemetry.gauge_set("scheduler.rate", self.rate.pct() as f64);
+        telemetry.gauge_set(metric!("scheduler.rate"), self.rate.pct() as f64);
         self.telemetry = telemetry;
     }
 
@@ -156,26 +156,26 @@ impl ShuffleScheduler {
             Some(prev) if loss > prev => {
                 self.rate = self.rate.halved();
                 self.improving_streak = 0;
-                self.telemetry.counter_add("scheduler.rate_halved", 1);
+                self.telemetry.counter_add(metric!("scheduler.rate_halved"), 1);
             }
             Some(prev) if loss < prev => {
                 self.improving_streak += 1;
                 if self.improving_streak >= self.u {
                     self.rate = self.rate.doubled();
                     self.improving_streak = 0;
-                    self.telemetry.counter_add("scheduler.rate_doubled", 1);
+                    self.telemetry.counter_add(metric!("scheduler.rate_doubled"), 1);
                 } else {
-                    self.telemetry.counter_add("scheduler.rate_held", 1);
+                    self.telemetry.counter_add(metric!("scheduler.rate_held"), 1);
                 }
             }
             _ => {
                 // First observation or exactly flat: hold the rate.
-                self.telemetry.counter_add("scheduler.rate_held", 1);
+                self.telemetry.counter_add(metric!("scheduler.rate_held"), 1);
             }
         }
         self.prev_loss = Some(loss);
         self.history.push((loss, self.rate));
-        self.telemetry.gauge_set("scheduler.rate", self.rate.pct() as f64);
+        self.telemetry.gauge_set(metric!("scheduler.rate"), self.rate.pct() as f64);
         self.rate
     }
 }

@@ -19,7 +19,7 @@ use fae_sysmodel::{
     cold_sparse_optimizer_cost, reshard_cost, step_cost, sync_cost, ExecMode, ModelProfile, Phase,
     SystemConfig, Timeline,
 };
-use fae_telemetry::{JournalEvent, PhaseSeconds, SpanGuard, StepMode, Telemetry};
+use fae_telemetry::{metric, JournalEvent, PhaseSeconds, SpanGuard, StepMode, Telemetry};
 
 use super::{make_test_batches, AnyModel, EvalPoint, ResilienceOptions, TrainConfig, TrainReport};
 use crate::checkpoint::{master_digest, TrainCheckpoint};
@@ -174,7 +174,7 @@ impl<'a, En: StepEngine> Run<'a, En> {
     /// `skip` is the stale-skip pool of an FAE run; the baseline passes
     /// `None` whatever `cfg.stale_skip` says, so the reference of a
     /// baseline-vs-FAE comparison never moves with the FAE run's knobs.
-    #[allow(clippy::too_many_arguments)] // the inputs of one training run
+    #[expect(clippy::too_many_arguments, reason = "the inputs of one training run")]
     pub(super) fn new(
         spec: &WorkloadSpec,
         cfg: &'a TrainConfig,
@@ -265,7 +265,7 @@ impl<'a, En: StepEngine> Run<'a, En> {
             lookahead: cfg.lookahead as u64,
             stale_skip: cfg.stale_skip as f64,
         });
-        self.telem.gauge_set("train.gpus_active", self.gpus_active as f64);
+        self.telem.gauge_set(metric!("train.gpus_active"), self.gpus_active as f64);
         self.sim_at_start = self.timeline.total();
         self.journalled = self.timeline.clone();
         if !resumed {
@@ -285,7 +285,7 @@ impl<'a, En: StepEngine> Run<'a, En> {
                 label: "resumed-prior-timeline".into(),
                 phases: PhaseSeconds::delta(&Timeline::new(), &self.timeline),
             });
-            self.telem.counter_add("train.resumes", 1);
+            self.telem.counter_add(metric!("train.resumes"), 1);
         }
     }
 
@@ -357,11 +357,11 @@ impl<'a, En: StepEngine> Run<'a, En> {
             phases,
         });
         let counter = match mode {
-            StepMode::Hot => "train.steps_hot",
-            StepMode::Cold => "train.steps_cold",
+            StepMode::Hot => metric!("train.steps_hot"),
+            StepMode::Cold => metric!("train.steps_cold"),
         };
         self.telem.counter_add(counter, 1);
-        self.telem.observe("train.step_loss", loss as f64);
+        self.telem.observe(metric!("train.step_loss"), loss as f64);
         self.interrupted = self.steps >= self.halt_at;
         self.interrupted
     }
@@ -453,7 +453,7 @@ impl<'a, En: StepEngine> Run<'a, En> {
             bytes,
             phases,
         });
-        self.telem.counter_add("replicator.sync_bytes", bytes);
+        self.telem.counter_add(metric!("replicator.sync_bytes"), bytes);
     }
 
     /// Absorbs the engine's transport side effects into the run's
@@ -540,7 +540,7 @@ impl<'a, En: StepEngine> Run<'a, En> {
                 "shrank-replicas",
                 format!("{from} -> {}", self.gpus_active),
             );
-            self.telem.gauge_set("train.gpus_active", self.gpus_active as f64);
+            self.telem.gauge_set(metric!("train.gpus_active"), self.gpus_active as f64);
         } else if !self.cold_only {
             self.fall_back_to_cold("last GPU lost; CPU-only cold execution");
         }
@@ -671,7 +671,7 @@ impl<'a, En: StepEngine> Run<'a, En> {
                         format!("{} attempts, {:.3}s backoff", r.attempts, r.waited_s),
                     );
                 }
-                self.telem.counter_add("train.checkpoints_saved", 1);
+                self.telem.counter_add(metric!("train.checkpoints_saved"), 1);
             }
             // Checkpointing is best-effort: losing one snapshot must not
             // kill the training run.
@@ -708,20 +708,20 @@ impl<'a, En: StepEngine> Run<'a, En> {
             self.charge("net-drain");
         }
         if self.skip.is_some() {
-            telem.counter_add("skip.deferred", skip.deferred);
-            telem.counter_add("skip.flushed_threshold", skip.flushed_threshold);
-            telem.counter_add("skip.flushed_access", skip.flushed_access);
-            telem.counter_add("skip.flushed_checkpoint", skip.flushed_checkpoint);
-            telem.counter_add("skip.dropped", skip.dropped);
+            telem.counter_add(metric!("skip.deferred"), skip.deferred);
+            telem.counter_add(metric!("skip.flushed_threshold"), skip.flushed_threshold);
+            telem.counter_add(metric!("skip.flushed_access"), skip.flushed_access);
+            telem.counter_add(metric!("skip.flushed_checkpoint"), skip.flushed_checkpoint);
+            telem.counter_add(metric!("skip.dropped"), skip.dropped);
         }
         if self.cfg.lookahead > 0 {
-            telem.counter_add("oracle.prefetched_rows", oracle.prefetched_rows);
-            telem.counter_add("oracle.evicted_rows", oracle.evicted_rows);
-            telem.counter_add("oracle.hits", oracle.hits);
-            telem.counter_add("oracle.misses", oracle.misses);
-            telem.counter_add("oracle.moved_bytes", oracle.moved_bytes);
+            telem.counter_add(metric!("oracle.prefetched_rows"), oracle.prefetched_rows);
+            telem.counter_add(metric!("oracle.evicted_rows"), oracle.evicted_rows);
+            telem.counter_add(metric!("oracle.hits"), oracle.hits);
+            telem.counter_add(metric!("oracle.misses"), oracle.misses);
+            telem.counter_add(metric!("oracle.moved_bytes"), oracle.moved_bytes);
             telem.counter_add(
-                "oracle.saved_bytes",
+                metric!("oracle.saved_bytes"),
                 oracle.full_bytes.saturating_sub(oracle.moved_bytes),
             );
         }
@@ -735,12 +735,14 @@ impl<'a, En: StepEngine> Run<'a, En> {
             final_rate,
             interrupted: self.interrupted,
         });
-        telem.gauge_set("train.simulated_seconds", total);
-        telem.gauge_set("train.final_accuracy", final_test.accuracy);
-        telem
-            .gauge_set("train.steps_per_sec", if total > 0.0 { steps as f64 / total } else { 0.0 });
+        telem.gauge_set(metric!("train.simulated_seconds"), total);
+        telem.gauge_set(metric!("train.final_accuracy"), final_test.accuracy);
         telem.gauge_set(
-            "train.hot_step_share",
+            metric!("train.steps_per_sec"),
+            if total > 0.0 { steps as f64 / total } else { 0.0 },
+        );
+        telem.gauge_set(
+            metric!("train.hot_step_share"),
             if steps > 0 { self.hot_steps as f64 / steps as f64 } else { 0.0 },
         );
         self.span.add_sim(total - self.sim_at_start);

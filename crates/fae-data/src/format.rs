@@ -241,7 +241,6 @@ impl<B: AsRef<[u8]>> FaeStreamReader<B> {
 
     /// Decodes the next batch, or `Ok(None)` when the stream is done. After
     /// an `Err` the stream is done.
-    #[allow(clippy::should_implement_trait)] // fallible next; Iterator wraps it
     pub fn next_batch(&mut self) -> Result<Option<MiniBatch>, FormatError> {
         if self.remaining == 0 {
             return Ok(None);

@@ -51,7 +51,10 @@ const AFFINITY_GAIN: f32 = 1.8;
 pub fn generate(spec: &WorkloadSpec, opts: &GenOptions) -> Dataset {
     let n = opts.num_inputs.unwrap_or(spec.num_inputs);
     let mut rng = StdRng::seed_from_u64(opts.seed);
-    // fae-lint: allow(no-panic, reason = "Normal::new(0, 1) has constant, provably valid parameters")
+    #[expect(
+        clippy::expect_used,
+        reason = "Normal::new(0, 1) has constant, provably valid parameters"
+    )]
     let normal = Normal::new(0.0f32, 1.0).expect("valid normal");
 
     // Planted model: per-row affinities and a dense scorer.
@@ -128,7 +131,7 @@ pub fn generate(spec: &WorkloadSpec, opts: &GenOptions) -> Dataset {
         }
         score += AFFINITY_GAIN * affinity_sum / lookups as f32;
         let p = 1.0 / (1.0 + (-score).exp());
-        // fae-lint: allow(no-panic, reason = "p is a sigmoid output, always inside (0, 1)")
+        #[expect(clippy::expect_used, reason = "p is a sigmoid output, always inside (0, 1)")]
         let label = Bernoulli::new(p as f64).expect("valid p").sample(&mut rng);
         labels.push(if label { 1.0 } else { 0.0 });
     }

@@ -38,8 +38,12 @@ impl ZipfSampler {
         assert!(s > 0.0, "zipf exponent must be positive");
         let mut perm: Vec<u32> = (0..rows as u32).collect();
         perm.shuffle(rng);
-        // fae-lint: allow(no-panic, reason = "rows > 0 and s > 0 are asserted above, the only Zipf::new error cases")
-        Self { zipf: Zipf::new(rows as u64, s).expect("valid zipf parameters"), perm }
+        #[expect(
+            clippy::expect_used,
+            reason = "rows > 0 and s > 0 are asserted above, the only Zipf::new error cases"
+        )]
+        let zipf = Zipf::new(rows as u64, s).expect("valid zipf parameters");
+        Self { zipf, perm }
     }
 
     /// Number of distinct ids.

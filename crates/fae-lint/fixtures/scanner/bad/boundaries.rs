@@ -1,8 +1,8 @@
 //! Scanner boundaries, firing half. Each shape below could fool a
-//! scanner into swallowing live code (or into honouring a pragma that
-//! is not one); the hit that follows it must still fire. The exact
-//! (file, line, rule) triples are pinned by `scanner_fixture_pins` in
-//! `tests/fixture.rs`; the silent twins live in `../clean/`.
+//! scanner into swallowing live code; the hit that follows it must
+//! still fire. The exact (file, line, rule) triples are pinned by
+//! `scanner_fixture_pins` in `tests/fixture.rs`; the silent twins live
+//! in `../clean/`.
 
 pub fn after_raw_strings(m: &Map) -> u32 {
     let _a = r#"m["k"] "quoted" panic!("no")"#; let a = m["k"];
@@ -24,22 +24,22 @@ pub fn life<'a>(x: &'a [u8], _s: &'static str, m: &Map) -> u8 {
     let _c = 'a'; let _d = b'\''; x[0] + m["k"]
 }
 
-pub fn pragma_inside_a_string(m: &Map) -> u32 {
-    let _p = "// fae-lint: allow(no-panic, reason = \"inside a string\")";
+pub fn after_quoted_escapes(m: &Map) -> u32 {
+    let _p = "// a \"line comment\" inside a string";
     m["k"]
 }
 
-pub fn pragma_inside_a_block_comment(m: &Map) -> u32 {
-    /* // fae-lint: allow(no-panic, reason = "inside a block comment") */
+pub fn after_a_block_comment(m: &Map) -> u32 {
+    /* // a line comment inside a block comment: m["k"] */
     m["k"]
 }
 
-/// fae-lint: allow(no-panic, reason = "doc comments describe the syntax, they never suppress")
-pub fn pragma_inside_a_doc_comment(m: &Map) -> u32 { m["k"] }
+/// A doc comment quoting m["k"] hides it; the next line does not.
+pub fn after_a_doc_comment(m: &Map) -> u32 { m["k"] }
 
-pub fn pragma_window_is_two_lines(v: &[u32], m: &Map) -> u32 {
-    // fae-lint: allow(no-panic, reason = "covers this line and the next, no further")
-    let a = v.first().unwrap();
+pub fn after_a_line_comment(m: &Map) -> u32 {
+    // a line comment ends at its newline: m["k"]
+    let a = m.len() as u32; // ... and a trailing one at its own: m["k"]
     let b = m["k"];
     a + b
 }

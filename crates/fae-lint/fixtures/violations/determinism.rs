@@ -25,7 +25,3 @@ pub fn tally(xs: &[u32]) -> HashMap<u32, u32> {
     }
     m
 }
-
-pub fn charge(timeline: &mut Timeline, secs: f64) {
-    timeline.add(secs, 1.0); // timeline-phase: no Phase constant named
-}

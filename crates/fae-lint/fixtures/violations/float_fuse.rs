@@ -1,5 +1,5 @@
-//! Seeded float-fuse violations: 8-lane unroll sites without their
-//! bit-identity pragma, and a pragma that fails to cite the contract.
+//! Seeded float-fuse violations: 8-lane unroll sites outside
+//! fae-nn/src/lanes.rs.
 
 pub fn naked_unroll(dst: &mut [f32]) {
     for c in dst.chunks_exact_mut(8) {
@@ -7,8 +7,7 @@ pub fn naked_unroll(dst: &mut [f32]) {
     }
 }
 
-pub fn uncited_pragma(src: &[f32]) -> f32 {
-    // fae-lint: allow(float-fuse, reason = "trust me, the sums are fine")
+pub fn naked_reduction(src: &[f32]) -> f32 {
     let it = src.chunks_exact(8);
     it.remainder().len() as f32
 }

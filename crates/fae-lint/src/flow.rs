@@ -142,8 +142,7 @@ impl FnState {
 }
 
 /// Runs the determinism-taint analysis over one determinism-scope file,
-/// pushing one finding per escaping source, anchored at the source (a
-/// pragma there suppresses the flow).
+/// pushing one finding per escaping source, anchored at the source.
 pub(crate) fn det_taint(p: &Parsed<'_>, out: &mut Vec<Finding>) {
     let items = &p.items;
     let resolve: BTreeMap<&str, &str> =
@@ -186,8 +185,7 @@ pub(crate) fn det_taint(p: &Parsed<'_>, out: &mut Vec<Finding>) {
             event.line,
             event.offset,
             format!(
-                "{} `{}` flows into {sink}; route it through the seeded/deterministic \
-                 path or pragma the flow at its source",
+                "{} `{}` flows into {sink}; route it through the seeded/deterministic path",
                 event.kind.describe(),
                 event.what
             ),
@@ -497,7 +495,7 @@ mod tests {
     use crate::FileClass;
 
     fn run(src: &str) -> Vec<Finding> {
-        let class = FileClass { deterministic: true, binary: false, net: false, metrics: false };
+        let class = FileClass { deterministic: true, binary: false, net: false };
         let mut out = Vec::new();
         let view = TreeView::new(src);
         det_taint(&Parsed::new(0, Path::new("x.rs"), &view, class), &mut out);

@@ -1,46 +1,33 @@
 //! `fae-lint` — the workspace invariant checker.
 //!
-//! Walks every first-party crate's `src/` tree and reports violations of
-//! the project contracts that keep same-seed runs byte-identical and
-//! library code panic-free:
+//! Walks every first-party crate's `src/` tree and reports what rustc
+//! and clippy cannot see (the workspace's clippy lints cover panics,
+//! blocking socket calls and `allow` without a reason; `Metric` makes a
+//! bad metric name a compile error):
 //!
 //! * **determinism** (`wall-clock`, `ambient-rng`, `hash-container`,
-//!   `timeline-phase`) in the five determinism-critical crates
-//!   (`fae-core`, `fae-embed`, `fae-models`, `fae-serve`, `fae-sysmodel`);
-//! * **no-panic** (`no-panic`) in library code of every first-party
-//!   crate (binary targets are exempt);
-//! * **float-fuse** (`float-fuse`) in library code of every first-party
-//!   crate: 8-lane f32 unroll sites (`chunks_exact(8)`) must pragma
-//!   their bit-identity contract, and the pragma's reason must cite
-//!   `DESIGN.md §14` (else it is a `bad-pragma`);
-//! * **net-deadline** (`net-deadline`) in the networking crate
-//!   (`fae-net`): blocking socket I/O must carry an explicit deadline;
-//! * **metric-name** (`metric-name`) in every first-party crate except
-//!   fae-lint itself: metric names at telemetry emission sites must be
-//!   stable lowercase dotted literals, so the Prometheus exposition's
-//!   `fae_*` mapping stays collision-free.
+//!   `det-taint`) — a nondeterministic value flowing into
+//!   digest-affecting state — and **phase-balance** in the five
+//!   determinism-critical crates (`fae-core`, `fae-embed`, `fae-models`,
+//!   `fae-serve`, `fae-sysmodel`);
+//! * **lock-order**, **map-index** (`m["k"]`) and **float-fuse** (an
+//!   8-lane f32 unroll outside `fae-nn/src/lanes.rs`) in library code of
+//!   every first-party crate (binary targets are exempt from the last
+//!   two);
+//! * **wire-compat** on `fae-net`'s wire tags.
 //!
-//! Violations are suppressed site-by-site with an explicit pragma:
-//!
-//! ```text
-//! // fae-lint: allow(no-panic, reason = "mutex poisoning is unreachable: no panics under lock")
-//! ```
-//!
-//! A pragma covers its own line and the next line. Pragmas that do not
-//! parse (`bad-pragma`) or suppress nothing (`unused-pragma`) are
-//! themselves violations, so stale annotations cannot accumulate.
-//!
+//! There is no waiver: a finding is fixed, not annotated.
 //! `#[cfg(test)]` items and `#[test]` functions are exempt from every
-//! rule — tests may time things, hash things and unwrap freely.
+//! rule — tests may time things, hash things and index freely.
 //!
 //! One pipeline serves every rule: each file is tokenized once
 //! (`tokens` — the only code that decides what is a comment or a
-//! literal), brace-matched into a token tree with its items, pragmas
-//! and test-gated ranges (`tree`, `pragma`), handed to the token-pattern
-//! rules (`rules`), the determinism-taint analysis (`flow`) and the
+//! literal), brace-matched into a token tree with its items and
+//! test-gated ranges (`tree`), handed to the token-pattern rules
+//! (`rules`), the determinism-taint analysis (`flow`) and the
 //! cross-file passes (`passes`), and every finding they produce goes
-//! through one `finalize` (test exemption, pragma window, dedupe,
-//! pragma hygiene) on its way to a [`Diagnostic`].
+//! through one `finalize` (test exemption, dedupe) on its way to a
+//! [`Diagnostic`].
 //!
 //! Run it with `cargo run -p fae-lint` from the workspace root; see
 //! DESIGN.md §11 for the rule table and the documented gaps, §16 for
@@ -57,7 +44,6 @@ use std::path::{Path, PathBuf};
 
 mod flow;
 mod passes;
-mod pragma;
 mod rules;
 mod tokens;
 mod tree;
@@ -78,7 +64,7 @@ pub struct Diagnostic {
     pub file: PathBuf,
     /// 1-based line number.
     pub line: usize,
-    /// Rule id (one of [`RULES`], or `bad-pragma`/`unused-pragma`).
+    /// Rule id (one of [`RULES`]).
     pub rule: String,
     /// Human-readable explanation.
     pub message: String,
@@ -113,25 +99,19 @@ pub struct FileClass {
     /// Apply the [`Scope::Deterministic`] rules.
     pub deterministic: bool,
     /// The file belongs to a binary target (`src/bin/`, `src/main.rs`):
-    /// the no-panic rule does not apply.
+    /// `map-index` and `float-fuse` do not apply.
     pub binary: bool,
-    /// Apply the [`Scope::Net`] rules (the fae-net crate: blocking
-    /// socket I/O must carry a deadline).
+    /// Apply the [`Scope::Net`] rules (the fae-net crate).
     pub net: bool,
-    /// Apply the [`Scope::Metrics`] rule (every first-party crate
-    /// except fae-lint itself, whose matchers quote the trigger
-    /// tokens): metric names at emission sites must be stable
-    /// lowercase dotted literals.
-    pub metrics: bool,
 }
 
-/// One rule hit before suppression — the only shape a finding has
-/// between the rule or pass that produced it and [`finalize`].
+/// One rule hit before test exemption and dedupe — the only shape a
+/// finding has between the rule or pass that produced it and [`finalize`].
 #[derive(Debug, Clone)]
 pub(crate) struct Finding {
     /// Index of the file in the set being linted ([`Parsed::index`]).
     pub file: usize,
-    /// 1-based line; a pragma on it or the line above suppresses.
+    /// 1-based line.
     pub line: usize,
     /// Byte offset of the anchoring token (for test-region exemption).
     pub offset: usize,
@@ -154,10 +134,6 @@ pub(crate) struct Parsed<'a> {
     pub view: &'a TreeView<'a>,
     /// Functions, consts, enums, struct fields and `use` aliases.
     pub items: tree::Items<'a>,
-    /// Well-formed pragmas, in file order.
-    pub pragmas: Vec<pragma::Pragma>,
-    /// Malformed pragmas: `(line, what is wrong)`.
-    pub pragma_errors: Vec<(usize, String)>,
     /// Byte ranges of `#[cfg(test)]`/`#[test]` items.
     pub test_ranges: Vec<(usize, usize)>,
 }
@@ -170,9 +146,8 @@ impl<'a> Parsed<'a> {
         class: FileClass,
     ) -> Self {
         let items = tree::items(view);
-        let (pragmas, pragma_errors) = pragma::collect(view);
         let test_ranges = tree::test_ranges(view);
-        Parsed { index, rel, class, view, items, pragmas, pragma_errors, test_ranges }
+        Parsed { index, rel, class, view, items, test_ranges }
     }
 
     /// A finding in this file.
@@ -211,67 +186,21 @@ fn per_file_findings(p: &Parsed<'_>, out: &mut Vec<Finding>) {
 }
 
 /// Turns one file's findings into diagnostics: drops those in test-only
-/// code or under a pragma (its own line or the line above), reports
-/// each `(line, rule)` once, and appends the pragma-hygiene diagnostics
-/// (`bad-pragma`, `unused-pragma`). Every finding — token pattern,
-/// taint flow or cross-file pass — goes through here and nowhere else.
+/// code and reports each `(line, rule)` once. Every finding — token
+/// pattern, taint flow or cross-file pass — goes through here and
+/// nowhere else.
 fn finalize(p: &Parsed<'_>, findings: Vec<Finding>) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let mut diag = |line: usize, rule: &str, message: String| {
-        diags.push(Diagnostic { file: p.rel.to_path_buf(), line, rule: rule.to_string(), message });
-    };
-
-    for (line, message) in &p.pragma_errors {
-        diag(*line, "bad-pragma", message.clone());
-    }
-    for pr in &p.pragmas {
-        for r in &pr.rules {
-            if !rules::is_known_rule(r) {
-                diag(pr.line, "bad-pragma", format!("unknown rule `{r}` in pragma"));
-            } else if r == "float-fuse" && !pr.reason.contains("DESIGN.md §14") {
-                // The unroll carve-out is a documented numeric contract;
-                // every suppression must point readers at its anchor.
-                diag(
-                    pr.line,
-                    "bad-pragma",
-                    "float-fuse pragma reason must cite the bit-identity contract anchor \
-                     `DESIGN.md §14`"
-                        .to_string(),
-                );
-            }
-        }
-    }
-
-    let mut used_pragmas: BTreeSet<usize> = BTreeSet::new();
     let mut seen: BTreeSet<(usize, &str)> = BTreeSet::new();
-    for f in findings {
-        if p.in_test(f.offset) {
-            continue;
-        }
-        let allowed = p.pragmas.iter().position(|pr| {
-            (pr.line == f.line || pr.line + 1 == f.line) && pr.rules.iter().any(|r| r == f.rule)
-        });
-        if let Some(pi) = allowed {
-            used_pragmas.insert(pi);
-        } else if seen.insert((f.line, f.rule)) {
-            diag(f.line, f.rule, f.message);
-        }
-    }
-
-    for (pi, pr) in p.pragmas.iter().enumerate() {
-        let well_formed = pr.rules.iter().all(|r| rules::is_known_rule(r));
-        if well_formed && !used_pragmas.contains(&pi) && !p.in_test(pr.offset) {
-            diag(
-                pr.line,
-                "unused-pragma",
-                format!(
-                    "pragma allows [{}] but suppresses nothing; remove it",
-                    pr.rules.join(", ")
-                ),
-            );
-        }
-    }
-
+    let mut diags: Vec<Diagnostic> = findings
+        .into_iter()
+        .filter(|f| !p.in_test(f.offset) && seen.insert((f.line, f.rule)))
+        .map(|f| Diagnostic {
+            file: p.rel.to_path_buf(),
+            line: f.line,
+            rule: f.rule.to_string(),
+            message: f.message,
+        })
+        .collect();
     diags.sort();
     diags
 }
@@ -312,7 +241,6 @@ pub fn classify(rel: &Path) -> Option<FileClass> {
         deterministic: DET_CRATES.contains(&crate_name.as_str()),
         binary,
         net: crate_name == "fae-net",
-        metrics: crate_name != "fae-lint",
     })
 }
 
@@ -429,11 +357,11 @@ pub fn lint_tree(dir: &Path, class: FileClass) -> Result<Vec<Diagnostic>, WalkEr
 }
 
 /// The wire-compat pass's raw findings for `wire_source` against
-/// `design`, as `(line, message)` pairs before any suppression or
+/// `design`, as `(line, message)` pairs before test exemption or
 /// per-line dedupe — what the fixture pins check one by one.
 pub fn wire_findings(wire_source: &str, design: &str) -> Vec<(usize, String)> {
     let view = TreeView::new(wire_source);
-    let class = FileClass { deterministic: false, binary: false, net: true, metrics: false };
+    let class = FileClass { deterministic: false, binary: false, net: true };
     let wire = Parsed::new(0, Path::new("wire.rs"), &view, class);
     let mut findings = Vec::new();
     passes::wire_compat::run(&wire, design, &mut findings);
@@ -444,30 +372,12 @@ pub fn wire_findings(wire_source: &str, design: &str) -> Vec<(usize, String)> {
 mod tests {
     use super::*;
 
-    const LIB: FileClass =
-        FileClass { deterministic: true, binary: false, net: false, metrics: true };
-
-    #[test]
-    fn float_fuse_exempts_binary_targets() {
-        let naked = "let mut d = dst.chunks_exact_mut(8);\n";
-        assert_eq!(lint_source(Path::new("x.rs"), naked, LIB).len(), 1);
-        let bin = FileClass { binary: true, ..LIB };
-        assert!(lint_source(Path::new("bin.rs"), naked, bin).is_empty());
-    }
-
     #[test]
     fn classify_paths() {
-        assert!(classify(Path::new("crates/fae-core/src/trainer.rs")).is_some_and(|c| c
-            .deterministic
-            && !c.binary
-            && !c.net
-            && c.metrics));
+        assert!(classify(Path::new("crates/fae-core/src/trainer.rs"))
+            .is_some_and(|c| c.deterministic && !c.binary && !c.net));
         assert!(classify(Path::new("crates/fae-telemetry/src/lib.rs"))
-            .is_some_and(|c| !c.deterministic && !c.binary && c.metrics));
-        assert!(
-            classify(Path::new("crates/fae-lint/src/rules.rs")).is_some_and(|c| !c.metrics),
-            "fae-lint's own matchers quote the trigger tokens; exempt"
-        );
+            .is_some_and(|c| !c.deterministic && !c.binary));
         assert!(classify(Path::new("crates/fae-net/src/deadline.rs"))
             .is_some_and(|c| c.net && !c.deterministic && !c.binary));
         assert!(classify(Path::new("src/bin/fae.rs")).is_some_and(|c| c.binary));

@@ -3,7 +3,7 @@
 //! ```text
 //! fae-lint                      lint the workspace (root auto-detected)
 //! fae-lint --root DIR           lint the workspace rooted at DIR
-//! fae-lint --tree DIR [--det] [--lib] [--net] [--metrics]
+//! fae-lint --tree DIR [--det] [--lib] [--net]
 //!                               lint a bare directory of .rs files with a
 //!                               fixed classification (fixture testing);
 //!                               the cross-file passes run too, wire-compat
@@ -26,9 +26,9 @@ use fae_lint::{lint_tree, lint_workspace, Diagnostic, FileClass, DET_CRATES, RUL
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: fae-lint [--root DIR] [--tree DIR [--det] [--lib] [--net] [--metrics]]\n\
+        "usage: fae-lint [--root DIR] [--tree DIR [--det] [--lib] [--net]]\n\
          \u{20}               [--format text|json] [--list-rules]\n\
-         see DESIGN.md §11 for the rule table and pragma syntax"
+         see DESIGN.md §11 for the rule table"
     );
     ExitCode::from(2)
 }
@@ -109,7 +109,7 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut root: Option<PathBuf> = None;
     let mut tree: Option<PathBuf> = None;
-    let mut class = FileClass { deterministic: false, binary: true, net: false, metrics: false };
+    let mut class = FileClass { deterministic: false, binary: true, net: false };
     let mut json = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -126,7 +126,6 @@ fn main() -> ExitCode {
             "--det" => class.deterministic = true,
             "--lib" => class.binary = false,
             "--net" => class.net = true,
-            "--metrics" => class.metrics = true,
             "--list-rules" => {
                 println!("determinism-critical crates: {}", DET_CRATES.join(", "));
                 for r in RULES {

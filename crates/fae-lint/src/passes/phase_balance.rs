@@ -15,7 +15,7 @@
 //! declared variant (E0599).
 //!
 //! Rule id: `phase-balance`. Findings land on the offending line and
-//! respect pragmas/test regions like every other rule.
+//! respect test regions like every other rule.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -3,9 +3,8 @@
 //!
 //! Every rule and pass works on the [`Tok`] stream this produces (or on
 //! the tree built over it), so a trigger spelled inside a literal or a
-//! comment is invisible to all of them by construction. Line comments
-//! come out on a side channel ([`Lexed::comments`]) because pragmas
-//! live there; block comments are dropped.
+//! comment is invisible to all of them by construction. Comments are
+//! dropped.
 //!
 //! Deliberately *not* a full lexer: multi-byte operators (`::`, `=>`,
 //! `->`, `..`) come out as adjacent single-byte [`TokKind::Punct`]
@@ -29,9 +28,6 @@ pub enum TokKind {
     Lifetime,
     /// Any other single byte of punctuation.
     Punct,
-    /// A `//` comment up to (not including) its newline. Only ever in
-    /// [`Lexed::comments`], never in the code stream.
-    LineComment,
 }
 
 /// One token: kind plus its byte span and 1-based line number.
@@ -55,21 +51,12 @@ impl Tok {
 }
 
 /// True for a byte that can continue an identifier.
-pub(crate) fn is_ident_byte(b: u8) -> bool {
+fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
 fn is_ident_start(b: u8) -> bool {
     b.is_ascii_alphabetic() || b == b'_'
-}
-
-/// What [`tokenize`] yields: the code tokens, and the line comments it
-/// skipped while producing them.
-pub struct Lexed {
-    /// Code tokens in source order.
-    pub toks: Vec<Tok>,
-    /// `//` comments (doc comments included) in source order.
-    pub comments: Vec<Tok>,
 }
 
 /// If `rest` begins a raw-string opener (`#*"`), returns the hash count.
@@ -85,7 +72,7 @@ fn raw_string_hashes(rest: &[u8]) -> Option<usize> {
     }
 }
 
-/// Tokenizes `source`, skipping whitespace and block comments.
+/// Tokenizes `source`, skipping whitespace and comments.
 ///
 /// Line comments run to the newline, block comments nest, ordinary
 /// strings honour `\` escapes, raw strings honour their hash count, and
@@ -93,10 +80,9 @@ fn raw_string_hashes(rest: &[u8]) -> Option<usize> {
 /// one cannot swallow the file) when an escape, a non-identifier byte
 /// or a closing tick two bytes on says so, a lifetime otherwise.
 /// Unterminated literals and comments end at EOF; nothing here panics.
-pub fn tokenize(source: &str) -> Lexed {
+pub fn tokenize(source: &str) -> Vec<Tok> {
     let src = source.as_bytes();
     let mut toks = Vec::new();
-    let mut comments = Vec::new();
     let mut line = 1usize;
     let mut i = 0usize;
 
@@ -113,11 +99,9 @@ pub fn tokenize(source: &str) -> Lexed {
         }
         let prev_ident = i > 0 && is_ident_byte(src[i - 1]);
         if b == b'/' && i + 1 < src.len() && src[i + 1] == b'/' {
-            let start = i;
             while i < src.len() && src[i] != b'\n' {
                 i += 1;
             }
-            comments.push(Tok { kind: TokKind::LineComment, start, end: i, line });
             continue;
         }
         if b == b'/' && i + 1 < src.len() && src[i + 1] == b'*' {
@@ -244,7 +228,7 @@ pub fn tokenize(source: &str) -> Lexed {
         toks.push(Tok { kind: TokKind::Punct, start: i, end: i + 1, line });
         i += 1;
     }
-    Lexed { toks, comments }
+    toks
 }
 
 #[cfg(test)]
@@ -256,7 +240,7 @@ mod tests {
     #[test]
     fn floats_and_ranges() {
         let src = "a(1.5, 0..8, x.0)";
-        let t = tokenize(src).toks;
+        let t = tokenize(src);
         let nums: Vec<_> =
             t.iter().filter(|t| t.kind == TokKind::Num).map(|t| t.text(src)).collect();
         assert_eq!(nums, vec!["1.5", "0", "8", "0"]);
@@ -267,7 +251,7 @@ mod tests {
         // `prev_ident` guard: `for r in ..` must not treat `r` + later
         // quote as a raw-string opener.
         let src = "for r in v { g(r, \"s\") }";
-        let t = tokenize(src).toks;
+        let t = tokenize(src);
         assert!(t.iter().any(|t| t.kind == TokKind::Str && t.text(src) == "\"s\""));
     }
 
@@ -275,8 +259,7 @@ mod tests {
     fn unterminated_literals_and_comments_end_at_eof() {
         for src in ["let s = \"never closed", "r##\"never closed\"#", "/* never /* closed */", "'"]
         {
-            let lexed = tokenize(src);
-            assert!(lexed.toks.iter().all(|t| t.end <= src.len()), "{src}");
+            assert!(tokenize(src).iter().all(|t| t.end <= src.len()), "{src}");
         }
     }
 
@@ -295,7 +278,7 @@ mod tests {
         ("// line comment\n", true),
         ("/// doc comment\n", true),
         ("//! inner doc\n", true),
-        ("// fae-lint: allow(no-panic, reason = \"test\")\n", true),
+        ("// \"quoted\" m[\"k\"] in a line comment\n", true),
         ("// ünï ✓ cödé\n", true),
         ("/* block */", true),
         ("/* nested /* deeper */ still out */", true),
@@ -347,12 +330,12 @@ mod tests {
             frags in prop::collection::vec(fragment(), 0..40)
         ) {
             let source: String = frags.concat();
-            let lexed = tokenize(&source);
+            let toks = tokenize(&source);
             let code_words: Vec<&str> =
                 FRAGMENTS.iter().filter(|(_, hidden)| !hidden).flat_map(|(f, _)| words(f)).collect();
 
             let mut prev_end = 0usize;
-            for t in &lexed.toks {
+            for t in &toks {
                 // In bounds, ordered, non-overlapping, on char boundaries.
                 prop_assert!(t.start < t.end && t.end <= source.len());
                 prop_assert!(t.start >= prev_end, "token at byte {} overlaps its predecessor", t.start);
@@ -371,11 +354,6 @@ mod tests {
                         && FRAGMENTS.iter().any(|(f, hidden)| *hidden && words(f).any(|x| x == w));
                     prop_assert!(!hidden_only, "hidden word `{}` came out as an identifier", w);
                 }
-            }
-            for c in &lexed.comments {
-                prop_assert!(c.end <= source.len() && source[c.start..c.end].starts_with("//"));
-                let line = 1 + source.as_bytes()[..c.start].iter().filter(|&&b| b == b'\n').count();
-                prop_assert_eq!(c.line, line);
             }
         }
     }

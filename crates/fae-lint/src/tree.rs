@@ -19,7 +19,7 @@
 //! are treated as token runs, and macro bodies are walked like ordinary
 //! code. DESIGN.md §16 lists the resulting soundness caveats.
 
-use crate::tokens::{tokenize, Lexed, Tok, TokKind};
+use crate::tokens::{tokenize, Tok, TokKind};
 
 /// One node of the token tree.
 #[derive(Debug)]
@@ -55,8 +55,6 @@ pub struct TreeView<'s> {
     pub source: &'s str,
     /// The code token stream.
     pub toks: Vec<Tok>,
-    /// The `//` comments the tokenizer skipped (pragmas live here).
-    pub comments: Vec<Tok>,
     /// The token tree over `toks`.
     pub nodes: Vec<Node>,
 }
@@ -64,8 +62,7 @@ pub struct TreeView<'s> {
 impl<'s> TreeView<'s> {
     /// Tokenizes and tree-builds `source`.
     pub fn new(source: &'s str) -> Self {
-        let Lexed { toks, comments } = tokenize(source);
-        let mut view = TreeView { source, toks, comments, nodes: Vec::new() };
+        let mut view = TreeView { source, toks: tokenize(source), nodes: Vec::new() };
         view.nodes = build_until(&view, &mut 0, None);
         view
     }

@@ -102,12 +102,12 @@ impl AttentionPool {
 
     /// Backward pass: returns gradients for the sequence vectors (same
     /// ragged layout) and the query.
-    // Index-based loops: each iteration reads several parallel ragged
-    // structures at (i, t); iterator chains obscure that symmetry.
-    #[allow(clippy::needless_range_loop)]
     pub fn backward(&mut self, grad_ctx: &Tensor) -> (SeqBatch, Tensor) {
+        #[expect(
+            clippy::expect_used,
+            reason = "forward-before-backward is a call-order contract; fabricating a gradient here would corrupt training silently"
+        )]
         let Cache { seq, query, alphas } =
-            // fae-lint: allow(no-panic, reason = "forward-before-backward is a call-order contract; fabricating a gradient here would corrupt training silently")
             self.cached.take().expect("AttentionPool::backward before forward");
         let (batch, d) = query.shape();
         assert_eq!(grad_ctx.shape(), (batch, d), "grad shape mismatch");

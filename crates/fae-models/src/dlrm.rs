@@ -86,7 +86,10 @@ impl RecModel for Dlrm {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Vec<SparseGrad> {
-        // fae-lint: allow(no-panic, reason = "forward-before-backward is a call-order contract; fabricating a gradient here would corrupt training silently")
+        #[expect(
+            clippy::expect_used,
+            reason = "forward-before-backward is a call-order contract; fabricating a gradient here would corrupt training silently"
+        )]
         let sparse = self.cached_sparse.take().expect("Dlrm::backward called before forward");
         let d_inter = self.top.backward(grad);
         let feature_grads = self.interaction.backward(&d_inter);

@@ -50,7 +50,10 @@ impl Interaction {
 
     /// Backward pass: splits the upstream gradient back onto each feature.
     pub fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
-        // fae-lint: allow(no-panic, reason = "forward-before-backward is a call-order contract; fabricating a gradient here would corrupt training silently")
+        #[expect(
+            clippy::expect_used,
+            reason = "forward-before-backward is a call-order contract; fabricating a gradient here would corrupt training silently"
+        )]
         let features = self.cached.take().expect("Interaction::backward before forward");
         let f = features.len();
         let (batch, d) = features[0].shape();

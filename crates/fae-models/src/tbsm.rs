@@ -106,7 +106,10 @@ impl RecModel for Tbsm {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Vec<SparseGrad> {
-        // fae-lint: allow(no-panic, reason = "forward-before-backward is a call-order contract; fabricating a gradient here would corrupt training silently")
+        #[expect(
+            clippy::expect_used,
+            reason = "forward-before-backward is a call-order contract; fabricating a gradient here would corrupt training silently"
+        )]
         let cached = self.cached.take().expect("Tbsm::backward called before forward");
         let d = self.emb_dim;
         let dz = self.top.backward(grad);

@@ -52,7 +52,7 @@ use fae_data::{MiniBatch, WorkloadSpec};
 use fae_embed::{HotColdPartition, SparseGrad};
 use fae_models::{forward_backward, EmbeddingSource, MasterEmbeddings, RecModel};
 use fae_sysmodel::{reshard_cost, sync_cost, Phase, SystemConfig, Timeline};
-use fae_telemetry::{JournalEvent, PhaseSeconds, ShipLedger, StepMode, Telemetry};
+use fae_telemetry::{metric, JournalEvent, PhaseSeconds, ShipLedger, StepMode, Telemetry};
 
 use crate::deadline::Link;
 use crate::detector::FailureDetector;
@@ -119,7 +119,10 @@ impl RemoteEngine {
     /// node-id order, so the initial group's epochs never depend on which
     /// node dialled first. A Hello is held at most half the node's
     /// `welcome_timeout_ms` past the first one held.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the model, the workload and the node set of one run"
+    )]
     pub fn new(
         model: AnyModel,
         spec: &WorkloadSpec,
@@ -296,7 +299,7 @@ impl RemoteEngine {
                 state_bytes,
             });
         }
-        self.telemetry.counter_add("net.joins", 1);
+        self.telemetry.counter_add(metric!("net.joins"), 1);
     }
 
     /// Declares worker `node` dead: severs the socket, bumps the epoch,
@@ -327,7 +330,7 @@ impl RemoteEngine {
             node: node as u32,
             live: live as u32,
         });
-        self.telemetry.counter_add("net.nodes_lost", 1);
+        self.telemetry.counter_add(metric!("net.nodes_lost"), 1);
     }
 
     /// True when worker `k` may be sent work of `mode`.
@@ -468,7 +471,7 @@ impl RemoteEngine {
                 .step_charges
                 .add(Phase::Framework, batch.len() as f64 / TELEMETRY_WIRE_BYTES_PER_S);
             self.telemetry.ship_lines(k as u64, &batch);
-            self.telemetry.counter_add("net.telemetry_lines", fresh.len() as u64);
+            self.telemetry.counter_add(metric!("net.telemetry_lines"), fresh.len() as u64);
         }
     }
 

@@ -1,7 +1,7 @@
 //! The one blessed home of blocking socket I/O: every read, write and
 //! connect in `fae-net` goes through these helpers, and every one of
-//! them carries an explicit deadline. The `net-deadline` lint rule
-//! (fae-lint) flags blocking socket calls anywhere else in this crate,
+//! them carries an explicit deadline. The crate's `clippy.toml` makes
+//! the blocking socket calls `disallowed-methods` anywhere else in it,
 //! which is what keeps "a hung peer stalls the run forever" structurally
 //! impossible rather than a code-review hope.
 //!
@@ -70,8 +70,11 @@ pub fn recv_frame(stream: &mut TcpStream, timeout_ms: u64) -> Result<Frame, NetE
 }
 
 /// One `write_all` per frame. The caller has set the write deadline.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "every caller sets the write deadline first; this is the blessed send path"
+)]
 fn write_frame_bytes(stream: &mut TcpStream, bytes: &[u8]) -> Result<(), NetError> {
-    // fae-lint: allow(net-deadline, reason = "every caller sets the write deadline first; this is the blessed send path")
     stream.write_all(bytes).map_err(from_io)
 }
 
@@ -84,7 +87,10 @@ const RX_COMMIT: usize = 64 << 10;
 /// cannot make this side commit `MAX_FRAME` with four bytes.
 fn read_frame(stream: &mut TcpStream, rx: &mut Vec<u8>) -> Result<Frame, NetError> {
     let mut lenb = [0u8; 4];
-    // fae-lint: allow(net-deadline, reason = "every caller sets the read deadline first; this is the blessed receive path")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "every caller sets the read deadline first; this is the blessed receive path"
+    )]
     stream.read_exact(&mut lenb).map_err(from_io)?;
     let len = u32::from_le_bytes(lenb) as usize;
     if len > MAX_FRAME {
@@ -92,7 +98,10 @@ fn read_frame(stream: &mut TcpStream, rx: &mut Vec<u8>) -> Result<Frame, NetErro
     }
     rx.clear();
     rx.reserve(len.min(RX_COMMIT));
-    // fae-lint: allow(net-deadline, reason = "bounded by the length prefix and the read deadline set by every caller")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bounded by the length prefix and the read deadline set by every caller"
+    )]
     let got = Read::take(&mut *stream, len as u64).read_to_end(rx).map_err(from_io)?;
     if got < len {
         return Err(NetError::Disconnected);
@@ -224,6 +233,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the peer writes raw bytes under its own deadline"
+    )]
     fn a_length_prefix_commits_no_memory_before_the_body_arrives() {
         // 200 MiB is under MAX_FRAME, so the cap check passes; the peer
         // then sends a few bytes and hangs up.
@@ -250,6 +263,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the peer writes raw bytes under its own deadline"
+    )]
     fn an_oversized_length_prefix_is_rejected_before_any_read() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();

@@ -2,7 +2,9 @@
 //!
 //! The workspace forbids `unsafe`, so there are no intrinsics here — just
 //! fixed-width unrolls over `chunks_exact(8)` that the compiler can keep in
-//! SIMD registers. Two families live side by side with *different*
+//! SIMD registers. fae-lint's `float-fuse` rule reports such an unroll
+//! anywhere else in library code, so every one lives here, beside its
+//! contract. Two families live side by side with *different*
 //! bit-identity contracts (DESIGN.md §14):
 //!
 //! * **Elementwise** kernels ([`add_assign`], [`axpy`], [`scale_assign`])
@@ -20,9 +22,8 @@
 /// loop (no reassociation). Panics on length mismatch.
 pub fn add_assign(dst: &mut [f32], src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "add_assign length mismatch");
-    // fae-lint: allow(float-fuse, reason = "elementwise, no f32 reassociation; DESIGN.md §14")
+    // Elementwise, no f32 reassociation (DESIGN.md §14).
     let mut d = dst.chunks_exact_mut(8);
-    // fae-lint: allow(float-fuse, reason = "elementwise, no f32 reassociation; DESIGN.md §14")
     let mut s = src.chunks_exact(8);
     for (dc, sc) in (&mut d).zip(&mut s) {
         dc[0] += sc[0];
@@ -43,9 +44,8 @@ pub fn add_assign(dst: &mut [f32], src: &[f32]) {
 /// scalar loop. Panics on length mismatch.
 pub fn axpy(dst: &mut [f32], a: f32, src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "axpy length mismatch");
-    // fae-lint: allow(float-fuse, reason = "elementwise, no f32 reassociation; DESIGN.md §14")
+    // Elementwise, no f32 reassociation (DESIGN.md §14).
     let mut d = dst.chunks_exact_mut(8);
-    // fae-lint: allow(float-fuse, reason = "elementwise, no f32 reassociation; DESIGN.md §14")
     let mut s = src.chunks_exact(8);
     for (dc, sc) in (&mut d).zip(&mut s) {
         dc[0] += a * sc[0];
@@ -64,7 +64,7 @@ pub fn axpy(dst: &mut [f32], a: f32, src: &[f32]) {
 
 /// In-place `dst[i] *= s`. Elementwise: bit-identical to the scalar loop.
 pub fn scale_assign(dst: &mut [f32], s: f32) {
-    // fae-lint: allow(float-fuse, reason = "elementwise, no f32 reassociation; DESIGN.md §14")
+    // Elementwise, no f32 reassociation (DESIGN.md §14).
     let mut d = dst.chunks_exact_mut(8);
     for dc in &mut d {
         dc[0] *= s;
@@ -88,9 +88,8 @@ pub fn scale_assign(dst: &mut [f32], s: f32) {
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
     let mut acc = [0.0f32; 8];
-    // fae-lint: allow(float-fuse, reason = "8 partial sums reorder f32 addition; DESIGN.md §14")
+    // 8 partial sums reorder f32 addition (DESIGN.md §14).
     let mut ac = a.chunks_exact(8);
-    // fae-lint: allow(float-fuse, reason = "8 partial sums reorder f32 addition; DESIGN.md §14")
     let mut bc = b.chunks_exact(8);
     for (x, y) in (&mut ac).zip(&mut bc) {
         acc[0] += x[0] * y[0];

@@ -103,7 +103,10 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        // fae-lint: allow(no-panic, reason = "forward-before-backward is a call-order contract; fabricating a gradient here would corrupt training silently")
+        #[expect(
+            clippy::expect_used,
+            reason = "forward-before-backward is a call-order contract; fabricating a gradient here would corrupt training silently"
+        )]
         let x = self.cached_x.as_ref().expect("Linear::backward called before forward");
         // dW = xᵀ · g, db = Σ_rows g, dx = g · Wᵀ. The dW product runs
         // transpose-free (no per-step copy of the large activation
@@ -180,7 +183,10 @@ impl Layer for Relu {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        // fae-lint: allow(no-panic, reason = "forward-before-backward is a call-order contract; fabricating a gradient here would corrupt training silently")
+        #[expect(
+            clippy::expect_used,
+            reason = "forward-before-backward is a call-order contract; fabricating a gradient here would corrupt training silently"
+        )]
         let x = self.cached_x.as_ref().expect("Relu::backward called before forward");
         let mask = x.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
         grad_out.hadamard(&mask)
@@ -224,7 +230,10 @@ impl Layer for Sigmoid {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        // fae-lint: allow(no-panic, reason = "forward-before-backward is a call-order contract; fabricating a gradient here would corrupt training silently")
+        #[expect(
+            clippy::expect_used,
+            reason = "forward-before-backward is a call-order contract; fabricating a gradient here would corrupt training silently"
+        )]
         let y = self.cached_y.as_ref().expect("Sigmoid::backward called before forward");
         let dy = y.map(|v| v * (1.0 - v));
         grad_out.hadamard(&dy)

@@ -63,8 +63,11 @@ impl Mlp {
     }
 
     /// Output width.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "Mlp::new asserts sizes.len() >= 2, so sizes is never empty"
+    )]
     pub fn out_width(&self) -> usize {
-        // fae-lint: allow(no-panic, reason = "Mlp::new asserts sizes.len() >= 2, so sizes is never empty")
         *self.sizes.last().unwrap()
     }
 }

@@ -28,7 +28,7 @@ use fae_models::bridge::profile_for;
 use fae_models::{predict, MasterEmbeddings, RecModel};
 use fae_sysmodel::{ModelProfile, Phase, SystemConfig, Timeline};
 use fae_telemetry::journal::PhaseSeconds;
-use fae_telemetry::{JournalEvent, Telemetry};
+use fae_telemetry::{metric, JournalEvent, Telemetry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -225,7 +225,7 @@ impl ServeEngine {
     /// footprint as `serve.master_bytes`.
     pub fn quantize_cold_tier(&mut self) {
         self.master.quantize_cold_tier(&self.partitions);
-        self.telemetry.gauge_set("serve.master_bytes", self.master.total_bytes() as f64);
+        self.telemetry.gauge_set(metric!("serve.master_bytes"), self.master.total_bytes() as f64);
     }
 
     /// Resident bytes of the master tables the engine serves from
@@ -363,11 +363,11 @@ impl ServeEngine {
             for &m in &b.members {
                 let l = end_s - requests[m].arrival_s;
                 latency[m] = Some(l);
-                telem.observe("serve.latency_s", l);
+                telem.observe(metric!("serve.latency_s"), l);
             }
-            telem.observe("serve.batch_size", b.members.len() as f64);
-            telem.counter_add("serve.cache_hits", access.gpu_rows as u64);
-            telem.counter_add("serve.cache_misses", access.cpu_rows as u64);
+            telem.observe(metric!("serve.batch_size"), b.members.len() as f64);
+            telem.counter_add(metric!("serve.cache_hits"), access.gpu_rows as u64);
+            telem.counter_add(metric!("serve.cache_misses"), access.cpu_rows as u64);
             let phases = PhaseSeconds::delta(&Timeline::new(), &cost);
             telem.emit(&JournalEvent::ServeBatch {
                 batch: dispatched.len() as u64 + 1,
@@ -391,7 +391,10 @@ impl ServeEngine {
                 if next_at.is_none_or(|at| dl <= at) {
                     let reason =
                         if next_at.is_some() { CloseReason::Deadline } else { CloseReason::Drain };
-                    // fae-lint: allow(no-panic, reason = "deadline() is Some only while a batch is open, so flush cannot return None here")
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "deadline() is Some only while a batch is open, so flush cannot return None here"
+                    )]
                     let b = batcher.flush(dl, reason).expect("open batch behind a deadline");
                     let (end_s, members) = dispatch(
                         b,
@@ -426,10 +429,10 @@ impl ServeEngine {
             let inflight: usize =
                 dispatched.iter().filter(|d| d.end_s > now).map(|d| d.members.len()).sum();
             let depth = batcher.open_len() + inflight;
-            telem.gauge_set("serve.queue_depth", depth as f64);
+            telem.gauge_set(metric!("serve.queue_depth"), depth as f64);
             if depth >= self.cfg.queue_cap {
                 rejected += 1;
-                telem.counter_add("serve.rejected", 1);
+                telem.counter_add(metric!("serve.rejected"), 1);
                 requests.push(InferRequest {
                     id: requests.len() as u64,
                     arrival_s: now,
@@ -583,8 +586,8 @@ impl ServeEngine {
             mean_score,
             requests,
         };
-        telem.counter_add("serve.completed", report.completed);
-        telem.gauge_set("serve.hit_rate", report.hit_rate);
+        telem.counter_add(metric!("serve.completed"), report.completed);
+        telem.gauge_set(metric!("serve.hit_rate"), report.hit_rate);
         telem.emit(&JournalEvent::ServeEnd {
             completed: report.completed,
             rejected: report.rejected,

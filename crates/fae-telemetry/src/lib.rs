@@ -108,40 +108,41 @@ impl Telemetry {
         self.0.is_some()
     }
 
-    /// Adds `n` to the counter `name`.
-    pub fn counter_add(&self, name: &str, n: u64) {
+    /// Runs `f` on the registry; a no-op when disabled.
+    fn with_registry(&self, f: impl FnOnce(&mut MetricsRegistry)) {
         if let Some(inner) = &self.0 {
             if let Ok(mut m) = inner.metrics.lock() {
-                m.counter_add(name, n);
+                f(&mut m);
             }
         }
     }
 
-    /// Sets the gauge `name` to `v`.
-    pub fn gauge_set(&self, name: &str, v: f64) {
-        if let Some(inner) = &self.0 {
-            if let Ok(mut m) = inner.metrics.lock() {
-                m.gauge_set(name, v);
-            }
-        }
+    /// Adds `n` to the counter `metric`.
+    pub fn counter_add(&self, metric: Metric, n: u64) {
+        self.with_registry(|m| m.counter_add(metric.name(), n));
     }
 
-    /// Records an observation into the histogram `name`.
-    pub fn observe(&self, name: &str, v: f64) {
-        if let Some(inner) = &self.0 {
-            if let Ok(mut m) = inner.metrics.lock() {
-                m.observe(name, v);
-            }
-        }
+    /// Adds `n` to the counter `<family>.<label>`: one counter per member
+    /// of an open set, such as `faults.injected.<kind>`. The label is a
+    /// member's own id (a fault kind's kebab-case name) and is not held
+    /// to the [`Metric`] rule; the exposition maps its `-` to `_`.
+    pub fn counter_add_labelled(&self, family: Metric, label: &str, n: u64) {
+        self.with_registry(|m| m.counter_add(&format!("{}.{label}", family.name()), n));
+    }
+
+    /// Sets the gauge `metric` to `v`.
+    pub fn gauge_set(&self, metric: Metric, v: f64) {
+        self.with_registry(|m| m.gauge_set(metric.name(), v));
+    }
+
+    /// Records an observation into the histogram `metric`.
+    pub fn observe(&self, metric: Metric, v: f64) {
+        self.with_registry(|m| m.observe(metric.name(), v));
     }
 
     /// Records one completed span occurrence (used by [`SpanGuard`]).
     pub fn span_record(&self, path: &str, real_s: f64, sim_s: f64) {
-        if let Some(inner) = &self.0 {
-            if let Ok(mut m) = inner.metrics.lock() {
-                m.span_record(path, real_s, sim_s);
-            }
-        }
+        self.with_registry(|m| m.span_record(path, real_s, sim_s));
     }
 
     /// Opens a span at `path`; real seconds are measured until the guard
@@ -435,9 +436,9 @@ mod tests {
     fn disabled_handle_is_inert() {
         let t = Telemetry::disabled();
         assert!(!t.enabled());
-        t.counter_add("c", 5);
-        t.gauge_set("g", 1.0);
-        t.observe("h", 1.0);
+        t.counter_add(metric!("c"), 5);
+        t.gauge_set(metric!("g"), 1.0);
+        t.observe(metric!("h"), 1.0);
         t.emit(&JournalEvent::Fault { step: 1, kind: "k".into() });
         assert_eq!(t.metrics(), MetricsRegistry::new());
         assert!(t.events().is_empty());
@@ -447,11 +448,25 @@ mod tests {
     fn enabled_handle_records_and_clones_share_state() {
         let t = Telemetry::builder().retain_events(true).try_build().expect("telemetry");
         let t2 = t.clone();
-        t.counter_add("c", 2);
-        t2.counter_add("c", 3);
+        t.counter_add(metric!("c"), 2);
+        t2.counter_add(metric!("c"), 3);
         t2.emit(&JournalEvent::Fault { step: 9, kind: "bitflip".into() });
         assert_eq!(t.metrics().counter("c"), 5);
         assert_eq!(t.events().len(), 1);
+    }
+
+    #[test]
+    fn step_counters_record_through_metric() {
+        // The trainer picks its step counter by mode, as here.
+        let t = Telemetry::builder().try_build().expect("telemetry");
+        for hot in [true, false, true] {
+            let counter =
+                if hot { metric!("train.steps_hot") } else { metric!("train.steps_cold") };
+            t.counter_add(counter, 1);
+        }
+        let m = t.metrics();
+        assert_eq!((m.counter("train.steps_hot"), m.counter("train.steps_cold")), (2, 1));
+        assert!(m.to_prometheus().contains("\nfae_train_steps_hot 2\n"));
     }
 
     #[test]

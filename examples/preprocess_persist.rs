@@ -9,6 +9,8 @@
 //! cargo run --release --example preprocess_persist
 //! ```
 
+#![expect(clippy::expect_used, reason = "an example stops at the first failed step")]
+
 use fae::core::{pipeline, CalibratorConfig, PreprocessConfig, Preprocessed, TrainConfig};
 use fae::data::format::FaeFile;
 use fae::data::{generate, BatchKind, GenOptions, WorkloadSpec};

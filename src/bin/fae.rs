@@ -21,6 +21,11 @@
 //! Argument parsing is deliberately dependency-free (flag pairs only); a
 //! flag the subcommand does not read is an error, not a no-op.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a binary dies loudly on a broken setup; only library code owes typed errors"
+)]
+
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 

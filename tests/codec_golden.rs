@@ -8,6 +8,8 @@
 //! frame written by either side of that change must stay readable by the
 //! other.
 
+#![expect(clippy::expect_used, reason = "a test helper fails its test by panicking")]
+
 use proptest::prelude::*;
 
 use fae::core::faults::{FaultKind, InjectedFault, RecoveryAction};

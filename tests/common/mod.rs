@@ -3,6 +3,8 @@
 //! worker threads executing the same `run_node` supervisor the
 //! `fae node` binary runs.
 
+#![expect(clippy::expect_used, reason = "a test helper fails its test by panicking")]
+
 use std::net::TcpListener;
 use std::thread;
 use std::time::Duration;
@@ -60,7 +62,7 @@ pub fn train_distributed(
 
 /// [`train_distributed`] with node `k` dialling `late_ms[k]` ms after
 /// the others start (no delay past the slice's end).
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "train_distributed's inputs plus the dial delays")]
 pub fn train_dialing_late(
     spec: &WorkloadSpec,
     pre: &Preprocessed,

@@ -2,6 +2,8 @@
 //! bit-identity, graceful degradation under injected faults, and
 //! retry-with-backoff cost accounting.
 
+#![expect(clippy::expect_used, reason = "a test helper fails its test by panicking")]
+
 use std::fs;
 use std::path::PathBuf;
 

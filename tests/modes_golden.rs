@@ -13,6 +13,8 @@
 //! whatever the pool hands back is added onto `+0.0` (so a lone `-0.0`
 //! reads `+0.0`) in strictly ascending row order, one gradient per table.
 
+#![expect(clippy::expect_used, reason = "a test helper fails its test by panicking")]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use rand::rngs::StdRng;

@@ -5,6 +5,8 @@
 //! crash run, the heartbeat-gap alert that run must fire, and byte
 //! determinism of the merged Perfetto trace for a fixed seed.
 
+#![expect(clippy::expect_used, reason = "a test helper fails its test by panicking")]
+
 mod common;
 
 use std::fs;

@@ -3,6 +3,8 @@
 //! to run — same `EvalPoint` stream, same checkpoint digest — including
 //! across a checkpoint/resume boundary.
 
+#![expect(clippy::expect_used, reason = "a test helper fails its test by panicking")]
+
 use std::fs;
 use std::path::PathBuf;
 

@@ -1,6 +1,8 @@
 //! End-to-end serving tests: train → checkpoint → serve, plus the
 //! record/replay contract `serve-smoke` CI leans on.
 
+#![expect(clippy::expect_used, reason = "a test helper fails its test by panicking")]
+
 use std::fs;
 use std::path::PathBuf;
 

@@ -3,6 +3,8 @@
 //! `fae report` round trip, and byte-level determinism of the Chrome
 //! trace export.
 
+#![expect(clippy::expect_used, reason = "a test helper fails its test by panicking")]
+
 use std::fs;
 use std::path::PathBuf;
 

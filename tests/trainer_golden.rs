@@ -9,6 +9,8 @@
 //! to move one (a new cost term, a new schedule), the failure message
 //! prints the full actual table to paste back in.
 
+#![expect(clippy::expect_used, reason = "a test helper fails its test by panicking")]
+
 use std::fs;
 use std::path::PathBuf;
 
