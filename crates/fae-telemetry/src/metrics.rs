@@ -154,7 +154,7 @@ pub struct SpanStat {
 ///
 /// Build one with [`metric!`](crate::metric), which checks the name at
 /// compile time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub struct Metric(&'static str);
 
 impl Metric {
