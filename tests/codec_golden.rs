@@ -6,21 +6,24 @@
 //! the same build, so a change that moved encoder and decoder together
 //! would pass them all; these constants would not move with it. A file or
 //! frame written by either side of that change must stay readable by the
-//! other.
+//! other. The static phase's output — the encoded stream of
+//! `pipeline::prepare` on seeded Kaggle and Taobao inputs, and every
+//! partition, also after a serde round trip — is held to hashes printed
+//! while the packer still gathered sample by sample.
 
 #![expect(clippy::expect_used, reason = "a test helper fails its test by panicking")]
 
 use proptest::prelude::*;
 
 use fae::core::faults::{FaultKind, InjectedFault, RecoveryAction};
-use fae::core::pipeline::prefetch_fae_blocks;
+use fae::core::pipeline::{prefetch_fae_blocks, prepare};
 use fae::core::scheduler::SchedulerState;
 use fae::core::trainer::EvalPoint;
-use fae::core::{TableSnapshot, TrainCheckpoint};
+use fae::core::{CalibratorConfig, PreprocessConfig, TableSnapshot, TrainCheckpoint};
 use fae::data::codec::crc32;
 use fae::data::format::{FaeFile, FaeStreamReader, FormatError};
-use fae::data::{BatchKind, MiniBatch, TableIndices};
-use fae::embed::SparseGrad;
+use fae::data::{generate, BatchKind, GenOptions, MiniBatch, TableIndices, WorkloadSpec};
+use fae::embed::{HotColdPartition, SparseGrad};
 use fae::net::{Frame, HotEntry, Message};
 use fae::sysmodel::{Phase, Timeline};
 use fae::telemetry::StepMode;
@@ -384,4 +387,55 @@ fn prefetched_fae_blocks_match_the_eager_decode_and_end_at_the_first_error() {
         assert!(items[whole].is_err(), "cut {cut}");
         assert!(ended, "cut {cut}: the stream ends at its error");
     }
+}
+
+// ---------- the static phase ----------
+
+/// FNV-1a of every partition's remap (a cold row as `u32::MAX`), hot ids
+/// and cutoff, read through the public accessors.
+fn partitions_hash(parts: &[HotColdPartition]) -> u64 {
+    let mut bytes = Vec::new();
+    for p in parts {
+        for row in 0..p.rows() as u32 {
+            bytes.extend(p.hot_local(row).unwrap_or(u32::MAX).to_le_bytes());
+        }
+        for &h in p.hot_ids() {
+            bytes.extend(h.to_le_bytes());
+        }
+        bytes.extend(p.cutoff().to_le_bytes());
+    }
+    fnv1a(&bytes)
+}
+
+/// Per workload: encoded stream length and FNV-1a, hot batches, and the
+/// partitions' hash — as the sample-by-sample packer wrote them.
+const STATIC_GOLDEN: [(&str, usize, u64, usize, u64); 2] = [
+    ("rmc2-kaggle", 5_296_862, 0x24c1_c3fa_5628_674f, 27, 0xb7df_641a_f29b_6ba8),
+    ("rmc1-taobao", 2_400_574, 0x48c9_9c3c_d0dc_4ada, 55, 0xf208_bb75_58e5_7090),
+];
+
+#[test]
+fn prepared_streams_and_partitions_match_the_pinned_hashes() {
+    let mut got = Vec::new();
+    for spec in [WorkloadSpec::rmc2_kaggle(), WorkloadSpec::rmc1_taobao()] {
+        let ds = generate(&spec, &GenOptions::sized(11, 20_000));
+        let cal = CalibratorConfig {
+            gpu_budget_bytes: spec.embedding_bytes() / 8,
+            small_table_bytes: 8 << 10,
+            sample_rate: 0.05,
+            ..Default::default()
+        };
+        let art = prepare(&ds, cal, &PreprocessConfig { minibatch_size: 256, seed: 11 });
+        let pre = &art.preprocessed;
+        let stream = pre.to_fae_file(&spec.name).encode();
+        let hash = partitions_hash(&pre.partitions);
+        // What the sidecar and the wire carry must decode to the same
+        // partitions.
+        let json = serde_json::to_string(&pre.partitions).expect("partitions serialise");
+        let back: Vec<HotColdPartition> = serde_json::from_str(&json).expect("partitions parse");
+        assert_eq!(partitions_hash(&back), hash, "{}: partitions moved in serde", spec.name);
+        got.push((spec.name.clone(), stream.len(), fnv1a(&stream), pre.hot_batches.len(), hash));
+    }
+    let got: Vec<_> = got.iter().map(|(n, l, f, h, p)| (n.as_str(), *l, *f, *h, *p)).collect();
+    assert_eq!(got, STATIC_GOLDEN, "static-phase output moved; actual: {got:#x?}");
 }
