@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use fae_data::format::FormatError;
-use fae_data::BatchKind;
+use fae_data::{BatchKind, WorkloadSpec};
 use fae_embed::HotColdPartition;
 use fae_telemetry::{metric, JournalEvent, Telemetry};
 
@@ -47,6 +47,8 @@ pub enum ArtifactError {
     /// the same deleter, and silently papering over an external actor
     /// removing files hides a real operational problem.
     Vanished(PathBuf),
+    /// The sidecar's partitions do not fit the workload's tables.
+    Mismatch(String),
 }
 
 impl std::fmt::Display for ArtifactError {
@@ -58,6 +60,7 @@ impl std::fmt::Display for ArtifactError {
             ArtifactError::Vanished(p) => {
                 write!(f, "artifact {} vanished mid-load", p.display())
             }
+            ArtifactError::Mismatch(e) => write!(f, "partitions do not fit the workload: {e}"),
         }
     }
 }
@@ -161,7 +164,8 @@ pub fn load(path: &Path) -> Result<(StaticArtifacts, String), ArtifactError> {
 
 /// Loads the artifacts at `path`, riding out transient I/O faults with
 /// bounded-backoff retries; if the stream is unusable (missing, torn,
-/// corrupt — anything [`load`] rejects), rebuilds the static artifacts
+/// corrupt — anything [`load`] rejects — or its partitions do not fit
+/// `spec`'s tables), rebuilds the static artifacts
 /// from scratch via `rebuild`, persists them, and returns the rebuilt
 /// set. Injected [`FaultKind::ArtifactCorruption`] damages the file *on
 /// disk* first, so recovery is exercised through the real decode path.
@@ -171,12 +175,12 @@ pub fn load(path: &Path) -> Result<(StaticArtifacts, String), ArtifactError> {
 /// artifacts cannot be persisted.
 pub fn load_or_rebuild(
     path: &Path,
-    workload: &str,
+    spec: &WorkloadSpec,
     injector: &mut FaultInjector,
     retry: &RetryPolicy,
     rebuild: impl FnOnce() -> StaticArtifacts,
 ) -> Result<(StaticArtifacts, String, Vec<RecoveryAction>), ArtifactError> {
-    load_or_rebuild_with(path, workload, injector, retry, rebuild, &Telemetry::disabled())
+    load_or_rebuild_with(path, spec, injector, retry, rebuild, &Telemetry::disabled())
 }
 
 /// [`load_or_rebuild`] with a telemetry handle: loads, retries and
@@ -185,7 +189,7 @@ pub fn load_or_rebuild(
 /// carrying the load error that forced it.
 pub fn load_or_rebuild_with(
     path: &Path,
-    workload: &str,
+    spec: &WorkloadSpec,
     injector: &mut FaultInjector,
     retry: &RetryPolicy,
     rebuild: impl FnOnce() -> StaticArtifacts,
@@ -216,12 +220,15 @@ pub fn load_or_rebuild_with(
         .fire(FaultKind::TransientIo, 0)
         .map(|f| 1 + injector.variation(&f, (retry.max_attempts - 1) as u64) as u32)
         .unwrap_or(0);
+    let rows: Vec<usize> = spec.tables.iter().map(|t| t.rows).collect();
     match retry_with_backoff(retry, |attempt| {
         if attempt <= io_failures {
-            Err(ArtifactError::Io(io::Error::other("injected transient i/o failure")))
-        } else {
-            load(path)
+            return Err(ArtifactError::Io(io::Error::other("injected transient i/o failure")));
         }
+        let (artifacts, name) = load(path)?;
+        HotColdPartition::check_rows(&artifacts.preprocessed.partitions, &rows)
+            .map_err(ArtifactError::Mismatch)?;
+        Ok((artifacts, name))
     }) {
         Ok(r) => {
             if r.attempts > 1 {
@@ -263,9 +270,9 @@ pub fn load_or_rebuild_with(
                 });
             }
             let artifacts = rebuild();
-            save(&artifacts, workload, path)?;
+            save(&artifacts, &spec.name, path)?;
             recoveries.push(RecoveryAction::RebuiltArtifacts);
-            Ok((artifacts, workload.to_string(), recoveries))
+            Ok((artifacts, spec.name.clone(), recoveries))
         }
     }
 }
@@ -342,7 +349,7 @@ mod tests {
         let retry = RetryPolicy::default();
         let mut injector = FaultInjector::new(FaultPlan::parse("artifact-corruption@0").unwrap());
         let (b, name, recs) =
-            load_or_rebuild(&path, "tiny-test", &mut injector, &retry, || a.clone())
+            load_or_rebuild(&path, &WorkloadSpec::tiny_test(), &mut injector, &retry, || a.clone())
                 .expect("recovery");
         assert_eq!(name, "tiny-test");
         assert_eq!(recs, vec![RecoveryAction::RebuiltArtifacts]);
@@ -352,8 +359,10 @@ mod tests {
         // them with no recovery actions.
         let mut clean = FaultInjector::none();
         let (_, name2, recs2) =
-            load_or_rebuild(&path, "tiny-test", &mut clean, &retry, || panic!("must not rebuild"))
-                .expect("clean load");
+            load_or_rebuild(&path, &WorkloadSpec::tiny_test(), &mut clean, &retry, || {
+                panic!("must not rebuild")
+            })
+            .expect("clean load");
         assert_eq!(name2, "tiny-test");
         assert!(recs2.is_empty());
         fs::remove_dir_all(&dir).ok();
@@ -374,9 +383,14 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
 
         let retry = RetryPolicy::default();
-        let (b, name, recs) =
-            load_or_rebuild(&path, "tiny-test", &mut FaultInjector::none(), &retry, || a.clone())
-                .expect("rebuilt");
+        let (b, name, recs) = load_or_rebuild(
+            &path,
+            &WorkloadSpec::tiny_test(),
+            &mut FaultInjector::none(),
+            &retry,
+            || a.clone(),
+        )
+        .expect("rebuilt");
         assert_eq!((name.as_str(), recs), ("tiny-test", vec![RecoveryAction::RebuiltArtifacts]));
         assert_eq!(b.preprocessed.total_batches(), a.preprocessed.total_batches());
         fs::remove_dir_all(&dir).ok();
@@ -393,10 +407,11 @@ mod tests {
 
         let retry = RetryPolicy::default();
         let mut injector = FaultInjector::new(FaultPlan::parse("transient-io@0").unwrap());
-        let (_, name, recs) = load_or_rebuild(&path, "tiny-test", &mut injector, &retry, || {
-            panic!("must not rebuild")
-        })
-        .expect("load after retries");
+        let (_, name, recs) =
+            load_or_rebuild(&path, &WorkloadSpec::tiny_test(), &mut injector, &retry, || {
+                panic!("must not rebuild")
+            })
+            .expect("load after retries");
         assert_eq!(name, "tiny-test");
         assert_eq!(recs.len(), 1);
         match recs[0] {
@@ -438,7 +453,7 @@ mod tests {
 
         let retry = RetryPolicy::default();
         let mut injector = FaultInjector::none();
-        let r = load_or_rebuild(&path, "tiny-test", &mut injector, &retry, || {
+        let r = load_or_rebuild(&path, &WorkloadSpec::tiny_test(), &mut injector, &retry, || {
             panic!("must not rebuild over a vanishing file")
         });
         match r {

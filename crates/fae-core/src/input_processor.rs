@@ -2,18 +2,25 @@
 //! cold and packs them into *pure* mini-batches.
 //!
 //! "A sparse-input is classified as hot only if all its embedding table
-//! accesses are to hot entries." The paper splits that pass across cores;
-//! here it is one sequential pass over the inputs. Batch purity is what
-//! rescues the probability collapse of Fig 4: a random mini-batch of B
-//! inputs is all-hot with probability `p^B`, so FAE *constructs* pure
-//! batches instead of hoping for them.
+//! accesses are to hot entries." Classification is one pass over the
+//! inputs. Packing gathers the batches column by column: every batch's
+//! dense rows and labels, then every batch's lookups into one table before
+//! the next table's, so that table's CSR arrays stay in cache while its
+//! samples are read at random. The columns are dealt across the cores, as
+//! the paper splits its pass across them. Batch purity is what rescues the
+//! probability collapse of Fig 4: a random mini-batch of B inputs is
+//! all-hot with probability `p^B`, so FAE *constructs* pure batches instead
+//! of hoping for them.
+
+use std::num::NonZeroUsize;
+use std::thread;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use fae_data::format::FaeFile;
-use fae_data::{BatchKind, Dataset, MiniBatch};
+use fae_data::{BatchKind, Dataset, MiniBatch, TableIndices};
 use fae_embed::HotColdPartition;
 
 /// Input-processor options.
@@ -55,11 +62,10 @@ impl Preprocessed {
         self.hot_batches.iter().chain(&self.cold_batches).map(|b| b.len()).sum()
     }
 
-    /// Serialises the stream into the FAE on-disk container.
-    pub fn to_fae_file(&self, workload: &str) -> FaeFile {
-        let batches: Vec<MiniBatch> =
-            self.cold_batches.iter().chain(&self.hot_batches).cloned().collect();
-        FaeFile::new(workload, batches)
+    /// The stream in the FAE on-disk container, cold batches first. The
+    /// container borrows the batches, so nothing is copied to encode it.
+    pub fn to_fae_file(&self, workload: &str) -> FaeFile<&MiniBatch> {
+        FaeFile::new(workload, self.cold_batches.iter().chain(&self.hot_batches).collect())
     }
 }
 
@@ -99,15 +105,89 @@ pub fn preprocess_inputs(
     hot_ids.shuffle(&mut rng);
     cold_ids.shuffle(&mut rng);
 
-    let pack = |ids: &[usize], kind: BatchKind| -> Vec<MiniBatch> {
-        ids.chunks(cfg.minibatch_size).map(|c| MiniBatch::gather(ds, c, kind)).collect()
+    let size = cfg.minibatch_size;
+    let chunks: Vec<(&[usize], BatchKind)> = hot_ids
+        .chunks(size)
+        .map(|c| (c, BatchKind::Hot))
+        .chain(cold_ids.chunks(size).map(|c| (c, BatchKind::Cold)))
+        .collect();
+    let cores = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let mut hot_batches = pack(ds, &chunks, cores);
+    let cold_batches = hot_batches.split_off(hot_ids.len().div_ceil(size));
+    Preprocessed { hot_batches, cold_batches, hot_input_fraction, partitions }
+}
+
+/// One column of every mini-batch: the dense rows with the labels, or one
+/// table's lookups.
+enum Column {
+    Rows(Vec<(Vec<f32>, Vec<f32>)>),
+    Table(Vec<TableIndices>),
+}
+
+/// Gathers column `c` of every chunk: column 0 is the dense rows and the
+/// labels, column `1 + t` table `t`.
+fn gather_column(ds: &Dataset, chunks: &[(&[usize], BatchKind)], c: usize) -> Column {
+    let Some(t) = c.checked_sub(1) else {
+        let rows = chunks.iter().map(|(ids, _)| {
+            let mut dense = Vec::with_capacity(ids.len() * ds.spec.dense_features);
+            for &s in *ids {
+                dense.extend_from_slice(ds.dense_row(s));
+            }
+            (dense, ids.iter().map(|&s| ds.labels[s]).collect())
+        });
+        return Column::Rows(rows.collect());
     };
-    Preprocessed {
-        hot_batches: pack(&hot_ids, BatchKind::Hot),
-        cold_batches: pack(&cold_ids, BatchKind::Cold),
-        hot_input_fraction,
-        partitions,
+    Column::Table(chunks.iter().map(|(ids, _)| ds.sparse[t].gather(ids)).collect())
+}
+
+/// Packs every `(samples, kind)` chunk into a mini-batch column by column
+/// (see the module doc): column `c` is gathered on scoped thread
+/// `c % width`. A column is a plain copy, so the batches are the same
+/// bytes at any width.
+fn pack(ds: &Dataset, chunks: &[(&[usize], BatchKind)], width: usize) -> Vec<MiniBatch> {
+    let columns = 1 + ds.sparse.len();
+    let width = width.clamp(1, columns);
+    let deal = |k: usize| -> Vec<(usize, Column)> {
+        (k..columns).step_by(width).map(|c| (c, gather_column(ds, chunks, c))).collect()
+    };
+    let mut gathered = thread::scope(|scope| {
+        let others: Vec<_> = (1..width).map(|k| scope.spawn(move || deal(k))).collect();
+        let mut gathered = deal(0);
+        for h in others {
+            match h.join() {
+                Ok(part) => gathered.extend(part),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        gathered
+    });
+    gathered.sort_unstable_by_key(|(c, _)| *c);
+    let mut batches: Vec<MiniBatch> = chunks
+        .iter()
+        .map(|&(_, kind)| MiniBatch {
+            kind,
+            dense: Vec::new(),
+            dense_width: ds.spec.dense_features,
+            sparse: Vec::with_capacity(columns - 1),
+            labels: Vec::new(),
+        })
+        .collect();
+    for (_, column) in gathered {
+        match column {
+            Column::Rows(rows) => {
+                for (b, (dense, labels)) in batches.iter_mut().zip(rows) {
+                    b.dense = dense;
+                    b.labels = labels;
+                }
+            }
+            Column::Table(csrs) => {
+                for (b, csr) in batches.iter_mut().zip(csrs) {
+                    b.sparse.push(csr);
+                }
+            }
+        }
     }
+    batches
 }
 
 /// Analytic probability that a random (non-constructed) mini-batch of
@@ -144,6 +224,24 @@ mod tests {
                 .zip(&parts)
                 .all(|(csr, p)| csr.bag(i).iter().all(|&idx| p.is_hot(idx)));
             assert_eq!(got, serial, "input {i}");
+        }
+    }
+
+    #[test]
+    fn packing_is_the_same_bytes_at_every_width() {
+        let (ds, _) = setup();
+        let mut ids: Vec<usize> = (0..ds.len()).collect();
+        ids.shuffle(&mut StdRng::seed_from_u64(7));
+        // 96 does not divide 10,000: the last chunk is partial.
+        let chunks: Vec<(&[usize], BatchKind)> =
+            ids.chunks(96).zip([BatchKind::Hot, BatchKind::Cold].into_iter().cycle()).collect();
+        let by_sample: Vec<MiniBatch> =
+            chunks.iter().map(|&(c, kind)| MiniBatch::gather(&ds, c, kind)).collect();
+        let want = FaeFile::new("w", by_sample).encode();
+        let tables = ds.sparse.len();
+        for width in [1, 2, 3, tables + 1, tables + 2] {
+            let packed = FaeFile::new("w", pack(&ds, &chunks, width)).encode();
+            assert!(packed == want, "width {width}: the packed stream differs");
         }
     }
 

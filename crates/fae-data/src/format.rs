@@ -21,6 +21,7 @@
 //! through [`codec::Reader`](crate::codec::Reader), so a declared count is
 //! checked against the bytes left before anything is allocated for it.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -77,9 +78,12 @@ impl From<ReadError> for FormatError {
     }
 }
 
-/// A preprocessed mini-batch stream plus identifying metadata.
+/// A preprocessed mini-batch stream plus identifying metadata. It owns
+/// its batches (`B = MiniBatch`, what [`FaeFile::decode`] returns) or
+/// borrows them (`B = &MiniBatch`), so a stream held elsewhere is encoded
+/// without a copy.
 #[derive(Clone, Debug)]
-pub struct FaeFile {
+pub struct FaeFile<B = MiniBatch> {
     /// Name of the workload the stream was preprocessed from.
     pub workload: String,
     /// Dense feature width shared by all batches.
@@ -87,44 +91,63 @@ pub struct FaeFile {
     /// Embedding-table count shared by all batches.
     pub num_tables: u32,
     /// The batches, in schedule-ready order.
-    pub batches: Vec<MiniBatch>,
+    pub batches: Vec<B>,
 }
 
-impl FaeFile {
+impl<B: Borrow<MiniBatch>> FaeFile<B> {
     /// Wraps batches in a container. All batches must agree on dense width
     /// and table count.
-    pub fn new(workload: impl Into<String>, batches: Vec<MiniBatch>) -> Self {
-        let dense_width = batches.first().map_or(0, |b| b.dense_width as u32);
-        let num_tables = batches.first().map_or(0, |b| b.sparse.len() as u32);
+    pub fn new(workload: impl Into<String>, batches: Vec<B>) -> Self {
+        let first: Option<&MiniBatch> = batches.first().map(B::borrow);
+        let dense_width = first.map_or(0, |b| b.dense_width as u32);
+        let num_tables = first.map_or(0, |b| b.sparse.len() as u32);
+        let file = Self { workload: workload.into(), dense_width, num_tables, batches };
         assert!(
-            batches
-                .iter()
+            file.iter()
                 .all(|b| b.dense_width as u32 == dense_width && b.sparse.len() as u32 == num_tables),
             "inconsistent batch shapes"
         );
-        Self { workload: workload.into(), dense_width, num_tables, batches }
+        file
+    }
+
+    /// The batches, owned or borrowed alike.
+    fn iter(&self) -> impl Iterator<Item = &MiniBatch> {
+        self.batches.iter().map(B::borrow)
     }
 
     /// Number of hot batches.
     pub fn hot_count(&self) -> usize {
-        self.batches.iter().filter(|b| b.kind == BatchKind::Hot).count()
+        self.iter().filter(|b| b.kind == BatchKind::Hot).count()
     }
 
     /// Number of cold batches.
     pub fn cold_count(&self) -> usize {
-        self.batches.iter().filter(|b| b.kind == BatchKind::Cold).count()
+        self.iter().filter(|b| b.kind == BatchKind::Cold).count()
     }
 
-    /// Serialises to bytes.
+    /// The byte length of [`Self::encode`]'s output: the header's magic,
+    /// five words and name, then per batch its kind byte and 4-byte words
+    /// for its length, dense rows, labels and, per table, nnz, indices and
+    /// offsets.
+    fn encoded_len(&self) -> usize {
+        let batch = |b: &MiniBatch| {
+            let csrs: usize = b.sparse.iter().map(|c| 1 + c.indices.len() + c.offsets.len()).sum();
+            1 + 4 * (1 + b.dense.len() + b.labels.len() + csrs)
+        };
+        MAGIC.len() + 4 * 5 + self.workload.len() + self.iter().map(batch).sum::<usize>()
+    }
+
+    /// Serialises to bytes, into one buffer allocated at its exact length.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(1024);
+        let len = self.encoded_len();
+        let mut buf = Vec::with_capacity(len);
         buf.extend_from_slice(MAGIC);
         put_u32(&mut buf, VERSION);
         put_str(&mut buf, &self.workload);
         put_u32(&mut buf, self.dense_width);
         put_u32(&mut buf, self.num_tables);
         put_u32(&mut buf, self.batches.len() as u32);
-        for b in &self.batches {
+        for b in self.iter() {
             buf.push(match b.kind {
                 BatchKind::Hot => 0,
                 BatchKind::Cold => 1,
@@ -138,9 +161,18 @@ impl FaeFile {
                 put_words(&mut buf, &csr.offsets, |o| (o as u32).to_le_bytes());
             }
         }
+        debug_assert_eq!(buf.len(), len, "encoded_len counts every byte encode writes");
         buf
     }
 
+    /// Writes the container to a file.
+    pub fn write_file(&self, path: impl AsRef<Path>) -> Result<(), FormatError> {
+        fs::write(path, self.encode())?;
+        Ok(())
+    }
+}
+
+impl FaeFile {
     /// Parses a container from bytes.
     pub fn decode(buf: &[u8]) -> Result<Self, FormatError> {
         let mut reader = FaeStreamReader::open(buf)?;
@@ -157,12 +189,6 @@ impl FaeFile {
             num_tables: reader.num_tables(),
             batches,
         })
-    }
-
-    /// Writes the container to a file.
-    pub fn write_file(&self, path: impl AsRef<Path>) -> Result<(), FormatError> {
-        fs::write(path, self.encode())?;
-        Ok(())
     }
 
     /// Reads a container from a file.
@@ -340,22 +366,35 @@ mod tests {
     }
 
     #[test]
+    fn borrowed_batches_encode_like_cloned_ones_into_an_exact_buffer() {
+        let owned = vec![
+            sample_batch(BatchKind::Cold, 3),
+            sample_batch(BatchKind::Hot, 0),
+            sample_batch(BatchKind::Hot, 5),
+        ];
+        let cloned = FaeFile::new("borrow", owned.clone()).encode();
+        let borrowed = FaeFile::new("borrow", owned.iter().collect::<Vec<_>>());
+        assert_eq!(borrowed.encode(), cloned);
+        assert_eq!(borrowed.encoded_len(), cloned.len());
+    }
+
+    #[test]
     fn empty_container_round_trips() {
-        let f = FaeFile::new("empty", vec![]);
+        let f = FaeFile::<MiniBatch>::new("empty", vec![]);
         let g = FaeFile::decode(&f.encode()).expect("decode");
         assert!(g.batches.is_empty());
     }
 
     #[test]
     fn rejects_bad_magic() {
-        let mut bytes = FaeFile::new("x", vec![]).encode();
+        let mut bytes = FaeFile::<MiniBatch>::new("x", vec![]).encode();
         bytes[0] = b'X';
         assert!(matches!(FaeFile::decode(&bytes), Err(FormatError::BadMagic)));
     }
 
     #[test]
     fn rejects_bad_version() {
-        let mut bytes = FaeFile::new("x", vec![]).encode();
+        let mut bytes = FaeFile::<MiniBatch>::new("x", vec![]).encode();
         bytes[4] = 99;
         assert!(matches!(FaeFile::decode(&bytes), Err(FormatError::BadVersion(99))));
     }

@@ -6,9 +6,10 @@
 //! the access threshold. This requires only one pass of each embedding
 //! table." A partition stores the hot set as a membership bitmap plus a
 //! dense global→hot-local remap so hot lookups can index the compact
-//! hot bags in O(1).
+//! hot bags in O(1). It is stored and shipped as its hot rows alone, and
+//! the remap is rebuilt from them when it is read back.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::stats::AccessCounter;
 
@@ -35,7 +36,7 @@ const COLD: u32 = u32::MAX;
 /// assert!(!p.is_hot(2));
 /// assert_eq!(p.hot_local(0), Some(0)); // compact hot-bag index
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HotColdPartition {
     /// global row id -> hot-local id, or `COLD`.
     remap: Vec<u32>,
@@ -70,6 +71,42 @@ impl HotColdPartition {
     /// Marks every row cold (a degenerate partition used in ablations).
     pub fn all_cold(rows: usize) -> Self {
         Self { remap: vec![COLD; rows], hot_ids: Vec::new(), cutoff: u64::MAX }
+    }
+
+    /// Rebuilds a partition from its hot rows. Errs unless `rows` fits the
+    /// `u32` row ids and `hot_ids` is strictly ascending and below `rows`.
+    fn from_hot_ids(rows: usize, hot_ids: Vec<u32>, cutoff: u64) -> Result<Self, &'static str> {
+        if rows > COLD as usize {
+            return Err("more rows than u32 row ids");
+        }
+        if !hot_ids.windows(2).all(|w| w[0] < w[1]) {
+            return Err("hot ids are not strictly ascending");
+        }
+        if hot_ids.last().is_some_and(|&h| h as usize >= rows) {
+            return Err("a hot id is past the table's rows");
+        }
+        let mut remap = vec![COLD; rows];
+        for (local, &row) in hot_ids.iter().enumerate() {
+            remap[row as usize] = local as u32;
+        }
+        Ok(Self { remap, hot_ids, cutoff })
+    }
+
+    /// Checks that there is one partition per table and that each covers
+    /// its table's `rows`: partitions read from a file or a frame must fit
+    /// the tables before anything indexes a table by them.
+    pub fn check_rows(partitions: &[Self], rows: &[usize]) -> Result<(), String> {
+        if partitions.len() != rows.len() {
+            return Err(format!("{} partitions for {} tables", partitions.len(), rows.len()));
+        }
+        match partitions.iter().zip(rows).position(|(p, &r)| p.rows() != r) {
+            Some(t) => Err(format!(
+                "table {t} has {} rows, its partition {}",
+                rows[t],
+                partitions[t].rows()
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Total rows in the table.
@@ -137,6 +174,32 @@ impl HotColdPartition {
     }
 }
 
+/// A partition as it is stored and shipped: one number per hot row rather
+/// than one per table row.
+#[derive(Serialize, Deserialize)]
+struct StoredPartition {
+    rows: usize,
+    cutoff: u64,
+    hot_ids: Vec<u32>,
+}
+
+impl Serialize for HotColdPartition {
+    fn to_value(&self) -> Value {
+        let hot_ids = self.hot_ids.clone();
+        StoredPartition { rows: self.rows(), cutoff: self.cutoff, hot_ids }.to_value()
+    }
+}
+
+/// Decoding rebuilds the remap, and refuses hot ids that are out of order,
+/// repeated or past the table's rows.
+impl Deserialize for HotColdPartition {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let StoredPartition { rows, cutoff, hot_ids } = StoredPartition::from_value(v)?;
+        Self::from_hot_ids(rows, hot_ids, cutoff)
+            .map_err(|e| Error::msg(format!("HotColdPartition: {e}")))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,6 +259,41 @@ mod tests {
             prev = p.hot_count();
         }
         assert_eq!(prev, 0);
+    }
+
+    #[test]
+    fn a_stored_partition_reads_back_the_same_on_every_row() {
+        let c = counter_with(&[5, 0, 3, 1, 3, 0, 9]);
+        for p in [
+            HotColdPartition::from_counts(&c, 3),
+            HotColdPartition::all_hot(7),
+            HotColdPartition::all_cold(7),
+        ] {
+            let back = HotColdPartition::from_value(&p.to_value()).expect("round trip");
+            assert_eq!(
+                (back.rows(), back.cutoff(), back.hot_ids()),
+                (p.rows(), p.cutoff(), p.hot_ids())
+            );
+            for row in 0..7 {
+                assert_eq!(
+                    (back.is_hot(row), back.hot_local(row)),
+                    (p.is_hot(row), p.hot_local(row))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hot_ids_out_of_order_repeated_or_past_the_rows_do_not_read_back() {
+        let stored = |rows: usize, hot_ids: &[u32]| {
+            StoredPartition { rows, cutoff: 1, hot_ids: hot_ids.to_vec() }.to_value()
+        };
+        assert!(HotColdPartition::from_value(&stored(4, &[0, 3])).is_ok());
+        let bad: [(usize, &[u32]); 4] = [(4, &[1, 0]), (4, &[2, 2]), (4, &[0, 4]), (1 << 32, &[])];
+        for (rows, hot_ids) in bad {
+            let read = HotColdPartition::from_value(&stored(rows, hot_ids));
+            assert!(read.is_err(), "rows {rows}, hot ids {hot_ids:?}");
+        }
     }
 
     #[test]

@@ -136,7 +136,8 @@ pub enum Message {
         seed: u64,
         /// The workload spec, JSON.
         spec_json: String,
-        /// Hot/cold partitions, JSON (empty until the first refresh).
+        /// Hot/cold partitions, JSON: per table `{"rows", "cutoff",
+        /// "hot_ids"}` (empty until the first refresh).
         partitions_json: String,
         /// Current dense parameters of the coordinator's replicas.
         dense: Vec<f32>,
@@ -182,7 +183,8 @@ pub enum Message {
     /// Coordinator → worker: refreshed hot-bag rows (and the partitions
     /// defining them). Idempotent under the ledger.
     HotBagSync {
-        /// Hot/cold partitions, JSON.
+        /// Hot/cold partitions, JSON: per table `{"rows", "cutoff",
+        /// "hot_ids"}`.
         partitions_json: String,
         /// Every hot row, refreshed from the master tables.
         hot: Vec<HotEntry>,

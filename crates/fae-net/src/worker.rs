@@ -133,7 +133,8 @@ impl Replica {
         let hot_bags = if partitions_json.is_empty() {
             None
         } else {
-            let partitions: Vec<HotColdPartition> = serde_json::from_str(partitions_json)
+            let rows: Vec<usize> = spec.tables.iter().map(|t| t.rows).collect();
+            let partitions = parse_partitions(partitions_json, &rows)
                 .map_err(|e| NetError::Protocol(format!("welcome partitions: {e}")))?;
             Some(HotEmbeddings::build(&master, partitions))
         };
@@ -156,6 +157,16 @@ fn apply_entries(master: &mut MasterEmbeddings, entries: &[HotEntry]) {
             master.set_row(t, e.row, &e.values);
         }
     }
+}
+
+/// Parses shipped partitions and holds them to the tables' row counts, so
+/// a CRC-valid frame whose partitions do not fit cannot reach
+/// `HotEmbeddings::build`.
+fn parse_partitions(json: &str, rows: &[usize]) -> Result<Vec<HotColdPartition>, String> {
+    let partitions: Vec<HotColdPartition> =
+        serde_json::from_str(json).map_err(|e| e.to_string())?;
+    HotColdPartition::check_rows(&partitions, rows)?;
+    Ok(partitions)
 }
 
 /// Connects, joins, and serves until shutdown / crash injection / link
@@ -279,18 +290,16 @@ fn handle(frame: &Frame, replica: &mut Replica, journal: &NodeJournal) -> Option
                 Admit::Duplicate => Some(Message::Ack),
                 Admit::Fresh => {
                     apply_entries(&mut replica.master, hot);
-                    match serde_json::from_str::<Vec<HotColdPartition>>(partitions_json) {
-                        Ok(partitions) => {
-                            replica.hot = Some(HotEmbeddings::build(&replica.master, partitions));
-                            Some(Message::Ack)
-                        }
-                        // Unparseable partitions: keep serving dense
-                        // work, just decline hot shards from here on.
-                        Err(_) => {
-                            replica.hot = None;
-                            Some(Message::Ack)
-                        }
-                    }
+                    // Partitions that do not parse or do not fit the
+                    // tables: keep serving dense work, just decline hot
+                    // shards from here on.
+                    let master = &replica.master;
+                    let rows: Vec<usize> =
+                        (0..master.num_tables()).map(|t| master.rows_in(t)).collect();
+                    replica.hot = parse_partitions(partitions_json, &rows)
+                        .ok()
+                        .map(|partitions| HotEmbeddings::build(master, partitions));
+                    Some(Message::Ack)
                 }
             }
         }

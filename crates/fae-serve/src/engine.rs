@@ -19,6 +19,7 @@
 //!    spans are recorded per worker but never feed back into the
 //!    simulated timing.
 
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use fae_core::{AnyModel, TrainCheckpoint};
@@ -110,9 +111,40 @@ impl Ord for Arrival {
 struct Dispatched {
     worker: usize,
     end_s: f64,
-    members: Vec<usize>,
     batch: MiniBatch,
     phases: PhaseSeconds,
+}
+
+/// Requests dispatched and not yet complete, for the admission check.
+/// Arrivals never go back in time, so a batch complete at one arrival is
+/// complete at every later one: it leaves the heap once, and a depth costs
+/// no scan of every batch dispatched so far.
+#[derive(Default)]
+struct InFlight {
+    /// `(end_s bits, size)` per batch, earliest end on top. A batch ends
+    /// after its dispatch overhead, so `end_s > 0`, and the bits of a
+    /// positive `f64` order like its value.
+    batches: BinaryHeap<Reverse<(u64, usize)>>,
+    requests: usize,
+}
+
+impl InFlight {
+    fn push(&mut self, end_s: f64, size: usize) {
+        self.batches.push(Reverse((end_s.to_bits(), size)));
+        self.requests += size;
+    }
+
+    /// Requests in the batches that end after `now`.
+    fn at(&mut self, now: f64) -> usize {
+        while let Some(&Reverse((end, size))) = self.batches.peek() {
+            if f64::from_bits(end) > now {
+                break;
+            }
+            self.batches.pop();
+            self.requests -= size;
+        }
+        self.requests
+    }
 }
 
 /// What a serve run reports.
@@ -300,6 +332,7 @@ impl ServeEngine {
         });
         let mut free_at = vec![0.0f64; self.cfg.workers];
         let mut dispatched: Vec<Dispatched> = Vec::new();
+        let mut inflight = InFlight::default();
         let mut requests: Vec<InferRequest> = Vec::new();
         let mut client_of: Vec<Option<usize>> = Vec::new();
         let mut latency: Vec<Option<f64>> = Vec::new();
@@ -344,7 +377,8 @@ impl ServeEngine {
                         cache: &mut ServeCache,
                         requests: &[InferRequest],
                         latency: &mut Vec<Option<f64>>,
-                        dispatched: &mut Vec<Dispatched>|
+                        dispatched: &mut Vec<Dispatched>,
+                        inflight: &mut InFlight|
          -> (f64, Vec<usize>) {
             // Earliest-free worker, lowest index on ties.
             let worker = free_at
@@ -378,9 +412,9 @@ impl ServeEngine {
                 misses: access.cpu_rows as u64,
                 phases,
             });
-            let members = b.members.clone();
-            dispatched.push(Dispatched { worker, end_s, members: b.members, batch, phases });
-            (end_s, members)
+            inflight.push(end_s, b.members.len());
+            dispatched.push(Dispatched { worker, end_s, batch, phases });
+            (end_s, b.members)
         };
 
         loop {
@@ -403,6 +437,7 @@ impl ServeEngine {
                         &requests,
                         &mut latency,
                         &mut dispatched,
+                        &mut inflight,
                     );
                     // Completed closed-loop clients issue their next request.
                     for m in members {
@@ -426,9 +461,7 @@ impl ServeEngine {
             let now = arr.at;
             // Queue depth: requests in the open batch plus requests
             // dispatched but not yet completed at `now`.
-            let inflight: usize =
-                dispatched.iter().filter(|d| d.end_s > now).map(|d| d.members.len()).sum();
-            let depth = batcher.open_len() + inflight;
+            let depth = batcher.open_len() + inflight.at(now);
             telem.gauge_set(metric!("serve.queue_depth"), depth as f64);
             if depth >= self.cfg.queue_cap {
                 rejected += 1;
@@ -461,8 +494,15 @@ impl ServeEngine {
             client_of.push(arr.client);
             latency.push(None);
             if let Some(b) = batcher.push(idx, now) {
-                let (end_s, members) =
-                    dispatch(b, &mut free_at, &mut cache, &requests, &mut latency, &mut dispatched);
+                let (end_s, members) = dispatch(
+                    b,
+                    &mut free_at,
+                    &mut cache,
+                    &requests,
+                    &mut latency,
+                    &mut dispatched,
+                    &mut inflight,
+                );
                 for m in members {
                     if let Some(c) = client_of[m] {
                         if budgets[c] > 0 {
@@ -748,6 +788,29 @@ mod tests {
         assert!(report.rejected > 0, "tiny queue under burst must reject");
         assert!(report.completed > 0);
         assert_eq!(report.completed + report.rejected, 100);
+    }
+
+    #[test]
+    fn in_flight_depth_equals_the_scan_at_every_arrival() {
+        // A seeded overload: batches end far later than arrivals come,
+        // and some arrivals land exactly on a batch's end.
+        let mut rng = StdRng::seed_from_u64(17);
+        let (mut now, mut free_s) = (0.0f64, 0.0f64);
+        let mut ends: Vec<(f64, usize)> = Vec::new();
+        let (mut inflight, mut deepest) = (InFlight::default(), 0);
+        for _ in 0..5_000 {
+            now = if rng.gen_bool(0.02) { now.max(free_s) } else { now + rng.gen_range(0.0..1e-4) };
+            let scan: usize = ends.iter().filter(|&&(end, _)| end > now).map(|&(_, n)| n).sum();
+            assert_eq!(inflight.at(now), scan, "at {now}");
+            deepest = deepest.max(scan);
+            if rng.gen_bool(0.4) {
+                free_s = free_s.max(now) + rng.gen_range(1e-5..5e-4);
+                let size = rng.gen_range(1..33);
+                ends.push((free_s, size));
+                inflight.push(free_s, size);
+            }
+        }
+        assert!(deepest > 100, "the load never overloaded");
     }
 
     #[test]

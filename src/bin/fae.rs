@@ -317,7 +317,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     let rebuild_inputs: usize = args.num("inputs", spec.num_inputs.min(50_000))?;
     let (art, name, load_recoveries) = artifacts::load_or_rebuild_with(
         &stream,
-        &spec.name,
+        &spec,
         &mut loader_injector,
         &RetryPolicy::default(),
         || {
@@ -639,6 +639,9 @@ fn serve_engine(args: &Args, spec: &WorkloadSpec, ds: &Dataset) -> Result<ServeE
                     spec.name
                 ));
             }
+            let rows: Vec<usize> = spec.tables.iter().map(|t| t.rows).collect();
+            fae::embed::HotColdPartition::check_rows(&art.preprocessed.partitions, &rows)
+                .map_err(|e| format!("--stream: {e}"))?;
             art.preprocessed.partitions
         }
         None => calibrate_partitions(ds, calibrator_config(args, spec)?),
