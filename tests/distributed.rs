@@ -11,10 +11,13 @@
 //! TCP either way.
 
 mod common;
+#[path = "common/fnv.rs"]
+mod fnv;
 
 use common::{setup, train_dialing_late, train_distributed};
 use fae::core::{train_fae_resilient, FaultPlan, RecoveryAction, ResilienceOptions};
-use fae::telemetry::{JournalEvent, Telemetry};
+use fae::telemetry::{JournalEvent, StepMode, Telemetry};
+use fnv::fnv1a;
 
 #[test]
 fn two_remote_workers_match_the_in_process_engine_bit_for_bit() {
@@ -116,4 +119,104 @@ fn a_single_remote_worker_matches_the_serial_fast_path() {
     let (clean, off) = (FaultPlan::default(), Telemetry::disabled());
     let remote = train_distributed(&spec, &pre, &test, &cfg, 1, &clean, &off);
     assert_eq!(local.model_digest, remote.model_digest);
+}
+
+/// FNV-1a over the coordinator journal's charges (each event's step and
+/// phase-second bits, in emission order) and the run's simulated seconds.
+fn charges_hash(telem: &Telemetry, simulated_seconds: f64) -> u64 {
+    let mut bytes = Vec::new();
+    for tagged in telem.events() {
+        if let Some(phases) = tagged.event.phases() {
+            bytes.extend(tagged.event.step().to_le_bytes());
+            phases.0.iter().for_each(|s| bytes.extend(s.to_bits().to_le_bytes()));
+        }
+    }
+    bytes.extend(simulated_seconds.to_bits().to_le_bytes());
+    fnv1a(&bytes)
+}
+
+/// The engine step of the first `mode` step after another `mode` step
+/// that no heartbeat or telemetry poll shares (neither runs off a
+/// multiple of 4), so an armed `net-drop` or `net-duplicate` lands on
+/// that step's own traffic: the `Task` of a hot step, the `Apply` of a
+/// cold one.
+#[expect(clippy::expect_used, reason = "a test helper fails its test by panicking")]
+fn quiet_step(telem: &Telemetry, mode: StepMode) -> u64 {
+    let modes: Vec<(u64, StepMode)> = telem
+        .events()
+        .iter()
+        .filter_map(|t| match t.event {
+            // A Step event carries the engine step + 1.
+            JournalEvent::Step { step, mode, .. } => Some((step - 1, mode)),
+            _ => None,
+        })
+        .collect();
+    modes
+        .windows(2)
+        .find(|w| w[0].1 == mode && w[1].1 == mode && w[1].0 % 4 != 0)
+        .map(|w| w[1].0)
+        .expect("the run has two such steps in a row")
+}
+
+#[test]
+fn dropped_and_duplicated_frames_keep_the_digest_and_the_charged_phases() {
+    // (workers, hot step, cold step, then the charges hash of the clean
+    // run and of a drop and a duplicate at the hot and the cold step).
+    const PINNED: [(usize, u64, u64, [u64; 5]); 2] = [
+        (
+            1,
+            6,
+            1,
+            [
+                0xc4633f0a512d4cfb,
+                0x4be812bdf1b33466,
+                0xfebd835ba5b8566c,
+                0xa8e4d31cb91dbe5e,
+                0xc4633f0a512d4cfb,
+            ],
+        ),
+        (
+            2,
+            6,
+            1,
+            [
+                0xc9682026d23e150e,
+                0x53ae65d9df8a6305,
+                0xfcd8fcf7d31226eb,
+                0xdb6ba24b712bb96d,
+                0xc9682026d23e150e,
+            ],
+        ),
+    ];
+    for (workers, hot_at, cold_at, pinned) in PINNED {
+        let (spec, pre, test, cfg) = setup(workers);
+        let local = train_fae_resilient(&spec, &pre, &test, &cfg, &ResilienceOptions::default());
+        let plans = [
+            String::new(),
+            format!("net-drop@{hot_at}"),
+            format!("net-duplicate@{hot_at}"),
+            format!("net-drop@{cold_at}"),
+            format!("net-duplicate@{cold_at}"),
+        ];
+        let mut got = [0u64; 5];
+        for (i, text) in plans.iter().enumerate() {
+            let plan = if text.is_empty() {
+                FaultPlan::default()
+            } else {
+                FaultPlan::parse_seeded(text, 5).expect("plan")
+            };
+            let telem = Telemetry::builder().retain_events(true).try_build().expect("telemetry");
+            let remote = train_distributed(&spec, &pre, &test, &cfg, workers, &plan, &telem);
+            assert_eq!(local.model_digest, remote.model_digest, "{workers} nodes, plan '{text}'");
+            assert_eq!(remote.faults.len(), usize::from(!text.is_empty()), "plan '{text}' fired");
+            if text.is_empty() {
+                let at = (quiet_step(&telem, StepMode::Hot), quiet_step(&telem, StepMode::Cold));
+                assert_eq!(at, (hot_at, cold_at), "{workers} nodes: the quiet hot and cold steps");
+            }
+            got[i] = charges_hash(&telem, remote.simulated_seconds);
+        }
+        // A change meant to move the charges prints the row to paste in.
+        eprintln!("({workers}, {hot_at}, {cold_at}, {got:#x?}),");
+        assert_eq!(got, pinned, "{workers} nodes: charges under {plans:?}");
+    }
 }
