@@ -16,9 +16,11 @@
 //! * **Cold steps** run entirely coordinator-side (the paper keeps cold
 //!   embedding access on the CPU host); workers only receive the reduced
 //!   `Apply` so their replicas never drift.
-//! * After every step the reduced gradient is broadcast (`Apply`) and
-//!   applied locally ([`ParallelEngine::apply_combined`]); at every
-//!   cold→hot transition the refreshed bags ship as `HotBagSync`.
+//! * After every step the reduced gradient is posted (`Apply`, or
+//!   `ApplyOwn` when the one worker's own reply was the gradient) and
+//!   applied locally ([`ParallelEngine::apply_combined`]); its ack is
+//!   collected by the next exchange on the link. At every cold→hot
+//!   transition the refreshed bags ship as `HotBagSync`.
 //!
 //! # Failure handling
 //!
@@ -56,7 +58,7 @@ use fae_telemetry::{metric, JournalEvent, PhaseSeconds, ShipLedger, StepMode, Te
 
 use crate::deadline::Link;
 use crate::detector::FailureDetector;
-use crate::wire::{encode_payload, write_frame, Frame, HotEntry, Message, NetError};
+use crate::wire::{encode_payload, put_task, write_frame, Frame, HotEntry, Message, NetError};
 use crate::NetConfig;
 
 /// One worker slot's lifecycle.
@@ -344,19 +346,25 @@ impl RemoteEngine {
     /// One request/reply exchange with worker `k`, through the retry,
     /// backoff and suspicion machinery. On final failure the node may be
     /// declared dead (threshold crossing).
-    fn send_rpc(&mut self, k: usize, msg: &Message, step: u64) -> Result<Frame, NetError> {
-        self.exchange(k, msg.tag(), step, |out| encode_payload(msg, out))
+    fn send_rpc(&mut self, k: usize, msg: &Message, step: u64) -> Result<Option<Frame>, NetError> {
+        self.exchange(k, msg.tag(), step, false, |out| encode_payload(msg, out))
     }
 
     /// [`RemoteEngine::send_rpc`] with the payload bytes supplied by the
-    /// caller, so a broadcast can encode them once.
+    /// caller, so a broadcast can encode them once. With `post`, a frame
+    /// written in full returns `Ok(None)` without awaiting its reply: the
+    /// next exchange on the link skips it as a lower-`seq` reply. A frame
+    /// that a `net-drop` or `net-duplicate` is armed for, or whose write
+    /// fails, takes the awaited path, so faults land and charge as for
+    /// any request.
     fn exchange(
         &mut self,
         k: usize,
         tag: u8,
         step: u64,
+        post: bool,
         payload: impl FnOnce(&mut Vec<u8>),
-    ) -> Result<Frame, NetError> {
+    ) -> Result<Option<Frame>, NetError> {
         let drop_first = self.pending_drop == Some(k);
         if drop_first {
             self.pending_drop = None;
@@ -370,6 +378,10 @@ impl RemoteEngine {
         let r = match &mut self.slots[k] {
             Slot::Live(conn) => {
                 conn.link.stage(|tx| write_frame(tx, tag, k as u32, epoch, seq, step, payload));
+                let armed = drop_first || dup_send;
+                if post && !armed && conn.link.flush(self.cfg.write_timeout_ms).is_ok() {
+                    return Ok(None);
+                }
                 rpc(
                     &mut conn.link,
                     &mut self.detectors[k],
@@ -379,6 +391,7 @@ impl RemoteEngine {
                     drop_first,
                     dup_send,
                 )
+                .map(Some)
             }
             _ => Err(NetError::Disconnected),
         };
@@ -389,9 +402,16 @@ impl RemoteEngine {
         r
     }
 
-    /// Sends `msg` to every live worker, its payload encoded once;
-    /// `acked` sees each connection whose worker replied.
-    fn broadcast(&mut self, step: u64, msg: &Message, mut acked: impl FnMut(&mut Conn)) {
+    /// Sends `msg` to every live worker, its payload encoded once, posted
+    /// or awaited as [`RemoteEngine::exchange`]'s `post`; `acked` sees
+    /// each connection whose worker replied.
+    fn broadcast(
+        &mut self,
+        step: u64,
+        msg: &Message,
+        post: bool,
+        mut acked: impl FnMut(&mut Conn),
+    ) {
         if self.live_count() == 0 {
             return;
         }
@@ -402,8 +422,9 @@ impl RemoteEngine {
             if !matches!(self.slots[k], Slot::Live(_)) {
                 continue;
             }
-            let sent = self.exchange(k, msg.tag(), step, |out| out.extend_from_slice(&payload));
-            if let (Ok(_), Slot::Live(conn)) = (sent, &mut self.slots[k]) {
+            let sent =
+                self.exchange(k, msg.tag(), step, post, |out| out.extend_from_slice(&payload));
+            if let (Ok(Some(_)), Slot::Live(conn)) = (sent, &mut self.slots[k]) {
                 acked(conn);
             }
         }
@@ -456,7 +477,7 @@ impl RemoteEngine {
                 continue;
             }
             let ack = self.ship.ack(k);
-            let Ok(reply) = self.send_rpc(k, &Message::TelemetryPoll { ack }, step) else {
+            let Ok(Some(reply)) = self.send_rpc(k, &Message::TelemetryPoll { ack }, step) else {
                 continue;
             };
             let Message::Telemetry { from, events_jsonl } = reply.msg else { continue };
@@ -486,28 +507,31 @@ impl RemoteEngine {
 
     /// The W == 1 step: mirror of [`ParallelEngine::step`]'s serial fast
     /// path (grad scale 1.0, no reduction, unmerged sparse gradients).
+    /// The flag is true when the gradient is the worker's `Grads` reply as
+    /// received, which the worker still holds.
     fn step_single<E>(
         &mut self,
         emb: &E,
         batch: &MiniBatch,
         step: u64,
         mode: StepMode,
-    ) -> (f32, Vec<f32>, Vec<SparseGrad>)
+    ) -> (f32, Vec<f32>, Vec<SparseGrad>, bool)
     where
         E: EmbeddingSource + Sync,
     {
         if matches!(mode, StepMode::Hot) && self.eligible(0, mode) {
-            let msg = Message::Task { total: batch.len() as u32, mode, shard: batch.clone() };
-            if let Ok(reply) = self.send_rpc(0, &msg, step) {
+            let total = batch.len() as u32;
+            let task = |out: &mut Vec<u8>| put_task(out, total, mode, batch);
+            if let Ok(Some(reply)) = self.exchange(0, Message::TASK, step, false, task) {
                 if let Message::Grads { loss, dense, sparse, .. } = reply.msg {
-                    return (loss, dense, sparse);
+                    return (loss, dense, sparse, true);
                 }
             }
         }
         let (loss, sparse) = forward_backward(self.inner.primary(), emb, batch, 1.0);
         let mut dense = Vec::new();
         self.inner.primary().write_grads(&mut dense);
-        (loss, dense, sparse)
+        (loss, dense, sparse, false)
     }
 
     /// The W >= 2 step: remote fan-out for eligible hot shards, local
@@ -532,8 +556,8 @@ impl RemoteEngine {
                 if shards[k].is_empty() || !self.eligible(k, mode) {
                     continue;
                 }
-                let msg = Message::Task { total: n as u32, mode, shard: shards[k].clone() };
-                if let Ok(reply) = self.send_rpc(k, &msg, step) {
+                let task = |out: &mut Vec<u8>| put_task(out, n as u32, mode, &shards[k]);
+                if let Ok(Some(reply)) = self.exchange(k, Message::TASK, step, false, task) {
                     if let Message::Grads { loss, samples, dense, sparse } = reply.msg {
                         outputs[k] =
                             Some(ShardOutput { loss, samples: samples as usize, dense, sparse });
@@ -575,22 +599,29 @@ impl StepEngine for RemoteEngine {
         if tp > 0 && self.telemetry.enabled() && step > 0 && step.is_multiple_of(tp) {
             self.poll_telemetry(step);
         }
-        let (loss, dense, mut sparse) = if self.workers == 1 {
+        let (loss, dense, mut sparse, own) = if self.workers == 1 {
             self.step_single(emb, batch, step, mode)
         } else {
-            self.step_sharded(emb, batch, step, mode)
+            let (loss, dense, sparse) = self.step_sharded(emb, batch, step, mode);
+            (loss, dense, sparse, false)
         };
         self.inner.apply_combined(&dense, lr);
-        // Ship the reduced step to every live worker so replicas stay
+        // Post the step to every live worker so replicas stay
         // bit-identical: one `Apply`, built here and lent to each send
-        // (cold steps ship the dense half only). Failures feed the
-        // suspicion/death path; a worker that misses an Apply is declared
-        // dead before the next step can use it, which is what keeps
-        // remote replicas trustworthy.
+        // (cold steps ship the dense half only), or an `ApplyOwn` naming
+        // the one worker's unreduced reply. The ack is collected by the
+        // next exchange on the link. A worker whose Apply never landed
+        // cannot answer that exchange either, so it is declared dead
+        // before its replica is used again, which is what keeps remote
+        // replicas trustworthy.
         let hot = matches!(mode, StepMode::Hot);
-        let shipped = if hot { std::mem::take(&mut sparse) } else { Vec::new() };
-        let apply = Message::Apply { mode, lr, dense, sparse: shipped };
-        self.broadcast(step, &apply, |_| {});
+        let apply = if own {
+            Message::ApplyOwn { mode, lr }
+        } else {
+            let shipped = if hot { std::mem::take(&mut sparse) } else { Vec::new() };
+            Message::Apply { mode, lr, dense, sparse: shipped }
+        };
+        self.broadcast(step, &apply, true, |_| {});
         if let (true, Message::Apply { sparse: shipped, .. }) = (hot, apply) {
             sparse = shipped;
         }
@@ -630,7 +661,7 @@ impl StepEngine for RemoteEngine {
             partitions_json: self.partitions_json.clone(),
             hot: self.hot_snapshot.clone(),
         };
-        self.broadcast(step, &sync, |conn| conn.hot_current = true);
+        self.broadcast(step, &sync, false, |conn| conn.hot_current = true);
     }
 
     fn on_write_back(&mut self, _step: u64, master: &MasterEmbeddings) {
@@ -699,9 +730,9 @@ fn snapshot_entries(master: &MasterEmbeddings, partitions: &[HotColdPartition]) 
 /// frame already staged on `link`: every failed attempt charges its
 /// simulated backoff to the step's timeline and feeds the failure
 /// detector; any success clears suspicion. Reply frames with a lower
-/// `seq` than the request are duplicates of earlier replies (lost-ack
-/// retransmits, `net-duplicate` injection) and are skipped without
-/// consuming an attempt.
+/// `seq` than the request are acks of posted frames or duplicates of
+/// earlier replies (lost-ack retransmits, `net-duplicate` injection) and
+/// are skipped without consuming an attempt.
 fn rpc(
     link: &mut Link,
     det: &mut FailureDetector,

@@ -10,10 +10,12 @@
 //! [`send_frame`] / [`recv_frame`] are the same two paths for a caller
 //! with a bare stream and nothing to keep.
 //!
-//! A deadline miss mid-frame leaves the stream desynchronized (part of
-//! the frame was consumed); callers treat any receive error on a stream
-//! they will keep using as grounds for reconnect or, on the coordinator,
-//! for the suspicion/death path — never for resuming parses.
+//! A receive deadline that passes before any byte of a frame arrived is
+//! [`NetError::Timeout`]: the link is idle and still in step. One that
+//! passes after part of a frame was consumed leaves the stream
+//! desynchronized, so it is [`NetError::Disconnected`], grounds for
+//! reconnect or, on the coordinator, for the suspicion/death path —
+//! never for resuming parses.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
@@ -84,25 +86,27 @@ const RX_COMMIT: usize = 64 << 10;
 /// Reads one frame into `rx` (cleared first) and decodes it. The caller
 /// has set the read deadline. The length prefix is only a claim: beyond
 /// `RX_COMMIT` the buffer grows as body bytes actually arrive, so a peer
-/// cannot make this side commit `MAX_FRAME` with four bytes.
+/// cannot make this side commit `MAX_FRAME` with four bytes. Only a wait
+/// for the first byte may end in `Timeout`; see the module docs.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "every caller sets the read deadline first; this is the blessed receive path"
+)]
 fn read_frame(stream: &mut TcpStream, rx: &mut Vec<u8>) -> Result<Frame, NetError> {
+    let mid_frame = |e| match from_io(e) {
+        NetError::Timeout(_) => NetError::Disconnected,
+        other => other,
+    };
     let mut lenb = [0u8; 4];
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "every caller sets the read deadline first; this is the blessed receive path"
-    )]
-    stream.read_exact(&mut lenb).map_err(from_io)?;
+    stream.read_exact(&mut lenb[..1]).map_err(from_io)?;
+    stream.read_exact(&mut lenb[1..]).map_err(mid_frame)?;
     let len = u32::from_le_bytes(lenb) as usize;
     if len > MAX_FRAME {
         return Err(NetError::Corrupt(format!("length prefix {len} exceeds frame cap")));
     }
     rx.clear();
     rx.reserve(len.min(RX_COMMIT));
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "bounded by the length prefix and the read deadline set by every caller"
-    )]
-    let got = Read::take(&mut *stream, len as u64).read_to_end(rx).map_err(from_io)?;
+    let got = Read::take(&mut *stream, len as u64).read_to_end(rx).map_err(mid_frame)?;
     if got < len {
         return Err(NetError::Disconnected);
     }
@@ -287,6 +291,36 @@ mod tests {
         match recv_frame(&mut client, 50) {
             Err(NetError::Timeout(_)) => {}
             other => panic!("expected timeout, got {other:?}"),
+        }
+    }
+
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the peer writes raw bytes under its own deadline"
+    )]
+    fn a_deadline_that_passes_mid_frame_is_a_disconnect_not_a_timeout() {
+        let frame = Frame { node: 1, epoch: 1, seq: 1, step: 1, msg: Message::Heartbeat }.encode();
+        for cut in [2, 4 + (frame.len() - 4) / 2] {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("addr").to_string();
+            let part = frame[..cut].to_vec();
+            let (release, stall) = std::sync::mpsc::channel::<()>();
+            let peer = std::thread::spawn(move || {
+                let mut s = dial(&addr, 1_000).expect("connect");
+                s.set_write_timeout(Some(dur(1_000))).expect("deadline");
+                s.write_all(&part).expect("part of a frame");
+                // Stall with the socket open until the reader gave up.
+                let _ = stall.recv();
+            });
+            let (conn, _) = listener.accept().expect("accept");
+            let mut link = Link::new(conn);
+            match link.recv(100) {
+                Err(NetError::Disconnected) => {}
+                other => panic!("{cut} bytes then a stall: expected disconnect, got {other:?}"),
+            }
+            drop(release);
+            peer.join().expect("peer thread");
         }
     }
 

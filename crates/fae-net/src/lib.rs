@@ -11,13 +11,17 @@
 //! Everything rides one compact length-prefixed binary framing
 //! ([`wire`]): magic, version, message kind, node id, membership epoch,
 //! sequence number, step, payload, CRC-32 trailer (the same checksum the
-//! checkpoint container uses). Failure handling is layered:
+//! checkpoint container uses, folded in four lanes per 2 KiB block).
+//! Failure handling is layered:
 //!
 //! * every socket read/write carries a deadline ([`deadline`] is the one
 //!   blessed module that touches blocking I/O);
 //! * request/reply RPCs retry under bounded exponential backoff
 //!   ([`fae_core::faults::RetryPolicy`]), charging the simulated stall to
-//!   the run's [`fae_sysmodel::Timeline`];
+//!   the run's [`fae_sysmodel::Timeline`]; the per-step `Apply` is
+//!   posted, not awaited, and its ack is skipped by the next RPC on the
+//!   link, so a hot step costs one round trip per worker (one worker
+//!   gets `ApplyOwn`, naming its own reply, instead of its gradient back);
 //! * a heartbeat failure detector ([`detector`]) turns consecutive missed
 //!   deadlines into a death verdict;
 //! * messages are epoch-tagged and idempotent ([`ledger`]), so loss,

@@ -177,6 +177,15 @@ pub enum Message {
         /// Merged sparse gradients (hot steps only; empty for cold).
         sparse: Vec<SparseGrad>,
     },
+    /// Coordinator → worker: apply the gradient of your own last `Grads`
+    /// reply, which the coordinator used unreduced (one worker, a
+    /// remote hot step). Idempotent under the ledger.
+    ApplyOwn {
+        /// Which embedding source the sparse update targets.
+        mode: StepMode,
+        /// Learning rate.
+        lr: f32,
+    },
     /// Worker → coordinator: a state mutation was applied (or was a
     /// detected duplicate and skipped).
     Ack,
@@ -232,6 +241,7 @@ impl Message {
             Message::Shutdown => 9,
             Message::TelemetryPoll { .. } => 10,
             Message::Telemetry { .. } => 11,
+            Message::ApplyOwn { .. } => 12,
         }
     }
 
@@ -250,14 +260,22 @@ impl Message {
             Message::Shutdown => "shutdown",
             Message::TelemetryPoll { .. } => "telemetry-poll",
             Message::Telemetry { .. } => "telemetry",
+            Message::ApplyOwn { .. } => "apply-own",
         }
     }
 
     /// True for kinds that mutate worker state and must be deduplicated
     /// by the ledger (as opposed to pure recomputation or probes).
     pub fn mutates_state(&self) -> bool {
-        matches!(self, Message::Apply { .. } | Message::HotBagSync { .. })
+        matches!(
+            self,
+            Message::Apply { .. } | Message::ApplyOwn { .. } | Message::HotBagSync { .. }
+        )
     }
+
+    /// [`Message::Task`]'s tag, for a `Task` written by [`put_task`] from
+    /// a shard the caller keeps.
+    pub(crate) const TASK: u8 = 2;
 }
 
 /// One addressed, sequenced protocol message.
@@ -411,11 +429,7 @@ pub(crate) fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
             put_counted(out, dense, f32::to_le_bytes);
             put_entries(out, hot);
         }
-        Message::Task { total, mode, shard } => {
-            put_u32(out, *total);
-            out.push(step_mode_tag(*mode));
-            put_batch(out, shard);
-        }
+        Message::Task { total, mode, shard } => put_task(out, *total, *mode, shard),
         Message::Grads { loss, samples, dense, sparse } => {
             put_f32(out, *loss);
             put_u32(out, *samples);
@@ -432,7 +446,18 @@ pub(crate) fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
             put_str(out, partitions_json);
             put_entries(out, hot);
         }
+        Message::ApplyOwn { mode, lr } => {
+            out.push(step_mode_tag(*mode));
+            put_f32(out, *lr);
+        }
     }
+}
+
+/// Writes a `Task` payload: `total`, `mode`, then the shard.
+pub(crate) fn put_task(out: &mut Vec<u8>, total: u32, mode: StepMode, shard: &MiniBatch) {
+    put_u32(out, total);
+    out.push(step_mode_tag(mode));
+    put_batch(out, shard);
 }
 
 fn decode_payload(kind: u8, r: &mut Reader<'_>) -> Result<Message, NetError> {
@@ -466,6 +491,7 @@ fn decode_payload(kind: u8, r: &mut Reader<'_>) -> Result<Message, NetError> {
         9 => Message::Shutdown,
         10 => Message::TelemetryPoll { ack: r.u64()? },
         11 => Message::Telemetry { from: r.u64()?, events_jsonl: r.str()?.to_owned() },
+        12 => Message::ApplyOwn { mode: step_mode_from(r.u8()?)?, lr: r.f32()? },
         other => return Err(NetError::Corrupt(format!("unknown message kind {other}"))),
     })
 }
@@ -614,6 +640,7 @@ mod tests {
         let back = roundtrip(&f);
         let Message::Task { shard, total, mode } = &back.msg else { panic!("wrong kind") };
         let Message::Task { shard: orig, .. } = &f.msg else { panic!() };
+        assert_eq!(f.msg.tag(), Message::TASK);
         assert_eq!(*total, 256);
         assert_eq!(*mode, StepMode::Hot);
         assert_eq!(shard.labels, orig.labels);
@@ -647,6 +674,16 @@ mod tests {
         assert_eq!(sparse[0].get(7), g.get(7));
         assert_eq!(sparse[0].get(2), g.get(2));
         assert!(sparse[1].is_empty());
+    }
+
+    #[test]
+    fn apply_own_round_trips_and_mutates_state() {
+        let msg = Message::ApplyOwn { mode: StepMode::Hot, lr: f32::from_bits(0x3D4C_CCCD) };
+        assert!(msg.mutates_state());
+        let back = roundtrip(&Frame { node: 0, epoch: 1, seq: 2, step: 3, msg });
+        let Message::ApplyOwn { mode, lr } = back.msg else { panic!("wrong kind") };
+        assert_eq!((mode, lr.to_bits()), (StepMode::Hot, 0x3D4C_CCCD));
+        assert_eq!(back.msg.kind_name(), "apply-own");
     }
 
     #[test]

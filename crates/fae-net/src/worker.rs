@@ -1,6 +1,7 @@
 //! The worker node: bootstraps a bit-identical replica from the
-//! coordinator's `Welcome`, then serves `Task` / `Apply` / `HotBagSync`
-//! / `Heartbeat` frames until shutdown, crash injection, or link loss.
+//! coordinator's `Welcome`, then serves `Task` / `Apply` / `ApplyOwn` /
+//! `HotBagSync` / `Heartbeat` frames until shutdown, crash injection, or
+//! link loss.
 //!
 //! # Bit-identical bootstrap
 //!
@@ -15,7 +16,7 @@
 //!
 //! # Idempotency
 //!
-//! State-mutating frames (`Apply`, `HotBagSync`) pass through the
+//! State-mutating frames (`Apply`, `ApplyOwn`, `HotBagSync`) pass through the
 //! epoch/sequence [`Ledger`]; duplicates re-acknowledge without
 //! re-applying, stale-epoch traffic is dropped. `Task` frames are pure
 //! recomputation and need no gating.
@@ -28,12 +29,12 @@
 
 use std::time::Duration;
 
-use fae_core::exec::compute_shard;
+use fae_core::exec::{compute_shard, ShardOutput};
 use fae_core::faults::{FaultInjector, FaultKind, FaultPlan};
 use fae_core::replicator::HotEmbeddings;
 use fae_core::trainer::AnyModel;
 use fae_data::WorkloadSpec;
-use fae_embed::HotColdPartition;
+use fae_embed::{HotColdPartition, SparseGrad};
 use fae_models::{EmbeddingSource, MasterEmbeddings, RecModel};
 use fae_telemetry::{JournalEvent, StepMode, TaggedEvent};
 use rand::rngs::StdRng;
@@ -110,6 +111,9 @@ struct Replica {
     master: MasterEmbeddings,
     hot: Option<HotEmbeddings>,
     ledger: Ledger,
+    /// The output of the last `Grads` reply, which an `ApplyOwn` applies
+    /// and any `Apply` discards.
+    own: Option<ShardOutput>,
 }
 
 impl Replica {
@@ -138,7 +142,18 @@ impl Replica {
                 .map_err(|e| NetError::Protocol(format!("welcome partitions: {e}")))?;
             Some(HotEmbeddings::build(&master, partitions))
         };
-        Ok(Self { model, master, hot: hot_bags, ledger: Ledger::new(welcome.epoch) })
+        Ok(Self { model, master, hot: hot_bags, ledger: Ledger::new(welcome.epoch), own: None })
+    }
+
+    /// Applies one step's gradient, as the coordinator applied it.
+    fn apply(&mut self, mode: StepMode, lr: f32, dense: &[f32], sparse: &[SparseGrad]) {
+        self.model.read_grads(dense);
+        self.model.sgd_step(lr);
+        if matches!(mode, StepMode::Hot) {
+            if let Some(hot) = self.hot.as_ref() {
+                hot.apply_shared(sparse, lr);
+            }
+        }
     }
 }
 
@@ -226,19 +241,27 @@ fn serve(
                 journal.mark(frame.step, "task", format!("served={tasks}"));
             }
         }
-        let msg = handle(&frame, replica, journal);
-        if let Some(msg) = msg {
+        if let Some(msg) = handle(&frame, replica, journal)? {
             // A failed reply means the link is gone mid-exchange; the
             // supervisor reconnects and the coordinator's retry path
             // re-ships whatever was in flight.
-            reply(link, &frame, msg, cfg.net.write_timeout_ms)?;
+            let sent = reply(link, &frame, msg, cfg.net.write_timeout_ms)?;
+            if let Message::Grads { loss, samples, dense, sparse } = sent {
+                replica.own = Some(ShardOutput { loss, samples: samples as usize, dense, sparse });
+            }
         }
     }
 }
 
-/// Computes the reply for one admitted frame; `None` means drop it.
-fn handle(frame: &Frame, replica: &mut Replica, journal: &NodeJournal) -> Option<Message> {
-    match &frame.msg {
+/// Computes the reply for one admitted frame; `None` means drop it. An
+/// `ApplyOwn` with no `Grads` output kept is an error: the replica cannot
+/// follow the step, so the node must rejoin.
+fn handle(
+    frame: &Frame,
+    replica: &mut Replica,
+    journal: &NodeJournal,
+) -> Result<Option<Message>, NetError> {
+    Ok(match &frame.msg {
         Message::Heartbeat => Some(Message::HeartbeatAck),
         Message::TelemetryPoll { ack } => {
             // Pure read: resend-from-ack means a retried poll re-ships
@@ -249,7 +272,7 @@ fn handle(frame: &Frame, replica: &mut Replica, journal: &NodeJournal) -> Option
         }
         Message::Task { total, mode, shard } => {
             if shard.is_empty() {
-                return Some(Message::Ack);
+                return Ok(Some(Message::Ack));
             }
             match (mode, replica.hot.as_ref()) {
                 (StepMode::Hot, Some(hot)) => {
@@ -269,21 +292,27 @@ fn handle(frame: &Frame, replica: &mut Replica, journal: &NodeJournal) -> Option
             }
         }
         Message::Apply { mode, lr, dense, sparse } => {
+            replica.own = None;
             match replica.ledger.admit(frame.epoch, frame.seq) {
                 Admit::Stale => None,
                 Admit::Duplicate => Some(Message::Ack),
                 Admit::Fresh => {
-                    replica.model.read_grads(dense);
-                    replica.model.sgd_step(*lr);
-                    if matches!(mode, StepMode::Hot) {
-                        if let Some(hot) = replica.hot.as_ref() {
-                            hot.apply_shared(sparse, *lr);
-                        }
-                    }
+                    replica.apply(*mode, *lr, dense, sparse);
                     Some(Message::Ack)
                 }
             }
         }
+        Message::ApplyOwn { mode, lr } => match replica.ledger.admit(frame.epoch, frame.seq) {
+            Admit::Stale => None,
+            Admit::Duplicate => Some(Message::Ack),
+            Admit::Fresh => {
+                let out = replica.own.take().ok_or_else(|| {
+                    NetError::Protocol("apply-own with no gradient of this node's".into())
+                })?;
+                replica.apply(*mode, *lr, &out.dense, &out.sparse);
+                Some(Message::Ack)
+            }
+        },
         Message::HotBagSync { partitions_json, hot } => {
             match replica.ledger.admit(frame.epoch, frame.seq) {
                 Admit::Stale => None,
@@ -305,15 +334,16 @@ fn handle(frame: &Frame, replica: &mut Replica, journal: &NodeJournal) -> Option
         }
         // Requests only a coordinator should originate.
         _ => None,
-    }
+    })
 }
 
+/// Sends `msg` as the reply to `request` and hands it back.
 fn reply(
     link: &mut Link,
     request: &Frame,
     msg: Message,
     write_timeout_ms: u64,
-) -> Result<(), NetError> {
+) -> Result<Message, NetError> {
     let f = Frame {
         node: request.node,
         epoch: request.epoch,
@@ -321,7 +351,8 @@ fn reply(
         step: request.step,
         msg,
     };
-    link.send(&f, write_timeout_ms)
+    link.send(&f, write_timeout_ms)?;
+    Ok(f.msg)
 }
 
 /// Deterministic per-(node, attempt) jitter in `0..=ms/2` — SplitMix64

@@ -20,7 +20,7 @@ use fae::core::pipeline::{prefetch_fae_blocks, prepare};
 use fae::core::scheduler::SchedulerState;
 use fae::core::trainer::EvalPoint;
 use fae::core::{CalibratorConfig, PreprocessConfig, TableSnapshot, TrainCheckpoint};
-use fae::data::codec::crc32;
+use fae::data::codec::{crc32, Crc32};
 use fae::data::format::{FaeFile, FaeStreamReader, FormatError};
 use fae::data::{generate, BatchKind, GenOptions, MiniBatch, TableIndices, WorkloadSpec};
 use fae::embed::{HotColdPartition, SparseGrad};
@@ -64,6 +64,33 @@ fn crc32_matches_the_bit_loop_at_every_alignment_and_remainder() {
             assert_eq!(crc32(s), crc32_bitwise(s), "start {start} len {len}");
         }
     }
+    // Lengths around whole multiples of the 2 KiB four-lane block, at
+    // every start offset within one slicing-by-8 stride.
+    let big: Vec<u8> =
+        (0..3 * 2048 + 32u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+    for k in 1..=3 {
+        for len in k * 2048 - 9..=k * 2048 + 9 {
+            for start in 0..8 {
+                let s = &big[start..start + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "start {start} len {len}");
+            }
+        }
+    }
+    // Three uneven parts, the cuts inside the first and the second block.
+    let whole = &big[..3 * 2048 + 17];
+    for cuts in [(5, 2051), (2047, 2049), (1000, 4500), (2048, 4096)] {
+        let mut h = Crc32::new();
+        h.update(&whole[..cuts.0]);
+        h.update(&whole[cuts.0..cuts.1]);
+        h.update(&whole[cuts.1..]);
+        assert_eq!(h.finish(), crc32_bitwise(whole), "cuts {cuts:?}");
+    }
+    // Floats fed as floats, past the update buffer's several blocks.
+    let floats: Vec<f32> = (0..5_000).map(|i| (i as f32).sin() * 1e3).collect();
+    let bytes: Vec<u8> = floats.iter().flat_map(|x| x.to_le_bytes()).collect();
+    let mut h = Crc32::new();
+    h.update_f32s(&floats);
+    assert_eq!(h.finish(), crc32_bitwise(&bytes));
 }
 
 proptest! {
