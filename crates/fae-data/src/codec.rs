@@ -252,45 +252,34 @@ static CRC_TABLES: [[u32; 256]; STRIDE] = {
     t
 };
 
-/// `LANE_SHIFTS[j]` advances a CRC state past `(3 - j) * LANE` zero
-/// bytes, one lookup per state byte. The CRC register is linear over
-/// GF(2), so a block's checksum is lane 0 folded from the running state,
-/// lanes 1-3 folded from zero, each advanced past the lanes after it and
-/// XORed together.
-static LANE_SHIFTS: [[[u32; 256]; 4]; 3] = {
-    let mut t = [[[0u32; 256]; 4]; 3];
-    let mut j = 0;
-    while j < 3 {
-        // The operator on each of the 32 basis states, then every byte
-        // position's table as XORs of those.
-        let mut basis = [0u32; 32];
-        let mut i = 0;
-        while i < 32 {
-            let mut v = 1u32 << i;
-            let mut n = 0;
-            while n < (3 - j) * LANE {
-                v = (v >> 8) ^ CRC_TABLES[0][(v & 0xFF) as usize];
-                n += 1;
-            }
-            basis[i] = v;
-            i += 1;
+/// Advances a CRC state past `LANE` zero bytes, one lookup per state
+/// byte. The CRC register is linear over GF(2), so a block's state is
+/// its four lanes' states, lane 0 folded from the running state and lanes
+/// 1-3 from zero, each advanced past the lanes after it and XORed.
+static SKIP_LANE: [[u32; 256]; 4] = {
+    let mut t = [[0u32; 256]; 4];
+    // Each single-bit state, advanced byte by byte...
+    let mut i = 0;
+    while i < 32 {
+        let mut v = 1u32 << i;
+        let mut n = 0;
+        while n < LANE {
+            v = (v >> 8) ^ CRC_TABLES[0][(v & 0xFF) as usize];
+            n += 1;
         }
-        let mut k = 0;
-        while k < 4 {
-            let mut b = 0;
-            while b < 256 {
-                let mut bit = 0;
-                while bit < 8 {
-                    if b >> bit & 1 == 1 {
-                        t[j][k][b] ^= basis[8 * k + bit];
-                    }
-                    bit += 1;
-                }
-                b += 1;
-            }
-            k += 1;
+        t[i / 8][1 << (i % 8)] = v;
+        i += 1;
+    }
+    // ...and every other byte value as the XOR of its bits' entries.
+    let mut k = 0;
+    while k < 4 {
+        let mut b: usize = 1;
+        while b < 256 {
+            let low = b & b.wrapping_neg();
+            t[k][b] = t[k][b ^ low] ^ t[k][low];
+            b += 1;
         }
-        j += 1;
+        k += 1;
     }
     t
 };
@@ -311,8 +300,9 @@ fn fold8(crc: u32, c: &[u8]) -> u32 {
         ^ t[0][(hi >> 24) as usize]
 }
 
-/// Applies one of [`LANE_SHIFTS`] to `crc`.
-fn shift(t: &[[u32; 256]; 4], crc: u32) -> u32 {
+/// Applies [`SKIP_LANE`] to `crc`.
+fn skip_lane(crc: u32) -> u32 {
+    let t = &SKIP_LANE;
     t[0][(crc & 0xFF) as usize]
         ^ t[1][((crc >> 8) & 0xFF) as usize]
         ^ t[2][((crc >> 16) & 0xFF) as usize]
@@ -360,9 +350,7 @@ impl Crc32 {
                     fold8(lanes[3], wd),
                 ];
             }
-            let s = &LANE_SHIFTS;
-            crc =
-                shift(&s[0], lanes[0]) ^ shift(&s[1], lanes[1]) ^ shift(&s[2], lanes[2]) ^ lanes[3];
+            crc = skip_lane(skip_lane(skip_lane(lanes[0]) ^ lanes[1]) ^ lanes[2]) ^ lanes[3];
         }
         let mut chunks = blocks.remainder().chunks_exact(STRIDE);
         for c in &mut chunks {
