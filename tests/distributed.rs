@@ -15,9 +15,23 @@ mod common;
 mod fnv;
 
 use common::{setup, train_dialing_late, train_distributed};
-use fae::core::{train_fae_resilient, FaultPlan, RecoveryAction, ResilienceOptions};
+use fae::core::{train_fae_resilient, FaultPlan, RecoveryAction, ResilienceOptions, TrainConfig};
 use fae::telemetry::{JournalEvent, StepMode, Telemetry};
 use fnv::fnv1a;
+
+/// `cfg` plain, then with the int8 cold tier, the lookahead oracle,
+/// stale-skip, and all three: every mode lives on the coordinator, so a
+/// distributed run of each must match its in-process twin.
+fn with_modes(cfg: TrainConfig) -> [(&'static str, TrainConfig); 5] {
+    let all = TrainConfig { quantize_cold: true, lookahead: 4, stale_skip: 1e-4, ..cfg.clone() };
+    [
+        ("int8", TrainConfig { lookahead: 0, stale_skip: 0.0, ..all.clone() }),
+        ("lookahead 4", TrainConfig { quantize_cold: false, stale_skip: 0.0, ..all.clone() }),
+        ("stale-skip 1e-4", TrainConfig { quantize_cold: false, lookahead: 0, ..all.clone() }),
+        ("all three", all),
+        ("plain", cfg),
+    ]
+}
 
 #[test]
 fn two_remote_workers_match_the_in_process_engine_bit_for_bit() {
@@ -26,19 +40,22 @@ fn two_remote_workers_match_the_in_process_engine_bit_for_bit() {
     let (clean, off) = (FaultPlan::default(), Telemetry::disabled());
     for workers in [2, 4] {
         let (spec, pre, test, cfg) = setup(workers);
-        let local = train_fae_resilient(&spec, &pre, &test, &cfg, &ResilienceOptions::default());
-        let remote = train_distributed(&spec, &pre, &test, &cfg, workers, &clean, &off);
+        for (mode, cfg) in with_modes(cfg) {
+            let local =
+                train_fae_resilient(&spec, &pre, &test, &cfg, &ResilienceOptions::default());
+            let remote = train_distributed(&spec, &pre, &test, &cfg, workers, &clean, &off);
 
-        assert_eq!(
-            local.model_digest, remote.model_digest,
-            "{workers} nodes: distributed training must be bit-identical to the in-process engine"
-        );
-        assert_eq!(local.history.len(), remote.history.len());
-        for (a, b) in local.history.iter().zip(&remote.history) {
-            assert_eq!(a.test_loss.to_bits(), b.test_loss.to_bits(), "eval loss bits diverged");
+            assert_eq!(
+                local.model_digest, remote.model_digest,
+                "{workers} nodes, {mode}: distributed training must be bit-identical to the in-process engine"
+            );
+            assert_eq!(local.history.len(), remote.history.len());
+            for (a, b) in local.history.iter().zip(&remote.history) {
+                assert_eq!(a.test_loss.to_bits(), b.test_loss.to_bits(), "eval loss bits diverged");
+            }
+            assert_eq!(local.hot_steps, remote.hot_steps);
+            assert_eq!(local.cold_steps, remote.cold_steps);
         }
-        assert_eq!(local.hot_steps, remote.hot_steps);
-        assert_eq!(local.cold_steps, remote.cold_steps);
     }
 }
 
@@ -115,10 +132,12 @@ fn a_partition_near_the_end_reshards_and_every_node_exits_cleanly() {
 #[test]
 fn a_single_remote_worker_matches_the_serial_fast_path() {
     let (spec, pre, test, cfg) = setup(1);
-    let local = train_fae_resilient(&spec, &pre, &test, &cfg, &ResilienceOptions::default());
     let (clean, off) = (FaultPlan::default(), Telemetry::disabled());
-    let remote = train_distributed(&spec, &pre, &test, &cfg, 1, &clean, &off);
-    assert_eq!(local.model_digest, remote.model_digest);
+    for (mode, cfg) in with_modes(cfg) {
+        let local = train_fae_resilient(&spec, &pre, &test, &cfg, &ResilienceOptions::default());
+        let remote = train_distributed(&spec, &pre, &test, &cfg, 1, &clean, &off);
+        assert_eq!(local.model_digest, remote.model_digest, "{mode}");
+    }
 }
 
 /// FNV-1a over the coordinator journal's charges (each event's step and
