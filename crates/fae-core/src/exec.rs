@@ -95,20 +95,28 @@ where
 /// Reduces worker outputs strictly in worker-index order — never in
 /// completion or arrival order — returning `(loss, dense, sparse)`.
 /// Skipped shards (`None`) contribute nothing; float summation order is
-/// therefore a pure function of which indices produced output.
+/// therefore a pure function of which indices produced output. Every
+/// non-empty shard must have an output, so a lone output holds the whole
+/// batch and comes back exactly as it is: merging it onto zeroed
+/// gradients would turn a `-0.0` into `+0.0`.
 pub fn reduce_shards(
-    outputs: &[Option<ShardOutput>],
+    outputs: Vec<Option<ShardOutput>>,
     total: usize,
     num_tables: usize,
     dim: usize,
 ) -> (f32, Vec<f32>, Vec<SparseGrad>) {
+    let mut outputs: Vec<ShardOutput> = outputs.into_iter().flatten().collect();
+    if outputs.len() == 1 {
+        let ShardOutput { loss, dense, sparse, .. } = outputs.remove(0);
+        return (loss, dense, sparse);
+    }
     let mut loss = 0.0f32;
     let mut combined: Vec<f32> = Vec::new();
     let mut merged: Vec<SparseGrad> = (0..num_tables).map(|_| SparseGrad::new(dim)).collect();
-    for out in outputs.iter().flatten() {
+    for out in outputs {
         loss += out.loss * (out.samples as f32 / total as f32);
         if combined.is_empty() {
-            combined = out.dense.clone();
+            combined = out.dense;
         } else {
             for (c, &g) in combined.iter_mut().zip(&out.dense) {
                 *c += g;
@@ -215,7 +223,7 @@ impl ParallelEngine {
         });
 
         // Reduce on the calling thread, strictly in worker-index order.
-        let (loss, combined, merged) = reduce_shards(&outputs, n, emb.num_tables(), emb.dim());
+        let (loss, combined, merged) = reduce_shards(outputs, n, emb.num_tables(), emb.dim());
 
         // Every replica applies the identical reduced gradient — replicas
         // that sat out (empty shard) overwrite their stale grads too.
@@ -500,6 +508,19 @@ mod tests {
         master.apply_sparse_grads(&grads, 0.05);
         assert!(loss.is_finite());
         assert_eq!(eng.max_divergence(), 0.0);
+    }
+
+    #[test]
+    fn a_lone_output_comes_back_bit_for_bit() {
+        let sparse =
+            SparseGrad::from_ascending_rows(2, &[3], vec![-0.0, 1.5]).into_iter().collect();
+        let out = ShardOutput { loss: 0.25, samples: 4, dense: vec![-0.0, 2.0], sparse };
+        let (loss, dense, grads) = reduce_shards(vec![None, Some(out), None], 4, 1, 2);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(loss.to_bits(), 0.25f32.to_bits());
+        assert_eq!(bits(&dense), bits(&[-0.0, 2.0]));
+        let rows: Vec<(u32, Vec<u32>)> = grads[0].iter().map(|(r, v)| (r, bits(v))).collect();
+        assert_eq!(rows, [(3, bits(&[-0.0, 1.5]))], "the -0.0 entry must survive");
     }
 
     #[test]

@@ -96,9 +96,9 @@ pub struct TrainConfig {
     pub workers: usize,
     /// Store the cold rows of the master tables as int8 (per-row affine
     /// scale+min, DESIGN.md §14), shrinking the cold majority ~4× while
-    /// the calibrator-pinned hot rows stay exact f32. Off by default;
-    /// unsupported for the distributed (multi-process) paths, which need
-    /// whole-table f32 views. (The vendored serde shim has no field
+    /// the calibrator-pinned hot rows stay exact f32. Off by default. A
+    /// distributed run keeps the tier on the coordinator: workers read
+    /// only exact-f32 hot rows. (The vendored serde shim has no field
     /// attributes, so absent-field defaulting is not available; no
     /// persisted `TrainConfig` JSON exists, only `config_seed`.)
     pub quantize_cold: bool,
@@ -108,14 +108,15 @@ pub struct TrainConfig {
     /// set prefetched K−1 steps early, its transfer hidden behind
     /// compute), and the hot→cold write-back moves only resident rows.
     /// Transfer costs change; numerics do not — any K produces the same
-    /// model digest as K = 0. Unsupported with `--distributed`.
+    /// model digest as K = 0. A distributed run plans on the coordinator
+    /// and still ships workers the full hot bag.
     pub lookahead: usize,
     /// Stale-skip threshold in weight-delta units (0.0 disables). Cold-row
     /// sparse updates are deferred until `lr·‖accumulated‖∞` crosses the
     /// threshold, the row is about to be read, or a checkpoint flushes
     /// them; updates still pending at the end of the run are dropped —
-    /// the elided stale updates of arXiv 2404.04270. Unsupported with
-    /// `--distributed`.
+    /// the elided stale updates of arXiv 2404.04270. A distributed run
+    /// keeps the pool on the coordinator, beside the master.
     pub stale_skip: f32,
 }
 

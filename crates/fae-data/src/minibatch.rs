@@ -4,6 +4,8 @@
 //! hot batch never stalls on CPU-resident rows (§II-B challenge 1, Fig 4).
 //! The [`BatchKind`] tag records that purity.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::{Dataset, TableIndices};
@@ -100,9 +102,12 @@ impl MiniBatch {
     /// gets samples `[d·⌈n/k⌉ …]`, earlier shards take the remainder).
     /// Shards past the sample count come back empty. The split is a pure
     /// function of `(len, k)`, which is what makes worker-sharded
-    /// execution replayable.
-    pub fn shards(&self, k: usize) -> Vec<MiniBatch> {
+    /// execution replayable. One shard is the batch itself, lent.
+    pub fn shards(&self, k: usize) -> Vec<Cow<'_, MiniBatch>> {
         assert!(k >= 1, "need at least one shard");
+        if k == 1 {
+            return vec![Cow::Borrowed(self)];
+        }
         let n = self.len();
         let base = n / k;
         let extra = n % k;
@@ -112,7 +117,7 @@ impl MiniBatch {
             let len = base + usize::from(d < extra);
             let ids: Vec<usize> = (start..start + len).collect();
             start += len;
-            out.push(self.select(&ids));
+            out.push(Cow::Owned(self.select(&ids)));
         }
         out
     }
@@ -153,6 +158,32 @@ mod tests {
         assert_eq!(&mb.dense[0..4], d.dense_row(5));
         assert_eq!(mb.total_lookups(), 3 * 4);
         assert_eq!(mb.dense_bytes(), 3 * 4 * 4);
+    }
+
+    #[test]
+    fn one_shard_lends_the_batch_and_more_shards_split_it_in_order() {
+        let d = ds(7);
+        let mb = MiniBatch::gather(&d, &[6, 0, 5, 1, 4, 2, 3], BatchKind::Hot);
+        assert!(matches!(mb.shards(1).as_slice(), [Cow::Borrowed(b)] if std::ptr::eq(*b, &mb)));
+        // Each shard's sample ids, after checking its other columns agree.
+        let ids = |k: usize| -> Vec<Vec<u32>> {
+            let shards = mb.shards(k);
+            assert_eq!(shards.len(), k);
+            let check = |s: &Cow<'_, MiniBatch>| -> Vec<u32> {
+                assert!(matches!(s, Cow::Owned(_)));
+                let ids = s.sparse[0].indices.clone();
+                let dense: Vec<f32> =
+                    ids.iter().flat_map(|&i| d.dense_row(i as usize).to_vec()).collect();
+                let labels: Vec<f32> = ids.iter().map(|&i| (i % 2) as f32).collect();
+                assert_eq!((s.kind, &s.dense, &s.labels), (BatchKind::Hot, &dense, &labels));
+                assert!(s.sparse.iter().all(|t| t.indices == ids));
+                ids
+            };
+            shards.iter().map(check).collect()
+        };
+        assert_eq!(ids(2), [vec![6, 0, 5, 1], vec![4, 2, 3]]);
+        assert_eq!(ids(3), [vec![6, 0, 5], vec![1, 4], vec![2, 3]]);
+        assert_eq!(ids(9)[6..], [vec![3], vec![], vec![]]);
     }
 
     #[test]

@@ -47,19 +47,19 @@ use std::time::{Duration, Instant};
 use fae_core::exec::{
     compute_shard, reduce_shards, NetEvents, ParallelEngine, ShardOutput, StepEngine,
 };
-use fae_core::faults::{FaultInjector, FaultKind, FaultPlan, RecoveryAction};
+use fae_core::faults::{FaultInjector, FaultKind, FaultPlan, RecoveryAction, RetryPolicy};
 use fae_core::replicator::HotEmbeddings;
 use fae_core::trainer::AnyModel;
 use fae_data::{MiniBatch, WorkloadSpec};
 use fae_embed::{HotColdPartition, SparseGrad};
-use fae_models::{forward_backward, EmbeddingSource, MasterEmbeddings, RecModel};
+use fae_models::{EmbeddingSource, MasterEmbeddings, RecModel};
 use fae_sysmodel::{reshard_cost, sync_cost, Phase, SystemConfig, Timeline};
 use fae_telemetry::{metric, JournalEvent, PhaseSeconds, ShipLedger, StepMode, Telemetry};
 
 use crate::deadline::Link;
 use crate::detector::FailureDetector;
 use crate::wire::{encode_payload, put_task, write_frame, Frame, HotEntry, Message, NetError};
-use crate::NetConfig;
+use crate::{NetConfig, READ_TIMEOUT_MS, WELCOME_TIMEOUT_MS, WRITE_TIMEOUT_MS};
 
 /// One worker slot's lifecycle.
 enum Slot {
@@ -106,6 +106,19 @@ pub struct RemoteEngine {
     payload: Vec<u8>,
 }
 
+/// Heartbeat every this many steps.
+const HEARTBEAT_EVERY_STEPS: u64 = 8;
+/// Consecutive missed deadlines before a node is declared dead.
+const SUSPICION_THRESHOLD: u32 = 3;
+/// How long the initial worker group has to say Hello, milliseconds.
+/// Missing workers are treated as lost (their shards run
+/// coordinator-side) and may join later.
+const INITIAL_WAIT_MS: u64 = 10_000;
+/// Per-RPC retry schedule; failed attempts charge their backoff to the
+/// simulated timeline.
+const RETRY: RetryPolicy =
+    RetryPolicy { max_attempts: 3, base_delay_s: 0.05, multiplier: 2.0, max_delay_s: 1.0 };
+
 /// Modeled wire bandwidth for journal shipping: the JSONL batches ride
 /// the control plane, so their simulated transfer time is charged to
 /// `Phase::Framework` at this rate rather than the data-plane model.
@@ -113,14 +126,14 @@ const TELEMETRY_WIRE_BYTES_PER_S: f64 = 1e9;
 
 impl RemoteEngine {
     /// Builds the engine around an already-bound listener, then waits up
-    /// to `cfg.initial_wait_ms` for `workers` nodes to say Hello.
+    /// to [`INITIAL_WAIT_MS`] for `workers` nodes to say Hello.
     /// Workers that miss the window are treated as lost — their shards
     /// run coordinator-side — and may still join later.
     ///
     /// Hellos are held until every slot has sent one, then admitted in
     /// node-id order, so the initial group's epochs never depend on which
     /// node dialled first. A Hello is held at most half the node's
-    /// `welcome_timeout_ms` past the first one held.
+    /// Welcome deadline past the first one held.
     #[expect(
         clippy::too_many_arguments,
         reason = "the model, the workload and the node set of one run"
@@ -139,8 +152,8 @@ impl RemoteEngine {
         listener.set_nonblocking(true).map_err(NetError::Io)?;
         let spec_json =
             spec.to_json().map_err(|e| NetError::Protocol(format!("spec to json: {e}")))?;
-        let detectors = vec![FailureDetector::new(cfg.suspicion_threshold); workers];
-        let initial_wait = Duration::from_millis(cfg.initial_wait_ms);
+        let detectors = vec![FailureDetector::new(SUSPICION_THRESHOLD); workers];
+        let initial_wait = Duration::from_millis(INITIAL_WAIT_MS);
         let mut eng = Self {
             inner: ParallelEngine::from_model(model, spec, seed, workers),
             spec_json,
@@ -167,7 +180,7 @@ impl RemoteEngine {
             payload: Vec::new(),
         };
         let deadline = Instant::now() + initial_wait;
-        let hold = Duration::from_millis(eng.cfg.welcome_timeout_ms / 2);
+        let hold = Duration::from_millis(WELCOME_TIMEOUT_MS / 2);
         let mut held: Vec<(usize, Link)> = Vec::new();
         let mut held_since: Option<Instant> = None;
         loop {
@@ -222,7 +235,7 @@ impl RemoteEngine {
             }
             let _ = stream.set_nodelay(true);
             let mut link = Link::new(stream);
-            let Ok(hello) = link.recv(self.cfg.read_timeout_ms) else { continue };
+            let Ok(hello) = link.recv(READ_TIMEOUT_MS) else { continue };
             let node = hello.node as usize;
             if matches!(hello.msg, Message::Hello) && node < self.workers {
                 hellos.push((node, link));
@@ -270,7 +283,7 @@ impl RemoteEngine {
                 hot: self.hot_snapshot.clone(),
             },
         };
-        if link.send(&welcome, self.cfg.write_timeout_ms).is_err() {
+        if link.send(&welcome, WRITE_TIMEOUT_MS).is_err() {
             self.epoch -= 1;
             return;
         }
@@ -379,14 +392,13 @@ impl RemoteEngine {
             Slot::Live(conn) => {
                 conn.link.stage(|tx| write_frame(tx, tag, k as u32, epoch, seq, step, payload));
                 let armed = drop_first || dup_send;
-                if post && !armed && conn.link.flush(self.cfg.write_timeout_ms).is_ok() {
+                if post && !armed && conn.link.flush(WRITE_TIMEOUT_MS).is_ok() {
                     return Ok(None);
                 }
                 rpc(
                     &mut conn.link,
                     &mut self.detectors[k],
                     &mut self.events,
-                    &self.cfg,
                     seq,
                     drop_first,
                     dup_send,
@@ -505,11 +517,12 @@ impl RemoteEngine {
         }
     }
 
-    /// The W == 1 step: mirror of [`ParallelEngine::step`]'s serial fast
-    /// path (grad scale 1.0, no reduction, unmerged sparse gradients).
-    /// The flag is true when the gradient is the worker's `Grads` reply as
-    /// received, which the worker still holds.
-    fn step_single<E>(
+    /// The step: remote fan-out for eligible hot shards, local
+    /// [`compute_shard`] for everything else, then the worker-index-order
+    /// reduction — bit-identical to [`ParallelEngine::step`]. W = 1 is
+    /// the one-shard case. The flag is true when the gradient is the lone
+    /// worker's `Grads` reply as received, which that worker still holds.
+    fn step_sharded<E>(
         &mut self,
         emb: &E,
         batch: &MiniBatch,
@@ -519,38 +532,11 @@ impl RemoteEngine {
     where
         E: EmbeddingSource + Sync,
     {
-        if matches!(mode, StepMode::Hot) && self.eligible(0, mode) {
-            let total = batch.len() as u32;
-            let task = |out: &mut Vec<u8>| put_task(out, total, mode, batch);
-            if let Ok(Some(reply)) = self.exchange(0, Message::TASK, step, false, task) {
-                if let Message::Grads { loss, dense, sparse, .. } = reply.msg {
-                    return (loss, dense, sparse, true);
-                }
-            }
-        }
-        let (loss, sparse) = forward_backward(self.inner.primary(), emb, batch, 1.0);
-        let mut dense = Vec::new();
-        self.inner.primary().write_grads(&mut dense);
-        (loss, dense, sparse, false)
-    }
-
-    /// The W >= 2 step: remote fan-out for eligible hot shards, local
-    /// [`compute_shard`] for everything else, then the worker-index-order
-    /// reduction — bit-identical to [`ParallelEngine::step`].
-    fn step_sharded<E>(
-        &mut self,
-        emb: &E,
-        batch: &MiniBatch,
-        step: u64,
-        mode: StepMode,
-    ) -> (f32, Vec<f32>, Vec<SparseGrad>)
-    where
-        E: EmbeddingSource + Sync,
-    {
         let n = batch.len();
         let shards = batch.shards(self.workers);
         let mut outputs: Vec<Option<ShardOutput>> = Vec::new();
         outputs.resize_with(self.workers, || None);
+        let mut replies = 0;
         if matches!(mode, StepMode::Hot) {
             for k in 0..self.workers {
                 if shards[k].is_empty() || !self.eligible(k, mode) {
@@ -561,6 +547,7 @@ impl RemoteEngine {
                     if let Message::Grads { loss, samples, dense, sparse } = reply.msg {
                         outputs[k] =
                             Some(ShardOutput { loss, samples: samples as usize, dense, sparse });
+                        replies += 1;
                     }
                 }
             }
@@ -572,7 +559,9 @@ impl RemoteEngine {
                 outputs[k] = Some(compute_shard(self.inner.replica_mut(k), emb, shard, n));
             }
         }
-        reduce_shards(&outputs, n, emb.num_tables(), emb.dim())
+        let own = shards.len() == 1 && replies == 1;
+        let (loss, dense, sparse) = reduce_shards(outputs, n, emb.num_tables(), emb.dim());
+        (loss, dense, sparse, own)
     }
 }
 
@@ -591,20 +580,14 @@ impl StepEngine for RemoteEngine {
         self.drain_joins(step);
         self.fire_net_faults(step);
         self.last_step = step;
-        let hb = self.cfg.heartbeat_every_steps;
-        if hb > 0 && step > 0 && step.is_multiple_of(hb) {
+        if step > 0 && step.is_multiple_of(HEARTBEAT_EVERY_STEPS) {
             self.heartbeat(step);
         }
         let tp = self.cfg.telemetry_every_steps;
         if tp > 0 && self.telemetry.enabled() && step > 0 && step.is_multiple_of(tp) {
             self.poll_telemetry(step);
         }
-        let (loss, dense, mut sparse, own) = if self.workers == 1 {
-            self.step_single(emb, batch, step, mode)
-        } else {
-            let (loss, dense, sparse) = self.step_sharded(emb, batch, step, mode);
-            (loss, dense, sparse, false)
-        };
+        let (loss, dense, mut sparse, own) = self.step_sharded(emb, batch, step, mode);
         self.inner.apply_combined(&dense, lr);
         // Post the step to every live worker so replicas stay
         // bit-identical: one `Apply`, built here and lent to each send
@@ -705,7 +688,7 @@ impl Drop for RemoteEngine {
                 msg: Message::Shutdown,
             };
             if let Slot::Live(conn) = &mut self.slots[k] {
-                let _ = conn.link.send(&frame, self.cfg.write_timeout_ms);
+                let _ = conn.link.send(&frame, WRITE_TIMEOUT_MS);
             }
         }
     }
@@ -737,32 +720,31 @@ fn rpc(
     link: &mut Link,
     det: &mut FailureDetector,
     events: &mut NetEvents,
-    cfg: &NetConfig,
     seq: u64,
     drop_first_send: bool,
     duplicate_send: bool,
 ) -> Result<Frame, NetError> {
-    let attempts = cfg.retry.max_attempts.max(1);
+    let attempts = RETRY.max_attempts;
     let mut last = NetError::Timeout("rpc gave up");
     for attempt in 1..=attempts {
         let miss = |events: &mut NetEvents, det: &mut FailureDetector, e: NetError| {
-            events.step_charges.add(Phase::Framework, cfg.retry.backoff_delay(attempt));
+            events.step_charges.add(Phase::Framework, RETRY.backoff_delay(attempt));
             det.record_timeout();
             e
         };
         if !(attempt == 1 && drop_first_send) {
-            if let Err(e) = link.flush(cfg.write_timeout_ms) {
+            if let Err(e) = link.flush(WRITE_TIMEOUT_MS) {
                 last = miss(events, det, e);
                 continue;
             }
             if attempt == 1 && duplicate_send {
                 // Deliver the identical frame twice: the worker-side
                 // ledger must make the replay a no-op.
-                let _ = link.flush(cfg.write_timeout_ms);
+                let _ = link.flush(WRITE_TIMEOUT_MS);
             }
         }
         loop {
-            match link.recv(cfg.read_timeout_ms) {
+            match link.recv(READ_TIMEOUT_MS) {
                 Ok(reply) if reply.seq == seq => {
                     det.record_ok();
                     return Ok(reply);

@@ -36,6 +36,10 @@
 //! in-process `ParallelEngine` — worker `k` computes against a replica
 //! bootstrapped by replaying the coordinator's seeded RNG construction,
 //! and every update it applies is the coordinator's reduced gradient.
+//! The trainer's modes (the int8 cold tier, the lookahead oracle and
+//! stale-skip) live beside the master on the coordinator, and workers
+//! read only the exact-f32 hot rows it ships, so every mode keeps that
+//! contract.
 
 #![forbid(unsafe_code)]
 
@@ -52,67 +56,33 @@ pub use ledger::{Admit, Ledger};
 pub use wire::{Frame, HotEntry, Message, NetError};
 pub use worker::{run_node, run_worker, NodeConfig, NodeJournal, WorkerExit};
 
-use fae_core::faults::RetryPolicy;
+/// Per-read deadline (reply and serve loops), milliseconds. Deadlines
+/// here and in both ends of the wire are sized for localhost clusters:
+/// hundreds of milliseconds, so an injected fault is detected, and the
+/// run recovers, within a couple of seconds of real time.
+pub(crate) const READ_TIMEOUT_MS: u64 = 400;
+/// Per-write deadline, milliseconds.
+pub(crate) const WRITE_TIMEOUT_MS: u64 = 1_000;
+/// Deadline for the Welcome reply to a Hello (state shipping can be much
+/// larger than a normal frame), milliseconds.
+pub(crate) const WELCOME_TIMEOUT_MS: u64 = 4_000;
 
-/// Timeouts, retry and failure-detection knobs shared by both ends of
-/// the wire. Defaults are sized for localhost test clusters: deadlines
-/// in the hundreds of milliseconds, so an injected fault is detected —
-/// and the run recovers — within a couple of seconds of real time.
+/// The two knobs a run sets: telemetry shipping (`--telemetry-every`)
+/// and the worker's reconnect backoff, which in-process test clusters
+/// shrink so a crashed node rejoins within a short run.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// TCP connect deadline, milliseconds.
-    pub connect_timeout_ms: u64,
-    /// Per-read deadline (reply/serve loop), milliseconds.
-    pub read_timeout_ms: u64,
-    /// Per-write deadline, milliseconds.
-    pub write_timeout_ms: u64,
-    /// Deadline for the Welcome reply to a Hello (state shipping can be
-    /// much larger than a normal frame), milliseconds.
-    pub welcome_timeout_ms: u64,
-    /// Heartbeat every N steps (0 disables).
-    pub heartbeat_every_steps: u64,
     /// Poll workers for journal events every N steps (0 disables).
     /// Polls only happen when the coordinator's telemetry is enabled,
     /// so plain runs carry zero shipping traffic.
     pub telemetry_every_steps: u64,
-    /// Consecutive missed deadlines before a node is declared dead.
-    pub suspicion_threshold: u32,
-    /// Per-RPC retry/backoff schedule; failed attempts charge their
-    /// backoff to the simulated timeline.
-    pub retry: RetryPolicy,
-    /// How long the coordinator waits for the initial worker group,
-    /// milliseconds. Missing workers are treated as lost (their shards
-    /// run coordinator-side) and may join later.
-    pub initial_wait_ms: u64,
-    /// Worker-side reconnect attempts before giving up.
-    pub reconnect_attempts: u32,
     /// Worker-side reconnect backoff base, milliseconds (jittered,
     /// doubled per attempt).
     pub reconnect_base_ms: u64,
-    /// Worker-side reconnect backoff cap, milliseconds.
-    pub reconnect_cap_ms: u64,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
-        Self {
-            connect_timeout_ms: 1_000,
-            read_timeout_ms: 400,
-            write_timeout_ms: 1_000,
-            welcome_timeout_ms: 4_000,
-            heartbeat_every_steps: 8,
-            telemetry_every_steps: 4,
-            suspicion_threshold: 3,
-            retry: RetryPolicy {
-                max_attempts: 3,
-                base_delay_s: 0.05,
-                multiplier: 2.0,
-                max_delay_s: 1.0,
-            },
-            initial_wait_ms: 10_000,
-            reconnect_attempts: 40,
-            reconnect_base_ms: 50,
-            reconnect_cap_ms: 500,
-        }
+        Self { telemetry_every_steps: 4, reconnect_base_ms: 50 }
     }
 }

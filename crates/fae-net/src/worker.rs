@@ -16,8 +16,9 @@
 //!
 //! # Idempotency
 //!
-//! State-mutating frames (`Apply`, `ApplyOwn`, `HotBagSync`) pass through the
-//! epoch/sequence [`Ledger`]; duplicates re-acknowledge without
+//! State-mutating frames (`Apply`, `ApplyOwn`, `HotBagSync`: those whose
+//! `Message::mutates_state` is true) pass through the epoch/sequence
+//! [`Ledger`] once, before their arm; duplicates re-acknowledge without
 //! re-applying, stale-epoch traffic is dropped. `Task` frames are pure
 //! recomputation and need no gating.
 //!
@@ -43,7 +44,14 @@ use rand::SeedableRng;
 use crate::deadline::{dial, Link};
 use crate::ledger::{Admit, Ledger};
 use crate::wire::{Frame, HotEntry, Message, NetError};
-use crate::NetConfig;
+use crate::{NetConfig, READ_TIMEOUT_MS, WELCOME_TIMEOUT_MS, WRITE_TIMEOUT_MS};
+
+/// TCP connect deadline, milliseconds.
+const CONNECT_TIMEOUT_MS: u64 = 1_000;
+/// Reconnect attempts before a node gives up.
+const RECONNECT_ATTEMPTS: u32 = 40;
+/// Reconnect backoff cap, milliseconds.
+const RECONNECT_CAP_MS: u64 = 500;
 
 /// Why [`run_worker`] returned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,7 +72,7 @@ pub struct NodeConfig {
     pub node_id: u32,
     /// Total worker count (for fault-victim selection).
     pub workers: u32,
-    /// Timeouts, retry and reconnect policy.
+    /// The reconnect backoff base (the worker reads nothing else here).
     pub net: NetConfig,
     /// The same seeded fault plan the coordinator runs: both sides
     /// derive the same crash victims without any extra coordination.
@@ -112,7 +120,7 @@ struct Replica {
     hot: Option<HotEmbeddings>,
     ledger: Ledger,
     /// The output of the last `Grads` reply, which an `ApplyOwn` applies
-    /// and any `Apply` discards.
+    /// and any admitted `Apply` discards.
     own: Option<ShardOutput>,
 }
 
@@ -196,10 +204,10 @@ pub fn run_worker(
     joined: &mut bool,
     journal: &mut NodeJournal,
 ) -> Result<WorkerExit, NetError> {
-    let mut link = Link::new(dial(&cfg.addr, cfg.net.connect_timeout_ms)?);
+    let mut link = Link::new(dial(&cfg.addr, CONNECT_TIMEOUT_MS)?);
     let hello = Frame { node: cfg.node_id, epoch: 0, seq: 0, step: 0, msg: Message::Hello };
-    link.send(&hello, cfg.net.write_timeout_ms)?;
-    let welcome = link.recv(cfg.net.welcome_timeout_ms)?;
+    link.send(&hello, WRITE_TIMEOUT_MS)?;
+    let welcome = link.recv(WELCOME_TIMEOUT_MS)?;
     let mut replica = Replica::bootstrap(&welcome)?;
     journal.mark(welcome.step, if *joined { "rejoin" } else { "join" }, String::new());
     *joined = true;
@@ -216,14 +224,14 @@ fn serve(
 ) -> Result<WorkerExit, NetError> {
     let mut tasks: u64 = 0;
     loop {
-        let frame = match link.recv(cfg.net.read_timeout_ms) {
+        let frame = match link.recv(READ_TIMEOUT_MS) {
             Ok(f) => f,
             // Quiet link (coordinator busy on a cold phase): keep waiting.
             Err(NetError::Timeout(_)) => continue,
             Err(e) => return Err(e),
         };
         if matches!(frame.msg, Message::Shutdown) {
-            let _ = reply(link, &frame, Message::Ack, cfg.net.write_timeout_ms);
+            let _ = reply(link, &frame, Message::Ack, WRITE_TIMEOUT_MS);
             return Ok(WorkerExit::Finished);
         }
         // The crash fault fires on the step stamped into the incoming
@@ -245,7 +253,7 @@ fn serve(
             // A failed reply means the link is gone mid-exchange; the
             // supervisor reconnects and the coordinator's retry path
             // re-ships whatever was in flight.
-            let sent = reply(link, &frame, msg, cfg.net.write_timeout_ms)?;
+            let sent = reply(link, &frame, msg, WRITE_TIMEOUT_MS)?;
             if let Message::Grads { loss, samples, dense, sparse } = sent {
                 replica.own = Some(ShardOutput { loss, samples: samples as usize, dense, sparse });
             }
@@ -253,14 +261,23 @@ fn serve(
     }
 }
 
-/// Computes the reply for one admitted frame; `None` means drop it. An
-/// `ApplyOwn` with no `Grads` output kept is an error: the replica cannot
-/// follow the step, so the node must rejoin.
+/// Computes the reply for one frame; `None` means drop it. A frame that
+/// mutates state passes the ledger first: a duplicate is re-acknowledged
+/// without re-applying, a stale one dropped. An `ApplyOwn` with no
+/// `Grads` output kept is an error: the replica cannot follow the step,
+/// so the node must rejoin.
 fn handle(
     frame: &Frame,
     replica: &mut Replica,
     journal: &NodeJournal,
 ) -> Result<Option<Message>, NetError> {
+    if frame.msg.mutates_state() {
+        match replica.ledger.admit(frame.epoch, frame.seq) {
+            Admit::Stale => return Ok(None),
+            Admit::Duplicate => return Ok(Some(Message::Ack)),
+            Admit::Fresh => {}
+        }
+    }
     Ok(match &frame.msg {
         Message::Heartbeat => Some(Message::HeartbeatAck),
         Message::TelemetryPoll { ack } => {
@@ -293,44 +310,26 @@ fn handle(
         }
         Message::Apply { mode, lr, dense, sparse } => {
             replica.own = None;
-            match replica.ledger.admit(frame.epoch, frame.seq) {
-                Admit::Stale => None,
-                Admit::Duplicate => Some(Message::Ack),
-                Admit::Fresh => {
-                    replica.apply(*mode, *lr, dense, sparse);
-                    Some(Message::Ack)
-                }
-            }
+            replica.apply(*mode, *lr, dense, sparse);
+            Some(Message::Ack)
         }
-        Message::ApplyOwn { mode, lr } => match replica.ledger.admit(frame.epoch, frame.seq) {
-            Admit::Stale => None,
-            Admit::Duplicate => Some(Message::Ack),
-            Admit::Fresh => {
-                let out = replica.own.take().ok_or_else(|| {
-                    NetError::Protocol("apply-own with no gradient of this node's".into())
-                })?;
-                replica.apply(*mode, *lr, &out.dense, &out.sparse);
-                Some(Message::Ack)
-            }
-        },
+        Message::ApplyOwn { mode, lr } => {
+            let out = replica.own.take().ok_or_else(|| {
+                NetError::Protocol("apply-own with no gradient of this node's".into())
+            })?;
+            replica.apply(*mode, *lr, &out.dense, &out.sparse);
+            Some(Message::Ack)
+        }
         Message::HotBagSync { partitions_json, hot } => {
-            match replica.ledger.admit(frame.epoch, frame.seq) {
-                Admit::Stale => None,
-                Admit::Duplicate => Some(Message::Ack),
-                Admit::Fresh => {
-                    apply_entries(&mut replica.master, hot);
-                    // Partitions that do not parse or do not fit the
-                    // tables: keep serving dense work, just decline hot
-                    // shards from here on.
-                    let master = &replica.master;
-                    let rows: Vec<usize> =
-                        (0..master.num_tables()).map(|t| master.rows_in(t)).collect();
-                    replica.hot = parse_partitions(partitions_json, &rows)
-                        .ok()
-                        .map(|partitions| HotEmbeddings::build(master, partitions));
-                    Some(Message::Ack)
-                }
-            }
+            apply_entries(&mut replica.master, hot);
+            // Partitions that do not parse or do not fit the tables: keep
+            // serving dense work, just decline hot shards from here on.
+            let master = &replica.master;
+            let rows: Vec<usize> = (0..master.num_tables()).map(|t| master.rows_in(t)).collect();
+            replica.hot = parse_partitions(partitions_json, &rows)
+                .ok()
+                .map(|partitions| HotEmbeddings::build(master, partitions));
+            Some(Message::Ack)
         }
         // Requests only a coordinator should originate.
         _ => None,
@@ -378,7 +377,7 @@ fn coordinator_gone(e: &NetError) -> bool {
 
 /// The node supervisor: runs the worker, and on crash injection or link
 /// loss reconnects with jittered exponential backoff (bounded by
-/// `reconnect_attempts`). A `Finished` exit ends the process cleanly.
+/// [`RECONNECT_ATTEMPTS`]). A `Finished` exit ends the process cleanly.
 ///
 /// A node that was severed (partition, crash) near the end of a run may
 /// find the coordinator gone before it can rejoin: the listener stays
@@ -405,13 +404,13 @@ pub fn run_node(cfg: NodeConfig) -> Result<(), NetError> {
                     return Ok(());
                 }
                 attempt += 1;
-                if attempt > cfg.net.reconnect_attempts {
+                if attempt > RECONNECT_ATTEMPTS {
                     return Err(e);
                 }
             }
         }
         let base = cfg.net.reconnect_base_ms.saturating_mul(1u64 << attempt.min(8));
-        let delay = base.min(cfg.net.reconnect_cap_ms);
+        let delay = base.min(RECONNECT_CAP_MS);
         std::thread::sleep(Duration::from_millis(
             delay + jitter_ms(cfg.node_id, attempt, delay.max(cfg.net.reconnect_base_ms)),
         ));

@@ -33,7 +33,7 @@ use fae_telemetry::{metric, JournalEvent, Telemetry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::batcher::{BatcherConfig, CloseReason, ClosedBatch, MicroBatcher};
+use crate::batcher::{BatcherConfig, CloseReason, MicroBatcher};
 use crate::cache::{CacheStats, ServeCache};
 use crate::request::{InferRequest, ServeLoad};
 
@@ -353,33 +353,63 @@ impl ServeEngine {
             ServeLoad::Closed { clients, per_client } => {
                 assert!(*clients >= 1, "closed loop needs at least one client");
                 budgets = vec![*per_client; *clients];
-                for (c, budget) in budgets.iter_mut().enumerate() {
-                    if *budget > 0 {
-                        *budget -= 1;
-                        // Microsecond stagger: client starts are ordered
-                        // but effectively simultaneous.
-                        heap.push(Arrival {
-                            at: c as f64 * 1e-6,
-                            seq,
-                            input: rng.gen_range(0..ds.len()),
-                            client: Some(c),
-                        });
-                        seq += 1;
-                    }
-                }
             }
         }
+        let clients = budgets.len();
+        // Closed-loop client `c`'s next request, issued at `at`, while its
+        // budget lasts.
+        let mut next_request = |c: usize, at: f64| {
+            budgets[c] = budgets[c].checked_sub(1)?;
+            let arrival = Arrival { at, seq, input: rng.gen_range(0..ds.len()), client: Some(c) };
+            seq += 1;
+            Some(arrival)
+        };
+        // Microsecond stagger: client starts are ordered but effectively
+        // simultaneous.
+        heap.extend((0..clients).filter_map(|c| next_request(c, c as f64 * 1e-6)));
 
         // Pass 1: discrete-event simulation on the simulated clock.
         let dim = self.spec.embedding_dim;
-        let dispatch = |b: ClosedBatch,
-                        free_at: &mut Vec<f64>,
-                        cache: &mut ServeCache,
-                        requests: &[InferRequest],
-                        latency: &mut Vec<Option<f64>>,
-                        dispatched: &mut Vec<Dispatched>,
-                        inflight: &mut InFlight|
-         -> (f64, Vec<usize>) {
+        loop {
+            let next_at = heap.peek().map(|a| a.at);
+            // A pending deadline at or before the next arrival fires first;
+            // with no arrivals left, it drains the final batch.
+            let closed = match batcher.deadline() {
+                Some(dl) if next_at.is_none_or(|at| dl <= at) => {
+                    let reason =
+                        if next_at.is_some() { CloseReason::Deadline } else { CloseReason::Drain };
+                    batcher.flush(dl, reason)
+                }
+                _ => {
+                    let Some(arr) = heap.pop() else { break };
+                    let now = arr.at;
+                    // Queue depth: requests in the open batch plus requests
+                    // dispatched but not yet completed at `now`.
+                    let depth = batcher.open_len() + inflight.at(now);
+                    telem.gauge_set(metric!("serve.queue_depth"), depth as f64);
+                    let idx = requests.len();
+                    requests.push(InferRequest {
+                        id: idx as u64,
+                        arrival_s: now,
+                        input: arr.input,
+                    });
+                    client_of.push(arr.client);
+                    latency.push(None);
+                    if depth < self.cfg.queue_cap {
+                        batcher.push(idx, now)
+                    } else {
+                        rejected += 1;
+                        telem.counter_add(metric!("serve.rejected"), 1);
+                        // A rejected closed-loop client backs off one
+                        // deadline before issuing its next request.
+                        if let Some(c) = arr.client {
+                            heap.extend(next_request(c, now + self.cfg.max_delay_s));
+                        }
+                        None
+                    }
+                }
+            };
+            let Some(b) = closed else { continue };
             // Earliest-free worker, lowest index on ties.
             let worker = free_at
                 .iter()
@@ -414,108 +444,10 @@ impl ServeEngine {
             });
             inflight.push(end_s, b.members.len());
             dispatched.push(Dispatched { worker, end_s, batch, phases });
-            (end_s, b.members)
-        };
-
-        loop {
-            let next_at = heap.peek().map(|a| a.at);
-            // A pending deadline at or before the next arrival fires first;
-            // with no arrivals left, it drains the final batch.
-            if let Some(dl) = batcher.deadline() {
-                if next_at.is_none_or(|at| dl <= at) {
-                    let reason =
-                        if next_at.is_some() { CloseReason::Deadline } else { CloseReason::Drain };
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "deadline() is Some only while a batch is open, so flush cannot return None here"
-                    )]
-                    let b = batcher.flush(dl, reason).expect("open batch behind a deadline");
-                    let (end_s, members) = dispatch(
-                        b,
-                        &mut free_at,
-                        &mut cache,
-                        &requests,
-                        &mut latency,
-                        &mut dispatched,
-                        &mut inflight,
-                    );
-                    // Completed closed-loop clients issue their next request.
-                    for m in members {
-                        if let Some(c) = client_of[m] {
-                            if budgets[c] > 0 {
-                                budgets[c] -= 1;
-                                heap.push(Arrival {
-                                    at: end_s,
-                                    seq,
-                                    input: rng.gen_range(0..ds.len()),
-                                    client: Some(c),
-                                });
-                                seq += 1;
-                            }
-                        }
-                    }
-                    continue;
-                }
-            }
-            let Some(arr) = heap.pop() else { break };
-            let now = arr.at;
-            // Queue depth: requests in the open batch plus requests
-            // dispatched but not yet completed at `now`.
-            let depth = batcher.open_len() + inflight.at(now);
-            telem.gauge_set(metric!("serve.queue_depth"), depth as f64);
-            if depth >= self.cfg.queue_cap {
-                rejected += 1;
-                telem.counter_add(metric!("serve.rejected"), 1);
-                requests.push(InferRequest {
-                    id: requests.len() as u64,
-                    arrival_s: now,
-                    input: arr.input,
-                });
-                client_of.push(arr.client);
-                latency.push(None);
-                if let Some(c) = arr.client {
-                    // A rejected closed-loop client backs off one deadline
-                    // before issuing its next request.
-                    if budgets[c] > 0 {
-                        budgets[c] -= 1;
-                        heap.push(Arrival {
-                            at: now + self.cfg.max_delay_s,
-                            seq,
-                            input: rng.gen_range(0..ds.len()),
-                            client: Some(c),
-                        });
-                        seq += 1;
-                    }
-                }
-                continue;
-            }
-            let idx = requests.len();
-            requests.push(InferRequest { id: idx as u64, arrival_s: now, input: arr.input });
-            client_of.push(arr.client);
-            latency.push(None);
-            if let Some(b) = batcher.push(idx, now) {
-                let (end_s, members) = dispatch(
-                    b,
-                    &mut free_at,
-                    &mut cache,
-                    &requests,
-                    &mut latency,
-                    &mut dispatched,
-                    &mut inflight,
-                );
-                for m in members {
-                    if let Some(c) = client_of[m] {
-                        if budgets[c] > 0 {
-                            budgets[c] -= 1;
-                            heap.push(Arrival {
-                                at: end_s,
-                                seq,
-                                input: rng.gen_range(0..ds.len()),
-                                client: Some(c),
-                            });
-                            seq += 1;
-                        }
-                    }
+            // Completed closed-loop clients issue their next request.
+            for m in b.members {
+                if let Some(c) = client_of[m] {
+                    heap.extend(next_request(c, end_s));
                 }
             }
         }

@@ -341,18 +341,6 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     let distributed: usize = args.num("distributed", 0usize)?;
     let mut cfg = train_config(args, &spec)?;
     let report = if distributed > 0 {
-        if cfg.quantize_cold {
-            return Err(
-                "--quantize-cold is unsupported with --distributed: nodes ship whole-table f32 views"
-                    .into(),
-            );
-        }
-        if cfg.lookahead > 0 || cfg.stale_skip > 0.0 {
-            return Err(
-                "--lookahead/--stale-skip are unsupported with --distributed: nodes sync full hot bags and apply every sparse update eagerly"
-                    .into(),
-            );
-        }
         // One worker process per shard: the engine worker count and the
         // node count are the same knob in a distributed run.
         cfg.workers = distributed;
@@ -842,18 +830,15 @@ const USAGE: &str =
   train:        --stream FILE  --epochs E  --gpus G  --lr LR
                 --workers W   (execution-engine worker threads; 1 = serial)
                 --quantize-cold true   (int8 cold tier for the master
-                                        tables; hot rows stay exact f32.
-                                        Not valid with --distributed)
+                                        tables; hot rows stay exact f32)
                 --lookahead N    (oracle lookahead over the next N known
                                   mini-batches: prefetch exactly the rows
                                   they touch instead of resyncing the whole
-                                  hot bag. 0 = full-bag sync. Not valid
-                                  with --distributed)
+                                  hot bag. 0 = full-bag sync)
                 --stale-skip T   (defer cold-row sparse updates until the
                                   accumulated step lr*|grad| reaches T, the
                                   row is about to be read, or a checkpoint
-                                  flushes. 0 = apply eagerly. Not valid
-                                  with --distributed)
+                                  flushes. 0 = apply eagerly)
                 --fault-plan 'kind@step,...'  --fault-seed S
                   (kinds: device-loss replication-oom sync-failure
                           artifact-corruption transient-io)
