@@ -42,9 +42,26 @@ pub fn quantize_row(values: &[f32], out: &mut [u8]) -> (f32, f32) {
         return (0.0, lo);
     }
     for (q, &v) in out.iter_mut().zip(values) {
-        *q = (((v - lo) / scale).round()).clamp(0.0, 255.0) as u8;
+        *q = code((v - lo) / scale);
     }
     (scale, lo)
+}
+
+/// `x.round().clamp(0.0, 255.0) as u8` without `round`, which this
+/// target calls into libm for. Inside `(0, 254.5)` the fraction
+/// `x - trunc(x)` is exact, so adding one at `≥ 0.5` rounds half away from
+/// zero as `round` does; below that range (and for NaN) the code is 0,
+/// above it 255.
+#[inline]
+fn code(x: f32) -> u8 {
+    if x >= 254.5 {
+        255
+    } else if x > 0.0 {
+        let t = x as u8;
+        t + u8::from(x - f32::from(t) >= 0.5)
+    } else {
+        0
+    }
 }
 
 /// Dequantizes one code back to `f32`.
@@ -266,6 +283,69 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The formula `quantize_row` used to spell out per element.
+    fn rounded(values: &[f32], out: &mut [u8]) -> (f32, f32) {
+        let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+        for &v in values {
+            lo = lo.min(v);
+            hi = hi.max(v);
+        }
+        if values.is_empty() {
+            return (0.0, 0.0);
+        }
+        let scale = (hi - lo) / 255.0;
+        if scale == 0.0 {
+            out.fill(0);
+            return (0.0, lo);
+        }
+        for (q, &v) in out.iter_mut().zip(values) {
+            *q = (((v - lo) / scale).round()).clamp(0.0, 255.0) as u8;
+        }
+        (scale, lo)
+    }
+
+    #[test]
+    fn code_rounds_as_the_formula_did() {
+        let near = |x: f32| [f32::from_bits(x.to_bits() - 1), x, f32::from_bits(x.to_bits() + 1)];
+        let mut xs = vec![0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e-45, -1e-45];
+        for k in 0..=256 {
+            // Every tie and integer, and the floats either side of each.
+            xs.extend(near(k as f32 + 0.5));
+            xs.extend(near((k as f32).max(1e-45)));
+        }
+        xs.extend([-0.5, -0.49999997, 254.49998, 255.49998, 1e30, -1e30]);
+        for x in xs {
+            assert_eq!(code(x), x.round().clamp(0.0, 255.0) as u8, "x = {x:e}");
+        }
+    }
+
+    #[test]
+    fn quantize_row_matches_the_formula() {
+        let sub = f32::from_bits(3);
+        let rows: Vec<Vec<f32>> = vec![
+            // Values on the code's half steps: 0 + k·0.5 over a 255 span.
+            (0..=510).map(|k| k as f32 * 0.5).collect(),
+            vec![0.0, 255.0, 127.5, 0.5, 254.5, 1.5],
+            vec![-3.25; 16],
+            vec![sub, 0.0, -sub, f32::from_bits(0x0010_0000), -0.0],
+            vec![-3.0e38, 3.0e38, 0.0, 1.0e38],
+            vec![f32::MAX, -f32::MAX, 1.0],
+            vec![1.0, f32::NAN, -2.0, 0.25],
+            vec![f32::NAN, f32::NAN],
+            vec![f32::INFINITY, 0.0, 1.0],
+            vec![f32::NEG_INFINITY, 0.0, 1.0],
+            (0..97).map(|k| ((k * 37) % 101) as f32 / 7.3 - 5.0).collect(),
+            Vec::new(),
+        ];
+        for values in rows {
+            let (mut got, mut want) = (vec![0u8; values.len()], vec![0u8; values.len()]);
+            let (gs, gm) = quantize_row(&values, &mut got);
+            let (ws, wm) = rounded(&values, &mut want);
+            assert_eq!((gs.to_bits(), gm.to_bits()), (ws.to_bits(), wm.to_bits()), "{values:?}");
+            assert_eq!(got, want, "{values:?}");
+        }
+    }
 
     impl TieredTable {
         /// Materializes a dequantized `f32` snapshot.

@@ -4,10 +4,10 @@
 //! (hot rows especially — that is the paper's whole premise), so a
 //! gradient is the distinct row ids, strictly ascending, beside one flat
 //! arena holding their summed values. It is built in one shot
-//! ([`SparseGrad::scatter`]): sort the lookups by id, keeping their
-//! encounter order within an id, then sum each id's run of contributions
-//! onto a zeroed row. The order of every f32 sum is therefore the order
-//! the lookups arrived in, whatever the sort did (DESIGN.md §14).
+//! ([`SparseGrad::scatter`]): a stable byte radix sort orders the lookups
+//! by id, keeping their encounter order within an id, then each id's run
+//! of contributions is summed onto a zeroed row. The order of every f32
+//! sum is therefore the order the lookups arrived in (DESIGN.md §14).
 
 use fae_nn::{lanes, Tensor};
 
@@ -70,11 +70,12 @@ impl SparseGrad {
         Self::sum_runs(dim, keys, |bag| grad.row(bag))
     }
 
-    /// `keys` are `id << 32 | source`; sorting them groups each id's
-    /// sources in ascending order, and each run becomes one row.
-    fn sum_runs<'a>(dim: usize, mut keys: Vec<u64>, row_of: impl Fn(usize) -> &'a [f32]) -> Self {
+    /// `keys` are `id << 32 | source`, built in ascending source order;
+    /// ordering them by id groups each id's sources, still ascending, and
+    /// each run becomes one row.
+    fn sum_runs<'a>(dim: usize, keys: Vec<u64>, row_of: impl Fn(usize) -> &'a [f32]) -> Self {
         assert!(keys.len() <= u32::MAX as usize, "more lookups than a sort key can number");
-        keys.sort_unstable();
+        let keys = sort_by_id(keys);
         let mut out = Self::new(dim);
         for &key in &keys {
             let id = (key >> 32) as u32;
@@ -193,6 +194,35 @@ impl SparseGrad {
     }
 }
 
+/// Orders `id << 32 | source` keys by id with a stable LSD radix sort, a
+/// byte of the id per pass and as many passes as the largest id needs.
+/// Equal ids keep their order, so keys built in ascending source order come
+/// out exactly as a sort of the whole key would leave them.
+fn sort_by_id(mut keys: Vec<u64>) -> Vec<u64> {
+    let largest = keys.iter().fold(0, |m, &k| m.max(k >> 32));
+    let passes = (u64::BITS - largest.leading_zeros()).div_ceil(8);
+    let mut scratch = vec![0u64; if passes > 0 { keys.len() } else { 0 }];
+    for pass in 0..passes {
+        let shift = 32 + 8 * pass;
+        let digit = |k: u64| (k >> shift) as usize & 0xFF;
+        let mut next = [0usize; 256];
+        for &k in &keys {
+            next[digit(k)] += 1;
+        }
+        let mut at = 0;
+        for slot in &mut next {
+            (*slot, at) = (at, at + *slot);
+        }
+        for &k in &keys {
+            let d = digit(k);
+            scratch[next[d]] = k;
+            next[d] += 1;
+        }
+        std::mem::swap(&mut keys, &mut scratch);
+    }
+    keys
+}
+
 /// The CSR contract every bag lookup and its backward share: `offsets`
 /// has `batch + 1` entries and ends at `indices.len()`.
 pub(crate) fn check_offsets(indices: &[u32], offsets: &[usize]) {
@@ -288,6 +318,24 @@ mod tests {
             assert_eq!(bits(&scattered), bits(&looped), "dim {dim}");
             assert!(scattered.iter().zip(scattered.iter().skip(1)).all(|(a, b)| a.0 < b.0));
         }
+    }
+
+    #[test]
+    fn radix_order_is_sort_order_at_every_id_width() {
+        // Largest ids needing 0 through 4 byte passes, duplicates within.
+        for top in [0u32, 0xFF, 0xFFFF, 0xFF_FFFF, u32::MAX] {
+            let keys: Vec<u64> = (0u64..3_000)
+                .map(|p| {
+                    let h = p.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                    let id = if p % 17 == 0 { top } else { h as u32 % 97 * (top / 97) };
+                    u64::from(id) << 32 | p
+                })
+                .collect();
+            let mut sorted = keys.clone();
+            sorted.sort_unstable();
+            assert_eq!(sort_by_id(keys), sorted, "largest id {top:#x}");
+        }
+        assert!(sort_by_id(Vec::new()).is_empty());
     }
 
     #[test]

@@ -6,78 +6,65 @@
 //!
 //! `s_t = q·v_t / √d`, `α = softmax(s)`, `context = Σ_t α_t v_t`.
 //!
-//! Sequences are ragged, so they travel in CSR-of-vectors form
-//! ([`SeqBatch`]).
+//! Sequences are ragged: every sample's vectors lie back to back in one
+//! `total × d` tensor, and `batch + 1` offsets (counted in vectors) say
+//! where each sample's run starts. The op reads its queries from and
+//! writes its contexts into TBSM's top-MLP input, `[context ; query]` per
+//! sample, so neither is copied.
 
 use fae_nn::Tensor;
 
-/// A ragged batch of vector sequences: sample `i` owns vectors
-/// `offsets[i]..offsets[i+1]`, each of width `dim`, stored contiguously.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SeqBatch {
-    /// Flat vector data, `total_vectors × dim` row-major.
-    pub data: Vec<f32>,
-    /// `batch + 1` boundaries, counted in vectors.
-    pub offsets: Vec<usize>,
-    /// Vector width.
-    pub dim: usize,
-}
-
-impl SeqBatch {
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// True when no samples are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Vector `t` of sample `i`.
-    pub fn vector(&self, i: usize, t: usize) -> &[f32] {
-        let v = self.offsets[i] + t;
-        &self.data[v * self.dim..(v + 1) * self.dim]
-    }
-}
-
-struct Cache {
-    seq: SeqBatch,
-    query: Tensor,
-    /// Attention weights, one per sequence vector, laid out as
-    /// `seq.offsets` lays out the vectors.
-    alphas: Vec<f32>,
-}
-
-/// Differentiable attention pooling.
+/// Differentiable attention pooling. Its buffers are kept between
+/// batches and reused.
 pub struct AttentionPool {
-    cached: Option<Cache>,
+    /// The last forward's sequence vectors.
+    vectors: Tensor,
+    /// Their `batch + 1` sample boundaries.
+    offsets: Vec<usize>,
+    /// Attention weights, one per sequence vector.
+    alphas: Vec<f32>,
+    /// d loss / d vectors of the last backward.
+    d_seq: Vec<f32>,
+    d_alpha: Vec<f32>,
 }
 
 impl AttentionPool {
     /// Creates the op.
     pub fn new() -> Self {
-        Self { cached: None }
+        Self {
+            vectors: Tensor::zeros(0, 0),
+            offsets: Vec::new(),
+            alphas: Vec::new(),
+            d_seq: Vec::new(),
+            d_alpha: Vec::new(),
+        }
     }
 
-    /// Pools each sample's sequence into one context vector. Samples with
-    /// empty sequences yield a zero context. `seq` is kept for the
-    /// backward pass, so it is taken by value.
-    pub fn forward(&mut self, seq: SeqBatch, query: &Tensor) -> Tensor {
-        let (batch, d) = query.shape();
-        assert_eq!(seq.len(), batch, "seq/query batch mismatch");
-        assert_eq!(seq.dim, d, "seq/query width mismatch");
+    /// Pools each sample's sequence. `z` holds one `[context ; query]`
+    /// row of `2 · vectors.cols()` per sample: the query half is read and
+    /// the context half written. Samples with empty sequences get a zero
+    /// context. `vectors` is kept for the backward pass, so it is taken by
+    /// value.
+    pub fn forward(&mut self, vectors: Tensor, offsets: &[usize], z: &mut [f32]) {
+        let d = vectors.cols();
+        let batch = offsets.len() - 1;
+        assert_eq!(z.len(), batch * 2 * d, "seq/query batch mismatch");
+        assert!(
+            offsets[0] == 0 && offsets[batch] == vectors.rows(),
+            "offsets must span the sequence vectors"
+        );
         let scale = 1.0 / (d as f32).sqrt();
-        let mut ctx = Tensor::zeros(batch, d);
-        let mut alphas = vec![0.0f32; seq.offsets[batch]];
-        for i in 0..batch {
-            let scores = &mut alphas[seq.offsets[i]..seq.offsets[i + 1]];
+        self.alphas.resize(vectors.rows(), 0.0);
+        for (i, row) in z.chunks_exact_mut(2 * d).enumerate() {
+            let (ctx, q) = row.split_at_mut(d);
+            ctx.fill(0.0);
+            let (lo, hi) = (offsets[i], offsets[i + 1]);
+            let scores = &mut self.alphas[lo..hi];
             if scores.is_empty() {
                 continue;
             }
-            let q = query.row(i);
-            for (t, s) in scores.iter_mut().enumerate() {
-                *s = q.iter().zip(seq.vector(i, t)).map(|(&a, &b)| a * b).sum::<f32>() * scale;
+            for (s, r) in scores.iter_mut().zip(lo..) {
+                *s = q.iter().zip(vectors.row(r)).map(|(&a, &b)| a * b).sum::<f32>() * scale;
             }
             // Stable softmax.
             let max = scores.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
@@ -89,60 +76,66 @@ impl AttentionPool {
             for s in scores.iter_mut() {
                 *s /= sum;
             }
-            let c = ctx.row_mut(i);
-            for (t, &a) in scores.iter().enumerate() {
-                for (cv, &v) in c.iter_mut().zip(seq.vector(i, t)) {
+            for (&a, r) in scores.iter().zip(lo..) {
+                for (cv, &v) in ctx.iter_mut().zip(vectors.row(r)) {
                     *cv += a * v;
                 }
             }
         }
-        self.cached = Some(Cache { seq, query: query.clone(), alphas });
-        ctx
+        self.vectors = vectors;
+        self.offsets.clear();
+        self.offsets.extend_from_slice(offsets);
     }
 
-    /// Backward pass: returns gradients for the sequence vectors (same
-    /// ragged layout) and the query.
-    pub fn backward(&mut self, grad_ctx: &Tensor) -> (SeqBatch, Tensor) {
-        #[expect(
-            clippy::expect_used,
-            reason = "forward-before-backward is a call-order contract; fabricating a gradient here would corrupt training silently"
-        )]
-        let Cache { seq, query, alphas } =
-            self.cached.take().expect("AttentionPool::backward before forward");
-        let (batch, d) = query.shape();
-        assert_eq!(grad_ctx.shape(), (batch, d), "grad shape mismatch");
+    /// Backward pass from `dz`, the gradient of the `[context ; query]`
+    /// rows `z` the forward saw. Writes d loss / d query into `d_query`
+    /// (`batch × d`): `dz`'s query half plus the part that flows through
+    /// the attention. Returns d loss / d vectors, laid out as the vectors.
+    pub fn backward(&mut self, z: &[f32], dz: &[f32], d_query: &mut [f32]) -> &[f32] {
+        let d = self.vectors.cols();
+        let batch = self.offsets.len().saturating_sub(1);
+        assert!(dz.len() == batch * 2 * d && z.len() == dz.len(), "grad shape mismatch");
+        assert_eq!(d_query.len(), batch * d, "query grad shape mismatch");
         let scale = 1.0 / (d as f32).sqrt();
-        let mut d_seq = vec![0.0f32; seq.data.len()];
-        let mut d_query = Tensor::zeros(batch, d);
-        let mut d_alpha = Vec::new();
-        for i in 0..batch {
-            let (lo, hi) = (seq.offsets[i], seq.offsets[i + 1]);
-            if lo == hi {
-                continue;
+        // Every vector belongs to exactly one sample, so each of its
+        // gradients is written once, as the `+0.0` it used to start from
+        // plus its one term.
+        self.d_seq.resize(self.vectors.len(), 0.0);
+        for (i, dq) in d_query.chunks_exact_mut(d).enumerate() {
+            let (dc, direct) = dz[i * 2 * d..(i + 1) * 2 * d].split_at(d);
+            let q = &z[i * 2 * d + d..(i + 1) * 2 * d];
+            dq.fill(0.0);
+            let (lo, hi) = (self.offsets[i], self.offsets[i + 1]);
+            if lo < hi {
+                let alpha = &self.alphas[lo..hi];
+                // dα_t = dc·v_t ; accumulate dv_t += α_t · dc.
+                self.d_alpha.clear();
+                self.d_alpha.extend((lo..hi).map(|v| {
+                    dc.iter().zip(self.vectors.row(v)).map(|(&a, &b)| a * b).sum::<f32>()
+                }));
+                // Softmax backward: ds_t = α_t (dα_t − Σ_j α_j dα_j).
+                let dot: f32 = alpha.iter().zip(&self.d_alpha).map(|(&a, &g)| a * g).sum();
+                for (t, v) in (lo..hi).enumerate() {
+                    let ds = alpha[t] * (self.d_alpha[t] - dot) * scale;
+                    let vec = self.vectors.row(v);
+                    let dv = &mut self.d_seq[v * d..(v + 1) * d];
+                    for c in 0..d {
+                        dv[c] = 0.0 + (alpha[t] * dc[c] + ds * q[c]);
+                        dq[c] += ds * vec[c];
+                    }
+                }
             }
-            let alpha = &alphas[lo..hi];
-            let dc = grad_ctx.row(i);
-            // dα_t = dc·v_t ; accumulate dv_t += α_t · dc.
-            d_alpha.clear();
-            d_alpha.extend(
-                (0..hi - lo)
-                    .map(|t| dc.iter().zip(seq.vector(i, t)).map(|(&a, &b)| a * b).sum::<f32>()),
-            );
-            // Softmax backward: ds_t = α_t (dα_t − Σ_j α_j dα_j).
-            let dot: f32 = alpha.iter().zip(&d_alpha).map(|(&a, &g)| a * g).sum();
-            let q = query.row(i);
-            let dq = d_query.row_mut(i);
-            for t in 0..hi - lo {
-                let ds = alpha[t] * (d_alpha[t] - dot) * scale;
-                let v = seq.vector(i, t);
-                let dv = &mut d_seq[(lo + t) * d..(lo + t + 1) * d];
-                for c in 0..d {
-                    dv[c] += alpha[t] * dc[c] + ds * q[c];
-                    dq[c] += ds * v[c];
+            for (g, &direct) in dq.iter_mut().zip(direct) {
+                #[expect(
+                    clippy::assign_op_pattern,
+                    reason = "direct + attention is the operand order of the sum this replaced"
+                )]
+                {
+                    *g = direct + *g;
                 }
             }
         }
-        (SeqBatch { data: d_seq, offsets: seq.offsets, dim: d }, d_query)
+        &self.d_seq
     }
 }
 
@@ -156,93 +149,101 @@ impl Default for AttentionPool {
 mod tests {
     use super::*;
 
-    fn seq(offsets: Vec<usize>, data: Vec<f32>, dim: usize) -> SeqBatch {
-        SeqBatch { data, offsets, dim }
+    /// `[context ; query]` rows with a zero context half.
+    fn rows_of(q: &[f32], dim: usize) -> Vec<f32> {
+        q.chunks(dim).flat_map(|q| std::iter::repeat_n(0.0, dim).chain(q.iter().copied())).collect()
+    }
+
+    /// The context halves of `z`.
+    fn contexts(z: &[f32], dim: usize) -> Vec<f32> {
+        z.chunks(2 * dim).flat_map(|r| r[..dim].to_vec()).collect()
+    }
+
+    fn pool(offsets: &[usize], data: &[f32], dim: usize, q: &[f32]) -> (AttentionPool, Vec<f32>) {
+        let vectors = Tensor::from_vec(data.len() / dim, dim, data.to_vec());
+        let mut z = rows_of(q, dim);
+        let mut att = AttentionPool::new();
+        att.forward(vectors, offsets, &mut z);
+        (att, z)
     }
 
     #[test]
     fn single_vector_sequence_passes_through() {
         // With one vector, α = 1 and context == the vector.
-        let s = seq(vec![0, 1], vec![3.0, -2.0], 2);
-        let q = Tensor::from_vec(1, 2, vec![0.5, 0.5]);
-        let mut att = AttentionPool::new();
-        let c = att.forward(s, &q);
-        assert_eq!(c.as_slice(), &[3.0, -2.0]);
+        let (_, z) = pool(&[0, 1], &[3.0, -2.0], 2, &[0.5, 0.5]);
+        assert_eq!(contexts(&z, 2), vec![3.0, -2.0]);
     }
 
     #[test]
     fn attention_prefers_aligned_vectors() {
         // Two vectors; the one aligned with the query should dominate.
-        let s = seq(vec![0, 2], vec![10.0, 0.0, 0.0, 10.0], 2);
-        let q = Tensor::from_vec(1, 2, vec![5.0, 0.0]);
-        let mut att = AttentionPool::new();
-        let c = att.forward(s, &q);
-        assert!(c.get(0, 0) > 9.0, "context {:?}", c.as_slice());
-        assert!(c.get(0, 1) < 1.0);
+        let (_, z) = pool(&[0, 2], &[10.0, 0.0, 0.0, 10.0], 2, &[5.0, 0.0]);
+        assert!(z[0] > 9.0, "context {:?}", &z[..2]);
+        assert!(z[1] < 1.0);
     }
 
     #[test]
     fn empty_sequence_gives_zero_context() {
-        let s = seq(vec![0, 0, 1], vec![1.0, 1.0], 2);
-        let q = Tensor::from_vec(2, 2, vec![1.0, 1.0, 1.0, 1.0]);
-        let mut att = AttentionPool::new();
-        let c = att.forward(s, &q);
-        assert_eq!(c.row(0), &[0.0, 0.0]);
-        assert_eq!(c.row(1), &[1.0, 1.0]);
-        // Backward should not touch the empty sample.
-        let (ds, dq) = att.backward(&Tensor::full(2, 2, 1.0));
-        assert!(ds.data.iter().all(|v| v.is_finite()));
-        assert_eq!(dq.row(0), &[0.0, 0.0]);
+        let (mut att, mut z) = pool(&[0, 0, 1], &[1.0, 1.0], 2, &[1.0, 1.0, 1.0, 1.0]);
+        assert_eq!(contexts(&z, 2), vec![0.0, 0.0, 1.0, 1.0]);
+        // Backward gives the empty sample only its direct query gradient.
+        let dz = vec![1.0; 8];
+        let mut dq = vec![f32::NAN; 4];
+        let ds = att.backward(&z, &dz, &mut dq);
+        assert!(ds.iter().all(|v| v.is_finite()));
+        assert_eq!(&dq[..2], &[1.0, 1.0]);
+        // A stale context half is overwritten, not accumulated onto.
+        z[0] = 7.0;
+        let vectors = Tensor::from_vec(1, 2, vec![1.0, 1.0]);
+        att.forward(vectors, &[0, 0, 1], &mut z);
+        assert_eq!(contexts(&z, 2), vec![0.0, 0.0, 1.0, 1.0]);
     }
 
     #[test]
     fn backward_matches_finite_difference() {
         let dim = 3;
-        let s = seq(
-            vec![0, 2, 5],
-            vec![
-                0.5, -0.2, 0.8, /* s0 v0 */
-                -0.4, 0.9, 0.1, /* s0 v1 */
-                0.3, 0.3, -0.6, /* s1 v0 */
-                0.7, -0.8, 0.2, /* s1 v1 */
-                -0.1, 0.4, 0.5, /* s1 v2 */
-            ],
-            dim,
-        );
-        let q = Tensor::from_vec(2, 3, vec![0.6, -0.3, 0.2, -0.5, 0.1, 0.9]);
-        let objective = |s: &SeqBatch, q: &Tensor| {
-            let mut att = AttentionPool::new();
-            att.forward(s.clone(), q).sum()
+        let offsets = [0, 2, 5];
+        let data = [
+            0.5, -0.2, 0.8, /* s0 v0 */
+            -0.4, 0.9, 0.1, /* s0 v1 */
+            0.3, 0.3, -0.6, /* s1 v0 */
+            0.7, -0.8, 0.2, /* s1 v1 */
+            -0.1, 0.4, 0.5, /* s1 v2 */
+        ];
+        let q = [0.6, -0.3, 0.2, -0.5, 0.1, 0.9];
+        // The objective sums the contexts only, so dz's query half is 0.
+        let objective = |data: &[f32], q: &[f32]| -> f32 {
+            let (_, z) = pool(&offsets, data, dim, q);
+            contexts(&z, dim).iter().sum()
         };
-        let mut att = AttentionPool::new();
-        let c = att.forward(s.clone(), &q);
-        let (ds, dq) = att.backward(&Tensor::full(c.rows(), c.cols(), 1.0));
+        let (mut att, z) = pool(&offsets, &data, dim, &q);
+        let dz: Vec<f32> = (0..2).flat_map(|_| [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]).collect();
+        let mut dq = vec![0.0; 6];
+        let ds = att.backward(&z, &dz, &mut dq).to_vec();
         let eps = 1e-3;
-        for k in 0..s.data.len() {
-            let mut sp = s.clone();
-            sp.data[k] += eps;
-            let mut sm = s.clone();
-            sm.data[k] -= eps;
+        for k in 0..data.len() {
+            let mut sp = data;
+            sp[k] += eps;
+            let mut sm = data;
+            sm[k] -= eps;
             let numeric = (objective(&sp, &q) - objective(&sm, &q)) / (2.0 * eps);
             assert!(
-                (ds.data[k] - numeric).abs() / numeric.abs().max(1.0) < 2e-2,
+                (ds[k] - numeric).abs() / numeric.abs().max(1.0) < 2e-2,
                 "seq grad {k}: analytic {} vs numeric {numeric}",
-                ds.data[k]
+                ds[k]
             );
         }
-        for r in 0..2 {
-            for c in 0..3 {
-                let mut qp = q.clone();
-                qp.set(r, c, q.get(r, c) + eps);
-                let mut qm = q.clone();
-                qm.set(r, c, q.get(r, c) - eps);
-                let numeric = (objective(&s, &qp) - objective(&s, &qm)) / (2.0 * eps);
-                assert!(
-                    (dq.get(r, c) - numeric).abs() / numeric.abs().max(1.0) < 2e-2,
-                    "query grad ({r},{c}): analytic {} vs numeric {numeric}",
-                    dq.get(r, c)
-                );
-            }
+        for k in 0..q.len() {
+            let mut qp = q;
+            qp[k] += eps;
+            let mut qm = q;
+            qm[k] -= eps;
+            let numeric = (objective(&data, &qp) - objective(&data, &qm)) / (2.0 * eps);
+            assert!(
+                (dq[k] - numeric).abs() / numeric.abs().max(1.0) < 2e-2,
+                "query grad {k}: analytic {} vs numeric {numeric}",
+                dq[k]
+            );
         }
     }
 }

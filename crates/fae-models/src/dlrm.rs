@@ -30,6 +30,12 @@ pub(crate) fn scatter_bag_grad(csr: &TableIndices, grad: &Tensor) -> SparseGrad 
     SparseGrad::scatter_bags(grad.cols(), &csr.indices, &csr.offsets, grad)
 }
 
+/// Copies `src` into `dst`, reusing `dst`'s buffers.
+pub(crate) fn copy_bags(dst: &mut TableIndices, src: &TableIndices) {
+    dst.indices.clone_from(&src.indices);
+    dst.offsets.clone_from(&src.offsets);
+}
+
 /// The DLRM model.
 pub struct Dlrm {
     bottom: Mlp,
@@ -37,7 +43,10 @@ pub struct Dlrm {
     interaction: Interaction,
     num_tables: usize,
     emb_dim: usize,
-    cached_sparse: Option<Vec<TableIndices>>,
+    /// Set by `forward`, cleared by `backward`.
+    forwarded: bool,
+    /// The last forward's bags, one per table.
+    sparse: Vec<TableIndices>,
 }
 
 impl Dlrm {
@@ -59,7 +68,8 @@ impl Dlrm {
             interaction: Interaction::new(),
             num_tables,
             emb_dim: spec.embedding_dim,
-            cached_sparse: None,
+            forwarded: false,
+            sparse: vec![TableIndices::new(); num_tables],
         }
     }
 
@@ -72,29 +82,33 @@ impl Dlrm {
 impl RecModel for Dlrm {
     fn forward(&mut self, batch: &MiniBatch, emb: &dyn EmbeddingSource) -> Tensor {
         assert_eq!(batch.sparse.len(), self.num_tables, "table count mismatch");
+        assert_eq!(batch.dense_width, self.bottom.sizes()[0], "dense width mismatch");
         let n = batch.len();
-        let dense = Tensor::from_vec(n, batch.dense_width, batch.dense.clone());
-        let bottom_out = self.bottom.forward(&dense);
+        self.bottom.input_mut(n).copy_from_slice(&batch.dense);
+        let bottom_out = self.bottom.forward_tape().to_vec();
         let mut features = Vec::with_capacity(self.num_tables + 1);
-        features.push(bottom_out);
+        features.push(Tensor::from_vec(n, self.emb_dim, bottom_out));
         for (t, csr) in batch.sparse.iter().enumerate() {
             features.push(emb.lookup(t, &csr.indices, &csr.offsets));
         }
-        let inter = self.interaction.forward(features);
-        self.cached_sparse = Some(batch.sparse.clone());
-        self.top.forward(&inter)
+        self.interaction.forward(features, self.top.input_mut(n));
+        for (dst, src) in self.sparse.iter_mut().zip(&batch.sparse) {
+            copy_bags(dst, src);
+        }
+        self.forwarded = true;
+        Tensor::from_vec(n, 1, self.top.forward_tape().to_vec())
     }
 
     fn backward(&mut self, grad: &Tensor) -> Vec<SparseGrad> {
-        #[expect(
-            clippy::expect_used,
-            reason = "forward-before-backward is a call-order contract; fabricating a gradient here would corrupt training silently"
-        )]
-        let sparse = self.cached_sparse.take().expect("Dlrm::backward called before forward");
-        let d_inter = self.top.backward(grad);
-        let feature_grads = self.interaction.backward(&d_inter);
-        self.bottom.backward(&feature_grads[0]);
-        feature_grads[1..].iter().zip(&sparse).map(|(g, csr)| scatter_bag_grad(csr, g)).collect()
+        assert!(std::mem::take(&mut self.forwarded), "Dlrm::backward called before forward");
+        self.top.backward_tape(grad.as_slice(), true);
+        let feature_grads = self.interaction.backward(self.top.input_grad());
+        self.bottom.backward_tape(feature_grads[0].as_slice(), false);
+        feature_grads[1..]
+            .iter()
+            .zip(&self.sparse)
+            .map(|(g, csr)| scatter_bag_grad(csr, g))
+            .collect()
     }
 
     fn sgd_step(&mut self, lr: f32) {

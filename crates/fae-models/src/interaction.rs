@@ -25,15 +25,15 @@ impl Interaction {
         d + f * (f - 1) / 2
     }
 
-    /// Forward pass; caches inputs for backward.
-    pub fn forward(&mut self, features: Vec<Tensor>) -> Tensor {
+    /// Forward pass into `out` (`batch × out_width`, every element
+    /// written); caches the features for backward.
+    pub fn forward(&mut self, features: Vec<Tensor>, out: &mut [f32]) {
         let f = features.len();
         assert!(f >= 2, "interaction needs at least two features");
         let (batch, d) = features[0].shape();
         assert!(features.iter().all(|t| t.shape() == (batch, d)), "feature shape mismatch");
-        let mut out = Tensor::zeros(batch, Self::out_width(f, d));
-        for b in 0..batch {
-            let row = out.row_mut(b);
+        assert_eq!(out.len(), batch * Self::out_width(f, d), "interaction output size mismatch");
+        for (b, row) in out.chunks_exact_mut(Self::out_width(f, d)).enumerate() {
             row[..d].copy_from_slice(features[0].row(b));
             let mut k = d;
             for i in 0..f {
@@ -45,11 +45,11 @@ impl Interaction {
             }
         }
         self.cached = Some(features);
-        out
     }
 
-    /// Backward pass: splits the upstream gradient back onto each feature.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
+    /// Backward pass: splits the upstream gradient (`batch × out_width`,
+    /// row-major) back onto each feature.
+    pub fn backward(&mut self, grad_out: &[f32]) -> Vec<Tensor> {
         #[expect(
             clippy::expect_used,
             reason = "forward-before-backward is a call-order contract; fabricating a gradient here would corrupt training silently"
@@ -57,10 +57,10 @@ impl Interaction {
         let features = self.cached.take().expect("Interaction::backward before forward");
         let f = features.len();
         let (batch, d) = features[0].shape();
-        assert_eq!(grad_out.shape(), (batch, Self::out_width(f, d)), "grad shape mismatch");
+        let width = Self::out_width(f, d);
+        assert_eq!(grad_out.len(), batch * width, "grad shape mismatch");
         let mut grads: Vec<Tensor> = (0..f).map(|_| Tensor::zeros(batch, d)).collect();
-        for b in 0..batch {
-            let g = grad_out.row(b);
+        for (b, g) in grad_out.chunks_exact(width).enumerate() {
             // Pass-through part feeds features[0].
             grads[0].row_mut(b).copy_from_slice(&g[..d]);
             let mut k = d;
@@ -107,10 +107,10 @@ mod tests {
         let a = Tensor::from_vec(1, 2, vec![1.0, 2.0]);
         let b = Tensor::from_vec(1, 2, vec![3.0, 4.0]);
         let c = Tensor::from_vec(1, 2, vec![5.0, 6.0]);
-        let mut op = Interaction::new();
-        let out = op.forward(vec![a, b, c]);
+        let mut out = [f32::NAN; 5];
+        Interaction::new().forward(vec![a, b, c], &mut out);
         // [a0, a1, a·b, a·c, b·c] = [1, 2, 11, 17, 39]
-        assert_eq!(out.as_slice(), &[1.0, 2.0, 11.0, 17.0, 39.0]);
+        assert_eq!(out, [1.0, 2.0, 11.0, 17.0, 39.0]);
     }
 
     #[test]
@@ -120,15 +120,16 @@ mod tests {
         let f1 = mk(&[1.0, 0.2, -0.5, -1.2, 0.8, 0.1]);
         let f2 = mk(&[-0.3, 0.9, 0.4, 0.6, -1.1, 0.2]);
         let feats = vec![f0, f1, f2];
-        let mut op = Interaction::new();
-        let out = op.forward(feats.clone());
-        let ones = Tensor::full(out.rows(), out.cols(), 1.0);
-        let grads = op.backward(&ones);
-        let eps = 1e-3;
         let objective = |feats: &[Tensor]| {
-            let mut op = Interaction::new();
-            op.forward(feats.to_vec()).sum()
+            let mut out = vec![0.0; 2 * Interaction::out_width(3, 3)];
+            Interaction::new().forward(feats.to_vec(), &mut out);
+            out.iter().sum::<f32>()
         };
+        let mut op = Interaction::new();
+        let mut out = vec![0.0; 2 * Interaction::out_width(3, 3)];
+        op.forward(feats.clone(), &mut out);
+        let grads = op.backward(&vec![1.0; out.len()]);
+        let eps = 1e-3;
         for fi in 0..3 {
             for b in 0..2 {
                 for c in 0..3 {
@@ -152,6 +153,6 @@ mod tests {
     fn rejects_mixed_widths() {
         let a = Tensor::zeros(1, 2);
         let b = Tensor::zeros(1, 3);
-        Interaction::new().forward(vec![a, b]);
+        Interaction::new().forward(vec![a, b], &mut [0.0; 3]);
     }
 }

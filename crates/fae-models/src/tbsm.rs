@@ -18,7 +18,8 @@ use fae_data::{MiniBatch, TableIndices, WorkloadKind, WorkloadSpec};
 use fae_embed::SparseGrad;
 use fae_nn::{Activation, Layer, Mlp, Tensor};
 
-use crate::attention::{AttentionPool, SeqBatch};
+use crate::attention::AttentionPool;
+use crate::dlrm::copy_bags;
 use crate::source::EmbeddingSource;
 use crate::train::RecModel;
 
@@ -33,15 +34,16 @@ pub struct Tbsm {
     top: Mlp,
     attention: AttentionPool,
     emb_dim: usize,
-    cached: Option<CachedBatch>,
-}
-
-struct CachedBatch {
-    /// The flat item stream; its offsets travel with the attention's
-    /// sequence batch.
+    /// Set by `forward`, cleared by `backward`.
+    forwarded: bool,
+    /// The last forward's flat item stream; its offsets stay with the
+    /// attention.
     items: Vec<u32>,
     categories: TableIndices,
     users: TableIndices,
+    /// Backward's d loss / d query and each category's share of it.
+    d_query: Vec<f32>,
+    d_cat: Vec<f32>,
 }
 
 impl Tbsm {
@@ -63,7 +65,12 @@ impl Tbsm {
             top: Mlp::new(&top_sizes, Activation::Sigmoid, rng),
             attention: AttentionPool::new(),
             emb_dim: spec.embedding_dim,
-            cached: None,
+            forwarded: false,
+            items: Vec::new(),
+            categories: TableIndices::new(),
+            users: TableIndices::new(),
+            d_query: Vec::new(),
+            d_cat: Vec::new(),
         }
     }
 }
@@ -71,10 +78,11 @@ impl Tbsm {
 impl RecModel for Tbsm {
     fn forward(&mut self, batch: &MiniBatch, emb: &dyn EmbeddingSource) -> Tensor {
         assert_eq!(batch.sparse.len(), 3, "TBSM batch must carry 3 tables");
+        assert_eq!(batch.dense_width, self.bottom.sizes()[0], "dense width mismatch");
         let n = batch.len();
         let d = self.emb_dim;
-        let dense = Tensor::from_vec(n, batch.dense_width, batch.dense.clone());
-        let bottom_out = self.bottom.forward(&dense);
+        self.bottom.input_mut(n).copy_from_slice(&batch.dense);
+        let bottom_out = self.bottom.forward_tape();
 
         let users = &batch.sparse[USERS];
         let user_emb = emb.lookup(USERS, &users.indices, &users.offsets);
@@ -89,52 +97,58 @@ impl RecModel for Tbsm {
             }
         }
 
-        let query = bottom_out.add(&user_emb).add(&cat_mean);
+        // The top MLP's input is `[context ; query]` per sample: the query
+        // half is written here, the context half by the attention.
+        let z = self.top.input_mut(n);
+        for (i, (row, b)) in z.chunks_exact_mut(2 * d).zip(bottom_out.chunks_exact(d)).enumerate() {
+            let parts = b.iter().zip(user_emb.row(i)).zip(cat_mean.row(i));
+            for (q, ((&b, &u), &c)) in row[d..].iter_mut().zip(parts) {
+                *q = b + u + c;
+            }
+        }
 
         // Item behaviour sequence: one embedding row per step.
         let items = &batch.sparse[ITEMS];
-        let item_rows = emb.lookup_rows(ITEMS, &items.indices);
-        let seq = SeqBatch { data: item_rows.into_vec(), offsets: items.offsets.clone(), dim: d };
-        let context = self.attention.forward(seq, &query);
+        self.attention.forward(emb.lookup_rows(ITEMS, &items.indices), &items.offsets, z);
 
-        self.cached = Some(CachedBatch {
-            items: items.indices.clone(),
-            categories: cats.clone(),
-            users: users.clone(),
-        });
-        self.top.forward(&Tensor::hcat(&[&context, &query]))
+        self.items.clone_from(&items.indices);
+        copy_bags(&mut self.categories, cats);
+        copy_bags(&mut self.users, users);
+        self.forwarded = true;
+        Tensor::from_vec(n, 1, self.top.forward_tape().to_vec())
     }
 
     fn backward(&mut self, grad: &Tensor) -> Vec<SparseGrad> {
-        #[expect(
-            clippy::expect_used,
-            reason = "forward-before-backward is a call-order contract; fabricating a gradient here would corrupt training silently"
-        )]
-        let cached = self.cached.take().expect("Tbsm::backward called before forward");
-        let d = self.emb_dim;
-        let dz = self.top.backward(grad);
-        let parts = dz.hsplit(&[d, d]);
-        let (d_ctx, d_query_direct) = (&parts[0], &parts[1]);
-        let (d_seq, d_query_att) = self.attention.backward(d_ctx);
-        let d_query = d_query_direct.add(&d_query_att);
+        assert!(std::mem::take(&mut self.forwarded), "Tbsm::backward called before forward");
+        let (n, d) = (grad.rows(), self.emb_dim);
+        self.top.backward_tape(grad.as_slice(), true);
+        self.d_query.resize(n * d, 0.0);
+        let d_seq =
+            self.attention.backward(self.top.input(), self.top.input_grad(), &mut self.d_query);
 
         // Query fans out to bottom MLP, user embedding, category mean.
-        self.bottom.backward(&d_query);
+        self.bottom.backward_tape(&self.d_query, false);
 
-        let CachedBatch { items, categories, users } = cached;
         // Each category of a sample's bag receives its mean's share.
-        let mut d_cat = Tensor::zeros(d_query.rows(), d);
-        for i in 0..d_query.rows() {
-            let ln = categories.bag(i).len().max(1) as f32;
-            for (o, &g) in d_cat.row_mut(i).iter_mut().zip(d_query.row(i)) {
+        self.d_cat.resize(n * d, 0.0);
+        for (i, (o, g)) in
+            self.d_cat.chunks_exact_mut(d).zip(self.d_query.chunks_exact(d)).enumerate()
+        {
+            let ln = self.categories.bag(i).len().max(1) as f32;
+            for (o, &g) in o.iter_mut().zip(g) {
                 *o = g / ln;
             }
         }
         // Sequence step `p` of the flat item stream owns `d_seq` vector `p`.
-        let item_grads = SparseGrad::scatter(d, &items, |p| &d_seq.data[p * d..(p + 1) * d]);
-        let cat_grads =
-            SparseGrad::scatter_bags(d, &categories.indices, &categories.offsets, &d_cat);
+        let item_grads = SparseGrad::scatter(d, &self.items, |p| &d_seq[p * d..(p + 1) * d]);
+        // The bag scatters read a tensor: lend them the buffers.
+        let d_cat = Tensor::from_vec(n, d, std::mem::take(&mut self.d_cat));
+        let d_query = Tensor::from_vec(n, d, std::mem::take(&mut self.d_query));
+        let (cats, users) = (&self.categories, &self.users);
+        let cat_grads = SparseGrad::scatter_bags(d, &cats.indices, &cats.offsets, &d_cat);
         let user_grads = SparseGrad::scatter_bags(d, &users.indices, &users.offsets, &d_query);
+        self.d_cat = d_cat.into_vec();
+        self.d_query = d_query.into_vec();
         vec![item_grads, cat_grads, user_grads]
     }
 

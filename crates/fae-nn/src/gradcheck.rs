@@ -7,7 +7,7 @@
 
 use rand::Rng;
 
-use crate::layers::Layer;
+use crate::mlp::Layer;
 use crate::tensor::Tensor;
 
 /// Relative error between an analytic and numeric derivative, guarded

@@ -5,14 +5,15 @@
 //! provides the complete numeric substrate those models need, in pure Rust:
 //!
 //! * [`Tensor`] — a row-major 2-D `f32` matrix with the linear-algebra ops
-//!   used by MLP training (matmul, transpose, broadcast bias, Hadamard),
+//!   used by MLP training (matmul and its transposed forms, transpose),
 //! * [`lanes`] — manually 8-wide unrolled `f32` kernels (`axpy`, `dot`,
 //!   …) shared by the matmul inner loops, the interaction head, and the
 //!   sparse-embedding update path (DESIGN.md §14),
-//! * [`layers`] — differentiable layers ([`layers::Linear`],
-//!   [`layers::Relu`], [`layers::Sigmoid`]) with explicit forward/backward,
-//! * [`Mlp`] — a sequential container mirroring the paper's
-//!   `bottom MLP` / `top MLP` blocks,
+//! * [`Mlp`] — the paper's `bottom MLP` / `top MLP` blocks: linear layers
+//!   with ReLU between them and a ReLU, sigmoid or no final activation,
+//!   owning their parameters and an activation tape that is sized on the
+//!   first batch and reused, so a steady-state step allocates nothing in
+//!   them. [`Layer`] is its allocating `Tensor`-in, `Tensor`-out face,
 //! * [`loss`] — binary cross-entropy (the click-through-rate objective of
 //!   DLRM/TBSM) and MSE,
 //! * [`gradcheck`] — finite-difference gradient checking used throughout
@@ -26,12 +27,10 @@
 pub mod gradcheck;
 pub mod init;
 pub mod lanes;
-pub mod layers;
 pub mod loss;
 pub mod mlp;
 pub mod tensor;
 
-pub use layers::{Layer, Linear, Relu, Sigmoid};
 pub use loss::{bce_loss, bce_loss_backward, mse_loss, mse_loss_backward};
-pub use mlp::{Activation, Mlp};
+pub use mlp::{Activation, Layer, Mlp};
 pub use tensor::Tensor;

@@ -30,7 +30,7 @@ pub fn set_siblings(n: usize) {
 /// How many threads a product of `work` multiply-adds over `rows` output
 /// rows runs on: 1 below [`SPLIT_THRESHOLD`], otherwise this thread's share
 /// of the cores, clamped to `[1, rows]`.
-fn split_width(work: usize, rows: usize) -> usize {
+pub(crate) fn split_width(work: usize, rows: usize) -> usize {
     if work < SPLIT_THRESHOLD {
         return 1;
     }
@@ -44,7 +44,12 @@ fn split_width(work: usize, rows: usize) -> usize {
 /// scoped threads the rest. Every element is written by exactly one
 /// kernel call, so a kernel that is deterministic per row gives the same
 /// bits at every `parts`.
-fn split_rows(out: &mut [f32], n: usize, parts: usize, kernel: impl Fn(usize, &mut [f32]) + Sync) {
+pub(crate) fn split_rows(
+    out: &mut [f32],
+    n: usize,
+    parts: usize,
+    kernel: impl Fn(usize, &mut [f32]) + Sync,
+) {
     if parts <= 1 || out.len() <= n {
         return kernel(0, out);
     }
@@ -56,6 +61,65 @@ fn split_rows(out: &mut [f32], n: usize, parts: usize, kernel: impl Fn(usize, &m
             scope.spawn(move || kernel((c + 1) * per, chunk));
         }
         kernel(0, first);
+    });
+}
+
+/// `out = a · B` for one row `a` (length `k`) and a row-major `k × n`
+/// matrix `B`, `n = out.len()`: zeros `out`, then one axpy per non-zero
+/// `a[i]` in ascending `i`. A one-column `B` (every model's last layer) is
+/// one running sum instead of `k` length-1 axpys: the same additions in
+/// the same order.
+pub(crate) fn product_row(a: &[f32], b: &[f32], out: &mut [f32]) {
+    let n = out.len();
+    if n == 1 {
+        let mut acc = 0.0f32;
+        for (&a, &b) in a.iter().zip(b) {
+            if a != 0.0 {
+                acc += a * b;
+            }
+        }
+        out[0] = acc;
+        return;
+    }
+    out.fill(0.0);
+    for (&a, b_row) in a.iter().zip(b.chunks_exact(n)) {
+        if a == 0.0 {
+            continue;
+        }
+        lanes::axpy(out, a, b_row);
+    }
+}
+
+/// `out += xᵀ · g` for row-major `x` (`k × m`) and `g` (`k × n`), `out`
+/// `m × n`, without materializing the transpose: every output element
+/// takes its contributions in ascending sample order, skipping a zero `x`.
+/// Output rows are split across `parts` threads; each run walks every
+/// sample in order.
+pub(crate) fn accumulate_xt_g(x: &[f32], m: usize, g: &[f32], out: &mut [f32], parts: usize) {
+    if out.is_empty() {
+        return;
+    }
+    let n = out.len() / m;
+    if n == 1 {
+        // One output column: sample `b` adds `g[b] · x[b]` to all of
+        // it at once. Where the loop below skips a zero `x` this adds
+        // a signed zero, which leaves a sum that started at `+0.0`
+        // as it was — unless `g[b]` is not finite.
+        for (&g, x_row) in g.iter().zip(x.chunks_exact(m)) {
+            lanes::axpy(out, g, x_row);
+        }
+        return;
+    }
+    split_rows(out, n, parts, |first, chunk| {
+        for (x_row, g_row) in x.chunks_exact(m).zip(g.chunks_exact(n)) {
+            let x_run = &x_row[first..first + chunk.len() / n];
+            for (out_row, &a) in chunk.chunks_mut(n).zip(x_run) {
+                if a == 0.0 {
+                    continue;
+                }
+                lanes::axpy(out_row, a, g_row);
+            }
+        }
     });
 }
 
@@ -207,23 +271,7 @@ impl Tensor {
         let mut out = vec![0.0f32; m * n];
         split_rows(&mut out, n, parts, |first, chunk| {
             for (row, out_row) in (first..).zip(chunk.chunks_mut(n)) {
-                let a_row = &self.data[row * k..(row + 1) * k];
-                if n == 1 {
-                    let mut acc = 0.0f32;
-                    for (&a, &b) in a_row.iter().zip(&rhs.data) {
-                        if a != 0.0 {
-                            acc += a * b;
-                        }
-                    }
-                    out_row[0] = acc;
-                    continue;
-                }
-                for (i, &a) in a_row.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    lanes::axpy(out_row, a, &rhs.data[i * n..(i + 1) * n]);
-                }
+                product_row(&self.data[row * k..(row + 1) * k], &rhs.data, out_row);
             }
         });
         Tensor { data: out, rows: m, cols: n }
@@ -250,31 +298,9 @@ impl Tensor {
             "matmul_transpose_lhs shape mismatch: {}x{} ᵀ· {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let (k, m, n) = (self.rows, self.cols, rhs.cols);
-        let mut out = vec![0.0f32; m * n];
-        if n == 1 {
-            // One output column: sample `b` adds `g[b] · x[b]` to all of
-            // it at once. Where the loop below skips a zero `x` this adds
-            // a signed zero, which leaves a sum that started at `+0.0`
-            // as it was — unless `g[b]` is not finite.
-            for (b, &g) in rhs.data.iter().enumerate() {
-                lanes::axpy(&mut out, g, self.row(b));
-            }
-            return Tensor { data: out, rows: m, cols: n };
-        }
-        split_rows(&mut out, n, parts, |first, chunk| {
-            for b in 0..k {
-                let x_run = &self.row(b)[first..first + chunk.len() / n];
-                let g_row = rhs.row(b);
-                for (out_row, &a) in chunk.chunks_mut(n).zip(x_run) {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    lanes::axpy(out_row, a, g_row);
-                }
-            }
-        });
-        Tensor { data: out, rows: m, cols: n }
+        let mut out = vec![0.0f32; self.cols * rhs.cols];
+        accumulate_xt_g(&self.data, self.cols, &rhs.data, &mut out, parts);
+        Tensor { data: out, rows: self.cols, cols: rhs.cols }
     }
 
     /// Matrix product `self (m×k) · rhsᵀ (k×n from n×k) -> m×n`.
@@ -304,12 +330,17 @@ impl Tensor {
     /// Returns the transpose.
     pub fn transpose(&self) -> Tensor {
         let mut out = Tensor::zeros(self.cols, self.rows);
+        self.transpose_into(&mut out.data);
+        out
+    }
+
+    /// Writes the transpose, row-major `cols × rows`, into `out`.
+    pub(crate) fn transpose_into(&self, out: &mut [f32]) {
         for r in 0..self.rows {
             for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
+                out[c * self.rows + r] = self.data[r * self.cols + c];
             }
         }
-        out
     }
 
     /// Elementwise sum; shapes must match.
@@ -320,11 +351,6 @@ impl Tensor {
     /// Elementwise difference; shapes must match.
     pub fn sub(&self, rhs: &Tensor) -> Tensor {
         self.zip_with(rhs, |a, b| a - b)
-    }
-
-    /// Elementwise (Hadamard) product; shapes must match.
-    pub fn hadamard(&self, rhs: &Tensor) -> Tensor {
-        self.zip_with(rhs, |a, b| a * b)
     }
 
     /// In-place `self += scale * rhs`; shapes must match.
@@ -343,66 +369,9 @@ impl Tensor {
         Tensor { data: self.data.iter().map(|&v| f(v)).collect(), rows: self.rows, cols: self.cols }
     }
 
-    /// Adds a length-`cols` bias vector to every row.
-    pub fn add_row_broadcast(&self, bias: &[f32]) -> Tensor {
-        assert_eq!(bias.len(), self.cols, "bias length mismatch");
-        let mut out = self.clone();
-        for row in out.data.chunks_mut(self.cols) {
-            for (o, &b) in row.iter_mut().zip(bias) {
-                *o += b;
-            }
-        }
-        out
-    }
-
-    /// Sums over rows, producing a length-`cols` vector (used for bias
-    /// gradients).
-    pub fn sum_rows(&self) -> Vec<f32> {
-        let mut acc = vec![0.0f32; self.cols];
-        for row in self.data.chunks(self.cols) {
-            for (a, &v) in acc.iter_mut().zip(row) {
-                *a += v;
-            }
-        }
-        acc
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
-    }
-
-    /// Concatenates tensors horizontally (same number of rows).
-    pub fn hcat(parts: &[&Tensor]) -> Tensor {
-        assert!(!parts.is_empty(), "hcat of zero tensors");
-        let rows = parts[0].rows;
-        assert!(parts.iter().all(|p| p.rows == rows), "hcat row-count mismatch");
-        let cols: usize = parts.iter().map(|p| p.cols).sum();
-        let mut out = Tensor::zeros(rows, cols);
-        for r in 0..rows {
-            let dst = out.row_mut(r);
-            let mut off = 0;
-            for p in parts {
-                dst[off..off + p.cols].copy_from_slice(p.row(r));
-                off += p.cols;
-            }
-        }
-        out
-    }
-
-    /// Splits the tensor horizontally into parts of the given widths.
-    pub fn hsplit(&self, widths: &[usize]) -> Vec<Tensor> {
-        assert_eq!(widths.iter().sum::<usize>(), self.cols, "hsplit widths must sum to cols");
-        let mut outs: Vec<Tensor> = widths.iter().map(|&w| Tensor::zeros(self.rows, w)).collect();
-        for r in 0..self.rows {
-            let src = self.row(r);
-            let mut off = 0;
-            for (t, &w) in outs.iter_mut().zip(widths) {
-                t.row_mut(r).copy_from_slice(&src[off..off + w]);
-                off += w;
-            }
-        }
-        outs
     }
 
     /// Maximum absolute element (0.0 for empty tensors).
@@ -531,9 +500,10 @@ mod tests {
             3 => -0.0,
             k => ((r * 31 + c * 17) % 23) as f32 / 7.0 - 1.5 + k as f32 * 1e-3,
         });
-        let doubled = |col: &Tensor| Tensor::hcat(&[col, col]);
+        let doubled = |col: &Tensor| Tensor::from_fn(col.rows(), 2, |r, _| col.get(r, 0));
         let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let column0 = |t: &Tensor| bits(&t.hsplit(&[1, 1])[0]);
+        let column0 =
+            |t: &Tensor| t.as_slice().iter().step_by(2).map(|v| v.to_bits()).collect::<Vec<_>>();
 
         let w = Tensor::from_fn(19, 1, |r, _| ((r * 13) % 11) as f32 / 3.0 - 1.7);
         let forward = x.matmul(&w);
@@ -686,7 +656,6 @@ mod tests {
         let b = t(1, 3, &[4.0, 5.0, 6.0]);
         assert_eq!(a.add(&b).as_slice(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).as_slice(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.hadamard(&b).as_slice(), &[4.0, 10.0, 18.0]);
         assert_eq!(a.scale(2.0).as_slice(), &[2.0, 4.0, 6.0]);
     }
 
@@ -699,23 +668,8 @@ mod tests {
     }
 
     #[test]
-    fn bias_broadcast_and_sum_rows() {
-        let a = t(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-        let with_bias = a.add_row_broadcast(&[10.0, 20.0]);
-        assert_eq!(with_bias.as_slice(), &[11.0, 22.0, 13.0, 24.0]);
-        assert_eq!(a.sum_rows(), vec![4.0, 6.0]);
-        assert_eq!(a.sum(), 10.0);
-    }
-
-    #[test]
-    fn hcat_hsplit_round_trip() {
-        let a = t(2, 1, &[1.0, 4.0]);
-        let b = t(2, 2, &[2.0, 3.0, 5.0, 6.0]);
-        let cat = Tensor::hcat(&[&a, &b]);
-        assert_eq!(cat.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let parts = cat.hsplit(&[1, 2]);
-        assert_eq!(parts[0], a);
-        assert_eq!(parts[1], b);
+    fn sum_adds_every_element() {
+        assert_eq!(t(2, 2, &[1.0, 2.0, 3.0, 4.0]).sum(), 10.0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Pieces shared by `tests/wire_malformed.rs` and `tests/hostile_inputs.rs`:
-//! a process-wide counting allocator, the nine sample frames, and the one
-//! seeded mutator both suites damage their inputs with.
+//! Pieces shared by `tests/wire_malformed.rs`, `tests/hostile_inputs.rs`
+//! and `tests/tape_allocations.rs`: a process-wide counting allocator, the
+//! ten sample frames, and the one seeded mutator both decoder suites
+//! damage their inputs with.
 //!
 //! Including this module installs the counting allocator, so a binary
 //! that does so must hold one `#[test]` only: a neighbouring test thread
@@ -19,6 +20,7 @@ struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: every call is forwarded to `System` unchanged; the counters
 // beside it never touch the memory being handed out.
@@ -28,6 +30,7 @@ unsafe impl GlobalAlloc for Counting {
         if !p.is_null() {
             let now = LIVE.fetch_add(layout.size(), Relaxed) + layout.size();
             PEAK.fetch_max(now, Relaxed);
+            ALLOCS.fetch_add(1, Relaxed);
         }
         p
     }
@@ -41,16 +44,17 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Runs `f` and returns its result with the most bytes that were live
-/// above the starting level at any moment inside it.
-pub fn peak_above_start<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let start = LIVE.load(Relaxed);
+/// Runs `f` and returns its result with what it did on the heap: the most
+/// bytes that were live above the starting level at any moment inside it,
+/// and how many allocations it made (a `realloc` counts as one).
+pub fn heap_use<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+    let (start, allocs) = (LIVE.load(Relaxed), ALLOCS.load(Relaxed));
     PEAK.store(start, Relaxed);
     let out = f();
-    (out, PEAK.load(Relaxed).saturating_sub(start))
+    (out, PEAK.load(Relaxed).saturating_sub(start), ALLOCS.load(Relaxed) - allocs)
 }
 
-/// One sealed frame (body and CRC) of each of the nine message kinds.
+/// One sealed frame (body and CRC) of each of the ten message kinds.
 pub fn frames() -> Vec<Vec<u8>> {
     let mut grad = SparseGrad::new(3);
     for row in [2u32, 11, 40, 41, 9_000] {
@@ -88,6 +92,7 @@ pub fn frames() -> Vec<Vec<u8>> {
         Message::HotBagSync { partitions_json: "[{}]".into(), hot },
         Message::TelemetryPoll { ack: 5 },
         Message::Telemetry { from: 5, events_jsonl: "{\"type\":\"mark\"}\n{}".into() },
+        Message::ApplyOwn { mode: StepMode::Cold, lr: 0.05 },
     ];
     msgs.into_iter()
         .enumerate()

@@ -55,7 +55,7 @@ use fae::net::deadline::{recv_frame, send_frame};
 use fae::net::{run_worker, Frame, Message, NetConfig, NetError, NodeConfig, NodeJournal};
 use fae::sysmodel::{Phase, Timeline};
 
-use hostile::{body_and_crc, frames, mutate, peak_above_start, reseal, HOSTILE};
+use hostile::{body_and_crc, frames, heap_use, mutate, reseal, HOSTILE};
 
 /// A checkpoint with every variable-length section non-empty and every
 /// recovery record kind.
@@ -244,7 +244,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12_288))]
     fn binary_decoders_under_mutation(
         decoder in 0usize..3,
-        frame in 0usize..9,
+        frame in 0usize..10,
         word_at in 0usize..4096,
         word in 0usize..HOSTILE.len(),
         bytes_at in prop::collection::vec((0usize..4096, 0u8..=255), 0..4),
@@ -278,7 +278,7 @@ proptest! {
         let bound = 16 * bytes.len() + 4096;
         let peak = match decoder {
             FRAME => {
-                let (decoded, peak) = peak_above_start(|| Frame::decode(&bytes));
+                let (decoded, peak, _) = heap_use(|| Frame::decode(&bytes));
                 match decoded {
                     // A survivor must be a frame the encoder itself could
                     // have written: it re-encodes to the bytes it came from.
@@ -289,15 +289,15 @@ proptest! {
                 peak
             }
             CHECKPOINT => {
-                let (decoded, peak) = peak_above_start(|| TrainCheckpoint::decode(&bytes));
+                let (decoded, peak, _) = heap_use(|| TrainCheckpoint::decode(&bytes));
                 if let Err(e @ CheckpointError::Io(_)) = decoded {
                     panic!("checkpoint: expected Ok or a decode error, got {e:?}");
                 }
                 peak
             }
             _ => {
-                let (decoded, peak) = peak_above_start(|| FaeFile::decode(&bytes));
-                let (streamed, stream_peak) = peak_above_start(|| {
+                let (decoded, peak, _) = heap_use(|| FaeFile::decode(&bytes));
+                let (streamed, stream_peak, _) = heap_use(|| {
                     FaeStreamReader::open(&bytes).and_then(|r| r.collect::<Result<Vec<_>, _>>())
                 });
                 match decoded {

@@ -38,19 +38,6 @@ proptest! {
         let t = Tensor::from_vec(3, 4, v);
         prop_assert_eq!(t.transpose().transpose(), t);
     }
-
-    #[test]
-    fn hcat_hsplit_roundtrip(
-        a in prop::collection::vec(-5.0f32..5.0, 8),
-        b in prop::collection::vec(-5.0f32..5.0, 4),
-    ) {
-        let a = Tensor::from_vec(2, 4, a);
-        let b = Tensor::from_vec(2, 2, b);
-        let cat = Tensor::hcat(&[&a, &b]);
-        let parts = cat.hsplit(&[4, 2]);
-        prop_assert_eq!(&parts[0], &a);
-        prop_assert_eq!(&parts[1], &b);
-    }
 }
 
 // ---------- fae-embed ----------

@@ -18,13 +18,13 @@ use proptest::prelude::*;
 
 use fae::net::{Frame, NetError};
 
-use hostile::{body_and_crc, frames, mutate, peak_above_start, reseal, HOSTILE};
+use hostile::{body_and_crc, frames, heap_use, mutate, reseal, HOSTILE};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4096))]
     #[test]
     fn resealed_mutations_decode_or_are_corrupt_within_a_memory_bound(
-        pick in 0usize..9,
+        pick in 0usize..10,
         word_at in 0usize..400,
         word in 0usize..HOSTILE.len(),
         bytes_at in prop::collection::vec((0usize..400, 0u8..=255), 0..4),
@@ -36,7 +36,7 @@ proptest! {
         mutate(&mut bytes, 4, (word_at, word), &bytes_at, keep, grow);
         reseal(&mut bytes);
         let bound = 16 * bytes.len() + 4096;
-        let (decoded, peak) = peak_above_start(|| Frame::decode(&bytes));
+        let (decoded, peak, _) = heap_use(|| Frame::decode(&bytes));
         prop_assert!(peak <= bound, "decode of {} bytes held {peak} bytes live", bytes.len());
         match decoded {
             // A survivor must be a frame the encoder itself could have
