@@ -38,7 +38,7 @@ mod tests {
         let limit = (6.0f32 / 96.0).sqrt();
         assert!(a.as_slice().iter().all(|v| v.abs() < limit));
         // Not degenerate: values actually vary.
-        assert!(a.max_abs() > limit / 10.0);
+        assert!(a.as_slice().iter().any(|v| v.abs() > limit / 10.0));
     }
 
     #[test]

@@ -251,12 +251,10 @@ impl Tensor {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self (m×k) · rhs (k×n) -> m×n`.
-    ///
-    /// Uses the classic ikj loop order (streaming over `rhs` rows); output
-    /// rows are split across cores above [`SPLIT_THRESHOLD`]. A one-column `rhs`
-    /// (every model's last layer) is one running sum per output row
-    /// instead of `k` length-1 axpys: the same additions in the same order.
+    /// Matrix product `self (m×k) · rhs (k×n) -> m×n`: the kernel of every
+    /// MLP forward and input gradient, row by row (classic ikj order,
+    /// streaming over `rhs` rows), split across cores above
+    /// [`SPLIT_THRESHOLD`].
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
         self.matmul_parts(rhs, split_width(self.rows * self.cols * rhs.cols, self.rows))
     }
@@ -275,51 +273,6 @@ impl Tensor {
             }
         });
         Tensor { data: out, rows: m, cols: n }
-    }
-
-    /// Matrix product `selfᵀ (m×k from k×m) · rhs (k×n) -> m×n`, without
-    /// materializing the transpose.
-    ///
-    /// Bit-identical to `self.transpose().matmul(rhs)`: for every output
-    /// element the contributions accumulate over the shared dimension in
-    /// the same ascending order, and the same zero-skip applies, so no f32
-    /// addition is reordered. Output rows are split across cores as in
-    /// [`matmul`](Tensor::matmul); each run walks every sample in order.
-    /// Used by the backward pass for weight gradients (`dW = xᵀ · dY`),
-    /// where the transpose copy of the activation matrix was pure overhead.
-    pub fn matmul_transpose_lhs(&self, rhs: &Tensor) -> Tensor {
-        let work = self.rows * self.cols * rhs.cols;
-        self.matmul_transpose_lhs_parts(rhs, split_width(work, self.cols))
-    }
-
-    fn matmul_transpose_lhs_parts(&self, rhs: &Tensor, parts: usize) -> Tensor {
-        assert_eq!(
-            self.rows, rhs.rows,
-            "matmul_transpose_lhs shape mismatch: {}x{} ᵀ· {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = vec![0.0f32; self.cols * rhs.cols];
-        accumulate_xt_g(&self.data, self.cols, &rhs.data, &mut out, parts);
-        Tensor { data: out, rows: self.cols, cols: rhs.cols }
-    }
-
-    /// Matrix product `self (m×k) · rhsᵀ (k×n from n×k) -> m×n`.
-    ///
-    /// Bit-identical to `self.matmul(&rhs.transpose())` — it *is* that,
-    /// spelled as one call. Materializing the (small) transposed weight
-    /// matrix keeps [`matmul`](Tensor::matmul)'s zero-skip over `self`'s
-    /// elements, which matters because the backward pass feeds this
-    /// post-ReLU gradients (`dX = dY · Wᵀ`) that are mostly zeros; a
-    /// row-dot formulation without the skip measures ~25% slower
-    /// end-to-end. The transpose copy is O(k·n) against the O(m·k·n)
-    /// product, so it is noise by comparison.
-    pub fn matmul_transpose_rhs(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(
-            self.cols, rhs.cols,
-            "matmul_transpose_rhs shape mismatch: {}x{} · {}x{}ᵀ",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        self.matmul(&rhs.transpose())
     }
 
     /// Resets every element to zero in place, keeping the allocation.
@@ -374,16 +327,6 @@ impl Tensor {
         self.data.iter().sum()
     }
 
-    /// Maximum absolute element (0.0 for empty tensors).
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
-    }
-
-    /// True when every element is finite.
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|v| v.is_finite())
-    }
-
     fn zip_with(&self, rhs: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_eq!(self.shape(), rhs.shape(), "elementwise shape mismatch");
         Tensor {
@@ -397,6 +340,28 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The backward products as `Tensor` calls, over the kernels `Mlp`
+    /// runs: dW `selfᵀ · rhs` (transpose-free, into zeros) and dX
+    /// `self · rhsᵀ` (through a transposed copy of the small weight, so
+    /// the zero-skip over a post-ReLU gradient applies).
+    impl Tensor {
+        pub(super) fn matmul_transpose_lhs(&self, rhs: &Tensor) -> Tensor {
+            let work = self.rows * self.cols * rhs.cols;
+            self.matmul_transpose_lhs_parts(rhs, split_width(work, self.cols))
+        }
+
+        fn matmul_transpose_lhs_parts(&self, rhs: &Tensor, parts: usize) -> Tensor {
+            assert_eq!(self.rows, rhs.rows, "matmul_transpose_lhs shape mismatch");
+            let mut out = vec![0.0f32; self.cols * rhs.cols];
+            accumulate_xt_g(&self.data, self.cols, &rhs.data, &mut out, parts);
+            Tensor { data: out, rows: self.cols, cols: rhs.cols }
+        }
+
+        pub(super) fn matmul_transpose_rhs(&self, rhs: &Tensor) -> Tensor {
+            self.matmul(&rhs.transpose())
+        }
+    }
 
     fn t(rows: usize, cols: usize, v: &[f32]) -> Tensor {
         Tensor::from_vec(rows, cols, v.to_vec())
@@ -670,14 +635,5 @@ mod tests {
     #[test]
     fn sum_adds_every_element() {
         assert_eq!(t(2, 2, &[1.0, 2.0, 3.0, 4.0]).sum(), 10.0);
-    }
-
-    #[test]
-    fn max_abs_and_finiteness() {
-        let a = t(1, 3, &[-5.0, 2.0, 3.0]);
-        assert_eq!(a.max_abs(), 5.0);
-        assert!(a.all_finite());
-        let bad = t(1, 1, &[f32::NAN]);
-        assert!(!bad.all_finite());
     }
 }
