@@ -76,7 +76,8 @@ impl SparseGrad {
     fn sum_runs<'a>(dim: usize, keys: Vec<u64>, row_of: impl Fn(usize) -> &'a [f32]) -> Self {
         assert!(keys.len() <= u32::MAX as usize, "more lookups than a sort key can number");
         let keys = sort_by_id(keys);
-        let mut out = Self::new(dim);
+        let runs = keys.windows(2).filter(|w| w[0] >> 32 != w[1] >> 32).count();
+        let mut out = Self::with_rows(dim, runs + usize::from(!keys.is_empty()));
         for &key in &keys {
             let id = (key >> 32) as u32;
             if out.rows.last() != Some(&id) {

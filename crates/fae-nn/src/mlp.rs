@@ -14,7 +14,7 @@
 use rand::Rng;
 
 use crate::init;
-use crate::tensor::{accumulate_xt_g, product_row, split_rows, split_width, Tensor};
+use crate::tensor::{accumulate_xt_g, product_rows, split_rows, split_width, Tensor};
 
 /// A differentiable module operating on `batch × features` tensors: the
 /// allocating face of [`Mlp`]'s tape. `forward` copies its input onto the
@@ -127,10 +127,9 @@ impl Dense {
         let (k, n) = self.w.shape();
         let rows = y.len() / n;
         split_rows(y, n, split_width(rows * k * n, rows), |first, chunk| {
-            for (x_row, y_row) in x[first * k..].chunks_exact(k).zip(chunk.chunks_mut(n)) {
-                product_row(x_row, self.w.as_slice(), y_row);
-                self.act.bias_act(y_row, &self.b);
-            }
+            let x = &x[first * k..(first + chunk.len() / n) * k];
+            product_rows(x, k, self.w.as_slice(), chunk);
+            chunk.chunks_exact_mut(n).for_each(|y_row| self.act.bias_act(y_row, &self.b));
         });
     }
 }
@@ -277,9 +276,7 @@ impl Mlp {
             let wt = &*wt;
             let dx = &mut below[l];
             split_rows(dx, k, split_width(rows * n * k, rows), |first, chunk| {
-                for (dz_row, dx_row) in dz[first * n..].chunks_exact(n).zip(chunk.chunks_mut(k)) {
-                    product_row(dz_row, wt, dx_row);
-                }
+                product_rows(&dz[first * n..(first + chunk.len() / k) * n], n, wt, chunk);
             });
             if l > 0 {
                 relu_mask(&self.acts[l], dx);

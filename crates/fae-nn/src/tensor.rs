@@ -64,29 +64,40 @@ pub(crate) fn split_rows(
     });
 }
 
-/// `out = a · B` for one row `a` (length `k`) and a row-major `k × n`
-/// matrix `B`, `n = out.len()`: zeros `out`, then one axpy per non-zero
-/// `a[i]` in ascending `i`. A one-column `B` (every model's last layer) is
-/// one running sum instead of `k` length-1 axpys: the same additions in
-/// the same order.
-pub(crate) fn product_row(a: &[f32], b: &[f32], out: &mut [f32]) {
-    let n = out.len();
+/// `out = A · B` for row-major `A` (`rows × k`) and `B` (`k × n`): each
+/// output row is zeroed, then takes one axpy per non-zero `A` element in
+/// ascending order. With one column (every model's last layer) an output
+/// is one running sum in that order, taken four rows at a time so that
+/// four sums are in flight; a zero term adds `+0.0` there instead of
+/// branching (a post-ReLU input is zero at random), which leaves a sum
+/// that started at `+0.0` as it was, since such a sum is never `-0.0`.
+pub(crate) fn product_rows(a: &[f32], k: usize, b: &[f32], out: &mut [f32]) {
+    let n = b.len() / k;
     if n == 1 {
-        let mut acc = 0.0f32;
-        for (&a, &b) in a.iter().zip(b) {
-            if a != 0.0 {
-                acc += a * b;
+        let term = |a: f32, b: f32| if a != 0.0 { a * b } else { 0.0 };
+        let mut blocks = a.chunks_exact(4 * k);
+        let mut sums = out.chunks_exact_mut(4);
+        for (block, sum) in (&mut blocks).zip(&mut sums) {
+            let mut acc = [0.0f32; 4];
+            for (i, &b) in b.iter().enumerate() {
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    *acc += term(block[r * k + i], b);
+                }
             }
+            sum.copy_from_slice(&acc);
         }
-        out[0] = acc;
+        for (row, sum) in blocks.remainder().chunks_exact(k).zip(sums.into_remainder()) {
+            *sum = row.iter().zip(b).fold(0.0, |acc, (&a, &b)| acc + term(a, b));
+        }
         return;
     }
-    out.fill(0.0);
-    for (&a, b_row) in a.iter().zip(b.chunks_exact(n)) {
-        if a == 0.0 {
-            continue;
+    for (row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+        out_row.fill(0.0);
+        for (&a, b_row) in row.iter().zip(b.chunks_exact(n)) {
+            if a != 0.0 {
+                lanes::axpy(out_row, a, b_row);
+            }
         }
-        lanes::axpy(out, a, b_row);
     }
 }
 
@@ -268,9 +279,8 @@ impl Tensor {
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
         let mut out = vec![0.0f32; m * n];
         split_rows(&mut out, n, parts, |first, chunk| {
-            for (row, out_row) in (first..).zip(chunk.chunks_mut(n)) {
-                product_row(&self.data[row * k..(row + 1) * k], &rhs.data, out_row);
-            }
+            let rows = first..first + chunk.len() / n;
+            product_rows(&self.data[rows.start * k..rows.end * k], k, &rhs.data, chunk);
         });
         Tensor { data: out, rows: m, cols: n }
     }
