@@ -47,8 +47,8 @@ pub fn quantize_row(values: &[f32], out: &mut [u8]) -> (f32, f32) {
     (scale, lo)
 }
 
-/// `x.round().clamp(0.0, 255.0) as u8` without `round`, which this
-/// target calls into libm for. Inside `(0, 254.5)` the fraction
+/// `x.round().clamp(0.0, 255.0) as u8` without `round`, which a
+/// baseline x86-64 build calls into libm for. Inside `(0, 254.5)` the fraction
 /// `x - trunc(x)` is exact, so adding one at `≥ 0.5` rounds half away from
 /// zero as `round` does; below that range (and for NaN) the code is 0,
 /// above it 255.

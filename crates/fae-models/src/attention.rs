@@ -23,8 +23,6 @@ pub struct AttentionPool {
     offsets: Vec<usize>,
     /// Attention weights, one per sequence vector.
     alphas: Vec<f32>,
-    /// d loss / d vectors of the last backward.
-    d_seq: Vec<f32>,
     d_alpha: Vec<f32>,
 }
 
@@ -35,7 +33,6 @@ impl AttentionPool {
             vectors: Tensor::zeros(0, 0),
             offsets: Vec::new(),
             alphas: Vec::new(),
-            d_seq: Vec::new(),
             d_alpha: Vec::new(),
         }
     }
@@ -90,17 +87,17 @@ impl AttentionPool {
     /// Backward pass from `dz`, the gradient of the `[context ; query]`
     /// rows `z` the forward saw. Writes d loss / d query into `d_query`
     /// (`batch × d`): `dz`'s query half plus the part that flows through
-    /// the attention. Returns d loss / d vectors, laid out as the vectors.
+    /// the attention. Returns d loss / d vectors, laid out as the vectors
+    /// and written over them, so each forward takes one backward.
     pub fn backward(&mut self, z: &[f32], dz: &[f32], d_query: &mut [f32]) -> &[f32] {
         let d = self.vectors.cols();
         let batch = self.offsets.len().saturating_sub(1);
         assert!(dz.len() == batch * 2 * d && z.len() == dz.len(), "grad shape mismatch");
         assert_eq!(d_query.len(), batch * d, "query grad shape mismatch");
         let scale = 1.0 / (d as f32).sqrt();
-        // Every vector belongs to exactly one sample, so each of its
-        // gradients is written once, as the `+0.0` it used to start from
-        // plus its one term.
-        self.d_seq.resize(self.vectors.len(), 0.0);
+        // Every vector belongs to exactly one sample. Once that sample has
+        // read it, its gradient is written over it, as the `+0.0` a fresh
+        // buffer started from plus its one term.
         for (i, dq) in d_query.chunks_exact_mut(d).enumerate() {
             let (dc, direct) = dz[i * 2 * d..(i + 1) * 2 * d].split_at(d);
             let q = &z[i * 2 * d + d..(i + 1) * 2 * d];
@@ -117,11 +114,10 @@ impl AttentionPool {
                 let dot: f32 = alpha.iter().zip(&self.d_alpha).map(|(&a, &g)| a * g).sum();
                 for (t, v) in (lo..hi).enumerate() {
                     let ds = alpha[t] * (self.d_alpha[t] - dot) * scale;
-                    let vec = self.vectors.row(v);
-                    let dv = &mut self.d_seq[v * d..(v + 1) * d];
+                    let vec = self.vectors.row_mut(v);
                     for c in 0..d {
-                        dv[c] = 0.0 + (alpha[t] * dc[c] + ds * q[c]);
                         dq[c] += ds * vec[c];
+                        vec[c] = 0.0 + (alpha[t] * dc[c] + ds * q[c]);
                     }
                 }
             }
@@ -135,7 +131,7 @@ impl AttentionPool {
                 }
             }
         }
-        &self.d_seq
+        self.vectors.as_slice()
     }
 }
 
