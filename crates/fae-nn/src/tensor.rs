@@ -262,8 +262,8 @@ impl Tensor {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self (m×k) · rhs (k×n) -> m×n`: the kernel of every
-    /// MLP forward and input gradient, row by row (classic ikj order,
+    /// Matrix product `self (m×k) · rhs (k×n) -> m×n`, over the row kernel
+    /// every MLP forward and input gradient runs (classic ikj order,
     /// streaming over `rhs` rows), split across cores above
     /// [`SPLIT_THRESHOLD`].
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
