@@ -4,11 +4,11 @@
 //! The trainer used to execute every simulated device's step serially on
 //! one thread, so only the *simulated* clock sped up with more GPUs. This
 //! engine holds `W` bit-identical model replicas and runs each
-//! mini-batch's contiguous sample shards on `W` scoped worker threads
-//! (one per simulated device), then reduces the dense gradients in
-//! worker-index order and applies the identical reduced gradient to every
-//! replica — the synchronous data-parallel SGD of the paper's §II-B, but
-//! actually concurrent.
+//! mini-batch's contiguous sample shards on `W` worker threads (one per
+//! simulated device; worker 0 is the caller's), then reduces the dense
+//! gradients in worker-index order and applies the identical reduced
+//! gradient to every replica — the synchronous data-parallel SGD of the
+//! paper's §II-B, but actually concurrent.
 //!
 //! # Determinism contract
 //!
@@ -32,11 +32,15 @@
 //!   is no parameter broadcast after step 0.
 //!
 //! Different worker counts may differ in the last float bit (summation
-//! order changes), exactly like real data-parallel training. `W = 1`
-//! bypasses the scale multiply and the reduction entirely and is
-//! arithmetic-for-arithmetic identical to the serial
+//! order changes), exactly like real data-parallel training. `W = 1` is
+//! the one-shard case: its scale is exactly 1.0, which
+//! [`forward_backward`] skips, and [`reduce_shards`] returns a lone output
+//! unchanged, so it is arithmetic-for-arithmetic identical to the serial
 //! [`fae_models::train_step`] path, which is what keeps the pre-engine
-//! golden results valid.
+//! golden results valid. The shards run through [`fan_out`]: shard 0 on
+//! the calling thread, so a lone shard spawns nothing and keeps every
+//! core for its products, and each of `W` shards computes on `1/W` of
+//! the caller's cores.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,6 +48,7 @@ use rand::SeedableRng;
 use fae_data::{MiniBatch, WorkloadSpec};
 use fae_embed::SparseGrad;
 use fae_models::{forward_backward, EmbeddingSource, MasterEmbeddings, RecModel};
+use fae_nn::cores::fan_out;
 use fae_sysmodel::Timeline;
 use fae_telemetry::{JournalEvent, StepMode, Telemetry};
 
@@ -145,43 +150,9 @@ impl ParallelEngine {
         Self { replicas, telemetry: Telemetry::disabled() }
     }
 
-    /// Attaches a telemetry handle; each worker's compute then records
-    /// real wall-clock seconds under `train/worker<w>` spans.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-    }
-
-    /// Worker (replica) count.
-    pub fn workers(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// Replica 0 — used for evaluation and checkpointing (all replicas
-    /// are identical at every step boundary).
-    pub fn primary(&mut self) -> &mut AnyModel {
-        &mut self.replicas[0]
-    }
-
-    /// Immutable replica 0.
-    pub fn primary_ref(&self) -> &AnyModel {
-        &self.replicas[0]
-    }
-
-    /// Copies replica 0's dense parameters into every other replica —
-    /// called once after a checkpoint restore overwrites replica 0.
-    pub fn broadcast_params(&mut self) {
-        if self.replicas.len() == 1 {
-            return;
-        }
-        let mut params = Vec::new();
-        self.replicas[0].write_params(&mut params);
-        for r in self.replicas.iter_mut().skip(1) {
-            r.read_params(&params);
-        }
-    }
-
-    /// Executes one training step: shards `batch` across the worker
-    /// threads, reduces, and applies the dense update to every replica.
+    /// Executes one training step: shards `batch` across the replicas
+    /// (shard 0 on the calling thread), reduces, and applies the dense
+    /// update to every replica.
     /// Returns the mini-batch mean BCE loss and the merged per-table
     /// sparse gradients (keyed as the embedding source keys them); the
     /// caller applies those to its embedding source — which is what lets
@@ -192,45 +163,22 @@ impl ParallelEngine {
         E: EmbeddingSource + Sync,
     {
         assert!(!batch.is_empty(), "cannot train on an empty mini-batch");
-        let w = self.replicas.len();
-        if w == 1 {
-            // Serial fast path: no shard split, no grad-scale multiply,
-            // no reduction — bit-identical to `train_step`'s arithmetic.
-            let (loss, sparse) = forward_backward(&mut self.replicas[0], emb, batch, 1.0);
-            self.replicas[0].sgd_step(lr);
-            return (loss, sparse);
-        }
-
         let n = batch.len();
-        let shards = batch.shards(w);
-        let mut outputs: Vec<Option<ShardOutput>> = Vec::new();
-        outputs.resize_with(w, || None);
-
-        std::thread::scope(|scope| {
-            for (widx, ((replica, shard), slot)) in
-                self.replicas.iter_mut().zip(&shards).zip(outputs.iter_mut()).enumerate()
-            {
-                if shard.is_empty() {
-                    continue;
-                }
-                let telemetry = self.telemetry.clone();
-                scope.spawn(move || {
-                    fae_nn::tensor::set_siblings(w);
-                    let _span = telemetry.span(&format!("train/worker{widx}"));
-                    *slot = Some(compute_shard(replica, emb, shard, n));
-                });
+        let shards = batch.shards(self.replicas.len());
+        let telemetry = &self.telemetry;
+        let work = self.replicas.iter_mut().zip(&shards).enumerate().collect();
+        let outputs = fan_out(work, |(k, (replica, shard))| {
+            if shard.is_empty() {
+                return None;
             }
+            let _span = telemetry.enabled().then(|| telemetry.span(&format!("train/worker{k}")));
+            Some(compute_shard(replica, emb, shard, n))
         });
 
         // Reduce on the calling thread, strictly in worker-index order.
         let (loss, combined, merged) = reduce_shards(outputs, n, emb.num_tables(), emb.dim());
-
-        // Every replica applies the identical reduced gradient — replicas
-        // that sat out (empty shard) overwrite their stale grads too.
-        for r in &mut self.replicas {
-            r.read_grads(&combined);
-            r.sgd_step(lr);
-        }
+        // Replicas that sat out (empty shard) overwrite their stale grads too.
+        self.apply_combined(&combined, lr);
         (loss, merged)
     }
 
@@ -379,23 +327,29 @@ impl StepEngine for ParallelEngine {
     }
 
     fn workers(&self) -> usize {
-        ParallelEngine::workers(self)
+        self.replicas.len()
     }
 
     fn primary(&mut self) -> &mut AnyModel {
-        ParallelEngine::primary(self)
+        &mut self.replicas[0]
     }
 
     fn primary_ref(&self) -> &AnyModel {
-        ParallelEngine::primary_ref(self)
+        &self.replicas[0]
     }
 
     fn broadcast_params(&mut self) {
-        ParallelEngine::broadcast_params(self)
+        let mut params = Vec::new();
+        self.replicas[0].write_params(&mut params);
+        for r in self.replicas.iter_mut().skip(1) {
+            r.read_params(&params);
+        }
     }
 
+    /// Each shard's compute then records real wall-clock seconds under a
+    /// `train/worker<k>` span.
     fn set_telemetry(&mut self, telemetry: Telemetry) {
-        ParallelEngine::set_telemetry(self, telemetry)
+        self.telemetry = telemetry;
     }
 }
 

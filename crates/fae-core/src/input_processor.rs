@@ -12,9 +12,6 @@
 //! all-hot with probability `p^B`, so FAE *constructs* pure batches instead
 //! of hoping for them.
 
-use std::num::NonZeroUsize;
-use std::thread;
-
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -22,6 +19,7 @@ use rand::SeedableRng;
 use fae_data::format::FaeFile;
 use fae_data::{BatchKind, Dataset, MiniBatch, TableIndices};
 use fae_embed::HotColdPartition;
+use fae_nn::cores;
 
 /// Input-processor options.
 #[derive(Clone, Copy, Debug)]
@@ -111,8 +109,7 @@ pub fn preprocess_inputs(
         .map(|c| (c, BatchKind::Hot))
         .chain(cold_ids.chunks(size).map(|c| (c, BatchKind::Cold)))
         .collect();
-    let cores = thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    let mut hot_batches = pack(ds, &chunks, cores);
+    let mut hot_batches = pack(ds, &chunks, cores::share());
     let cold_batches = hot_batches.split_off(hot_ids.len().div_ceil(size));
     Preprocessed { hot_batches, cold_batches, hot_input_fraction, partitions }
 }
@@ -141,26 +138,16 @@ fn gather_column(ds: &Dataset, chunks: &[(&[usize], BatchKind)], c: usize) -> Co
 }
 
 /// Packs every `(samples, kind)` chunk into a mini-batch column by column
-/// (see the module doc): column `c` is gathered on scoped thread
-/// `c % width`. A column is a plain copy, so the batches are the same
-/// bytes at any width.
+/// (see the module doc): column `c` is gathered by task `c % width` of one
+/// [`cores::fan_out`]. A column is a plain copy, so the batches are the
+/// same bytes at any width.
 fn pack(ds: &Dataset, chunks: &[(&[usize], BatchKind)], width: usize) -> Vec<MiniBatch> {
     let columns = 1 + ds.sparse.len();
     let width = width.clamp(1, columns);
-    let deal = |k: usize| -> Vec<(usize, Column)> {
-        (k..columns).step_by(width).map(|c| (c, gather_column(ds, chunks, c))).collect()
-    };
-    let mut gathered = thread::scope(|scope| {
-        let others: Vec<_> = (1..width).map(|k| scope.spawn(move || deal(k))).collect();
-        let mut gathered = deal(0);
-        for h in others {
-            match h.join() {
-                Ok(part) => gathered.extend(part),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        gathered
+    let dealt = cores::fan_out((0..width).collect(), |k| {
+        (k..columns).step_by(width).map(|c| (c, gather_column(ds, chunks, c))).collect::<Vec<_>>()
     });
+    let mut gathered: Vec<(usize, Column)> = dealt.into_iter().flatten().collect();
     gathered.sort_unstable_by_key(|(c, _)| *c);
     let mut batches: Vec<MiniBatch> = chunks
         .iter()

@@ -90,9 +90,11 @@ pub struct TrainConfig {
     pub eval_interval: usize,
     /// Seed for model init and batch-order shuffles.
     pub seed: u64,
-    /// Execution-engine worker threads (one model replica each). `1`
-    /// runs the serial fast path, bit-identical to the pre-engine
-    /// trainer; any fixed value is bit-identical run to run.
+    /// Execution-engine worker threads (one model replica each). `1` is
+    /// the one-shard case: its scale is exactly 1.0, which
+    /// `forward_backward` skips, and `reduce_shards` returns a lone output
+    /// unchanged, so it is bit-identical to the pre-engine trainer; any
+    /// fixed value is bit-identical run to run.
     pub workers: usize,
     /// Store the cold rows of the master tables as int8 (per-row affine
     /// scale+min, DESIGN.md §14), shrinking the cold majority ~4× while

@@ -19,11 +19,14 @@
 //! * [`gradcheck`] — finite-difference gradient checking used throughout
 //!   the test suites.
 //!
-//! Everything is deterministic given a seed; the only threads are scoped ones
-//! splitting large products' output rows (see [`tensor`]), bit-exact.
+//! Everything is deterministic given a seed; large products split their
+//! output rows across scoped threads (see [`tensor`]), bit-exact. Those
+//! threads, and every other compute thread in the workspace, start in
+//! [`cores::fan_out`], which gives each task its share of the cores.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+pub mod cores;
 pub mod gradcheck;
 pub mod init;
 pub mod lanes;

@@ -6,10 +6,8 @@
 //! errors and panic with a descriptive message, matching the convention of
 //! the rest of the workspace.
 
-use crate::lanes;
-use std::cell::Cell;
+use crate::{cores, lanes};
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Smallest product, in multiply-adds, whose output rows are split across
 /// cores. On a 2-vCPU 2.1 GHz Xeon a scoped spawn + join costs 28–34 µs,
@@ -18,32 +16,20 @@ use std::sync::OnceLock;
 /// product at batch 256 (the largest is 0.5 M) stays on one thread.
 pub const SPLIT_THRESHOLD: usize = 1 << 22;
 
-thread_local!(static SIBLINGS: Cell<usize> = const { Cell::new(1) });
-
-/// Declares that the calling thread computes beside `n - 1` others, so a
-/// product it splits takes only its `1/n` share of the cores. Engines
-/// that run one model per thread call it inside each thread they spawn.
-pub fn set_siblings(n: usize) {
-    SIBLINGS.with(|s| s.set(n.max(1)));
-}
-
 /// How many threads a product of `work` multiply-adds over `rows` output
-/// rows runs on: 1 below [`SPLIT_THRESHOLD`], otherwise this thread's share
-/// of the cores, clamped to `[1, rows]`.
+/// rows runs on: 1 below [`SPLIT_THRESHOLD`], otherwise this thread's
+/// [`cores::share`], clamped to `[1, rows]`.
 pub(crate) fn split_width(work: usize, rows: usize) -> usize {
     if work < SPLIT_THRESHOLD {
         return 1;
     }
-    static CORES: OnceLock<usize> = OnceLock::new();
-    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |c| c.get()));
-    (cores / SIBLINGS.with(Cell::get)).clamp(1, rows.max(1))
+    cores::share().clamp(1, rows.max(1))
 }
 
 /// Runs `kernel(first_row, chunk)` over `out`, cut into at most `parts`
-/// runs of whole `n`-wide rows. The calling thread takes the first run and
-/// scoped threads the rest. Every element is written by exactly one
-/// kernel call, so a kernel that is deterministic per row gives the same
-/// bits at every `parts`.
+/// runs of whole `n`-wide rows, one [`cores::fan_out`] task each. Every
+/// element is written by exactly one kernel call, so a kernel that is
+/// deterministic per row gives the same bits at every `parts`.
 pub(crate) fn split_rows(
     out: &mut [f32],
     n: usize,
@@ -54,13 +40,8 @@ pub(crate) fn split_rows(
         return kernel(0, out);
     }
     let per = (out.len() / n).div_ceil(parts);
-    let (first, rest) = out.split_at_mut(per * n);
-    let kernel = &kernel;
-    std::thread::scope(|scope| {
-        for (c, chunk) in rest.chunks_mut(per * n).enumerate() {
-            scope.spawn(move || kernel((c + 1) * per, chunk));
-        }
-        kernel(0, first);
+    cores::fan_out(out.chunks_mut(per * n).enumerate().collect(), |(c, chunk)| {
+        kernel(c * per, chunk)
     });
 }
 
@@ -431,18 +412,18 @@ mod tests {
 
     #[test]
     fn split_width_is_gated_by_work_siblings_and_rows() {
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        let cores = cores::share();
         let big = SPLIT_THRESHOLD;
         assert_eq!(split_width(big - 1, 256), 1);
         assert_eq!(split_width(big, 256), cores.min(256));
         for rows in 0..4 {
             assert!(split_width(big, rows) <= rows.max(1));
         }
-        set_siblings(cores);
-        assert_eq!(split_width(big, 256), 1);
-        set_siblings(cores + 1);
-        assert_eq!(split_width(big, 256), 1);
-        set_siblings(1);
+        for siblings in [cores, cores + 1] {
+            let widths = cores::fan_out(vec![(); siblings], |()| split_width(big, 256));
+            assert_eq!(widths, vec![1; siblings], "{siblings} siblings");
+        }
+        assert_eq!(split_width(big, 256), cores.min(256));
     }
 
     #[test]

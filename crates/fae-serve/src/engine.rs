@@ -14,8 +14,9 @@
 //!    makespan all come from this pass, so a same-seed serve run is
 //!    bit-identical.
 //! 2. **Real compute** — the dispatched batches re-run as actual MLP
-//!    forwards ([`fae_models::predict`]) on scoped worker threads, one
-//!    model replica per worker, producing real click scores. Wall-clock
+//!    forwards ([`fae_models::predict`]) on the workers of one
+//!    [`fae_nn::cores::fan_out`], one model replica and `1/workers` of the
+//!    cores per worker, producing real click scores. Wall-clock
 //!    spans are recorded per worker but never feed back into the
 //!    simulated timing.
 
@@ -27,6 +28,7 @@ use fae_data::{BatchKind, Dataset, MiniBatch, WorkloadSpec};
 use fae_embed::HotColdPartition;
 use fae_models::bridge::profile_for;
 use fae_models::{predict, MasterEmbeddings, RecModel};
+use fae_nn::cores::fan_out;
 use fae_sysmodel::{ModelProfile, Phase, SystemConfig, Timeline};
 use fae_telemetry::journal::PhaseSeconds;
 use fae_telemetry::{metric, JournalEvent, Telemetry};
@@ -472,48 +474,28 @@ impl ServeEngine {
         for (i, d) in dispatched.iter().enumerate() {
             per_worker[d.worker].push(i);
         }
-        let (score_sum, score_n) = std::thread::scope(|scope| {
-            let handles: Vec<_> = per_worker
-                .iter()
-                .enumerate()
-                .filter(|(_, batches)| !batches.is_empty())
-                .map(|(w, batches)| {
-                    let telemetry = telem.clone();
-                    let dispatched = &dispatched;
-                    let master = &self.master;
-                    let spec = &self.spec;
-                    let params = &self.dense_params;
-                    let seed = self.cfg.seed;
-                    let siblings = self.cfg.workers;
-                    scope.spawn(move || {
-                        fae_nn::tensor::set_siblings(siblings);
-                        let _span = telemetry.span(&format!("serve/worker{w}"));
-                        let mut rng = StdRng::seed_from_u64(seed);
-                        let mut model = AnyModel::from_spec(spec, &mut rng);
-                        model.read_params(params);
-                        let mut sum = 0.0f64;
-                        let mut n = 0usize;
-                        for &bi in batches {
-                            let pred = predict(&mut model, master, &dispatched[bi].batch);
-                            sum += pred.as_slice().iter().map(|&v| v as f64).sum::<f64>();
-                            n += pred.as_slice().len();
-                        }
-                        (sum, n)
-                    })
-                })
-                .collect();
+        let scores = fan_out(per_worker.into_iter().enumerate().collect(), |(w, batches)| {
+            if batches.is_empty() {
+                return (0.0, 0);
+            }
+            let _span = telem.enabled().then(|| telem.span(&format!("serve/worker{w}")));
+            let mut rng = StdRng::seed_from_u64(self.cfg.seed);
+            let mut model = AnyModel::from_spec(&self.spec, &mut rng);
+            model.read_params(&self.dense_params);
             let mut sum = 0.0f64;
             let mut n = 0usize;
-            for h in handles {
-                let (s, c) = match h.join() {
-                    Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                };
-                sum += s;
-                n += c;
+            for bi in batches {
+                let pred = predict(&mut model, &self.master, &dispatched[bi].batch);
+                sum += pred.as_slice().iter().map(|&v| v as f64).sum::<f64>();
+                n += pred.as_slice().len();
             }
             (sum, n)
         });
+        let (mut score_sum, mut score_n) = (0.0f64, 0usize);
+        for (s, c) in scores {
+            score_sum += s;
+            score_n += c;
+        }
         let mean_score = if score_n > 0 { score_sum / score_n as f64 } else { 0.0 };
 
         let mut timeline = Timeline::new();

@@ -13,7 +13,7 @@
 //!   counts; hits cost a GPU gather, misses a CPU fetch + PCIe transfer,
 //!   both charged to the `fae-sysmodel` [`Timeline`],
 //! * a **worker pool** ([`engine::ServeEngine`]) reusing the execution
-//!   engine's scoped-thread pattern, with per-worker Chrome-trace lanes.
+//!   engine's fan-out, with per-worker Chrome-trace lanes.
 //!
 //! Exactly like training, the split is *real numerics on a simulated
 //! clock*: request latencies, queueing and cache hit/miss costs all come

@@ -13,7 +13,9 @@ mod hostile;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use fae::nn::tensor::set_siblings;
+use std::sync::Barrier;
+
+use fae::nn::cores::{self, fan_out};
 use fae::nn::{Activation, Layer, Mlp};
 
 use hostile::heap_use;
@@ -39,9 +41,20 @@ fn step(mlp: &mut Mlp, x: &[f32], g: &[f32], rows: usize, input_grad: bool) {
 #[test]
 fn a_steady_state_dense_step_allocates_nothing() {
     // A product above the split threshold spawns scoped threads, which
-    // allocate; one share of the cores keeps every product on this
-    // thread, so the count sees the tape alone.
-    set_siblings(std::thread::available_parallelism().map_or(1, |c| c.get()));
+    // allocate. As task 0 of a fan-out as wide as the cores, the count's
+    // products get one core and stay on this thread; the other tasks have
+    // started before the count does and only end.
+    let width = cores::share();
+    let started = Barrier::new(width);
+    fan_out((0..width).collect(), |task| {
+        started.wait();
+        if task == 0 {
+            count_steady_steps();
+        }
+    });
+}
+
+fn count_steady_steps() {
     let shapes: [(&[usize], Activation); 5] = [
         (&[3, 16], Activation::Relu),
         (&[32, 60, 1], Activation::Sigmoid),
