@@ -444,6 +444,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the readers race the writer on purpose")]
     fn concurrent_lookups_see_whole_updates_and_match_serial() {
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Barrier;

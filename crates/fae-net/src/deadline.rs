@@ -188,6 +188,7 @@ mod tests {
     use std::net::TcpListener;
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the sender is a peer thread, not compute")]
     fn frames_cross_a_real_socket() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
@@ -208,6 +209,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the echo is a peer thread, not compute")]
     fn a_link_reuses_its_buffers_across_frames_of_any_size() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
@@ -239,7 +241,7 @@ mod tests {
     #[test]
     #[expect(
         clippy::disallowed_methods,
-        reason = "the peer writes raw bytes under its own deadline"
+        reason = "a peer thread writes raw bytes under its own deadline"
     )]
     fn a_length_prefix_commits_no_memory_before_the_body_arrives() {
         // 200 MiB is under MAX_FRAME, so the cap check passes; the peer
@@ -297,7 +299,7 @@ mod tests {
     #[test]
     #[expect(
         clippy::disallowed_methods,
-        reason = "the peer writes raw bytes under its own deadline"
+        reason = "a peer thread writes raw bytes under its own deadline"
     )]
     fn a_deadline_that_passes_mid_frame_is_a_disconnect_not_a_timeout() {
         let frame = Frame { node: 1, epoch: 1, seq: 1, step: 1, msg: Message::Heartbeat }.encode();

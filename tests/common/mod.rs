@@ -63,6 +63,10 @@ pub fn train_distributed(
 /// [`train_distributed`] with node `k` dialling `late_ms[k]` ms after
 /// the others start (no delay past the slice's end).
 #[expect(clippy::too_many_arguments, reason = "train_distributed's inputs plus the dial delays")]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "each node runs on its own thread, as a process would"
+)]
 pub fn train_dialing_late(
     spec: &WorkloadSpec,
     pre: &Preprocessed,

@@ -193,6 +193,7 @@ fn sidecars_with_bad_partitions_are_rebuilt(spec: &WorkloadSpec) {
 
 /// Sends each bad list to a worker in an otherwise valid, CRC-sealed
 /// `Welcome`: its bootstrap answers `NetError::Protocol`.
+#[expect(clippy::disallowed_methods, reason = "the worker runs on its own thread, as a node would")]
 fn welcomes_with_bad_partitions_are_protocol_errors(spec: &WorkloadSpec) {
     let seed = 9;
     let mut dense = Vec::new();
