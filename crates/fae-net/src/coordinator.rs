@@ -24,8 +24,7 @@
 //!
 //! # Failure handling
 //!
-//! Each RPC retries under the bounded-backoff
-//! [`RetryPolicy`](fae_core::RetryPolicy), charging
+//! Each RPC retries under the bounded-backoff [`RetryPolicy`], charging
 //! simulated backoff seconds to the run's timeline; consecutive missed
 //! deadlines feed the per-node [`FailureDetector`], and crossing the
 //! suspicion threshold declares the node dead: `NodeLost` + `Reshard`
@@ -126,7 +125,7 @@ const TELEMETRY_WIRE_BYTES_PER_S: f64 = 1e9;
 
 impl RemoteEngine {
     /// Builds the engine around an already-bound listener, then waits up
-    /// to [`INITIAL_WAIT_MS`] for `workers` nodes to say Hello.
+    /// to 10 s for `workers` nodes to say Hello.
     /// Workers that miss the window are treated as lost — their shards
     /// run coordinator-side — and may still join later.
     ///

@@ -377,7 +377,7 @@ fn coordinator_gone(e: &NetError) -> bool {
 
 /// The node supervisor: runs the worker, and on crash injection or link
 /// loss reconnects with jittered exponential backoff (bounded by
-/// [`RECONNECT_ATTEMPTS`]). A `Finished` exit ends the process cleanly.
+/// 40 attempts). A `Finished` exit ends the process cleanly.
 ///
 /// A node that was severed (partition, crash) near the end of a run may
 /// find the coordinator gone before it can rejoin: the listener stays
