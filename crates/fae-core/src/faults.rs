@@ -523,6 +523,37 @@ pub fn retry_with_backoff<T, E>(
 mod tests {
     use super::*;
 
+    /// Every kind's tag and name: the checkpoint container stores the tag,
+    /// `FaultInjector::variation` hashes it and fault plans spell the name.
+    #[test]
+    fn every_kind_keeps_its_tag_and_name() {
+        let pinned = [
+            (FaultKind::DeviceLoss, 0, "device-loss"),
+            (FaultKind::ReplicationOom, 1, "replication-oom"),
+            (FaultKind::SyncFailure, 2, "sync-failure"),
+            (FaultKind::ArtifactCorruption, 3, "artifact-corruption"),
+            (FaultKind::TransientIo, 4, "transient-io"),
+            (FaultKind::NetDrop, 5, "net-drop"),
+            (FaultKind::NetDelay, 6, "net-delay"),
+            (FaultKind::NetPartition, 7, "net-partition"),
+            (FaultKind::NetDuplicate, 8, "net-duplicate"),
+            (FaultKind::WorkerCrash, 9, "worker-crash"),
+        ];
+        for (kind, tag, name) in pinned {
+            assert_eq!(kind.tag(), tag, "{name}");
+            assert_eq!(FaultKind::from_tag(tag), Some(kind), "{name}");
+            assert_eq!(kind.as_str(), name);
+            assert_eq!(kind.to_string(), name);
+            assert_eq!(name.parse::<FaultKind>(), Ok(kind));
+        }
+        assert_eq!(FaultKind::from_tag(10), None);
+        assert_eq!(FaultKind::from_tag(u8::MAX), None);
+        let unknown = "gpu-melted".parse::<FaultKind>();
+        assert_eq!(unknown, Err(FaultPlanError::UnknownKind("gpu-melted".into())));
+        let listed = pinned.map(|(_, _, name)| name).join(" | ");
+        assert!(unknown.unwrap_err().to_string().contains(&format!("(expected {listed})")));
+    }
+
     #[test]
     fn plan_parses_and_round_trips() {
         let spec = "device-loss@120,replication-oom@300,sync-failure@50";
