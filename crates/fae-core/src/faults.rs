@@ -63,53 +63,34 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    /// Every kind with its spec-string name, in declaration order: a
+    /// kind's index here is its tag.
+    const TABLE: [(FaultKind, &'static str); 10] = [
+        (FaultKind::DeviceLoss, "device-loss"),
+        (FaultKind::ReplicationOom, "replication-oom"),
+        (FaultKind::SyncFailure, "sync-failure"),
+        (FaultKind::ArtifactCorruption, "artifact-corruption"),
+        (FaultKind::TransientIo, "transient-io"),
+        (FaultKind::NetDrop, "net-drop"),
+        (FaultKind::NetDelay, "net-delay"),
+        (FaultKind::NetPartition, "net-partition"),
+        (FaultKind::NetDuplicate, "net-duplicate"),
+        (FaultKind::WorkerCrash, "worker-crash"),
+    ];
+
     /// Stable wire tag (checkpoint container).
     pub fn tag(self) -> u8 {
-        match self {
-            FaultKind::DeviceLoss => 0,
-            FaultKind::ReplicationOom => 1,
-            FaultKind::SyncFailure => 2,
-            FaultKind::ArtifactCorruption => 3,
-            FaultKind::TransientIo => 4,
-            FaultKind::NetDrop => 5,
-            FaultKind::NetDelay => 6,
-            FaultKind::NetPartition => 7,
-            FaultKind::NetDuplicate => 8,
-            FaultKind::WorkerCrash => 9,
-        }
+        self as u8
     }
 
     /// Inverse of [`FaultKind::tag`].
     pub fn from_tag(tag: u8) -> Option<Self> {
-        Some(match tag {
-            0 => FaultKind::DeviceLoss,
-            1 => FaultKind::ReplicationOom,
-            2 => FaultKind::SyncFailure,
-            3 => FaultKind::ArtifactCorruption,
-            4 => FaultKind::TransientIo,
-            5 => FaultKind::NetDrop,
-            6 => FaultKind::NetDelay,
-            7 => FaultKind::NetPartition,
-            8 => FaultKind::NetDuplicate,
-            9 => FaultKind::WorkerCrash,
-            _ => return None,
-        })
+        Self::TABLE.get(tag as usize).map(|&(kind, _)| kind)
     }
 
     /// Spec-string name (`device-loss`, `sync-failure`, ...).
     pub fn as_str(self) -> &'static str {
-        match self {
-            FaultKind::DeviceLoss => "device-loss",
-            FaultKind::ReplicationOom => "replication-oom",
-            FaultKind::SyncFailure => "sync-failure",
-            FaultKind::ArtifactCorruption => "artifact-corruption",
-            FaultKind::TransientIo => "transient-io",
-            FaultKind::NetDrop => "net-drop",
-            FaultKind::NetDelay => "net-delay",
-            FaultKind::NetPartition => "net-partition",
-            FaultKind::NetDuplicate => "net-duplicate",
-            FaultKind::WorkerCrash => "worker-crash",
-        }
+        Self::TABLE[self as usize].1
     }
 }
 
@@ -123,19 +104,11 @@ impl FromStr for FaultKind {
     type Err = FaultPlanError;
 
     fn from_str(s: &str) -> Result<Self, FaultPlanError> {
-        Ok(match s {
-            "device-loss" => FaultKind::DeviceLoss,
-            "replication-oom" => FaultKind::ReplicationOom,
-            "sync-failure" => FaultKind::SyncFailure,
-            "artifact-corruption" => FaultKind::ArtifactCorruption,
-            "transient-io" => FaultKind::TransientIo,
-            "net-drop" => FaultKind::NetDrop,
-            "net-delay" => FaultKind::NetDelay,
-            "net-partition" => FaultKind::NetPartition,
-            "net-duplicate" => FaultKind::NetDuplicate,
-            "worker-crash" => FaultKind::WorkerCrash,
-            other => return Err(FaultPlanError::UnknownKind(other.to_string())),
-        })
+        Self::TABLE
+            .iter()
+            .find(|&&(_, name)| name == s)
+            .map(|&(kind, _)| kind)
+            .ok_or_else(|| FaultPlanError::UnknownKind(s.to_string()))
     }
 }
 
@@ -164,12 +137,10 @@ pub enum FaultPlanError {
 impl fmt::Display for FaultPlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FaultPlanError::UnknownKind(k) => write!(
-                f,
-                "unknown fault kind '{k}' (expected device-loss | replication-oom | \
-                 sync-failure | artifact-corruption | transient-io | net-drop | \
-                 net-delay | net-partition | net-duplicate | worker-crash)"
-            ),
+            FaultPlanError::UnknownKind(k) => {
+                let names: Vec<&str> = FaultKind::TABLE.iter().map(|&(_, name)| name).collect();
+                write!(f, "unknown fault kind '{k}' (expected {})", names.join(" | "))
+            }
             FaultPlanError::BadEntry(e) => write!(f, "bad fault entry '{e}' (expected kind@step)"),
             FaultPlanError::BadStep(s) => write!(f, "bad fault step '{s}' (expected an integer)"),
         }
