@@ -56,7 +56,7 @@ use serde::{Deserialize, Serialize};
 use fae_data::{BatchKind, Dataset, MiniBatch, WorkloadKind, WorkloadSpec};
 use fae_embed::{DeferredSparse, HotColdPartition, SkipStats, SparseGrad};
 use fae_models::{Dlrm, EmbeddingSource, EvalReport, MasterEmbeddings, RecModel, Tbsm};
-use fae_nn::Tensor;
+use fae_nn::{Mlp, Tensor};
 use fae_sysmodel::Timeline;
 use fae_telemetry::{StepMode, Telemetry};
 
@@ -256,52 +256,17 @@ impl RecModel for AnyModel {
         }
     }
 
-    fn sgd_step(&mut self, lr: f32) {
+    fn mlps(&self) -> [&Mlp; 2] {
         match self {
-            AnyModel::Dlrm(m) => m.sgd_step(lr),
-            AnyModel::Tbsm(m) => m.sgd_step(lr),
+            AnyModel::Dlrm(m) => m.mlps(),
+            AnyModel::Tbsm(m) => m.mlps(),
         }
     }
 
-    fn zero_grad(&mut self) {
+    fn mlps_mut(&mut self) -> [&mut Mlp; 2] {
         match self {
-            AnyModel::Dlrm(m) => m.zero_grad(),
-            AnyModel::Tbsm(m) => m.zero_grad(),
-        }
-    }
-
-    fn dense_param_count(&self) -> usize {
-        match self {
-            AnyModel::Dlrm(m) => m.dense_param_count(),
-            AnyModel::Tbsm(m) => m.dense_param_count(),
-        }
-    }
-
-    fn write_params(&self, out: &mut Vec<f32>) {
-        match self {
-            AnyModel::Dlrm(m) => m.write_params(out),
-            AnyModel::Tbsm(m) => m.write_params(out),
-        }
-    }
-
-    fn read_params(&mut self, src: &[f32]) -> usize {
-        match self {
-            AnyModel::Dlrm(m) => m.read_params(src),
-            AnyModel::Tbsm(m) => m.read_params(src),
-        }
-    }
-
-    fn write_grads(&self, out: &mut Vec<f32>) {
-        match self {
-            AnyModel::Dlrm(m) => m.write_grads(out),
-            AnyModel::Tbsm(m) => m.write_grads(out),
-        }
-    }
-
-    fn read_grads(&mut self, src: &[f32]) -> usize {
-        match self {
-            AnyModel::Dlrm(m) => m.read_grads(src),
-            AnyModel::Tbsm(m) => m.read_grads(src),
+            AnyModel::Dlrm(m) => m.mlps_mut(),
+            AnyModel::Tbsm(m) => m.mlps_mut(),
         }
     }
 }

@@ -16,7 +16,7 @@ use rand::Rng;
 
 use fae_data::{MiniBatch, TableIndices, WorkloadKind, WorkloadSpec};
 use fae_embed::SparseGrad;
-use fae_nn::{Activation, Layer, Mlp, Tensor};
+use fae_nn::{Activation, Mlp, Tensor};
 
 use crate::attention::AttentionPool;
 use crate::dlrm::copy_bags;
@@ -152,38 +152,12 @@ impl RecModel for Tbsm {
         vec![item_grads, cat_grads, user_grads]
     }
 
-    fn sgd_step(&mut self, lr: f32) {
-        self.bottom.sgd_step(lr);
-        self.top.sgd_step(lr);
+    fn mlps(&self) -> [&Mlp; 2] {
+        [&self.bottom, &self.top]
     }
 
-    fn zero_grad(&mut self) {
-        self.bottom.zero_grad();
-        self.top.zero_grad();
-    }
-
-    fn dense_param_count(&self) -> usize {
-        self.bottom.param_count() + self.top.param_count()
-    }
-
-    fn write_params(&self, out: &mut Vec<f32>) {
-        self.bottom.write_params(out);
-        self.top.write_params(out);
-    }
-
-    fn read_params(&mut self, src: &[f32]) -> usize {
-        let n = self.bottom.read_params(src);
-        n + self.top.read_params(&src[n..])
-    }
-
-    fn write_grads(&self, out: &mut Vec<f32>) {
-        self.bottom.write_grads(out);
-        self.top.write_grads(out);
-    }
-
-    fn read_grads(&mut self, src: &[f32]) -> usize {
-        let n = self.bottom.read_grads(src);
-        n + self.top.read_grads(&src[n..])
+    fn mlps_mut(&mut self) -> [&mut Mlp; 2] {
+        [&mut self.bottom, &mut self.top]
     }
 }
 

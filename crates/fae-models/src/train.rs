@@ -9,7 +9,7 @@
 use fae_data::MiniBatch;
 use fae_embed::SparseGrad;
 use fae_nn::loss::{bce_loss, bce_loss_backward, binary_accuracy};
-use fae_nn::Tensor;
+use fae_nn::{Layer, Mlp, Tensor};
 
 use crate::source::EmbeddingSource;
 
@@ -23,32 +23,61 @@ pub trait RecModel {
     /// embedding gradients keyed by *global* row ids.
     fn backward(&mut self, grad: &Tensor) -> Vec<SparseGrad>;
 
+    /// The bottom and top MLPs, in that order: every dense parameter the
+    /// model has. The dense-state methods below walk them.
+    fn mlps(&self) -> [&Mlp; 2];
+
+    /// [`RecModel::mlps`], mutably.
+    fn mlps_mut(&mut self) -> [&mut Mlp; 2];
+
     /// Applies one SGD step to the dense parameters.
-    fn sgd_step(&mut self, lr: f32);
+    fn sgd_step(&mut self, lr: f32) {
+        for mlp in self.mlps_mut() {
+            mlp.sgd_step(lr);
+        }
+    }
 
     /// Clears dense parameter gradients.
-    fn zero_grad(&mut self);
+    fn zero_grad(&mut self) {
+        for mlp in self.mlps_mut() {
+            mlp.zero_grad();
+        }
+    }
 
     /// Number of trainable dense scalars.
-    fn dense_param_count(&self) -> usize;
+    fn dense_param_count(&self) -> usize {
+        self.mlps().iter().map(|mlp| mlp.param_count()).sum()
+    }
 
     /// Flattens the dense parameters into `out` (replica synchronisation).
-    fn write_params(&self, out: &mut Vec<f32>);
+    fn write_params(&self, out: &mut Vec<f32>) {
+        for mlp in self.mlps() {
+            mlp.write_params(out);
+        }
+    }
 
     /// Loads dense parameters from `src`, returning the number consumed.
-    fn read_params(&mut self, src: &[f32]) -> usize;
+    fn read_params(&mut self, src: &[f32]) -> usize {
+        self.mlps_mut().into_iter().fold(0, |n, mlp| n + mlp.read_params(&src[n..]))
+    }
 
     /// Flattens the accumulated dense gradients into `out`, in
     /// [`write_params`](RecModel::write_params) order. The parallel
     /// execution engine reduces these across workers in worker-index
     /// order, which is what makes fixed-worker-count runs bit-identical.
-    fn write_grads(&self, out: &mut Vec<f32>);
+    fn write_grads(&self, out: &mut Vec<f32>) {
+        for mlp in self.mlps() {
+            mlp.write_grads(out);
+        }
+    }
 
     /// Overwrites the accumulated dense gradients from `src` (layout of
     /// [`write_grads`](RecModel::write_grads)), returning the number of
     /// scalars consumed. A following [`sgd_step`](RecModel::sgd_step)
     /// applies exactly the loaded gradient.
-    fn read_grads(&mut self, src: &[f32]) -> usize;
+    fn read_grads(&mut self, src: &[f32]) -> usize {
+        self.mlps_mut().into_iter().fold(0, |n, mlp| n + mlp.read_grads(&src[n..]))
+    }
 }
 
 /// Runs one training step; returns the mini-batch BCE loss.
