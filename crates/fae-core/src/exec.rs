@@ -34,13 +34,23 @@
 //! Different worker counts may differ in the last float bit (summation
 //! order changes), exactly like real data-parallel training. `W = 1` is
 //! the one-shard case: its scale is exactly 1.0, which
-//! [`forward_backward`] skips, and [`reduce_shards`] returns a lone output
+//! [`forward_backward`] skips, and the reduction returns a lone output
 //! unchanged, so it is arithmetic-for-arithmetic identical to the serial
 //! [`fae_models::train_step`] path, which is what keeps the pre-engine
-//! golden results valid. The shards run through [`fan_out`]: shard 0 on
-//! the calling thread, so a lone shard spawns nothing and keeps every
+//! golden results valid. The shards run through [`fan_out`]: the first
+//! on the calling thread, so a lone shard spawns nothing and keeps every
 //! core for its products, and each of `W` shards computes on `1/W` of
 //! the caller's cores.
+//!
+//! # One shard path
+//!
+//! [`ParallelEngine::step_shards`] is the step, and [`ParallelEngine::step`]
+//! its case with no output in hand. `fae-net`'s coordinator passes the
+//! `Grads` its nodes sent, so every other shard runs here, in the same
+//! fan-out against the same replica, and the reduction and the apply are
+//! this module's either way.
+
+use std::borrow::Cow;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -78,9 +88,8 @@ pub struct ShardOutput {
 /// Runs one shard's forward/backward on `replica`, scaling the loss
 /// gradient by `shard.len() / total` so that summing worker gradients
 /// reproduces the full-batch mean-loss gradient. This is the exact
-/// per-worker arithmetic of [`ParallelEngine::step`], exposed so a
-/// networked engine can run the *same* computation for shards whose
-/// owning node is unreachable.
+/// per-worker arithmetic of [`ParallelEngine::step_shards`], exposed so a
+/// worker node runs the *same* computation on the shards it is sent.
 pub fn compute_shard<E>(
     replica: &mut AnyModel,
     emb: &E,
@@ -104,7 +113,7 @@ where
 /// non-empty shard must have an output, so a lone output holds the whole
 /// batch and comes back exactly as it is: merging it onto zeroed
 /// gradients would turn a `-0.0` into `+0.0`.
-pub fn reduce_shards(
+fn reduce_shards(
     outputs: Vec<Option<ShardOutput>>,
     total: usize,
     num_tables: usize,
@@ -150,9 +159,9 @@ impl ParallelEngine {
         Self { replicas, telemetry: Telemetry::disabled() }
     }
 
-    /// Executes one training step: shards `batch` across the replicas
-    /// (shard 0 on the calling thread), reduces, and applies the dense
-    /// update to every replica.
+    /// Executes one training step: shards `batch` across the replicas,
+    /// reduces, and applies the dense update to every replica — the
+    /// [`ParallelEngine::step_shards`] of a caller holding no output.
     /// Returns the mini-batch mean BCE loss and the merged per-table
     /// sparse gradients (keyed as the embedding source keys them); the
     /// caller applies those to its embedding source — which is what lets
@@ -162,42 +171,56 @@ impl ParallelEngine {
     where
         E: EmbeddingSource + Sync,
     {
-        assert!(!batch.is_empty(), "cannot train on an empty mini-batch");
-        let n = batch.len();
         let shards = batch.shards(self.replicas.len());
-        let telemetry = &self.telemetry;
-        let work = self.replicas.iter_mut().zip(&shards).enumerate().collect();
-        let outputs = fan_out(work, |(k, (replica, shard))| {
-            if shard.is_empty() {
-                return None;
-            }
-            let _span = telemetry.enabled().then(|| telemetry.span(&format!("train/worker{k}")));
-            Some(compute_shard(replica, emb, shard, n))
-        });
+        let none = shards.iter().map(|_| None).collect();
+        let (loss, _, sparse) = self.step_shards(emb, &shards, none, lr);
+        (loss, sparse)
+    }
 
+    /// Executes one training step over `shards`, one per replica, whose
+    /// outputs the caller may already hold: `outputs[k]` is shard `k`'s
+    /// (computed elsewhere, against a bit-identical replica) or `None`.
+    /// The missing non-empty shards run in one [`fan_out`], each on its
+    /// own replica (the first on the calling thread); then every output
+    /// is reduced in worker-index order and the combined dense gradient
+    /// is applied to every replica. Returns the loss, that combined dense
+    /// gradient and the merged sparse gradients.
+    pub fn step_shards<E>(
+        &mut self,
+        emb: &E,
+        shards: &[Cow<'_, MiniBatch>],
+        mut outputs: Vec<Option<ShardOutput>>,
+        lr: f32,
+    ) -> (f32, Vec<f32>, Vec<SparseGrad>)
+    where
+        E: EmbeddingSource + Sync,
+    {
+        let n: usize = shards.iter().map(|s| s.len()).sum();
+        assert!(n > 0, "cannot train on an empty mini-batch");
+        assert!(
+            shards.len() == self.replicas.len() && outputs.len() == shards.len(),
+            "one shard and one output slot per replica"
+        );
+        let telemetry = &self.telemetry;
+        let missing = (self.replicas.iter_mut().zip(shards).zip(&outputs).enumerate())
+            .filter(|(_, ((_, shard), out))| out.is_none() && !shard.is_empty())
+            .map(|(k, ((replica, shard), _))| (k, replica, shard))
+            .collect();
+        let computed = fan_out(missing, |(k, replica, shard)| {
+            let _span = telemetry.enabled().then(|| telemetry.span(&format!("train/worker{k}")));
+            (k, compute_shard(replica, emb, shard, n))
+        });
+        for (k, out) in computed {
+            outputs[k] = Some(out);
+        }
         // Reduce on the calling thread, strictly in worker-index order.
         let (loss, combined, merged) = reduce_shards(outputs, n, emb.num_tables(), emb.dim());
         // Replicas that sat out (empty shard) overwrite their stale grads too.
-        self.apply_combined(&combined, lr);
-        (loss, merged)
-    }
-
-    /// Mutable access to replica `k` — a networked engine computing an
-    /// unreachable node's shard locally runs the exact per-worker
-    /// arithmetic ([`compute_shard`]) against this replica.
-    pub fn replica_mut(&mut self, k: usize) -> &mut AnyModel {
-        &mut self.replicas[k]
-    }
-
-    /// Applies an already-reduced dense gradient to every replica and
-    /// steps — the second half of [`ParallelEngine::step`], exposed so a
-    /// networked engine can reduce remote [`ShardOutput`]s itself and
-    /// still update the local replicas identically.
-    pub fn apply_combined(&mut self, combined: &[f32], lr: f32) {
         for r in &mut self.replicas {
-            r.read_grads(combined);
+            r.read_grads(&combined);
             r.sgd_step(lr);
         }
+        (loss, combined, merged)
     }
 }
 
@@ -206,6 +229,7 @@ impl ParallelEngine {
 /// injected faults and recovery actions produced by the transport layer
 /// rather than the training loop itself. The purely local
 /// [`ParallelEngine`] never produces any.
+#[derive(Default)]
 pub struct NetEvents {
     /// Charges to fold into the *surrounding* step's journal delta (the
     /// trainer merges these into the timeline only, so the next `Step` /
@@ -222,18 +246,6 @@ pub struct NetEvents {
     pub faults: Vec<InjectedFault>,
     /// Recovery actions the transport took, for the run report.
     pub recoveries: Vec<RecoveryAction>,
-}
-
-impl Default for NetEvents {
-    fn default() -> Self {
-        Self {
-            step_charges: Timeline::new(),
-            event_charges: Timeline::new(),
-            journal: Vec::new(),
-            faults: Vec::new(),
-            recoveries: Vec::new(),
-        }
-    }
 }
 
 impl NetEvents {
@@ -299,10 +311,6 @@ pub trait StepEngine {
     /// The run degraded to CPU-only cold execution; no further hot
     /// shards will be fanned out.
     fn on_cold_only(&mut self, _step: u64) {}
-
-    /// A checkpoint restore replaced the master tables (and replica 0's
-    /// parameters, already re-broadcast) before the first step.
-    fn on_master_restored(&mut self, _master: &MasterEmbeddings) {}
 
     /// Drains transport side effects accumulated since the last call;
     /// the trainer absorbs them into the timeline, journal and report.

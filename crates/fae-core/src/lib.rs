@@ -58,7 +58,7 @@ pub use calibrator::{CalibrationResult, Calibrator, CalibratorConfig, RandEmBox,
 pub use checkpoint::{latest_in, CheckpointError, TableSnapshot, TrainCheckpoint};
 pub use checkpoint::{master_digest, model_digest};
 pub use classifier::classify_tables;
-pub use exec::{compute_shard, reduce_shards, NetEvents, ParallelEngine, ShardOutput, StepEngine};
+pub use exec::{compute_shard, NetEvents, ParallelEngine, ShardOutput, StepEngine};
 pub use fae_telemetry::Telemetry;
 pub use faults::{
     retry_with_backoff, FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultPlanError,

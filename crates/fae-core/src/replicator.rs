@@ -9,6 +9,12 @@
 //! row ids to hot-local ids through the partitions; touching a cold row
 //! through this source is a bug in the input processor and panics.
 //!
+//! The bags live on the coordinator only. A `fae-net` node keeps its hot
+//! rows in its master and reads and writes them there, through the same
+//! [`EmbeddingTable`] kernels with the identity id map, after holding
+//! each task's rows to its partitions; so a frame never reaches the
+//! cold-row panic.
+//!
 //! The one logical copy is a plain [`EmbeddingTable`] per table behind one
 //! `RwLock`: hot-bag lookups from concurrent worker threads share the
 //! read lock, and the merged sparse gradient is applied through `&self`
@@ -223,9 +229,8 @@ impl HotEmbeddings {
     /// updated under its write lock, row by row through the global →
     /// hot-local map. Partitions number hot rows in ascending global
     /// order, so distinct ids stay distinct and there is nothing to
-    /// re-coalesce. This is the path the execution engine uses after
-    /// reducing worker gradients, and the one `fae-net`'s worker uses for
-    /// the coordinator's apply broadcast.
+    /// re-coalesce. This is the path the trainer uses for the merged
+    /// gradient of a hot step.
     pub fn apply_shared(&self, grads: &[SparseGrad], lr: f32) {
         assert_eq!(grads.len(), self.tables.len(), "one gradient per table");
         for (t, (table, g)) in self.tables.iter().zip(grads).enumerate() {

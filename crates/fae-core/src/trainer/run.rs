@@ -247,7 +247,6 @@ impl<'a, En: StepEngine> Run<'a, En> {
         self.injector.restore(ck.faults);
         self.recoveries = ck.recoveries;
         self.recoveries.push(RecoveryAction::ResumedFromCheckpoint { step: ck.steps });
-        self.engine.on_master_restored(&self.master);
     }
 
     /// Opens the journal: `RunStart`, then either the resume record or

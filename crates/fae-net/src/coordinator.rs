@@ -4,21 +4,22 @@
 //! # Architecture
 //!
 //! The coordinator wraps a full [`ParallelEngine`] — `W` bit-identical
-//! replicas — exactly as the single-process trainer would. The wire is
-//! an *acceleration path*, never the source of truth:
+//! replicas — exactly as the single-process trainer would, and its step
+//! is that engine's [`ParallelEngine::step_shards`]. The wire is an
+//! *acceleration path*, never the source of truth:
 //!
 //! * **Hot steps** send shard `k` to live worker `k` (a `Task` frame);
 //!   the worker computes against its own bit-identical replica and hot
-//!   bags and replies with a `Grads` frame. Shards whose worker is dead,
-//!   not yet hot-synced, or mid-failure are computed coordinator-side
-//!   with the exact per-worker arithmetic ([`compute_shard`] against
-//!   replica `k`), so the reduction is bit-identical either way.
+//!   rows and replies with a `Grads` frame. The replies go to the engine
+//!   as outputs in hand; it computes every other non-empty shard (worker
+//!   dead, not yet hot-synced, mid-failure, or declining the task) against
+//!   replica `k`, so the reduction is bit-identical either way.
 //! * **Cold steps** run entirely coordinator-side (the paper keeps cold
 //!   embedding access on the CPU host); workers only receive the reduced
 //!   `Apply` so their replicas never drift.
-//! * After every step the reduced gradient is posted (`Apply`, or
-//!   `ApplyOwn` when the one worker's own reply was the gradient) and
-//!   applied locally ([`ParallelEngine::apply_combined`]); its ack is
+//! * After every step, which the engine has already applied to its own
+//!   replicas, the reduced gradient is posted (`Apply`, or `ApplyOwn`
+//!   when the one worker's own reply was the gradient); its ack is
 //!   collected by the next exchange on the link. At every cold→hot
 //!   transition the refreshed bags ship as `HotBagSync`.
 //!
@@ -43,9 +44,7 @@
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
-use fae_core::exec::{
-    compute_shard, reduce_shards, NetEvents, ParallelEngine, ShardOutput, StepEngine,
-};
+use fae_core::exec::{NetEvents, ParallelEngine, ShardOutput, StepEngine};
 use fae_core::faults::{FaultInjector, FaultKind, FaultPlan, RecoveryAction, RetryPolicy};
 use fae_core::replicator::HotEmbeddings;
 use fae_core::trainer::AnyModel;
@@ -205,11 +204,6 @@ impl RemoteEngine {
         self.slots.iter().filter(|s| matches!(s, Slot::Live(_))).count()
     }
 
-    /// Current membership epoch.
-    pub fn epoch(&self) -> u32 {
-        self.epoch
-    }
-
     fn bump_seq(&mut self) -> u64 {
         self.next_seq += 1;
         self.next_seq
@@ -345,14 +339,6 @@ impl RemoteEngine {
             live: live as u32,
         });
         self.telemetry.counter_add(metric!("net.nodes_lost"), 1);
-    }
-
-    /// True when worker `k` may be sent work of `mode`.
-    fn eligible(&self, k: usize, mode: StepMode) -> bool {
-        match &self.slots[k] {
-            Slot::Live(c) => !matches!(mode, StepMode::Hot) || c.hot_current,
-            _ => false,
-        }
     }
 
     /// One request/reply exchange with worker `k`, through the retry,
@@ -515,53 +501,6 @@ impl RemoteEngine {
             }
         }
     }
-
-    /// The step: remote fan-out for eligible hot shards, local
-    /// [`compute_shard`] for everything else, then the worker-index-order
-    /// reduction — bit-identical to [`ParallelEngine::step`]. W = 1 is
-    /// the one-shard case. The flag is true when the gradient is the lone
-    /// worker's `Grads` reply as received, which that worker still holds.
-    fn step_sharded<E>(
-        &mut self,
-        emb: &E,
-        batch: &MiniBatch,
-        step: u64,
-        mode: StepMode,
-    ) -> (f32, Vec<f32>, Vec<SparseGrad>, bool)
-    where
-        E: EmbeddingSource + Sync,
-    {
-        let n = batch.len();
-        let shards = batch.shards(self.workers);
-        let mut outputs: Vec<Option<ShardOutput>> = Vec::new();
-        outputs.resize_with(self.workers, || None);
-        let mut replies = 0;
-        if matches!(mode, StepMode::Hot) {
-            for k in 0..self.workers {
-                if shards[k].is_empty() || !self.eligible(k, mode) {
-                    continue;
-                }
-                let task = |out: &mut Vec<u8>| put_task(out, n as u32, mode, &shards[k]);
-                if let Ok(Some(reply)) = self.exchange(k, Message::TASK, step, false, task) {
-                    if let Message::Grads { loss, samples, dense, sparse } = reply.msg {
-                        outputs[k] =
-                            Some(ShardOutput { loss, samples: samples as usize, dense, sparse });
-                        replies += 1;
-                    }
-                }
-            }
-        }
-        // Orphan shards (dead, stale-bagged or mid-failure workers) and
-        // every cold shard: the exact per-worker arithmetic, locally.
-        for (k, shard) in shards.iter().enumerate() {
-            if outputs[k].is_none() && !shard.is_empty() {
-                outputs[k] = Some(compute_shard(self.inner.replica_mut(k), emb, shard, n));
-            }
-        }
-        let own = shards.len() == 1 && replies == 1;
-        let (loss, dense, sparse) = reduce_shards(outputs, n, emb.num_tables(), emb.dim());
-        (loss, dense, sparse, own)
-    }
 }
 
 impl StepEngine for RemoteEngine {
@@ -586,8 +525,27 @@ impl StepEngine for RemoteEngine {
         if tp > 0 && self.telemetry.enabled() && step > 0 && step.is_multiple_of(tp) {
             self.poll_telemetry(step);
         }
-        let (loss, dense, mut sparse, own) = self.step_sharded(emb, batch, step, mode);
-        self.inner.apply_combined(&dense, lr);
+        // Hot shard `k` goes to worker `k` if its bags are current; the
+        // engine computes every shard left without a `Grads` reply.
+        let hot = matches!(mode, StepMode::Hot);
+        let shards = batch.shards(self.workers);
+        let mut outputs: Vec<Option<ShardOutput>> = shards.iter().map(|_| None).collect();
+        for (k, shard) in shards.iter().enumerate() {
+            let ready = matches!(&self.slots[k], Slot::Live(c) if c.hot_current);
+            if !hot || !ready || shard.is_empty() {
+                continue;
+            }
+            let task = |out: &mut Vec<u8>| put_task(out, batch.len() as u32, mode, shard);
+            if let Ok(Some(reply)) = self.exchange(k, Message::TASK, step, false, task) {
+                if let Message::Grads { loss, samples, dense, sparse } = reply.msg {
+                    outputs[k] =
+                        Some(ShardOutput { loss, samples: samples as usize, dense, sparse });
+                }
+            }
+        }
+        // A lone worker's reply is the gradient as that worker holds it.
+        let own = outputs.len() == 1 && outputs[0].is_some();
+        let (loss, dense, mut sparse) = self.inner.step_shards(emb, &shards, outputs, lr);
         // Post the step to every live worker so replicas stay
         // bit-identical: one `Apply`, built here and lent to each send
         // (cold steps ship the dense half only), or an `ApplyOwn` naming
@@ -596,7 +554,6 @@ impl StepEngine for RemoteEngine {
         // cannot answer that exchange either, so it is declared dead
         // before its replica is used again, which is what keeps remote
         // replicas trustworthy.
-        let hot = matches!(mode, StepMode::Hot);
         let apply = if own {
             Message::ApplyOwn { mode, lr }
         } else {
@@ -678,14 +635,8 @@ impl Drop for RemoteEngine {
             self.poll_telemetry(self.last_step);
         }
         for k in 0..self.workers {
-            self.next_seq += 1;
-            let frame = Frame {
-                node: k as u32,
-                epoch: self.epoch,
-                seq: self.next_seq,
-                step: 0,
-                msg: Message::Shutdown,
-            };
+            let (epoch, seq) = (self.epoch, self.bump_seq());
+            let frame = Frame { node: k as u32, epoch, seq, step: 0, msg: Message::Shutdown };
             if let Slot::Live(conn) = &mut self.slots[k] {
                 let _ = conn.link.send(&frame, WRITE_TIMEOUT_MS);
             }

@@ -67,22 +67,18 @@ pub(crate) const WRITE_TIMEOUT_MS: u64 = 1_000;
 /// larger than a normal frame), milliseconds.
 pub(crate) const WELCOME_TIMEOUT_MS: u64 = 4_000;
 
-/// The two knobs a run sets: telemetry shipping (`--telemetry-every`)
-/// and the worker's reconnect backoff, which in-process test clusters
-/// shrink so a crashed node rejoins within a short run.
+/// What a run sets on the coordinator: telemetry shipping
+/// (`--telemetry-every`). Nodes read nothing from it.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
     /// Poll workers for journal events every N steps (0 disables).
     /// Polls only happen when the coordinator's telemetry is enabled,
     /// so plain runs carry zero shipping traffic.
     pub telemetry_every_steps: u64,
-    /// Worker-side reconnect backoff base, milliseconds (jittered,
-    /// doubled per attempt).
-    pub reconnect_base_ms: u64,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
-        Self { telemetry_every_steps: 4, reconnect_base_ms: 50 }
+        Self { telemetry_every_steps: 4 }
     }
 }

@@ -14,6 +14,11 @@
 //! every `Apply` it admits is the same reduced gradient the coordinator
 //! applied locally, so the replica tracks the primary bit for bit.
 //!
+//! The hot rows live in the master alone, beside the partitions naming
+//! them. A frame that passed its CRC is still held to the replica before
+//! it is used: a `Task` that does not fit is declined with an `Ack`, and
+//! a `Welcome` or `Apply` that does not fit is a [`NetError::Protocol`].
+//!
 //! # Idempotency
 //!
 //! State-mutating frames (`Apply`, `ApplyOwn`, `HotBagSync`: those whose
@@ -24,17 +29,17 @@
 //!
 //! # Elasticity
 //!
-//! [`run_node`] supervises [`run_worker`]: an injected crash or a lost
-//! link leads to reconnect-with-backoff, and the rejoin handshake
-//! (`Hello` → fresh `Welcome`) rebuilds the replica from current state.
+//! [`run_node`] supervises [`run_worker`]: an injected crash, which models
+//! a process restart, redials at once; a lost link redials with backoff.
+//! The rejoin handshake (`Hello` → fresh `Welcome`) rebuilds the replica
+//! from current state.
 
 use std::time::Duration;
 
 use fae_core::exec::{compute_shard, ShardOutput};
 use fae_core::faults::{FaultInjector, FaultKind, FaultPlan};
-use fae_core::replicator::HotEmbeddings;
 use fae_core::trainer::AnyModel;
-use fae_data::WorkloadSpec;
+use fae_data::{MiniBatch, WorkloadSpec};
 use fae_embed::{HotColdPartition, SparseGrad};
 use fae_models::{EmbeddingSource, MasterEmbeddings, RecModel};
 use fae_telemetry::{JournalEvent, StepMode, TaggedEvent};
@@ -50,6 +55,9 @@ use crate::{NetConfig, READ_TIMEOUT_MS, WELCOME_TIMEOUT_MS, WRITE_TIMEOUT_MS};
 const CONNECT_TIMEOUT_MS: u64 = 1_000;
 /// Reconnect attempts before a node gives up.
 const RECONNECT_ATTEMPTS: u32 = 40;
+/// Reconnect backoff after a lost link, milliseconds: doubled per
+/// attempt, jittered, capped at [`RECONNECT_CAP_MS`].
+const RECONNECT_BASE_MS: u64 = 50;
 /// Reconnect backoff cap, milliseconds.
 const RECONNECT_CAP_MS: u64 = 500;
 
@@ -72,7 +80,8 @@ pub struct NodeConfig {
     pub node_id: u32,
     /// Total worker count (for fault-victim selection).
     pub workers: u32,
-    /// The reconnect backoff base (the worker reads nothing else here).
+    /// Unused: the node reads nothing from it. It stays so that callers
+    /// building a `NodeConfig` keep compiling.
     pub net: NetConfig,
     /// The same seeded fault plan the coordinator runs: both sides
     /// derive the same crash victims without any extra coordination.
@@ -113,11 +122,17 @@ impl NodeJournal {
     }
 }
 
-/// The worker's replicated training state, built from a `Welcome`.
+/// The worker's replicated training state, built from a `Welcome`. A hot
+/// `Task` reads its rows in the master and a hot `Apply` steps them there:
+/// the master's id map is the identity, and it reads and writes a row
+/// through the `lanes::add_assign` / `lanes::axpy` kernels the
+/// coordinator's hot bags use, so the arithmetic is the bags'.
 struct Replica {
     model: AnyModel,
     master: MasterEmbeddings,
-    hot: Option<HotEmbeddings>,
+    /// The hot rows of the last `Welcome` or `HotBagSync` whose partitions
+    /// fit the tables; `None` declines every task.
+    partitions: Option<Vec<HotColdPartition>>,
     ledger: Ledger,
     /// The output of the last `Grads` reply, which an `ApplyOwn` applies
     /// and any admitted `Apply` discards.
@@ -138,30 +153,70 @@ impl Replica {
         // Replay the coordinator's exact construction order so the RNG
         // stream — and therefore every parameter — matches bitwise.
         let mut rng = StdRng::seed_from_u64(*seed);
-        let mut model = AnyModel::from_spec(&spec, &mut rng);
-        let mut master = MasterEmbeddings::from_spec(&spec, &mut rng);
-        model.read_params(dense);
-        apply_entries(&mut master, hot);
-        let hot_bags = if partitions_json.is_empty() {
-            None
-        } else {
-            let rows: Vec<usize> = spec.tables.iter().map(|t| t.rows).collect();
-            let partitions = parse_partitions(partitions_json, &rows)
+        let model = AnyModel::from_spec(&spec, &mut rng);
+        let master = MasterEmbeddings::from_spec(&spec, &mut rng);
+        let mut replica =
+            Self { model, master, partitions: None, ledger: Ledger::new(welcome.epoch), own: None };
+        replica.fit_dense(dense)?.read_params(dense);
+        apply_entries(&mut replica.master, hot);
+        if !partitions_json.is_empty() {
+            let partitions = parse_partitions(partitions_json, &replica.master)
                 .map_err(|e| NetError::Protocol(format!("welcome partitions: {e}")))?;
-            Some(HotEmbeddings::build(&master, partitions))
-        };
-        Ok(Self { model, master, hot: hot_bags, ledger: Ledger::new(welcome.epoch), own: None })
+            replica.partitions = Some(partitions);
+        }
+        Ok(replica)
     }
 
-    /// Applies one step's gradient, as the coordinator applied it.
-    fn apply(&mut self, mode: StepMode, lr: f32, dense: &[f32], sparse: &[SparseGrad]) {
-        self.model.read_grads(dense);
-        self.model.sgd_step(lr);
-        if matches!(mode, StepMode::Hot) {
-            if let Some(hot) = self.hot.as_ref() {
-                hot.apply_shared(sparse, lr);
-            }
+    /// True when `shard` is a hot shard of a `total`-sample batch this
+    /// replica can compute: its dense width and table count are the
+    /// model's, `0 < len ≤ total`, and every row it names is a hot row
+    /// below its table's row count. Anything else is declined, and the
+    /// coordinator computes the shard itself.
+    fn takes(&self, shard: &MiniBatch, total: u32) -> bool {
+        let Some(partitions) = &self.partitions else { return false };
+        let hot =
+            |p: &HotColdPartition, g: u32| (g as usize) < p.rows() && p.hot_local(g).is_some();
+        (1..=total as usize).contains(&shard.len())
+            && shard.dense_width == self.model.mlps()[0].sizes()[0]
+            && shard.sparse.len() == partitions.len()
+            && (shard.sparse.iter().zip(partitions))
+                .all(|(csr, p)| csr.indices.iter().all(|&g| hot(p, g)))
+    }
+
+    /// The model, once `dense` holds one value per dense parameter.
+    fn fit_dense(&mut self, dense: &[f32]) -> Result<&mut AnyModel, NetError> {
+        let want = self.model.dense_param_count();
+        if dense.len() != want {
+            let got = dense.len();
+            return Err(NetError::Protocol(format!("{got} dense values for {want} parameters")));
         }
+        Ok(&mut self.model)
+    }
+
+    /// Applies one step's gradient, as the coordinator applied it, once it
+    /// fits: a hot step's sparse half is one gradient per table, of the
+    /// table's width and naming only its rows.
+    fn apply(
+        &mut self,
+        mode: StepMode,
+        lr: f32,
+        dense: &[f32],
+        sparse: &[SparseGrad],
+    ) -> Result<(), NetError> {
+        let hot = matches!(mode, StepMode::Hot);
+        let m = &self.master;
+        let fits = |(t, g): (usize, &SparseGrad)| {
+            g.dim() == m.dim() && g.iter().all(|(r, _)| (r as usize) < m.rows_in(t))
+        };
+        if hot && (sparse.len() != m.num_tables() || !sparse.iter().enumerate().all(fits)) {
+            return Err(NetError::Protocol("sparse gradients do not fit the tables".into()));
+        }
+        self.fit_dense(dense)?.read_grads(dense);
+        self.model.sgd_step(lr);
+        if hot {
+            self.master.apply_sparse_grads(sparse, lr);
+        }
+        Ok(())
     }
 }
 
@@ -182,13 +237,16 @@ fn apply_entries(master: &mut MasterEmbeddings, entries: &[HotEntry]) {
     }
 }
 
-/// Parses shipped partitions and holds them to the tables' row counts, so
-/// a CRC-valid frame whose partitions do not fit cannot reach
-/// `HotEmbeddings::build`.
-fn parse_partitions(json: &str, rows: &[usize]) -> Result<Vec<HotColdPartition>, String> {
+/// Parses shipped partitions and holds them to the master's row counts,
+/// so a CRC-valid frame whose partitions do not fit is never used.
+fn parse_partitions(
+    json: &str,
+    master: &MasterEmbeddings,
+) -> Result<Vec<HotColdPartition>, String> {
     let partitions: Vec<HotColdPartition> =
         serde_json::from_str(json).map_err(|e| e.to_string())?;
-    HotColdPartition::check_rows(&partitions, rows)?;
+    let rows: Vec<usize> = (0..master.num_tables()).map(|t| master.rows_in(t)).collect();
+    HotColdPartition::check_rows(&partitions, &rows)?;
     Ok(partitions)
 }
 
@@ -287,48 +345,37 @@ fn handle(
             let (from, events_jsonl) = journal.batch_from(*ack);
             Some(Message::Telemetry { from, events_jsonl })
         }
-        Message::Task { total, mode, shard } => {
-            if shard.is_empty() {
-                return Ok(Some(Message::Ack));
-            }
-            match (mode, replica.hot.as_ref()) {
-                (StepMode::Hot, Some(hot)) => {
-                    let out = compute_shard(&mut replica.model, hot, shard, *total as usize);
-                    Some(Message::Grads {
-                        loss: out.loss,
-                        samples: out.samples as u32,
-                        dense: out.dense,
-                        sparse: out.sparse,
-                    })
-                }
-                // No current hot bags (or a cold task, which the
-                // coordinator computes locally): decline with an Ack so
-                // the coordinator falls back to its own replica instead
-                // of waiting out the deadline.
-                _ => Some(Message::Ack),
-            }
+        Message::Task { total, mode: StepMode::Hot, shard } if replica.takes(shard, *total) => {
+            let out = compute_shard(&mut replica.model, &replica.master, shard, *total as usize);
+            Some(Message::Grads {
+                loss: out.loss,
+                samples: out.samples as u32,
+                dense: out.dense,
+                sparse: out.sparse,
+            })
         }
+        // No current hot rows, a cold task (the coordinator computes those
+        // locally) or a shard this replica cannot run: decline with an Ack
+        // so the coordinator computes it instead of waiting out the
+        // deadline.
+        Message::Task { .. } => Some(Message::Ack),
         Message::Apply { mode, lr, dense, sparse } => {
             replica.own = None;
-            replica.apply(*mode, *lr, dense, sparse);
+            replica.apply(*mode, *lr, dense, sparse)?;
             Some(Message::Ack)
         }
         Message::ApplyOwn { mode, lr } => {
             let out = replica.own.take().ok_or_else(|| {
                 NetError::Protocol("apply-own with no gradient of this node's".into())
             })?;
-            replica.apply(*mode, *lr, &out.dense, &out.sparse);
+            replica.apply(*mode, *lr, &out.dense, &out.sparse)?;
             Some(Message::Ack)
         }
         Message::HotBagSync { partitions_json, hot } => {
             apply_entries(&mut replica.master, hot);
             // Partitions that do not parse or do not fit the tables: keep
             // serving dense work, just decline hot shards from here on.
-            let master = &replica.master;
-            let rows: Vec<usize> = (0..master.num_tables()).map(|t| master.rows_in(t)).collect();
-            replica.hot = parse_partitions(partitions_json, &rows)
-                .ok()
-                .map(|partitions| HotEmbeddings::build(master, partitions));
+            replica.partitions = parse_partitions(partitions_json, &replica.master).ok();
             Some(Message::Ack)
         }
         // Requests only a coordinator should originate.
@@ -361,11 +408,7 @@ fn jitter_ms(node_id: u32, attempt: u32, ms: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
     z ^= z >> 31;
-    if ms == 0 {
-        0
-    } else {
-        z % (ms / 2 + 1)
-    }
+    z % (ms / 2 + 1)
 }
 
 /// True when the error means nothing is listening at the coordinator's
@@ -375,9 +418,11 @@ fn coordinator_gone(e: &NetError) -> bool {
     matches!(e, NetError::Io(io) if io.kind() == std::io::ErrorKind::ConnectionRefused)
 }
 
-/// The node supervisor: runs the worker, and on crash injection or link
-/// loss reconnects with jittered exponential backoff (bounded by
-/// 40 attempts). A `Finished` exit ends the process cleanly.
+/// The node supervisor: runs the worker and rejoins after an injected
+/// crash or a lost link. The crash models a process restart, so the
+/// restarted node redials at once; a lost link redials after a jittered
+/// exponential backoff (bounded by 40 attempts). A `Finished` exit ends
+/// the process cleanly.
 ///
 /// A node that was severed (partition, crash) near the end of a run may
 /// find the coordinator gone before it can rejoin: the listener stays
@@ -398,6 +443,7 @@ pub fn run_node(cfg: NodeConfig) -> Result<(), NetError> {
                 // replay it when the coordinator re-ships old steps.
                 injector = FaultInjector::none();
                 attempt = 0;
+                continue;
             }
             Err(e) => {
                 if joined && coordinator_gone(&e) {
@@ -409,10 +455,7 @@ pub fn run_node(cfg: NodeConfig) -> Result<(), NetError> {
                 }
             }
         }
-        let base = cfg.net.reconnect_base_ms.saturating_mul(1u64 << attempt.min(8));
-        let delay = base.min(RECONNECT_CAP_MS);
-        std::thread::sleep(Duration::from_millis(
-            delay + jitter_ms(cfg.node_id, attempt, delay.max(cfg.net.reconnect_base_ms)),
-        ));
+        let delay = RECONNECT_BASE_MS.saturating_mul(1u64 << attempt.min(8)).min(RECONNECT_CAP_MS);
+        std::thread::sleep(Duration::from_millis(delay + jitter_ms(cfg.node_id, attempt, delay)));
     }
 }

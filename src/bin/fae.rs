@@ -447,10 +447,7 @@ fn train_distributed(
     let seed = cfg.seed;
     let num_gpus = cfg.num_gpus;
     let plan = opts.plan.clone();
-    let net = NetConfig {
-        telemetry_every_steps: args.num("telemetry-every", 4u64)?,
-        ..NetConfig::default()
-    };
+    let net = NetConfig { telemetry_every_steps: args.num("telemetry-every", 4u64)? };
     let report = train_fae_with_engine(spec, pre, test, cfg, opts, move |model| {
         RemoteEngine::new(model, spec, seed, workers, num_gpus, listener, net, plan)
             .expect("coordinator start: all nodes must join within the initial wait")

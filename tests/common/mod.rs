@@ -85,11 +85,7 @@ pub fn train_dialing_late(
                 addr: addr.clone(),
                 node_id: k as u32,
                 workers: workers as u32,
-                // A restarted node redials within a few steps' wall time:
-                // these runs last tens of milliseconds, and the default
-                // 50 ms backoff would let them end before the rejoin the
-                // crash tests assert on.
-                net: NetConfig { reconnect_base_ms: 2, ..NetConfig::default() },
+                net: NetConfig::default(),
                 plan: plan.clone(),
             };
             let late = Duration::from_millis(late_ms.get(k).copied().unwrap_or(0));
