@@ -19,7 +19,10 @@
 //! repeated or past `rows`, a `rows` its table does not have, a table too
 //! few, and the row-sized `remap` older sidecars hold. Each makes
 //! `load_or_rebuild` rebuild and a worker's bootstrap answer
-//! `NetError::Protocol`; none panics.
+//! `NetError::Protocol`; none panics. Then the node frames that pass
+//! their CRC but do not fit the replica: a `Task` is declined with an
+//! `Ack`, a `Welcome` or an `Apply` is a `NetError::Protocol`, and the
+//! node thread never panics.
 //!
 //! One `#[test]` only: the counting allocator is process-wide, and a
 //! neighbouring test thread would show up in its peak.
@@ -30,9 +33,9 @@
 mod hostile;
 
 use std::fs;
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::sync::OnceLock;
-use std::thread;
+use std::thread::{self, JoinHandle};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -50,10 +53,14 @@ use fae::core::{
 };
 use fae::data::format::{FaeFile, FaeStreamReader, FormatError};
 use fae::data::{generate, BatchKind, GenOptions, MiniBatch, WorkloadSpec};
+use fae::embed::SparseGrad;
 use fae::models::RecModel;
 use fae::net::deadline::{recv_frame, send_frame};
-use fae::net::{run_worker, Frame, Message, NetConfig, NetError, NodeConfig, NodeJournal};
+use fae::net::{
+    run_worker, Frame, Message, NetConfig, NetError, NodeConfig, NodeJournal, WorkerExit,
+};
 use fae::sysmodel::{Phase, Timeline};
+use fae::telemetry::StepMode;
 
 use hostile::{body_and_crc, frames, heap_use, mutate, reseal, HOSTILE};
 
@@ -139,11 +146,14 @@ fn samples() -> &'static Samples {
 const FRAME: usize = 0;
 const CHECKPOINT: usize = 1;
 
+/// One table's partition as JSON, `hot` its listed hot ids.
+fn part(rows: usize, hot: &str) -> String {
+    format!(r#"{{"rows":{rows},"cutoff":1,"hot_ids":[{hot}]}}"#)
+}
+
 /// Partition lists no decoder may accept for `spec`, each with whether it
 /// parses on its own (is consistent within itself).
 fn bad_partitions(spec: &WorkloadSpec) -> Vec<(String, bool)> {
-    let part =
-        |rows: usize, hot: &str| format!(r#"{{"rows":{rows},"cutoff":1,"hot_ids":[{hot}]}}"#);
     let good: Vec<String> = spec.tables.iter().map(|t| part(t.rows, "0,1")).collect();
     let rows = spec.tables[0].rows;
     let first_is = |first: String| {
@@ -191,45 +201,149 @@ fn sidecars_with_bad_partitions_are_rebuilt(spec: &WorkloadSpec) {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// The seed every node bootstrap below replays.
+const SEED: u64 = 9;
+
+/// Dense parameters of the model `SEED` builds for `spec`.
+fn seed_params(spec: &WorkloadSpec) -> Vec<f32> {
+    let mut dense = Vec::new();
+    AnyModel::from_spec(spec, &mut StdRng::seed_from_u64(SEED)).write_params(&mut dense);
+    dense
+}
+
+/// Starts a node on its own thread and sends it a CRC-sealed `Welcome`
+/// (epoch 1, seq 0) carrying `partitions_json` and `dense`. Returns the
+/// coordinator's end of the link and the node's thread.
+#[expect(clippy::disallowed_methods, reason = "the worker runs on its own thread, as a node would")]
+fn welcome(
+    spec: &WorkloadSpec,
+    partitions_json: &str,
+    dense: Vec<f32>,
+) -> (TcpStream, JoinHandle<Result<WorkerExit, NetError>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let node = NodeConfig {
+        addr: listener.local_addr().expect("addr").to_string(),
+        node_id: 0,
+        workers: 1,
+        net: NetConfig::default(),
+        plan: FaultPlan::none(),
+    };
+    let worker = thread::spawn(move || {
+        run_worker(&node, &mut FaultInjector::none(), &mut false, &mut NodeJournal::new(0))
+    });
+    let (mut link, _) = listener.accept().expect("accept");
+    recv_frame(&mut link, 5_000).expect("hello");
+    let msg = Message::Welcome {
+        workers: 1,
+        seed: SEED,
+        spec_json: spec.to_json().expect("spec json"),
+        partitions_json: partitions_json.into(),
+        dense,
+        hot: Vec::new(),
+    };
+    send_frame(&mut link, &Frame { node: 0, epoch: 1, seq: 0, step: 0, msg }, 5_000)
+        .expect("welcome");
+    (link, worker)
+}
+
+/// Sends `msg` as request `seq` of epoch 1 and returns the node's reply.
+fn ask(link: &mut TcpStream, seq: u64, msg: Message) -> Message {
+    send_frame(link, &Frame { node: 0, epoch: 1, seq, step: seq, msg }, 5_000).expect("request");
+    recv_frame(link, 5_000).expect("the node replies").msg
+}
+
+/// Ends a session the node should end itself with a protocol error.
+fn expect_protocol_error(
+    link: TcpStream,
+    worker: JoinHandle<Result<WorkerExit, NetError>>,
+    case: &str,
+) {
+    match worker.join().expect("the worker does not panic") {
+        Err(NetError::Protocol(_)) => {}
+        other => panic!("{case}: expected a protocol error, got {other:?}"),
+    }
+    drop(link);
+}
+
 /// Sends each bad list to a worker in an otherwise valid, CRC-sealed
 /// `Welcome`: its bootstrap answers `NetError::Protocol`.
-#[expect(clippy::disallowed_methods, reason = "the worker runs on its own thread, as a node would")]
 fn welcomes_with_bad_partitions_are_protocol_errors(spec: &WorkloadSpec) {
-    let seed = 9;
-    let mut dense = Vec::new();
-    AnyModel::from_spec(spec, &mut StdRng::seed_from_u64(seed)).write_params(&mut dense);
-    let spec_json = spec.to_json().expect("spec json");
     for (partitions_json, _) in bad_partitions(spec) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let node = NodeConfig {
-            addr: listener.local_addr().expect("addr").to_string(),
-            node_id: 0,
-            workers: 1,
-            net: NetConfig::default(),
-            plan: FaultPlan::none(),
-        };
-        let worker = thread::spawn(move || {
-            run_worker(&node, &mut FaultInjector::none(), &mut false, &mut NodeJournal::new(0))
-        });
-        let (mut link, _) = listener.accept().expect("accept");
-        recv_frame(&mut link, 5_000).expect("hello");
-        let msg = Message::Welcome {
-            workers: 1,
-            seed,
-            spec_json: spec_json.clone(),
-            partitions_json: partitions_json.clone(),
-            dense: dense.clone(),
-            hot: Vec::new(),
-        };
-        let welcome = Frame { node: 0, epoch: 1, seq: 0, step: 0, msg };
-        send_frame(&mut link, &welcome, 5_000).expect("welcome");
-        // A worker that took the frame would wait for the next one;
-        // closing the link ends it either way.
+        let (link, worker) = welcome(spec, &partitions_json, seed_params(spec));
+        expect_protocol_error(link, worker, &partitions_json);
+    }
+}
+
+/// Frames that pass their CRC but do not fit the node's replica, each in a
+/// session of its own. After a good `Welcome` and `HotBagSync` (rows 0 and
+/// 1 of every table hot), a `Task` naming a cold row, a row past its
+/// table, a table too few, a dense feature too many or more samples than
+/// its total is declined with an `Ack`, and the next good `Task` still
+/// gets `Grads`. A `Welcome` with a short dense vector, and an `Apply`
+/// whose dense vector or sparse gradients do not fit, end the session
+/// with `NetError::Protocol`.
+fn node_frames_that_do_not_fit_are_declined_or_protocol_errors(spec: &WorkloadSpec) {
+    let hot = spec.tables.iter().map(|t| part(t.rows, "0,1")).collect::<Vec<_>>().join(",");
+    let hot = format!("[{hot}]");
+    let dense = seed_params(spec);
+    let ds = generate(spec, &GenOptions::sized(3, 64));
+    let mut good = MiniBatch::gather(&ds, &[0, 1, 2, 3], BatchKind::Hot);
+    for g in good.sparse.iter_mut().flat_map(|csr| &mut csr.indices) {
+        *g %= 2;
+    }
+    let with = |edit: &dyn Fn(&mut MiniBatch)| {
+        let mut b = good.clone();
+        edit(&mut b);
+        b
+    };
+    let past = spec.tables[3].rows as u32;
+    let bad_tasks = [
+        ("a cold row", 4, with(&|b| b.sparse[0].indices[0] = 2)),
+        ("a row past its table", 4, with(&|b| b.sparse[3].indices[1] = past)),
+        ("a table too few", 4, with(&|b| drop(b.sparse.pop()))),
+        (
+            "a dense feature too many",
+            4,
+            with(&|b| {
+                b.dense_width += 1;
+                b.dense.resize(b.len() * b.dense_width, 0.5);
+            }),
+        ),
+        ("more samples than its total", 3, good.clone()),
+    ];
+    let task = |total, shard| Message::Task { total, mode: StepMode::Hot, shard };
+    for (case, total, shard) in bad_tasks {
+        let (mut link, worker) = welcome(spec, &hot, dense.clone());
+        let sync = Message::HotBagSync { partitions_json: hot.clone(), hot: Vec::new() };
+        assert!(matches!(ask(&mut link, 1, sync), Message::Ack), "{case}: sync");
+        assert!(matches!(ask(&mut link, 2, task(total, shard)), Message::Ack), "{case}");
+        let next = ask(&mut link, 3, task(4, good.clone()));
+        assert!(matches!(next, Message::Grads { samples: 4, .. }), "{case}: then {next:?}");
         drop(link);
-        match worker.join().expect("the worker does not panic") {
-            Err(NetError::Protocol(_)) => {}
-            other => panic!("{partitions_json}: expected a protocol error, got {other:?}"),
-        }
+        let _ = worker.join().expect("the worker does not panic");
+    }
+
+    let (link, worker) = welcome(spec, &hot, dense[1..].to_vec());
+    expect_protocol_error(link, worker, "a welcome with a short dense vector");
+    let (tables, dim) = (spec.tables.len(), spec.embedding_dim);
+    let grads = |tables: usize, dim: usize, row: u32| -> Vec<SparseGrad> {
+        let one = || SparseGrad::from_ascending_rows(dim, &[row], vec![0.5; dim]).expect("a row");
+        (0..tables).map(|_| one()).collect()
+    };
+    let apply =
+        |dense: Vec<f32>, sparse| Message::Apply { mode: StepMode::Hot, lr: 0.1, dense, sparse };
+    let zeros = vec![0.0; dense.len()];
+    let bad_applies = [
+        ("an apply with a short dense vector", apply(zeros[1..].to_vec(), grads(tables, dim, 0))),
+        ("an apply a table short", apply(zeros.clone(), grads(tables - 1, dim, 0))),
+        ("an apply with a narrow gradient", apply(zeros.clone(), grads(tables, dim - 1, 0))),
+        ("an apply to a row past its table", apply(zeros.clone(), grads(tables, dim, past))),
+    ];
+    for (case, msg) in bad_applies {
+        let (mut link, worker) = welcome(spec, &hot, dense.clone());
+        send_frame(&mut link, &Frame { node: 0, epoch: 1, seq: 1, step: 1, msg }, 5_000)
+            .expect("apply");
+        expect_protocol_error(link, worker, case);
     }
 }
 
@@ -238,6 +352,7 @@ fn every_decoder_returns_ok_or_its_typed_error_within_a_memory_bound() {
     let spec = WorkloadSpec::tiny_test();
     sidecars_with_bad_partitions_are_rebuilt(&spec);
     welcomes_with_bad_partitions_are_protocol_errors(&spec);
+    node_frames_that_do_not_fit_are_declined_or_protocol_errors(&spec);
     binary_decoders_under_mutation();
 }
 
