@@ -297,18 +297,15 @@ fn node_frames_that_do_not_fit_are_declined_or_protocol_errors(spec: &WorkloadSp
         b
     };
     let past = spec.tables[3].rows as u32;
+    let wider = |b: &mut MiniBatch| {
+        b.dense_width += 1;
+        b.dense.resize(b.len() * b.dense_width, 0.5);
+    };
     let bad_tasks = [
         ("a cold row", 4, with(&|b| b.sparse[0].indices[0] = 2)),
         ("a row past its table", 4, with(&|b| b.sparse[3].indices[1] = past)),
         ("a table too few", 4, with(&|b| drop(b.sparse.pop()))),
-        (
-            "a dense feature too many",
-            4,
-            with(&|b| {
-                b.dense_width += 1;
-                b.dense.resize(b.len() * b.dense_width, 0.5);
-            }),
-        ),
+        ("a dense feature too many", 4, with(&wider)),
         ("more samples than its total", 3, good.clone()),
     ];
     let task = |total, shard| Message::Task { total, mode: StepMode::Hot, shard };
