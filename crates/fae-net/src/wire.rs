@@ -611,20 +611,55 @@ mod tests {
         Frame::decode(&bytes[4..]).expect("clean frame decodes")
     }
 
-    #[test]
-    fn empty_payload_kinds_round_trip() {
-        for msg in [
+    /// One message of every kind, each with a payload that decodes.
+    fn every_kind() -> Vec<Message> {
+        let (hot, cold) = (StepMode::Hot, StepMode::Cold);
+        vec![
             Message::Hello,
+            Message::Welcome {
+                workers: 1,
+                seed: 2,
+                spec_json: "{}".into(),
+                partitions_json: String::new(),
+                dense: vec![0.5],
+                hot: Vec::new(),
+            },
+            Message::Task { total: 64, mode: cold, shard: sample_batch() },
+            Message::Grads { loss: 0.5, samples: 1, dense: vec![1.0], sparse: Vec::new() },
+            Message::Apply { mode: hot, lr: 0.1, dense: Vec::new(), sparse: Vec::new() },
             Message::Ack,
+            Message::HotBagSync { partitions_json: "[]".into(), hot: Vec::new() },
             Message::Heartbeat,
             Message::HeartbeatAck,
             Message::Shutdown,
-        ] {
-            let tag = msg.tag();
-            let f = Frame { node: 3, epoch: 7, seq: 99, step: 12, msg };
-            let back = roundtrip(&f);
-            assert_eq!(back.msg.tag(), tag);
+            Message::TelemetryPoll { ack: 3 },
+            Message::Telemetry { from: 3, events_jsonl: String::new() },
+            Message::ApplyOwn { mode: cold, lr: 0.1 },
+        ]
+    }
+
+    #[test]
+    fn every_kind_round_trips_to_its_own_tag_and_name() {
+        let kinds = every_kind();
+        let tags: std::collections::BTreeSet<u8> = kinds.iter().map(Message::tag).collect();
+        let names: std::collections::BTreeSet<_> = kinds.iter().map(Message::kind_name).collect();
+        assert_eq!((tags.len(), names.len()), (13, 13), "one tag and one name per kind");
+        for msg in kinds {
+            let (tag, name) = (msg.tag(), msg.kind_name());
+            let back = roundtrip(&Frame { node: 3, epoch: 7, seq: 99, step: 12, msg });
+            assert_eq!((back.msg.tag(), back.msg.kind_name()), (tag, name));
             assert_eq!((back.node, back.epoch, back.seq, back.step), (3, 7, 99, 12));
+        }
+    }
+
+    #[test]
+    fn every_undeclared_tag_is_corrupt() {
+        let declared: Vec<u8> = every_kind().iter().map(Message::tag).collect();
+        for tag in (0..=u8::MAX).filter(|t| !declared.contains(t)) {
+            match Frame::decode(&sealed(tag, |_| {})) {
+                Err(NetError::Corrupt(m)) => assert!(m.contains("unknown message kind"), "{m}"),
+                other => panic!("tag {tag}: expected corrupt error, got {other:?}"),
+            }
         }
     }
 

@@ -155,6 +155,25 @@ mod tests {
     use super::*;
 
     #[test]
+    fn every_phase_sits_at_its_index_under_its_journal_name() {
+        let names: Vec<String> = Phase::ALL.iter().map(|p| p.to_string()).collect();
+        let want = [
+            "embed-forward",
+            "dense-forward",
+            "backward",
+            "optimizer",
+            "cpu-gpu-transfer",
+            "all-reduce",
+            "embed-sync",
+            "framework",
+        ];
+        assert_eq!(names, want);
+        for (i, p) in Phase::ALL.iter().enumerate() {
+            assert_eq!(p.index(), i, "{p}");
+        }
+    }
+
+    #[test]
     fn add_get_total() {
         let mut t = Timeline::new();
         t.add(Phase::Optimizer, 2.0);
