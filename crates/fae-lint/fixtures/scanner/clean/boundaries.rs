@@ -1,7 +1,7 @@
 //! Scanner boundaries, silent half. Every trigger below sits inside a
 //! literal, a comment or a test-gated item, or is a near-miss of a
 //! rule's shape; the tree must lint clean under every scope at once
-//! (`--det --lib --net`).
+//! (`--det --lib`).
 
 pub fn triggers_inside_literals(v: &[u32]) -> u32 {
     let _a = r#"x.unwrap() "quoted" panic!("no") m["k"]"#;

@@ -495,7 +495,7 @@ mod tests {
     use crate::FileClass;
 
     fn run(src: &str) -> Vec<Finding> {
-        let class = FileClass { deterministic: true, binary: false, net: false };
+        let class = FileClass { deterministic: true, binary: false };
         let mut out = Vec::new();
         let view = TreeView::new(src);
         det_taint(&Parsed::new(0, Path::new("x.rs"), &view, class), &mut out);

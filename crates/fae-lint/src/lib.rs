@@ -7,14 +7,13 @@
 //!
 //! * **determinism** (`wall-clock`, `ambient-rng`, `hash-container`,
 //!   `det-taint`) — a nondeterministic value flowing into
-//!   digest-affecting state — and **phase-balance** in the five
-//!   determinism-critical crates (`fae-core`, `fae-embed`, `fae-models`,
-//!   `fae-serve`, `fae-sysmodel`);
+//!   digest-affecting state — in the five determinism-critical crates
+//!   (`fae-core`, `fae-embed`, `fae-models`, `fae-serve`,
+//!   `fae-sysmodel`);
 //! * **lock-order**, **map-index** (`m["k"]`) and **float-fuse** (an
 //!   8-lane f32 unroll outside `fae-nn/src/lanes.rs`) in library code of
 //!   every first-party crate (binary targets are exempt from the last
-//!   two);
-//! * **wire-compat** on `fae-net`'s wire tags.
+//!   two).
 //!
 //! There is no waiver: a finding is fixed, not annotated.
 //! `#[cfg(test)]` items and `#[test]` functions are exempt from every
@@ -101,8 +100,6 @@ pub struct FileClass {
     /// The file belongs to a binary target (`src/bin/`, `src/main.rs`):
     /// `map-index` and `float-fuse` do not apply.
     pub binary: bool,
-    /// Apply the [`Scope::Net`] rules (the fae-net crate).
-    pub net: bool,
 }
 
 /// One rule hit before test exemption and dedupe — the only shape a
@@ -237,11 +234,7 @@ pub fn classify(rel: &Path) -> Option<FileClass> {
     }
     let binary = rel.components().any(|c| c.as_os_str() == "bin")
         || rel.file_name().is_some_and(|f| f == "main.rs");
-    Some(FileClass {
-        deterministic: DET_CRATES.contains(&crate_name.as_str()),
-        binary,
-        net: crate_name == "fae-net",
-    })
+    Some(FileClass { deterministic: DET_CRATES.contains(&crate_name.as_str()), binary })
 }
 
 fn read(path: &Path) -> Result<String, WalkError> {
@@ -271,10 +264,9 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), WalkError> {
 }
 
 /// Lints a set of already-read files: one parse per file, the per-file
-/// rules, then the cross-file passes (phase-balance, lock-order, and —
-/// when `design` text is supplied — wire-compat on the wire file), with
-/// every finding funneled through [`finalize`].
-fn lint_file_set(files: &[(PathBuf, String, FileClass)], design: Option<&str>) -> Vec<Diagnostic> {
+/// rules, then the cross-file lock-order pass, with every finding
+/// funneled through [`finalize`].
+fn lint_file_set(files: &[(PathBuf, String, FileClass)]) -> Vec<Diagnostic> {
     let views: Vec<TreeView<'_>> =
         files.iter().map(|(_, source, _)| TreeView::new(source)).collect();
     let parsed: Vec<Parsed<'_>> = files
@@ -288,15 +280,7 @@ fn lint_file_set(files: &[(PathBuf, String, FileClass)], design: Option<&str>) -
     for p in &parsed {
         per_file_findings(p, &mut findings);
     }
-    passes::phase_balance::run(&parsed, &mut findings);
     passes::lock_order::run(&parsed, &mut findings);
-    if let Some(design) = design {
-        let is_wire =
-            |p: &&Parsed<'_>| p.class.net && p.rel.file_name().is_some_and(|n| n == "wire.rs");
-        if let Some(wire) = parsed.iter().find(is_wire) {
-            passes::wire_compat::run(wire, design, &mut findings);
-        }
-    }
 
     let mut per_file: Vec<Vec<Finding>> = parsed.iter().map(|_| Vec::new()).collect();
     for f in findings {
@@ -310,8 +294,7 @@ fn lint_file_set(files: &[(PathBuf, String, FileClass)], design: Option<&str>) -
 
 /// Lints a whole workspace rooted at `root`: the root package's `src/`
 /// plus every `crates/*/src/`, per-file rules plus the cross-file
-/// passes (wire-compat checks the net scope's `wire.rs` against the tag
-/// ranges in `root/DESIGN.md`). Returns sorted diagnostics.
+/// pass. Returns sorted diagnostics.
 pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, WalkError> {
     let mut files = Vec::new();
     let root_src = root.join("src");
@@ -334,16 +317,13 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, WalkError> {
         let Some(class) = classify(&rel) else { continue };
         set.push((rel, read(&file)?, class));
     }
-    let design = fs::read_to_string(root.join("DESIGN.md")).ok();
-    Ok(lint_file_set(&set, design.as_deref()))
+    Ok(lint_file_set(&set))
 }
 
 /// Lints every `.rs` file under `dir` with a fixed [`FileClass`] —
 /// used for the seeded-violation fixture trees, where the files are not
-/// workspace members. The cross-file passes run over the tree too, so
-/// fixture trees can seed their violations; a tree holding a
-/// `design.md` gets wire-compat against it, as a workspace does with
-/// its `DESIGN.md`.
+/// workspace members. The cross-file pass runs over the tree too, so
+/// fixture trees can seed its violations.
 pub fn lint_tree(dir: &Path, class: FileClass) -> Result<Vec<Diagnostic>, WalkError> {
     let mut files = Vec::new();
     walk(dir, &mut files)?;
@@ -352,20 +332,7 @@ pub fn lint_tree(dir: &Path, class: FileClass) -> Result<Vec<Diagnostic>, WalkEr
         let source = read(&file)?;
         set.push((file, source, class));
     }
-    let design = fs::read_to_string(dir.join("design.md")).ok();
-    Ok(lint_file_set(&set, design.as_deref()))
-}
-
-/// The wire-compat pass's raw findings for `wire_source` against
-/// `design`, as `(line, message)` pairs before test exemption or
-/// per-line dedupe — what the fixture pins check one by one.
-pub fn wire_findings(wire_source: &str, design: &str) -> Vec<(usize, String)> {
-    let view = TreeView::new(wire_source);
-    let class = FileClass { deterministic: false, binary: false, net: true };
-    let wire = Parsed::new(0, Path::new("wire.rs"), &view, class);
-    let mut findings = Vec::new();
-    passes::wire_compat::run(&wire, design, &mut findings);
-    findings.into_iter().map(|f| (f.line, f.message)).collect()
+    Ok(lint_file_set(&set))
 }
 
 #[cfg(test)]
@@ -375,11 +342,11 @@ mod tests {
     #[test]
     fn classify_paths() {
         assert!(classify(Path::new("crates/fae-core/src/trainer.rs"))
-            .is_some_and(|c| c.deterministic && !c.binary && !c.net));
+            .is_some_and(|c| c.deterministic && !c.binary));
         assert!(classify(Path::new("crates/fae-telemetry/src/lib.rs"))
             .is_some_and(|c| !c.deterministic && !c.binary));
         assert!(classify(Path::new("crates/fae-net/src/deadline.rs"))
-            .is_some_and(|c| c.net && !c.deterministic && !c.binary));
+            .is_some_and(|c| !c.deterministic && !c.binary));
         assert!(classify(Path::new("src/bin/fae.rs")).is_some_and(|c| c.binary));
         assert!(classify(Path::new("src/main.rs")).is_some_and(|c| c.binary));
         assert!(classify(Path::new("crates/fae-core/tests/t.rs")).is_none());

@@ -3,11 +3,10 @@
 //! ```text
 //! fae-lint                      lint the workspace (root auto-detected)
 //! fae-lint --root DIR           lint the workspace rooted at DIR
-//! fae-lint --tree DIR [--det] [--lib] [--net]
+//! fae-lint --tree DIR [--det] [--lib]
 //!                               lint a bare directory of .rs files with a
 //!                               fixed classification (fixture testing);
-//!                               the cross-file passes run too, wire-compat
-//!                               against DIR/design.md when there is one
+//!                               the cross-file pass runs too
 //! fae-lint --format json        machine-readable diagnostics (an array
 //!                               of {file, line, rule, message} records)
 //! fae-lint --list-rules         print the rule table
@@ -26,7 +25,7 @@ use fae_lint::{lint_tree, lint_workspace, Diagnostic, FileClass, DET_CRATES, RUL
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: fae-lint [--root DIR] [--tree DIR [--det] [--lib] [--net]]\n\
+        "usage: fae-lint [--root DIR] [--tree DIR [--det] [--lib]]\n\
          \u{20}               [--format text|json] [--list-rules]\n\
          see DESIGN.md §11 for the rule table"
     );
@@ -109,7 +108,7 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut root: Option<PathBuf> = None;
     let mut tree: Option<PathBuf> = None;
-    let mut class = FileClass { deterministic: false, binary: true, net: false };
+    let mut class = FileClass { deterministic: false, binary: true };
     let mut json = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -125,7 +124,6 @@ fn main() -> ExitCode {
             }
             "--det" => class.deterministic = true,
             "--lib" => class.binary = false,
-            "--net" => class.net = true,
             "--list-rules" => {
                 println!("determinism-critical crates: {}", DET_CRATES.join(", "));
                 for r in RULES {

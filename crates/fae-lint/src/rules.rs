@@ -21,8 +21,6 @@ pub enum Scope {
     Deterministic,
     /// Library code of every first-party crate (binary targets exempt).
     AllLibs,
-    /// Only the networking crate (fae-net).
-    Net,
 }
 
 /// Static description of one rule.
@@ -59,22 +57,10 @@ pub const RULES: &[RuleInfo] = &[
                   digest-affecting state",
     },
     RuleInfo {
-        id: "phase-balance",
-        scope: Scope::Deterministic,
-        summary: "Phase enum / Phase::ALL / index() / phase arrays must agree, so the \
-                  journal's phase-sum invariant holds statically",
-    },
-    RuleInfo {
         id: "lock-order",
         scope: Scope::AllLibs,
         summary: "lock acquisitions must follow one global order; cycles and same-class \
                   re-acquisition are deadlocks-in-waiting",
-    },
-    RuleInfo {
-        id: "wire-compat",
-        scope: Scope::Net,
-        summary: "fae-net wire tags must be unique, encode/decode-consistent, and inside the \
-                  ranges DESIGN.md §12 declares",
     },
     RuleInfo {
         id: "map-index",
@@ -157,7 +143,7 @@ mod tests {
             ("let v = cfg[\"k\"][\"j\"];", "map-index", 2),
             ("let v = vec![\"k\"];", "map-index", 0),
         ];
-        let class = FileClass { deterministic: true, binary: false, net: true };
+        let class = FileClass { deterministic: true, binary: false };
         for &(src, rule, n) in cases {
             let view = TreeView::new(src);
             let mut out = Vec::new();
@@ -169,7 +155,7 @@ mod tests {
     #[test]
     fn float_fuse_fires_outside_lanes_rs_and_is_silent_in_it() {
         let src = "let mut d = dst.chunks_exact_mut(8);\n";
-        let class = FileClass { deterministic: false, binary: false, net: false };
+        let class = FileClass { deterministic: false, binary: false };
         let count = |path: &str| {
             let view = TreeView::new(src);
             let mut out = Vec::new();

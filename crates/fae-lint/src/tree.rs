@@ -3,17 +3,14 @@
 //! Sits between the flat token stream ([`crate::tokens`]) and every rule
 //! and pass: groups `()`/`[]`/`{}` into nested nodes, then walks the tree
 //! pulling out the items the passes reason about — functions (with
-//! their body groups), consts, enums (with variant names and lines),
-//! struct fields (with flattened type text) and `use` aliases — and the
-//! byte ranges of `#[cfg(test)]`/`#[test]` items. This is
-//! *use-resolution light*: `use std::collections::HashMap as FastMap`
-//! makes `FastMap` resolve to the full path, so renamed imports cannot
-//! dodge the determinism rules.
+//! their body groups), struct fields (with flattened type text) and
+//! `use` aliases — and the byte ranges of `#[cfg(test)]`/`#[test]`
+//! items. This is *use-resolution light*: `use
+//! std::collections::HashMap as FastMap` makes `FastMap` resolve to the
+//! full path, so renamed imports cannot dodge the determinism rules.
 //!
-//! Two readers serve every pass that looks inside a function: [`stmts`]
-//! splits a block into classified statements (taint flow, lock order),
-//! and [`variant_refs`] reads `Enum::Variant => N` / `N => Enum::Variant`
-//! match arms (phase balance, wire compat).
+//! One reader serves every pass that looks inside a function: [`stmts`]
+//! splits a block into classified statements (taint flow, lock order).
 //!
 //! Not a parser: generics are skipped by angle-depth counting, patterns
 //! are treated as token runs, and macro bodies are walked like ordinary
@@ -102,15 +99,6 @@ impl<'s> TreeView<'s> {
     /// separating siblings), not a group.
     pub fn is_leaf_punct(&self, n: &Node, b: u8) -> bool {
         matches!(n, Node::Leaf(k) if self.is_punct(*k, b))
-    }
-
-    /// The variant name when tokens `j..j + 4` spell `<enum_name>::Variant`.
-    pub fn variant_at(&self, j: usize, enum_name: &str) -> Option<&'s str> {
-        let is_path = j < self.toks.len()
-            && self.is_ident(j, enum_name)
-            && self.is_punct(j + 1, b':')
-            && self.is_punct(j + 2, b':');
-        (is_path && self.toks.get(j + 3)?.kind == TokKind::Ident).then(|| self.text(j + 3))
     }
 
     /// True when tokens `i` and `i + 1` touch (no whitespace or comment
@@ -385,68 +373,6 @@ fn control_binds(view: &TreeView<'_>, header: &[usize], head: &str) -> Vec<Strin
     out
 }
 
-/// Every `<enum_name>::Variant` path under `nodes`, in source order,
-/// each with the integer literal across its `=>` when it is one side of
-/// a match arm: `Variant => N`, or the first path in the body of an
-/// `N => ..` arm. The one reader of `tag`/`index`/`decode` tables.
-pub fn variant_refs<'s>(
-    view: &TreeView<'s>,
-    nodes: &[Node],
-    enum_name: &str,
-) -> Vec<(&'s str, Option<u64>)> {
-    let mut out = Vec::new();
-    read_arms(view, nodes, enum_name, &mut None, &mut out);
-    out
-}
-
-fn read_arms<'s>(
-    view: &TreeView<'s>,
-    nodes: &[Node],
-    enum_name: &str,
-    pending: &mut Option<u64>,
-    out: &mut Vec<(&'s str, Option<u64>)>,
-) {
-    let leaf = |i: usize| match nodes.get(i) {
-        Some(Node::Leaf(k)) => Some(*k),
-        _ => None,
-    };
-    let arrow_at = |i: usize| {
-        leaf(i).zip(leaf(i + 1)).is_some_and(|(a, b)| {
-            view.is_punct(a, b'=') && view.is_punct(b, b'>') && view.adjacent(a)
-        })
-    };
-    let num_at = |i: usize| {
-        leaf(i)
-            .filter(|&k| view.toks[k].kind == TokKind::Num)
-            .and_then(|k| view.text(k).parse::<u64>().ok())
-    };
-    let mut i = 0;
-    while i < nodes.len() {
-        match &nodes[i] {
-            Node::Group { children, .. } => read_arms(view, children, enum_name, pending, out),
-            Node::Leaf(k) => {
-                if let Some(n) = num_at(i).filter(|_| arrow_at(i + 1)) {
-                    *pending = Some(n);
-                    i += 3;
-                    continue;
-                }
-                if let Some(v) = view.variant_at(*k, enum_name) {
-                    // Past the path and an optional `{..}`/`(..)` subpattern.
-                    let mut j = i + 4;
-                    if matches!(nodes.get(j), Some(Node::Group { delim: b'{' | b'(', .. })) {
-                        j += 1;
-                    }
-                    let n = if arrow_at(j) { num_at(j + 2) } else { None };
-                    out.push((v, n.or_else(|| pending.take())));
-                    i = j;
-                    continue;
-                }
-            }
-        }
-        i += 1;
-    }
-}
-
 /// Half-open byte ranges of test-only items: an attribute whose
 /// predicate gates on `test` ([`gates_on_test`]), any further attributes,
 /// and the item up to its own `{…}` body or terminating `;`. Delimiters
@@ -521,31 +447,10 @@ pub struct FnItem<'a> {
     pub name: String,
     /// True when any ancestor item or the fn itself is `pub`.
     pub is_pub: bool,
-    /// 1-based line of the `fn` keyword.
-    pub line: usize,
     /// Parameter names (pattern identifiers, `self` included).
     pub params: Vec<String>,
     /// The body's nodes, between the braces; `None` for a signature.
     pub body: Option<&'a [Node]>,
-}
-
-/// A `const` item: its name and what follows the name up to the `;`
-/// (the type and the value).
-pub struct ConstItem<'a> {
-    /// Token index of the name.
-    pub name: usize,
-    /// The nodes after the name.
-    pub rest: &'a [Node],
-}
-
-/// An enum found in the tree.
-pub struct EnumItem {
-    /// Enum name.
-    pub name: String,
-    /// 1-based line of the `enum` keyword.
-    pub line: usize,
-    /// Variant names with their 1-based lines.
-    pub variants: Vec<(String, usize)>,
 }
 
 /// A struct field with a flattened type string (tokens joined by one
@@ -557,8 +462,6 @@ pub struct FieldItem {
     pub field: String,
     /// Flattened type text.
     pub ty: String,
-    /// 1-based line of the field name.
-    pub line: usize,
 }
 
 /// A `use` alias: local name → full path (`::`-joined).
@@ -573,10 +476,6 @@ pub struct UseItem {
 pub struct Items<'a> {
     /// Functions, including those nested in `impl`/`mod` blocks.
     pub fns: Vec<FnItem<'a>>,
-    /// Consts, including associated ones.
-    pub consts: Vec<ConstItem<'a>>,
-    /// Enums.
-    pub enums: Vec<EnumItem>,
     /// Struct fields.
     pub fields: Vec<FieldItem>,
     /// Use aliases.
@@ -585,13 +484,7 @@ pub struct Items<'a> {
 
 /// Extracts items from a [`TreeView`].
 pub fn items<'a>(view: &'a TreeView<'_>) -> Items<'a> {
-    let mut out = Items {
-        fns: Vec::new(),
-        consts: Vec::new(),
-        enums: Vec::new(),
-        fields: Vec::new(),
-        uses: Vec::new(),
-    };
+    let mut out = Items { fns: Vec::new(), fields: Vec::new(), uses: Vec::new() };
     scan_items(view, &view.nodes, false, &mut out);
     out
 }
@@ -608,24 +501,11 @@ fn scan_items<'a>(view: &TreeView<'_>, nodes: &'a [Node], outer_pub: bool, out: 
         let is_pub = outer_pub || last_pub;
         last_pub = view.is_ident(i, "pub");
         let word = if view.toks[i].kind == TokKind::Ident { view.text(i) } else { "" };
-        let const_name = match nodes.get(idx + 1..idx + 3) {
-            Some([Node::Leaf(name), Node::Leaf(colon)]) if view.is_punct(*colon, b':') => {
-                Some(*name)
-            }
-            _ => None,
-        };
-        match (word, const_name) {
-            ("use", _) => scan_use(view, nodes, &mut idx, out),
-            ("fn", _) => scan_fn(view, nodes, &mut idx, is_pub, out),
-            ("enum", _) => scan_enum(view, nodes, &mut idx, out),
-            ("struct", _) => scan_struct(view, nodes, &mut idx, out),
-            ("const", Some(name)) => {
-                let end = nodes[idx..].iter().position(|n| view.is_leaf_punct(n, b';'));
-                let rest = &nodes[idx + 2..end.map_or(nodes.len(), |e| idx + e)];
-                out.consts.push(ConstItem { name, rest });
-                idx += rest.len() + 3;
-            }
-            ("impl" | "mod" | "trait", _) => {
+        match word {
+            "use" => scan_use(view, nodes, &mut idx, out),
+            "fn" => scan_fn(view, nodes, &mut idx, is_pub, out),
+            "struct" => scan_struct(view, nodes, &mut idx, out),
+            "impl" | "mod" | "trait" => {
                 // Recurse into the block (or stop at `mod name;`).
                 let end = nodes[idx..].iter().position(|n| {
                     view.is_leaf_punct(n, b';') || matches!(n, Node::Group { delim: b'{', .. })
@@ -716,11 +596,7 @@ fn scan_fn<'a>(
     is_pub: bool,
     out: &mut Items<'a>,
 ) {
-    let line = match nodes[*idx] {
-        Node::Leaf(k) => view.line(k),
-        Node::Group { .. } => 0,
-    };
-    let (mut j, name, _) = item_name(view, nodes, *idx);
+    let (mut j, name) = item_name(view, nodes, *idx);
     // Params: first paren group at angle-depth 0 (skips generics, even
     // ones containing `Fn(..)` bounds).
     let mut angle = 0i32;
@@ -736,7 +612,7 @@ fn scan_fn<'a>(
                 } else if view.is_punct(*i, b';') {
                     // Trait method signature without a body.
                     *idx = j + 1;
-                    out.fns.push(FnItem { name, is_pub, line, params, body });
+                    out.fns.push(FnItem { name, is_pub, params, body });
                     return;
                 }
                 j += 1;
@@ -757,7 +633,7 @@ fn scan_fn<'a>(
             }
         }
     }
-    out.fns.push(FnItem { name, is_pub, line, params, body });
+    out.fns.push(FnItem { name, is_pub, params, body });
     *idx = j;
 }
 
@@ -792,44 +668,17 @@ fn param_names(view: &TreeView<'_>, children: &[Node]) -> Vec<String> {
 }
 
 /// The name of the item whose keyword is node `idx` — its first
-/// identifier after it: the node index past the name, its text and line.
-fn item_name(view: &TreeView<'_>, nodes: &[Node], idx: usize) -> (usize, String, usize) {
+/// identifier after it: the node index past the name and its text.
+fn item_name(view: &TreeView<'_>, nodes: &[Node], idx: usize) -> (usize, String) {
     let name = (idx + 1..nodes.len()).find_map(|j| match nodes[j] {
         Node::Leaf(k) if view.toks[k].kind == TokKind::Ident => Some((j, k)),
         _ => None,
     });
-    name.map_or((nodes.len(), String::new(), 0), |(j, k)| {
-        (j + 1, view.text(k).to_string(), view.line(k))
-    })
-}
-
-fn scan_enum(view: &TreeView<'_>, nodes: &[Node], idx: &mut usize, out: &mut Items<'_>) {
-    let (_, name, line) = item_name(view, nodes, *idx);
-    let end = nodes[*idx..]
-        .iter()
-        .position(|n| view.is_leaf_punct(n, b';') || matches!(n, Node::Group { delim: b'{', .. }));
-    let end = end.map_or(nodes.len(), |e| *idx + e);
-    if let Some(Node::Group { delim: b'{', children, .. }) = nodes.get(end) {
-        // A variant is the first identifier of each comma-separated
-        // entry; attributes and payloads are groups.
-        let variants = children
-            .split(|n| view.is_leaf_punct(n, b','))
-            .filter_map(|entry| {
-                entry.iter().find_map(|n| match *n {
-                    Node::Leaf(k) if view.toks[k].kind == TokKind::Ident => {
-                        Some((view.text(k).to_string(), view.line(k)))
-                    }
-                    _ => None,
-                })
-            })
-            .collect();
-        out.enums.push(EnumItem { name, line, variants });
-    }
-    *idx = end + 1;
+    name.map_or((nodes.len(), String::new()), |(j, k)| (j + 1, view.text(k).to_string()))
 }
 
 fn scan_struct(view: &TreeView<'_>, nodes: &[Node], idx: &mut usize, out: &mut Items<'_>) {
-    let (_, name, _) = item_name(view, nodes, *idx);
+    let (_, name) = item_name(view, nodes, *idx);
     let mut j = *idx + 1;
     while j < nodes.len() {
         match &nodes[j] {
@@ -866,7 +715,6 @@ fn scan_fields_braced(view: &TreeView<'_>, children: &[Node], strukt: &str, out:
                 strukt: strukt.to_string(),
                 field: view.text(name).to_string(),
                 ty: type_text(view, &flatten(&run[colon + 1..])),
-                line: view.line(name),
             });
         }
     }
@@ -882,7 +730,6 @@ fn scan_fields_tuple(view: &TreeView<'_>, children: &[Node], strukt: &str, out: 
             strukt: strukt.to_string(),
             field: nth.to_string(),
             ty: type_text(view, &toks),
-            line: view.line(toks[0]),
         });
     }
 }
@@ -941,16 +788,6 @@ mod tests {
         let find = |n: &str| it.uses.iter().find(|u| u.name == n).map(|u| u.path.clone());
         assert_eq!(find("Mutex").as_deref(), Some("std::sync::Mutex"));
         assert_eq!(find("RwL").as_deref(), Some("std::sync::RwLock"));
-    }
-
-    #[test]
-    fn enums_and_variants() {
-        let src = "pub enum Phase { A, B(u32), C { x: u8 } }";
-        let view = TreeView::new(src);
-        let it = items(&view);
-        assert_eq!(it.enums.len(), 1);
-        let names: Vec<_> = it.enums[0].variants.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["A", "B", "C"]);
     }
 
     #[test]

@@ -9,9 +9,7 @@ use std::path::{Path, PathBuf};
 
 use fae_lint::{lint_tree, Diagnostic, FileClass};
 
-const STRICT: FileClass = FileClass { deterministic: true, binary: false, net: false };
-const NET: FileClass = FileClass { deterministic: false, binary: false, net: true };
-const EVERY_SCOPE: FileClass = FileClass { deterministic: true, binary: false, net: true };
+const STRICT: FileClass = FileClass { deterministic: true, binary: false };
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures").join(name)
@@ -67,7 +65,7 @@ fn every_diagnostic_renders_file_line_rule() {
 
 #[test]
 fn binary_classification_exempts_map_index_and_float_fuse_only() {
-    let bin = FileClass { deterministic: true, binary: true, net: false };
+    let bin = FileClass { deterministic: true, binary: true };
     let want = [("determinism.rs", 10, "wall-clock"), ("determinism.rs", 15, "ambient-rng")];
     assert_pins("violations", bin, &want);
 }
@@ -89,18 +87,6 @@ fn taint_fixture_pins() {
 }
 
 #[test]
-fn phase_fixture_pins() {
-    let want = [
-        ("phases.rs", 8, "phase-balance"), // Drain missing from ALL (at the variant declaration)
-        ("phases.rs", 13, "phase-balance"), // ALL declares length 2, enum has 3
-        ("phases.rs", 16, "phase-balance"), // index maps Work outside 0..3
-        ("phases.rs", 35, "phase-balance"), // Timeline.seconds is [f64; 2]
-    ];
-    assert_pins("phases/bad", STRICT, &want);
-    assert_pins("phases/clean", STRICT, &[]);
-}
-
-#[test]
 fn lock_fixture_pins() {
     let want = [
         ("locks.rs", 13, "lock-order"), // right acquired while holding left (cycle edge)
@@ -109,38 +95,6 @@ fn lock_fixture_pins() {
     ];
     assert_pins("locks/bad", STRICT, &want);
     assert_pins("locks/clean", STRICT, &[]);
-}
-
-#[test]
-fn wire_fixture_pins() {
-    // Raw pass output, before per-line dedupe, so findings sharing a
-    // line stay visible individually.
-    let dir = fixture("wire/bad");
-    let source = std::fs::read_to_string(dir.join("wire.rs")).expect("wire fixture readable");
-    let design = std::fs::read_to_string(dir.join("design.md")).expect("design fixture readable");
-    let mut got = fae_lint::wire_findings(&source, &design);
-    got.sort();
-    let want: &[(usize, &str)] = &[
-        (6, "ranges `core` (0-4) and `aux` (4-6) overlap"),
-        (6, "decode accepts undeclared tag 3"),
-        (6, "tag 1 is shared by variants Data, Poll"),
-        (8, "tag 1 encodes `Data` but decodes to `Poll`"),
-        (10, "tag 7 (`Stats`) falls outside every declared wire-tags range"),
-        (10, "never decoded"),
-    ];
-    assert_eq!(got.len(), want.len(), "wire fixture count drifted: {got:#?}");
-    for ((gl, gm), (wl, wm)) in got.iter().zip(want) {
-        assert_eq!(gl, wl, "wire finding moved: {gm}");
-        assert!(gm.contains(wm), "wire finding drifted: got `{gm}`, want `{wm}`");
-    }
-
-    // The deduped entry point used by the CLI must fail on the bad pair
-    // and accept the clean pair.
-    let bad = lint_tree(&dir, NET).expect("bad wire fixture readable");
-    assert!(!bad.is_empty());
-    assert!(bad.iter().all(|d| d.rule == "wire-compat"));
-    let clean = lint_tree(&fixture("wire/clean"), NET).expect("clean wire fixture readable");
-    assert!(clean.is_empty(), "clean wire fixture reported: {clean:?}");
 }
 
 #[test]
@@ -177,8 +131,8 @@ fn scanner_fixture_pins() {
         ("gates_and_wraps.rs", 16, "float-fuse"), // width wrapped onto the next line
         ("gates_and_wraps.rs", 23, "float-fuse"), // `x.chunks_exact (8)`
     ];
-    assert_pins("scanner/bad", EVERY_SCOPE, &want);
-    assert_pins("scanner/clean", EVERY_SCOPE, &[]);
+    assert_pins("scanner/bad", STRICT, &want);
+    assert_pins("scanner/clean", STRICT, &[]);
 }
 
 /// Runs one `scripts/lint.sh` self-test invocation through the library:
@@ -186,12 +140,11 @@ fn scanner_fixture_pins() {
 fn invoke(args: &str) -> Vec<Diagnostic> {
     let mut words = args.split_whitespace();
     let (flag, dir) = (words.next(), fixture(words.next().expect("a fixture tree")));
-    let mut class = FileClass { deterministic: false, binary: true, net: false };
+    let mut class = FileClass { deterministic: false, binary: true };
     for w in words {
         match w {
             "--det" => class.deterministic = true,
             "--lib" => class.binary = false,
-            "--net" => class.net = true,
             _ => panic!("unknown flag {w}"),
         }
     }
@@ -200,20 +153,16 @@ fn invoke(args: &str) -> Vec<Diagnostic> {
 }
 
 /// Every self-test invocation of `scripts/lint.sh`, in script order
-/// (six must-fail trees, then five clean twins): the diagnostic count
+/// (four must-fail trees, then three clean twins): the diagnostic count
 /// and an FNV-1a of the sorted `(file name, line, rule, message)` rows.
 const LINT_SH: &[(&str, usize, u64)] = &[
     ("--tree violations --det --lib", 5, 0x76e940d525647e42),
-    ("--tree phases/bad --lib", 4, 0xddf6e7a93085efeb),
     ("--tree locks/bad --lib", 3, 0x2bc93fcbe9fbcbc3),
     ("--tree taint --det --lib", 7, 0xecd8d11264385e30),
-    ("--tree wire/bad --lib --net", 3, 0x5945c3e21c0ad0cf),
-    ("--tree scanner/bad --det --lib --net", 23, 0x287b64a9f4ef368d),
+    ("--tree scanner/bad --det --lib", 23, 0x287b64a9f4ef368d),
     ("--tree clean --det --lib", 0, 0xcbf29ce484222325),
-    ("--tree phases/clean --lib", 0, 0xcbf29ce484222325),
     ("--tree locks/clean --lib", 0, 0xcbf29ce484222325),
-    ("--tree wire/clean --lib --net", 0, 0xcbf29ce484222325),
-    ("--tree scanner/clean --det --lib --net", 0, 0xcbf29ce484222325),
+    ("--tree scanner/clean --det --lib", 0, 0xcbf29ce484222325),
 ];
 
 #[test]

@@ -229,19 +229,19 @@ impl Message {
     /// Stable wire tag.
     pub fn tag(&self) -> u8 {
         match self {
-            Message::Hello => 0,
-            Message::Welcome { .. } => 1,
-            Message::Task { .. } => 2,
-            Message::Grads { .. } => 3,
-            Message::Apply { .. } => 4,
-            Message::Ack => 5,
-            Message::HotBagSync { .. } => 6,
-            Message::Heartbeat => 7,
-            Message::HeartbeatAck => 8,
-            Message::Shutdown => 9,
-            Message::TelemetryPoll { .. } => 10,
-            Message::Telemetry { .. } => 11,
-            Message::ApplyOwn { .. } => 12,
+            Message::Hello => Message::HELLO,
+            Message::Welcome { .. } => Message::WELCOME,
+            Message::Task { .. } => Message::TASK,
+            Message::Grads { .. } => Message::GRADS,
+            Message::Apply { .. } => Message::APPLY,
+            Message::Ack => Message::ACK,
+            Message::HotBagSync { .. } => Message::HOT_BAG_SYNC,
+            Message::Heartbeat => Message::HEARTBEAT,
+            Message::HeartbeatAck => Message::HEARTBEAT_ACK,
+            Message::Shutdown => Message::SHUTDOWN,
+            Message::TelemetryPoll { .. } => Message::TELEMETRY_POLL,
+            Message::Telemetry { .. } => Message::TELEMETRY,
+            Message::ApplyOwn { .. } => Message::APPLY_OWN,
         }
     }
 
@@ -273,10 +273,60 @@ impl Message {
         )
     }
 
+    // Each kind's tag, declared once through its family; `tag` and
+    // `decode_payload` both read these, so two kinds given one tag make
+    // the decoder's second arm unreachable (an error under `-D warnings`).
+    const HELLO: u8 = CORE_TAGS.tag(0);
+    const WELCOME: u8 = CORE_TAGS.tag(1);
     /// [`Message::Task`]'s tag, for a `Task` written by [`put_task`] from
     /// a shard the caller keeps.
-    pub(crate) const TASK: u8 = 2;
+    pub(crate) const TASK: u8 = CORE_TAGS.tag(2);
+    const GRADS: u8 = CORE_TAGS.tag(3);
+    const APPLY: u8 = CORE_TAGS.tag(4);
+    const ACK: u8 = CORE_TAGS.tag(5);
+    const HOT_BAG_SYNC: u8 = CORE_TAGS.tag(6);
+    const HEARTBEAT: u8 = CORE_TAGS.tag(7);
+    const HEARTBEAT_ACK: u8 = CORE_TAGS.tag(8);
+    const SHUTDOWN: u8 = CORE_TAGS.tag(9);
+    const TELEMETRY_POLL: u8 = TELEMETRY_TAGS.tag(10);
+    const TELEMETRY: u8 = TELEMETRY_TAGS.tag(11);
+    const APPLY_OWN: u8 = STEP_TAGS.tag(12);
 }
+
+/// A family of wire tags: the inclusive range `lo..=hi` its kinds take
+/// their tags from.
+#[derive(Clone, Copy)]
+struct Family {
+    lo: u8,
+    hi: u8,
+}
+
+impl Family {
+    /// `tag`, which must lie in this family: evaluated in a `const`, a tag
+    /// outside the range fails the build.
+    const fn tag(self, tag: u8) -> u8 {
+        assert!(self.lo <= tag && tag <= self.hi, "wire tag outside its family's range");
+        tag
+    }
+}
+
+/// Admission, the step RPCs, liveness and shutdown.
+const CORE_TAGS: Family = Family { lo: 0, hi: 9 };
+/// Journal shipping.
+const TELEMETRY_TAGS: Family = Family { lo: 10, hi: 11 };
+/// Step-protocol kinds added after the core set.
+const STEP_TAGS: Family = Family { lo: 12, hi: 12 };
+/// Every family, in tag order.
+const FAMILIES: [Family; 3] = [CORE_TAGS, TELEMETRY_TAGS, STEP_TAGS];
+
+// Each family starts above the one before it ends, so no tag is in two.
+const _: () = {
+    let mut i = 1;
+    while i < FAMILIES.len() {
+        assert!(FAMILIES[i - 1].hi < FAMILIES[i].lo, "wire tag families overlap");
+        i += 1;
+    }
+};
 
 /// One addressed, sequenced protocol message.
 #[derive(Clone, Debug)]
@@ -462,8 +512,8 @@ pub(crate) fn put_task(out: &mut Vec<u8>, total: u32, mode: StepMode, shard: &Mi
 
 fn decode_payload(kind: u8, r: &mut Reader<'_>) -> Result<Message, NetError> {
     Ok(match kind {
-        0 => Message::Hello,
-        1 => Message::Welcome {
+        Message::HELLO => Message::Hello,
+        Message::WELCOME => Message::Welcome {
             workers: r.u32()?,
             seed: r.u64()?,
             spec_json: r.str()?.to_owned(),
@@ -471,27 +521,33 @@ fn decode_payload(kind: u8, r: &mut Reader<'_>) -> Result<Message, NetError> {
             dense: r.counted(f32::from_le_bytes)?,
             hot: entries(r)?,
         },
-        2 => Message::Task { total: r.u32()?, mode: step_mode_from(r.u8()?)?, shard: batch(r)? },
-        3 => Message::Grads {
+        Message::TASK => {
+            Message::Task { total: r.u32()?, mode: step_mode_from(r.u8()?)?, shard: batch(r)? }
+        }
+        Message::GRADS => Message::Grads {
             loss: r.f32()?,
             samples: r.u32()?,
             dense: r.counted(f32::from_le_bytes)?,
             sparse: sparse(r)?,
         },
-        4 => Message::Apply {
+        Message::APPLY => Message::Apply {
             mode: step_mode_from(r.u8()?)?,
             lr: r.f32()?,
             dense: r.counted(f32::from_le_bytes)?,
             sparse: sparse(r)?,
         },
-        5 => Message::Ack,
-        6 => Message::HotBagSync { partitions_json: r.str()?.to_owned(), hot: entries(r)? },
-        7 => Message::Heartbeat,
-        8 => Message::HeartbeatAck,
-        9 => Message::Shutdown,
-        10 => Message::TelemetryPoll { ack: r.u64()? },
-        11 => Message::Telemetry { from: r.u64()?, events_jsonl: r.str()?.to_owned() },
-        12 => Message::ApplyOwn { mode: step_mode_from(r.u8()?)?, lr: r.f32()? },
+        Message::ACK => Message::Ack,
+        Message::HOT_BAG_SYNC => {
+            Message::HotBagSync { partitions_json: r.str()?.to_owned(), hot: entries(r)? }
+        }
+        Message::HEARTBEAT => Message::Heartbeat,
+        Message::HEARTBEAT_ACK => Message::HeartbeatAck,
+        Message::SHUTDOWN => Message::Shutdown,
+        Message::TELEMETRY_POLL => Message::TelemetryPoll { ack: r.u64()? },
+        Message::TELEMETRY => {
+            Message::Telemetry { from: r.u64()?, events_jsonl: r.str()?.to_owned() }
+        }
+        Message::APPLY_OWN => Message::ApplyOwn { mode: step_mode_from(r.u8()?)?, lr: r.f32()? },
         other => return Err(NetError::Corrupt(format!("unknown message kind {other}"))),
     })
 }
@@ -646,6 +702,7 @@ mod tests {
         assert_eq!((tags.len(), names.len()), (13, 13), "one tag and one name per kind");
         for msg in kinds {
             let (tag, name) = (msg.tag(), msg.kind_name());
+            assert!(FAMILIES.iter().any(|f| (f.lo..=f.hi).contains(&tag)), "{name}: tag {tag}");
             let back = roundtrip(&Frame { node: 3, epoch: 7, seq: 99, step: 12, msg });
             assert_eq!((back.msg.tag(), back.msg.kind_name()), (tag, name));
             assert_eq!((back.node, back.epoch, back.seq, back.step), (3, 7, 99, 12));

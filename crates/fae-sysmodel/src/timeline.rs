@@ -4,78 +4,74 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Execution phases of one training step, following Fig 14's legend.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Phase {
+/// Declares [`Phase`] from one list, in display order: the enum, `ALL`,
+/// `COUNT` and `name()` all come from it, so a phase cannot be missing
+/// from `ALL`, listed twice or sit at another slot than its
+/// discriminant.
+macro_rules! phases {
+    ($($(#[doc = $doc:literal])+ $variant:ident => $name:literal,)+) => {
+        /// Execution phases of one training step, following Fig 14's legend.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+        pub enum Phase {
+            $($(#[doc = $doc])+ $variant,)+
+        }
+
+        impl Phase {
+            /// All phases, in display order.
+            pub const ALL: [Phase; [$(Phase::$variant),+].len()] = [$(Phase::$variant),+];
+
+            /// The journal and display name.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $(Phase::$variant => $name,)+
+                }
+            }
+        }
+    };
+}
+
+phases! {
     /// Embedding-table lookups (CPU in baseline/cold, GPU in FAE-hot).
-    EmbedForward,
+    EmbedForward => "embed-forward",
     /// Dense forward: bottom MLP, interaction, top MLP (+ attention).
-    DenseForward,
+    DenseForward => "dense-forward",
     /// Backward pass through the dense layers and embedding scatter.
-    Backward,
+    Backward => "backward",
     /// Optimizer: sparse embedding SGD + dense SGD.
-    Optimizer,
+    Optimizer => "optimizer",
     /// CPU↔GPU activation/gradient transfers over PCIe.
-    Transfer,
+    Transfer => "cpu-gpu-transfer",
     /// Gradient all-reduce across GPUs over NVLink.
-    AllReduce,
+    AllReduce => "all-reduce",
     /// Hot-embedding CPU↔GPU synchronisation at schedule transitions
     /// (FAE-only overhead).
-    EmbedSync,
+    EmbedSync => "embed-sync",
     /// Fixed per-step framework overhead.
-    Framework,
+    Framework => "framework",
 }
 
 impl Phase {
-    /// All phases, in display order.
-    pub const ALL: [Phase; 8] = [
-        Phase::EmbedForward,
-        Phase::DenseForward,
-        Phase::Backward,
-        Phase::Optimizer,
-        Phase::Transfer,
-        Phase::AllReduce,
-        Phase::EmbedSync,
-        Phase::Framework,
-    ];
+    /// The number of phases: the length of every phase-indexed array.
+    pub const COUNT: usize = Phase::ALL.len();
 
     /// Position of this phase in [`Phase::ALL`] (display order) — the
     /// array slot it occupies in a [`Timeline`] and in journal
     /// `PhaseSeconds` records.
     pub const fn index(self) -> usize {
-        match self {
-            Phase::EmbedForward => 0,
-            Phase::DenseForward => 1,
-            Phase::Backward => 2,
-            Phase::Optimizer => 3,
-            Phase::Transfer => 4,
-            Phase::AllReduce => 5,
-            Phase::EmbedSync => 6,
-            Phase::Framework => 7,
-        }
+        self as usize
     }
 }
 
 impl fmt::Display for Phase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Phase::EmbedForward => "embed-forward",
-            Phase::DenseForward => "dense-forward",
-            Phase::Backward => "backward",
-            Phase::Optimizer => "optimizer",
-            Phase::Transfer => "cpu-gpu-transfer",
-            Phase::AllReduce => "all-reduce",
-            Phase::EmbedSync => "embed-sync",
-            Phase::Framework => "framework",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
     }
 }
 
 /// Accumulated seconds per phase.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Timeline {
-    seconds: [f64; 8],
+    seconds: [f64; Phase::COUNT],
     /// Seconds during which the GPUs sit idle (or spin-wait) because the
     /// work is CPU-resident — baseline embedding phases. A subset of the
     /// phase totals, tracked separately for the power model.

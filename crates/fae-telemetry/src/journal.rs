@@ -19,12 +19,12 @@ use serde_json::{Error, Map, Value};
 
 /// Per-phase simulated seconds of one charge, in `Phase::ALL` order.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
-pub struct PhaseSeconds(pub [f64; 8]);
+pub struct PhaseSeconds(pub [f64; Phase::COUNT]);
 
 impl PhaseSeconds {
     /// The difference `after − before`, phase by phase.
     pub fn delta(before: &Timeline, after: &Timeline) -> Self {
-        let mut out = [0.0; 8];
+        let mut out = [0.0; Phase::COUNT];
         for (slot, phase) in out.iter_mut().zip(Phase::ALL) {
             *slot = after.get(phase) - before.get(phase);
         }
@@ -42,7 +42,7 @@ impl PhaseSeconds {
     }
 
     /// Adds this charge onto running per-phase `totals`.
-    pub fn add_to(&self, totals: &mut [f64; 8]) {
+    pub fn add_to(&self, totals: &mut [f64; Phase::COUNT]) {
         for (slot, secs) in totals.iter_mut().zip(self.0) {
             *slot += secs;
         }
@@ -55,7 +55,7 @@ impl Serialize for PhaseSeconds {
         let mut m = Map::new();
         for (phase, secs) in Phase::ALL.iter().zip(self.0) {
             if secs != 0.0 {
-                m.insert(phase.to_string(), secs.to_value());
+                m.insert(phase.name().to_string(), secs.to_value());
             }
         }
         Value::Object(m)
@@ -64,11 +64,11 @@ impl Serialize for PhaseSeconds {
 
 impl Deserialize for PhaseSeconds {
     fn from_value(v: &Value) -> Result<Self, Error> {
-        let mut out = [0.0; 8];
+        let mut out = [0.0; Phase::COUNT];
         for (k, secs) in v.as_object_for("PhaseSeconds")?.iter() {
             let phase = Phase::ALL
                 .iter()
-                .find(|p| p.to_string() == *k)
+                .find(|p| p.name() == k)
                 .ok_or_else(|| Error::msg(format!("unknown phase '{k}'")))?;
             out[phase.index()] = f64::from_value(secs)?;
         }

@@ -19,13 +19,13 @@ use crate::journal::{JournalEvent, PhaseSeconds, StepMode, TaggedEvent};
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PhaseBreakdown {
     /// Seconds charged by hot (pure-GPU) steps.
-    pub hot: [f64; 8],
+    pub hot: [f64; Phase::COUNT],
     /// Seconds charged by cold (hybrid) steps.
-    pub cold: [f64; 8],
+    pub cold: [f64; Phase::COUNT],
     /// Seconds charged by embedding synchronisation events.
-    pub sync: [f64; 8],
+    pub sync: [f64; Phase::COUNT],
     /// Seconds charged by everything else (reshard, backoff, I/O stalls).
-    pub other: [f64; 8],
+    pub other: [f64; Phase::COUNT],
 }
 
 impl PhaseBreakdown {
@@ -84,7 +84,7 @@ pub struct ServeSummary {
     /// Per-phase busy seconds summed across workers (`Phase::ALL` order).
     /// Exceeding `simulated_seconds` just means more than one worker was
     /// busy at once — this is busy time, not makespan.
-    pub phase_seconds: [f64; 8],
+    pub phase_seconds: [f64; Phase::COUNT],
 }
 
 /// One alert firing extracted from the journal.

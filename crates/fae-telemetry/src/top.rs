@@ -109,7 +109,7 @@ pub fn render_top(tagged: &[TaggedEvent]) -> String {
 /// The phase a node charged the most seconds to (`-` when it charged
 /// nothing).
 fn dominant_phase(tagged: &[TaggedEvent], node_id: u64) -> String {
-    let mut totals = [0.0f64; 8];
+    let mut totals = [0.0f64; Phase::COUNT];
     for t in tagged.iter().filter(|t| t.node_id == node_id) {
         if let Some(p) = t.event.phases() {
             p.add_to(&mut totals);

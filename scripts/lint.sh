@@ -40,16 +40,12 @@ must_pass() {
 }
 
 must_fail "determinism fixtures" --tree "$FIX/violations" --det --lib
-must_fail "phase-balance fixtures" --tree "$FIX/phases/bad" --lib
 must_fail "lock-order fixtures" --tree "$FIX/locks/bad" --lib
 must_fail "taint fixtures" --tree "$FIX/taint" --det --lib
-must_fail "wire-compat fixtures" --tree "$FIX/wire/bad" --lib --net
-must_fail "scanner fixtures" --tree "$FIX/scanner/bad" --det --lib --net
+must_fail "scanner fixtures" --tree "$FIX/scanner/bad" --det --lib
 must_pass "clean det fixtures" --tree "$FIX/clean" --det --lib
-must_pass "clean phase fixtures" --tree "$FIX/phases/clean" --lib
 must_pass "clean lock fixtures" --tree "$FIX/locks/clean" --lib
-must_pass "clean wire fixtures" --tree "$FIX/wire/clean" --lib --net
-must_pass "clean scanner fixtures" --tree "$FIX/scanner/clean" --det --lib --net
+must_pass "clean scanner fixtures" --tree "$FIX/scanner/clean" --det --lib
 
 if [ "$fail" -ne 0 ]; then
   echo "lint.sh: the linter itself is broken; not linting the workspace" >&2
