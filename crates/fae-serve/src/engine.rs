@@ -22,6 +22,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt;
 
 use fae_core::{AnyModel, TrainCheckpoint};
 use fae_data::{BatchKind, Dataset, MiniBatch, WorkloadSpec};
@@ -199,6 +200,35 @@ impl ServeReport {
     }
 }
 
+/// How a checkpoint does not fit the workload it is served for: the
+/// checkpoint's count, then the workload's.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CheckpointMismatch {
+    /// Embedding tables.
+    Tables(usize, usize),
+    /// Rows of the table numbered first.
+    Rows(usize, usize, usize),
+    /// Embedding dimension of the table numbered first.
+    Dim(usize, usize, usize),
+    /// Dense model parameters.
+    DenseParams(usize, usize),
+}
+
+impl fmt::Display for CheckpointMismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Self::Tables(c, w) => write!(f, "checkpoint has {c} embedding tables, workload {w}"),
+            Self::Rows(t, c, w) => write!(f, "checkpoint table {t} has {c} rows, workload {w}"),
+            Self::Dim(t, c, w) => write!(f, "checkpoint table {t} has dim {c}, workload {w}"),
+            Self::DenseParams(c, w) => {
+                write!(f, "checkpoint has {c} dense parameters, workload's model {w}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CheckpointMismatch {}
+
 /// The serving engine: frozen model + embeddings + partitions + knobs.
 pub struct ServeEngine {
     spec: WorkloadSpec,
@@ -214,20 +244,38 @@ impl ServeEngine {
     /// The partitions must be the ones the checkpointed run was
     /// calibrated with (the preprocessed sidecar's, or a re-run of the
     /// calibrator on the same dataset) for the pinned tier to line up.
+    /// A checkpoint whose tables or dense parameters are not the
+    /// workload's shape is refused.
     pub fn from_checkpoint(
         spec: WorkloadSpec,
         ck: &TrainCheckpoint,
         partitions: Vec<HotColdPartition>,
         cfg: ServeConfig,
-    ) -> Self {
-        Self {
+    ) -> Result<Self, CheckpointMismatch> {
+        if ck.tables.len() != spec.tables.len() {
+            return Err(CheckpointMismatch::Tables(ck.tables.len(), spec.tables.len()));
+        }
+        for (t, (snap, table)) in ck.tables.iter().zip(&spec.tables).enumerate() {
+            if snap.rows as usize != table.rows {
+                return Err(CheckpointMismatch::Rows(t, snap.rows as usize, table.rows));
+            }
+            if snap.dim as usize != spec.embedding_dim {
+                return Err(CheckpointMismatch::Dim(t, snap.dim as usize, spec.embedding_dim));
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let params = AnyModel::from_spec(&spec, &mut rng).dense_param_count();
+        if ck.dense_params.len() != params {
+            return Err(CheckpointMismatch::DenseParams(ck.dense_params.len(), params));
+        }
+        Ok(Self {
             spec,
             partitions,
             master: ck.restore_master(),
             dense_params: ck.dense_params.clone(),
             cfg,
             telemetry: Telemetry::disabled(),
-        }
+        })
     }
 
     /// A freshly initialised (untrained) engine — latency and cache

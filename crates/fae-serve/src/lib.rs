@@ -34,7 +34,7 @@ pub mod request;
 
 pub use batcher::{BatcherConfig, CloseReason, ClosedBatch, MicroBatcher};
 pub use cache::{CacheAccess, CacheStats, FreqCache, LruCache, ServeCache};
-pub use engine::{ServeConfig, ServeEngine, ServeReport};
+pub use engine::{CheckpointMismatch, ServeConfig, ServeEngine, ServeReport};
 pub use loadgen::{open_loop_requests, saturation_sweep, sweep_json, SweepPoint, SweepReport};
 pub use request::{InferRequest, RequestTrace, ServeLoad};
 

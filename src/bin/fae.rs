@@ -142,6 +142,19 @@ impl Args {
             Some(v) => v.parse().map_err(|_| format!("--{key}: cannot parse '{v}'")),
         }
     }
+
+    /// [`Args::num`] for a value that must be above zero (`nan` is not).
+    fn positive<T>(&self, key: &str, default: T) -> Result<T, String>
+    where
+        T: std::str::FromStr + PartialOrd + Default,
+    {
+        let v = self.num(key, default)?;
+        if v > T::default() {
+            Ok(v)
+        } else {
+            Err(format!("--{key}: must be above 0"))
+        }
+    }
 }
 
 fn workload_from(args: &Args) -> Result<WorkloadSpec, String> {
@@ -600,10 +613,10 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
 
 fn serve_config(args: &Args) -> Result<ServeConfig, String> {
     Ok(ServeConfig {
-        max_batch: args.num("max-batch", 32usize)?,
+        max_batch: args.positive("max-batch", 32usize)?,
         max_delay_s: args.num("max-delay-us", 2000u64)? as f64 * 1e-6,
         queue_cap: args.num("queue-cap", 1024usize)?,
-        workers: args.num("serve-workers", 2usize)?,
+        workers: args.positive("serve-workers", 2usize)?,
         cold_cache_rows: args.num("cache-rows", 4096usize)?,
         freq_window: args.num("cache-window", 4096usize)?,
         seed: args.num("seed", 1u64)?,
@@ -642,16 +655,10 @@ fn serve_engine(args: &Args, spec: &WorkloadSpec, ds: &Dataset) -> Result<ServeE
     match ck_path {
         Some(p) => {
             let ck = TrainCheckpoint::load(&p).map_err(|e| format!("{}: {e}", p.display()))?;
-            if ck.tables.len() != spec.tables.len() {
-                return Err(format!(
-                    "checkpoint has {} embedding tables, workload '{}' has {}",
-                    ck.tables.len(),
-                    spec.name,
-                    spec.tables.len()
-                ));
-            }
+            let engine = ServeEngine::from_checkpoint(spec.clone(), &ck, partitions, cfg)
+                .map_err(|e| format!("{}: {e} (serving '{}')", p.display(), spec.name))?;
             println!("serving checkpoint {} (step {})", p.display(), ck.steps);
-            Ok(ServeEngine::from_checkpoint(spec.clone(), &ck, partitions, cfg))
+            Ok(engine)
         }
         None => {
             println!(
@@ -682,7 +689,7 @@ fn serve_load(
         return Ok(ServeLoad::Closed { clients, per_client: (total / clients).max(1) });
     }
     let rate: f64 = match args.get("arrival-rate") {
-        Some(v) => v.parse().map_err(|_| format!("--arrival-rate: cannot parse '{v}'"))?,
+        Some(_) => args.positive("arrival-rate", 0.0)?,
         None => {
             // Default to 70% of nominal capacity: loaded but unsaturated.
             let cfg = engine.config();
@@ -961,6 +968,27 @@ mod tests {
                 assert_accepts(name, &common);
             }
         }
+    }
+
+    #[test]
+    fn serve_counts_and_rates_below_one_are_usage_errors() {
+        let serve = |flag: &str, v: &str| {
+            let (_, known) = subcommand("serve").expect("serve takes flag pairs");
+            Args::parse("serve", &known, &[format!("--{flag}"), v.into()]).expect("a serve flag")
+        };
+        for flag in ["serve-workers", "max-batch"] {
+            let err = serve_config(&serve(flag, "0")).err();
+            assert_eq!(err, Some(format!("--{flag}: must be above 0")));
+            assert!(serve_config(&serve(flag, "1")).is_ok());
+        }
+        let spec = WorkloadSpec::tiny_test();
+        let ds = generate(&spec, &GenOptions::sized(1, 100));
+        let engine = ServeEngine::untrained(spec.clone(), Vec::new(), ServeConfig::default());
+        for v in ["0", "-2", "nan"] {
+            let err = serve_load(&serve("arrival-rate", v), &engine, &spec, &ds, 1).err();
+            assert_eq!(err.as_deref(), Some("--arrival-rate: must be above 0"), "{v}");
+        }
+        assert!(serve_load(&serve("arrival-rate", "2.5"), &engine, &spec, &ds, 1).is_ok());
     }
 
     #[test]

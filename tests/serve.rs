@@ -12,7 +12,8 @@ use fae::core::{
 };
 use fae::data::{generate, Dataset, GenOptions, WorkloadSpec};
 use fae::serve::{
-    calibrate_partitions, open_loop_requests, RequestTrace, ServeConfig, ServeEngine, ServeLoad,
+    calibrate_partitions, open_loop_requests, CheckpointMismatch, RequestTrace, ServeConfig,
+    ServeEngine, ServeLoad,
 };
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -61,7 +62,8 @@ fn trained_checkpoint_serves_with_hot_cache_hit_rate() {
         &ck,
         art.preprocessed.partitions.clone(),
         ServeConfig::default(),
-    );
+    )
+    .expect("the checkpoint fits its own workload");
     let reqs = open_loop_requests(600, 2_000.0, ds.len(), 11);
     let report = engine.serve(&ds, &ServeLoad::Open(reqs));
 
@@ -81,6 +83,56 @@ fn trained_checkpoint_serves_with_hot_cache_hit_rate() {
     // Trained model scores are probabilities from a sigmoid head.
     assert!(report.mean_score.is_finite());
     assert!(report.mean_score > 0.0 && report.mean_score < 1.0);
+}
+
+#[test]
+fn a_checkpoint_that_does_not_fit_the_workload_is_refused() {
+    let spec = WorkloadSpec::tiny_test();
+    let ds = generate(&spec, &GenOptions::sized(1, 2_000));
+    let pre = PreprocessConfig { minibatch_size: 64, seed: 1 };
+    let art = pipeline::prepare(&ds, paper_calibrator(&spec), &pre);
+    let dir = tmpdir("mismatch");
+    train_fae_resilient(
+        &spec,
+        &art.preprocessed,
+        &ds,
+        &TrainConfig { epochs: 1, minibatch_size: 64, ..Default::default() },
+        &ResilienceOptions {
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every_rounds: 1,
+            ..Default::default()
+        },
+    );
+    let ck_path = latest_in(&dir).unwrap().expect("training must leave a checkpoint");
+    let ck = TrainCheckpoint::load(&ck_path).unwrap();
+    fs::remove_dir_all(&dir).ok();
+    let refusal = |ck: &TrainCheckpoint| {
+        let parts = art.preprocessed.partitions.clone();
+        ServeEngine::from_checkpoint(spec.clone(), ck, parts, ServeConfig::default()).err()
+    };
+    assert_eq!(refusal(&ck), None);
+
+    // The table count stays the workload's: only a shape inside it differs.
+    let (rows, dim) = (spec.tables[1].rows, spec.embedding_dim);
+    let mut more_rows = ck.clone();
+    more_rows.tables[1].rows += 1;
+    more_rows.tables[1].weights.extend(vec![0.0; dim]);
+    assert_eq!(refusal(&more_rows), Some(CheckpointMismatch::Rows(1, rows + 1, rows)));
+
+    let mut wider = ck.clone();
+    wider.tables[0].dim += 1;
+    wider.tables[0].weights.extend(vec![0.0; spec.tables[0].rows]);
+    assert_eq!(refusal(&wider), Some(CheckpointMismatch::Dim(0, dim + 1, dim)));
+
+    let n = ck.dense_params.len();
+    let mut short = ck.clone();
+    short.dense_params.pop();
+    assert_eq!(refusal(&short), Some(CheckpointMismatch::DenseParams(n - 1, n)));
+
+    let mut fewer = ck;
+    fewer.tables.pop();
+    let tables = spec.tables.len();
+    assert_eq!(refusal(&fewer), Some(CheckpointMismatch::Tables(tables - 1, tables)));
 }
 
 fn untrained_engine(seed: u64) -> (Dataset, ServeEngine) {
