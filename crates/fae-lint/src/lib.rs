@@ -24,7 +24,7 @@
 //! literal), brace-matched into a token tree with its items and
 //! test-gated ranges (`tree`), handed to the token-pattern rules
 //! (`rules`), the determinism-taint analysis (`flow`) and the
-//! cross-file passes (`passes`), and every finding they produce goes
+//! cross-file lock-order pass (`passes`), and every finding they produce goes
 //! through one `finalize` (test exemption, dedupe) on its way to a
 //! [`Diagnostic`].
 //!
@@ -129,7 +129,7 @@ pub(crate) struct Parsed<'a> {
     pub class: FileClass,
     /// Source, tokens and token tree.
     pub view: &'a TreeView<'a>,
-    /// Functions, consts, enums, struct fields and `use` aliases.
+    /// Functions, struct fields and `use` aliases.
     pub items: tree::Items<'a>,
     /// Byte ranges of `#[cfg(test)]`/`#[test]` items.
     pub test_ranges: Vec<(usize, usize)>,
