@@ -4,12 +4,11 @@
 //! speedup — the capacity/performance trade-off behind Fig 6.
 
 use fae_bench::{print_table, save_json};
-use fae_core::calibrator::{log_accesses, sample_inputs};
 use fae_core::classifier::{classify_tables, hot_bytes};
 use fae_core::input_processor::classify_inputs;
 use fae_core::scheduler::Rate;
 use fae_core::simsched::{simulate_baseline, simulate_fae, SimConfig};
-use fae_core::{Calibrator, CalibratorConfig};
+use fae_core::{Calibrator, CalibratorConfig, Telemetry};
 use fae_data::{generate, GenOptions, WorkloadSpec};
 use fae_models::bridge::profile_for;
 
@@ -28,12 +27,9 @@ fn main() {
             small_table_bytes: 16 << 10,
             ..Default::default()
         });
-        let mut rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(calibrator.config.seed);
-        let samples = sample_inputs(&ds, calibrator.config.sample_rate, &mut rng);
-        let counters = log_accesses(&ds, &samples);
-        let cal = calibrator.converge(&ds, &counters, &mut rng);
+        let (cal, counters) = calibrator.calibrate_with(&ds, &Telemetry::disabled());
         let parts = classify_tables(&spec, &counters, &cal);
-        let actual_hot = hot_bytes(&spec, &parts);
+        let actual_hot = hot_bytes(&parts, spec.embedding_dim);
         let hot_frac =
             classify_inputs(&ds, &parts).iter().filter(|&&h| h).count() as f64 / ds.len() as f64;
 

@@ -6,7 +6,7 @@
 
 use fae_bench::{print_table, save_json};
 use fae_core::calibrator::log_accesses;
-use fae_core::classifier::classify_tables;
+use fae_core::classifier::{classify_tables, hot_bytes};
 use fae_core::input_processor::classify_inputs;
 use fae_core::{Calibrator, CalibratorConfig};
 use fae_data::{generate, GenOptions, WorkloadSpec};
@@ -35,7 +35,7 @@ fn main() {
         let mut rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(7);
         let cal = calibrator.converge(&ds, &counters, &mut rng);
         let parts = classify_tables(&spec, &counters, &cal);
-        let hot_bytes: usize = parts.iter().map(|p| p.hot_bytes(spec.embedding_dim)).sum();
+        let hot_bytes = hot_bytes(&parts, spec.embedding_dim);
         let hot_inputs =
             classify_inputs(&ds, &parts).iter().filter(|&&h| h).count() as f64 / ds.len() as f64;
         let growth_b = if prev_bytes > 0.0 { hot_bytes as f64 / prev_bytes } else { f64::NAN };

@@ -20,10 +20,10 @@ use std::fs;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use fae_core::calibrator::{log_accesses, sample_inputs};
+use fae_core::calibrator::log_accesses;
 use fae_core::classifier::classify_tables;
 use fae_core::input_processor::classify_inputs;
-use fae_core::{Calibrator, CalibratorConfig};
+use fae_core::{Calibrator, CalibratorConfig, Telemetry};
 use fae_data::{generate, Dataset, GenOptions, WorkloadSpec};
 
 /// One benchmark workload wired for experiments: the laptop-scale spec
@@ -97,10 +97,7 @@ pub fn measure_hotness(spec: &WorkloadSpec, inputs: usize, budget_bytes: usize) 
         small_table_bytes: 16 << 10,
         ..Default::default()
     });
-    let mut rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(calibrator.config.seed);
-    let samples = sample_inputs(&ds, calibrator.config.sample_rate, &mut rng);
-    let counters = log_accesses(&ds, &samples);
-    let cal = calibrator.converge(&ds, &counters, &mut rng);
+    let (cal, counters) = calibrator.calibrate_with(&ds, &Telemetry::disabled());
     let parts = classify_tables(spec, &counters, &cal);
     let hot = classify_inputs(&ds, &parts);
     let hot_inputs = hot.iter().filter(|&&h| h).count();

@@ -47,7 +47,8 @@ pub enum ArtifactError {
     /// the same deleter, and silently papering over an external actor
     /// removing files hides a real operational problem.
     Vanished(PathBuf),
-    /// The sidecar's partitions do not fit the workload's tables.
+    /// The sidecar's partitions, or the stream's batches, do not fit the
+    /// workload's tables.
     Mismatch(String),
 }
 
@@ -60,7 +61,7 @@ impl std::fmt::Display for ArtifactError {
             ArtifactError::Vanished(p) => {
                 write!(f, "artifact {} vanished mid-load", p.display())
             }
-            ArtifactError::Mismatch(e) => write!(f, "partitions do not fit the workload: {e}"),
+            ArtifactError::Mismatch(e) => write!(f, "artifacts do not fit the workload: {e}"),
         }
     }
 }
@@ -164,10 +165,10 @@ pub fn load(path: &Path) -> Result<(StaticArtifacts, String), ArtifactError> {
 
 /// Loads the artifacts at `path`, riding out transient I/O faults with
 /// bounded-backoff retries; if the stream is unusable (missing, torn,
-/// corrupt — anything [`load`] rejects — or its partitions do not fit
-/// `spec`'s tables), rebuilds the static artifacts
-/// from scratch via `rebuild`, persists them, and returns the rebuilt
-/// set. Injected [`FaultKind::ArtifactCorruption`] damages the file *on
+/// corrupt — anything [`load`] rejects — or its partitions or batches do
+/// not fit `spec`'s tables, see [`Preprocessed::check`]), rebuilds the static
+/// artifacts from scratch via `rebuild`, persists them, and returns the
+/// rebuilt set. Injected [`FaultKind::ArtifactCorruption`] damages the file *on
 /// disk* first, so recovery is exercised through the real decode path.
 ///
 /// Returns the artifacts, the workload name, and the recovery actions
@@ -227,6 +228,7 @@ pub fn load_or_rebuild_with(
         }
         let (artifacts, name) = load(path)?;
         HotColdPartition::check_rows(&artifacts.preprocessed.partitions, &rows)
+            .and_then(|()| artifacts.preprocessed.check(spec.dense_features))
             .map_err(ArtifactError::Mismatch)?;
         Ok((artifacts, name))
     }) {
@@ -394,6 +396,52 @@ mod tests {
         assert_eq!((name.as_str(), recs), ("tiny-test", vec![RecoveryAction::RebuiltArtifacts]));
         assert_eq!(b.preprocessed.total_batches(), a.preprocessed.total_batches());
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_stream_that_does_not_fit_its_partitions_is_rebuilt() {
+        let a = artifacts();
+        let spec = WorkloadSpec::tiny_test();
+        let rebuilt = |name: &str, corrupt: &dyn Fn(&mut Preprocessed)| {
+            let dir = std::env::temp_dir().join(format!("fae-artifacts-unfit-{name}"));
+            let _ = fs::remove_dir_all(&dir);
+            fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("stream.fae");
+            let mut bad = a.clone();
+            corrupt(&mut bad.preprocessed);
+            save(&bad, "tiny-test", &path).expect("save");
+            let telemetry = Telemetry::builder().retain_events(true).try_build().unwrap();
+            let (b, _, recs) = load_or_rebuild_with(
+                &path,
+                &spec,
+                &mut FaultInjector::none(),
+                &RetryPolicy::default(),
+                || a.clone(),
+                &telemetry,
+            )
+            .expect("rebuilt");
+            fs::remove_dir_all(&dir).ok();
+            assert_eq!(recs, vec![RecoveryAction::RebuiltArtifacts], "{name}");
+            let rebuilds: Vec<String> = (telemetry.events().into_iter())
+                .filter_map(|t| match t.event {
+                    JournalEvent::Recovery { action, detail, .. } => Some(action + ": " + &detail),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(rebuilds.len(), 1, "{name}: {rebuilds:?}");
+            assert!(rebuilds[0].starts_with("rebuilt-artifacts: "), "{name}: {rebuilds:?}");
+            assert!(rebuilds[0].contains(&format!(" {name} batch 0 ")), "{name}: {rebuilds:?}");
+            assert_eq!(b.preprocessed.total_batches(), a.preprocessed.total_batches());
+        };
+        // An id past its table's rows.
+        assert!(!a.preprocessed.cold_batches.is_empty());
+        rebuilt("cold", &|pre| pre.cold_batches[0].sparse[0].indices[0] = 0x7fff_ffff);
+        // A cold row in a hot batch.
+        let parts = &a.preprocessed.partitions;
+        let (t, cold) = (parts.iter().enumerate())
+            .find_map(|(t, p)| (0..p.rows() as u32).find(|&r| !p.is_hot(r)).map(|r| (t, r)))
+            .expect("a table with a cold row");
+        rebuilt("hot", &|pre| pre.hot_batches[0].sparse[t].indices[0] = cold);
     }
 
     #[test]

@@ -18,6 +18,7 @@ use serde::{Deserialize, Serialize};
 
 use fae_data::Dataset;
 use fae_embed::AccessCounter;
+use fae_telemetry::Telemetry;
 
 /// Calibrator configuration (all defaults follow §III-A).
 #[derive(Clone, Debug)]
@@ -113,15 +114,31 @@ impl Calibrator {
         Self { config }
     }
 
-    /// Runs the full static pipeline on a dataset: sample → log →
-    /// converge on a threshold.
+    /// Runs the calibrator on a dataset: sample → log → converge on a
+    /// threshold.
     pub fn calibrate(&self, ds: &Dataset) -> CalibrationResult {
+        self.calibrate_with(ds, &Telemetry::disabled()).0
+    }
+
+    /// [`Self::calibrate`], each stage under its span of `telemetry`
+    /// (`prepare/sample` → `prepare/log` → `prepare/converge`), also
+    /// returning the logged counters [`crate::classify_tables`] reads.
+    pub fn calibrate_with(
+        &self,
+        ds: &Dataset,
+        telemetry: &Telemetry,
+    ) -> (CalibrationResult, Vec<AccessCounter>) {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let span = telemetry.span("prepare/sample");
         let samples = sample_inputs(ds, self.config.sample_rate, &mut rng);
+        drop(span);
+        let span = telemetry.span("prepare/log");
         let counters = log_accesses(ds, &samples);
-        let mut result = self.converge(ds, &counters, &mut rng);
-        result.sampled_inputs = samples.len();
-        result
+        drop(span);
+        let span = telemetry.span("prepare/converge");
+        let result = self.converge(ds, &counters, &mut rng);
+        drop(span);
+        (CalibrationResult { sampled_inputs: samples.len(), ..result }, counters)
     }
 
     /// The statistical optimizer (§III-A.3): walks the threshold ladder

@@ -30,10 +30,11 @@ pub fn classify_tables(
         .collect()
 }
 
-/// Actual bytes the hot bags will occupy per GPU (the number the Rand-Em
-/// Box estimated; exact once classification has run).
-pub fn hot_bytes(spec: &WorkloadSpec, partitions: &[HotColdPartition]) -> usize {
-    partitions.iter().map(|p| p.hot_bytes(spec.embedding_dim)).sum()
+/// Actual bytes the hot bags occupy per GPU at embedding width `dim` (the
+/// number the Rand-Em Box estimated; exact once classification has run).
+/// Every hot-bag size in the program is this sum.
+pub fn hot_bytes(partitions: &[HotColdPartition], dim: usize) -> usize {
+    partitions.iter().map(|p| p.hot_bytes(dim)).sum()
 }
 
 #[cfg(test)]
@@ -66,7 +67,7 @@ mod tests {
             }
         }
         assert_eq!(
-            hot_bytes(&spec, &parts),
+            hot_bytes(&parts, spec.embedding_dim),
             parts.iter().map(|p| p.hot_count() * spec.embedding_dim * 4).sum::<usize>()
         );
     }

@@ -8,7 +8,9 @@
 //! simulated device; worker 0 is the caller's), then reduces the dense
 //! gradients in worker-index order and applies the identical reduced
 //! gradient to every replica — the synchronous data-parallel SGD of the
-//! paper's §II-B, but actually concurrent.
+//! paper's §II-B, but actually concurrent. In-process, hot and cold
+//! steps alike run against the master tables, the one copy of every row
+//! (see [`crate::replicator`]).
 //!
 //! # Determinism contract
 //!
@@ -24,9 +26,8 @@
 //!   thread — never in completion order — so float summation order is
 //!   fixed regardless of thread scheduling;
 //! * sparse gradients are merged per table in the same worker-index
-//!   order, and applied by the caller from one thread, after the worker
-//!   threads are joined (to the master tables, or to the hot bags through
-//!   [`HotEmbeddings::apply_shared`]);
+//!   order, and applied to the master tables by the caller from one
+//!   thread, after the worker threads are joined;
 //! * every replica loads the *same* reduced gradient via
 //!   [`RecModel::read_grads`] and steps, so replicas never drift — there
 //!   is no parameter broadcast after step 0.
@@ -56,14 +57,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fae_data::{MiniBatch, WorkloadSpec};
-use fae_embed::SparseGrad;
+use fae_embed::{HotColdPartition, SparseGrad};
 use fae_models::{forward_backward, EmbeddingSource, MasterEmbeddings, RecModel};
 use fae_nn::cores::fan_out;
 use fae_sysmodel::Timeline;
 use fae_telemetry::{JournalEvent, StepMode, Telemetry};
 
 use crate::faults::{InjectedFault, RecoveryAction};
-use crate::replicator::HotEmbeddings;
 use crate::trainer::AnyModel;
 
 /// `W` bit-identical model replicas plus the scoped-thread step executor.
@@ -163,10 +163,8 @@ impl ParallelEngine {
     /// reduces, and applies the dense update to every replica — the
     /// [`ParallelEngine::step_shards`] of a caller holding no output.
     /// Returns the mini-batch mean BCE loss and the merged per-table
-    /// sparse gradients (keyed as the embedding source keys them); the
-    /// caller applies those to its embedding source — which is what lets
-    /// the same engine drive both the CPU master tables (cold steps) and
-    /// the hot bags (hot steps).
+    /// sparse gradients (keyed as the embedding source keys them), which
+    /// the caller applies to its embedding source.
     pub fn step<E>(&mut self, emb: &E, batch: &MiniBatch, lr: f32) -> (f32, Vec<SparseGrad>)
     where
         E: EmbeddingSource + Sync,
@@ -301,11 +299,17 @@ pub trait StepEngine {
     /// Attaches a telemetry handle.
     fn set_telemetry(&mut self, telemetry: Telemetry);
 
-    /// The trainer just refreshed the hot bags from the master tables; a
-    /// networked engine ships the refreshed rows to its workers here.
-    fn on_refresh(&mut self, _step: u64, _master: &MasterEmbeddings, _hot: &HotEmbeddings) {}
+    /// A hot block starts: the hot rows of `partitions` are current in
+    /// `master`, and a networked engine ships them to its workers here.
+    fn on_refresh(
+        &mut self,
+        _step: u64,
+        _master: &MasterEmbeddings,
+        _partitions: &(impl AsRef<[HotColdPartition]> + ?Sized),
+    ) {
+    }
 
-    /// The trainer just wrote the hot bags back into the master tables.
+    /// A hot block ended: `master` holds every row the block trained.
     fn on_write_back(&mut self, _step: u64, _master: &MasterEmbeddings) {}
 
     /// The run degraded to CPU-only cold execution; no further hot

@@ -60,11 +60,35 @@ impl Preprocessed {
         self.hot_batches.iter().chain(&self.cold_batches).map(|b| b.len()).sum()
     }
 
+    /// Holds every batch to the model's `dense_width` and, through
+    /// [`fits`], to the partitions, as [`preprocess_inputs`] writes them;
+    /// the error names the first batch that does not fit.
+    pub fn check(&self, dense_width: usize) -> Result<(), String> {
+        for (kind, batches) in [("hot", &self.hot_batches), ("cold", &self.cold_batches)] {
+            let unfit = |b: &MiniBatch| {
+                b.dense_width != dense_width || !fits(b, &self.partitions, kind == "hot")
+            };
+            if let Some(i) = batches.iter().position(unfit) {
+                return Err(format!("{kind} batch {i} does not fit the tables or the partitions"));
+            }
+        }
+        Ok(())
+    }
+
     /// The stream in the FAE on-disk container, cold batches first. The
     /// container borrows the batches, so nothing is copied to encode it.
     pub fn to_fae_file(&self, workload: &str) -> FaeFile<&MiniBatch> {
         FaeFile::new(workload, self.cold_batches.iter().chain(&self.hot_batches).collect())
     }
+}
+
+/// True when `b` reads one table per partition, and in each only ids
+/// below the table's rows — and hot ids, when `hot`.
+pub fn fits(b: &MiniBatch, partitions: &[HotColdPartition], hot: bool) -> bool {
+    b.sparse.len() == partitions.len()
+        && (b.sparse.iter().zip(partitions)).all(|(csr, p)| {
+            csr.indices.iter().all(|&g| (g as usize) < p.rows() && (!hot || p.is_hot(g)))
+        })
 }
 
 /// Classifies every input: `true` iff *all* its lookups in *all* tables

@@ -7,9 +7,7 @@ use fae_data::format::{FaeStreamReader, FormatError};
 use fae_data::{Dataset, WorkloadSpec};
 use fae_telemetry::{metric, Telemetry};
 
-use crate::calibrator::{
-    log_accesses, sample_inputs, CalibrationResult, Calibrator, CalibratorConfig,
-};
+use crate::calibrator::{CalibrationResult, Calibrator, CalibratorConfig};
 use crate::classifier::classify_tables;
 use crate::input_processor::{preprocess_inputs, PreprocessConfig, Preprocessed};
 use crate::trainer::{train_baseline, train_fae, TrainConfig, TrainReport};
@@ -55,21 +53,7 @@ pub fn prepare_with(
     telemetry: &Telemetry,
 ) -> StaticArtifacts {
     let _span = telemetry.span("prepare");
-    let calibrator = Calibrator::new(calibrator_cfg);
-    let mut rng = rand::SeedableRng::seed_from_u64(calibrator.config.seed);
-    let samples = {
-        let _s = telemetry.span("prepare/sample");
-        sample_inputs(train, calibrator.config.sample_rate, &mut rng)
-    };
-    let counters = {
-        let _s = telemetry.span("prepare/log");
-        log_accesses(train, &samples)
-    };
-    let mut calibration = {
-        let _s = telemetry.span("prepare/converge");
-        calibrator.converge(train, &counters, &mut rng)
-    };
-    calibration.sampled_inputs = samples.len();
+    let (calibration, counters) = Calibrator::new(calibrator_cfg).calibrate_with(train, telemetry);
     let partitions = {
         let _s = telemetry.span("prepare/classify");
         classify_tables(&train.spec, &counters, &calibration)

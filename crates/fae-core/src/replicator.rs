@@ -1,31 +1,31 @@
-//! The Embedding Replicator (§III, component 3): the hot-embedding bags as
-//! an [`EmbeddingSource`], plus the CPU↔GPU synchronisation performed at
-//! hot/cold schedule transitions.
+//! The Embedding Replicator (§III, component 3): which hot rows the
+//! devices hold, and what keeping them in sync moves.
 //!
-//! Numerically, the N GPU replicas stay bit-identical under the fused
-//! all-reduce (every replica applies the same reduced gradient), so the
-//! trainer computes against one logical copy; the *cost* of keeping N
-//! replicas in sync is charged by `fae-sysmodel`. Lookups translate global
-//! row ids to hot-local ids through the partitions; touching a cold row
-//! through this source is a bug in the input processor and panics.
+//! The paper copies the hot rows into each GPU's memory because that
+//! memory is separate from the host's. This process has one address
+//! space, so it keeps one copy of every row: hot steps read and update
+//! the master tables, exactly as cold steps do, and hot rows are exact
+//! f32 there even under the int8 cold tier. The N GPU replicas would stay
+//! bit-identical under the fused all-reduce, so one copy computes what
+//! they would; the *cost* of keeping them in sync is charged by
+//! `fae-sysmodel`.
 //!
-//! The bags live on the coordinator only. A `fae-net` node keeps its hot
-//! rows in its master and reads and writes them there, through the same
-//! [`EmbeddingTable`] kernels with the identity id map, after holding
-//! each task's rows to its partitions; so a frame never reaches the
-//! cold-row panic.
+//! That cost is counted by [`Residency`], a ledger of the partitions and,
+//! per table, which hot rows the devices would hold. It holds no rows. A
+//! refresh makes a planned row set resident ([`Residency::refresh`]), the
+//! lookahead window fetches what it is missing
+//! ([`Residency::fetch_missing`]) and a write-back moves the resident rows
+//! back ([`Residency::write_back`]); each returns the bytes a real copy
+//! would move and counts them under `replicator.*`. The full-bag syncs
+//! are their all-rows case.
 //!
-//! The one logical copy is a plain [`EmbeddingTable`] per table behind one
-//! `RwLock`: hot-bag lookups from concurrent worker threads share the
-//! read lock, and the merged sparse gradient is applied through `&self`
-//! ([`HotEmbeddings::apply_shared`]) under the write lock. The execution
-//! engine joins its readers before the single writer runs, so the lock is
-//! never contended — it is what makes `&HotEmbeddings` sound to share.
+//! A `fae-net` node keeps its hot rows in its master too, and its
+//! coordinator ships them at each refresh (`HotBagSync`).
 //!
-//! There is one sync in each direction, both driven by the per-row
-//! residency mask: [`HotEmbeddings::refresh_rows`] copies a planned row
-//! set master→devices and [`HotEmbeddings::write_back_resident`] copies
-//! the resident rows back. The full-bag syncs are their all-rows case.
+//! [`HotEmbeddings`] is the bag as a second copy: a plain
+//! [`EmbeddingTable`] per table behind one `RwLock`, refreshed from and
+//! written back to the master whole. The program does not use it; the
+//! layer replay under `bench/` does, until that replay is deleted.
 
 use std::sync::{PoisonError, RwLock};
 
@@ -35,7 +35,109 @@ use fae_embed::{EmbeddingTable, HotColdPartition, SparseGrad};
 use fae_models::{EmbeddingSource, MasterEmbeddings};
 use fae_telemetry::{metric, Telemetry};
 
-/// Hot-embedding bags for every table, with global→local id translation.
+use crate::classifier::hot_bytes;
+
+/// The residency ledger: the partitions and, per table, whether each
+/// hot-local row is resident on the devices. Full replication (the
+/// default, and the only mode when the lookahead oracle is off) keeps
+/// every row resident; the oracle's partial refreshes shrink this to the
+/// planned access set.
+pub struct Residency<'p> {
+    partitions: &'p [HotColdPartition],
+    resident: Vec<Vec<bool>>,
+    dim: usize,
+    telemetry: Telemetry,
+}
+
+impl<'p> Residency<'p> {
+    /// A ledger with every hot row resident. Refreshes and write-backs are
+    /// counted (`replicator.refreshes` / `replicator.write_backs`) with
+    /// the bytes they move (`replicator.moved_bytes`), and the full bag's
+    /// size is the `replicator.hot_bytes` gauge.
+    pub fn new(partitions: &'p [HotColdPartition], dim: usize, telemetry: Telemetry) -> Self {
+        let resident = partitions.iter().map(|p| vec![true; p.hot_count()]).collect();
+        telemetry.gauge_set(metric!("replicator.hot_bytes"), hot_bytes(partitions, dim) as f64);
+        Self { partitions, resident, dim, telemetry }
+    }
+
+    /// The partitions the ledger tracks.
+    pub fn partitions(&self) -> &'p [HotColdPartition] {
+        self.partitions
+    }
+
+    /// Bytes of the full hot bags (per GPU replica): what a full refresh
+    /// or write-back moves.
+    pub fn hot_bytes(&self) -> u64 {
+        hot_bytes(self.partitions, self.dim) as u64
+    }
+
+    fn row_bytes(&self) -> u64 {
+        (self.dim * std::mem::size_of::<f32>()) as u64
+    }
+
+    /// Cold→hot transition: `plan` names the rows to make resident
+    /// (per-table global ids — the oracle's union of the next window's
+    /// access sets; an id listed twice is counted once), `None` meaning
+    /// every hot row. Everything is evicted first, so whatever was
+    /// resident and is not planned again counts as evicted. Returns the
+    /// bytes moved and the rows evicted (eviction moves no bytes: the
+    /// master holds every row).
+    pub fn refresh(&mut self, plan: Option<&[Vec<u32>]>) -> (u64, u64) {
+        assert!(plan.is_none_or(|p| p.len() == self.resident.len()), "one plan per table");
+        let was: Vec<Vec<bool>> =
+            self.resident.iter_mut().map(|m| std::mem::replace(m, vec![false; m.len()])).collect();
+        let moved_bytes = self.fetch(plan) * self.row_bytes();
+        let now = self.resident.iter().flatten();
+        let evicted = was.iter().flatten().zip(now).filter(|&(&was, &is)| was && !is).count();
+        self.telemetry.counter_add(metric!("replicator.refreshes"), 1);
+        self.telemetry.counter_add(metric!("replicator.moved_bytes"), moved_bytes);
+        (moved_bytes, evicted as u64)
+    }
+
+    /// Makes resident every row of `sets` (per-table global ids;
+    /// duplicates count once) that is not already — the oracle's sliding
+    /// window prefetch, and the demand-miss path should a non-resident row
+    /// ever be accessed. Returns the rows and bytes moved.
+    pub fn fetch_missing<S: AsRef<[u32]>>(&mut self, sets: &[S]) -> (u64, u64) {
+        assert_eq!(sets.len(), self.resident.len(), "one set per table");
+        let rows_moved = self.fetch(Some(sets));
+        let bytes = rows_moved * self.row_bytes();
+        if rows_moved > 0 {
+            self.telemetry.counter_add(metric!("replicator.moved_bytes"), bytes);
+        }
+        (rows_moved, bytes)
+    }
+
+    /// Marks resident every row of `sets` (`None` = every hot row) that is
+    /// not already. Returns how many rows that marked.
+    fn fetch<S: AsRef<[u32]>>(&mut self, sets: Option<&[S]>) -> u64 {
+        let mut rows_moved = 0u64;
+        for (t, (p, mask)) in self.partitions.iter().zip(&mut self.resident).enumerate() {
+            let rows = sets.map_or(p.hot_ids(), |s| s[t].as_ref());
+            for &g in rows {
+                // A cold id cannot be made resident: skip it.
+                let Some(local) = p.hot_local(g) else { continue };
+                if !std::mem::replace(&mut mask[local as usize], true) {
+                    rows_moved += 1;
+                }
+            }
+        }
+        rows_moved
+    }
+
+    /// Hot→cold transition: the bytes of the resident rows, which are the
+    /// only rows the devices could have written. Returns bytes moved.
+    pub fn write_back(&self) -> u64 {
+        let rows = self.resident.iter().flatten().filter(|&&r| r).count() as u64;
+        let bytes = rows * self.row_bytes();
+        self.telemetry.counter_add(metric!("replicator.write_backs"), 1);
+        self.telemetry.counter_add(metric!("replicator.moved_bytes"), bytes);
+        bytes
+    }
+}
+
+/// Hot-embedding bags for every table, as a copy of the master's hot rows
+/// with global→local id translation (see the module docs).
 ///
 /// Lock poisoning is recovered everywhere in this type rather than
 /// propagated: a bag is plain `f32`s with no invariant a panicked writer
@@ -46,13 +148,7 @@ pub struct HotEmbeddings {
     /// `partitions[t].hot_ids()[i]`), one lock each.
     tables: Vec<RwLock<EmbeddingTable>>,
     partitions: Vec<HotColdPartition>,
-    /// Per table: whether each hot-local row currently holds fresh bytes
-    /// on the devices. Full replication (the default, and the only mode
-    /// when the lookahead oracle is off) keeps every row resident; the
-    /// oracle's partial refreshes shrink this to the planned access set.
-    resident: Vec<Vec<bool>>,
     dim: usize,
-    telemetry: Telemetry,
 }
 
 impl HotEmbeddings {
@@ -63,40 +159,20 @@ impl HotEmbeddings {
     pub fn build(master: &MasterEmbeddings, partitions: Vec<HotColdPartition>) -> Self {
         assert_eq!(partitions.len(), master.num_tables(), "one partition per table");
         let dim = master.dim();
-        let mut tables = Vec::with_capacity(partitions.len());
-        for (t, p) in partitions.iter().enumerate() {
-            let mut weights = Tensor::zeros(p.hot_count().max(1), dim);
-            for (local, &g) in p.hot_ids().iter().enumerate() {
-                master.copy_row_into(t, g, weights.row_mut(local));
-            }
-            tables.push(RwLock::new(EmbeddingTable::from_weights(weights)));
-        }
-        let resident = partitions.iter().map(|p| vec![true; p.hot_count()]).collect();
-        Self { tables, partitions, resident, dim, telemetry: Telemetry::disabled() }
-    }
-
-    /// Attaches a telemetry handle: refreshes and write-backs are counted
-    /// (`replicator.refreshes` / `replicator.write_backs`) along with the
-    /// bytes they move (`replicator.moved_bytes`).
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        telemetry.gauge_set(metric!("replicator.hot_bytes"), self.hot_bytes() as f64);
-        self.telemetry = telemetry;
+        let tables = (partitions.iter())
+            .map(|p| {
+                let weights = Tensor::zeros(p.hot_count().max(1), dim);
+                RwLock::new(EmbeddingTable::from_weights(weights))
+            })
+            .collect();
+        let mut hot = Self { tables, partitions, dim };
+        hot.refresh_from(master);
+        hot
     }
 
     /// Total bytes of the hot bags (per GPU replica).
     pub fn hot_bytes(&self) -> usize {
-        self.partitions.iter().map(|p| p.hot_bytes(self.dim)).sum()
-    }
-
-    fn row_bytes(&self) -> u64 {
-        (self.dim * std::mem::size_of::<f32>()) as u64
-    }
-
-    /// Bytes that cross PCIe per CPU↔GPU synchronisation (per replica):
-    /// the full hot bags, since a transition refresh/write-back moves
-    /// every hot row.
-    pub fn sync_bytes(&self) -> usize {
-        self.hot_bytes()
+        hot_bytes(&self.partitions, self.dim)
     }
 
     /// The partitions backing this source.
@@ -104,113 +180,26 @@ impl HotEmbeddings {
         &self.partitions
     }
 
-    /// Hot→cold transition: pushes trained hot rows back into the master
-    /// tables so cold batches (and evaluation) see them. With every row
-    /// resident — the state [`Self::build`] and [`Self::refresh_from`]
-    /// leave — this is the whole bag. After a partial
-    /// [`Self::refresh_rows`] it is [`Self::write_back_resident`]: only
-    /// the resident rows are written, because an evicted row's device
-    /// bytes are stale and the master copy is the authoritative one.
+    /// Hot→cold transition: copies every hot row back into the master
+    /// tables so cold batches (and evaluation) see them.
     pub fn write_back(&self, master: &mut MasterEmbeddings) {
-        self.write_back_resident(master);
-    }
-
-    /// Cold→hot transition: pulls rows updated by cold batches back into
-    /// the bags. Restores full residency.
-    pub fn refresh_from(&mut self, master: &MasterEmbeddings) {
-        self.refresh_rows(master, None);
-    }
-
-    /// Cold→hot transition: `plan` names the rows to make resident
-    /// (per-table global ids — the oracle's union of the next window's
-    /// access sets; an id listed twice is copied, and counted, once),
-    /// `None` meaning every hot row. Everything is evicted first, so
-    /// whatever was resident and is not fetched again counts as evicted.
-    /// Returns the bytes moved and the rows evicted (eviction moves no
-    /// bytes: the master already holds their values — hot rows are only
-    /// written on the devices *after* a refresh, and written rows are
-    /// written back before the next refresh).
-    pub fn refresh_rows(
-        &mut self,
-        master: &MasterEmbeddings,
-        plan: Option<&[Vec<u32>]>,
-    ) -> (u64, u64) {
-        assert!(plan.is_none_or(|p| p.len() == self.tables.len()), "one plan per table");
-        let was: Vec<Vec<bool>> =
-            self.resident.iter_mut().map(|m| std::mem::replace(m, vec![false; m.len()])).collect();
-        let moved_bytes = self.fetch(master, plan) * self.row_bytes();
-        let now = self.resident.iter().flatten();
-        let evicted = was.iter().flatten().zip(now).filter(|&(&was, &is)| was && !is).count();
-        self.telemetry.counter_add(metric!("replicator.refreshes"), 1);
-        self.telemetry.counter_add(metric!("replicator.moved_bytes"), moved_bytes);
-        (moved_bytes, evicted as u64)
-    }
-
-    /// Fetches every row of `sets` (per-table global ids; duplicates are
-    /// fetched, and counted, once) that is not already resident — the
-    /// oracle's sliding-window prefetch, and the demand-miss path should a
-    /// non-resident row ever be accessed. Returns the rows and bytes moved.
-    pub fn fetch_missing<S: AsRef<[u32]>>(
-        &mut self,
-        master: &MasterEmbeddings,
-        sets: &[S],
-    ) -> (u64, u64) {
-        assert_eq!(sets.len(), self.tables.len(), "one set per table");
-        let rows_moved = self.fetch(master, Some(sets));
-        let bytes = rows_moved * self.row_bytes();
-        if rows_moved > 0 {
-            self.telemetry.counter_add(metric!("replicator.moved_bytes"), bytes);
-        }
-        (rows_moved, bytes)
-    }
-
-    /// The one master→device copy loop: makes resident every row of
-    /// `sets` (`None` = every hot row) that is not already. Returns the
-    /// rows copied.
-    fn fetch<S: AsRef<[u32]>>(&mut self, master: &MasterEmbeddings, sets: Option<&[S]>) -> u64 {
-        let mut rows_moved = 0u64;
-        for (t, table) in self.tables.iter_mut().enumerate() {
-            let table = table.get_mut().unwrap_or_else(PoisonError::into_inner);
-            let p = &self.partitions[t];
-            let rows = sets.map_or(p.hot_ids(), |s| s[t].as_ref());
-            let mask = &mut self.resident[t];
-            for &g in rows {
-                // Cold ids in a set would be input-processor corruption;
-                // they cannot be made resident, so skip rather than panic.
-                let Some(local) = p.hot_local(g) else { continue };
-                if mask[local as usize] {
-                    continue;
-                }
-                master.copy_row_into(t, g, table.weights_mut().row_mut(local as usize));
-                mask[local as usize] = true;
-                rows_moved += 1;
-            }
-        }
-        rows_moved
-    }
-
-    /// Hot→cold transition: writes back only the resident rows
-    /// (non-resident rows were never readable on the devices, so their
-    /// device bytes are stale by construction and the master copy is
-    /// already authoritative). Returns bytes moved.
-    pub fn write_back_resident(&self, master: &mut MasterEmbeddings) -> u64 {
-        let mut rows_moved = 0u64;
-        for (t, ((table, p), mask)) in
-            self.tables.iter().zip(&self.partitions).zip(&self.resident).enumerate()
-        {
+        for (t, (table, p)) in self.tables.iter().zip(&self.partitions).enumerate() {
             let table = table.read().unwrap_or_else(PoisonError::into_inner);
             for (local, &g) in p.hot_ids().iter().enumerate() {
-                if !mask[local] {
-                    continue;
-                }
                 master.set_row(t, g, table.row(local as u32));
-                rows_moved += 1;
             }
         }
-        let bytes = rows_moved * self.row_bytes();
-        self.telemetry.counter_add(metric!("replicator.write_backs"), 1);
-        self.telemetry.counter_add(metric!("replicator.moved_bytes"), bytes);
-        bytes
+    }
+
+    /// Cold→hot transition: copies every hot row of the master into the
+    /// bags, so they see what cold batches wrote.
+    pub fn refresh_from(&mut self, master: &MasterEmbeddings) {
+        for (t, (table, p)) in self.tables.iter_mut().zip(&self.partitions).enumerate() {
+            let table = table.get_mut().unwrap_or_else(PoisonError::into_inner);
+            for (local, &g) in p.hot_ids().iter().enumerate() {
+                master.copy_row_into(t, g, table.weights_mut().row_mut(local));
+            }
+        }
     }
 
     /// Global → hot-local for table `t`. A cold id `how`-ed ("looked up",
@@ -229,8 +218,7 @@ impl HotEmbeddings {
     /// updated under its write lock, row by row through the global →
     /// hot-local map. Partitions number hot rows in ascending global
     /// order, so distinct ids stay distinct and there is nothing to
-    /// re-coalesce. This is the path the trainer uses for the merged
-    /// gradient of a hot step.
+    /// re-coalesce.
     pub fn apply_shared(&self, grads: &[SparseGrad], lr: f32) {
         assert_eq!(grads.len(), self.tables.len(), "one gradient per table");
         for (t, (table, g)) in self.tables.iter().zip(grads).enumerate() {
@@ -240,6 +228,12 @@ impl HotEmbeddings {
                 |global| self.hot_local(t, global, "updated"),
             );
         }
+    }
+}
+
+impl AsRef<[HotColdPartition]> for HotEmbeddings {
+    fn as_ref(&self) -> &[HotColdPartition] {
+        &self.partitions
     }
 }
 
@@ -280,10 +274,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    impl HotEmbeddings {
+    impl Residency<'_> {
         /// Rows currently resident on the devices, across all tables.
         fn resident_rows(&self) -> usize {
-            self.resident.iter().map(|m| m.iter().filter(|&&r| r).count()).sum()
+            self.resident.iter().flatten().filter(|&&r| r).count()
         }
     }
 
@@ -378,68 +372,53 @@ mod tests {
         let expect: usize = hot.partitions().iter().map(|p| p.hot_count() * hot.dim() * 4).sum();
         assert_eq!(hot.hot_bytes(), expect);
         assert!(hot.hot_bytes() > 0);
-        // A transition moves the whole bag, so the two byte counts agree.
-        assert_eq!(hot.sync_bytes(), hot.hot_bytes());
+        // A full ledger sync moves the whole bag.
+        let ledger = Residency::new(hot.partitions(), hot.dim(), Telemetry::disabled());
+        assert_eq!(ledger.hot_bytes(), expect as u64);
+        assert_eq!(ledger.write_back(), expect as u64);
     }
 
     #[test]
     fn partial_refresh_tracks_residency_and_evictions() {
-        let (master, mut hot) = setup();
-        let all = hot.resident_rows();
+        let (_, hot) = setup();
+        let mut ledger = Residency::new(hot.partitions(), hot.dim(), Telemetry::disabled());
+        let all = ledger.resident_rows();
         assert_eq!(all, hot.partitions().iter().map(|p| p.hot_count()).sum::<usize>());
         // Plan only rows {0, 3} of table 0 (and nothing elsewhere).
         let mut plan: Vec<Vec<u32>> = vec![Vec::new(); hot.num_tables()];
         plan[0] = vec![0, 3];
-        let (moved, evicted) = hot.refresh_rows(&master, Some(&plan));
+        let (moved, evicted) = ledger.refresh(Some(&plan));
         assert_eq!(moved, 2 * (hot.dim() * 4) as u64);
         assert_eq!(evicted as usize, all - 2);
-        assert_eq!(hot.resident_rows(), 2);
+        assert_eq!(ledger.resident_rows(), 2);
         // Sliding prefetch: row 6 of table 0 was evicted; fetch it back.
         let mut set: Vec<Vec<u32>> = vec![Vec::new(); hot.num_tables()];
         set[0] = vec![0, 6];
-        let (rows, bytes) = hot.fetch_missing(&master, &set);
+        let (rows, bytes) = ledger.fetch_missing(&set);
         assert_eq!((rows, bytes), (1, (hot.dim() * 4) as u64));
-        assert_eq!(hot.resident_rows(), 3);
+        assert_eq!(ledger.resident_rows(), 3);
         // Already-resident rows fetch nothing.
-        assert_eq!(hot.fetch_missing(&master, &set), (0, 0));
+        assert_eq!(ledger.fetch_missing(&set), (0, 0));
         // A full refresh restores total residency.
-        hot.refresh_from(&master);
-        assert_eq!(hot.resident_rows(), all);
+        ledger.refresh(None);
+        assert_eq!(ledger.resident_rows(), all);
     }
 
     #[test]
     fn resident_write_back_only_moves_resident_rows() {
-        let (mut master, mut hot) = setup();
+        let (_, hot) = setup();
+        let mut ledger = Residency::new(hot.partitions(), hot.dim(), Telemetry::disabled());
         let mut plan: Vec<Vec<u32>> = vec![Vec::new(); hot.num_tables()];
         // A plan naming a row twice moves (and reports) it once.
         plan[0] = vec![3, 3];
-        let (moved, _) = hot.refresh_rows(&master, Some(&plan));
+        let (moved, _) = ledger.refresh(Some(&plan));
         assert_eq!(moved, (hot.dim() * 4) as u64);
-        // Train resident row 3 on the devices; evicted row 6 gets
-        // device-side bytes that must never reach the master.
-        let mut grads: Vec<SparseGrad> =
-            (0..hot.num_tables()).map(|_| SparseGrad::new(hot.dim())).collect();
-        grads[0].accumulate(3, &vec![2.0; hot.dim()]);
-        grads[0].accumulate(6, &vec![2.0; hot.dim()]);
-        hot.apply_shared(&grads, 0.5);
-        let before_row6 = master.lookup(0, &[6], &[0, 1]);
-        let before_row3 = master.lookup(0, &[3], &[0, 1]);
-        let bytes = hot.write_back_resident(&mut master);
-        assert_eq!(bytes, (hot.dim() * 4) as u64);
-        // The trained resident row landed; the evicted row is untouched.
-        let after_row3 = master.lookup(0, &[3], &[0, 1]);
-        for (b, a) in before_row3.as_slice().iter().zip(after_row3.as_slice()) {
-            assert!((b - 1.0 - a).abs() < 1e-6);
-        }
-        assert_eq!(master.lookup(0, &[6], &[0, 1]).as_slice(), before_row6.as_slice());
-        // `write_back` is the same resident-only copy: still nothing for
-        // row 6 until a full refresh makes the whole bag resident again.
-        hot.write_back(&mut master);
-        assert_eq!(master.lookup(0, &[6], &[0, 1]).as_slice(), before_row6.as_slice());
-        hot.refresh_from(&master);
-        hot.apply_shared(&grads, 0.5);
-        hot.write_back(&mut master);
-        assert_ne!(master.lookup(0, &[6], &[0, 1]).as_slice(), before_row6.as_slice());
+        // Only the one resident row is written back, however often.
+        assert_eq!(ledger.write_back(), (hot.dim() * 4) as u64);
+        assert_eq!(ledger.write_back(), (hot.dim() * 4) as u64);
+        // A full refresh makes the whole bag resident again.
+        ledger.refresh(None);
+        assert_eq!(ledger.write_back(), ledger.hot_bytes());
     }
 
     #[test]

@@ -707,6 +707,32 @@ mod tests {
     }
 
     #[test]
+    fn a_run_halted_mid_hot_block_digests_the_rows_its_hot_steps_trained() {
+        // Halt two steps into the first hot block. The twin loses its
+        // hot-bag replication before that block and trains the same
+        // batches in the same order as cold steps on the master (the
+        // digest every full run shares), so the two digests agree only if
+        // the halted run's report covers its hot steps' row updates.
+        let (spec, _train, test, pre, cfg) = small_run();
+        let halt = Rate::new(cfg.initial_rate).block_len(pre.cold_batches.len()) + 2;
+        let halted = |plan: &str| {
+            let opts = ResilienceOptions {
+                plan: FaultPlan::parse(plan).expect("plan parses"),
+                halt_after_steps: Some(halt),
+                ..Default::default()
+            };
+            train_fae_resilient(&spec, &pre, &test, &cfg, &opts)
+        };
+        let hot = halted("");
+        let cold = halted("replication-oom@0");
+        assert!(hot.interrupted && cold.interrupted);
+        assert_eq!((hot.hot_steps, hot.transitions), (2, 1), "not two steps into a hot block");
+        assert_eq!((cold.hot_steps, cold.transitions), (0, 0));
+        assert_eq!(hot.model_digest, cold.model_digest);
+        assert_eq!(hot.final_test.loss.to_bits(), cold.final_test.loss.to_bits());
+    }
+
+    #[test]
     fn lookahead_changes_transfer_costs_but_not_numerics() {
         // The oracle's core guarantee: the master is frozen during a hot
         // block, so partial syncs read/write exactly the bytes the full

@@ -6,6 +6,12 @@
 //! that trains, costs, journals or reports goes through here, so a timer,
 //! a digest or a new execution mode has exactly one place to go. A new
 //! mode is an input to `step` or `sync`, never a new arm of a loop.
+//!
+//! The run holds one copy of every row, its master tables: hot steps read
+//! and update them exactly as cold steps do, with no lock, and nothing is
+//! copied at a refresh, a write-back or a lookahead slide. What the
+//! paper's replicator would move there is counted by a residency ledger
+//! ([`Residency`]) and charged on the simulated clock.
 
 use std::collections::HashMap;
 use std::io;
@@ -28,7 +34,7 @@ use crate::faults::{
     retry_with_backoff, FaultInjector, FaultKind, InjectedFault, RecoveryAction, RetryPolicy,
 };
 use crate::oracle::{LookaheadOracle, OracleStats};
-use crate::replicator::HotEmbeddings;
+use crate::replicator::Residency;
 use crate::scheduler::ShuffleScheduler;
 
 /// Memoised per-step costs: `step_cost` is pure in `(mode, batch)`, and an
@@ -105,7 +111,7 @@ fn rows_in(grads: &[SparseGrad]) -> u64 {
     grads.iter().map(|g| g.nnz_rows() as u64).sum()
 }
 
-/// Which CPU↔GPU movement of the hot bags a [`Run::sync`] performs.
+/// Which CPU↔GPU movement of the hot bags a [`Run::sync`] charges.
 #[derive(Clone, Copy)]
 pub(super) enum SyncDir {
     /// First replication of the bags onto the GPUs.
@@ -133,10 +139,11 @@ pub(super) struct Lookahead<'o, 'b> {
 /// [`TrainReport`].
 pub(super) struct Run<'a, En: StepEngine> {
     cfg: &'a TrainConfig,
-    partitions: &'a [HotColdPartition],
     engine: En,
+    /// The one copy of every row, hot and cold.
     master: MasterEmbeddings,
-    hot: HotEmbeddings,
+    /// Which hot rows the devices would hold, and the partitions.
+    residency: Residency<'a>,
     /// Stale-skip state: deferred cold-row gradients (DESIGN.md §15).
     skip: Option<DeferredSparse>,
     costs: CostModel,
@@ -196,16 +203,14 @@ impl<'a, En: StepEngine> Run<'a, En> {
         let mut engine = make_engine(model);
         engine.broadcast_params();
         engine.set_telemetry(telem.clone());
-        let mut hot = HotEmbeddings::build(&master, partitions.to_vec());
-        hot.set_telemetry(telem.clone());
-        let profile = bridge::profile_for(spec, hot.hot_bytes() as f64);
+        let residency = Residency::new(partitions, master.dim(), telem.clone());
+        let profile = bridge::profile_for(spec, residency.hot_bytes() as f64);
         let gpus_active = cfg.num_gpus.max(1);
         Self {
             cfg,
-            partitions,
             engine,
             master,
-            hot,
+            residency,
             skip,
             costs: CostModel::new(profile, gpus_active),
             timeline: Timeline::new(),
@@ -289,10 +294,10 @@ impl<'a, En: StepEngine> Run<'a, En> {
     }
 
     /// Runs one training step — the only place a mini-batch meets the
-    /// engine. `Cold` trains against the CPU master tables at hybrid cost
-    /// (cold batches, and hot batches of a degraded run); `Hot` trains
-    /// against the replicated bags at pure-GPU cost, `ahead` sliding the
-    /// lookahead window first. Returns true once the run must halt.
+    /// engine. Both modes train against the master tables; `Cold` is
+    /// charged at hybrid cost (cold batches, and hot batches of a degraded
+    /// run) and `Hot` at pure-GPU cost, `ahead` sliding the lookahead
+    /// window first. Returns true once the run must halt.
     pub(super) fn step(
         &mut self,
         mb: &MiniBatch,
@@ -303,48 +308,40 @@ impl<'a, En: StepEngine> Run<'a, En> {
         if let Some(ahead) = ahead {
             self.slide_window(ahead, mb.len());
         }
-        let loss = match mode {
-            StepMode::Hot => {
-                let (loss, grads) = self.engine.engine_step(&self.hot, mb, at, mode, lr);
-                self.hot.apply_shared(&grads, lr);
-                self.costs.charge_step(&mut self.timeline, mode, mb.len(), 0, 0);
-                self.hot_steps += 1;
-                loss
+        // Stale-skip defers cold-row updates, so it only touches cold steps.
+        let mut pool = self.skip.as_mut().filter(|_| mode == StepMode::Cold);
+        // Flush the pending rows this batch is about to read, so the
+        // forward pass never sees starved weights.
+        let mut flushed = 0u64;
+        if let Some(pool) = pool.as_mut() {
+            // Raw CSR indices, duplicates and all: the pool's slot map
+            // reads them as they lie, no sort or dedup.
+            if let Some((flush, n)) = pool.take_for_access(&mb.sparse) {
+                self.master.apply_sparse_grads(&flush, lr);
+                flushed = n;
             }
-            StepMode::Cold => {
-                // Stale-skip: flush the pending rows this batch is about
-                // to read, so the forward pass never sees starved weights.
-                let mut flushed = 0u64;
-                if let Some(pool) = self.skip.as_mut() {
-                    // Raw CSR indices, duplicates and all: the pool's slot
-                    // map reads them as they lie, no sort or dedup.
-                    if let Some((flush, n)) = pool.take_for_access(&mb.sparse) {
-                        self.master.apply_sparse_grads(&flush, lr);
-                        flushed = n;
-                    }
-                }
-                let (loss, grads) = self.engine.engine_step(&self.master, mb, at, mode, lr);
-                // Under stale-skip, cold-row updates are deferred into the
-                // pool and the sparse-optimizer charge shrinks to the
-                // fraction applied. Flushed rows are real optimizer work
-                // done this step, so they count toward it (possibly
-                // pushing the fraction past 1).
-                let (mut produced, mut applied) = (0, 0);
-                let grads = match self.skip.as_mut() {
-                    Some(pool) => {
-                        produced = rows_in(&grads);
-                        let (apply, _) = pool.absorb(&grads, self.partitions);
-                        applied = rows_in(&apply) + flushed;
-                        apply
-                    }
-                    None => grads,
-                };
-                self.master.apply_sparse_grads(&grads, lr);
-                self.costs.charge_step(&mut self.timeline, mode, mb.len(), produced, applied);
-                self.cold_steps += 1;
-                loss
+        }
+        let (loss, grads) = self.engine.engine_step(&self.master, mb, at, mode, lr);
+        // Under stale-skip, cold-row updates are deferred into the pool
+        // and the sparse-optimizer charge shrinks to the fraction applied.
+        // Flushed rows are real optimizer work done this step, so they
+        // count toward it (possibly pushing the fraction past 1).
+        let (mut produced, mut applied) = (0, 0);
+        let grads = match pool {
+            Some(pool) => {
+                produced = rows_in(&grads);
+                let (apply, _) = pool.absorb(&grads, self.residency.partitions());
+                applied = rows_in(&apply) + flushed;
+                apply
             }
+            None => grads,
         };
+        self.master.apply_sparse_grads(&grads, lr);
+        self.costs.charge_step(&mut self.timeline, mode, mb.len(), produced, applied);
+        match mode {
+            StepMode::Hot => self.hot_steps += 1,
+            StepMode::Cold => self.cold_steps += 1,
+        }
         self.steps += 1;
         self.absorb_net();
         let rate = self.rate;
@@ -366,17 +363,17 @@ impl<'a, En: StepEngine> Run<'a, En> {
     }
 
     /// Slides the lookahead window before a hot step: the access set
-    /// entering it is fetched K−1 steps before it executes, so its
-    /// transfer overlaps K−1 steps of compute; only the non-hidden excess
-    /// is charged. Sets past this block are left to the next block's plan
-    /// — the master thaws between blocks, so bytes fetched across the
-    /// boundary would go stale.
+    /// entering it is counted as fetched K−1 steps before it executes, so
+    /// its transfer overlaps K−1 steps of compute; only the non-hidden
+    /// excess is charged. Sets past this block are left to the next
+    /// block's plan — cold steps write rows between blocks, so bytes
+    /// fetched across the boundary would go stale on a real device.
     fn slide_window(&mut self, ahead: Lookahead<'_, '_>, batch: usize) {
         let Lookahead { oracle, pos, block } = ahead;
         let window = oracle.window();
         if pos > 0 && pos + window - 1 < block {
             if let Some(entering) = oracle.peek(window - 1) {
-                let (rows, bytes) = self.hot.fetch_missing(&self.master, &entering.sparse);
+                let (rows, bytes) = self.residency.fetch_missing(&entering.sparse);
                 if rows > 0 {
                     self.oracle_stats.prefetched_rows += rows;
                     self.oracle_stats.moved_bytes += bytes;
@@ -389,9 +386,9 @@ impl<'a, En: StepEngine> Run<'a, En> {
         }
         // Demand self-check: with an exact oracle this step's rows are
         // already resident, so misses stay 0; a nonzero count is a planner
-        // bug the fetch below keeps from corrupting training.
+        // bug, charged as the demand fetch it would be.
         if let Some((cur, accessed)) = oracle.advance() {
-            let (miss_rows, miss_bytes) = self.hot.fetch_missing(&self.master, &cur.sparse);
+            let (miss_rows, miss_bytes) = self.residency.fetch_missing(&cur.sparse);
             if miss_rows > 0 {
                 self.oracle_stats.misses += miss_rows;
                 self.oracle_stats.moved_bytes += miss_bytes;
@@ -401,27 +398,27 @@ impl<'a, En: StepEngine> Run<'a, En> {
         }
     }
 
-    /// Moves (or, for the fault directions, only pays for) hot-bag bytes
-    /// across PCIe, charges `sync_cost` of them and journals the one
-    /// `Sync` event. `plan` is the oracle's residency plan for the hot
-    /// block being entered or left: a refresh copies only the planned
-    /// rows and evicts the rest (free — the master already holds them),
-    /// a write-back only rows that were resident; `None` means the whole
-    /// bag is resident.
+    /// Counts the hot-bag bytes a sync moves across PCIe, charges
+    /// `sync_cost` of them and journals the one `Sync` event; no row is
+    /// copied. `plan` is the oracle's residency plan for the hot block
+    /// being entered or left: a refresh moves only the planned rows and
+    /// evicts the rest (free — the master holds every row), a write-back
+    /// only rows that were resident; `None` means the whole bag is
+    /// resident.
     pub(super) fn sync(&mut self, dir: SyncDir, plan: Option<&[Vec<u32>]>) {
-        let full = self.hot.sync_bytes() as u64;
+        let full = self.residency.hot_bytes();
         let (direction, bytes, attempts) = match dir {
             SyncDir::Initial => ("initial", full, 1),
             SyncDir::AbortedReplication => ("aborted-replication", full, 1),
             SyncDir::Retry(failures) => ("retry", full, failures),
             SyncDir::Refresh => {
-                let (moved, evicted) = self.hot.refresh_rows(&self.master, plan);
+                let (moved, evicted) = self.residency.refresh(plan);
                 let planned = plan.map_or(0, |p| p.iter().map(|r| r.len() as u64).sum());
                 self.oracle_stats.prefetched_rows += planned;
                 self.oracle_stats.evicted_rows += evicted;
                 ("refresh", moved, 1)
             }
-            SyncDir::WriteBack => ("write-back", self.hot.write_back_resident(&mut self.master), 1),
+            SyncDir::WriteBack => ("write-back", self.residency.write_back(), 1),
         };
         if plan.is_some() {
             self.oracle_stats.moved_bytes += bytes;
@@ -435,7 +432,7 @@ impl<'a, En: StepEngine> Run<'a, En> {
         match dir {
             SyncDir::Refresh => {
                 self.transitions += 1;
-                self.engine.on_refresh(step, &self.master, &self.hot);
+                self.engine.on_refresh(step, &self.master, self.residency.partitions());
                 self.absorb_net();
             }
             SyncDir::WriteBack => {
@@ -527,7 +524,7 @@ impl<'a, En: StepEngine> Run<'a, En> {
             self.gpus_active -= 1;
             self.costs.set_gpus(self.gpus_active);
             let dense_bytes = self.engine.primary_ref().dense_param_count() as f64 * 4.0;
-            let hot_bytes = self.hot.hot_bytes() as f64;
+            let hot_bytes = self.residency.hot_bytes() as f64;
             self.timeline.merge(&reshard_cost(&self.costs.sys, dense_bytes, hot_bytes));
             self.recover(
                 RecoveryAction::ShrankReplicas {

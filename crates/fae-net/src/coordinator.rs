@@ -21,7 +21,10 @@
 //!   replicas, the reduced gradient is posted (`Apply`, or `ApplyOwn`
 //!   when the one worker's own reply was the gradient); its ack is
 //!   collected by the next exchange on the link. At every cold→hot
-//!   transition the refreshed bags ship as `HotBagSync`.
+//!   transition the hot rows ship as `HotBagSync`.
+//! * **Hot rows** live in each process's master: the trainer's, as
+//!   in-process, and each node's. `HotBagSync` and `Welcome` are the only
+//!   copies made, and they cross the wire.
 //!
 //! # Failure handling
 //!
@@ -44,9 +47,9 @@
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
+use fae_core::classifier::hot_bytes;
 use fae_core::exec::{NetEvents, ParallelEngine, ShardOutput, StepEngine};
 use fae_core::faults::{FaultInjector, FaultKind, FaultPlan, RecoveryAction, RetryPolicy};
-use fae_core::replicator::HotEmbeddings;
 use fae_core::trainer::AnyModel;
 use fae_data::{MiniBatch, WorkloadSpec};
 use fae_embed::{HotColdPartition, SparseGrad};
@@ -588,11 +591,17 @@ impl StepEngine for RemoteEngine {
         self.inner.set_telemetry(telemetry);
     }
 
-    fn on_refresh(&mut self, step: u64, master: &MasterEmbeddings, hot: &HotEmbeddings) {
-        self.partitions = hot.partitions().to_vec();
-        self.partitions_json = serde_json::to_string(hot.partitions()).unwrap_or_default();
-        self.hot_snapshot = snapshot_entries(master, &self.partitions);
-        self.hot_bytes = hot.hot_bytes() as f64;
+    fn on_refresh(
+        &mut self,
+        step: u64,
+        master: &MasterEmbeddings,
+        partitions: &(impl AsRef<[HotColdPartition]> + ?Sized),
+    ) {
+        let partitions = partitions.as_ref();
+        self.partitions = partitions.to_vec();
+        self.partitions_json = serde_json::to_string(partitions).unwrap_or_default();
+        self.hot_snapshot = snapshot_entries(master, partitions);
+        self.hot_bytes = hot_bytes(partitions, master.dim()) as f64;
         // Replicating the bags across the node group rides the same
         // modeled path as a schedule-transition sync.
         self.events.step_charges.merge(&sync_cost(&self.sys, self.hot_bytes));
@@ -604,9 +613,9 @@ impl StepEngine for RemoteEngine {
     }
 
     fn on_write_back(&mut self, _step: u64, master: &MasterEmbeddings) {
-        // The trainer just folded the hot bags back into the master, so
-        // re-snapshot: a worker rejoining mid-cold-phase now gets
-        // current rows in its Welcome.
+        // The hot block's rows are in the master, so re-snapshot: a
+        // worker rejoining mid-cold-phase now gets current rows in its
+        // Welcome.
         if !self.partitions.is_empty() {
             self.hot_snapshot = snapshot_entries(master, &self.partitions);
         }
@@ -645,11 +654,9 @@ impl Drop for RemoteEngine {
 }
 
 /// Extracts every hot row of every table — the payload of a
-/// `HotBagSync` and the bag half of a `Welcome`.
+/// `HotBagSync` and the bag half of a `Welcome`. Row-level reads work on
+/// a tiered master too, whose hot rows are exact f32.
 fn snapshot_entries(master: &MasterEmbeddings, partitions: &[HotColdPartition]) -> Vec<HotEntry> {
-    // Row-level reads work in both storage modes, so a tiered master
-    // (never built on the distributed path today) would still snapshot
-    // instead of panicking.
     let mut out = Vec::new();
     for (t, p) in partitions.iter().enumerate().take(master.num_tables()) {
         for &g in p.hot_ids() {

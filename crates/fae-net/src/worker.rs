@@ -38,6 +38,7 @@ use std::time::Duration;
 
 use fae_core::exec::{compute_shard, ShardOutput};
 use fae_core::faults::{FaultInjector, FaultKind, FaultPlan};
+use fae_core::input_processor::fits;
 use fae_core::trainer::AnyModel;
 use fae_data::{MiniBatch, WorkloadSpec};
 use fae_embed::{HotColdPartition, SparseGrad};
@@ -174,13 +175,9 @@ impl Replica {
     /// coordinator computes the shard itself.
     fn takes(&self, shard: &MiniBatch, total: u32) -> bool {
         let Some(partitions) = &self.partitions else { return false };
-        let hot =
-            |p: &HotColdPartition, g: u32| (g as usize) < p.rows() && p.hot_local(g).is_some();
         (1..=total as usize).contains(&shard.len())
             && shard.dense_width == self.model.mlps()[0].sizes()[0]
-            && shard.sparse.len() == partitions.len()
-            && (shard.sparse.iter().zip(partitions))
-                .all(|(csr, p)| csr.indices.iter().all(|&g| hot(p, g)))
+            && fits(shard, partitions, true)
     }
 
     /// The model, once `dense` holds one value per dense parameter.

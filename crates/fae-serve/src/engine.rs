@@ -24,6 +24,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 
+use fae_core::classifier::hot_bytes;
 use fae_core::{AnyModel, TrainCheckpoint};
 use fae_data::{BatchKind, Dataset, MiniBatch, WorkloadSpec};
 use fae_embed::HotColdPartition;
@@ -332,9 +333,7 @@ impl ServeEngine {
     }
 
     fn profile(&self) -> ModelProfile {
-        let hot_bytes: usize =
-            self.partitions.iter().map(|p| p.hot_bytes(self.spec.embedding_dim)).sum();
-        profile_for(&self.spec, hot_bytes as f64)
+        profile_for(&self.spec, hot_bytes(&self.partitions, self.spec.embedding_dim) as f64)
     }
 
     /// Estimated service seconds of one full all-hot batch — the unit the

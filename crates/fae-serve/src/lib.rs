@@ -38,12 +38,9 @@ pub use engine::{CheckpointMismatch, ServeConfig, ServeEngine, ServeReport};
 pub use loadgen::{open_loop_requests, saturation_sweep, sweep_json, SweepPoint, SweepReport};
 pub use request::{InferRequest, RequestTrace, ServeLoad};
 
-use fae_core::calibrator::{log_accesses, sample_inputs};
-use fae_core::{classify_tables, Calibrator, CalibratorConfig};
+use fae_core::{classify_tables, Calibrator, CalibratorConfig, Telemetry};
 use fae_data::Dataset;
 use fae_embed::HotColdPartition;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Runs the calibrator pipeline (sample → log → converge → classify) on
 /// `ds` and returns the per-table hot/cold partitions that seed the
@@ -51,10 +48,6 @@ use rand::SeedableRng;
 /// at preprocess time, so a checkpoint trained from the same dataset and
 /// calibrator config sees the same hot rows at serve time.
 pub fn calibrate_partitions(ds: &Dataset, cfg: CalibratorConfig) -> Vec<HotColdPartition> {
-    let calibrator = Calibrator::new(cfg);
-    let mut rng = StdRng::seed_from_u64(calibrator.config.seed);
-    let samples = sample_inputs(ds, calibrator.config.sample_rate, &mut rng);
-    let counters = log_accesses(ds, &samples);
-    let cal = calibrator.converge(ds, &counters, &mut rng);
+    let (cal, counters) = Calibrator::new(cfg).calibrate_with(ds, &Telemetry::disabled());
     classify_tables(&ds.spec, &counters, &cal)
 }

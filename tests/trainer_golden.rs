@@ -32,7 +32,7 @@ const GOLDEN: &[(&str, &str)] = &[
     ("stale_skip", "f9993eb3 40073fd9a1d1f375 h220 c32 t14 r0 f0 o[0 0 0 0 0 0] s[1065 901 750 0 315]"),
     ("all_modes", "fa096fca 40073fd6ac796691 h220 c32 t14 r0 f0 o[1619 436 24584 0 103616 125888] s[1065 901 750 0 315]"),
     ("all_modes/w2", "69fab348 40073fd6ac796691 h220 c32 t14 r0 f0 o[1619 436 24584 0 103616 125888] s[1065 901 750 0 315]"),
-    ("halted", "68c6453a 3fef0f5fcbb70e46 h72 c12 t5 r0 f0 o[0 0 0 0 0 0] s[0 0 0 0 0]"),
+    ("halted", "76c13d25 3fef0f5fcbb70e46 h72 c12 t5 r0 f0 o[0 0 0 0 0 0] s[0 0 0 0 0]"),
     ("resumed", "76cd1bec 40074229255aa471 h220 c32 t14 r1 f0 o[0 0 0 0 0 0] s[0 0 0 0 0]"),
     ("all_modes/resumed", "391815bc 40073b47762a906e h220 c32 t14 r1 f0 o[1164 327 18304 0 74496 89920] s[744 696 110 634 0]"),
     ("device-loss", "76cd1bec 4015771ce5dade88 h220 c32 t14 r1 f1 o[0 0 0 0 0 0] s[0 0 0 0 0]"),
