@@ -2,7 +2,7 @@
 //!
 //! §III-B stores the preprocessed mini-batch stream "in the FAE format for
 //! any subsequent training runs"; a later run also needs the calibration
-//! decision and the hot/cold partitions (to rebuild the hot bags and to
+//! decision and the hot/cold partitions (to size the hot bags and to
 //! route lookups). This module bundles all three: the mini-batch stream
 //! goes into the FAE binary container, and the calibration + partitions
 //! go into a JSON sidecar next to it.

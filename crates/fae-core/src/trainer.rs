@@ -105,10 +105,11 @@ pub struct TrainConfig {
     /// persisted `TrainConfig` JSON exists, only `config_seed`.)
     pub quantize_cold: bool,
     /// Lookahead-oracle window K in batches (0 disables). With K ≥ 1 the
-    /// cold→hot refresh copies only the union of the next `min(K, block)`
+    /// cold→hot refresh moves only the union of the next `min(K, block)`
     /// hot access sets, the window slides during the block (the entering
     /// set prefetched K−1 steps early, its transfer hidden behind
-    /// compute), and the hot→cold write-back moves only resident rows.
+    /// compute), and the hot→cold write-back moves only resident rows;
+    /// in-process these moves are counted and charged, not copied.
     /// Transfer costs change; numerics do not — any K produces the same
     /// model digest as K = 0. A distributed run plans on the coordinator
     /// and still ships workers the full hot bag.

@@ -125,9 +125,9 @@ impl NodeJournal {
 
 /// The worker's replicated training state, built from a `Welcome`. A hot
 /// `Task` reads its rows in the master and a hot `Apply` steps them there:
-/// the master's id map is the identity, and it reads and writes a row
-/// through the `lanes::add_assign` / `lanes::axpy` kernels the
-/// coordinator's hot bags use, so the arithmetic is the bags'.
+/// the coordinator's trainer does the same in its own master, so both
+/// read and write a row through the same `lanes::add_assign` /
+/// `lanes::axpy` kernels and the identity id map.
 struct Replica {
     model: AnyModel,
     master: MasterEmbeddings,
