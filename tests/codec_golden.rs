@@ -15,6 +15,7 @@
 
 use proptest::prelude::*;
 
+use fae::core::artifacts;
 use fae::core::faults::{FaultKind, InjectedFault, RecoveryAction};
 use fae::core::pipeline::{prefetch_fae_blocks, prepare};
 use fae::core::scheduler::SchedulerState;
@@ -414,6 +415,46 @@ fn prefetched_fae_blocks_match_the_eager_decode_and_end_at_the_first_error() {
         assert!(items[whole].is_err(), "cut {cut}");
         assert!(ended, "cut {cut}: the stream ends at its error");
     }
+}
+
+/// A saved stream is `encode()`'s bytes, `artifacts::load` hands back
+/// `FaeFile::decode`'s batches bit for bit (split into hot and the rest,
+/// each in file order), and every strict prefix of the file is a load
+/// error, never a panic.
+#[test]
+fn saved_streams_are_the_encoded_bytes_and_load_like_the_eager_decode() {
+    let ds = generate(&WorkloadSpec::tiny_test(), &GenOptions::sized(7, 160));
+    let cal = CalibratorConfig {
+        gpu_budget_bytes: 40 << 10,
+        small_table_bytes: 2 << 10,
+        ..Default::default()
+    };
+    let art = prepare(&ds, cal, &PreprocessConfig { minibatch_size: 16, seed: 7 });
+    let dir = std::env::temp_dir().join(format!("fae-codec-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("s.fae");
+    artifacts::save(&art, "tiny-test", &path).expect("save");
+    let bytes = std::fs::read(&path).expect("the saved stream");
+    assert_eq!(bytes, art.preprocessed.to_fae_file("tiny-test").encode());
+
+    let eager = FaeFile::decode(&bytes).expect("decodes");
+    let (hot, rest): (Vec<_>, Vec<_>) =
+        eager.batches.iter().partition(|b| b.kind == BatchKind::Hot);
+    assert!(!hot.is_empty() && !rest.is_empty(), "the stream holds hot and cold batches");
+    let (loaded, workload) = artifacts::load(&path).expect("loads");
+    assert_eq!(workload, "tiny-test");
+    let bits = |v: &[&MiniBatch]| v.iter().map(|b| batch_bits(b)).collect::<Vec<_>>();
+    let pre = &loaded.preprocessed;
+    assert_eq!(pre.hot_batches.iter().map(batch_bits).collect::<Vec<_>>(), bits(&hot));
+    assert_eq!(pre.cold_batches.iter().map(batch_bits).collect::<Vec<_>>(), bits(&rest));
+
+    // Cut the file from its end, one byte at a time, down to nothing.
+    let file = std::fs::OpenOptions::new().write(true).open(&path).expect("the stream opens");
+    for cut in (0..bytes.len()).rev() {
+        file.set_len(cut as u64).expect("truncate");
+        assert!(artifacts::load(&path).is_err(), "a {cut}-byte prefix loaded");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------- the static phase ----------
