@@ -7,13 +7,13 @@
 //! goes into the FAE binary container, and the calibration + partitions
 //! go into a JSON sidecar next to it.
 
-use std::fs;
-use std::io;
+use std::fs::{self, File};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
-use fae_data::format::FormatError;
+use fae_data::format::{FaeStreamReader, FormatError};
 use fae_data::{BatchKind, WorkloadSpec};
 use fae_embed::HotColdPartition;
 use fae_telemetry::{metric, JournalEvent, Telemetry};
@@ -21,7 +21,7 @@ use fae_telemetry::{metric, JournalEvent, Telemetry};
 use crate::calibrator::CalibrationResult;
 use crate::faults::{retry_with_backoff, FaultInjector, FaultKind, RecoveryAction, RetryPolicy};
 use crate::input_processor::Preprocessed;
-use crate::pipeline::{prefetch_fae_blocks, StaticArtifacts};
+use crate::pipeline::StaticArtifacts;
 
 /// JSON sidecar: everything except the (large, binary) batch stream.
 #[derive(Serialize, Deserialize)]
@@ -90,19 +90,21 @@ fn sidecar_path(stream: &Path) -> PathBuf {
     PathBuf::from(p)
 }
 
-/// Writes `bytes` to `path` atomically: a sibling temp file in the same
-/// directory (same filesystem, so the rename cannot cross devices) is
-/// written in full, then renamed over the target. A crash mid-write
-/// leaves the old file intact; readers never see a torn file.
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Writes `path` atomically: `write` fills a sibling temp file in the
+/// same directory (same filesystem, so the rename cannot cross devices),
+/// which is then renamed over the target. A crash mid-write leaves the
+/// old file intact; readers never see a torn file.
+fn write_atomic(path: &Path, write: impl FnOnce(&mut File) -> io::Result<()>) -> io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    fs::write(&tmp, bytes)?;
+    write(&mut File::create(&tmp)?)?;
     fs::rename(&tmp, path)
 }
 
 /// Saves the static artifacts: `<path>` gets the FAE batch stream,
+/// written batch by batch through one window
+/// ([`FaeFile::write_to`](fae_data::format::FaeFile::write_to)), and
 /// `<path>.meta.json` the calibration + partitions.
 ///
 /// Both files are written atomically (temp + rename), so a crash never
@@ -111,14 +113,14 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// new stream beside an old sidecar — [`load`] then fails on the
 /// partition/stream mismatch rather than silently mixing generations.
 pub fn save(artifacts: &StaticArtifacts, workload: &str, path: &Path) -> Result<(), ArtifactError> {
-    let stream = artifacts.preprocessed.to_fae_file(workload).encode();
-    write_atomic(path, &stream)?;
+    write_atomic(path, |f| artifacts.preprocessed.to_fae_file(workload).write_to(f))?;
     let sidecar = Sidecar {
         calibration: artifacts.calibration.clone(),
         partitions: artifacts.preprocessed.partitions.clone(),
         hot_input_fraction: artifacts.preprocessed.hot_input_fraction,
     };
-    write_atomic(&sidecar_path(path), &serde_json::to_vec_pretty(&sidecar)?)?;
+    let json = serde_json::to_vec_pretty(&sidecar)?;
+    write_atomic(&sidecar_path(path), |f| f.write_all(&json))?;
     Ok(())
 }
 
@@ -126,20 +128,13 @@ pub fn save(artifacts: &StaticArtifacts, workload: &str, path: &Path) -> Result<
 /// name recorded in the container.
 ///
 /// The container's header is checked first; then the JSON sidecar is
-/// parsed and each batch, decoded as it is read, is sorted into the hot
-/// or the cold stream.
+/// parsed and each batch, decoded out of one window onto the file
+/// ([`FaeStreamReader::open_file`]), is sorted into the hot or the cold
+/// stream. The file is never held whole beside its decoded batches.
 pub fn load(path: &Path) -> Result<(StaticArtifacts, String), ArtifactError> {
-    let (workload, blocks) = prefetch_fae_blocks(fs::read(path)?)?;
-    // The stream was just read successfully, so the set existed; a
-    // sidecar that is NotFound *now* vanished underneath us.
-    let sidecar_bytes = match fs::read(sidecar_path(path)) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            return Err(ArtifactError::Vanished(sidecar_path(path)));
-        }
-        Err(e) => return Err(e.into()),
-    };
-    let sidecar: Sidecar = serde_json::from_slice(&sidecar_bytes)?;
+    let blocks = FaeStreamReader::open_file(path)?;
+    let workload = blocks.workload().to_string();
+    let sidecar = read_sidecar(path)?;
     let (mut hot, mut cold) = (Vec::new(), Vec::new());
     for block in blocks {
         let b = block?;
@@ -161,6 +156,27 @@ pub fn load(path: &Path) -> Result<(StaticArtifacts, String), ArtifactError> {
         },
         workload,
     ))
+}
+
+/// What serving needs of the artifacts at `path`: the sidecar's
+/// partitions and the workload name in the stream's header. No batch is
+/// decoded, so a stream torn after its header still yields both.
+pub fn load_partitions(path: &Path) -> Result<(Vec<HotColdPartition>, String), ArtifactError> {
+    let workload = FaeStreamReader::open_file(path)?.workload().to_string();
+    Ok((read_sidecar(path)?.partitions, workload))
+}
+
+/// Parses the sidecar of the stream at `path`, whose header was just
+/// read: so the set existed, and a sidecar that is NotFound *now*
+/// vanished underneath us.
+fn read_sidecar(path: &Path) -> Result<Sidecar, ArtifactError> {
+    match fs::read(sidecar_path(path)) {
+        Ok(bytes) => Ok(serde_json::from_slice(&bytes)?),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            Err(ArtifactError::Vanished(sidecar_path(path)))
+        }
+        Err(e) => Err(e.into()),
+    }
 }
 
 /// Loads the artifacts at `path`, riding out transient I/O faults with
@@ -395,6 +411,34 @@ mod tests {
         .expect("rebuilt");
         assert_eq!((name.as_str(), recs), ("tiny-test", vec![RecoveryAction::RebuiltArtifacts]));
         assert_eq!(b.preprocessed.total_batches(), a.preprocessed.total_batches());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_trailing_byte_after_the_last_batch_is_rebuilt() {
+        let a = artifacts();
+        let dir = std::env::temp_dir().join("fae-artifacts-trailing");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("stream.fae");
+        save(&a, "tiny-test", &path).expect("save");
+        fs::OpenOptions::new().append(true).open(&path).unwrap().write_all(&[0]).unwrap();
+        assert!(matches!(
+            load(&path),
+            Err(ArtifactError::Format(FormatError::Corrupt("trailing bytes after final batch")))
+        ));
+
+        let (b, _, recs) = load_or_rebuild(
+            &path,
+            &WorkloadSpec::tiny_test(),
+            &mut FaultInjector::none(),
+            &RetryPolicy::default(),
+            || a.clone(),
+        )
+        .expect("rebuilt");
+        assert_eq!(recs, vec![RecoveryAction::RebuiltArtifacts]);
+        assert_eq!(b.preprocessed.total_batches(), a.preprocessed.total_batches());
+        assert!(load(&path).is_ok(), "the rebuild rewrote the stream without the byte");
         fs::remove_dir_all(&dir).ok();
     }
 

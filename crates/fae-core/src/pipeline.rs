@@ -1,7 +1,9 @@
 //! One-call pipelines assembling the full FAE flow of Fig 5:
 //! generate/load data → calibrate → classify → preprocess → train —
-//! plus [`prefetch_fae_blocks`], which streams a saved FAE container
-//! back one mini-batch at a time.
+//! plus [`prefetch_fae_blocks`], which streams an FAE container held in
+//! memory back one mini-batch at a time. A saved file is read through
+//! one window instead ([`FaeStreamReader::open_file`], what
+//! [`artifacts::load`](crate::artifacts::load) uses), never whole.
 
 use fae_data::format::{FaeStreamReader, FormatError};
 use fae_data::{Dataset, WorkloadSpec};
@@ -14,9 +16,10 @@ use crate::trainer::{train_baseline, train_fae, TrainConfig, TrainReport};
 
 /// Opens a FAE container held in `bytes` and streams its mini-batches,
 /// each decoded on the caller's thread when it asks for the next one. The
-/// header is validated here (a corrupt or foreign file errors at open, not
-/// mid-stream); a body error — a torn or corrupt batch — is the stream's
-/// last item. Returns the container's workload name and the batch stream.
+/// header is validated here (a corrupt or foreign file errors at open, and
+/// its batch count is held to the length of `bytes`); a body error — a
+/// torn or corrupt batch, or a byte after the last — is the stream's last
+/// item. Returns the container's workload name and the batch stream.
 pub fn prefetch_fae_blocks(
     bytes: Vec<u8>,
 ) -> Result<(String, FaeStreamReader<Vec<u8>>), FormatError> {

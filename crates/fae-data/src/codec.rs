@@ -118,9 +118,16 @@ impl<'a> Reader<'a> {
     /// each at least `elem_bytes` long, fit in the rest of the buffer —
     /// the one way a decoded integer may size an allocation.
     pub fn count(&mut self, elem_bytes: usize) -> Result<usize, ReadError> {
+        self.count_beyond(elem_bytes, 0)
+    }
+
+    /// [`Self::count`] for elements of a stream this buffer is a window
+    /// onto: they must fit in the rest of the buffer and the `beyond`
+    /// stream bytes after it.
+    pub fn count_beyond(&mut self, elem_bytes: usize, beyond: u64) -> Result<usize, ReadError> {
         let n = self.u32()? as usize;
         let bytes = n.checked_mul(elem_bytes).ok_or(ReadError::Overflow)?;
-        if bytes > self.buf.len() {
+        if bytes as u64 > self.buf.len() as u64 + beyond {
             return Err(ReadError::Truncated);
         }
         Ok(n)

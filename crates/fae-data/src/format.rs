@@ -19,12 +19,18 @@
 //! [`FormatError`] instead of panicking — this file crosses process
 //! boundaries, so it is treated as untrusted input. Every read goes
 //! through [`codec::Reader`](crate::codec::Reader), so a declared count is
-//! checked against the bytes left before anything is allocated for it.
+//! checked against the bytes left before anything is allocated for it;
+//! the header's batch count against the whole stream's length.
+//!
+//! A file is read and written through one [`WINDOW`]-sized buffer, never
+//! whole: [`FaeStreamReader::open_file`] decodes batches out of a
+//! [`Window`] it refills from the file, and [`FaeFile::write_to`] encodes
+//! whole batches into a buffer it writes out each time it fills.
 
 use std::borrow::Borrow;
 use std::fmt;
-use std::fs;
-use std::io;
+use std::fs::File;
+use std::io::{self, Read, Write};
 use std::path::Path;
 
 use crate::codec::{put_counted, put_str, put_u32, put_words, ReadError, Reader};
@@ -33,6 +39,10 @@ use crate::minibatch::{BatchKind, MiniBatch};
 
 const MAGIC: &[u8; 4] = b"FAE1";
 const VERSION: u32 = 1;
+
+/// Bytes of a container a file is read and written through at a time.
+/// A [`Window`] grows past it only to hold a batch larger than itself.
+pub const WINDOW: usize = 256 << 10;
 
 /// Errors produced while decoding an FAE container.
 #[derive(Debug)]
@@ -137,75 +147,172 @@ impl<B: Borrow<MiniBatch>> FaeFile<B> {
         MAGIC.len() + 4 * 5 + self.workload.len() + self.iter().map(batch).sum::<usize>()
     }
 
+    /// Appends the header: magic, version, workload name, dense width,
+    /// table count and batch count.
+    fn put_header(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(MAGIC);
+        put_u32(buf, VERSION);
+        put_str(buf, &self.workload);
+        put_u32(buf, self.dense_width);
+        put_u32(buf, self.num_tables);
+        put_u32(buf, self.batches.len() as u32);
+    }
+
     /// Serialises to bytes, into one buffer allocated at its exact length.
     pub fn encode(&self) -> Vec<u8> {
         let len = self.encoded_len();
         let mut buf = Vec::with_capacity(len);
-        buf.extend_from_slice(MAGIC);
-        put_u32(&mut buf, VERSION);
-        put_str(&mut buf, &self.workload);
-        put_u32(&mut buf, self.dense_width);
-        put_u32(&mut buf, self.num_tables);
-        put_u32(&mut buf, self.batches.len() as u32);
+        self.put_header(&mut buf);
         for b in self.iter() {
-            buf.push(match b.kind {
-                BatchKind::Hot => 0,
-                BatchKind::Cold => 1,
-                BatchKind::Unclassified => 2,
-            });
-            put_u32(&mut buf, b.len() as u32);
-            put_words(&mut buf, &b.dense, f32::to_le_bytes);
-            put_words(&mut buf, &b.labels, f32::to_le_bytes);
-            for csr in &b.sparse {
-                put_counted(&mut buf, &csr.indices, u32::to_le_bytes);
-                put_words(&mut buf, &csr.offsets, |o| (o as u32).to_le_bytes());
-            }
+            put_batch(&mut buf, b);
         }
         debug_assert_eq!(buf.len(), len, "encoded_len counts every byte encode writes");
         buf
     }
 
-    /// Writes the container to a file.
+    /// Writes [`Self::encode`]'s bytes to `out` without holding them all:
+    /// whole batches are encoded into one buffer, written out each time it
+    /// holds a [`WINDOW`].
+    pub fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
+        let mut buf = Vec::with_capacity(WINDOW);
+        self.put_header(&mut buf);
+        for b in self.iter() {
+            put_batch(&mut buf, b);
+            if buf.len() >= WINDOW {
+                out.write_all(&buf)?;
+                buf.clear();
+            }
+        }
+        out.write_all(&buf)
+    }
+
+    /// Writes the container to a file, through [`Self::write_to`].
     pub fn write_file(&self, path: impl AsRef<Path>) -> Result<(), FormatError> {
-        fs::write(path, self.encode())?;
-        Ok(())
+        Ok(self.write_to(&mut File::create(path)?)?)
+    }
+}
+
+/// Appends one batch: its kind, length, dense rows, labels and, per
+/// table, nnz, indices and offsets.
+fn put_batch(buf: &mut Vec<u8>, b: &MiniBatch) {
+    buf.push(match b.kind {
+        BatchKind::Hot => 0,
+        BatchKind::Cold => 1,
+        BatchKind::Unclassified => 2,
+    });
+    put_u32(buf, b.len() as u32);
+    put_words(buf, &b.dense, f32::to_le_bytes);
+    put_words(buf, &b.labels, f32::to_le_bytes);
+    for csr in &b.sparse {
+        put_counted(buf, &csr.indices, u32::to_le_bytes);
+        put_words(buf, &csr.offsets, |o| (o as u32).to_le_bytes());
     }
 }
 
 impl FaeFile {
     /// Parses a container from bytes.
     pub fn decode(buf: &[u8]) -> Result<Self, FormatError> {
-        let mut reader = FaeStreamReader::open(buf)?;
+        Self::drain(FaeStreamReader::open(buf)?)
+    }
+
+    /// Reads a container from a file, through one [`Window`].
+    pub fn read_file(path: impl AsRef<Path>) -> Result<Self, FormatError> {
+        Self::drain(FaeStreamReader::open_file(path)?)
+    }
+
+    fn drain<S: Source>(mut reader: FaeStreamReader<S>) -> Result<Self, FormatError> {
         let mut batches = Vec::with_capacity(reader.batches_remaining() as usize);
         while let Some(batch) = reader.next_batch()? {
             batches.push(batch);
         }
-        if reader.trailing_bytes() > 0 {
-            return Err(FormatError::Corrupt("trailing bytes after final batch"));
-        }
         Ok(Self {
-            workload: reader.workload().to_string(),
-            dense_width: reader.dense_width(),
-            num_tables: reader.num_tables(),
+            workload: reader.workload,
+            dense_width: reader.dense_width,
+            num_tables: reader.num_tables,
             batches,
         })
     }
+}
 
-    /// Reads a container from a file.
-    pub fn read_file(path: impl AsRef<Path>) -> Result<Self, FormatError> {
-        let data = fs::read(path)?;
-        Self::decode(&data)
+/// Where a [`FaeStreamReader`] reads: bytes it holds whole (any
+/// `AsRef<[u8]>`), or a [`Window`] onto a longer stream.
+pub trait Source {
+    /// The bytes at hand.
+    fn bytes(&self) -> &[u8];
+
+    /// Stream bytes after the ones at hand.
+    fn unread(&self) -> u64 {
+        0
+    }
+
+    /// Drops the first `consumed` bytes at hand and reads more in behind
+    /// the rest: `Ok(false)`, dropping nothing, when none are left.
+    fn refill(&mut self, _consumed: usize) -> io::Result<bool> {
+        Ok(false)
+    }
+}
+
+impl<B: AsRef<[u8]>> Source for B {
+    fn bytes(&self) -> &[u8] {
+        self.as_ref()
+    }
+}
+
+/// A [`WINDOW`] onto a stream of known length, or all of it when shorter.
+/// It doubles, never past the stream's end, only while the bytes it holds
+/// begin a batch larger than itself.
+pub struct Window<R> {
+    buf: Vec<u8>,
+    rest: io::Take<R>,
+}
+
+impl<R: Read> Window<R> {
+    /// A window onto the `len` bytes `read` yields. Nothing is read yet.
+    pub fn new(read: R, len: u64) -> Self {
+        Self { buf: Vec::with_capacity(len.min(WINDOW as u64) as usize), rest: read.take(len) }
+    }
+
+    /// The bytes it can hold.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+}
+
+impl<R: Read> Source for Window<R> {
+    fn bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    fn unread(&self) -> u64 {
+        self.rest.limit()
+    }
+
+    fn refill(&mut self, consumed: usize) -> io::Result<bool> {
+        if self.rest.limit() == 0 {
+            return Ok(false);
+        }
+        self.buf.drain(..consumed);
+        if self.buf.len() == self.buf.capacity() {
+            self.buf.reserve_exact(self.rest.limit().min(self.buf.len() as u64) as usize);
+        }
+        let room = (self.buf.capacity() - self.buf.len()) as u64;
+        if (&mut self.rest).take(room).read_to_end(&mut self.buf)? == 0 {
+            self.rest.set_limit(0); // the stream ended before its length
+        }
+        Ok(true)
     }
 }
 
 /// Incremental decoder over an FAE container: yields one [`MiniBatch`] at
 /// a time, so a training loop can stream a large preprocessed file
-/// without materialising every batch up front. It reads borrowed bytes
-/// (`&[u8]`) or owns them (`Vec<u8>`). The stream ends at its first
-/// error: a torn or corrupt batch leaves no offset to trust for the next.
+/// without materialising every batch up front. It reads bytes it borrows
+/// (`&[u8]`) or owns (`Vec<u8>`), or a file through a [`Window`]. The
+/// stream ends at its first error: a torn or corrupt batch leaves no
+/// offset to trust for the next. A byte after the last declared batch is
+/// that batch's error.
 pub struct FaeStreamReader<B> {
     buf: B,
-    /// Offset of the next batch in `buf`.
+    /// Offset of the next batch in `buf`'s bytes.
     pos: usize,
     workload: String,
     dense_width: u32,
@@ -213,26 +320,24 @@ pub struct FaeStreamReader<B> {
     remaining: u32,
 }
 
-impl<B: AsRef<[u8]>> FaeStreamReader<B> {
+impl FaeStreamReader<Window<File>> {
+    /// Opens the container at `path`, to be decoded through a [`Window`].
+    pub fn open_file(path: impl AsRef<Path>) -> Result<Self, FormatError> {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        Self::open(Window::new(file, len))
+    }
+}
+
+impl<B: Source> FaeStreamReader<B> {
     /// Validates the header and positions the reader at the first batch.
-    pub fn open(buf: B) -> Result<Self, FormatError> {
-        let mut reader = Reader::new(buf.as_ref());
-        if reader.take(4)? != MAGIC {
-            return Err(FormatError::BadMagic);
-        }
-        let version = reader.u32()?;
-        if version != VERSION {
-            return Err(FormatError::BadVersion(version));
-        }
-        let workload = reader.str()?.to_owned();
-        let dense_width = reader.u32()?;
-        let num_tables = reader.u32()?;
-        // Every batch holds at least its kind, its length and, per table,
-        // an nnz and one offset: so a table count is bounded by the bytes
-        // too whenever a batch is declared.
-        let remaining = reader.count(5 + 8 * num_tables as usize)? as u32;
-        let pos = buf.as_ref().len() - reader.remaining();
-        Ok(Self { buf, pos, workload, dense_width, num_tables, remaining })
+    pub fn open(mut buf: B) -> Result<Self, FormatError> {
+        let mut pos = 0;
+        let (workload, dense_width, num_tables, remaining) =
+            decode(&mut buf, &mut pos, read_header)?;
+        let stream = Self { buf, pos, workload, dense_width, num_tables, remaining };
+        stream.check_end()?;
+        Ok(stream)
     }
 
     /// Workload name recorded in the header.
@@ -240,26 +345,21 @@ impl<B: AsRef<[u8]>> FaeStreamReader<B> {
         &self.workload
     }
 
-    /// Dense feature width shared by all batches.
-    pub fn dense_width(&self) -> u32 {
-        self.dense_width
-    }
-
-    /// Embedding-table count shared by all batches.
-    pub fn num_tables(&self) -> u32 {
-        self.num_tables
-    }
-
     /// Batches not yet decoded.
     pub fn batches_remaining(&self) -> u32 {
         self.remaining
     }
 
-    /// Bytes left after the declared batches (0 for a well-formed file;
-    /// only meaningful once every batch has been read).
+    /// Where the reader reads.
+    pub fn source(&self) -> &B {
+        &self.buf
+    }
+
+    /// Bytes held after the declared batches: 0 once every batch has been
+    /// read, since a trailing byte is the last batch's error.
     pub fn trailing_bytes(&self) -> usize {
         if self.remaining == 0 {
-            self.buf.as_ref().len() - self.pos
+            self.buf.bytes().len() - self.pos
         } else {
             0
         }
@@ -271,47 +371,92 @@ impl<B: AsRef<[u8]>> FaeStreamReader<B> {
         if self.remaining == 0 {
             return Ok(None);
         }
-        let rest = &self.buf.as_ref()[self.pos..];
-        let mut r = Reader::new(rest);
-        match self.read_batch(&mut r) {
-            Ok(batch) => {
-                self.pos += rest.len() - r.remaining();
-                self.remaining -= 1;
-                Ok(Some(batch))
-            }
-            Err(e) => {
-                self.pos = self.buf.as_ref().len();
-                self.remaining = 0;
-                Err(e)
-            }
+        let (width, tables) = (self.dense_width as usize, self.num_tables as usize);
+        let batch = decode(&mut self.buf, &mut self.pos, |r, _| read_batch(r, width, tables));
+        let batch = batch.and_then(|batch| {
+            self.remaining -= 1;
+            self.check_end().map(|()| batch)
+        });
+        if batch.is_err() {
+            self.pos = self.buf.bytes().len();
+            self.remaining = 0;
         }
+        batch.map(Some)
     }
 
-    fn read_batch(&self, r: &mut Reader<'_>) -> Result<MiniBatch, FormatError> {
-        let kind = match r.u8()? {
-            0 => BatchKind::Hot,
-            1 => BatchKind::Cold,
-            2 => BatchKind::Unclassified,
-            _ => return Err(FormatError::Corrupt("unknown batch kind")),
-        };
-        let (dense_width, num_tables) = (self.dense_width as usize, self.num_tables as usize);
-        // A sample holds its dense row, its label and one offset per table.
-        let len = r.count(4 * (dense_width + 1 + num_tables))?;
-        let dense = r.words(len * dense_width, f32::from_le_bytes)?.collect();
-        let labels = r.words(len, f32::from_le_bytes)?.collect();
-        let mut sparse = Vec::with_capacity(num_tables);
-        for _ in 0..num_tables {
-            let indices = r.counted(u32::from_le_bytes)?;
-            let offsets = r.words(len + 1, |w| u32::from_le_bytes(w) as usize)?.collect();
-            let csr = TableIndices { indices, offsets };
-            csr.validate(len).map_err(FormatError::Corrupt)?;
-            sparse.push(csr);
-        }
-        Ok(MiniBatch { kind, dense, dense_width, sparse, labels })
+    /// Errs if a byte follows the last declared batch, once it is read.
+    fn check_end(&self) -> Result<(), FormatError> {
+        let end = self.remaining > 0 || self.trailing_bytes() as u64 + self.buf.unread() == 0;
+        end.then_some(()).ok_or(FormatError::Corrupt("trailing bytes after final batch"))
     }
 }
 
-impl<B: AsRef<[u8]>> Iterator for FaeStreamReader<B> {
+/// Runs `read` over `src`'s bytes from `pos` (and the count of unread
+/// ones), then moves `pos` past what it read. While they end too soon and
+/// `src` has more, it refills `src` and runs `read` again: so only the
+/// stream's true end is `Truncated`.
+fn decode<T>(
+    src: &mut impl Source,
+    pos: &mut usize,
+    read: impl Fn(&mut Reader<'_>, u64) -> Result<T, FormatError>,
+) -> Result<T, FormatError> {
+    loop {
+        let rest = &src.bytes()[*pos..];
+        let mut r = Reader::new(rest);
+        match (read(&mut r, src.unread()), rest.len() - r.remaining()) {
+            (Err(FormatError::Truncated(_)), _) if src.refill(*pos)? => *pos = 0,
+            (item, used) => {
+                *pos += used;
+                return item;
+            }
+        }
+    }
+}
+
+/// The header: magic and version, then the workload name, dense width,
+/// table count and batch count it returns.
+fn read_header(r: &mut Reader<'_>, unread: u64) -> Result<(String, u32, u32, u32), FormatError> {
+    if r.take(4)? != MAGIC {
+        return Err(FormatError::BadMagic);
+    }
+    let version = r.u32()?;
+    if version != VERSION {
+        return Err(FormatError::BadVersion(version));
+    }
+    let workload = r.str()?.to_owned();
+    let dense_width = r.u32()?;
+    let num_tables = r.u32()?;
+    // Every batch holds at least its kind, its length and, per table, an
+    // nnz and one offset: so a table count is bounded by the stream's
+    // length too whenever a batch is declared.
+    let batches = r.count_beyond(5 + 8 * num_tables as usize, unread)?;
+    Ok((workload, dense_width, num_tables, batches as u32))
+}
+
+/// One batch of `width` dense features over `tables` tables.
+fn read_batch(r: &mut Reader<'_>, width: usize, tables: usize) -> Result<MiniBatch, FormatError> {
+    let kind = match r.u8()? {
+        0 => BatchKind::Hot,
+        1 => BatchKind::Cold,
+        2 => BatchKind::Unclassified,
+        _ => return Err(FormatError::Corrupt("unknown batch kind")),
+    };
+    // A sample holds its dense row, its label and one offset per table.
+    let len = r.count(4 * (width + 1 + tables))?;
+    let dense = r.words(len * width, f32::from_le_bytes)?.collect();
+    let labels = r.words(len, f32::from_le_bytes)?.collect();
+    let mut sparse = Vec::with_capacity(tables);
+    for _ in 0..tables {
+        let indices = r.counted(u32::from_le_bytes)?;
+        let offsets = r.words(len + 1, |w| u32::from_le_bytes(w) as usize)?.collect();
+        let csr = TableIndices { indices, offsets };
+        csr.validate(len).map_err(FormatError::Corrupt)?;
+        sparse.push(csr);
+    }
+    Ok(MiniBatch { kind, dense, dense_width: width, sparse, labels })
+}
+
+impl<B: Source> Iterator for FaeStreamReader<B> {
     type Item = Result<MiniBatch, FormatError>;
 
     fn next(&mut self) -> Option<Self::Item> {

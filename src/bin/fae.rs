@@ -624,13 +624,15 @@ fn serve_config(args: &Args) -> Result<ServeConfig, String> {
 }
 
 /// Builds a serving engine: partitions from the preprocessed sidecar
-/// (`--stream`) or an in-process calibration, model from the newest
+/// (`--stream`, whose header must name the workload; no batch is read)
+/// or an in-process calibration, model from the newest
 /// checkpoint in `--checkpoint-dir` (or an explicit `--checkpoint`
 /// file), falling back to a freshly initialised model.
 fn serve_engine(args: &Args, spec: &WorkloadSpec, ds: &Dataset) -> Result<ServeEngine, String> {
     let partitions = match args.get("stream") {
         Some(p) => {
-            let (art, name) = artifacts::load(Path::new(p)).map_err(|e| e.to_string())?;
+            let (partitions, name) =
+                artifacts::load_partitions(Path::new(p)).map_err(|e| e.to_string())?;
             if name != spec.name {
                 return Err(format!(
                     "--stream: preprocessed for workload '{name}', serving '{}'",
@@ -638,9 +640,9 @@ fn serve_engine(args: &Args, spec: &WorkloadSpec, ds: &Dataset) -> Result<ServeE
                 ));
             }
             let rows: Vec<usize> = spec.tables.iter().map(|t| t.rows).collect();
-            fae::embed::HotColdPartition::check_rows(&art.preprocessed.partitions, &rows)
+            fae::embed::HotColdPartition::check_rows(&partitions, &rows)
                 .map_err(|e| format!("--stream: {e}"))?;
-            art.preprocessed.partitions
+            partitions
         }
         None => calibrate_partitions(ds, calibrator_config(args, spec)?),
     };
@@ -911,6 +913,8 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fae::data::format::FaeFile;
+    use fae::data::MiniBatch;
 
     fn parse(cmd: &str, flags: &[&str]) -> Result<Args, String> {
         let (_, known) = subcommand(cmd).expect("a flag-pair subcommand");
@@ -989,6 +993,48 @@ mod tests {
             assert_eq!(err.as_deref(), Some("--arrival-rate: must be above 0"), "{v}");
         }
         assert!(serve_load(&serve("arrival-rate", "2.5"), &engine, &spec, &ds, 1).is_ok());
+    }
+
+    #[test]
+    fn serve_reads_the_streams_header_and_sidecar_only() {
+        let spec = WorkloadSpec::tiny_test();
+        let ds = generate(&spec, &GenOptions::sized(3, 2_000));
+        let art = pipeline::prepare(
+            &ds,
+            CalibratorConfig::default(),
+            &PreprocessConfig { minibatch_size: 64, seed: 1 },
+        );
+        let dir = std::env::temp_dir().join(format!("fae-cli-serve-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("s.fae");
+        let serve = || {
+            let (_, known) = subcommand("serve").expect("serve takes flag pairs");
+            let argv = ["--stream".into(), path.display().to_string()];
+            let args = Args::parse("serve", &known, &argv).expect("serve flags");
+            serve_engine(&args, &spec, &ds).map(|e| e.partitions().to_vec())
+        };
+        artifacts::save(&art, &spec.name, &path).expect("save");
+        let hot = |parts: &[fae::embed::HotColdPartition]| {
+            parts.iter().map(|p| p.hot_ids().to_vec()).collect::<Vec<_>>()
+        };
+        let want = hot(&art.preprocessed.partitions);
+        assert_eq!(hot(&serve().expect("serves the saved stream")), want);
+
+        // Torn halfway through its batches: the header still names the
+        // workload, and no batch is read.
+        let file = std::fs::OpenOptions::new().write(true).open(&path).expect("open");
+        file.set_len(file.metadata().expect("metadata").len() / 2).expect("tear");
+        assert!(artifacts::load(&path).is_err());
+        assert_eq!(hot(&serve().expect("serves a stream torn after its header")), want);
+
+        // A header torn itself, or naming another workload, is an error.
+        let header = FaeFile::<MiniBatch>::new(spec.name.as_str(), Vec::new()).encode().len();
+        file.set_len(header as u64 - 1).expect("tear");
+        assert!(serve().is_err());
+        artifacts::save(&art, "another", &path).expect("save");
+        let err = serve().expect_err("another workload's stream");
+        assert!(err.starts_with("--stream: preprocessed for workload 'another'"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Hostile inputs for the decoders. The three binary ones —
 //! `Frame::decode`, `TrainCheckpoint::decode` and the FAE container
-//! (`FaeFile::decode` and `FaeStreamReader`) — go through one seeded
-//! mutator, shared with `tests/wire_malformed.rs`, that forces a 32-bit
-//! field to a hostile value, overwrites a few bytes, then maybe truncates
-//! or pads.
+//! (`FaeFile::decode` and `FaeStreamReader`, over the bytes in memory and
+//! through a `Window` onto a reader that hands out 1 to 7 bytes per
+//! `read`) — go through one seeded mutator, shared with
+//! `tests/wire_malformed.rs`, that forces a 32-bit field to a hostile
+//! value, overwrites a few bytes, then maybe truncates or pads.
 //!
 //! A flipped bit in a frame or a checkpoint is caught by its CRC, so the
 //! unsealed mutation must fail to decode; the harness then re-seals the
@@ -24,6 +25,9 @@
 //! `Ack`, a `Welcome` or an `Apply` is a `NetError::Protocol`, and the
 //! node thread never panics.
 //!
+//! Last, a well-formed Taobao-shaped stream read through a `Window`: its
+//! buffer never holds more than one window plus the largest batch.
+//!
 //! One `#[test]` only: the counting allocator is process-wide, and a
 //! neighbouring test thread would show up in its peak.
 
@@ -33,6 +37,7 @@
 mod hostile;
 
 use std::fs;
+use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
 use std::sync::OnceLock;
 use std::thread::{self, JoinHandle};
@@ -51,7 +56,7 @@ use fae::core::{
     AnyModel, CalibratorConfig, CheckpointError, PreprocessConfig, SchedulerState, TableSnapshot,
     TrainCheckpoint,
 };
-use fae::data::format::{FaeFile, FaeStreamReader, FormatError};
+use fae::data::format::{FaeFile, FaeStreamReader, FormatError, Window, WINDOW};
 use fae::data::{generate, BatchKind, GenOptions, MiniBatch, WorkloadSpec};
 use fae::embed::SparseGrad;
 use fae::models::RecModel;
@@ -344,6 +349,65 @@ fn node_frames_that_do_not_fit_are_declined_or_protocol_errors(spec: &WorkloadSp
     }
 }
 
+/// A reader that hands out 1 to 7 bytes per `read`, the count cycling
+/// from `phase`.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    phase: usize,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        self.phase += 1;
+        let n = (1 + self.phase % 7).min(out.len()).min(self.bytes.len());
+        out[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// Every batch of `bytes`, read through a `Window` onto a `Trickle`.
+fn windowed(bytes: &[u8], phase: usize) -> Result<Vec<MiniBatch>, FormatError> {
+    let window = Window::new(Trickle { bytes, phase }, bytes.len() as u64);
+    FaeStreamReader::open(window).and_then(|r| r.collect())
+}
+
+/// Taobao-shaped streams in 256- and 2,048-sample batches (at most 34 KB
+/// and 264 KB: below one window, and just above it), read through a
+/// `Window`: the
+/// batches re-encode to the stream, and after each one the window holds
+/// at most one `WINDOW` plus the largest batch's bytes.
+fn a_windowed_taobao_stream_holds_a_window_and_a_batch() {
+    let spec = WorkloadSpec::rmc1_taobao();
+    let ds = generate(&spec, &GenOptions::sized(11, 6_000));
+    for batch in [256, 2_048] {
+        let art = prepare(
+            &ds,
+            CalibratorConfig::default(),
+            &PreprocessConfig { minibatch_size: batch, seed: 11 },
+        );
+        let file = art.preprocessed.to_fae_file(&spec.name);
+        let bytes = file.encode();
+        let header = FaeFile::<MiniBatch>::new(spec.name.as_str(), Vec::new()).encode().len();
+        let largest = (file.batches.iter())
+            .map(|b| FaeFile::new(spec.name.as_str(), vec![*b]).encode().len() - header)
+            .max()
+            .expect("a batch");
+        let mut reader = FaeStreamReader::open(Window::new(&bytes[..], bytes.len() as u64))
+            .expect("the header opens");
+        let mut got = Vec::new();
+        while let Some(b) = reader.next_batch().expect("a whole batch") {
+            got.push(b);
+            let held = reader.source().capacity();
+            assert!(
+                held <= WINDOW + largest,
+                "batch {batch}: {held} bytes held, largest batch {largest}"
+            );
+        }
+        assert_eq!(FaeFile::new(spec.name.as_str(), got).encode(), bytes, "batch {batch}");
+    }
+}
+
 #[test]
 fn every_decoder_returns_ok_or_its_typed_error_within_a_memory_bound() {
     let spec = WorkloadSpec::tiny_test();
@@ -351,6 +415,7 @@ fn every_decoder_returns_ok_or_its_typed_error_within_a_memory_bound() {
     welcomes_with_bad_partitions_are_protocol_errors(&spec);
     node_frames_that_do_not_fit_are_declined_or_protocol_errors(&spec);
     binary_decoders_under_mutation();
+    a_windowed_taobao_stream_holds_a_window_and_a_batch();
 }
 
 proptest! {
@@ -413,18 +478,26 @@ proptest! {
                 let (streamed, stream_peak, _) = heap_use(|| {
                     FaeStreamReader::open(&bytes).and_then(|r| r.collect::<Result<Vec<_>, _>>())
                 });
+                let (through_window, window_peak, _) = heap_use(|| windowed(&bytes, word_at));
                 match decoded {
                     // A survivor re-encodes to its own bytes, and the
                     // stream yields the very same batches.
                     Ok(file) => {
                         prop_assert_eq!(file.encode(), bytes.clone());
                         let batches = streamed.expect("bulk decode succeeded, so streaming must");
+                        prop_assert_eq!(FaeFile { batches, ..file.clone() }.encode(), bytes.clone());
+                        let batches = through_window.expect("bulk decode succeeded, so the window must");
                         prop_assert_eq!(FaeFile { batches, ..file }.encode(), bytes.clone());
                     }
                     Err(e @ FormatError::Io(_)) => panic!("fae: expected Ok or a decode error, got {e:?}"),
-                    Err(_) => {}
+                    // The window fails where the bytes in memory do, and
+                    // the same way.
+                    Err(e) => prop_assert_eq!(
+                        through_window.err().map(|w| w.to_string()),
+                        Some(e.to_string())
+                    ),
                 }
-                peak.max(stream_peak)
+                peak.max(stream_peak).max(window_peak)
             }
         };
         prop_assert!(peak <= bound, "decoder {decoder}: {} bytes held {peak} bytes live", bytes.len());
