@@ -127,7 +127,7 @@ impl<'a> Reader<'a> {
     pub fn count_beyond(&mut self, elem_bytes: usize, beyond: u64) -> Result<usize, ReadError> {
         let n = self.u32()? as usize;
         let bytes = n.checked_mul(elem_bytes).ok_or(ReadError::Overflow)?;
-        if bytes as u64 > self.buf.len() as u64 + beyond {
+        if bytes as u64 > (self.buf.len() as u64).saturating_add(beyond) {
             return Err(ReadError::Truncated);
         }
         Ok(n)
