@@ -259,8 +259,9 @@ impl<B: AsRef<[u8]>> Source for B {
 }
 
 /// A [`WINDOW`] onto a stream of known length, or all of it when shorter.
-/// It doubles, never past the stream's end, only while the bytes it holds
-/// begin a batch larger than itself.
+/// It grows only when refilled while full, that is while the bytes it
+/// holds begin a batch larger than itself: it doubles, never past the
+/// stream's end.
 pub struct Window<R> {
     buf: Vec<u8>,
     rest: io::Take<R>,
