@@ -121,12 +121,12 @@ impl<'a> Reader<'a> {
         self.count_beyond(elem_bytes, 0)
     }
 
-    /// [`Self::count`] for elements of a stream this buffer is a window
-    /// onto: they must fit in the rest of the buffer and the `beyond`
-    /// stream bytes after it.
-    pub fn count_beyond(&mut self, elem_bytes: usize, beyond: u64) -> Result<usize, ReadError> {
+    /// [`Self::count`] of `elem`-byte elements of a stream this buffer is
+    /// a window onto: they must fit in the rest of the buffer and the
+    /// `beyond` stream bytes after it.
+    pub(crate) fn count_beyond(&mut self, elem: usize, beyond: u64) -> Result<usize, ReadError> {
         let n = self.u32()? as usize;
-        let bytes = n.checked_mul(elem_bytes).ok_or(ReadError::Overflow)?;
+        let bytes = n.checked_mul(elem).ok_or(ReadError::Overflow)?;
         if bytes as u64 > (self.buf.len() as u64).saturating_add(beyond) {
             return Err(ReadError::Truncated);
         }
