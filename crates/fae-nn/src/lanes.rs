@@ -17,6 +17,13 @@
 //!   compares two runs of the *same* binary, so the contract that matters
 //!   (run-to-run and serial-vs-parallel bit-identity) is preserved because
 //!   every path shares these kernels.
+//!
+//! Built for the host CPU (`.cargo/config.toml`), an 8-wide chunk is one
+//! 256-bit `ymm` register on AVX2 / AVX-512: [`axpy`] and [`add_assign`]
+//! also pair chunks into 512-bit `zmm` in their main loop, and [`dot`]
+//! multiplies a chunk in one `ymm`. Baseline x86-64 (SSE2) splits it over
+//! two `xmm`; each lane's bits are the same (DESIGN.md §14, "Target ISA").
+//! Plain `zip` loops ran 9–12 % slower under `native`, so the unrolls stay.
 
 /// In-place `dst[i] += src[i]`. Elementwise: bit-identical to the scalar
 /// loop (no reassociation). Panics on length mismatch.

@@ -10,10 +10,12 @@ use crate::{cores, lanes};
 use std::fmt;
 
 /// Smallest product, in multiply-adds, whose output rows are split across
-/// cores. On a 2-vCPU 2.1 GHz Xeon a scoped spawn + join costs 28–34 µs,
-/// yet a 1.7 M product (Kaggle's 13·512 layer at batch 256) ran no faster
-/// split, while a 4.2 M one (its 256·64 layer) ran 1.7× faster. Every TBSM
-/// product at batch 256 (the largest is 0.5 M) stays on one thread.
+/// cores. On a 2-vCPU 2.1 GHz Xeon built for the host (AVX-512) a scoped
+/// spawn + join costs 41–44 µs, yet a 1.7 M product (Kaggle's 13·512 layer
+/// at batch 256) ran no faster split (forward 0.87–1.11×, dW 0.72–0.83×),
+/// while a 4.2 M one (its 256·64 layer) ran 1.44–1.54× faster forward and
+/// 1.26–1.34× backward. Every TBSM product at batch 256 (the largest is
+/// 0.5 M) stays on one thread.
 pub const SPLIT_THRESHOLD: usize = 1 << 22;
 
 /// How many threads a product of `work` multiply-adds over `rows` output
