@@ -250,13 +250,13 @@ pub fn load_or_rebuild_with(
     }) {
         Ok(r) => {
             if r.attempts > 1 {
-                recoveries
-                    .push(RecoveryAction::RetriedIo { attempts: r.attempts, waited_s: r.waited_s });
+                let taken =
+                    RecoveryAction::RetriedIo { attempts: r.attempts, waited_s: r.waited_s };
                 if telemetry.enabled() {
                     telemetry.counter_add(metric!("artifacts.io_retries"), (r.attempts - 1) as u64);
                     telemetry.emit(&JournalEvent::Recovery {
                         step: 0,
-                        action: "retried-io".into(),
+                        action: taken.name().into(),
                         detail: format!(
                             "{} attempts, {:.3}s backoff loading {}",
                             r.attempts,
@@ -265,6 +265,7 @@ pub fn load_or_rebuild_with(
                         ),
                     });
                 }
+                recoveries.push(taken);
             }
             let (artifacts, name) = r.value;
             Ok((artifacts, name, recoveries))
@@ -283,7 +284,7 @@ pub fn load_or_rebuild_with(
                 telemetry.counter_add(metric!("artifacts.rebuilds"), 1);
                 telemetry.emit(&JournalEvent::Recovery {
                     step: 0,
-                    action: "rebuilt-artifacts".into(),
+                    action: RecoveryAction::RebuiltArtifacts.name().into(),
                     detail: reason,
                 });
             }

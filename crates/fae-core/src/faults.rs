@@ -291,6 +291,23 @@ pub enum RecoveryAction {
     },
 }
 
+impl RecoveryAction {
+    /// The name a journal's `recovery` line carries as its `action`
+    /// (`shrank-replicas`, `retried-io`, ...).
+    pub fn name(&self) -> &'static str {
+        match self {
+            RecoveryAction::ShrankReplicas { .. } => "shrank-replicas",
+            RecoveryAction::ColdFallback { .. } => "cold-fallback",
+            RecoveryAction::SyncRetried { .. } => "sync-retried",
+            RecoveryAction::RetriedIo { .. } => "retried-io",
+            RecoveryAction::RebuiltArtifacts => "rebuilt-artifacts",
+            RecoveryAction::ResumedFromCheckpoint { .. } => "resumed-from-checkpoint",
+            RecoveryAction::ReshardedToSurvivors { .. } => "resharded-to-survivors",
+            RecoveryAction::NodeRejoined { .. } => "node-rejoined",
+        }
+    }
+}
+
 impl fmt::Display for RecoveryAction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -27,7 +27,7 @@
 //! written back to the master whole. The program does not use it; the
 //! layer replay under `bench/` does, until that replay is deleted.
 
-use std::sync::{PoisonError, RwLock};
+use std::sync::PoisonError;
 
 use fae_nn::Tensor;
 
@@ -143,10 +143,14 @@ impl<'p> Residency<'p> {
 /// propagated: a bag is plain `f32`s with no invariant a panicked writer
 /// could half-establish, so the poisoned guard's contents are still valid
 /// weights.
+#[expect(
+    clippy::disallowed_types,
+    reason = "bench-only second copy of the hot rows, kept for bench/layers' replay until it is deleted"
+)]
 pub struct HotEmbeddings {
     /// Compact hot tables (hot-local row ids; local `i` is global row
     /// `partitions[t].hot_ids()[i]`), one lock each.
-    tables: Vec<RwLock<EmbeddingTable>>,
+    tables: Vec<std::sync::RwLock<EmbeddingTable>>,
     partitions: Vec<HotColdPartition>,
     dim: usize,
 }
@@ -162,7 +166,7 @@ impl HotEmbeddings {
         let tables = (partitions.iter())
             .map(|p| {
                 let weights = Tensor::zeros(p.hot_count().max(1), dim);
-                RwLock::new(EmbeddingTable::from_weights(weights))
+                EmbeddingTable::from_weights(weights).into()
             })
             .collect();
         let mut hot = Self { tables, partitions, dim };

@@ -278,7 +278,7 @@ impl<'a, En: StepEngine> Run<'a, En> {
             let step = self.steps as u64;
             self.telem.emit(&JournalEvent::Recovery {
                 step,
-                action: "resumed-from-checkpoint".into(),
+                action: RecoveryAction::ResumedFromCheckpoint { step }.name().into(),
                 detail: format!("replaying from step {step}"),
             });
             // The checkpoint carried simulated time accumulated before the
@@ -493,23 +493,15 @@ impl<'a, En: StepEngine> Run<'a, En> {
 
     /// Records what the run did about a fault: the report entry, the
     /// simulated time it cost (already on the timeline, journalled here
-    /// under `charge_label`) and the journal's `Recovery` event.
-    fn recover(
-        &mut self,
-        taken: RecoveryAction,
-        charge_label: Option<&str>,
-        action: &str,
-        detail: String,
-    ) {
+    /// under `charge_label`) and the journal's `Recovery` event, named by
+    /// [`RecoveryAction::name`].
+    fn recover(&mut self, taken: RecoveryAction, charge_label: Option<&str>, detail: String) {
+        let action = taken.name().into();
         self.recoveries.push(taken);
         if let Some(label) = charge_label {
             self.charge(label);
         }
-        self.telem.emit(&JournalEvent::Recovery {
-            step: self.steps as u64,
-            action: action.into(),
-            detail,
-        });
+        self.telem.emit(&JournalEvent::Recovery { step: self.steps as u64, action, detail });
     }
 
     /// Device loss manifests at the round boundary (the allreduce after
@@ -533,7 +525,6 @@ impl<'a, En: StepEngine> Run<'a, En> {
                     to: self.gpus_active as u32,
                 },
                 Some("reshard"),
-                "shrank-replicas",
                 format!("{from} -> {}", self.gpus_active),
             );
             self.telem.gauge_set(metric!("train.gpus_active"), self.gpus_active as f64);
@@ -548,7 +539,7 @@ impl<'a, En: StepEngine> Run<'a, En> {
         let step = self.steps as u64;
         self.cold_only = true;
         self.engine.on_cold_only(step);
-        self.recover(RecoveryAction::ColdFallback { step }, None, "cold-fallback", why.into());
+        self.recover(RecoveryAction::ColdFallback { step }, None, why.into());
     }
 
     /// Sync failure: a deterministic number of failed attempts in
@@ -572,7 +563,6 @@ impl<'a, En: StepEngine> Run<'a, En> {
                 waited_s: waited,
             },
             None,
-            "sync-retried",
             format!("{} attempts, {waited:.3}s backoff", failures + 1),
         );
     }
@@ -663,7 +653,6 @@ impl<'a, En: StepEngine> Run<'a, En> {
                     self.recover(
                         RecoveryAction::RetriedIo { attempts: r.attempts, waited_s: r.waited_s },
                         Some("checkpoint-io"),
-                        "retried-io",
                         format!("{} attempts, {:.3}s backoff", r.attempts, r.waited_s),
                     );
                 }

@@ -307,7 +307,7 @@ fn taint_stmt(
             }
         }
         // Expression statement or tail expression.
-        StmtKind::Drop | StmtKind::Expr => {
+        StmtKind::Expr => {
             let Some(ev) = eval(st, toks) else { return };
             if statement_cleanses(ctx, toks, &ev) {
                 return;
@@ -498,7 +498,7 @@ mod tests {
         let class = FileClass { deterministic: true, binary: false };
         let mut out = Vec::new();
         let view = TreeView::new(src);
-        det_taint(&Parsed::new(0, Path::new("x.rs"), &view, class), &mut out);
+        det_taint(&Parsed::new(Path::new("x.rs"), &view, class), &mut out);
         out
     }
 

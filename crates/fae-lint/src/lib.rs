@@ -2,31 +2,30 @@
 //!
 //! Walks every first-party crate's `src/` tree and reports what rustc
 //! and clippy cannot see (the workspace's clippy lints cover panics,
-//! blocking socket calls and `allow` without a reason; `Metric` makes a
-//! bad metric name a compile error):
+//! blocking socket calls, locks other than the telemetry handle's and
+//! `allow` without a reason; `Metric` makes a bad metric name a compile
+//! error):
 //!
 //! * **determinism** (`wall-clock`, `ambient-rng`, `hash-container`,
 //!   `det-taint`) — a nondeterministic value flowing into
 //!   digest-affecting state — in the five determinism-critical crates
 //!   (`fae-core`, `fae-embed`, `fae-models`, `fae-serve`,
 //!   `fae-sysmodel`);
-//! * **lock-order**, **map-index** (`m["k"]`) and **float-fuse** (an
-//!   8-lane f32 unroll outside `fae-nn/src/lanes.rs`) in library code of
-//!   every first-party crate (binary targets are exempt from the last
-//!   two).
+//! * **map-index** (`m["k"]`) and **float-fuse** (an 8-lane f32 unroll
+//!   outside `fae-nn/src/lanes.rs`) in library code of every
+//!   first-party crate (binary targets are exempt).
 //!
 //! There is no waiver: a finding is fixed, not annotated.
 //! `#[cfg(test)]` items and `#[test]` functions are exempt from every
 //! rule — tests may time things, hash things and index freely.
 //!
-//! One pipeline serves every rule: each file is tokenized once
-//! (`tokens` — the only code that decides what is a comment or a
-//! literal), brace-matched into a token tree with its items and
-//! test-gated ranges (`tree`), handed to the token-pattern rules
-//! (`rules`), the determinism-taint analysis (`flow`) and the
-//! cross-file lock-order pass (`passes`), and every finding they produce goes
-//! through one `finalize` (test exemption, dedupe) on its way to a
-//! [`Diagnostic`].
+//! One pipeline serves every rule, one file at a time: each file is
+//! tokenized once (`tokens` — the only code that decides what is a
+//! comment or a literal), brace-matched into a token tree with its items
+//! and test-gated ranges (`tree`), handed to the token-pattern rules
+//! (`rules`) and the determinism-taint analysis (`flow`), and every
+//! finding they produce goes through one `finalize` (test exemption,
+//! dedupe) on its way to a [`Diagnostic`].
 //!
 //! Run it with `cargo run -p fae-lint` from the workspace root; see
 //! DESIGN.md §11 for the rule table and the documented gaps, §16 for
@@ -42,7 +41,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 mod flow;
-mod passes;
 mod rules;
 mod tokens;
 mod tree;
@@ -103,11 +101,9 @@ pub struct FileClass {
 }
 
 /// One rule hit before test exemption and dedupe — the only shape a
-/// finding has between the rule or pass that produced it and [`finalize`].
+/// finding has between the rule that produced it and [`finalize`].
 #[derive(Debug, Clone)]
 pub(crate) struct Finding {
-    /// Index of the file in the set being linted ([`Parsed::index`]).
-    pub file: usize,
     /// 1-based line.
     pub line: usize,
     /// Byte offset of the anchoring token (for test-region exemption).
@@ -118,11 +114,9 @@ pub(crate) struct Finding {
     pub message: String,
 }
 
-/// One file, parsed once per lint run: everything the rules, the passes
-/// and [`finalize`] borrow.
+/// One file, parsed once per lint run: everything the rules, the taint
+/// pass and [`finalize`] borrow.
 pub(crate) struct Parsed<'a> {
-    /// Position in the file set; findings name their file by it.
-    pub index: usize,
     /// Path used in diagnostics.
     pub rel: &'a Path,
     /// Which rule scopes apply.
@@ -136,15 +130,10 @@ pub(crate) struct Parsed<'a> {
 }
 
 impl<'a> Parsed<'a> {
-    pub(crate) fn new(
-        index: usize,
-        rel: &'a Path,
-        view: &'a TreeView<'a>,
-        class: FileClass,
-    ) -> Self {
+    pub(crate) fn new(rel: &'a Path, view: &'a TreeView<'a>, class: FileClass) -> Self {
         let items = tree::items(view);
         let test_ranges = tree::test_ranges(view);
-        Parsed { index, rel, class, view, items, test_ranges }
+        Parsed { rel, class, view, items, test_ranges }
     }
 
     /// A finding in this file.
@@ -155,7 +144,7 @@ impl<'a> Parsed<'a> {
         offset: usize,
         message: impl Into<String>,
     ) -> Finding {
-        Finding { file: self.index, line, offset, rule, message: message.into() }
+        Finding { line, offset, rule, message: message.into() }
     }
 
     /// A finding anchored at token `tok`.
@@ -173,19 +162,9 @@ impl<'a> Parsed<'a> {
     }
 }
 
-/// The per-file rules: the token-pattern matchers plus (for
-/// determinism-scope files) the flow-aware determinism-taint analysis.
-fn per_file_findings(p: &Parsed<'_>, out: &mut Vec<Finding>) {
-    rules::scan(p, out);
-    if p.class.deterministic {
-        flow::det_taint(p, out);
-    }
-}
-
 /// Turns one file's findings into diagnostics: drops those in test-only
 /// code and reports each `(line, rule)` once. Every finding — token
-/// pattern, taint flow or cross-file pass — goes through here and
-/// nowhere else.
+/// pattern or taint flow — goes through here and nowhere else.
 fn finalize(p: &Parsed<'_>, findings: Vec<Finding>) -> Vec<Diagnostic> {
     let mut seen: BTreeSet<(usize, &str)> = BTreeSet::new();
     let mut diags: Vec<Diagnostic> = findings
@@ -202,12 +181,17 @@ fn finalize(p: &Parsed<'_>, findings: Vec<Finding>) -> Vec<Diagnostic> {
     diags
 }
 
-/// Lints one file's source text. `label` is used in diagnostics.
+/// Lints one file's source text: the token-pattern rules plus (for
+/// determinism-scope files) the flow-aware determinism-taint analysis.
+/// `label` is used in diagnostics.
 pub fn lint_source(label: &Path, source: &str, class: FileClass) -> Vec<Diagnostic> {
     let view = TreeView::new(source);
-    let p = Parsed::new(0, label, &view, class);
+    let p = Parsed::new(label, &view, class);
     let mut findings = Vec::new();
-    per_file_findings(&p, &mut findings);
+    rules::scan(&p, &mut findings);
+    if class.deterministic {
+        flow::det_taint(&p, &mut findings);
+    }
     finalize(&p, findings)
 }
 
@@ -263,38 +247,8 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), WalkError> {
     Ok(())
 }
 
-/// Lints a set of already-read files: one parse per file, the per-file
-/// rules, then the cross-file lock-order pass, with every finding
-/// funneled through [`finalize`].
-fn lint_file_set(files: &[(PathBuf, String, FileClass)]) -> Vec<Diagnostic> {
-    let views: Vec<TreeView<'_>> =
-        files.iter().map(|(_, source, _)| TreeView::new(source)).collect();
-    let parsed: Vec<Parsed<'_>> = files
-        .iter()
-        .zip(&views)
-        .enumerate()
-        .map(|(index, ((rel, _, class), view))| Parsed::new(index, rel, view, *class))
-        .collect();
-
-    let mut findings = Vec::new();
-    for p in &parsed {
-        per_file_findings(p, &mut findings);
-    }
-    passes::lock_order::run(&parsed, &mut findings);
-
-    let mut per_file: Vec<Vec<Finding>> = parsed.iter().map(|_| Vec::new()).collect();
-    for f in findings {
-        per_file[f.file].push(f);
-    }
-    let mut diags: Vec<Diagnostic> =
-        parsed.iter().zip(per_file).flat_map(|(p, fs)| finalize(p, fs)).collect();
-    diags.sort();
-    diags
-}
-
 /// Lints a whole workspace rooted at `root`: the root package's `src/`
-/// plus every `crates/*/src/`, per-file rules plus the cross-file
-/// pass. Returns sorted diagnostics.
+/// plus every `crates/*/src/`. Returns sorted diagnostics.
 pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, WalkError> {
     let mut files = Vec::new();
     let root_src = root.join("src");
@@ -311,28 +265,28 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, WalkError> {
         }
     }
 
-    let mut set = Vec::new();
+    let mut diags = Vec::new();
     for file in files {
-        let rel = file.strip_prefix(root).unwrap_or(&file).to_path_buf();
-        let Some(class) = classify(&rel) else { continue };
-        set.push((rel, read(&file)?, class));
+        let rel = file.strip_prefix(root).unwrap_or(&file);
+        let Some(class) = classify(rel) else { continue };
+        diags.extend(lint_source(rel, &read(&file)?, class));
     }
-    Ok(lint_file_set(&set))
+    diags.sort();
+    Ok(diags)
 }
 
 /// Lints every `.rs` file under `dir` with a fixed [`FileClass`] —
 /// used for the seeded-violation fixture trees, where the files are not
-/// workspace members. The cross-file pass runs over the tree too, so
-/// fixture trees can seed its violations.
+/// workspace members.
 pub fn lint_tree(dir: &Path, class: FileClass) -> Result<Vec<Diagnostic>, WalkError> {
     let mut files = Vec::new();
     walk(dir, &mut files)?;
-    let mut set = Vec::new();
+    let mut diags = Vec::new();
     for file in files {
-        let source = read(&file)?;
-        set.push((file, source, class));
+        diags.extend(lint_source(&file, &read(&file)?, class));
     }
-    Ok(lint_file_set(&set))
+    diags.sort();
+    Ok(diags)
 }
 
 #[cfg(test)]

@@ -5,8 +5,7 @@
 //! fae-lint --root DIR           lint the workspace rooted at DIR
 //! fae-lint --tree DIR [--det] [--lib]
 //!                               lint a bare directory of .rs files with a
-//!                               fixed classification (fixture testing);
-//!                               the cross-file pass runs too
+//!                               fixed classification (fixture testing)
 //! fae-lint --format json        machine-readable diagnostics (an array
 //!                               of {file, line, rule, message} records)
 //! fae-lint --list-rules         print the rule table

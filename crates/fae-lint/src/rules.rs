@@ -57,12 +57,6 @@ pub const RULES: &[RuleInfo] = &[
                   digest-affecting state",
     },
     RuleInfo {
-        id: "lock-order",
-        scope: Scope::AllLibs,
-        summary: "lock acquisitions must follow one global order; cycles and same-class \
-                  re-acquisition are deadlocks-in-waiting",
-    },
-    RuleInfo {
         id: "map-index",
         scope: Scope::AllLibs,
         summary: "string-key indexing (m[\"k\"]) panics on a missing entry in library code",
@@ -147,7 +141,7 @@ mod tests {
         for &(src, rule, n) in cases {
             let view = TreeView::new(src);
             let mut out = Vec::new();
-            scan(&Parsed::new(0, Path::new("x.rs"), &view, class), &mut out);
+            scan(&Parsed::new(Path::new("x.rs"), &view, class), &mut out);
             assert_eq!(out.iter().filter(|f| f.rule == rule).count(), n, "{rule} on {src:?}");
         }
     }
@@ -159,7 +153,7 @@ mod tests {
         let count = |path: &str| {
             let view = TreeView::new(src);
             let mut out = Vec::new();
-            scan(&Parsed::new(0, Path::new(path), &view, class), &mut out);
+            scan(&Parsed::new(Path::new(path), &view, class), &mut out);
             out.iter().filter(|f| f.rule == "float-fuse").count()
         };
         assert_eq!(count("crates/fae-nn/src/tensor.rs"), 1);

@@ -1,16 +1,16 @@
 //! Brace-matched token trees, item extraction and test-gated ranges.
 //!
-//! Sits between the flat token stream ([`crate::tokens`]) and every rule
-//! and pass: groups `()`/`[]`/`{}` into nested nodes, then walks the tree
-//! pulling out the items the passes reason about — functions (with
-//! their body groups), struct fields (with flattened type text) and
-//! `use` aliases — and the byte ranges of `#[cfg(test)]`/`#[test]`
-//! items. This is *use-resolution light*: `use
-//! std::collections::HashMap as FastMap` makes `FastMap` resolve to the
-//! full path, so renamed imports cannot dodge the determinism rules.
+//! Sits between the flat token stream ([`crate::tokens`]) and the rules:
+//! groups `()`/`[]`/`{}` into nested nodes, then walks the tree pulling
+//! out the items the taint pass reasons about — functions (with their
+//! body groups), struct fields (with flattened type text) and `use`
+//! aliases — and the byte ranges of `#[cfg(test)]`/`#[test]` items.
+//! This is *use-resolution light*: `use std::collections::HashMap as
+//! FastMap` makes `FastMap` resolve to the full path, so renamed imports
+//! cannot dodge the determinism rules.
 //!
-//! One reader serves every pass that looks inside a function: [`stmts`]
-//! splits a block into classified statements (taint flow, lock order).
+//! [`stmts`] splits a block into the classified statements the taint
+//! pass walks.
 //!
 //! Not a parser: generics are skipped by angle-depth counting, patterns
 //! are treated as token runs, and macro bodies are walked like ordinary
@@ -173,8 +173,6 @@ pub enum StmtKind {
     Control,
     /// `return [EXPR]`.
     Return,
-    /// `drop(…)`.
-    Drop,
     /// `PLACE = EXPR`, compound assignments included.
     Assign,
     /// Any other expression, a block's tail included.
@@ -282,7 +280,6 @@ fn stmt<'a>(view: &TreeView<'a>, nodes: &'a [Node], tail: bool) -> Stmt<'a> {
     let (kind, eq) = match head {
         _ if control => (StmtKind::Control, None),
         "return" => (StmtKind::Return, None),
-        "drop" => (StmtKind::Drop, None),
         "let" => (StmtKind::Let, assign_eq(view, &toks)),
         _ => match assign_eq(view, &toks) {
             Some(eq) => (StmtKind::Assign, Some(eq)),
@@ -454,10 +451,8 @@ pub struct FnItem<'a> {
 }
 
 /// A struct field with a flattened type string (tokens joined by one
-/// space), e.g. `Vec < RwLock < Tensor > >`.
+/// space), e.g. `HashMap < u32 , u64 >`.
 pub struct FieldItem {
-    /// Owning struct name.
-    pub strukt: String,
     /// Field name (tuple fields are `0`, `1`, ...).
     pub field: String,
     /// Flattened type text.
@@ -472,7 +467,7 @@ pub struct UseItem {
     pub path: String,
 }
 
-/// Everything the passes need from one file.
+/// Everything the taint pass needs from one file.
 pub struct Items<'a> {
     /// Functions, including those nested in `impl`/`mod` blocks.
     pub fns: Vec<FnItem<'a>>,
@@ -678,19 +673,16 @@ fn item_name(view: &TreeView<'_>, nodes: &[Node], idx: usize) -> (usize, String)
 }
 
 fn scan_struct(view: &TreeView<'_>, nodes: &[Node], idx: &mut usize, out: &mut Items<'_>) {
-    let (_, name) = item_name(view, nodes, *idx);
     let mut j = *idx + 1;
     while j < nodes.len() {
         match &nodes[j] {
             // A unit struct, or a tuple struct's `;`.
             Node::Leaf(i) if view.is_punct(*i, b';') => break,
             Node::Group { delim: b'{', children, .. } => {
-                scan_fields_braced(view, children, &name, out);
+                scan_fields_braced(view, children, out);
                 break;
             }
-            Node::Group { delim: b'(', children, .. } => {
-                scan_fields_tuple(view, children, &name, out)
-            }
+            Node::Group { delim: b'(', children, .. } => scan_fields_tuple(view, children, out),
             _ => {}
         }
         j += 1;
@@ -701,7 +693,7 @@ fn scan_struct(view: &TreeView<'_>, nodes: &[Node], idx: &mut usize, out: &mut I
 /// Braced fields: `name: <type tokens>` runs between commas; the name
 /// is the first identifier other than `pub` (attributes and the
 /// `(crate)` of `pub(crate)` are groups).
-fn scan_fields_braced(view: &TreeView<'_>, children: &[Node], strukt: &str, out: &mut Items<'_>) {
+fn scan_fields_braced(view: &TreeView<'_>, children: &[Node], out: &mut Items<'_>) {
     for run in children.split(|n| view.is_leaf_punct(n, b',')) {
         let name = run.iter().find_map(|n| match *n {
             Node::Leaf(k) if view.toks[k].kind == TokKind::Ident && !view.is_ident(k, "pub") => {
@@ -712,7 +704,6 @@ fn scan_fields_braced(view: &TreeView<'_>, children: &[Node], strukt: &str, out:
         let colon = run.iter().position(|n| view.is_leaf_punct(n, b':'));
         if let (Some(name), Some(colon)) = (name, colon) {
             out.fields.push(FieldItem {
-                strukt: strukt.to_string(),
                 field: view.text(name).to_string(),
                 ty: type_text(view, &flatten(&run[colon + 1..])),
             });
@@ -720,17 +711,13 @@ fn scan_fields_braced(view: &TreeView<'_>, children: &[Node], strukt: &str, out:
     }
 }
 
-fn scan_fields_tuple(view: &TreeView<'_>, children: &[Node], strukt: &str, out: &mut Items<'_>) {
+fn scan_fields_tuple(view: &TreeView<'_>, children: &[Node], out: &mut Items<'_>) {
     let fields = children
         .split(|n| view.is_leaf_punct(n, b','))
         .map(|run| flatten(run).into_iter().filter(|&k| !view.is_ident(k, "pub")).collect())
         .filter(|toks: &Vec<usize>| !toks.is_empty());
     for (nth, toks) in fields.enumerate() {
-        out.fields.push(FieldItem {
-            strukt: strukt.to_string(),
-            field: nth.to_string(),
-            ty: type_text(view, &toks),
-        });
+        out.fields.push(FieldItem { field: nth.to_string(), ty: type_text(view, &toks) });
     }
 }
 
@@ -776,7 +763,6 @@ mod tests {
         assert!(m.is_pub);
         assert_eq!(m.params, vec!["self", "k"]);
         assert_eq!(it.fields.len(), 1);
-        assert_eq!(it.fields[0].strukt, "S");
         assert_eq!(it.fields[0].field, "x");
         assert_eq!(it.fields[0].ty, "u32");
     }

@@ -87,17 +87,6 @@ fn taint_fixture_pins() {
 }
 
 #[test]
-fn lock_fixture_pins() {
-    let want = [
-        ("locks.rs", 13, "lock-order"), // right acquired while holding left (cycle edge)
-        ("locks.rs", 19, "lock-order"), // left acquired while holding right (cycle edge)
-        ("locks.rs", 25, "lock-order"), // left re-acquired while held (self-deadlock)
-    ];
-    assert_pins("locks/bad", STRICT, &want);
-    assert_pins("locks/clean", STRICT, &[]);
-}
-
-#[test]
 fn scanner_fixture_pins() {
     // What only the scanner decides: where literals, comments and
     // test-gated items begin and end. The `boundaries.rs` rows were
@@ -153,15 +142,13 @@ fn invoke(args: &str) -> Vec<Diagnostic> {
 }
 
 /// Every self-test invocation of `scripts/lint.sh`, in script order
-/// (four must-fail trees, then three clean twins): the diagnostic count
+/// (three must-fail trees, then two clean twins): the diagnostic count
 /// and an FNV-1a of the sorted `(file name, line, rule, message)` rows.
 const LINT_SH: &[(&str, usize, u64)] = &[
     ("--tree violations --det --lib", 5, 0x76e940d525647e42),
-    ("--tree locks/bad --lib", 3, 0x2bc93fcbe9fbcbc3),
     ("--tree taint --det --lib", 7, 0xecd8d11264385e30),
     ("--tree scanner/bad --det --lib", 23, 0x287b64a9f4ef368d),
     ("--tree clean --det --lib", 0, 0xcbf29ce484222325),
-    ("--tree locks/clean --lib", 0, 0xcbf29ce484222325),
     ("--tree scanner/clean --det --lib", 0, 0xcbf29ce484222325),
 ];
 

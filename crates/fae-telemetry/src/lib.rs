@@ -40,7 +40,7 @@ pub mod trace;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, MutexGuard, PoisonError};
 
 pub use alerts::{AlertEngine, AlertRule};
 pub use journal::{
@@ -54,20 +54,41 @@ pub use span::SpanGuard;
 pub use top::render_top;
 pub use trace::{chrome_trace, merged_chrome_trace};
 
-struct Inner {
-    metrics: Mutex<MetricsRegistry>,
-    journal: Mutex<Option<JournalWriter>>,
-    journal_path: Option<PathBuf>,
+/// What emissions and metric updates change, behind the handle's one
+/// lock.
+struct State {
+    metrics: MetricsRegistry,
+    journal: Option<JournalWriter>,
     /// Per-wire-node sidecar writers for shipped worker journals,
     /// created lazily next to the main journal file.
-    sidecars: Mutex<BTreeMap<u64, JournalWriter>>,
-    alerts: Mutex<AlertEngine>,
-    events: Mutex<Vec<TaggedEvent>>,
-    seq: Mutex<u64>,
+    sidecars: BTreeMap<u64, JournalWriter>,
+    alerts: AlertEngine,
+    events: Vec<TaggedEvent>,
+    /// The next emission's sequence number.
+    seq: u64,
+}
+
+#[expect(
+    clippy::disallowed_types,
+    reason = "the telemetry handle's one lock: every thread that emits shares this state"
+)]
+struct Inner {
+    journal_path: Option<PathBuf>,
     node_id: u64,
     retain_events: bool,
     progress: bool,
     progress_every: u64,
+    state: std::sync::Mutex<State>,
+}
+
+impl Inner {
+    /// Takes the one lock. A panic under it is recovered rather than
+    /// propagated: no update leaves the state unusable (at worst a line,
+    /// an event or an observation is missing), and losing telemetry must
+    /// not kill training.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// The telemetry capability handle.
@@ -84,8 +105,7 @@ impl std::fmt::Debug for Telemetry {
         match &self.0 {
             None => write!(f, "Telemetry(disabled)"),
             Some(inner) => {
-                let journalling = inner.journal.lock().map(|j| j.is_some()).unwrap_or(false);
-                write!(f, "Telemetry(enabled, journal: {journalling})")
+                write!(f, "Telemetry(enabled, journal: {})", inner.journal_path.is_some())
             }
         }
     }
@@ -111,9 +131,7 @@ impl Telemetry {
     /// Runs `f` on the registry; a no-op when disabled.
     fn with_registry(&self, f: impl FnOnce(&mut MetricsRegistry)) {
         if let Some(inner) = &self.0 {
-            if let Ok(mut m) = inner.metrics.lock() {
-                f(&mut m);
-            }
+            f(&mut inner.lock().metrics);
         }
     }
 
@@ -154,45 +172,37 @@ impl Telemetry {
 
     /// Emits one journal event: tagged with this handle's node id and
     /// the next sequence number, appended (and flushed) to the journal
-    /// file if one is attached, retained in memory when configured,
-    /// echoed as a progress line when `--progress` is on, and fed to the
-    /// alert engine — any rule that fires is emitted right behind it as
-    /// an [`JournalEvent::Alert`]. Journal write errors are reported to
+    /// file if one is attached, retained in memory when configured and
+    /// fed to the alert engine, all under the one lock, so the journal's
+    /// lines are in `seq` order whichever threads emit. Then, unlocked,
+    /// it is echoed as a progress line when `--progress` is on, and any
+    /// rule that fired is emitted right behind it as an
+    /// [`JournalEvent::Alert`]. Journal write errors are reported to
     /// stderr once per event, never fatal — losing telemetry must not
     /// kill training.
     pub fn emit(&self, event: &JournalEvent) {
         let Some(inner) = &self.0 else { return };
-        let seq = match inner.seq.lock() {
-            Ok(mut s) => {
-                let v = *s;
-                *s += 1;
-                v
-            }
-            Err(_) => 0,
-        };
-        let tagged = TaggedEvent { node_id: inner.node_id, seq, event: event.clone() };
-        if let Ok(mut j) = inner.journal.lock() {
-            if let Some(w) = j.as_mut() {
+        let fired = {
+            let mut state = inner.lock();
+            let tagged =
+                TaggedEvent { node_id: inner.node_id, seq: state.seq, event: event.clone() };
+            state.seq += 1;
+            if let Some(w) = state.journal.as_mut() {
                 if let Err(e) = w.write_raw_line(&tagged.to_line()) {
                     eprintln!("telemetry: journal write failed: {e}");
                 }
             }
-        }
-        if inner.retain_events {
-            if let Ok(mut ev) = inner.events.lock() {
-                ev.push(tagged);
+            if inner.retain_events {
+                state.events.push(tagged);
             }
-        }
+            state.alerts.observe(event)
+        };
         if inner.progress {
             self.progress_line(inner, event);
         }
-        // Evaluate alert rules last, with every lock released: firings
-        // re-enter emit() as first-class journal events. Alerts never
-        // trigger rules themselves, so this recursion is one level deep.
-        let fired = match inner.alerts.lock() {
-            Ok(mut engine) => engine.observe(event),
-            Err(_) => Vec::new(),
-        };
+        // Firings re-enter emit() as first-class journal events. Alerts
+        // never trigger rules themselves, so this recursion is one level
+        // deep.
         for a in &fired {
             self.emit(a);
         }
@@ -211,8 +221,8 @@ impl Telemetry {
         if lines.peek().is_none() {
             return;
         }
-        let Ok(mut sidecars) = inner.sidecars.lock() else { return };
-        let writer = match sidecars.entry(wire_node) {
+        let mut state = inner.lock();
+        let writer = match state.sidecars.entry(wire_node) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => match JournalWriter::create(&path) {
                 Ok(w) => e.insert(w),
@@ -270,7 +280,7 @@ impl Telemetry {
     pub fn metrics(&self) -> MetricsRegistry {
         match &self.0 {
             None => MetricsRegistry::new(),
-            Some(inner) => inner.metrics.lock().map(|m| m.clone()).unwrap_or_default(),
+            Some(inner) => inner.lock().metrics.clone(),
         }
     }
 
@@ -280,7 +290,7 @@ impl Telemetry {
     pub fn events(&self) -> Vec<TaggedEvent> {
         match &self.0 {
             None => Vec::new(),
-            Some(inner) => inner.events.lock().map(|e| e.clone()).unwrap_or_default(),
+            Some(inner) => inner.lock().events.clone(),
         }
     }
 
@@ -289,13 +299,9 @@ impl Telemetry {
     pub fn sidecar_paths(&self) -> Vec<PathBuf> {
         match &self.0 {
             None => Vec::new(),
-            Some(inner) => match inner.sidecars.lock() {
-                Ok(s) => s
-                    .keys()
-                    .filter_map(|k| sidecar_path(inner.journal_path.as_deref(), *k))
-                    .collect(),
-                Err(_) => Vec::new(),
-            },
+            Some(inner) => (inner.lock().sidecars.keys())
+                .filter_map(|k| sidecar_path(inner.journal_path.as_deref(), *k))
+                .collect(),
         }
     }
 
@@ -412,18 +418,21 @@ impl TelemetryBuilder {
             None => None,
             Some(p) => Some(JournalWriter::create(p)?),
         };
+        let state = State {
+            metrics: MetricsRegistry::new(),
+            journal,
+            sidecars: BTreeMap::new(),
+            alerts: self.alerts.unwrap_or_else(AlertEngine::empty),
+            events: Vec::new(),
+            seq: 0,
+        };
         Ok(Telemetry(Some(Arc::new(Inner {
-            metrics: Mutex::new(MetricsRegistry::new()),
-            journal: Mutex::new(journal),
             journal_path: self.journal_path,
-            sidecars: Mutex::new(BTreeMap::new()),
-            alerts: Mutex::new(self.alerts.unwrap_or_else(AlertEngine::empty)),
-            events: Mutex::new(Vec::new()),
-            seq: Mutex::new(0),
             node_id: self.node_id,
             retain_events: self.retain_events,
             progress: self.progress,
             progress_every: self.progress_every.unwrap_or(100),
+            state: state.into(),
         }))))
     }
 }
@@ -516,6 +525,34 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert_eq!(tagged[0].node_id, 0);
         assert_eq!(tagged[0].seq, 0);
+    }
+
+    #[test]
+    #[expect(clippy::disallowed_methods, reason = "the two emitters race on purpose")]
+    fn concurrent_emitters_journal_in_seq_order() {
+        let dir = std::env::temp_dir().join("fae-telemetry-concurrent");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("two-threads.jsonl");
+        let t = Telemetry::builder().journal_path(&path).retain_events(true).try_build().unwrap();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for thread in 0..2 {
+                let (t, start) = (t.clone(), &start);
+                s.spawn(move || {
+                    start.wait();
+                    for step in 0..500 {
+                        let label = format!("thread{thread}");
+                        t.emit(&JournalEvent::Mark { step, label, detail: String::new() });
+                    }
+                });
+            }
+        });
+        let journal = read_tagged_journal(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let seqs = |events: &[TaggedEvent]| events.iter().map(|e| e.seq).collect::<Vec<_>>();
+        let want: Vec<u64> = (0..1000).collect();
+        assert_eq!(seqs(&journal), want, "journal lines out of seq order");
+        assert_eq!(seqs(&t.events()), want, "retained events out of seq order");
     }
 
     #[test]

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Local ThreadSanitizer run over the parallel-engine tests and fae-nn's
-# unit tests, the fan-out's among them (mirrors the CI `tsan` nightly job). TSan needs a nightly toolchain with rust-src
+# Local ThreadSanitizer run over the parallel-engine tests, fae-nn's unit
+# tests (the fan-out's among them) and fae-telemetry's (two threads
+# emitting through one handle among them); mirrors the CI `tsan` nightly
+# job. TSan needs a nightly toolchain with rust-src
 # (for -Z build-std); this environment may be offline and unable to
 # install one, so the script skips gracefully (exit 0 with a notice)
 # instead of failing — the scheduled CI job is where the check runs.
@@ -17,4 +19,5 @@ target="$(rustc -vV | sed -n 's/^host: //p')"
 export RUSTFLAGS="${RUSTFLAGS:--Z sanitizer=thread}"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 cargo +nightly test --locked -Z build-std --target "$target" --test parallel "$@"
-exec cargo +nightly test --locked -Z build-std --target "$target" -p fae-nn --lib "$@"
+cargo +nightly test --locked -Z build-std --target "$target" -p fae-nn --lib "$@"
+exec cargo +nightly test --locked -Z build-std --target "$target" -p fae-telemetry --lib "$@"
