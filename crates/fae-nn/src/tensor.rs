@@ -512,9 +512,20 @@ mod tests {
         })
     }
 
+    /// `t` with `+inf` and `NaN` planted once each, in different columns:
+    /// a zero times either is `NaN`, so only the zero-skip is exact here.
+    fn non_finite(mut t: Tensor) -> Tensor {
+        t.set(3, 5, f32::INFINITY);
+        t.set(11, 17, f32::NAN);
+        t
+    }
+
     /// The pinned products: Kaggle's widest layers at batch 256, a 13-row
     /// weight's dW, 37 rows (odd, and under the 8-lane unroll in width),
-    /// a 1-row batch and one-column right-hand sides.
+    /// a 1-row batch and one-column right-hand sides; then TBSM's 32→60
+    /// top layer at batch 256, 39 rows (3 past a multiple of 4) at width
+    /// 61 (5 past a multiple of 8 after 32), and right-hand sides holding
+    /// `+inf` and `NaN`.
     fn pin_cases() -> Vec<(&'static str, Op, Tensor, Tensor)> {
         vec![
             ("fwd 256x367 . 367x512", Op::Fwd, operand(256, 367, 1), operand(367, 512, 2)),
@@ -533,6 +544,30 @@ mod tests {
             ("dw 37x19 T. 37x1", Op::Dw, operand(37, 19, 7), operand(37, 1, 13)),
             ("dx 37x1 . (19x1)T", Op::Dx, operand(37, 1, 13), operand(19, 1, 12)),
             ("fwd 1x19 . 19x1", Op::Fwd, operand(1, 19, 10), operand(19, 1, 12)),
+            ("fwd 256x32 . 32x60", Op::Fwd, operand(256, 32, 14), operand(32, 60, 15)),
+            ("dw 256x32 T. 256x60", Op::Dw, operand(256, 32, 14), operand(256, 60, 16)),
+            ("dx 256x60 . (32x60)T", Op::Dx, operand(256, 60, 16), operand(32, 60, 15)),
+            ("fwd 39x13 . 13x61", Op::Fwd, operand(39, 13, 17), operand(13, 61, 18)),
+            ("dw 39x11 T. 39x61", Op::Dw, operand(39, 11, 19), operand(39, 61, 20)),
+            ("dx 39x61 . (11x61)T", Op::Dx, operand(39, 61, 20), operand(11, 61, 21)),
+            (
+                "fwd 37x19 . 19x24 inf nan",
+                Op::Fwd,
+                operand(37, 19, 7),
+                non_finite(operand(19, 24, 8)),
+            ),
+            (
+                "dw 37x19 T. 37x24 inf nan",
+                Op::Dw,
+                operand(37, 19, 7),
+                non_finite(operand(37, 24, 9)),
+            ),
+            (
+                "dx 37x24 . (19x24)T inf nan",
+                Op::Dx,
+                operand(37, 24, 9),
+                non_finite(operand(19, 24, 8)),
+            ),
         ]
     }
 
@@ -545,9 +580,11 @@ mod tests {
             .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x1_0000_0000_01b3))
     }
 
-    /// Printed by the code before any product was split across threads.
-    /// A change that is meant to move a product prints the table to paste.
-    const PINS: [u64; 16] = [
+    /// Printed by the code before any product was split across threads
+    /// (the first 16) and by the zero-skip kernel before the register tile
+    /// (the rest). A change that is meant to move a product prints the
+    /// table to paste.
+    const PINS: [u64; 25] = [
         0x87cf78657be139bd, // fwd 256x367 . 367x512
         0xfd00286b87b02a88, // fwd 256x13 . 13x512
         0x3964f3972f976a78, // dw 256x13 T. 256x512
@@ -564,6 +601,15 @@ mod tests {
         0x13b02c2516d48556, // dw 37x19 T. 37x1
         0xe09395efbc9a1821, // dx 37x1 . (19x1)T
         0x0927905fdbf599c0, // fwd 1x19 . 19x1
+        0xc4cce1f62e17a26c, // fwd 256x32 . 32x60
+        0x5e6ba9a42e7bca08, // dw 256x32 T. 256x60
+        0x7375b42a95232db3, // dx 256x60 . (32x60)T
+        0x3abcfefaf9d45fd7, // fwd 39x13 . 13x61
+        0xbf41c7fb30e593f9, // dw 39x11 T. 39x61
+        0xc7c9706db557e330, // dx 39x61 . (11x61)T
+        0xb1b0a6461000c411, // fwd 37x19 . 19x24 inf nan
+        0x9a49d7100288637a, // dw 37x19 T. 37x24 inf nan
+        0x038138985297b5f8, // dx 37x24 . (19x24)T inf nan
     ];
 
     #[test]
