@@ -4,7 +4,7 @@
 //! fixed-width unrolls over `chunks_exact(8)` that the compiler can keep in
 //! SIMD registers. fae-lint's `float-fuse` rule reports such an unroll
 //! anywhere else in library code, so every one lives here, beside its
-//! contract. Two families live side by side with *different*
+//! contract. Three families live side by side with *different*
 //! bit-identity contracts (DESIGN.md §14):
 //!
 //! * **Elementwise** kernels ([`add_assign`], [`axpy`], [`scale_assign`])
@@ -17,6 +17,11 @@
 //!   compares two runs of the *same* binary, so the contract that matters
 //!   (run-to-run and serial-vs-parallel bit-identity) is preserved because
 //!   every path shares these kernels.
+//! * The **register tile** `tile_product` holds a 4 × 32 block of a
+//!   product's output in registers across the whole shared dimension.
+//!   Each element takes its terms in ascending order, one multiply and
+//!   one add each, as an axpy per term would, but skips none; its callers
+//!   in `tensor.rs` check when that is the zero-skip loop's bits.
 //!
 //! Built for the host CPU (`.cargo/config.toml`), an 8-wide chunk is one
 //! 256-bit `ymm` register on AVX2 / AVX-512: [`axpy`] and [`add_assign`]
@@ -113,6 +118,68 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
         tail += x * y;
     }
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
+}
+
+/// The register tile: `out[r·n + c] += Σ_t a[r·rs + t·ts] · b[t·n + c]`
+/// for every `n`-wide row `r` of `out` and row `t` of `b`, read in place.
+/// A tile of 4 rows × 32 columns stays in registers across the whole `t`
+/// loop; 8- and 1-wide column tiles and 1-row tiles take the remainders.
+/// Each element takes its terms in ascending `t`, one multiply and one
+/// add each: an axpy per `t`, in registers, with no term skipped.
+pub(crate) fn tile_product(a: &[f32], [rs, ts]: [usize; 2], b: &[f32], n: usize, out: &mut [f32]) {
+    for (i, rows) in out.chunks_mut(4 * n).enumerate() {
+        if rows.len() == 4 * n {
+            tile_columns::<4>(&a[4 * i * rs..], [rs, ts], b, n, rows);
+            continue;
+        }
+        for (j, row) in rows.chunks_exact_mut(n).enumerate() {
+            tile_columns::<1>(&a[(4 * i + j) * rs..], [rs, ts], b, n, row);
+        }
+    }
+}
+
+/// [`tile_product`] over `R` rows: 32-, then 8-, then 1-wide tiles.
+fn tile_columns<const R: usize>(a: &[f32], step: [usize; 2], b: &[f32], n: usize, out: &mut [f32]) {
+    let mut c = 0;
+    while n - c >= 32 {
+        tile::<R, 32>(a, step, b, n, c, out);
+        c += 32;
+    }
+    while n - c >= 8 {
+        tile::<R, 8>(a, step, b, n, c, out);
+        c += 8;
+    }
+    for c in c..n {
+        tile::<R, 1>(a, step, b, n, c, out);
+    }
+}
+
+/// One `R × W` tile at column `c`, its sums in a local array the compiler
+/// keeps in registers. Elementwise in `c`: no f32 reassociation.
+#[inline(always)]
+fn tile<const R: usize, const W: usize>(
+    a: &[f32],
+    [rs, ts]: [usize; 2],
+    b: &[f32],
+    n: usize,
+    c: usize,
+    out: &mut [f32],
+) {
+    let mut acc = [[0.0f32; W]; R];
+    for (r, acc) in acc.iter_mut().enumerate() {
+        acc.copy_from_slice(&out[r * n + c..r * n + c + W]);
+    }
+    for (t, b_row) in b.chunks_exact(n).enumerate() {
+        for (r, acc) in acc.iter_mut().enumerate() {
+            let x = a[r * rs + t * ts];
+            for (s, &y) in acc.iter_mut().zip(&b_row[c..c + W]) {
+                *s += x * y;
+            }
+        }
+    }
+    for (r, acc) in acc.iter().enumerate() {
+        out[r * n + c..r * n + c + W].copy_from_slice(acc);
+    }
 }
 
 #[cfg(test)]

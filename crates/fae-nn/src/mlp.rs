@@ -269,8 +269,8 @@ impl Mlp {
                 break;
             }
             // dX = dz · Wᵀ through a transposed copy of the small weight
-            // matrix, so the zero-skip over the mostly-zero post-ReLU dz
-            // applies.
+            // matrix, so it runs the forward's kernels, which read the
+            // right operand in rows.
             let wt = &mut self.wt[..k * n];
             layer.w.transpose_into(wt);
             let wt = &*wt;

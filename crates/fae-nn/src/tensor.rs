@@ -10,12 +10,12 @@ use crate::{cores, lanes};
 use std::fmt;
 
 /// Smallest product, in multiply-adds, whose output rows are split across
-/// cores. On a 2-vCPU 2.1 GHz Xeon built for the host (AVX-512) a scoped
-/// spawn + join costs 41–44 µs, yet a 1.7 M product (Kaggle's 13·512 layer
-/// at batch 256) ran no faster split (forward 0.87–1.11×, dW 0.72–0.83×),
-/// while a 4.2 M one (its 256·64 layer) ran 1.44–1.54× faster forward and
-/// 1.26–1.34× backward. Every TBSM product at batch 256 (the largest is
-/// 0.5 M) stays on one thread.
+/// cores. On a 2-vCPU AVX-512 Xeon (native build) a scoped spawn + join
+/// costs 39–83 µs at p50. Split, a 1.7 M product (Kaggle's 13·512 layer at
+/// batch 256) ran 0.98–1.24× forward and 1.10–1.27× backward, a 4.2 M one
+/// (its 256·64 layer) 1.31–1.64× and 1.26–1.55×, and TBSM's 32·60 layer
+/// (0.5 M, its largest product at batch 256) 0.75–0.94× and 0.63–0.77×,
+/// so every TBSM product stays on one thread.
 pub const SPLIT_THRESHOLD: usize = 1 << 22;
 
 /// How many threads a product of `work` multiply-adds over `rows` output
@@ -47,35 +47,41 @@ pub(crate) fn split_rows(
     });
 }
 
-/// `out = A · B` for row-major `A` (`rows × k`) and `B` (`k × n`): each
-/// output row is zeroed, then takes one axpy per non-zero `A` element in
-/// ascending order. With one column (every model's last layer) an output
-/// is one running sum in that order, taken four rows at a time so that
-/// four sums are in flight; a zero term adds `+0.0` there instead of
-/// branching (a post-ReLU input is zero at random), which leaves a sum
-/// that started at `+0.0` as it was, since such a sum is never `-0.0`.
+/// Widest output the register tile takes at any zero share of `A`.
+const TILE_NARROW: usize = 32;
+
+/// Zero share of `A` from which a wider product keeps the zero-skip loop.
+const SKIP_ZEROS: f32 = 0.6;
+
+/// Whether a product of left operand `a` into `width` columns takes the
+/// register tile. `b`, the other factor of each term the zero-skip drops,
+/// must be finite. Then the tile runs when the output is narrow, where an
+/// axpy is mostly call overhead (TBSM's 60·32 dX ran 2.4× faster tiled at
+/// 80 % zeros, 1.0× at 90 %), or `a` is dense enough that skipping saves
+/// less than the tile gains (Kaggle's 512·256 forward ran 1.28× faster
+/// tiled at half zeros, 1.02× at 60 %, 0.86× at 70 %; 2-vCPU AVX-512 Xeon).
+fn tiles(a: &[f32], width: usize, b: &[f32]) -> bool {
+    let dense = || {
+        (a.iter().map(|&v| u32::from(v == 0.0)).sum::<u32>() as f32) < SKIP_ZEROS * a.len() as f32
+    };
+    (width <= TILE_NARROW || dense()) && b.iter().fold(true, |ok, v| ok & v.is_finite())
+}
+
+/// `out = A · B` for row-major `A` (`rows × k`) and `B` (`k × n`): every
+/// output element takes `A(r,t) · B[t][c]` in ascending `t` from `+0.0`.
+/// The zero-skip loop takes one axpy per non-zero `A` element; the
+/// register tile ([`lanes::tile_product`]) adds every term, and the `±0`
+/// of a zero `A` leaves a sum that started at `+0.0` as it was (such a
+/// sum is never `-0.0`) when `B` is finite. [`tiles`] picks the kernel.
+/// Post-ReLU operands are about half zeros (Kaggle 0.49–0.50, TBSM
+/// 0.53–0.55), so every product of both models takes the tile.
 pub(crate) fn product_rows(a: &[f32], k: usize, b: &[f32], out: &mut [f32]) {
     let n = b.len() / k;
-    if n == 1 {
-        let term = |a: f32, b: f32| if a != 0.0 { a * b } else { 0.0 };
-        let mut blocks = a.chunks_exact(4 * k);
-        let mut sums = out.chunks_exact_mut(4);
-        for (block, sum) in (&mut blocks).zip(&mut sums) {
-            let mut acc = [0.0f32; 4];
-            for (i, &b) in b.iter().enumerate() {
-                for (r, acc) in acc.iter_mut().enumerate() {
-                    *acc += term(block[r * k + i], b);
-                }
-            }
-            sum.copy_from_slice(&acc);
-        }
-        for (row, sum) in blocks.remainder().chunks_exact(k).zip(sums.into_remainder()) {
-            *sum = row.iter().zip(b).fold(0.0, |acc, (&a, &b)| acc + term(a, b));
-        }
-        return;
+    out.fill(0.0);
+    if tiles(a, n, b) {
+        return lanes::tile_product(a, [k, 1], b, n, out);
     }
     for (row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-        out_row.fill(0.0);
         for (&a, b_row) in row.iter().zip(b.chunks_exact(n)) {
             if a != 0.0 {
                 lanes::axpy(out_row, a, b_row);
@@ -86,25 +92,28 @@ pub(crate) fn product_rows(a: &[f32], k: usize, b: &[f32], out: &mut [f32]) {
 
 /// `out += xᵀ · g` for row-major `x` (`k × m`) and `g` (`k × n`), `out`
 /// `m × n`, without materializing the transpose: every output element
-/// takes its contributions in ascending sample order, skipping a zero `x`.
-/// Output rows are split across `parts` threads; each run walks every
-/// sample in order.
+/// takes its terms in ascending sample order, as the zero-skip loop (one
+/// axpy per non-zero `x`) does. The register tile adds the `±0` of a zero
+/// `x` too, which is exact when `g` is finite and no `out` element is
+/// `-0.0` (one that started at `+0.0` never is); otherwise, or where
+/// [`tiles`] declines, the loop runs. One output column is the tile with
+/// the roles swapped, `outᵀ += gᵀ · x`, so that `m` sums stay in
+/// registers. Output rows are split across `parts` threads; each run
+/// walks every sample in order.
 pub(crate) fn accumulate_xt_g(x: &[f32], m: usize, g: &[f32], out: &mut [f32], parts: usize) {
     if out.is_empty() {
         return;
     }
     let n = out.len() / m;
-    if n == 1 {
-        // One output column: sample `b` adds `g[b] · x[b]` to all of
-        // it at once. Where the loop below skips a zero `x` this adds
-        // a signed zero, which leaves a sum that started at `+0.0`
-        // as it was — unless `g[b]` is not finite.
-        for (&g, x_row) in g.iter().zip(x.chunks_exact(m)) {
-            lanes::axpy(out, g, x_row);
-        }
-        return;
+    let negative_zero = out.iter().fold(false, |any, v| any | (v.to_bits() == (-0.0f32).to_bits()));
+    let tile = !negative_zero && tiles(x, n, g);
+    if tile && n == 1 {
+        return lanes::tile_product(g, [0, 1], x, m, out);
     }
     split_rows(out, n, parts, |first, chunk| {
+        if tile {
+            return lanes::tile_product(&x[first..], [1, m], g, n, chunk);
+        }
         for (x_row, g_row) in x.chunks_exact(m).zip(g.chunks_exact(n)) {
             let x_run = &x_row[first..first + chunk.len() / n];
             for (out_row, &a) in chunk.chunks_mut(n).zip(x_run) {
@@ -245,10 +254,10 @@ impl Tensor {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self (m×k) · rhs (k×n) -> m×n`, over the row kernel
-    /// every MLP forward and input gradient runs (classic ikj order,
-    /// streaming over `rhs` rows), split across cores above
-    /// [`SPLIT_THRESHOLD`].
+    /// Matrix product `self (m×k) · rhs (k×n) -> m×n`, over the kernels
+    /// every MLP forward and input gradient runs (the register tile or the
+    /// zero-skip loop, streaming over `rhs` rows), split across cores
+    /// above [`SPLIT_THRESHOLD`].
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
         self.matmul_parts(rhs, split_width(self.rows * self.cols * rhs.cols, self.rows))
     }
@@ -337,7 +346,7 @@ mod tests {
     /// The backward products as `Tensor` calls, over the kernels `Mlp`
     /// runs: dW `selfᵀ · rhs` (transpose-free, into zeros) and dX
     /// `self · rhsᵀ` (through a transposed copy of the small weight, so
-    /// the zero-skip over a post-ReLU gradient applies).
+    /// it runs the forward's kernels).
     impl Tensor {
         pub(super) fn matmul_transpose_lhs(&self, rhs: &Tensor) -> Tensor {
             let work = self.rows * self.cols * rhs.cols;
@@ -635,6 +644,74 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The zero-skip loop, the reference both kernels are held to:
+    /// `out += A · B` with one axpy per non-zero `A(r, t)`, read through
+    /// a row and a `t` stride as [`lanes::tile_product`] reads it.
+    fn zero_skip(a: &[f32], [rs, ts]: [usize; 2], b: &[f32], n: usize, out: &mut [f32]) {
+        for (r, out_row) in out.chunks_exact_mut(n).enumerate() {
+            for (t, b_row) in b.chunks_exact(n).enumerate() {
+                if a[r * rs + t * ts] != 0.0 {
+                    lanes::axpy(out_row, a[r * rs + t * ts], b_row);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_tile_and_the_dispatch_are_bitwise_the_zero_skip() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // 80 % zeros sends a product wider than TILE_NARROW to the loop.
+        let sparse = |t: Tensor| {
+            Tensor::from_fn(t.rows, t.cols, |r, c| {
+                if (r * t.cols + c).is_multiple_of(5) {
+                    t.get(r, c)
+                } else {
+                    0.0
+                }
+            })
+        };
+        let mut tile_loses_a_negative_zero = false;
+        for rows in 1..=9 {
+            for n in [1, 7, 8, 9, 31, 32, 33, 60, 65] {
+                for k in [1, 2, 13, 32] {
+                    let salt = ((rows * 100 + n) * 100 + k) as u64 * 8;
+                    let b = operand(k, n, salt);
+                    for a in [operand(rows, k, salt + 1), sparse(operand(rows, k, salt + 1))] {
+                        let (a, b) = (a.as_slice(), b.as_slice());
+                        let mut want = vec![0.0; rows * n];
+                        zero_skip(a, [k, 1], b, n, &mut want);
+                        let mut tiled = vec![0.0; rows * n];
+                        lanes::tile_product(a, [k, 1], b, n, &mut tiled);
+                        assert_eq!(bits(&tiled), bits(&want), "tile {rows}x{k} . {k}x{n}");
+                        let mut got = vec![f32::NAN; rows * n];
+                        product_rows(a, k, b, &mut got);
+                        assert_eq!(bits(&got), bits(&want), "product {rows}x{k} . {k}x{n}");
+                    }
+                    // dW into an `out` without `-0.0` (tiled) and with it
+                    // (the loop: a `+0.0` term would turn it into `+0.0`).
+                    let (x, g) = (operand(k, rows, salt + 2), operand(k, n, salt + 3));
+                    let (x, g) = (x.as_slice(), g.as_slice());
+                    let signed = operand(rows, n, salt + 4).into_vec();
+                    for start in [signed.iter().map(|&v| v + 0.0).collect(), signed] {
+                        let mut want = start.clone();
+                        zero_skip(x, [1, rows], g, n, &mut want);
+                        let mut got = start.clone();
+                        accumulate_xt_g(x, rows, g, &mut got, 1);
+                        assert_eq!(bits(&got), bits(&want), "dw {k}x{rows} T. {k}x{n}");
+                        let mut tiled = start.clone();
+                        lanes::tile_product(x, [1, rows], g, n, &mut tiled);
+                        let has_negative_zero = start.iter().any(|v| v.to_bits() == 1 << 31);
+                        if !has_negative_zero {
+                            assert_eq!(bits(&tiled), bits(&want), "tile dw {k}x{rows} T. {k}x{n}");
+                        }
+                        tile_loses_a_negative_zero |= bits(&tiled) != bits(&want);
+                    }
+                }
+            }
+        }
+        assert!(tile_loses_a_negative_zero, "no case shows why `-0.0` takes the loop");
     }
 
     #[test]
