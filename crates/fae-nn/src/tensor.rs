@@ -47,24 +47,11 @@ pub(crate) fn split_rows(
     });
 }
 
-/// Widest output the register tile takes at any zero share of `A`.
-const TILE_NARROW: usize = 32;
-
-/// Zero share of `A` from which a wider product keeps the zero-skip loop.
-const SKIP_ZEROS: f32 = 0.6;
-
-/// Whether a product of left operand `a` into `width` columns takes the
-/// register tile. `b`, the other factor of each term the zero-skip drops,
-/// must be finite. Then the tile runs when the output is narrow, where an
-/// axpy is mostly call overhead (TBSM's 60·32 dX ran 2.4× faster tiled at
-/// 80 % zeros, 1.0× at 90 %), or `a` is dense enough that skipping saves
-/// less than the tile gains (Kaggle's 512·256 forward ran 1.28× faster
-/// tiled at half zeros, 1.02× at 60 %, 0.86× at 70 %; 2-vCPU AVX-512 Xeon).
-fn tiles(a: &[f32], width: usize, b: &[f32]) -> bool {
-    let dense = || {
-        (a.iter().map(|&v| u32::from(v == 0.0)).sum::<u32>() as f32) < SKIP_ZEROS * a.len() as f32
-    };
-    (width <= TILE_NARROW || dense()) && b.iter().fold(true, |ok, v| ok & v.is_finite())
+/// Whether `b`, the other factor of each term the zero-skip drops, is
+/// finite, so that the register tile's `±0` for a zero left element is
+/// the zero-skip's bits.
+fn finite(b: &[f32]) -> bool {
+    b.iter().fold(true, |ok, v| ok & v.is_finite())
 }
 
 /// `out = A · B` for row-major `A` (`rows × k`) and `B` (`k × n`): every
@@ -72,13 +59,12 @@ fn tiles(a: &[f32], width: usize, b: &[f32]) -> bool {
 /// The zero-skip loop takes one axpy per non-zero `A` element; the
 /// register tile ([`lanes::tile_product`]) adds every term, and the `±0`
 /// of a zero `A` leaves a sum that started at `+0.0` as it was (such a
-/// sum is never `-0.0`) when `B` is finite. [`tiles`] picks the kernel.
-/// Post-ReLU operands are about half zeros (Kaggle 0.49–0.50, TBSM
-/// 0.53–0.55), so every product of both models takes the tile.
+/// sum is never `-0.0`) when `B` is finite, so the loop runs only where
+/// `B` is not.
 pub(crate) fn product_rows(a: &[f32], k: usize, b: &[f32], out: &mut [f32]) {
     let n = b.len() / k;
     out.fill(0.0);
-    if tiles(a, n, b) {
+    if finite(b) {
         return lanes::tile_product(a, [k, 1], b, n, out);
     }
     for (row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
@@ -95,18 +81,17 @@ pub(crate) fn product_rows(a: &[f32], k: usize, b: &[f32], out: &mut [f32]) {
 /// takes its terms in ascending sample order, as the zero-skip loop (one
 /// axpy per non-zero `x`) does. The register tile adds the `±0` of a zero
 /// `x` too, which is exact when `g` is finite and no `out` element is
-/// `-0.0` (one that started at `+0.0` never is); otherwise, or where
-/// [`tiles`] declines, the loop runs. One output column is the tile with
-/// the roles swapped, `outᵀ += gᵀ · x`, so that `m` sums stay in
-/// registers. Output rows are split across `parts` threads; each run
-/// walks every sample in order.
+/// `-0.0` (one that started at `+0.0` never is); otherwise the loop
+/// runs. One output column is the tile with the roles swapped, `outᵀ +=
+/// gᵀ · x`, so that `m` sums stay in registers. Output rows are split
+/// across `parts` threads; each run walks every sample in order.
 pub(crate) fn accumulate_xt_g(x: &[f32], m: usize, g: &[f32], out: &mut [f32], parts: usize) {
     if out.is_empty() {
         return;
     }
     let n = out.len() / m;
     let negative_zero = out.iter().fold(false, |any, v| any | (v.to_bits() == (-0.0f32).to_bits()));
-    let tile = !negative_zero && tiles(x, n, g);
+    let tile = !negative_zero && finite(g);
     if tile && n == 1 {
         return lanes::tile_product(g, [0, 1], x, m, out);
     }
@@ -662,33 +647,21 @@ mod tests {
     #[test]
     fn the_tile_and_the_dispatch_are_bitwise_the_zero_skip() {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        // 80 % zeros sends a product wider than TILE_NARROW to the loop.
-        let sparse = |t: Tensor| {
-            Tensor::from_fn(t.rows, t.cols, |r, c| {
-                if (r * t.cols + c).is_multiple_of(5) {
-                    t.get(r, c)
-                } else {
-                    0.0
-                }
-            })
-        };
         let mut tile_loses_a_negative_zero = false;
         for rows in 1..=9 {
             for n in [1, 7, 8, 9, 31, 32, 33, 60, 65] {
                 for k in [1, 2, 13, 32] {
                     let salt = ((rows * 100 + n) * 100 + k) as u64 * 8;
-                    let b = operand(k, n, salt);
-                    for a in [operand(rows, k, salt + 1), sparse(operand(rows, k, salt + 1))] {
-                        let (a, b) = (a.as_slice(), b.as_slice());
-                        let mut want = vec![0.0; rows * n];
-                        zero_skip(a, [k, 1], b, n, &mut want);
-                        let mut tiled = vec![0.0; rows * n];
-                        lanes::tile_product(a, [k, 1], b, n, &mut tiled);
-                        assert_eq!(bits(&tiled), bits(&want), "tile {rows}x{k} . {k}x{n}");
-                        let mut got = vec![f32::NAN; rows * n];
-                        product_rows(a, k, b, &mut got);
-                        assert_eq!(bits(&got), bits(&want), "product {rows}x{k} . {k}x{n}");
-                    }
+                    let (a, b) = (operand(rows, k, salt + 1), operand(k, n, salt));
+                    let (a, b) = (a.as_slice(), b.as_slice());
+                    let mut want = vec![0.0; rows * n];
+                    zero_skip(a, [k, 1], b, n, &mut want);
+                    let mut tiled = vec![0.0; rows * n];
+                    lanes::tile_product(a, [k, 1], b, n, &mut tiled);
+                    assert_eq!(bits(&tiled), bits(&want), "tile {rows}x{k} . {k}x{n}");
+                    let mut got = vec![f32::NAN; rows * n];
+                    product_rows(a, k, b, &mut got);
+                    assert_eq!(bits(&got), bits(&want), "product {rows}x{k} . {k}x{n}");
                     // dW into an `out` without `-0.0` (tiled) and with it
                     // (the loop: a `+0.0` term would turn it into `+0.0`).
                     let (x, g) = (operand(k, rows, salt + 2), operand(k, n, salt + 3));
