@@ -195,6 +195,54 @@ mod tests {
         assert_eq!(contexts(&z, 2), vec![0.0, 0.0, 1.0, 1.0]);
     }
 
+    /// A seeded value; about a quarter are `+0.0`, `-0.0` or subnormal.
+    fn seeded(i: usize, salt: u64) -> f32 {
+        let h = (i as u64 ^ salt << 40).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let h = h ^ (h >> 29);
+        match h % 12 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::from_bits(((h >> 32) as u32 & 0x807f_ffff) | 1),
+            _ => ((h >> 40) % 2001) as f32 / 1000.0 - 1.0,
+        }
+    }
+
+    /// FNV-1a 64 over every element's `to_bits`, continuing from `h`.
+    fn fnv(h: u64, v: &[f32]) -> u64 {
+        let bytes = v.iter().flat_map(|x| x.to_bits().to_le_bytes());
+        bytes.fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x1_0000_0000_01b3))
+    }
+
+    /// Printed by the per-index `row` walk, at d = 16 and d = 3. A change
+    /// that is meant to move them prints the table to paste.
+    const PINS: [u64; 2] = [0xae35fd9967c85f03, 0xf255af2a2f3fff72];
+
+    #[test]
+    fn contexts_and_gradients_are_pinned() {
+        // Two batches on one op, the second smaller, so a stale buffer
+        // shows. Lengths `(7i + salt) mod 10` take every value 0–9.
+        let got = [16, 3].map(|d| {
+            let mut att = AttentionPool::new();
+            let mut h = 0xcbf2_9ce4_8422_2325;
+            for (batch, salt) in [(20, 1), (7, 2)] {
+                let mut offsets = vec![0];
+                for i in 0..batch {
+                    offsets.push(offsets[i] + (7 * i + salt as usize) % 10);
+                }
+                let total = offsets[batch];
+                let data = (0..total * d).map(|i| seeded(i, salt)).collect();
+                let mut z: Vec<f32> = (0..batch * 2 * d).map(|i| seeded(i, salt + 10)).collect();
+                let dz: Vec<f32> = (0..batch * 2 * d).map(|i| seeded(i, salt + 20)).collect();
+                let mut dq = vec![f32::NAN; batch * d];
+                att.forward(Tensor::from_vec(total, d, data), &offsets, &mut z);
+                h = fnv(fnv(h, &z), att.backward(&z, &dz, &mut dq));
+                h = fnv(h, &dq);
+            }
+            h
+        });
+        assert_eq!(got, PINS, "attention moved; the table is now {got:#018x?}");
+    }
+
     #[test]
     fn backward_matches_finite_difference() {
         let dim = 3;

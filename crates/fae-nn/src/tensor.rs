@@ -519,7 +519,8 @@ mod tests {
     /// a 1-row batch and one-column right-hand sides; then TBSM's 32→60
     /// top layer at batch 256, 39 rows (3 past a multiple of 4) at width
     /// 61 (5 past a multiple of 8 after 32), and right-hand sides holding
-    /// `+inf` and `NaN`.
+    /// `+inf` and `NaN`; then Kaggle's 256→367 top-layer dX at batch 256,
+    /// and 39 rows at widths 36 and 44 (4 and 12 past the 32-wide tiles).
     fn pin_cases() -> Vec<(&'static str, Op, Tensor, Tensor)> {
         vec![
             ("fwd 256x367 . 367x512", Op::Fwd, operand(256, 367, 1), operand(367, 512, 2)),
@@ -562,6 +563,11 @@ mod tests {
                 operand(37, 24, 9),
                 non_finite(operand(19, 24, 8)),
             ),
+            ("dx 256x256 . (367x256)T", Op::Dx, operand(256, 256, 22), operand(367, 256, 23)),
+            ("fwd 39x13 . 13x36", Op::Fwd, operand(39, 13, 17), operand(13, 36, 24)),
+            ("fwd 39x13 . 13x44", Op::Fwd, operand(39, 13, 17), operand(13, 44, 25)),
+            ("dw 39x11 T. 39x36", Op::Dw, operand(39, 11, 19), operand(39, 36, 26)),
+            ("dw 39x11 T. 39x44", Op::Dw, operand(39, 11, 19), operand(39, 44, 27)),
         ]
     }
 
@@ -575,10 +581,11 @@ mod tests {
     }
 
     /// Printed by the code before any product was split across threads
-    /// (the first 16) and by the zero-skip kernel before the register tile
-    /// (the rest). A change that is meant to move a product prints the
-    /// table to paste.
-    const PINS: [u64; 25] = [
+    /// (the first 16), by the zero-skip kernel before the register tile
+    /// (the next 9) and by the tile before its 4-wide column tile (the
+    /// last 5). A change that is meant to move a product prints the table
+    /// to paste.
+    const PINS: [u64; 30] = [
         0x87cf78657be139bd, // fwd 256x367 . 367x512
         0xfd00286b87b02a88, // fwd 256x13 . 13x512
         0x3964f3972f976a78, // dw 256x13 T. 256x512
@@ -604,6 +611,11 @@ mod tests {
         0xb1b0a6461000c411, // fwd 37x19 . 19x24 inf nan
         0x9a49d7100288637a, // dw 37x19 T. 37x24 inf nan
         0x038138985297b5f8, // dx 37x24 . (19x24)T inf nan
+        0xccc1e8b4c000a7dd, // dx 256x256 . (367x256)T
+        0xa31e649bac70fc85, // fwd 39x13 . 13x36
+        0xb9176665f2752eb2, // fwd 39x13 . 13x44
+        0x2256918fc0de3557, // dw 39x11 T. 39x36
+        0xe9e39053c341eb5e, // dw 39x11 T. 39x44
     ];
 
     #[test]
@@ -649,7 +661,7 @@ mod tests {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut tile_loses_a_negative_zero = false;
         for rows in 1..=9 {
-            for n in [1, 7, 8, 9, 31, 32, 33, 60, 65] {
+            for n in [1, 7, 8, 9, 12, 31, 32, 33, 36, 44, 60, 65] {
                 for k in [1, 2, 13, 32] {
                     let salt = ((rows * 100 + n) * 100 + k) as u64 * 8;
                     let (a, b) = (operand(rows, k, salt + 1), operand(k, n, salt));

@@ -1,7 +1,8 @@
 //! `Mlp`'s activation tape is sized on the first batch and reused: after
 //! it, a dense step (zero the gradients, forward, backward, SGD) makes no
-//! heap allocation, at the same batch size or a smaller one. Counted by
-//! the process-wide allocator in `tests/common/hostile.rs`.
+//! heap allocation, at the same batch size or a smaller one. TBSM's
+//! `AttentionPool` keeps its buffers the same way. Counted by the
+//! process-wide allocator in `tests/common/hostile.rs`.
 //!
 //! One `#[test]` only: a neighbouring test thread would show up in the
 //! count.
@@ -15,8 +16,9 @@ use rand::SeedableRng;
 
 use std::sync::Barrier;
 
+use fae::models::attention::AttentionPool;
 use fae::nn::cores::{self, fan_out};
-use fae::nn::{Activation, Layer, Mlp};
+use fae::nn::{Activation, Layer, Mlp, Tensor};
 
 use hostile::heap_use;
 
@@ -50,6 +52,7 @@ fn a_steady_state_dense_step_allocates_nothing() {
         started.wait();
         if task == 0 {
             count_steady_steps();
+            count_attention();
         }
     });
 }
@@ -72,6 +75,32 @@ fn count_steady_steps() {
         for (rows, input_grad) in [(batch, true), (batch, false), (batch / 3, true), (1, false)] {
             let ((), _, allocs) = heap_use(|| step(&mut mlp, &x, &g, rows, input_grad));
             assert_eq!(allocs, 0, "{sizes:?} at batch {rows} (input grad {input_grad})");
+        }
+    }
+}
+
+/// TBSM's attention at d = 16: after a first batch of 256, a forward and
+/// backward at 256 and at 85 samples allocate nothing. The vectors are
+/// built before the count; the op takes them by value.
+fn count_attention() {
+    let d = 16;
+    let mut att = AttentionPool::new();
+    for (i, batch) in [256, 256, 85].into_iter().enumerate() {
+        let mut offsets = vec![0];
+        for s in 0..batch {
+            offsets.push(offsets[s] + (7 * s + 3) % 23);
+        }
+        let total = offsets[batch];
+        let vectors = Tensor::from_vec(total, d, seeded(total * d, 3));
+        let mut z = seeded(batch * 2 * d, 4);
+        let dz = seeded(batch * 2 * d, 5);
+        let mut dq = vec![0.0; batch * d];
+        let ((), _, allocs) = heap_use(|| {
+            att.forward(vectors, &offsets, &mut z);
+            att.backward(&z, &dz, &mut dq);
+        });
+        if i > 0 {
+            assert_eq!(allocs, 0, "attention at batch {batch}");
         }
     }
 }
