@@ -12,7 +12,7 @@
 //! writes its contexts into TBSM's top-MLP input, `[context ; query]` per
 //! sample, so neither is copied.
 
-use fae_nn::Tensor;
+use fae_nn::{lanes, Tensor};
 
 /// Differentiable attention pooling. Its buffers are kept between
 /// batches and reused.
@@ -60,8 +60,10 @@ impl AttentionPool {
             if scores.is_empty() {
                 continue;
             }
-            for (s, r) in scores.iter_mut().zip(lo..) {
-                *s = q.iter().zip(vectors.row(r)).map(|(&a, &b)| a * b).sum::<f32>() * scale;
+            let seq = &vectors.as_slice()[lo * d..hi * d];
+            lanes::dots(q, seq, scores);
+            for s in scores.iter_mut() {
+                *s *= scale;
             }
             // Stable softmax.
             let max = scores.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
@@ -73,10 +75,8 @@ impl AttentionPool {
             for s in scores.iter_mut() {
                 *s /= sum;
             }
-            for (&a, r) in scores.iter().zip(lo..) {
-                for (cv, &v) in ctx.iter_mut().zip(vectors.row(r)) {
-                    *cv += a * v;
-                }
+            for (&a, v) in scores.iter().zip(seq.chunks_exact(d)) {
+                lanes::axpy(ctx, a, v);
             }
         }
         self.vectors = vectors;
@@ -95,6 +95,8 @@ impl AttentionPool {
         assert!(dz.len() == batch * 2 * d && z.len() == dz.len(), "grad shape mismatch");
         assert_eq!(d_query.len(), batch * d, "query grad shape mismatch");
         let scale = 1.0 / (d as f32).sqrt();
+        let vectors = self.vectors.as_mut_slice();
+        self.d_alpha.resize(self.alphas.len(), 0.0);
         // Every vector belongs to exactly one sample. Once that sample has
         // read it, its gradient is written over it, as the `+0.0` a fresh
         // buffer started from plus its one term.
@@ -104,20 +106,17 @@ impl AttentionPool {
             dq.fill(0.0);
             let (lo, hi) = (self.offsets[i], self.offsets[i + 1]);
             if lo < hi {
-                let alpha = &self.alphas[lo..hi];
+                let (alpha, seq) = (&self.alphas[lo..hi], &mut vectors[lo * d..hi * d]);
                 // dα_t = dc·v_t ; accumulate dv_t += α_t · dc.
-                self.d_alpha.clear();
-                self.d_alpha.extend((lo..hi).map(|v| {
-                    dc.iter().zip(self.vectors.row(v)).map(|(&a, &b)| a * b).sum::<f32>()
-                }));
+                let d_alpha = &mut self.d_alpha[lo..hi];
+                lanes::dots(dc, seq, d_alpha);
                 // Softmax backward: ds_t = α_t (dα_t − Σ_j α_j dα_j).
-                let dot: f32 = alpha.iter().zip(&self.d_alpha).map(|(&a, &g)| a * g).sum();
-                for (t, v) in (lo..hi).enumerate() {
-                    let ds = alpha[t] * (self.d_alpha[t] - dot) * scale;
-                    let vec = self.vectors.row_mut(v);
-                    for c in 0..d {
-                        dq[c] += ds * vec[c];
-                        vec[c] = 0.0 + (alpha[t] * dc[c] + ds * q[c]);
+                let dot: f32 = alpha.iter().zip(&*d_alpha).map(|(&a, &g)| a * g).sum();
+                for ((&a, &g), vec) in alpha.iter().zip(&*d_alpha).zip(seq.chunks_exact_mut(d)) {
+                    let ds = a * (g - dot) * scale;
+                    lanes::axpy(dq, ds, vec);
+                    for ((v, &dc), &q) in vec.iter_mut().zip(dc).zip(q) {
+                        *v = 0.0 + (a * dc + ds * q);
                     }
                 }
             }

@@ -120,10 +120,38 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
 }
 
+/// `out[t] = q · rows[t·d..(t + 1)·d]` for each `d = q.len()`-wide row
+/// `t`, each exactly `Iterator::sum`'s fold of the products: terms in
+/// ascending order from `-0.0`, one multiply and one add each. Four rows
+/// run as independent chains, so their adds overlap. Panics on a length
+/// mismatch.
+pub fn dots(q: &[f32], rows: &[f32], out: &mut [f32]) {
+    let d = q.len();
+    assert_eq!(rows.len(), out.len() * d, "dots length mismatch");
+    let row = |t: usize| &rows[t * d..(t + 1) * d];
+    let (fours, rest) = out.split_at_mut(out.len() / 4 * 4);
+    for (i, o) in fours.chunks_exact_mut(4).enumerate() {
+        let mut acc = [-0.0f32; 4];
+        let rows4 = row(4 * i).iter().zip(row(4 * i + 1)).zip(row(4 * i + 2)).zip(row(4 * i + 3));
+        for (&x, (((&a, &b), &c), &e)) in q.iter().zip(rows4) {
+            acc[0] += x * a;
+            acc[1] += x * b;
+            acc[2] += x * c;
+            acc[3] += x * e;
+        }
+        o.copy_from_slice(&acc);
+    }
+    for (t, o) in rest.iter_mut().enumerate() {
+        *o = q.iter().zip(row(fours.len() + t)).map(|(&x, &v)| x * v).sum();
+    }
+}
+
 /// The register tile: `out[r·n + c] += Σ_t a[r·rs + t·ts] · b[t·n + c]`
 /// for every `n`-wide row `r` of `out` and row `t` of `b`, read in place.
 /// A tile of 4 rows × 32 columns stays in registers across the whole `t`
-/// loop; 8- and 1-wide column tiles and 1-row tiles take the remainders.
+/// loop; 8-, 4- and 1-wide column tiles and 1-row tiles take the
+/// remainders, so a 60-wide row is 32 + 8 + 8 + 8 + 4 and never runs a
+/// 1-wide tile.
 /// Each element takes its terms in ascending `t`, one multiply and one
 /// add each: an axpy per `t`, in registers, with no term skipped.
 pub(crate) fn tile_product(a: &[f32], [rs, ts]: [usize; 2], b: &[f32], n: usize, out: &mut [f32]) {
@@ -138,7 +166,7 @@ pub(crate) fn tile_product(a: &[f32], [rs, ts]: [usize; 2], b: &[f32], n: usize,
     }
 }
 
-/// [`tile_product`] over `R` rows: 32-, then 8-, then 1-wide tiles.
+/// [`tile_product`] over `R` rows: 32-, then 8-, 4- and 1-wide tiles.
 fn tile_columns<const R: usize>(a: &[f32], step: [usize; 2], b: &[f32], n: usize, out: &mut [f32]) {
     let mut c = 0;
     while n - c >= 32 {
@@ -148,6 +176,10 @@ fn tile_columns<const R: usize>(a: &[f32], step: [usize; 2], b: &[f32], n: usize
     while n - c >= 8 {
         tile::<R, 8>(a, step, b, n, c, out);
         c += 8;
+    }
+    if n - c >= 4 {
+        tile::<R, 4>(a, step, b, n, c, out);
+        c += 4;
     }
     for c in c..n {
         tile::<R, 1>(a, step, b, n, c, out);
@@ -244,6 +276,50 @@ mod tests {
             assert!((f64::from(fast) - scalar).abs() < 1e-2 * (1.0 + scalar.abs()), "n={n}");
             // Deterministic: the same inputs always give the same bits.
             assert_eq!(fast.to_bits(), dot(&a, &b).to_bits());
+        }
+    }
+
+    /// `seq` with `+0.0`, `-0.0`, subnormals and `±inf` planted by a hash.
+    fn mixed(n: usize, salt: u32) -> Vec<f32> {
+        let mut v = seq(n, salt);
+        for (i, x) in v.iter_mut().enumerate() {
+            let h = (i as u32 ^ salt << 16).wrapping_mul(2_246_822_519) >> 27;
+            *x = match h {
+                0..=2 => 0.0,
+                3..=5 => -0.0,
+                6..=8 => f32::from_bits(h << 9 | 1) * x.signum(),
+                9 => f32::INFINITY,
+                10 => f32::NEG_INFINITY,
+                _ => *x,
+            };
+        }
+        v
+    }
+
+    #[test]
+    fn dots_are_bitwise_iterator_sum() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for d in [1, 3, 16, 17] {
+            for len in 0..=9 {
+                let salt = (d * 10 + len) as u32;
+                let positive: Vec<f32> = seq(len * d, salt).iter().map(|x| x.abs() + 1.0).collect();
+                // The last pair's products are all `-0.0`: a sum that
+                // started at `+0.0` would end there instead.
+                let cases = [
+                    (seq(d, salt + 1), seq(len * d, salt + 2)),
+                    (mixed(d, salt + 3), mixed(len * d, salt + 4)),
+                    (vec![-0.0; d], positive),
+                ];
+                for (q, rows) in cases {
+                    let want: Vec<f32> = rows
+                        .chunks_exact(d)
+                        .map(|r| q.iter().zip(r).map(|(a, b)| a * b).sum())
+                        .collect();
+                    let mut got = vec![f32::NAN; len];
+                    dots(&q, &rows, &mut got);
+                    assert_eq!(bits(&got), bits(&want), "d={d} len={len}");
+                }
+            }
         }
     }
 
