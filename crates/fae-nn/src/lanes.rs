@@ -4,7 +4,7 @@
 //! fixed-width unrolls over `chunks_exact(8)` that the compiler can keep in
 //! SIMD registers. fae-lint's `float-fuse` rule reports such an unroll
 //! anywhere else in library code, so every one lives here, beside its
-//! contract. Three families live side by side with *different*
+//! contract. Four families live side by side with *different*
 //! bit-identity contracts (DESIGN.md §14):
 //!
 //! * **Elementwise** kernels ([`add_assign`], [`axpy`], [`scale_assign`])
@@ -17,8 +17,13 @@
 //!   compares two runs of the *same* binary, so the contract that matters
 //!   (run-to-run and serial-vs-parallel bit-identity) is preserved because
 //!   every path shares these kernels.
+//! * The **chained dots** [`dots`] (TBSM's attention scores and their
+//!   gradients) run four dot products as independent chains, each exactly
+//!   `Iterator::sum`'s fold: ascending terms from `-0.0`, so the bits are
+//!   the scalar sum's, and only the four chains' adds overlap.
 //! * The **register tile** `tile_product` holds a 4 × 32 block of a
-//!   product's output in registers across the whole shared dimension.
+//!   product's output in registers across the whole shared dimension,
+//!   with 8-, 4- and 1-wide column tiles for the rest of a row.
 //!   Each element takes its terms in ascending order, one multiply and
 //!   one add each, as an axpy per term would, but skips none; its callers
 //!   in `tensor.rs` check when that is the zero-skip loop's bits.
