@@ -192,7 +192,10 @@ fn tile_columns<const R: usize>(a: &[f32], step: [usize; 2], b: &[f32], n: usize
 }
 
 /// One `R × W` tile at column `c`, its sums in a local array the compiler
-/// keeps in registers. Elementwise in `c`: no f32 reassociation.
+/// keeps in registers. Each `t` reads its `W` values of `b` once, for all
+/// `R` rows; left to the optimizer, that sharing depended on what else
+/// was inlined beside the loop (EXPERIMENTS.md, "Taobao step by part").
+/// Elementwise in `c`: no f32 reassociation.
 #[inline(always)]
 fn tile<const R: usize, const W: usize>(
     a: &[f32],
@@ -207,9 +210,10 @@ fn tile<const R: usize, const W: usize>(
         acc.copy_from_slice(&out[r * n + c..r * n + c + W]);
     }
     for (t, b_row) in b.chunks_exact(n).enumerate() {
+        let y: [f32; W] = std::array::from_fn(|j| b_row[c + j]);
         for (r, acc) in acc.iter_mut().enumerate() {
             let x = a[r * rs + t * ts];
-            for (s, &y) in acc.iter_mut().zip(&b_row[c..c + W]) {
+            for (s, &y) in acc.iter_mut().zip(&y) {
                 *s += x * y;
             }
         }
