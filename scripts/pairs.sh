@@ -35,6 +35,7 @@ if [ "${#pos[@]}" -lt 3 ] || [ "${#pos[@]}" -gt 4 ]; then
   exit 2
 fi
 workload="${pos[2]}" n="${pos[3]:-10}"
+[[ "$n" =~ ^[1-9][0-9]*$ ]] || { echo "pairs.sh: N must be a positive count, not '$n'" >&2; exit 2; }
 parent="$(git -C "$repo" rev-parse --verify "${pos[0]}^{commit}")"
 change="$(git -C "$repo" rev-parse --verify "${pos[1]}^{commit}")"
 base="${TMPDIR:-/tmp}/fae-pairs"
