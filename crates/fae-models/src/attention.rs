@@ -76,7 +76,9 @@ impl AttentionPool {
                 *s /= sum;
             }
             for (&a, v) in scores.iter().zip(seq.chunks_exact(d)) {
-                lanes::axpy(ctx, a, v);
+                for (cv, &v) in ctx.iter_mut().zip(v) {
+                    *cv += a * v;
+                }
             }
         }
         self.vectors = vectors;
@@ -114,8 +116,8 @@ impl AttentionPool {
                 let dot: f32 = alpha.iter().zip(&*d_alpha).map(|(&a, &g)| a * g).sum();
                 for ((&a, &g), vec) in alpha.iter().zip(&*d_alpha).zip(seq.chunks_exact_mut(d)) {
                     let ds = a * (g - dot) * scale;
-                    lanes::axpy(dq, ds, vec);
-                    for ((v, &dc), &q) in vec.iter_mut().zip(dc).zip(q) {
+                    for (((v, g), &dc), &q) in vec.iter_mut().zip(dq.iter_mut()).zip(dc).zip(q) {
+                        *g += ds * *v;
                         *v = 0.0 + (a * dc + ds * q);
                     }
                 }

@@ -18,6 +18,7 @@
 # Progress goes to standard error. --dry-run builds both sides, times
 # nothing and prints the row with no runs.
 set -euo pipefail
+{ # Parsed whole before it runs, so editing this file mid-run cannot shift it.
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 
 dry=0 seed="" seconds="" pos=()
@@ -114,3 +115,5 @@ row["rule_met"] = bool(ips and ips["wins"] >= 0.9 * len(parent) and ips["gap_bea
                        and ips["ratio"] > 1)
 print(json.dumps(row))
 EOF
+exit
+}
