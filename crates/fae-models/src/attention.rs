@@ -116,8 +116,8 @@ impl AttentionPool {
                 let dot: f32 = alpha.iter().zip(&*d_alpha).map(|(&a, &g)| a * g).sum();
                 for ((&a, &g), vec) in alpha.iter().zip(&*d_alpha).zip(seq.chunks_exact_mut(d)) {
                     let ds = a * (g - dot) * scale;
-                    for (((v, g), &dc), &q) in vec.iter_mut().zip(dq.iter_mut()).zip(dc).zip(q) {
-                        *g += ds * *v;
+                    for (((v, dq), &dc), &q) in vec.iter_mut().zip(dq.iter_mut()).zip(dc).zip(q) {
+                        *dq += ds * *v;
                         *v = 0.0 + (a * dc + ds * q);
                     }
                 }
