@@ -17,7 +17,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use fae::data::{generate, BatchKind, GenOptions, MiniBatch, WorkloadSpec};
+use fae::data::{generate, BatchKind, GenOptions, MiniBatch, TableIndices, WorkloadSpec};
 use fae::embed::SparseGrad;
 use fae::models::{Dlrm, MasterEmbeddings, RecModel, Tbsm};
 use fae::nn::{Activation, Layer, Mlp, Tensor};
@@ -283,5 +283,65 @@ fn dlrm_and_tbsm_forward_backward_and_step_are_pinned() {
         let table: String =
             runs.iter().map(|(name, h)| format!("    0x{h:016x}, // {name}\n")).collect();
         panic!("model pins moved; the table is now:\n{table}");
+    }
+}
+
+/// `batches`' dense features under hand-built bags: every table's last
+/// row (`rows - 1`) twice in one bag, an id three times in another, empty
+/// bags, and some generated bags between them.
+fn edge_batches(spec: &WorkloadSpec, sizes: &[usize]) -> Vec<MiniBatch> {
+    let mut out = batches(spec, sizes);
+    for (i, mb) in out.iter_mut().enumerate() {
+        for (t, csr) in mb.sparse.iter_mut().enumerate() {
+            let last = spec.tables[t].rows as u32 - 1;
+            let mut bags = TableIndices::new();
+            for b in 0..csr.len() {
+                let h = (b as u32).wrapping_mul(2_654_435_761) ^ (i as u32 * 97 + t as u32);
+                match b % 5 {
+                    0 => bags.push_bag(&[last, h % last, last]),
+                    1 => bags.push_bag(&[]),
+                    2 => bags.push_bag(&[h % 13, last, h % 13, h % 13]),
+                    3 => bags.push_bag(csr.bag(b)),
+                    _ => bags.push_bag(&[h % (last + 1)]),
+                }
+            }
+            *csr = bags;
+        }
+    }
+    out
+}
+
+/// `(name, hash)` of DLRM and TBSM, as `model_runs`, over `edge_batches`.
+fn edge_runs() -> Vec<(&'static str, u64)> {
+    let sizes = [23, 5, 1, 41];
+    let spec = WorkloadSpec::tiny_test();
+    let mut rng = StdRng::seed_from_u64(43);
+    let mut dlrm = Dlrm::from_spec(&spec, &mut rng);
+    let emb = MasterEmbeddings::from_spec(&spec, &mut rng);
+    let dlrm_hash = run_model(&mut dlrm, &emb, &edge_batches(&spec, &sizes));
+
+    let spec = small_taobao();
+    let mut rng = StdRng::seed_from_u64(12);
+    let mut tbsm = Tbsm::from_spec(&spec, &mut rng);
+    let emb = MasterEmbeddings::from_spec(&spec, &mut rng);
+    let tbsm_hash = run_model(&mut tbsm, &emb, &edge_batches(&spec, &sizes));
+    vec![("dlrm tiny, edge bags", dlrm_hash), ("tbsm small taobao, edge bags", tbsm_hash)]
+}
+
+/// Printed by the models whose backward coalesces through a radix sort
+/// of every lookup.
+const EDGE_PINS: [u64; 2] = [
+    0xbb4e09c9fc78e691, // dlrm tiny, edge bags
+    0xbce301ae7d63823d, // tbsm small taobao, edge bags
+];
+
+#[test]
+fn last_rows_repeated_ids_and_empty_bags_are_pinned() {
+    let runs = edge_runs();
+    let got: Vec<u64> = runs.iter().map(|r| r.1).collect();
+    if got != EDGE_PINS {
+        let table: String =
+            runs.iter().map(|(name, h)| format!("    0x{h:016x}, // {name}\n")).collect();
+        panic!("edge-bag pins moved; the table is now:\n{table}");
     }
 }
