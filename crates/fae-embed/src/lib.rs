@@ -14,8 +14,8 @@
 //!   per-row affine scale while its hot rows stay exact f32,
 //! * [`DeferredSparse`] — the stale-skip pool of deferred cold-row
 //!   gradients,
-//! * [`sparse::SparseGrad`] — coalesced sparse gradients, including a bag
-//!   lookup's backward pass ([`SparseGrad::scatter_bags`]).
+//! * [`sparse::SparseGrad`] — coalesced sparse gradients, summed over a
+//!   [`RowSet`] of a step's rows, and a bag's backward ([`SparseGrad::scatter_bags`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,6 +30,6 @@ pub mod table;
 pub use deferred::{DeferredSparse, SkipStats};
 pub use partition::{HotColdPartition, RowClass};
 pub use quant::{dequantize, quantize_row, TieredTable};
-pub use sparse::SparseGrad;
+pub use sparse::{RowSet, SparseGrad};
 pub use stats::AccessCounter;
 pub use table::EmbeddingTable;

@@ -3,11 +3,13 @@
 //! Mini-batch backward passes touch a small, duplicate-heavy set of rows
 //! (hot rows especially — that is the paper's whole premise), so a
 //! gradient is the distinct row ids, strictly ascending, beside one flat
-//! arena holding their summed values. It is built in one shot
-//! ([`SparseGrad::scatter`]): a stable byte radix sort orders the lookups
-//! by id, keeping their encounter order within an id, then each id's run
-//! of contributions is summed onto a zeroed row. The order of every f32
-//! sum is therefore the order the lookups arrived in (DESIGN.md §14).
+//! arena holding their summed values. A [`RowSet`] names those rows and
+//! each lookup's row, built by a model from a bitmap of its table or by
+//! [`SparseGrad::scatter`] from a radix sort of the lookups. Either way the
+//! lookups are then walked in order, each added into its row's zeroed
+//! slot: every f32 sum runs in lookup order (DESIGN.md §14).
+
+use std::iter::repeat_n;
 
 use fae_nn::{lanes, Tensor};
 
@@ -51,43 +53,35 @@ impl SparseGrad {
     /// in ascending `p` onto `+0.0` — what a loop of
     /// [`SparseGrad::accumulate`] calls over `ids` computes, bit for bit.
     pub fn scatter<'a>(dim: usize, ids: &[u32], row_of: impl Fn(usize) -> &'a [f32]) -> Self {
-        let keys = ids.iter().zip(0u64..).map(|(&id, p)| u64::from(id) << 32 | p).collect();
-        Self::sum_runs(dim, keys, row_of)
+        Self::sum(&RowSet::sorted(ids), dim, (0..ids.len()).map(row_of))
     }
 
     /// Backward of a sum-pooled bag lookup in CSR form: every index of
     /// bag `b` receives `grad.row(b)`. Equal to [`SparseGrad::scatter`]
     /// over `indices` with each lookup's bag row.
     pub fn scatter_bags(dim: usize, indices: &[u32], offsets: &[usize], grad: &Tensor) -> Self {
-        check_offsets(indices, offsets);
-        assert_eq!(grad.shape(), (offsets.len() - 1, dim), "bag gradient shape mismatch");
-        // Keyed by bag, not by lookup: an id twice in one bag receives the
-        // same row twice, so the order between those two cannot matter.
-        let mut keys = Vec::with_capacity(indices.len());
-        for (bag, w) in (0u64..).zip(offsets.windows(2)) {
-            keys.extend(indices[w[0]..w[1]].iter().map(|&id| u64::from(id) << 32 | bag));
-        }
-        Self::sum_runs(dim, keys, |bag| grad.row(bag))
+        assert_eq!(grad.cols(), dim, "bag gradient shape mismatch");
+        Self::sum_bags(&RowSet::sorted(indices), offsets, dim, grad.as_slice())
     }
 
-    /// `keys` are `id << 32 | source`, built in ascending source order;
-    /// ordering them by id groups each id's sources, still ascending, and
-    /// each run becomes one row.
-    fn sum_runs<'a>(dim: usize, keys: Vec<u64>, row_of: impl Fn(usize) -> &'a [f32]) -> Self {
-        assert!(keys.len() <= u32::MAX as usize, "more lookups than a sort key can number");
-        let keys = sort_by_id(keys);
-        let runs = keys.windows(2).filter(|w| w[0] >> 32 != w[1] >> 32).count();
-        let mut out = Self::with_rows(dim, runs + usize::from(!keys.is_empty()));
-        for &key in &keys {
-            let id = (key >> 32) as u32;
-            if out.rows.last() != Some(&id) {
-                out.rows.push(id);
-                out.data.resize(out.data.len() + dim, 0.0);
-            }
-            let row = out.data.len() - dim;
-            lanes::add_assign(&mut out.data[row..], row_of(key as u32 as usize));
+    /// The one summation, over the lookups `set` was built from: the `j`th
+    /// of `parts` (`dim` wide) is added into lookup `j`'s row, in lookup
+    /// order, onto `+0.0`.
+    pub fn sum<'a>(set: &RowSet, dim: usize, parts: impl Iterator<Item = &'a [f32]>) -> Self {
+        let mut data = vec![0.0; set.rows.len() * dim];
+        for (&slot, src) in set.inv.iter().zip(parts) {
+            lanes::add_assign(&mut data[slot as usize * dim..][..dim], src);
         }
-        out
+        Self { dim, rows: set.rows.clone(), data }
+    }
+
+    /// [`SparseGrad::scatter_bags`] over the lookups `set` was built from,
+    /// with bag `b`'s gradient at `grad[b * dim..(b + 1) * dim]`.
+    pub fn sum_bags(set: &RowSet, offsets: &[usize], dim: usize, grad: &[f32]) -> Self {
+        check_offsets(&set.inv, offsets);
+        assert_eq!(grad.len(), (offsets.len() - 1) * dim, "bag gradient shape mismatch");
+        let bags = offsets.windows(2).enumerate();
+        Self::sum(set, dim, bags.flat_map(|(b, w)| repeat_n(&grad[b * dim..][..dim], w[1] - w[0])))
     }
 
     /// Gradient row width.
@@ -107,7 +101,7 @@ impl SparseGrad {
         let slot = found.unwrap_or_else(|slot| {
             self.rows.insert(slot, idx);
             let off = slot * self.dim;
-            self.data.splice(off..off, std::iter::repeat_n(0.0, self.dim));
+            self.data.splice(off..off, repeat_n(0.0, self.dim));
             slot
         });
         let off = slot * self.dim;
@@ -192,6 +186,71 @@ impl SparseGrad {
 
     fn values(&self, slot: usize) -> &[f32] {
         &self.data[slot * self.dim..(slot + 1) * self.dim]
+    }
+}
+
+/// One step's distinct rows of a table, ascending, and a `u32` inverse:
+/// lookup `j` touches `rows[inv[j]]`. [`RowSet::build`] marks the ids in
+/// a bitmap of the table's rows and ranks each 64-row word by the bits
+/// set before it: no sort, no key per lookup, and, with the bitmap sized
+/// once by [`RowSet::new`], no allocation once `rows` and `inv` have grown.
+#[derive(Clone, Debug, Default)]
+pub struct RowSet {
+    table_rows: usize,
+    /// One bit per table row, all clear between builds.
+    bits: Vec<u64>,
+    /// `rank[w]`: how many bits are set in the words before `w`.
+    rank: Vec<u32>,
+    rows: Vec<u32>,
+    inv: Vec<u32>,
+}
+
+impl RowSet {
+    /// An empty set over a table of `table_rows` rows.
+    pub fn new(table_rows: usize) -> Self {
+        let words = table_rows.div_ceil(64);
+        Self { table_rows, bits: vec![0; words], rank: vec![0; words], ..Self::default() }
+    }
+
+    /// Makes this the set of `ids`' rows. Panics on an id past the table.
+    pub fn build(&mut self, ids: &[u32]) {
+        let rows = self.table_rows;
+        for &id in ids {
+            assert!((id as usize) < rows, "row id {id} is outside a table of {rows} rows");
+            self.bits[id as usize / 64] |= 1 << (id % 64);
+        }
+        self.rows.clear();
+        for (w, (&word, rank)) in (0u32..).zip(self.bits.iter().zip(&mut self.rank)) {
+            *rank = self.rows.len() as u32;
+            let mut rest = word;
+            while rest != 0 {
+                self.rows.push(w * 64 + rest.trailing_zeros());
+                rest &= rest - 1;
+            }
+        }
+        let (bits, rank) = (&self.bits, &self.rank);
+        self.inv.clear();
+        self.inv.extend(ids.iter().map(|&id| {
+            let w = id as usize / 64;
+            rank[w] + (bits[w] & ((1 << (id % 64)) - 1)).count_ones()
+        }));
+        self.bits.fill(0);
+    }
+
+    /// The set of ids of any size, with no table: a stable radix sort of
+    /// `id << 32 | lookup` keys groups each id's lookups.
+    fn sorted(ids: &[u32]) -> Self {
+        assert!(ids.len() <= u32::MAX as usize, "more lookups than a sort key can number");
+        let keys = ids.iter().zip(0u64..).map(|(&id, p)| u64::from(id) << 32 | p).collect();
+        let mut set = Self { inv: vec![0; ids.len()], ..Self::default() };
+        for key in sort_by_id(keys) {
+            let id = (key >> 32) as u32;
+            if set.rows.last() != Some(&id) {
+                set.rows.push(id);
+            }
+            set.inv[key as u32 as usize] = set.rows.len() as u32 - 1;
+        }
+        set
     }
 }
 
@@ -376,6 +435,67 @@ mod tests {
         }
         assert!(SparseGrad::from_ascending_rows(0, &[1, 2], Vec::new())
             .is_some_and(|g| g.nnz_rows() == 2));
+    }
+
+    /// Duplicate-heavy ids below `rows`, `rows - 1` every 17th lookup.
+    fn ids_below(rows: u32, n: u32) -> Vec<u32> {
+        (0..n)
+            .map(
+                |p| if p % 17 == 0 { rows - 1 } else { p.wrapping_mul(0x9E37_79B1) % rows.min(97) },
+            )
+            .collect()
+    }
+
+    #[test]
+    fn the_bitmap_set_is_the_sorted_set() {
+        // Table sizes under, at and past a word, none but 128 a multiple of 64.
+        for rows in [1u32, 63, 64, 65, 128, 1_000, 70_001] {
+            let mut set = RowSet::new(rows as usize);
+            for ids in [
+                ids_below(rows, 3_000),
+                Vec::new(),
+                vec![rows - 1],
+                vec![0; 5],
+                ids_below(rows, 40),
+            ] {
+                // Rebuilt on one set: a build leaves nothing behind.
+                set.build(&ids);
+                let sorted = RowSet::sorted(&ids);
+                assert_eq!(set.rows, sorted.rows, "{rows} rows, {} ids", ids.len());
+                assert_eq!(set.inv, sorted.inv, "{rows} rows, {} ids", ids.len());
+                assert!(ids.iter().zip(&set.inv).all(|(&id, &s)| set.rows[s as usize] == id));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row id 70 is outside a table of 70 rows")]
+    fn an_id_past_the_table_panics() {
+        RowSet::new(70).build(&[3, 69, 70]);
+    }
+
+    #[test]
+    fn summing_bags_over_a_bitmap_set_is_scatter_bags() {
+        let dim = 5;
+        let mut offsets = vec![0];
+        for b in 0..60 {
+            offsets.push(offsets[b] + (b * 7 + 3) % 6);
+        }
+        let ids = ids_below(130, offsets[60] as u32);
+        let values: Vec<f32> = (0..60 * dim)
+            .map(|k| match k % 7 {
+                0 => -0.0,
+                1 => 0.0,
+                2 => f32::from_bits(k as u32 + 1),
+                3 => -f32::from_bits(k as u32 + 1),
+                _ => (k as f32).cos() * 10f32.powi(k as i32 % 9 - 4),
+            })
+            .collect();
+        let mut set = RowSet::new(130);
+        set.build(&ids);
+        let summed = SparseGrad::sum_bags(&set, &offsets, dim, &values);
+        let grad = Tensor::from_vec(60, dim, values);
+        assert_eq!(bits(&summed), bits(&SparseGrad::scatter_bags(dim, &ids, &offsets, &grad)));
     }
 
     #[test]

@@ -17,18 +17,12 @@
 use rand::Rng;
 
 use fae_data::{MiniBatch, TableIndices, WorkloadSpec};
-use fae_embed::SparseGrad;
+use fae_embed::{RowSet, SparseGrad};
 use fae_nn::{Activation, Mlp, Tensor};
 
 use crate::interaction::Interaction;
 use crate::source::EmbeddingSource;
 use crate::train::RecModel;
-
-/// Scatters a pooled-bag output gradient back onto the rows each sample's
-/// bag touched (the embedding half of the backward pass).
-pub(crate) fn scatter_bag_grad(csr: &TableIndices, grad: &Tensor) -> SparseGrad {
-    SparseGrad::scatter_bags(grad.cols(), &csr.indices, &csr.offsets, grad)
-}
 
 /// Copies `src` into `dst`, reusing `dst`'s buffers.
 pub(crate) fn copy_bags(dst: &mut TableIndices, src: &TableIndices) {
@@ -47,6 +41,8 @@ pub struct Dlrm {
     forwarded: bool,
     /// The last forward's bags, one per table.
     sparse: Vec<TableIndices>,
+    /// Backward's distinct rows per table, rebuilt every step.
+    sets: Vec<RowSet>,
 }
 
 impl Dlrm {
@@ -70,6 +66,7 @@ impl Dlrm {
             emb_dim: spec.embedding_dim,
             forwarded: false,
             sparse: vec![TableIndices::new(); num_tables],
+            sets: spec.tables.iter().map(|t| RowSet::new(t.rows)).collect(),
         }
     }
 
@@ -104,10 +101,12 @@ impl RecModel for Dlrm {
         self.top.backward_tape(grad.as_slice(), true);
         let feature_grads = self.interaction.backward(self.top.input_grad());
         self.bottom.backward_tape(feature_grads[0].as_slice(), false);
-        feature_grads[1..]
-            .iter()
-            .zip(&self.sparse)
-            .map(|(g, csr)| scatter_bag_grad(csr, g))
+        let tables = feature_grads[1..].iter().zip(&self.sparse).zip(&mut self.sets);
+        tables
+            .map(|((g, csr), set)| {
+                set.build(&csr.indices);
+                SparseGrad::sum_bags(set, &csr.offsets, g.cols(), g.as_slice())
+            })
             .collect()
     }
 
@@ -197,17 +196,6 @@ mod tests {
         let fin = evaluate(&mut model, &emb, &batches[..4]);
         assert!(fin.loss < initial.loss, "loss {} -> {}", initial.loss, fin.loss);
         assert!(fin.accuracy > 0.60, "accuracy only {}", fin.accuracy);
-    }
-
-    #[test]
-    fn scatter_bag_grad_matches_hand_count() {
-        let mut csr = TableIndices::new();
-        csr.push_bag(&[1, 2]);
-        csr.push_bag(&[2]);
-        let grad = Tensor::from_vec(2, 2, vec![1.0, 1.0, 10.0, 10.0]);
-        let sg = scatter_bag_grad(&csr, &grad);
-        assert_eq!(sg.get(1), Some(&[1.0, 1.0][..]));
-        assert_eq!(sg.get(2), Some(&[11.0, 11.0][..]));
     }
 
     #[test]

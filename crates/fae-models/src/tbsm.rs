@@ -15,7 +15,7 @@
 use rand::Rng;
 
 use fae_data::{MiniBatch, TableIndices, WorkloadKind, WorkloadSpec};
-use fae_embed::SparseGrad;
+use fae_embed::{RowSet, SparseGrad};
 use fae_nn::{Activation, Mlp, Tensor};
 
 use crate::attention::AttentionPool;
@@ -44,6 +44,8 @@ pub struct Tbsm {
     /// Backward's d loss / d query and each category's share of it.
     d_query: Vec<f32>,
     d_cat: Vec<f32>,
+    /// Backward's distinct rows per table, rebuilt every step.
+    sets: [RowSet; 3],
 }
 
 impl Tbsm {
@@ -71,6 +73,7 @@ impl Tbsm {
             users: TableIndices::new(),
             d_query: Vec::new(),
             d_cat: Vec::new(),
+            sets: [ITEMS, CATEGORIES, USERS].map(|t| RowSet::new(spec.tables[t].rows)),
         }
     }
 }
@@ -139,16 +142,14 @@ impl RecModel for Tbsm {
                 *o = g / ln;
             }
         }
+        let [items, cats, users] = &mut self.sets;
+        items.build(&self.items);
+        cats.build(&self.categories.indices);
+        users.build(&self.users.indices);
         // Sequence step `p` of the flat item stream owns `d_seq` vector `p`.
-        let item_grads = SparseGrad::scatter(d, &self.items, |p| &d_seq[p * d..(p + 1) * d]);
-        // The bag scatters read a tensor: lend them the buffers.
-        let d_cat = Tensor::from_vec(n, d, std::mem::take(&mut self.d_cat));
-        let d_query = Tensor::from_vec(n, d, std::mem::take(&mut self.d_query));
-        let (cats, users) = (&self.categories, &self.users);
-        let cat_grads = SparseGrad::scatter_bags(d, &cats.indices, &cats.offsets, &d_cat);
-        let user_grads = SparseGrad::scatter_bags(d, &users.indices, &users.offsets, &d_query);
-        self.d_cat = d_cat.into_vec();
-        self.d_query = d_query.into_vec();
+        let item_grads = SparseGrad::sum(items, d, d_seq.chunks_exact(d));
+        let cat_grads = SparseGrad::sum_bags(cats, &self.categories.offsets, d, &self.d_cat);
+        let user_grads = SparseGrad::sum_bags(users, &self.users.offsets, d, &self.d_query);
         vec![item_grads, cat_grads, user_grads]
     }
 

@@ -14,8 +14,11 @@
 # every run's end-to-end metrics, and per metric the medians, the parent's
 # interquartile range, change / parent and the pairs the change wins
 # (direction from BENCHMARK.json). `rule_met` is the house rule on
-# items_per_s: wins >= 0.9 N and a median gap wider than the parent's IQR.
-# Progress goes to standard error. --dry-run builds both sides, times
+# items_per_s: wins >= 0.9 N and a median gap wider than the parent's IQR,
+# with every run correct and exiting 0; `sign_p` is the exact one-sided sign
+# test of the wins. A run that fails its checks is kept in the row, counted
+# under `correct` / `nonzero_exits`, and makes the script exit 1 after the
+# row. Progress goes to standard error. --dry-run builds both sides, times
 # nothing and prints the row with no runs.
 set -euo pipefail
 { # Parsed whole before it runs, so editing this file mid-run cannot shift it.
@@ -61,11 +64,14 @@ prepare "$change"
 runs="$base/runs-$$.jsonl"
 trap 'rm -f "$runs"' EXIT
 : > "$runs"
-one() { # side commit pair -> appends {"side","pair","result"} to $runs
-  local dir="$base/$2" out
-  out="$(CARGO_TARGET_DIR="$dir/target" bash "$dir/src/bench/run.sh" "${args[@]}" | tail -n 1)"
-  echo "pairs.sh: pair $3 $1 $(echo "$out" | grep -o '"items_per_s":{"value":[0-9.]*' | cut -d: -f3)" >&2
-  echo "{\"side\":\"$1\",\"pair\":$3,\"result\":$out}" >> "$runs"
+one() { # side commit pair -> appends {"side","pair","status","result"} to $runs
+  local dir="$base/$2" out status=0
+  # A run that fails its checks prints its result line, then exits non-zero:
+  # keep it, and its status. One that prints no result object records null.
+  out="$(CARGO_TARGET_DIR="$dir/target" bash "$dir/src/bench/run.sh" "${args[@]}" | tail -n 1)" || status=$?
+  [[ "$out" == "{"* ]] || out=null
+  echo "pairs.sh: pair $3 $1 $(echo "$out" | grep -o '"items_per_s":{"value":[0-9.]*' | cut -d: -f3) (exit $status)" >&2
+  echo "{\"side\":\"$1\",\"pair\":$3,\"status\":$status,\"result\":$out}" >> "$runs"
 }
 if [ "$dry" = 0 ]; then
   for i in $(seq 1 "$n"); do
@@ -84,7 +90,7 @@ export P_CPU="$(lscpu_field 'Model name')" P_CORES="$(nproc)" P_L2="$(lscpu_fiel
   P_WORKLOAD="$workload" P_N="$n" P_SEED="${seed:-11}" P_SECONDS="$seconds" P_DRY="$dry" \
   P_RUNS="$runs" P_CATALOGUE="$base/$change/src/BENCHMARK.json"
 python3 - <<'EOF'
-import json, os, statistics as st
+import json, math, os, statistics as st, sys
 
 e = os.environ
 runs = [json.loads(line) for line in open(e["P_RUNS"])]
@@ -97,23 +103,32 @@ row = {
     "parent": e["P_PARENT"], "change": e["P_CHANGE"], "workload": e["P_WORKLOAD"],
     "seed": int(e["P_SEED"]), "seconds": e["P_SECONDS"] or "run_seconds", "pairs": int(e["P_N"]),
     "dry_run": e["P_DRY"] == "1",
-    "failed": {s: sum(r["result"]["failed"] for r in side(s)) for s in ("parent", "change")},
-    "runs": {s: [r["result"]["metrics"] for r in side(s)] for s in ("parent", "change")},
+    "failed": {s: sum(r["result"]["failed"] for r in side(s) if r["result"]) for s in ("parent", "change")},
+    "correct": {s: sum(bool(r["result"] and r["result"]["correct"]) for r in side(s)) for s in ("parent", "change")},
+    "nonzero_exits": {s: sum(r["status"] != 0 for r in side(s)) for s in ("parent", "change")},
+    "runs": {s: [r["result"] and r["result"]["metrics"] for r in side(s)] for s in ("parent", "change")},
     "metrics": {},
 }
 parent, change = side("parent"), side("change")
-for m in (higher if parent else []):
-    p, c = [value(r, m) for r in parent], [value(r, m) for r in change]
+# Only pairs in which both runs printed a result are compared.
+both = [(p, c) for p, c in zip(parent, change) if p["result"] and c["result"]]
+for m in (higher if both else []):
+    p, c = [value(r, m) for r, _ in both], [value(r, m) for _, r in both]
     q1, _, q3 = st.quantiles(p, n=4, method="inclusive") if len(p) > 1 else (p[0], 0, p[0])
     wins = sum((cv > pv) == higher[m] and cv != pv for pv, cv in zip(p, c))
     gap = st.median(c) - st.median(p)
+    # Exact one-sided sign test: P(at least `wins` of the untied pairs) at 1/2.
+    untied = sum(cv != pv for pv, cv in zip(p, c))
+    sign_p = sum(math.comb(untied, k) for k in range(wins, untied + 1)) / 2**untied
     row["metrics"][m] = {"parent_median": st.median(p), "change_median": st.median(c),
                          "ratio": st.median(c) / st.median(p), "parent_iqr": q3 - q1,
-                         "wins": wins, "gap_beats_parent_iqr": abs(gap) > q3 - q1}
+                         "wins": wins, "sign_p": sign_p, "gap_beats_parent_iqr": abs(gap) > q3 - q1}
 ips = row["metrics"].get("items_per_s")
-row["rule_met"] = bool(ips and ips["wins"] >= 0.9 * len(parent) and ips["gap_beats_parent_iqr"]
-                       and ips["ratio"] > 1)
+sound = all(r["status"] == 0 and r["result"] and r["result"]["correct"] for r in runs)
+row["rule_met"] = bool(sound and ips and ips["wins"] >= 0.9 * len(parent)
+                       and ips["gap_beats_parent_iqr"] and ips["ratio"] > 1)
 print(json.dumps(row))
+sys.exit(0 if sound else 1)  # after the row: a failed or incorrect run fails the script
 EOF
 exit
 }

@@ -1,8 +1,9 @@
 //! `Mlp`'s activation tape is sized on the first batch and reused: after
 //! it, a dense step (zero the gradients, forward, backward, SGD) makes no
 //! heap allocation, at the same batch size or a smaller one. TBSM's
-//! `AttentionPool` keeps its buffers the same way. Counted by the
-//! process-wide allocator in `tests/common/hostile.rs`.
+//! `AttentionPool` keeps its buffers the same way, and so does a table's
+//! `RowSet`, rebuilt every backward. Counted by the process-wide
+//! allocator in `tests/common/hostile.rs`.
 //!
 //! One `#[test]` only: a neighbouring test thread would show up in the
 //! count.
@@ -16,6 +17,8 @@ use rand::SeedableRng;
 
 use std::sync::Barrier;
 
+use fae::data::{generate, BatchKind, GenOptions, MiniBatch, WorkloadSpec};
+use fae::embed::RowSet;
 use fae::models::attention::AttentionPool;
 use fae::nn::cores::{self, fan_out};
 use fae::nn::{Activation, Layer, Mlp, Tensor};
@@ -46,6 +49,14 @@ fn a_steady_state_dense_step_allocates_nothing() {
     // allocate. As task 0 of a fan-out as wide as the cores, the count's
     // products get one core and stay on this thread; the other tasks have
     // started before the count does and only end.
+    let spec = WorkloadSpec::rmc1_taobao();
+    let ds = generate(&spec, &GenOptions::sized(11, 1_024));
+    let taobao: Vec<MiniBatch> = (0..4)
+        .map(|i| {
+            let ids: Vec<usize> = (i * 256..(i + 1) * 256).collect();
+            MiniBatch::gather(&ds, &ids, BatchKind::Unclassified)
+        })
+        .collect();
     let width = cores::share();
     let started = Barrier::new(width);
     fan_out((0..width).collect(), |task| {
@@ -53,6 +64,7 @@ fn a_steady_state_dense_step_allocates_nothing() {
         if task == 0 {
             count_steady_steps();
             count_attention();
+            count_row_sets(&spec, &taobao);
         }
     });
 }
@@ -101,6 +113,25 @@ fn count_attention() {
         });
         if i > 0 {
             assert_eq!(allocs, 0, "attention at batch {batch}");
+        }
+    }
+}
+
+/// Taobao's three tables at batch 256: once a pass over the batches has
+/// grown each set's rows and inverse, rebuilding from them allocates
+/// nothing.
+fn count_row_sets(spec: &WorkloadSpec, batches: &[MiniBatch]) {
+    let mut sets: Vec<RowSet> = spec.tables.iter().map(|t| RowSet::new(t.rows)).collect();
+    for pass in 0..2 {
+        for (i, mb) in batches.iter().enumerate() {
+            let ((), _, allocs) = heap_use(|| {
+                for (set, csr) in sets.iter_mut().zip(&mb.sparse) {
+                    set.build(&csr.indices);
+                }
+            });
+            if pass > 0 {
+                assert_eq!(allocs, 0, "row sets of Taobao batch {i}");
+            }
         }
     }
 }
