@@ -192,8 +192,8 @@ impl SparseGrad {
 /// One step's distinct rows of a table, ascending, and a `u32` inverse:
 /// lookup `j` touches `rows[inv[j]]`. [`RowSet::build`] marks the ids in
 /// a bitmap of the table's rows and ranks each 64-row word by the bits
-/// set before it: no sort, no key per lookup, and, with the bitmap sized
-/// once by [`RowSet::new`], no allocation once `rows` and `inv` have grown.
+/// set before it: no sort, no key per lookup, and no allocation once a
+/// first build has sized the bitmap and `rows` and `inv` have grown.
 #[derive(Clone, Debug, Default)]
 pub struct RowSet {
     table_rows: usize,
@@ -208,13 +208,15 @@ pub struct RowSet {
 impl RowSet {
     /// An empty set over a table of `table_rows` rows.
     pub fn new(table_rows: usize) -> Self {
-        let words = table_rows.div_ceil(64);
-        Self { table_rows, bits: vec![0; words], rank: vec![0; words], ..Self::default() }
+        Self { table_rows, ..Self::default() }
     }
 
     /// Makes this the set of `ids`' rows. Panics on an id past the table.
     pub fn build(&mut self, ids: &[u32]) {
         let rows = self.table_rows;
+        // Sized here, not in `new`, so a model that is only served holds none.
+        self.bits.resize(rows.div_ceil(64), 0);
+        self.rank.resize(self.bits.len(), 0);
         for &id in ids {
             assert!((id as usize) < rows, "row id {id} is outside a table of {rows} rows");
             self.bits[id as usize / 64] |= 1 << (id % 64);

@@ -102,12 +102,11 @@ impl RecModel for Dlrm {
         let feature_grads = self.interaction.backward(self.top.input_grad());
         self.bottom.backward_tape(feature_grads[0].as_slice(), false);
         let tables = feature_grads[1..].iter().zip(&self.sparse).zip(&mut self.sets);
-        tables
-            .map(|((g, csr), set)| {
-                set.build(&csr.indices);
-                SparseGrad::sum_bags(set, &csr.offsets, g.cols(), g.as_slice())
-            })
-            .collect()
+        let grads = tables.map(|((g, csr), set)| {
+            set.build(&csr.indices);
+            SparseGrad::sum_bags(set, &csr.offsets, g.cols(), g.as_slice())
+        });
+        grads.collect()
     }
 
     fn mlps(&self) -> [&Mlp; 2] {
