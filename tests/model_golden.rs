@@ -1,6 +1,7 @@
 //! Golden pins for the dense model path: `Mlp` ending in ReLU, sigmoid
 //! and no activation (one-layer stacks stand for a lone linear layer and
-//! a linear layer with each activation), DLRM and TBSM, each held
+//! a linear layer with each activation), DLRM's `Interaction`, DLRM and
+//! TBSM, each held
 //! `to_bits`-equal to constants printed by the layer-by-layer code they
 //! were written against. The trainer digests compare two runs of one
 //! build, so a rewrite that moved an f32 sum on both sides would pass
@@ -19,6 +20,7 @@ use rand::SeedableRng;
 
 use fae::data::{generate, BatchKind, GenOptions, MiniBatch, TableIndices, WorkloadSpec};
 use fae::embed::SparseGrad;
+use fae::models::interaction::Interaction;
 use fae::models::{Dlrm, MasterEmbeddings, RecModel, Tbsm};
 use fae::nn::{Activation, Layer, Mlp, Tensor};
 
@@ -195,6 +197,73 @@ fn mlp_forward_backward_and_step_are_pinned() {
             .map(|(c, h)| format!("    0x{h:016x}, // {}\n", c.name))
             .collect();
         panic!("MLP pins moved; the table is now:\n{table}");
+    }
+}
+
+/// `v` with every NaN written as `f32::NAN`: Rust does not fix a NaN's
+/// payload, so a pin on it would pin the compiler, not the model.
+fn canonical(v: &[f32]) -> Vec<f32> {
+    v.iter().map(|&x| if x.is_nan() { f32::NAN } else { x }).collect()
+}
+
+/// One `Interaction` of `f` features of width `d` over batches of 256,
+/// 33, 17 and 1: the forward output and every feature gradient. The
+/// features and the upstream gradient carry `±0.0` and subnormals; the
+/// middle sample has one `+inf` feature element, and sample 0 has only
+/// `±0.0` pair gradients under a pass-through gradient starting `-0.0`.
+fn run_interaction(f: usize, d: usize, salt: u64) -> u64 {
+    let width = Interaction::out_width(f, d);
+    let mut op = Interaction::new();
+    let mut h = Fnv::new();
+    for (i, batch) in [256, 33, 17, 1].into_iter().enumerate() {
+        let key = (salt * 4 + i as u64) << 6;
+        let mut features: Vec<Tensor> =
+            (0..f).map(|x| operand(batch, d, key | x as u64, -1.0)).collect();
+        features[f - 1].set(batch / 2, 0, f32::INFINITY);
+        let mut g = operand(batch, width, key | 63, -1.0);
+        g.set(0, 0, -0.0);
+        for k in d..width {
+            g.set(0, k, if k % 2 == 0 { 0.0 } else { -0.0 });
+        }
+        let mut out = vec![f32::NAN; batch * width];
+        op.forward(features, &mut out);
+        h.floats(&canonical(&out));
+        let grads = op.backward(g.as_slice());
+        for t in grads.iter() {
+            h.word(t.rows() as u32);
+            h.floats(&canonical(t.as_slice()));
+        }
+    }
+    h.0
+}
+
+/// `(f, d)`: Kaggle's 27 × 16, the tiny spec's 5 × 8, and widths with a
+/// tail past each 8-wide chunk.
+const INTERACTION_SHAPES: [(usize, usize); 4] = [(27, 16), (5, 8), (4, 13), (3, 24)];
+
+/// Printed by the interaction of one `lanes::dot` per pair and sample
+/// and two zero-skipping axpys per pair gradient.
+const INTERACTION_PINS: [u64; 4] = [
+    0xa50698ce238b6e11, // 27 x 16
+    0x8173a0b30334bfd4, // 5 x 8
+    0x9ce036f25fcce49e, // 4 x 13
+    0x4d3dc44c3d89e03b, // 3 x 24
+];
+
+#[test]
+fn interaction_forward_and_backward_are_pinned() {
+    let got: Vec<u64> = INTERACTION_SHAPES
+        .iter()
+        .zip(1..)
+        .map(|(&(f, d), salt)| run_interaction(f, d, salt))
+        .collect();
+    if got != INTERACTION_PINS {
+        let table: String = INTERACTION_SHAPES
+            .iter()
+            .zip(&got)
+            .map(|((f, d), h)| format!("    0x{h:016x}, // {f} x {d}\n"))
+            .collect();
+        panic!("interaction pins moved; the table is now:\n{table}");
     }
 }
 
