@@ -4,6 +4,14 @@
 //! pooled embedding per table, all of width `d`), the interaction emits
 //! the bottom-MLP output concatenated with the `F·(F-1)/2` pairwise dot
 //! products — the `dot` interaction of the open-source DLRM.
+//!
+//! The forward lays each block of [`lanes::BLOCK`] samples out
+//! feature-major and takes every pair's dot in all of them at once
+//! ([`lanes::block_dots`], each sample's bits [`lanes::dot`]'s); a short
+//! last block is padded with zeros whose lanes are dropped. The backward
+//! runs one sample at a time through [`lanes::pair_grads`], the register
+//! tile over the sample's coefficient matrix. The block, the coefficient
+//! matrix and the `F` gradient tensors are kept between steps.
 
 use fae_nn::{lanes, Tensor};
 
@@ -12,12 +20,29 @@ use fae_nn::{lanes, Tensor};
 /// that also passes through to the output.
 pub struct Interaction {
     cached: Option<Vec<Tensor>>,
+    /// One block of samples, feature-major, then its pair dots.
+    block: Vec<f32>,
+    dots: Vec<f32>,
+    /// One sample's vectors, its gradients and its coefficient matrix.
+    vectors: Vec<f32>,
+    grad: Vec<f32>,
+    coef: Vec<f32>,
+    /// Backward's output, one `batch × d` tensor per feature.
+    grads: Vec<Tensor>,
 }
 
 impl Interaction {
     /// Creates the op.
     pub fn new() -> Self {
-        Self { cached: None }
+        Self {
+            cached: None,
+            block: Vec::new(),
+            dots: Vec::new(),
+            vectors: Vec::new(),
+            grad: Vec::new(),
+            coef: Vec::new(),
+            grads: Vec::new(),
+        }
     }
 
     /// Output width for `f` features of width `d`: `d + f·(f-1)/2`.
@@ -28,19 +53,32 @@ impl Interaction {
     /// Forward pass into `out` (`batch × out_width`, every element
     /// written); caches the features for backward.
     pub fn forward(&mut self, features: Vec<Tensor>, out: &mut [f32]) {
+        const B: usize = lanes::BLOCK;
         let f = features.len();
         assert!(f >= 2, "interaction needs at least two features");
         let (batch, d) = features[0].shape();
         assert!(features.iter().all(|t| t.shape() == (batch, d)), "feature shape mismatch");
-        assert_eq!(out.len(), batch * Self::out_width(f, d), "interaction output size mismatch");
-        for (b, row) in out.chunks_exact_mut(Self::out_width(f, d)).enumerate() {
-            row[..d].copy_from_slice(features[0].row(b));
-            let mut k = d;
-            for i in 0..f {
-                for j in (i + 1)..f {
-                    // 8-lane dot reorders the f32 sum (DESIGN.md §14).
-                    row[k] = lanes::dot(features[i].row(b), features[j].row(b));
-                    k += 1;
+        let width = Self::out_width(f, d);
+        assert_eq!(out.len(), batch * width, "interaction output size mismatch");
+        self.block.resize(f * d * B, 0.0);
+        self.dots.resize((width - d) * B, 0.0);
+        for (first, rows) in (0..).step_by(B).zip(out.chunks_mut(B * width)) {
+            let n = rows.len() / width;
+            if n < B {
+                self.block.fill(0.0);
+            }
+            for (t, block) in features.iter().zip(self.block.chunks_exact_mut(d * B)) {
+                for (s, row) in (first..first + n).enumerate() {
+                    for (e, &x) in t.row(row).iter().enumerate() {
+                        block[e * B + s] = x;
+                    }
+                }
+            }
+            lanes::block_dots(&self.block, f, &mut self.dots);
+            for (s, row) in rows.chunks_exact_mut(width).enumerate() {
+                row[..d].copy_from_slice(features[0].row(first + s));
+                for (o, pair) in row[d..].iter_mut().zip(self.dots.chunks_exact(B)) {
+                    *o = pair[s];
                 }
             }
         }
@@ -48,8 +86,8 @@ impl Interaction {
     }
 
     /// Backward pass: splits the upstream gradient (`batch × out_width`,
-    /// row-major) back onto each feature.
-    pub fn backward(&mut self, grad_out: &[f32]) -> Vec<Tensor> {
+    /// row-major) back onto each feature, `batch × d` each.
+    pub fn backward(&mut self, grad_out: &[f32]) -> &[Tensor] {
         #[expect(
             clippy::expect_used,
             reason = "forward-before-backward is a call-order contract; fabricating a gradient here would corrupt training silently"
@@ -59,30 +97,24 @@ impl Interaction {
         let (batch, d) = features[0].shape();
         let width = Self::out_width(f, d);
         assert_eq!(grad_out.len(), batch * width, "grad shape mismatch");
-        let mut grads: Vec<Tensor> = (0..f).map(|_| Tensor::zeros(batch, d)).collect();
+        self.grads.resize_with(f, || Tensor::zeros(0, 0));
+        self.grads.iter_mut().for_each(|t| t.resize(batch, d));
+        self.vectors.resize(f * d, 0.0);
+        self.grad.resize(f * d, 0.0);
+        self.coef.resize(f * f, 0.0);
         for (b, g) in grad_out.chunks_exact(width).enumerate() {
-            // Pass-through part feeds features[0].
-            grads[0].row_mut(b).copy_from_slice(&g[..d]);
-            let mut k = d;
-            for i in 0..f {
-                // d(vi·vj)/dvi = vj, /dvj = vi — accumulated on whole row
-                // slices (elementwise axpy keeps the per-element addition
-                // order of the scalar loop it replaced).
-                let (left, right) = grads.split_at_mut(i + 1);
-                let gi_t = &mut left[i];
-                for (jo, gj_t) in right.iter_mut().enumerate() {
-                    let j = i + 1 + jo;
-                    let gd = g[k];
-                    k += 1;
-                    if gd == 0.0 {
-                        continue;
-                    }
-                    lanes::axpy(gi_t.row_mut(b), gd, features[j].row(b));
-                    lanes::axpy(gj_t.row_mut(b), gd, features[i].row(b));
-                }
+            for (v, t) in self.vectors.chunks_exact_mut(d).zip(&features) {
+                v.copy_from_slice(t.row(b));
+            }
+            // The pass-through feeds features[0]; the rest start at +0.0.
+            self.grad[..d].copy_from_slice(&g[..d]);
+            self.grad[d..].fill(0.0);
+            lanes::pair_grads(&g[d..], &self.vectors, f, &mut self.coef, &mut self.grad);
+            for (o, t) in self.grad.chunks_exact(d).zip(&mut self.grads) {
+                t.row_mut(b).copy_from_slice(o);
             }
         }
-        grads
+        &self.grads
     }
 }
 
@@ -128,7 +160,7 @@ mod tests {
         let mut op = Interaction::new();
         let mut out = vec![0.0; 2 * Interaction::out_width(3, 3)];
         op.forward(feats.clone(), &mut out);
-        let grads = op.backward(&vec![1.0; out.len()]);
+        let grads = op.backward(&vec![1.0; out.len()]).to_vec();
         let eps = 1e-3;
         for fi in 0..3 {
             for b in 0..2 {

@@ -151,6 +151,101 @@ pub fn dots(q: &[f32], rows: &[f32], out: &mut [f32]) {
     }
 }
 
+/// Samples per [`block_dots`] block: sixteen `f32` lanes, one `zmm`
+/// register on AVX-512.
+pub const BLOCK: usize = 16;
+
+/// DLRM's pairwise dots for a block of [`BLOCK`] samples of `f` vectors:
+/// `block` holds them feature-major, element `e` of feature `i` for
+/// sample `s` at `block[(i·d + e)·BLOCK + s]`, and `out[p·BLOCK + s]` gets
+/// sample `s`'s dot of pair `p` (`i < j`, row-major). Each lane replays
+/// [`dot`]: 8 partial sums from `+0.0`, the pairwise fold, then `+ tail`,
+/// so every sample's bits are `dot`'s. Panics on a size mismatch.
+pub fn block_dots(block: &[f32], f: usize, out: &mut [f32]) {
+    let len = block.len() / f;
+    assert_eq!(block.len(), f * len, "block_dots block size mismatch");
+    assert_eq!(out.len(), f * (f - 1) / 2 * BLOCK, "block_dots output size mismatch");
+    let mut pairs = out.chunks_exact_mut(BLOCK);
+    for (i, x) in block.chunks_exact(len).enumerate() {
+        for (y, o) in block.chunks_exact(len).skip(i + 1).zip(&mut pairs) {
+            o.copy_from_slice(&block_dot(x, y));
+        }
+    }
+}
+
+/// One pair's [`dot`] in each of [`BLOCK`] lanes.
+#[inline(always)]
+fn block_dot(x: &[f32], y: &[f32]) -> [f32; BLOCK] {
+    let mut acc = [[0.0f32; BLOCK]; 8];
+    // 8 partial sums per lane, `dot`'s order (DESIGN.md §14).
+    let mut xc = x.chunks_exact(8 * BLOCK);
+    let mut yc = y.chunks_exact(8 * BLOCK);
+    for (x, y) in (&mut xc).zip(&mut yc) {
+        for (acc, (x, y)) in acc.iter_mut().zip(x.chunks_exact(BLOCK).zip(y.chunks_exact(BLOCK))) {
+            for (s, (&x, &y)) in acc.iter_mut().zip(x.iter().zip(y)) {
+                *s += x * y;
+            }
+        }
+    }
+    let mut tail = [0.0f32; BLOCK];
+    for (x, y) in xc.remainder().chunks_exact(BLOCK).zip(yc.remainder().chunks_exact(BLOCK)) {
+        for (s, (&x, &y)) in tail.iter_mut().zip(x.iter().zip(y)) {
+            *s += x * y;
+        }
+    }
+    let a = acc;
+    std::array::from_fn(|s| {
+        ((a[0][s] + a[1][s]) + (a[2][s] + a[3][s]))
+            + ((a[4][s] + a[5][s]) + (a[6][s] + a[7][s]))
+            + tail[s]
+    })
+}
+
+/// DLRM's interaction backward for one sample of `f` vectors `v`
+/// (row-major `f × d`): `out[x] += g(x, y) · v[y]` for every partner
+/// `y` in ascending order, over the pair gradients `pairs` (`i < j`,
+/// row-major). That is the pair loop's order, which adds `g · v[j]` to
+/// `out[i]` and `g · v[i]` to `out[j]` pair by pair and skips a zero `g`.
+/// `coef` (`f × f`) gets the symmetric coefficient matrix, zero on its
+/// diagonal, and the register tile multiplies it by `v`. Its `±0` terms
+/// leave the loop's bits when `v` is finite and `out` holds no `-0.0`
+/// (as [`tile_product`]'s callers in `tensor.rs` check); where either
+/// fails, the zero-skip loop runs. Panics on a size mismatch.
+pub fn pair_grads(pairs: &[f32], v: &[f32], f: usize, coef: &mut [f32], out: &mut [f32]) {
+    let d = v.len() / f;
+    assert!(f * d == v.len() && out.len() == v.len(), "pair_grads size mismatch");
+    assert!(pairs.len() == f * (f - 1) / 2 && coef.len() == f * f, "pair_grads size mismatch");
+    let mut g = pairs.iter();
+    for i in 0..f {
+        coef[i * f + i] = 0.0;
+        for (j, &g) in (i + 1..f).zip(&mut g) {
+            coef[i * f + j] = g;
+            coef[j * f + i] = g;
+        }
+    }
+    if finite(v) && !negative_zero(out) {
+        return tile_product(coef, [f, 1], v, d, out);
+    }
+    for (row, out_row) in coef.chunks_exact(f).zip(out.chunks_exact_mut(d)) {
+        for (&g, v_row) in row.iter().zip(v.chunks_exact(d)) {
+            if g != 0.0 {
+                axpy(out_row, g, v_row);
+            }
+        }
+    }
+}
+
+/// Whether every element of `v` is finite, so that a `±0` coefficient
+/// times it is `±0`.
+pub(crate) fn finite(v: &[f32]) -> bool {
+    v.iter().fold(true, |ok, v| ok & v.is_finite())
+}
+
+/// Whether `v` holds a `-0.0`, which a `+0` term would turn to `+0.0`.
+pub(crate) fn negative_zero(v: &[f32]) -> bool {
+    v.iter().fold(false, |any, v| any | (v.to_bits() == (-0.0f32).to_bits()))
+}
+
 /// The register tile: `out[r·n + c] += Σ_t a[r·rs + t·ts] · b[t·n + c]`
 /// for every `n`-wide row `r` of `out` and row `t` of `b`, read in place.
 /// A tile of 4 rows × 32 columns stays in registers across the whole `t`
@@ -330,6 +425,115 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Bits, each NaN as one: Rust does not fix a NaN's payload, so a
+    /// payload check would test the compiler, not the kernel.
+    fn canonical(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
+    }
+
+    /// `mixed` with its infinities replaced by `0.5`.
+    fn mixed_finite(n: usize, salt: u32) -> Vec<f32> {
+        mixed(n, salt).into_iter().map(|x| if x.is_finite() { x } else { 0.5 }).collect()
+    }
+
+    #[test]
+    fn block_dots_are_dot_per_sample() {
+        let pairs = [(0, 1), (0, 2), (1, 2)];
+        for d in 1..=40 {
+            for n in 1..=40 {
+                let salt = (d * 64 + n) as u32;
+                let features =
+                    [seq(n * d, salt), mixed(n * d, salt + 1), mixed_finite(n * d, salt + 2)];
+                let vector = |i: usize, s: usize| &features[i][s * d..(s + 1) * d];
+                let mut block = vec![0.0; 3 * d * BLOCK];
+                let mut out = vec![f32::NAN; 3 * BLOCK];
+                for first in (0..n).step_by(BLOCK) {
+                    // Lanes past the last sample are padding, zero.
+                    block.fill(0.0);
+                    for (i, s, e) in (0..3)
+                        .flat_map(|i| (first..n.min(first + BLOCK)).map(move |s| (i, s)))
+                        .flat_map(|(i, s)| (0..d).map(move |e| (i, s, e)))
+                    {
+                        block[(i * d + e) * BLOCK + s - first] = vector(i, s)[e];
+                    }
+                    block_dots(&block, 3, &mut out);
+                    for s in first..n.min(first + BLOCK) {
+                        for (p, &(i, j)) in pairs.iter().enumerate() {
+                            let want = dot(vector(i, s), vector(j, s));
+                            let got = out[p * BLOCK + s - first];
+                            assert_eq!(
+                                canonical(&[got]),
+                                canonical(&[want]),
+                                "d={d} n={n} s={s} pair {p}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The loop [`pair_grads`] replaced: for each pair `i < j` with a
+    /// non-zero gradient `g`, `out[i] += g · v[j]`, then `out[j] += g · v[i]`.
+    fn pair_loop(pairs: &[f32], v: &[f32], f: usize, out: &mut [f32]) {
+        let d = v.len() / f;
+        let mut g = pairs.iter();
+        for i in 0..f {
+            for (j, &g) in (i + 1..f).zip(&mut g) {
+                if g == 0.0 {
+                    continue;
+                }
+                let (lo, hi) = out.split_at_mut(j * d);
+                axpy(&mut lo[i * d..(i + 1) * d], g, &v[j * d..(j + 1) * d]);
+                axpy(&mut hi[..d], g, &v[i * d..(i + 1) * d]);
+            }
+        }
+    }
+
+    /// For `d` in 1..=40 and 40 samples each (`f` of 2, 3, 5 and 27):
+    /// `pair_grads` is the pair loop's bits everywhere, and the tile
+    /// alone is wherever the guard admits the sample. Even samples have
+    /// finite vectors, every third only `±0` pair gradients, and those
+    /// and every fifth a pass-through gradient (feature 0's start) with
+    /// `±0`, subnormals and `±inf`.
+    #[test]
+    fn pair_grads_are_the_zero_skip_pair_loop() {
+        let (mut tiled, mut tile_needs_guard) = (0, [false; 2]);
+        for d in 1..=40 {
+            for s in 0..40 {
+                let f = [2, 3, 5, 27][s % 4];
+                let salt = (d * 64 + s) as u32;
+                let v = if s % 2 == 0 { mixed_finite(f * d, salt) } else { mixed(f * d, salt) };
+                let pairs: Vec<f32> = match s % 3 {
+                    0 => {
+                        (0..f * (f - 1) / 2).map(|k| if k % 2 == 0 { 0.0 } else { -0.0 }).collect()
+                    }
+                    _ => mixed(f * (f - 1) / 2, salt + 1),
+                };
+                let mut start = vec![0.0; f * d];
+                let pass =
+                    if s % 3 == 0 || s % 5 == 0 { mixed(d, salt + 2) } else { seq(d, salt + 2) };
+                start[..d].copy_from_slice(&pass);
+                let mut want = start.clone();
+                pair_loop(&pairs, &v, f, &mut want);
+                let mut got = start.clone();
+                let mut coef = vec![f32::NAN; f * f];
+                pair_grads(&pairs, &v, f, &mut coef, &mut got);
+                assert_eq!(canonical(&got), canonical(&want), "d={d} s={s} f={f}");
+                let mut tile = start.clone();
+                tile_product(&coef, [f, 1], &v, d, &mut tile);
+                if finite(&v) && !negative_zero(&start) {
+                    assert_eq!(canonical(&tile), canonical(&want), "tile at d={d} s={s} f={f}");
+                    tiled += 1;
+                } else if canonical(&tile) != canonical(&want) {
+                    tile_needs_guard[usize::from(finite(&v))] = true;
+                }
+            }
+        }
+        assert!(tiled > 300, "only {tiled} samples took the tile");
+        assert_eq!(tile_needs_guard, [true; 2], "a guard condition that no sample needs");
     }
 
     #[test]

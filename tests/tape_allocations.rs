@@ -1,8 +1,8 @@
 //! `Mlp`'s activation tape is sized on the first batch and reused: after
 //! it, a dense step (zero the gradients, forward, backward, SGD) makes no
 //! heap allocation, at the same batch size or a smaller one. TBSM's
-//! `AttentionPool` keeps its buffers the same way, and so does a table's
-//! `RowSet`, rebuilt every backward. Counted by the process-wide
+//! `AttentionPool` and DLRM's `Interaction` keep their buffers the same
+//! way, and so does a table's `RowSet`, rebuilt every backward. Counted by the process-wide
 //! allocator in `tests/common/hostile.rs`.
 //!
 //! One `#[test]` only: a neighbouring test thread would show up in the
@@ -20,6 +20,7 @@ use std::sync::Barrier;
 use fae::data::{generate, BatchKind, GenOptions, MiniBatch, WorkloadSpec};
 use fae::embed::RowSet;
 use fae::models::attention::AttentionPool;
+use fae::models::interaction::Interaction;
 use fae::nn::cores::{self, fan_out};
 use fae::nn::{Activation, Layer, Mlp, Tensor};
 
@@ -64,6 +65,7 @@ fn a_steady_state_dense_step_allocates_nothing() {
         if task == 0 {
             count_steady_steps();
             count_attention();
+            count_interaction();
             count_row_sets(&spec, &taobao);
         }
     });
@@ -113,6 +115,29 @@ fn count_attention() {
         });
         if i > 0 {
             assert_eq!(allocs, 0, "attention at batch {batch}");
+        }
+    }
+}
+
+/// DLRM's interaction at Kaggle's 27 features of width 16: after a first
+/// batch of 256, a forward and backward at 256 and at 85 samples allocate
+/// nothing. The features are built before the count; the op takes them
+/// by value.
+fn count_interaction() {
+    let (f, d) = (27, 16);
+    let width = Interaction::out_width(f, d);
+    let mut op = Interaction::new();
+    for (i, batch) in [256, 256, 85].into_iter().enumerate() {
+        let features: Vec<Tensor> =
+            (0..f).map(|x| Tensor::from_vec(batch, d, seeded(batch * d, 6 + x as u32))).collect();
+        let mut out = vec![0.0; batch * width];
+        let g = seeded(batch * width, 5);
+        let ((), _, allocs) = heap_use(|| {
+            op.forward(features, &mut out);
+            op.backward(&g);
+        });
+        if i > 0 {
+            assert_eq!(allocs, 0, "interaction at batch {batch}");
         }
     }
 }
