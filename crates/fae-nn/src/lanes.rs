@@ -162,8 +162,8 @@ pub const BLOCK: usize = 16;
 /// [`dot`]: 8 partial sums from `+0.0`, the pairwise fold, then `+ tail`,
 /// so every sample's bits are `dot`'s. Panics on a size mismatch.
 pub fn block_dots(block: &[f32], f: usize, out: &mut [f32]) {
-    let len = block.len() / f;
-    assert_eq!(block.len(), f * len, "block_dots block size mismatch");
+    let len = block.len() / f; // d · BLOCK
+    assert!(f * len == block.len() && len % BLOCK == 0, "block_dots block size mismatch");
     assert_eq!(out.len(), f * (f - 1) / 2 * BLOCK, "block_dots output size mismatch");
     let mut pairs = out.chunks_exact_mut(BLOCK);
     for (i, x) in block.chunks_exact(len).enumerate() {
@@ -193,7 +193,7 @@ fn block_dot(x: &[f32], y: &[f32]) -> [f32; BLOCK] {
             *s += x * y;
         }
     }
-    let a = acc;
+    let a = &acc;
     std::array::from_fn(|s| {
         ((a[0][s] + a[1][s]) + (a[2][s] + a[3][s]))
             + ((a[4][s] + a[5][s]) + (a[6][s] + a[7][s]))
@@ -223,6 +223,8 @@ pub fn pair_grads(pairs: &[f32], v: &[f32], f: usize, coef: &mut [f32], out: &mu
             coef[j * f + i] = g;
         }
     }
+    // Every term in ascending partner order; `±0` ones only where they
+    // move no bit (DESIGN.md §14).
     if finite(v) && !negative_zero(out) {
         return tile_product(coef, [f, 1], v, d, out);
     }
