@@ -7,17 +7,18 @@
 //!
 //! The forward lays each block of [`lanes::BLOCK`] samples out
 //! feature-major and takes every pair's dot in all of them at once
-//! ([`lanes::block_dots`], each sample's bits [`lanes::dot`]'s); a short
-//! last block is padded with zeros whose lanes are dropped. The backward
-//! runs one sample at a time through [`lanes::pair_grads`], the register
-//! tile over the sample's coefficient matrix. The block, the coefficient
-//! matrix and the `F` gradient tensors are kept between steps.
+//! ([`lanes::block_dots`], 8 partial sums per sample); a short last block
+//! is padded with zeros whose lanes are dropped. The backward runs one
+//! sample at a time through [`lanes::pair_grads`], the register tile over
+//! the sample's coefficient matrix. The block, the coefficient matrix and
+//! the `F` gradient tensors are kept between steps.
 
 use fae_nn::{lanes, Tensor};
 
 /// Differentiable pairwise-dot interaction over `features` tensors of
 /// identical `batch × d` shape. `features[0]` is the bottom-MLP output
 /// that also passes through to the output.
+#[derive(Default)]
 pub struct Interaction {
     cached: Option<Vec<Tensor>>,
     /// One block of samples, feature-major, then its pair dots.
@@ -34,15 +35,7 @@ pub struct Interaction {
 impl Interaction {
     /// Creates the op.
     pub fn new() -> Self {
-        Self {
-            cached: None,
-            block: Vec::new(),
-            dots: Vec::new(),
-            vectors: Vec::new(),
-            grad: Vec::new(),
-            coef: Vec::new(),
-            grads: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Output width for `f` features of width `d`: `d + f·(f-1)/2`.
@@ -115,12 +108,6 @@ impl Interaction {
             }
         }
         &self.grads
-    }
-}
-
-impl Default for Interaction {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

@@ -10,8 +10,10 @@
 //! * **Elementwise** kernels ([`add_assign`], [`axpy`], [`scale_assign`])
 //!   touch each element independently; unrolling changes no addition order,
 //!   so results are bit-identical to the scalar loop they replace.
-//! * The **reduction** kernel [`dot`] keeps 8 partial accumulators and
-//!   folds them pairwise at the end. This *reorders* f32 addition
+//! * The **reduction** kernel [`block_dots`] (DLRM's interaction forward)
+//!   holds [`BLOCK`] samples in the lanes of one vector and takes a pair's
+//!   dot in all of them at once, each lane with 8 partial accumulators
+//!   folded pairwise at the end. This *reorders* f32 addition
 //!   relative to a left-to-right scalar sum — the documented carve-out of
 //!   DESIGN.md §14. Every digest/golden test in the workspace
 //!   compares two runs of the *same* binary, so the contract that matters
@@ -26,13 +28,15 @@
 //!   with 8-, 4- and 1-wide column tiles for the rest of a row.
 //!   Each element takes its terms in ascending order, one multiply and
 //!   one add each, as an axpy per term would, but skips none; its callers
-//!   in `tensor.rs` check when that is the zero-skip loop's bits.
+//!   in `tensor.rs` and [`pair_grads`] (DLRM's interaction backward, over
+//!   one sample's matrix of pair gradients) check when that is the
+//!   zero-skip loop's bits.
 //!
 //! Built for the host CPU (`.cargo/config.toml`), an 8-wide chunk is one
 //! 256-bit `ymm` register on AVX2 / AVX-512: [`axpy`] and [`add_assign`]
-//! also pair chunks into 512-bit `zmm` in their main loop, and [`dot`]
-//! multiplies a chunk in one `ymm`. Baseline x86-64 (SSE2) splits it over
-//! two `xmm`; each lane's bits are the same (DESIGN.md §14, "Target ISA").
+//! also pair chunks into 512-bit `zmm` in their main loop, and a
+//! [`block_dots`] lane vector is one `zmm`. Baseline x86-64 (SSE2) splits
+//! them over `xmm`; each lane's bits are the same (DESIGN.md §14, "Target ISA").
 //! Plain `zip` loops ran 9–12 % slower under `native`, so the unrolls stay.
 
 /// In-place `dst[i] += src[i]`. Elementwise: bit-identical to the scalar
@@ -98,33 +102,6 @@ pub fn scale_assign(dst: &mut [f32], s: f32) {
     }
 }
 
-/// Dot product with 8 partial accumulators folded pairwise at the end.
-///
-/// This reorders f32 addition relative to a left-to-right scalar sum — the
-/// DESIGN.md §14 carve-out. Panics on length mismatch.
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "dot length mismatch");
-    let mut acc = [0.0f32; 8];
-    // 8 partial sums reorder f32 addition (DESIGN.md §14).
-    let mut ac = a.chunks_exact(8);
-    let mut bc = b.chunks_exact(8);
-    for (x, y) in (&mut ac).zip(&mut bc) {
-        acc[0] += x[0] * y[0];
-        acc[1] += x[1] * y[1];
-        acc[2] += x[2] * y[2];
-        acc[3] += x[3] * y[3];
-        acc[4] += x[4] * y[4];
-        acc[5] += x[5] * y[5];
-        acc[6] += x[6] * y[6];
-        acc[7] += x[7] * y[7];
-    }
-    let mut tail = 0.0f32;
-    for (&x, &y) in ac.remainder().iter().zip(bc.remainder()) {
-        tail += x * y;
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
-}
-
 /// `out[t] = q · rows[t·d..(t + 1)·d]` for each `d = q.len()`-wide row
 /// `t`, each exactly `Iterator::sum`'s fold of the products: terms in
 /// ascending order from `-0.0`, one multiply and one add each. Four rows
@@ -151,19 +128,17 @@ pub fn dots(q: &[f32], rows: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Samples per [`block_dots`] block: sixteen `f32` lanes, one `zmm`
-/// register on AVX-512.
+/// Samples per [`block_dots`] block: 16 `f32` lanes, one AVX-512 `zmm`.
 pub const BLOCK: usize = 16;
 
-/// DLRM's pairwise dots for a block of [`BLOCK`] samples of `f` vectors:
-/// `block` holds them feature-major, element `e` of feature `i` for
-/// sample `s` at `block[(i·d + e)·BLOCK + s]`, and `out[p·BLOCK + s]` gets
-/// sample `s`'s dot of pair `p` (`i < j`, row-major). Each lane replays
-/// [`dot`]: 8 partial sums from `+0.0`, the pairwise fold, then `+ tail`,
-/// so every sample's bits are `dot`'s. Panics on a size mismatch.
+/// DLRM's pairwise dots for [`BLOCK`] samples of `f` vectors at once:
+/// `block[(i·d + e)·BLOCK + s]` is element `e` of feature `i` for sample
+/// `s`, and `out[p·BLOCK + s]` gets sample `s`'s dot of pair `p` (`i < j`,
+/// row-major). Each lane keeps 8 partial sums from `+0.0`, folds them
+/// pairwise, then adds the tail: a fixed order, not a left-to-right sum.
 pub fn block_dots(block: &[f32], f: usize, out: &mut [f32]) {
     let len = block.len() / f; // d · BLOCK
-    assert!(f * len == block.len() && len % BLOCK == 0, "block_dots block size mismatch");
+    assert!(f * len == block.len() && len.is_multiple_of(BLOCK), "block_dots block size mismatch");
     assert_eq!(out.len(), f * (f - 1) / 2 * BLOCK, "block_dots output size mismatch");
     let mut pairs = out.chunks_exact_mut(BLOCK);
     for (i, x) in block.chunks_exact(len).enumerate() {
@@ -173,44 +148,39 @@ pub fn block_dots(block: &[f32], f: usize, out: &mut [f32]) {
     }
 }
 
-/// One pair's [`dot`] in each of [`BLOCK`] lanes.
+/// One pair's dot in each of [`BLOCK`] lanes: `acc[k]` sums the elements
+/// `≡ k (mod 8)` of the whole 8-chunks, `acc[8]` the tail.
 #[inline(always)]
 fn block_dot(x: &[f32], y: &[f32]) -> [f32; BLOCK] {
-    let mut acc = [[0.0f32; BLOCK]; 8];
-    // 8 partial sums per lane, `dot`'s order (DESIGN.md §14).
+    let mut acc = [[0.0f32; BLOCK]; 9];
+    // 8 partial sums per lane reorder f32 addition (DESIGN.md §14).
     let mut xc = x.chunks_exact(8 * BLOCK);
     let mut yc = y.chunks_exact(8 * BLOCK);
     for (x, y) in (&mut xc).zip(&mut yc) {
         for (acc, (x, y)) in acc.iter_mut().zip(x.chunks_exact(BLOCK).zip(y.chunks_exact(BLOCK))) {
-            for (s, (&x, &y)) in acc.iter_mut().zip(x.iter().zip(y)) {
-                *s += x * y;
-            }
+            acc.iter_mut().zip(x.iter().zip(y)).for_each(|(s, (&x, &y))| *s += x * y);
         }
     }
-    let mut tail = [0.0f32; BLOCK];
     for (x, y) in xc.remainder().chunks_exact(BLOCK).zip(yc.remainder().chunks_exact(BLOCK)) {
-        for (s, (&x, &y)) in tail.iter_mut().zip(x.iter().zip(y)) {
-            *s += x * y;
-        }
+        acc[8].iter_mut().zip(x.iter().zip(y)).for_each(|(s, (&x, &y))| *s += x * y);
     }
     let a = &acc;
     std::array::from_fn(|s| {
         ((a[0][s] + a[1][s]) + (a[2][s] + a[3][s]))
             + ((a[4][s] + a[5][s]) + (a[6][s] + a[7][s]))
-            + tail[s]
+            + a[8][s]
     })
 }
 
 /// DLRM's interaction backward for one sample of `f` vectors `v`
-/// (row-major `f × d`): `out[x] += g(x, y) · v[y]` for every partner
-/// `y` in ascending order, over the pair gradients `pairs` (`i < j`,
-/// row-major). That is the pair loop's order, which adds `g · v[j]` to
-/// `out[i]` and `g · v[i]` to `out[j]` pair by pair and skips a zero `g`.
-/// `coef` (`f × f`) gets the symmetric coefficient matrix, zero on its
-/// diagonal, and the register tile multiplies it by `v`. Its `±0` terms
-/// leave the loop's bits when `v` is finite and `out` holds no `-0.0`
-/// (as [`tile_product`]'s callers in `tensor.rs` check); where either
-/// fails, the zero-skip loop runs. Panics on a size mismatch.
+/// (row-major `f × d`): `out[x] += g(x, y) · v[y]` over the pair
+/// gradients `pairs` (`i < j`, row-major), partners `y` ascending. That
+/// is the order of the pair loop, which adds `g · v[j]` to `out[i]` and
+/// `g · v[i]` to `out[j]` pair by pair and skips a zero `g`. The register
+/// tile multiplies `v` by `coef`, the `f × f` symmetric coefficient
+/// matrix with a zero diagonal, adding the `±0` terms the loop skips:
+/// exact when `v` is finite and `out` holds no `-0.0`, as in `tensor.rs`.
+/// A sample failing either takes the loop.
 pub fn pair_grads(pairs: &[f32], v: &[f32], f: usize, coef: &mut [f32], out: &mut [f32]) {
     let d = v.len() / f;
     assert!(f * d == v.len() && out.len() == v.len(), "pair_grads size mismatch");
@@ -225,7 +195,8 @@ pub fn pair_grads(pairs: &[f32], v: &[f32], f: usize, coef: &mut [f32], out: &mu
     }
     // Every term in ascending partner order; `±0` ones only where they
     // move no bit (DESIGN.md §14).
-    if finite(v) && !negative_zero(out) {
+    let negative_zero = out.iter().fold(false, |any, x| any | (x.to_bits() == (-0.0f32).to_bits()));
+    if v.iter().fold(true, |ok, x| ok & x.is_finite()) && !negative_zero {
         return tile_product(coef, [f, 1], v, d, out);
     }
     for (row, out_row) in coef.chunks_exact(f).zip(out.chunks_exact_mut(d)) {
@@ -235,17 +206,6 @@ pub fn pair_grads(pairs: &[f32], v: &[f32], f: usize, coef: &mut [f32], out: &mu
             }
         }
     }
-}
-
-/// Whether every element of `v` is finite, so that a `±0` coefficient
-/// times it is `±0`.
-pub(crate) fn finite(v: &[f32]) -> bool {
-    v.iter().fold(true, |ok, v| ok & v.is_finite())
-}
-
-/// Whether `v` holds a `-0.0`, which a `+0` term would turn to `+0.0`.
-pub(crate) fn negative_zero(v: &[f32]) -> bool {
-    v.iter().fold(false, |any, v| any | (v.to_bits() == (-0.0f32).to_bits()))
 }
 
 /// The register tile: `out[r·n + c] += Σ_t a[r·rs + t·ts] · b[t·n + c]`
@@ -323,6 +283,32 @@ fn tile<const R: usize, const W: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One sample's dot as [`block_dots`] takes it in each lane: 8 partial
+    /// accumulators folded pairwise at the end, then the tail. Panics on
+    /// length mismatch.
+    fn dot(a: &[f32], b: &[f32]) -> f32 {
+        assert_eq!(a.len(), b.len(), "dot length mismatch");
+        let mut acc = [0.0f32; 8];
+        // 8 partial sums reorder f32 addition (DESIGN.md §14).
+        let mut ac = a.chunks_exact(8);
+        let mut bc = b.chunks_exact(8);
+        for (x, y) in (&mut ac).zip(&mut bc) {
+            acc[0] += x[0] * y[0];
+            acc[1] += x[1] * y[1];
+            acc[2] += x[2] * y[2];
+            acc[3] += x[3] * y[3];
+            acc[4] += x[4] * y[4];
+            acc[5] += x[5] * y[5];
+            acc[6] += x[6] * y[6];
+            acc[7] += x[7] * y[7];
+        }
+        let mut tail = 0.0f32;
+        for (&x, &y) in ac.remainder().iter().zip(bc.remainder()) {
+            tail += x * y;
+        }
+        ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
+    }
 
     fn seq(n: usize, salt: u32) -> Vec<f32> {
         (0..n)
@@ -526,11 +512,12 @@ mod tests {
                 assert_eq!(canonical(&got), canonical(&want), "d={d} s={s} f={f}");
                 let mut tile = start.clone();
                 tile_product(&coef, [f, 1], &v, d, &mut tile);
-                if finite(&v) && !negative_zero(&start) {
+                let negative_zero = start.iter().any(|x| x.to_bits() == (-0.0f32).to_bits());
+                if v.iter().all(|x| x.is_finite()) && !negative_zero {
                     assert_eq!(canonical(&tile), canonical(&want), "tile at d={d} s={s} f={f}");
                     tiled += 1;
                 } else if canonical(&tile) != canonical(&want) {
-                    tile_needs_guard[usize::from(finite(&v))] = true;
+                    tile_needs_guard[usize::from(v.iter().all(|x| x.is_finite()))] = true;
                 }
             }
         }

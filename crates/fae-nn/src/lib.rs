@@ -6,8 +6,8 @@
 //!
 //! * [`Tensor`] — a row-major 2-D `f32` matrix with the linear-algebra ops
 //!   used by MLP training (matmul and its transposed forms, transpose),
-//! * [`lanes`] — manually 8-wide unrolled `f32` kernels (`axpy`, `dot`,
-//!   …) shared by the matmul inner loops, the interaction head, and the
+//! * [`lanes`] — manually 8-wide unrolled `f32` kernels (`axpy`,
+//!   `block_dots`, …) shared by the matmul inner loops, the interaction head, and the
 //!   sparse-embedding update path (DESIGN.md §14),
 //! * [`Mlp`] — the paper's `bottom MLP` / `top MLP` blocks: linear layers
 //!   with ReLU between them and a ReLU, sigmoid or no final activation,

@@ -47,6 +47,13 @@ pub(crate) fn split_rows(
     });
 }
 
+/// Whether `b`, the other factor of each term the zero-skip drops, is
+/// finite, so that the register tile's `±0` for a zero left element is
+/// the zero-skip's bits.
+fn finite(b: &[f32]) -> bool {
+    b.iter().fold(true, |ok, v| ok & v.is_finite())
+}
+
 /// `out = A · B` for row-major `A` (`rows × k`) and `B` (`k × n`): every
 /// output element takes `A(r,t) · B[t][c]` in ascending `t` from `+0.0`.
 /// The zero-skip loop takes one axpy per non-zero `A` element; the
@@ -57,7 +64,7 @@ pub(crate) fn split_rows(
 pub(crate) fn product_rows(a: &[f32], k: usize, b: &[f32], out: &mut [f32]) {
     let n = b.len() / k;
     out.fill(0.0);
-    if lanes::finite(b) {
+    if finite(b) {
         return lanes::tile_product(a, [k, 1], b, n, out);
     }
     for (row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
@@ -83,7 +90,8 @@ pub(crate) fn accumulate_xt_g(x: &[f32], m: usize, g: &[f32], out: &mut [f32], p
         return;
     }
     let n = out.len() / m;
-    let tile = !lanes::negative_zero(out) && lanes::finite(g);
+    let negative_zero = out.iter().fold(false, |any, v| any | (v.to_bits() == (-0.0f32).to_bits()));
+    let tile = !negative_zero && finite(g);
     if tile && n == 1 {
         return lanes::tile_product(g, [0, 1], x, m, out);
     }
@@ -259,9 +267,8 @@ impl Tensor {
         self.data.fill(0.0);
     }
 
-    /// Reshapes to `rows × cols` in place, keeping the allocation where
-    /// it is large enough: the first `rows · cols` elements of the old
-    /// row-major data stay, and any new ones are zero.
+    /// Reshapes to `rows × cols` in place, reusing the allocation; the
+    /// old data's first `rows · cols` elements stay, new ones are zero.
     pub fn resize(&mut self, rows: usize, cols: usize) {
         self.data.resize(rows * cols, 0.0);
         (self.rows, self.cols) = (rows, cols);
