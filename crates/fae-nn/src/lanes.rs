@@ -149,10 +149,11 @@ pub fn block_dots(block: &[f32], f: usize, out: &mut [f32]) {
 }
 
 /// One pair's dot in each of [`BLOCK`] lanes: `acc[k]` sums the elements
-/// `≡ k (mod 8)` of the whole 8-chunks, `acc[8]` the tail.
+/// `≡ k (mod 8)` of the whole 8-chunks, `tail` the rest (a separate
+/// array: as `acc[8]` the forward ran ~20 % slower).
 #[inline(always)]
 fn block_dot(x: &[f32], y: &[f32]) -> [f32; BLOCK] {
-    let mut acc = [[0.0f32; BLOCK]; 9];
+    let (mut acc, mut tail) = ([[0.0f32; BLOCK]; 8], [0.0f32; BLOCK]);
     // 8 partial sums per lane reorder f32 addition (DESIGN.md §14).
     let mut xc = x.chunks_exact(8 * BLOCK);
     let mut yc = y.chunks_exact(8 * BLOCK);
@@ -162,13 +163,13 @@ fn block_dot(x: &[f32], y: &[f32]) -> [f32; BLOCK] {
         }
     }
     for (x, y) in xc.remainder().chunks_exact(BLOCK).zip(yc.remainder().chunks_exact(BLOCK)) {
-        acc[8].iter_mut().zip(x.iter().zip(y)).for_each(|(s, (&x, &y))| *s += x * y);
+        tail.iter_mut().zip(x.iter().zip(y)).for_each(|(s, (&x, &y))| *s += x * y);
     }
     let a = &acc;
     std::array::from_fn(|s| {
         ((a[0][s] + a[1][s]) + (a[2][s] + a[3][s]))
             + ((a[4][s] + a[5][s]) + (a[6][s] + a[7][s]))
-            + a[8][s]
+            + tail[s]
     })
 }
 
@@ -440,11 +441,12 @@ mod tests {
                 for first in (0..n).step_by(BLOCK) {
                     // Lanes past the last sample are padding, zero.
                     block.fill(0.0);
-                    for (i, s, e) in (0..3)
-                        .flat_map(|i| (first..n.min(first + BLOCK)).map(move |s| (i, s)))
-                        .flat_map(|(i, s)| (0..d).map(move |e| (i, s, e)))
-                    {
-                        block[(i * d + e) * BLOCK + s - first] = vector(i, s)[e];
+                    for i in 0..3 {
+                        for s in first..n.min(first + BLOCK) {
+                            for e in 0..d {
+                                block[(i * d + e) * BLOCK + s - first] = vector(i, s)[e];
+                            }
+                        }
                     }
                     block_dots(&block, 3, &mut out);
                     for s in first..n.min(first + BLOCK) {
